@@ -93,11 +93,6 @@ from .models import (
     load_explicit_matrix,
     parse_potential,
 )
-from .stepwise import (
-    ComparisonRow,
-    StepwiseTrace,
-    stepwise_fw,
-    stepwise_vs_eriksen,
-)
+from .stepwise import StepwiseTrace, stepwise_fw
 
 __version__ = "0.1.0"

@@ -120,8 +120,8 @@ class DiracDecomposition:
 
     ``even_part`` commutes with beta and is stored with its off-diagonal
     blocks exactly zero; ``odd_part`` anticommutes and is stored with its
-    diagonal blocks exactly zero.  Both parts must be Hermitian to
-    relative tolerance 1e-12.
+    diagonal blocks exactly zero.  Both parts must be finite and Hermitian
+    to relative tolerance 1e-12.
     """
 
     grading: Grading
@@ -130,11 +130,13 @@ class DiracDecomposition:
     odd_part: np.ndarray
 
     def __post_init__(self):
-        if not self.mass > 0.0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
+        if not 0.0 < self.mass < np.inf:
+            raise ValueError(f"mass must be positive and finite, got {self.mass}")
         e = even_projection(np.asarray(self.even_part, dtype=complex), self.grading)
         o = odd_projection(np.asarray(self.odd_part, dtype=complex), self.grading)
         for name, part in (("even", e), ("odd", o)):
+            if not np.isfinite(part).all():
+                raise NonHermitianInput(f"{name} part has non-finite entries")
             if hermiticity_defect(part) > HERMITICITY_RTOL:
                 raise NonHermitianInput(f"{name} part is not Hermitian within 1e-12")
         object.__setattr__(self, "even_part", e)
@@ -167,9 +169,11 @@ def split_even_odd(h, grading: Grading, mass: float) -> DiracDecomposition:
     Raises
     ------
     NonHermitianInput
-        If ``h`` deviates from Hermiticity by more than 1e-12 relative.
+        If ``h`` is non-finite or deviates from Hermiticity by more than 1e-12.
     """
     h = grading.check(np.asarray(h, dtype=complex))
+    if not np.isfinite(h).all():
+        raise NonHermitianInput("Hamiltonian has non-finite entries")
     if hermiticity_defect(h) > HERMITICITY_RTOL:
         raise NonHermitianInput("Hamiltonian is not Hermitian within 1e-12")
     x = h - mass * make_beta(grading)

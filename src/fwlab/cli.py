@@ -8,6 +8,8 @@ report serializers; nothing is printed in ad-hoc formats.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import json
 import math
 import os
@@ -69,8 +71,8 @@ def _parse_momentum(text: str):
 
 
 def _check_mass(mass: float):
-    if not mass > 0.0:
-        _fail_usage(f"--mass must be positive, got {mass}")
+    if not 0.0 < mass < math.inf:
+        _fail_usage(f"--mass must be positive and finite, got {mass}")
 
 
 def _emit(report: ComparisonReport, args) -> int:
@@ -244,13 +246,8 @@ def cmd_sweep(args) -> int:
         for value in values
     ]
     workers = max(1, int(os.environ.get("FWLAB_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(
-                lambda s: run_comparison(s, methods, tolerances), specs
-            ))
-    else:
-        reports = [run_comparison(s, methods, tolerances) for s in specs]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        reports = list(pool.map(lambda s: run_comparison(s, methods, tolerances), specs))
 
     for value, report in zip(values, reports):
         emit_report(report, "json", os.path.join(args.out, f"report_g{value!r}.json"))
@@ -259,11 +256,68 @@ def cmd_sweep(args) -> int:
     return 2 if any(r.has_errors() for r in reports) else 0
 
 
+# (get, set) thread-count entry points of the OpenBLAS builds numpy and
+# scipy ship: numpy's 64-bit-integer build, scipy's, then a system library.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+_GET_THREADS = ctypes.CFUNCTYPE(ctypes.c_int)
+_SET_THREADS = ctypes.CFUNCTYPE(None, ctypes.c_int)
+
+
+def _openblas_thread_controls():
+    """(get, set) thread-count functions of every OpenBLAS already loaded.
+
+    Libraries are found in the process's memory map and opened without
+    loading anything new; where that map is unavailable, none are found.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            # Columns: address, permissions, offset, device, inode, path.
+            rows = [line.split(maxsplit=5) for line in maps.read().splitlines()]
+    except OSError:
+        return []
+    paths = {row[5] for row in rows if len(row) == 6 and "openblas" in os.path.basename(row[5])}
+    controls = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            try:
+                controls.append((_GET_THREADS((get_name, lib)), _SET_THREADS((set_name, lib))))
+                break
+            except AttributeError:
+                continue
+    return controls
+
+
+@contextlib.contextmanager
+def _single_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the previous counts.
+
+    The CLI owns its process: at dim <= ~256 threaded BLAS is slower than serial,
+    and stacked on the ``FWLAB_THREADS`` sweep pool it oversubscribes the cores.
+    """
+    saved = [(set_, get()) for get, set_ in _openblas_thread_controls()]
+    for set_, _ in saved:
+        set_(1)
+    try:
+        yield
+    finally:
+        for set_, count in saved:
+            set_(count)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _single_blas_thread():
+            return args.func(args)
     except FWLabError as exc:
         print(f"fwlab: error: {exc}", file=sys.stderr)
         return 1

@@ -22,7 +22,7 @@ quantifies the failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -78,13 +78,7 @@ class DiagnosticSet:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
 
     def to_dict(self) -> dict:
-        return {
-            "unitarity_residual": self.unitarity_residual,
-            "eriksen_condition_residual": self.eriksen_condition_residual,
-            "block_diagonality": self.block_diagonality,
-            "exponent_odd_residual": self.exponent_odd_residual,
-            "spectrum_drift": self.spectrum_drift,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)

@@ -88,6 +88,10 @@ def read_matrix(path) -> tuple[np.ndarray, Grading]:
                 raise ParseError(
                     f"bad complex entry {token!r}", path=path, line=number, column=col + 1
                 ) from exc
+            if not np.isfinite(entries[row, col]):
+                raise ParseError(
+                    f"non-finite entry {token!r}", path=path, line=number, column=col + 1
+                )
     leftovers = next(lines, None)
     if leftovers is not None:
         raise ParseError(
@@ -120,6 +124,8 @@ def read_potential_table(path) -> list[float]:
             raise ParseError(
                 f"bad real value {tokens[0]!r}", path=path, line=number
             ) from exc
+        if not np.isfinite(values[-1]):
+            raise ParseError(f"non-finite value {tokens[0]!r}", path=path, line=number)
     return values
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,15 +34,6 @@ from .matfunc import inv_sqrt, principal_sqrt, spectral_gap
 from .models import ModelSpec, build_model
 from .fileio import write_text
 from .stepwise import stepwise_fw
-
-DIAGNOSTIC_FIELDS = (
-    "unitarity_residual",
-    "eriksen_condition_residual",
-    "block_diagonality",
-    "exponent_odd_residual",
-    "spectrum_drift",
-)
-
 
 @dataclass(frozen=True)
 class ToleranceConfig:
@@ -270,9 +261,10 @@ def report_json(report: ComparisonReport, include_timings: bool = False) -> str:
 def report_csv(report: ComparisonReport) -> str:
     """One row per (method, metric); blank value where a metric is absent."""
     lines = ["method,metric,value"]
+    names = [f.name for f in fields(DiagnosticSet)]
     for row in report.methods:
         metrics = row.diagnostics.to_dict() if row.diagnostics is not None else {}
-        for name in DIAGNOSTIC_FIELDS:
+        for name in names:
             value = metrics.get(name)
             rendered = "" if value is None else repr(float(value))
             lines.append(f"{row.method},{name},{rendered}")

@@ -67,6 +67,8 @@ class Potential:
                 f"potential {self.kind!r} takes {expected} parameter(s), "
                 f"got {len(self.params)}"
             )
+        if not np.isfinite(self.params).all():
+            raise ValueError(f"potential {self.kind!r} needs finite parameters, got {self.params}")
         if self.kind == "gaussian" and not self.params[1] > 0.0:
             raise ValueError("gaussian width must be positive")
 
@@ -165,12 +167,12 @@ def build_lattice_1d(n: int, length: float, mass: float,
     Layout is upper component block first: beta = diag(I_n, -I_n), the
     kinetic term is purely odd, and the potential is even.
 
-    Raises InvalidGrid for n < 4 or odd n or a nonpositive length.
+    Raises InvalidGrid for n < 4 or odd n or a nonpositive or non-finite length.
     """
     if n < 4 or n % 2 != 0:
         raise InvalidGrid(f"need an even site count of at least 4, got {n}")
-    if not length > 0.0:
-        raise InvalidGrid(f"box half-length must be positive, got {length}")
+    if not 0.0 < length < np.inf:
+        raise InvalidGrid(f"box half-length must be positive and finite, got {length}")
     dx = 2.0 * length / n
     x = -length + (np.arange(n) + 0.5) * dx
     shift = np.eye(n, dtype=complex)

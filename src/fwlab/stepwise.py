@@ -15,15 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Grading, frobenius, make_beta, odd_norm_ratio, odd_projection, relative_norm
-from .eriksen import (
-    METHOD_STEPWISE,
-    DiagnosticSet,
-    FWResult,
-    compute_diagnostics,
-    eriksen_condition_residual,
-    eriksen_transform,
-)
+from .algebra import Grading, frobenius, make_beta, odd_norm_ratio, odd_projection
+from .eriksen import METHOD_STEPWISE, FWResult, compute_diagnostics
 from .matfunc import matrix_exp
 
 DEFAULT_TOL = 1e-8
@@ -115,46 +108,3 @@ def stepwise_fw(h, grading: Grading, mass: float, *, tol: float = DEFAULT_TOL,
     )
     return result, StepwiseTrace(tuple(rows), composite, converged, stop_reason)
 
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    """Head-to-head numbers for the iterative and single-shot routes."""
-
-    eriksen_diagnostics: DiagnosticSet
-    stepwise_diagnostics: DiagnosticSet
-    hamiltonian_disagreement: float
-    transform_disagreement: float
-    eriksen_condition_eriksen: float
-    eriksen_condition_stepwise: float
-    converged: bool
-    stop_reason: str
-    iterations: int
-
-
-def stepwise_vs_eriksen(h, grading: Grading, mass: float, *, tol: float = DEFAULT_TOL,
-                        max_iterations: int = DEFAULT_MAX_ITERATIONS) -> ComparisonRow:
-    """Run both routes on the same Hamiltonian and compare end points.
-
-    Disagreements are relative to the single-shot quantities.  On
-    commuting input both Hamiltonians approach beta eps + E, so the
-    Hamiltonian disagreement lands near max(tol, 1e-8) while the adjoint
-    condition still separates the transforms.
-    """
-    single = eriksen_transform(h, grading)
-    multi, trace = stepwise_fw(h, grading, mass, tol=tol, max_iterations=max_iterations)
-    return ComparisonRow(
-        eriksen_diagnostics=single.diagnostics,
-        stepwise_diagnostics=multi.diagnostics,
-        hamiltonian_disagreement=relative_norm(
-            multi.transformed_hamiltonian - single.transformed_hamiltonian,
-            single.transformed_hamiltonian,
-        ),
-        transform_disagreement=relative_norm(
-            multi.transform - single.transform, single.transform
-        ),
-        eriksen_condition_eriksen=eriksen_condition_residual(single.transform, grading),
-        eriksen_condition_stepwise=eriksen_condition_residual(multi.transform, grading),
-        converged=trace.converged,
-        stop_reason=trace.stop_reason,
-        iterations=len(trace.iterations),
-    )

@@ -137,8 +137,9 @@ def test_decomposition_projects_stray_blocks():
 def test_decomposition_gates():
     g = Grading(4, 2)
     zero = np.zeros((4, 4))
-    with pytest.raises(ValueError):
-        DiracDecomposition(g, -1.0, zero, zero)
+    for bad_mass in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            DiracDecomposition(g, bad_mass, zero, zero)
     skew = np.zeros((4, 4), dtype=complex)
     skew[0, 1] = 1.0  # even-block entry without its mirror
     with pytest.raises(NonHermitianInput):
@@ -147,6 +148,9 @@ def test_decomposition_gates():
     odd_skew[0, 2] = 1.0
     with pytest.raises(NonHermitianInput):
         DiracDecomposition(g, 1.0, zero, odd_skew)
+    # NaN passes every tolerance comparison, so it is rejected by name
+    with pytest.raises(NonHermitianInput):
+        DiracDecomposition(g, 1.0, np.full((4, 4), np.nan), zero)
 
 
 def test_split_rejects_non_hermitian():
@@ -155,3 +159,12 @@ def test_split_rejects_non_hermitian():
     bad[0, 1] = 1.0
     with pytest.raises(NonHermitianInput):
         split_even_odd(bad, g, 1.0)
+
+
+def test_split_rejects_non_finite():
+    g = Grading(4, 2)
+    for bad_value in (np.nan, np.inf):
+        h = make_beta(g)
+        h[1, 1] = bad_value
+        with pytest.raises(NonHermitianInput):
+            split_even_odd(h, g, 1.0)

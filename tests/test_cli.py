@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fwlab import build_free_particle, write_matrix
+from fwlab import build_free_particle, cli, run_comparison, write_matrix
 from fwlab.cli import main
 
 
@@ -79,6 +79,8 @@ def test_usage_errors_exit_one(capsys):
         ["free", "--mass", "1", "--methods", "nosuch"],
         ["lattice", "--n", "3", "--L", "4", "--mass", "1", "--potential", "zero"],
         ["lattice", "--n", "8", "--L", "4", "--mass", "1", "--potential", "nosuch:1"],
+        ["lattice", "--n", "8", "--L", "4", "--mass", "1", "--potential", "gaussian:nan,1"],
+        ["lattice", "--n", "8", "--L", "4", "--mass", "inf", "--potential", "zero"],
         ["nosuchcommand"],
     )
     for argv in cases:
@@ -157,15 +159,75 @@ def test_sweep_usage_gates(tmp_path, capsys):
 
 
 def test_sweep_respects_thread_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("FWLAB_THREADS", "2")
-    out_dir = tmp_path / "sweep"
-    assert run_cli([
-        "sweep",
-        "--base", "--n 8 --L 6 --mass 1 --potential constant:0.2 "
-                  "--methods eriksen,stepwise",
-        "--param", "g",
-        "--values", "0.2,0.1,0.05",
-        "--out", str(out_dir),
-    ]) == 0
-    assert (out_dir / "summary.json").exists()
-    assert len(list(out_dir.glob("report_g*.json"))) == 3
+    written = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("FWLAB_THREADS", threads)
+        out_dir = tmp_path / f"sweep{threads}"
+        assert run_cli([
+            "sweep",
+            "--base", "--n 8 --L 6 --mass 1 --potential constant:0.2 "
+                      "--methods eriksen,stepwise",
+            "--param", "g",
+            "--values", "0.2,0.1,0.05",
+            "--out", str(out_dir),
+        ]) == 0
+        assert (out_dir / "summary.json").exists()
+        assert len(list(out_dir.glob("report_g*.json"))) == 3
+        written[threads] = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+    # the pool size changes the schedule, never a byte of the output
+    assert written["1"] == written["2"]
+
+
+@pytest.fixture
+def blas_controls():
+    """Loaded OpenBLAS controls, set to 2 threads and restored afterwards."""
+    controls = cli._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS library is loaded")
+    original = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(2)
+    yield controls
+    for (_, set_), count in zip(controls, original):
+        set_(count)
+
+
+def _spy_blas_counts(monkeypatch, controls, error=None):
+    """Record the BLAS thread counts each time the CLI runs a comparison."""
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append([get() for get, _ in controls])
+        if error is not None:
+            raise error
+        return run_comparison(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_comparison", spy)
+    return seen
+
+
+def test_cli_runs_on_one_blas_thread(blas_controls, monkeypatch, capsys):
+    seen = _spy_blas_counts(monkeypatch, blas_controls)
+    assert run_cli(["free", "--mass", "1", "--methods", "eriksen"]) == 0
+    assert seen == [[1] * len(blas_controls)]
+
+
+def test_cli_restores_blas_threads(blas_controls, monkeypatch, capsys):
+    before = [2] * len(blas_controls)
+    _spy_blas_counts(monkeypatch, blas_controls)
+    assert run_cli(["free", "--mass", "1", "--methods", "eriksen"]) == 0
+    assert [get() for get, _ in blas_controls] == before
+    assert run_cli(["free", "--mass", "-1"]) == 1
+    assert [get() for get, _ in blas_controls] == before
+    seen = _spy_blas_counts(monkeypatch, blas_controls, RuntimeError("kernel failure"))
+    with pytest.raises(RuntimeError):
+        main(["free", "--mass", "1", "--methods", "eriksen"])
+    assert seen == [[1] * len(blas_controls)]
+    assert [get() for get, _ in blas_controls] == before
+
+
+def test_cli_without_openblas_leaves_threads_alone(blas_controls, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_openblas_thread_controls", lambda: [])
+    seen = _spy_blas_counts(monkeypatch, blas_controls)
+    assert run_cli(["free", "--mass", "1", "--methods", "eriksen"]) == 0
+    assert seen == [[2] * len(blas_controls)]

@@ -73,6 +73,11 @@ def test_read_matrix_body_errors(tmp_path):
     # location is reported as path:line:column
     assert f"{path}:2:2" in str(err.value)
 
+    path.write_text("2 1\n1.0+0.0j 0.0-infj\n0.0+0.0j 1.0+0.0j\n")
+    with pytest.raises(ParseError) as err:
+        read_matrix(path)
+    assert f"{path}:2:2" in str(err.value)
+
     path.write_text("2 1\n1.0+0.0j 0.0+0.0j\n")
     with pytest.raises(ParseError):
         read_matrix(path)
@@ -90,6 +95,10 @@ def test_read_potential_table(tmp_path):
     with pytest.raises(ParseError) as err:
         read_potential_table(path)
     assert f"{path}:2" in str(err.value)
+    path.write_text("0.5\n# nan below\nnan\n")
+    with pytest.raises(ParseError) as err:
+        read_potential_table(path)
+    assert f"{path}:3" in str(err.value)
 
 
 def test_write_text_replaces_atomically(tmp_path):

@@ -1,9 +1,11 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from fwlab import (
+    DiagnosticSet,
     ModelSpec,
     Potential,
     ToleranceConfig,
@@ -13,7 +15,6 @@ from fwlab import (
     run_comparison,
 )
 from fwlab.eriksen import METHOD_TAGS
-from fwlab.harness import DIAGNOSTIC_FIELDS
 from fwlab.models import KIND_FREE, KIND_LATTICE, KIND_SYNTHETIC
 
 FREE_SPEC = ModelSpec(kind=KIND_FREE, mass=1.0, momentum=(0.0, 0.0, 0.75))
@@ -100,11 +101,12 @@ def test_json_report_is_deterministic():
 def test_csv_shape():
     report = run_comparison(GAUSS_SPEC)
     lines = report_csv(report).strip().split("\n")
+    names = [f.name for f in fields(DiagnosticSet)]
     assert lines[0] == "method,metric,value"
-    assert len(lines) == 1 + 5 * len(DIAGNOSTIC_FIELDS)
+    assert len(lines) == 1 + 5 * len(names)
     # errored method contributes blank values, not fabricated numbers
     exact_lines = [ln for ln in lines if ln.startswith("exactcase,")]
-    assert len(exact_lines) == len(DIAGNOSTIC_FIELDS)
+    assert len(exact_lines) == len(names)
     assert all(ln.endswith(",") for ln in exact_lines)
 
 

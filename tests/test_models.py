@@ -78,8 +78,9 @@ def test_lattice_grid_gates():
             build_lattice_1d(bad_n, 4.0, 1.0, pot)
     with pytest.raises(InvalidGrid):
         build_lattice_1d(8, 0.0, 1.0, pot)
-    with pytest.raises(InvalidGrid):
-        build_lattice_1d(8, -1.0, 1.0, pot)
+    for bad_length in (-1.0, np.inf, np.nan):
+        with pytest.raises(InvalidGrid):
+            build_lattice_1d(8, bad_length, 1.0, pot)
 
 
 def test_potential_catalog():
@@ -143,6 +144,15 @@ def test_parse_potential():
         parse_potential("file:")
 
 
+def test_parse_potential_rejects_non_finite():
+    for text in ("gaussian:nan,1", "gaussian:0.1,inf", "constant:inf", "linear:-inf"):
+        with pytest.raises(ParseError):
+            parse_potential(text)
+    # a sweep rescales the strength through the same gate
+    with pytest.raises(ValueError):
+        Potential("gaussian", (0.1, 1.0)).with_strength(float("nan"))
+
+
 def test_parse_potential_from_file(tmp_path):
     table = tmp_path / "v.txt"
     table.write_text("0.1\n-0.25\n0.3\n")
@@ -164,6 +174,8 @@ def test_synthetic_model_commutes_and_reproduces():
     assert h.tobytes() != h3.tobytes()
     with pytest.raises(ValueError):
         build_synthetic_commuting(1, 1.0, (0.1,), 0)
+    with pytest.raises(NonHermitianInput):
+        build_synthetic_commuting(4, 1.0, (np.nan,), 0)
 
 
 def test_synthetic_empty_polynomial_is_field_free():
@@ -185,6 +197,14 @@ def test_load_explicit_matrix(tmp_path):
     write_matrix(bad_path, bad, g)
     with pytest.raises(NonHermitianInput):
         load_explicit_matrix(bad_path)
+
+
+def test_load_explicit_matrix_rejects_non_finite(tmp_path):
+    path = tmp_path / "h.txt"
+    path.write_text("# comment\n2 1\n1.0+0.0j 0.0+0.0j\n0.0+0.0j nan+0.0j\n")
+    with pytest.raises(ParseError) as err:
+        load_explicit_matrix(path)
+    assert (err.value.path, err.value.line, err.value.column) == (path, 4, 2)
 
 
 def test_model_spec_describe():

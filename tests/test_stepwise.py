@@ -3,16 +3,17 @@ import pytest
 
 from fwlab import (
     Grading,
+    ModelSpec,
     build_free_particle,
     build_lattice_1d,
     eriksen_transform,
     h_fw_exact,
     make_beta,
     relative_norm,
+    run_comparison,
     stepwise_fw,
-    stepwise_vs_eriksen,
 )
-from fwlab.models import Potential
+from fwlab.models import KIND_LATTICE, Potential
 from fwlab.stepwise import (
     STOP_MAX_ITERATIONS,
     STOP_STAGNATION,
@@ -45,14 +46,16 @@ def test_ratio_decreases_monotonically():
 
 def test_agrees_with_single_shot_on_free_particle():
     h, g, _ = build_free_particle(1.0, (0.0, 0.0, 0.75))
-    row = stepwise_vs_eriksen(h, g, 1.0)
-    assert row.converged
-    assert row.stop_reason == STOP_TOLERANCE
-    assert row.hamiltonian_disagreement <= 2e-8
+    single = eriksen_transform(h, g)
+    multi, trace = stepwise_fw(h, g, 1.0)
+    assert trace.converged
+    assert trace.stop_reason == STOP_TOLERANCE
+    target = single.transformed_hamiltonian
+    assert relative_norm(multi.transformed_hamiltonian - target, target) <= 2e-8
     # on the free particle every step exponent is proportional to
     # beta alpha_3, so even the composite satisfies the adjoint condition
-    assert row.eriksen_condition_stepwise <= 1e-12
-    assert row.eriksen_condition_eriksen <= 1e-12
+    assert multi.diagnostics.eriksen_condition_residual <= 1e-12
+    assert single.diagnostics.eriksen_condition_residual <= 1e-12
 
 
 def test_reaches_exact_block_form_on_commuting_lattice():
@@ -64,10 +67,13 @@ def test_reaches_exact_block_form_on_commuting_lattice():
 
 
 def test_composite_breaks_adjoint_condition_off_commuting():
-    h, g, _ = build_lattice_1d(16, 8.0, 1.0, Potential("gaussian", (0.1, 1.0)))
-    row = stepwise_vs_eriksen(h, g, 1.0)
-    assert row.eriksen_condition_eriksen <= 1e-10
-    assert row.eriksen_condition_stepwise >= 1e2 * row.eriksen_condition_eriksen
+    spec = ModelSpec(kind=KIND_LATTICE, mass=1.0, n=16, length=8.0,
+                     potential=Potential("gaussian", (0.1, 1.0)))
+    report = run_comparison(spec, methods=("eriksen", "stepwise"))
+    single = report.row("eriksen").diagnostics.eriksen_condition_residual
+    multi = report.row("stepwise").diagnostics.eriksen_condition_residual
+    assert single <= 1e-10
+    assert multi >= 1e2 * single
 
 
 def test_stagnation_detected_on_sharp_potential():
