@@ -223,6 +223,11 @@ def _sweep_summary(values, reports):
     return summary
 
 
+# Sweeps on fewer sites (dim < 128) run serially: their comparisons mostly hold
+# the GIL, so FWLAB_THREADS workers would only contend for it.
+_POOL_MIN_SITES = 64
+
+
 def cmd_sweep(args) -> int:
     lattice_parser = _Parser(prog="fwlab sweep --base")
     _add_lattice_arguments(lattice_parser)
@@ -245,7 +250,7 @@ def cmd_sweep(args) -> int:
         )
         for value in values
     ]
-    workers = max(1, int(os.environ.get("FWLAB_THREADS", "1")))
+    workers = max(1, int(os.environ.get("FWLAB_THREADS", "1"))) if spec.n >= _POOL_MIN_SITES else 1
     with ThreadPoolExecutor(max_workers=workers) as pool:
         reports = list(pool.map(lambda s: run_comparison(s, methods, tolerances), specs))
 
@@ -318,13 +323,10 @@ def main(argv=None) -> int:
     try:
         with _single_blas_thread():
             return args.func(args)
-    except FWLabError as exc:
-        print(f"fwlab: error: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"fwlab: i/o error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (FWLabError, ValueError) as exc:
         print(f"fwlab: error: {exc}", file=sys.stderr)
         return 1
 

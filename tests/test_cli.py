@@ -159,6 +159,7 @@ def test_sweep_usage_gates(tmp_path, capsys):
 
 
 def test_sweep_respects_thread_env(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_POOL_MIN_SITES", 0)  # run the pool at n=8 too
     written = {}
     for threads in ("1", "2"):
         monkeypatch.setenv("FWLAB_THREADS", threads)
@@ -176,6 +177,25 @@ def test_sweep_respects_thread_env(tmp_path, monkeypatch):
         written[threads] = {path.name: path.read_bytes() for path in out_dir.iterdir()}
     # the pool size changes the schedule, never a byte of the output
     assert written["1"] == written["2"]
+
+
+def test_sweep_pool_only_from_dim_128(tmp_path, monkeypatch):
+    sizes = []
+
+    class SpyPool(cli.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", SpyPool)
+    monkeypatch.setenv("FWLAB_THREADS", "2")
+    for n in (62, 64):  # dim 124 runs serially, dim 128 on FWLAB_THREADS workers
+        assert run_cli([
+            "sweep", "--base", f"--n {n} --L 6 --mass 1 --potential constant:0.2 "
+                               "--methods eriksen",
+            "--param", "g", "--values", "0.2,0.1", "--out", str(tmp_path / str(n)),
+        ]) == 0
+    assert sizes == [1, 2]
 
 
 @pytest.fixture
