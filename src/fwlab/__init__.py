@@ -77,7 +77,7 @@ from .harness import (
 from .matfunc import (
     SpectralGapReport,
     inv_sqrt,
-    matrix_exp,
+    odd_exp,
     principal_sqrt,
     sign_operator,
     spectral_gap,

@@ -77,6 +77,14 @@ class Grading:
         return a
 
 
+def check_hamiltonian(h, grading: Grading) -> np.ndarray:
+    """Complex ndarray of the grading's shape; NonHermitianInput if non-finite."""
+    h = grading.check(np.asarray(h, dtype=complex))
+    if not np.isfinite(h).all():
+        raise NonHermitianInput("Hamiltonian has non-finite entries")
+    return h
+
+
 def make_beta(grading: Grading) -> np.ndarray:
     """Dense grading involution diag(+1, ..., +1, -1, ..., -1)."""
     signs = np.ones(grading.dim)
@@ -171,9 +179,7 @@ def split_even_odd(h, grading: Grading, mass: float) -> DiracDecomposition:
     NonHermitianInput
         If ``h`` is non-finite or deviates from Hermiticity by more than 1e-12.
     """
-    h = grading.check(np.asarray(h, dtype=complex))
-    if not np.isfinite(h).all():
-        raise NonHermitianInput("Hamiltonian has non-finite entries")
+    h = check_hamiltonian(h, grading)
     if hermiticity_defect(h) > HERMITICITY_RTOL:
         raise NonHermitianInput("Hamiltonian is not Hermitian within 1e-12")
     x = h - mass * make_beta(grading)

@@ -28,6 +28,7 @@ import numpy as np
 
 from .algebra import (
     Grading,
+    check_hamiltonian,
     frobenius,
     make_beta,
     odd_norm_ratio,
@@ -94,6 +95,13 @@ class FWResult:
     method_tag: str
     diagnostics: DiagnosticSet
 
+    @classmethod
+    def of(cls, u, h, grading: Grading, method_tag: str) -> "FWResult":
+        """Result for transform ``u`` of ``h``, with u h u^H built once."""
+        transformed = u @ h @ u.conj().T
+        return cls(u, transformed, method_tag,
+                   compute_diagnostics(u, h, grading, transformed))
+
     def __post_init__(self):
         if self.method_tag not in METHOD_TAGS:
             raise ValueError(f"unknown method tag {self.method_tag!r}")
@@ -140,15 +148,16 @@ def transform_state(u, psi) -> np.ndarray:
     return u @ psi
 
 
-def compute_diagnostics(u, h, grading: Grading) -> DiagnosticSet:
+def compute_diagnostics(u, h, grading: Grading, transformed=None) -> DiagnosticSet:
     """Evaluate the full diagnostic set for a transform of ``h``.
 
     ``spectrum_drift`` is the largest sorted-eigenvalue displacement between
-    ``h`` and u h u^H, relative to ||h||_F.
+    ``h`` and u h u^H, relative to ||h||_F; ``transformed`` is u h u^H if known.
     """
     u = grading.check(np.asarray(u, dtype=complex))
     h = grading.check(np.asarray(h, dtype=complex))
-    transformed = u @ h @ u.conj().T
+    if transformed is None:
+        transformed = u @ h @ u.conj().T
     unitarity = frobenius(u.conj().T @ u - np.eye(grading.dim))
     condition = eriksen_condition_residual(u, grading)
     blockness = odd_norm_ratio(transformed, grading)
@@ -164,7 +173,7 @@ def compute_diagnostics(u, h, grading: Grading) -> DiagnosticSet:
 
 
 def _sign_and_factor(h, grading: Grading, gap_tol):
-    h = grading.check(np.asarray(h, dtype=complex))
+    h = check_hamiltonian(h, grading)
     lam = sign_operator(h, gap_tol=gap_tol)
     beta = make_beta(grading)
     return h, lam, beta, np.eye(grading.dim, dtype=complex) + beta @ lam
@@ -182,10 +191,7 @@ def eriksen_transform(h, grading: Grading, *, gap_tol: float | None = None) -> F
     h, lam, beta, factor = _sign_and_factor(h, grading, gap_tol)
     eye = np.eye(grading.dim, dtype=complex)
     core = eye + 0.25 * (beta @ lam + lam @ beta - 2.0 * eye)
-    u = 0.5 * factor @ inv_sqrt(core)
-    return FWResult(
-        u, u @ h @ u.conj().T, METHOD_ERIKSEN, compute_diagnostics(u, h, grading)
-    )
+    return FWResult.of(0.5 * factor @ inv_sqrt(core), h, grading, METHOD_ERIKSEN)
 
 
 def eriksen_transform_alt(h, grading: Grading, *, gap_tol: float | None = None) -> FWResult:
@@ -202,6 +208,4 @@ def eriksen_transform_alt(h, grading: Grading, *, gap_tol: float | None = None) 
             f"1 + beta*lambda has smallest singular value {smallest:.3e}"
         )
     u = factor @ inv_sqrt(factor.conj().T @ factor)
-    return FWResult(
-        u, u @ h @ u.conj().T, METHOD_ERIKSEN_ALT, compute_diagnostics(u, h, grading)
-    )
+    return FWResult.of(u, h, grading, METHOD_ERIKSEN_ALT)

@@ -31,7 +31,7 @@ from .algebra import (
     frobenius,
     make_beta,
 )
-from .eriksen import METHOD_EXACT_CASE, FWResult, compute_diagnostics
+from .eriksen import METHOD_EXACT_CASE, FWResult
 from .errors import NotCommuting, OutsideValidityDomain
 from .matfunc import GAP_RTOL, inv_sqrt, principal_sqrt
 
@@ -119,15 +119,11 @@ def u_fw_exact(d: DiracDecomposition, *, commute_tol: float = COMMUTE_TOL) -> FW
     sign-operator construction on commuting input.
     """
     _require_commuting(d, commute_tol)
-    grading = d.grading
-    a = d.mass**2 * np.eye(grading.dim, dtype=complex) + d.odd_part @ d.odd_part
+    a = d.mass**2 * np.eye(d.grading.dim, dtype=complex) + d.odd_part @ d.odd_part
     eps = principal_sqrt(a)
-    numerator = eps + d.mass * np.eye(grading.dim) + make_beta(grading) @ d.odd_part
+    numerator = eps + d.mass * np.eye(d.grading.dim) + make_beta(d.grading) @ d.odd_part
     u = numerator @ inv_sqrt(2.0 * a + 2.0 * d.mass * eps)
-    h = d.hamiltonian()
-    return FWResult(
-        u, u @ h @ u.conj().T, METHOD_EXACT_CASE, compute_diagnostics(u, h, grading)
-    )
+    return FWResult.of(u, d.hamiltonian(), d.grading, METHOD_EXACT_CASE)
 
 
 def h_fw_exact(d: DiracDecomposition, *, commute_tol: float = COMMUTE_TOL) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -45,12 +45,7 @@ class ToleranceConfig:
     max_iterations: int = 50
 
     def to_dict(self) -> dict:
-        return {
-            "commute_tol": self.commute_tol,
-            "gap_tol": self.gap_tol,
-            "stepwise_tol": self.stepwise_tol,
-            "max_iterations": self.max_iterations,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -86,11 +81,7 @@ class CrossRow:
     transform_disagreement: float
 
     def to_dict(self) -> dict:
-        return {
-            "method_pair": list(self.method_pair),
-            "hamiltonian_disagreement": self.hamiltonian_disagreement,
-            "transform_disagreement": self.transform_disagreement,
-        }
+        return {**asdict(self), "method_pair": list(self.method_pair)}
 
 
 @dataclass
@@ -104,13 +95,7 @@ class ReportContext:
     even_strength_ratio: float   # ||E||_F / (mass * sqrt(dim))
 
     def to_dict(self) -> dict:
-        return {
-            "mass": self.mass,
-            "dim": self.dim,
-            "commutation_residual": self.commutation_residual,
-            "spectral_gap": self.spectral_gap,
-            "even_strength_ratio": self.even_strength_ratio,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -147,13 +132,13 @@ def _weak_field_row(decomposition, h, grading, row: MethodRow):
     transform is assembled from that surrogate exactly as in the one-shot
     construction.  Off the commuting case the result is only approximately
     unitary, which is what the diagnostics are meant to show, so the
-    unconditionally-unitary result wrapper is bypassed on purpose.
+    unconditionally-unitary result wrapper is bypassed on purpose.  Returns
+    (U, U H U^H), or None when the root is not positive definite.
     """
     root = weak_field_sqrt(decomposition)
     reference = principal_sqrt(h @ h)
     row.extras["sqrt_relative_error"] = relative_norm(root - reference, reference)
-    root_h = 0.5 * (root + root.conj().T)
-    w, v = np.linalg.eigh(root_h)
+    w, v = np.linalg.eigh(0.5 * (root + root.conj().T))
     if w[0] <= 0.0:
         row.error = "approximate root is not positive definite"
         row.error_type = "OutsideValidityDomain"
@@ -163,8 +148,9 @@ def _weak_field_row(decomposition, h, grading, row: MethodRow):
     beta = make_beta(grading)
     core = eye + 0.25 * (beta @ lam + lam @ beta - 2.0 * eye)
     u = 0.5 * (eye + beta @ lam) @ inv_sqrt(core)
-    row.diagnostics = compute_diagnostics(u, h, grading)
-    return u
+    transformed = u @ h @ u.conj().T
+    row.diagnostics = compute_diagnostics(u, h, grading, transformed)
+    return u, transformed
 
 
 def run_comparison(spec: ModelSpec, methods=METHOD_TAGS,
@@ -216,10 +202,9 @@ def run_comparison(spec: ModelSpec, methods=METHOD_TAGS,
                 row.extras["iterations"] = len(trace.iterations)
             else:
                 result = None
-                u = _weak_field_row(decomposition, h, grading, row)
-                if u is not None:
-                    transforms[method] = u
-                    transformed[method] = u @ h @ u.conj().T
+                weak = _weak_field_row(decomposition, h, grading, row)
+                if weak is not None:
+                    transforms[method], transformed[method] = weak
             if result is not None:
                 row.diagnostics = result.diagnostics
                 transforms[method] = result.transform

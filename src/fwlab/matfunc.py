@@ -4,7 +4,7 @@ Every Hermitian kernel runs through the same backend, the eigendecomposition
 by ``numpy.linalg.eigh``, which realizes the principal-branch convention
 uniformly: the square root of a positive operator is the positive root (so
 the root of the identity is the identity) and the logarithm of a unitary has
-eigenphases in (-pi, pi).
+eigenphases in (-pi, pi).  ``odd_exp`` works from an SVD instead.
 """
 
 from __future__ import annotations
@@ -172,6 +172,15 @@ def unitary_log(u, *, unitary_tol: float = UNITARY_TOL,
     return _hermitize(s)
 
 
-def matrix_exp(a) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring backend)."""
-    return scipy.linalg.expm(np.asarray(a, dtype=complex))
+def odd_exp(c) -> np.ndarray:
+    """Exponential of the odd anti-Hermitian generator [[0, c], [-c^H, 0]].
+
+    One SVD c = P diag(s) Q^H of the square block gives the cosine-sine form
+    [[P cos(s) P^H, P sin(s) Q^H], [-Q sin(s) P^H, Q cos(s) Q^H]].
+    """
+    p, s, qh = np.linalg.svd(np.asarray(c, dtype=complex))
+    q = qh.conj().T
+    cos, sin = np.cos(s), np.sin(s)
+    left = np.vstack((p * cos, q * -sin)) @ p.conj().T
+    right = np.vstack((p * sin, q * cos)) @ qh
+    return np.hstack((left, right))

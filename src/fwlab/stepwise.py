@@ -2,11 +2,14 @@
 
 Each pass splits the current Hamiltonian as beta m + E_k + O_k and rotates
 with U_k = exp(i S_k), S_k = -i beta O_k / (2 m), which cancels O_k to
-leading order in 1/m.  The composite transform U_K ... U_1 is unitary and
-drives the odd weight of the Hamiltonian below a tolerance when the
-coupling is weak enough, but its Hermitian generator is not odd: the
-iteration approaches the block-diagonal Hamiltonian without approaching
-the sign-operator transform itself.
+leading order in 1/m.  The generator i S_k = [[0, C], [-C^H, 0]] is odd and
+anti-Hermitian, with C the upper-right block of O_k over 2m, so each step's
+exponential comes from one n x n SVD of C in cosine-sine form.  The
+composite transform U_K ... U_1 is unitary and drives the odd weight of the
+Hamiltonian below a tolerance when the coupling is weak enough, but its
+Hermitian generator is not odd: the iteration approaches the
+block-diagonal Hamiltonian without approaching the sign-operator transform
+itself.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Grading, frobenius, make_beta, odd_norm_ratio, odd_projection
+from .algebra import Grading, check_hamiltonian, frobenius, odd_norm_ratio
 from .eriksen import METHOD_STEPWISE, FWResult, compute_diagnostics
-from .matfunc import matrix_exp
+from .matfunc import odd_exp
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITERATIONS = 50
@@ -54,11 +57,11 @@ def stepwise_fw(h, grading: Grading, mass: float, *, tol: float = DEFAULT_TOL,
     Parameters
     ----------
     h : array_like
-        Hermitian Hamiltonian.
+        Hermitian Hamiltonian with finite entries.
     grading : Grading
         Block structure.
     mass : float
-        Positive mass used in every exponent S_k = -i beta O_k / (2 mass).
+        Positive finite mass used in every exponent S_k = -i beta O_k / (2 mass).
     tol : float
         Target odd_norm_ratio of the transformed Hamiltonian.
     max_iterations : int
@@ -70,22 +73,20 @@ def stepwise_fw(h, grading: Grading, mass: float, *, tol: float = DEFAULT_TOL,
         Non-convergence is a reported outcome, not an error: the result
         always carries the composite transform actually reached.
     """
-    if not mass > 0.0:
-        raise ValueError(f"mass must be positive, got {mass}")
+    if not 0.0 < mass < np.inf:
+        raise ValueError(f"mass must be positive and finite, got {mass}")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    h = grading.check(np.asarray(h, dtype=complex))
-    beta = make_beta(grading)
+    h = check_hamiltonian(h, grading)
+    n = grading.upper_dim
     current = h
     composite = np.eye(grading.dim, dtype=complex)
     rows = []
     ratios = [odd_norm_ratio(current, grading)]
-    converged = False
     while True:
         ratio = ratios[-1]
         if ratio <= tol:
             stop_reason = STOP_TOLERANCE
-            converged = True
             break
         if len(rows) >= max_iterations:
             stop_reason = STOP_MAX_ITERATIONS
@@ -96,15 +97,14 @@ def stepwise_fw(h, grading: Grading, mass: float, *, tol: float = DEFAULT_TOL,
         ):
             stop_reason = STOP_STAGNATION
             break
-        odd = odd_projection(current, grading)
-        exponent = (-0.5j / mass) * (beta @ odd)
-        u_step = matrix_exp(1j * exponent)
+        c = current[:n, n:] / (2.0 * mass)
+        u_step = odd_exp(c)
         current = u_step @ current @ u_step.conj().T
         composite = u_step @ composite
-        rows.append((len(rows), ratio, frobenius(exponent)))
+        rows.append((len(rows), ratio, np.sqrt(2.0) * frobenius(c)))
         ratios.append(odd_norm_ratio(current, grading))
-    result = FWResult(
-        composite, current, METHOD_STEPWISE, compute_diagnostics(composite, h, grading)
-    )
+    diagnostics = compute_diagnostics(composite, h, grading)
+    result = FWResult(composite, current, METHOD_STEPWISE, diagnostics)
+    converged = stop_reason == STOP_TOLERANCE
     return result, StepwiseTrace(tuple(rows), composite, converged, stop_reason)
 

@@ -17,7 +17,13 @@ from fwlab import (
     transform_state,
 )
 from fwlab.eriksen import METHOD_ERIKSEN, METHOD_ERIKSEN_ALT
-from fwlab.errors import DegenerateFactor, DimensionMismatch, NotUnitary, SingularOperand
+from fwlab.errors import (
+    DegenerateFactor,
+    DimensionMismatch,
+    NonHermitianInput,
+    NotUnitary,
+    SingularOperand,
+)
 from fwlab.models import DIRAC_ALPHA, DIRAC_BETA, build_free_particle
 
 
@@ -120,6 +126,24 @@ def test_identity_transform_diagnostics():
     assert diag.block_diagonality == pytest.approx(0.6, rel=1e-14)
     assert diag.spectrum_drift <= 1e-15
     assert diag.exponent_odd_residual == 0.0
+
+
+@pytest.mark.parametrize("transform", [eriksen_transform, eriksen_transform_alt])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_rejected(transform, bad):
+    h, g, _ = build_free_particle(1.0, (0.0, 0.0, 0.75))
+    h = h.copy()
+    h[1, 3] = bad
+    with pytest.raises(NonHermitianInput, match="non-finite"):
+        transform(h, g)
+
+
+def test_diagnostics_reuse_transformed_hamiltonian():
+    h, g, _ = build_free_particle(1.0, (0.3, 0.4, 0.0))
+    for result in (eriksen_transform(h, g), eriksen_transform_alt(h, g)):
+        u = result.transform
+        assert result.diagnostics == compute_diagnostics(u, h, g)
+        np.testing.assert_array_equal(result.transformed_hamiltonian, u @ h @ u.conj().T)
 
 
 def test_diagnostics_reject_negative_entries():

@@ -1,18 +1,23 @@
 """Kernel tests against independent oracles.
 
-The kernels run on numpy.linalg.eigh / scipy schur+expm; the oracles here
-use different routes (scipy sqrtm, an eigenvector sign reconstruction, a
-scaling-and-squaring Taylor exponential) so agreement is meaningful.
+The kernels run on numpy.linalg.eigh / svd and scipy schur; the oracles
+here use different routes (scipy sqrtm and expm, an eigenvector sign
+reconstruction, a scaling-and-squaring Taylor exponential) so agreement is
+meaningful.
 """
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fwlab import (
+    Grading,
     frobenius,
     inv_sqrt,
-    matrix_exp,
+    make_beta,
+    odd_exp,
     principal_sqrt,
     sign_operator,
     spectral_gap,
@@ -43,6 +48,22 @@ def _random_gapped_hermitian(rng, dim, gap=0.3):
     w, v = np.linalg.eigh(h)
     w = np.where(w >= 0.0, w + gap, w - gap)
     return (v * w) @ v.conj().T
+
+
+def _random_block(rng, n, rank=None, norm=1.0):
+    """n x n complex block of the given rank, scaled to spectral norm ``norm``."""
+    rank = n if rank is None else rank
+    a = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    b = rng.standard_normal((rank, n)) + 1j * rng.standard_normal((rank, n))
+    c = a @ b
+    scale = np.linalg.norm(c, 2)
+    return c * (norm / scale) if scale > 0.0 else c
+
+
+def _odd_generator(c):
+    """Dense 2n x 2n generator [[0, c], [-c^H, 0]]."""
+    zero = np.zeros_like(c)
+    return np.block([[zero, c], [-c.conj().T, zero]])
 
 
 def _taylor_expm(a, terms=40):
@@ -128,19 +149,41 @@ def test_sign_operator_rejects_gapless():
         sign_operator(np.diag([1.0, 0.0, -1.0]))
 
 
-def test_matrix_exp_against_taylor():
+def test_odd_exp_against_taylor():
     rng = np.random.default_rng(13)
-    for dim in (3, 7):
-        s = _random_hermitian(rng, dim)
-        got = matrix_exp(1j * s)
-        oracle = _taylor_expm(1j * s)
+    for n in (3, 7):
+        generator = _odd_generator(_random_block(rng, n, norm=2.0))
+        got = odd_exp(generator[:n, n:])
+        oracle = _taylor_expm(generator)
         assert frobenius(got - oracle) <= 1e-12 * max(frobenius(oracle), 1.0)
-        # exp(iS) of Hermitian S is unitary
-        np.testing.assert_allclose(got.conj().T @ got, np.eye(dim), atol=1e-13)
+        # the exponential of an anti-Hermitian generator is unitary
+        np.testing.assert_allclose(got.conj().T @ got, np.eye(2 * n), atol=1e-13)
 
 
-def test_matrix_exp_of_zero_is_identity():
-    np.testing.assert_array_equal(matrix_exp(np.zeros((4, 4))), np.eye(4))
+def test_odd_exp_of_zero_is_identity():
+    np.testing.assert_array_equal(odd_exp(np.zeros((2, 2))), np.eye(4))
+
+
+def test_odd_exp_against_expm():
+    rng = np.random.default_rng(16)
+    for n, rank, norm in ((1, 1, 0.5), (4, 4, 3.0), (8, 3, 1.0), (16, 1, 2.0),
+                          (32, 0, 1.0), (32, 32, 0.05), (64, 20, 3.0)):
+        c = _random_block(rng, n, rank, norm)
+        oracle = scipy.linalg.expm(_odd_generator(c))
+        got = odd_exp(c)
+        assert frobenius(got - oracle) <= 1e-13 * frobenius(oracle), (n, rank, norm)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 64), rank_fraction=st.floats(0.0, 1.0),
+       norm=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_odd_exp_unitary_and_adjoint(n, rank_fraction, norm, seed):
+    c = _random_block(np.random.default_rng(seed), n, round(rank_fraction * n), norm)
+    u = odd_exp(c)
+    beta = make_beta(Grading(2 * n, n))
+    assert frobenius(u.conj().T @ u - np.eye(2 * n)) <= 1e-13
+    # the generator is odd, so beta U beta = exp(-G) = U^H
+    assert frobenius(beta @ u @ beta - u.conj().T) <= 1e-13
 
 
 def test_unitary_log_roundtrip():
@@ -151,7 +194,7 @@ def test_unitary_log_roundtrip():
         phases = np.linalg.eigvalsh(s)
         if np.max(np.abs(phases)) >= np.pi - 0.1:
             s = s * (np.pi - 0.2) / np.max(np.abs(phases))
-        u = matrix_exp(1j * s)
+        u = scipy.linalg.expm(1j * s)
         recovered = unitary_log(u)
         np.testing.assert_allclose(recovered, s, atol=1e-11)
 
@@ -171,5 +214,5 @@ def test_unitary_log_rejects_branch_cut():
 def test_unitary_log_hermitian_output():
     rng = np.random.default_rng(15)
     s = 0.3 * _random_hermitian(rng, 5)
-    recovered = unitary_log(matrix_exp(1j * s))
+    recovered = unitary_log(scipy.linalg.expm(1j * s))
     assert frobenius(recovered - recovered.conj().T) <= 1e-12

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fwlab import (
     Grading,
     ModelSpec,
+    NonHermitianInput,
     build_free_particle,
     build_lattice_1d,
     eriksen_transform,
+    frobenius,
     h_fw_exact,
     make_beta,
+    odd_exp,
+    odd_projection,
     relative_norm,
     run_comparison,
     stepwise_fw,
@@ -113,6 +118,43 @@ def test_parameter_gates():
         stepwise_fw(h, g, -1.0)
     with pytest.raises(ValueError):
         stepwise_fw(h, g, 1.0, tol=0.0)
+
+
+def test_rejects_infinite_mass():
+    h, g, _ = build_free_particle(1.0, (0.0, 0.0, 0.1))
+    with pytest.raises(ValueError, match="positive and finite"):
+        stepwise_fw(h, g, float("inf"))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rejects_non_finite_hamiltonian(bad):
+    h, g, _ = build_free_particle(1.0, (0.0, 0.0, 0.1))
+    h = h.copy()
+    h[0, 2] = bad
+    with pytest.raises(NonHermitianInput, match="non-finite"):
+        stepwise_fw(h, g, 1.0)
+
+
+def test_first_step_matches_dense_expm(full_suite):
+    # the block kernel against exp(beta O / 2m) of the dense odd generator
+    for spec, h, g, _ in full_suite:
+        n = g.upper_dim
+        dense = scipy.linalg.expm((0.5 / spec.mass) * (make_beta(g) @ odd_projection(h, g)))
+        got = odd_exp(h[:n, n:] / (2.0 * spec.mass))
+        assert frobenius(got - dense) <= 1e-13 * frobenius(dense), spec.describe()
+
+
+@pytest.mark.parametrize("n, length, potential, steps, stop_reason", [
+    (32, 8.0, Potential("gaussian", (0.1, 1.0)), 10, STOP_STAGNATION),
+    (16, 8.0, Potential("step", (0.15, 0.0)), 21, STOP_TOLERANCE),
+    (32, 16.0, Potential("linear", (0.02,)), 34, STOP_TOLERANCE),
+])
+def test_step_count_pinned(n, length, potential, steps, stop_reason):
+    # counts of the dense-expm iteration; a step kernel must not move them
+    h, g, _ = build_lattice_1d(n, length, 1.0, potential)
+    _, trace = stepwise_fw(h, g, 1.0)
+    assert len(trace.iterations) == steps
+    assert trace.stop_reason == stop_reason
 
 
 def test_trace_records_exponent_norms():
