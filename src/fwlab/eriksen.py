@@ -86,8 +86,8 @@ class DiagnosticSet:
 class FWResult:
     """A produced transform together with the transformed Hamiltonian.
 
-    Construction verifies unitarity: ||U^H U - 1||_F must not exceed
-    UNITARITY_TOL.
+    Construction verifies unitarity: the diagnostics' ||U^H U - 1||_F must
+    not exceed UNITARITY_TOL.
     """
 
     transform: np.ndarray
@@ -105,12 +105,9 @@ class FWResult:
     def __post_init__(self):
         if self.method_tag not in METHOD_TAGS:
             raise ValueError(f"unknown method tag {self.method_tag!r}")
-        u = np.asarray(self.transform)
-        defect = frobenius(u.conj().T @ u - np.eye(u.shape[0]))
+        defect = self.diagnostics.unitarity_residual
         if defect > UNITARITY_TOL:
-            raise NotUnitary(
-                f"{self.method_tag} transform: ||U^H U - 1||_F = {defect:.3e}"
-            )
+            raise NotUnitary(f"{self.method_tag} transform: ||U^H U - 1||_F = {defect:.3e}")
 
 
 def eriksen_condition_residual(u, grading: Grading) -> float:
@@ -172,11 +169,11 @@ def compute_diagnostics(u, h, grading: Grading, transformed=None) -> DiagnosticS
     return DiagnosticSet(unitarity, condition, blockness, odd_residual, drift)
 
 
-def _sign_and_factor(h, grading: Grading, gap_tol):
-    h = check_hamiltonian(h, grading)
-    lam = sign_operator(h, gap_tol=gap_tol)
-    beta = make_beta(grading)
-    return h, lam, beta, np.eye(grading.dim, dtype=complex) + beta @ lam
+def one_shot_transform(lam, beta) -> np.ndarray:
+    """U = (1/2)(1 + beta lambda) K^(-1/2), K = 1 + (beta lambda + lambda beta - 2)/4."""
+    eye = np.eye(beta.shape[0], dtype=complex)
+    core = eye + 0.25 * (beta @ lam + lam @ beta - 2.0 * eye)
+    return 0.5 * (eye + beta @ lam) @ inv_sqrt(core)
 
 
 def eriksen_transform(h, grading: Grading, *, gap_tol: float | None = None) -> FWResult:
@@ -188,10 +185,9 @@ def eriksen_transform(h, grading: Grading, *, gap_tol: float | None = None) -> F
     is.  SingularHamiltonian propagates from the sign kernel; a degenerate
     K surfaces as SingularOperand from the root kernel.
     """
-    h, lam, beta, factor = _sign_and_factor(h, grading, gap_tol)
-    eye = np.eye(grading.dim, dtype=complex)
-    core = eye + 0.25 * (beta @ lam + lam @ beta - 2.0 * eye)
-    return FWResult.of(0.5 * factor @ inv_sqrt(core), h, grading, METHOD_ERIKSEN)
+    h = check_hamiltonian(h, grading)
+    u = one_shot_transform(sign_operator(h, gap_tol=gap_tol), make_beta(grading))
+    return FWResult.of(u, h, grading, METHOD_ERIKSEN)
 
 
 def eriksen_transform_alt(h, grading: Grading, *, gap_tol: float | None = None) -> FWResult:
@@ -201,7 +197,9 @@ def eriksen_transform_alt(h, grading: Grading, *, gap_tol: float | None = None) 
     independent path.  Raises DegenerateFactor when the smallest singular
     value of F drops below DEGENERATE_TOL.
     """
-    h, lam, beta, factor = _sign_and_factor(h, grading, gap_tol)
+    h = check_hamiltonian(h, grading)
+    lam = sign_operator(h, gap_tol=gap_tol)
+    factor = np.eye(grading.dim, dtype=complex) + make_beta(grading) @ lam
     smallest = float(np.linalg.svd(factor, compute_uv=False)[-1])
     if smallest < DEGENERATE_TOL:
         raise DegenerateFactor(

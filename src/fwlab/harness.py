@@ -27,10 +27,11 @@ from .eriksen import (
     compute_diagnostics,
     eriksen_transform,
     eriksen_transform_alt,
+    one_shot_transform,
 )
 from .errors import FWLabError
 from .exact_case import check_commutation, u_fw_exact, weak_field_sqrt
-from .matfunc import inv_sqrt, principal_sqrt, spectral_gap
+from .matfunc import principal_sqrt, spectral_gap
 from .models import ModelSpec, build_model
 from .fileio import write_text
 from .stepwise import stepwise_fw
@@ -144,10 +145,7 @@ def _weak_field_row(decomposition, h, grading, row: MethodRow):
         row.error_type = "OutsideValidityDomain"
         return None
     lam = h @ ((v * (1.0 / w)) @ v.conj().T)
-    eye = np.eye(grading.dim, dtype=complex)
-    beta = make_beta(grading)
-    core = eye + 0.25 * (beta @ lam + lam @ beta - 2.0 * eye)
-    u = 0.5 * (eye + beta @ lam) @ inv_sqrt(core)
+    u = one_shot_transform(lam, make_beta(grading))
     transformed = u @ h @ u.conj().T
     row.diagnostics = compute_diagnostics(u, h, grading, transformed)
     return u, transformed

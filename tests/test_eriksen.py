@@ -154,11 +154,12 @@ def test_diagnostics_reject_negative_entries():
 def test_result_wrapper_rejects_non_unitary():
     g = Grading(4, 2)
     h, _, _ = build_free_particle(1.0, (0.0, 0.0, 0.1))
-    diag = compute_diagnostics(np.eye(4), h, g)
+    # the wrapper reads the residual its diagnostics already measured
     with pytest.raises(NotUnitary):
-        FWResult(2.0 * np.eye(4), h, METHOD_ERIKSEN, diag)
+        FWResult(2.0 * np.eye(4), h, METHOD_ERIKSEN,
+                 compute_diagnostics(2.0 * np.eye(4), h, g))
     with pytest.raises(ValueError):
-        FWResult(np.eye(4), h, "nosuchmethod", diag)
+        FWResult(np.eye(4), h, "nosuchmethod", compute_diagnostics(np.eye(4), h, g))
 
 
 def test_transform_state():

@@ -1,28 +1,43 @@
 """Kernel tests against independent oracles.
 
-The kernels run on numpy.linalg.eigh / svd and scipy schur; the oracles
-here use different routes (scipy sqrtm and expm, an eigenvector sign
-reconstruction, a scaling-and-squaring Taylor exponential) so agreement is
-meaningful.
+The kernels run on numpy.linalg.eigh, svd and solve; the oracles here use
+different routes (scipy sqrtm, expm and the complex Schur form, an
+eigenvector sign reconstruction, a scaling-and-squaring Taylor exponential)
+so agreement is meaningful.  scipy is needed by these tests only: importing
+fwlab must not load it.
 """
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fwlab
 from fwlab import (
     Grading,
+    check_commutation,
+    eriksen_transform,
+    eriksen_transform_alt,
     frobenius,
     inv_sqrt,
     make_beta,
     odd_exp,
     principal_sqrt,
+    relative_norm,
     sign_operator,
     spectral_gap,
+    stepwise_fw,
+    u_fw_exact,
     unitary_log,
 )
+from fwlab.eriksen import METHOD_WEAK_FIELD
+from fwlab.harness import MethodRow, _weak_field_row
+from fwlab.matfunc import BRANCH_MARGIN
 from fwlab.errors import (
     BranchCutProximity,
     NotPositiveSemidefinite,
@@ -64,6 +79,19 @@ def _odd_generator(c):
     """Dense 2n x 2n generator [[0, c], [-c^H, 0]]."""
     zero = np.zeros_like(c)
     return np.block([[zero, c], [-c.conj().T, zero]])
+
+
+def _haar_unitary(rng, n):
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _schur_log(u):
+    """Principal logarithm read off the complex Schur form, diagonal for unitary u."""
+    t, q = scipy.linalg.schur(u, output="complex")
+    s = (q * np.angle(np.diag(t))) @ q.conj().T
+    return 0.5 * (s + s.conj().T)
 
 
 def _taylor_expm(a, terms=40):
@@ -202,6 +230,12 @@ def test_unitary_log_roundtrip():
 def test_unitary_log_rejects_non_unitary():
     with pytest.raises(NotUnitary):
         unitary_log(np.diag([1.0, 2.0]))
+    # a non-finite defect fails the tolerance too
+    for bad in (np.nan, np.inf):
+        u = np.eye(3, dtype=complex)
+        u[1, 2] = bad
+        with pytest.raises(NotUnitary):
+            unitary_log(u)
 
 
 def test_unitary_log_rejects_branch_cut():
@@ -209,6 +243,12 @@ def test_unitary_log_rejects_branch_cut():
         unitary_log(np.diag([-1.0 + 0.0j, 1.0]))
     with pytest.raises(BranchCutProximity):
         unitary_log(np.diag([np.exp(1j * (np.pi - 1e-10)), 1.0 + 0.0j]))
+    # off the diagonal, 1 + U is singular only up to rounding
+    q = _haar_unitary(np.random.default_rng(17), 6)
+    u = (q * np.exp(1j * np.array([np.pi, 0.3, -1.2, 2.0, 0.0, -2.9]))) @ q.conj().T
+    assert frobenius(u - np.diag(np.diag(u))) > 1.0
+    with pytest.raises(BranchCutProximity):
+        unitary_log(u)
 
 
 def test_unitary_log_hermitian_output():
@@ -216,3 +256,55 @@ def test_unitary_log_hermitian_output():
     s = 0.3 * _random_hermitian(rng, 5)
     recovered = unitary_log(scipy.linalg.expm(1j * s))
     assert frobenius(recovered - recovered.conj().T) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 64), log_delta=st.floats(-10.0, float(np.log10(3.0))),
+       seed=st.integers(0, 2**32 - 1))
+def test_unitary_log_accuracy_against_phase_margin(n, log_delta, seed):
+    """An eigenphase at distance delta from +-pi costs at most 1e-15 / delta."""
+    delta = 10.0 ** log_delta
+    # the computed margin carries rounding, so skip a sliver around the threshold
+    assume(abs(delta / BRANCH_MARGIN - 1.0) > 1e-3)
+    rng = np.random.default_rng(seed)
+    q = _haar_unitary(rng, n)
+    phases = (np.pi - delta) * rng.uniform(-1.0, 1.0, n)
+    phases[0] = (np.pi - delta) * rng.choice((-1.0, 1.0))
+    u = (q * np.exp(1j * phases)) @ q.conj().T
+    if delta < BRANCH_MARGIN:
+        with pytest.raises(BranchCutProximity):
+            unitary_log(u)
+        return
+    s = unitary_log(u)
+    s_true = (q * phases) @ q.conj().T
+    assert frobenius(s - s_true) <= max(1e-12, 1e-15 / delta) * frobenius(s_true)
+    np.testing.assert_array_equal(s, s.conj().T)
+
+
+def test_unitary_log_matches_schur_on_suite_transforms(full_suite):
+    checked = 0
+    for spec, h, grading, decomposition in full_suite:
+        transforms = [
+            eriksen_transform(h, grading).transform,
+            eriksen_transform_alt(h, grading).transform,
+            stepwise_fw(h, grading, spec.mass)[0].transform,
+        ]
+        if check_commutation(decomposition).is_commuting:
+            transforms.append(u_fw_exact(decomposition).transform)
+            row = MethodRow(METHOD_WEAK_FIELD)
+            transforms.append(_weak_field_row(decomposition, h, grading, row)[0])
+        for u in transforms:
+            oracle = _schur_log(u)
+            assert relative_norm(unitary_log(u) - oracle, oracle) <= 1e-13, spec.describe()
+            checked += 1
+    # eriksen, eriksenalt and stepwise on all 40, exactcase and weakfield on 33
+    assert checked == 186
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(fwlab.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = "import sys, fwlab, fwlab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
