@@ -76,6 +76,7 @@ from .harness import (
 )
 from .matfunc import (
     SpectralGapReport,
+    Spectrum,
     inv_sqrt,
     odd_exp,
     principal_sqrt,

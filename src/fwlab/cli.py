@@ -26,8 +26,8 @@ from .models import KIND_EXPLICIT, KIND_FREE, KIND_LATTICE, ModelSpec, parse_pot
 _METHOD_HELP = (
     "comma-separated subset of: "
     "eriksen (one-shot U = (1 + b*lam)/2 * [1 + (b*lam + lam*b - 2)/4]^(-1/2) "
-    "with lam = H/sqrt(H^2) and b the block involution), "
-    "eriksenalt (polar form U = F (F^H F)^(-1/2), F = 1 + b*lam), "
+    "with lam = H/sqrt(H^2) from one eigh of H and b the block involution), "
+    "eriksenalt (polar factor U = P Q^H of the SVD F = P S Q^H, F = 1 + b*lam), "
     "exactcase (commuting-case closed form U = (eps + m + b*O)/sqrt(2 eps (eps + m)), "
     "eps = sqrt(m^2 + O^2)), "
     "stepwise (iterated exp(b*O_k/(2m)) rotations until the odd block falls "
@@ -241,6 +241,10 @@ def cmd_sweep(args) -> int:
         _fail_usage("--values must contain at least one number")
     if spec.potential.kind in ("zero", "tabulated"):
         _fail_usage(f"potential {spec.potential.kind!r} has no strength to sweep")
+    try:
+        threads = max(1, int(os.environ.get("FWLAB_THREADS", "1")))
+    except ValueError:
+        _fail_usage(f"FWLAB_THREADS must be an integer, got {os.environ['FWLAB_THREADS']!r}")
 
     os.makedirs(args.out, exist_ok=True)
     specs = [
@@ -250,7 +254,7 @@ def cmd_sweep(args) -> int:
         )
         for value in values
     ]
-    workers = max(1, int(os.environ.get("FWLAB_THREADS", "1"))) if spec.n >= _POOL_MIN_SITES else 1
+    workers = threads if spec.n >= _POOL_MIN_SITES else 1
     with ThreadPoolExecutor(max_workers=workers) as pool:
         reports = list(pool.map(lambda s: run_comparison(s, methods, tolerances), specs))
 

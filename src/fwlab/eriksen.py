@@ -1,6 +1,6 @@
 """Single-shot construction of the exact block-diagonalizing transform.
 
-With lambda = H / sqrt(H^2) the transform
+With lambda = H / sqrt(H^2) = V sign(w) V^H from one eigh of H the transform
 
     U = (1/2) (1 + beta lambda) [1 + (beta lambda + lambda beta - 2) / 4]^(-1/2)
 
@@ -9,10 +9,11 @@ to beta, and brings U H U^H to block-diagonal form with the positive part
 of the spectrum in the upper block.  The algebraically equivalent polar
 form
 
-    U = (1 + beta lambda) [(1 + beta lambda)^H (1 + beta lambda)]^(-1/2)
+    U = (1 + beta lambda) [(1 + beta lambda)^H (1 + beta lambda)]^(-1/2) = P Q^H,
 
-is coded separately as a cross-check; the two factors inside its root
-commute.  Both constructions exist whenever 1 + beta lambda is regular.
+the polar factor of the SVD 1 + beta lambda = P Sigma Q^H, is coded
+separately as a cross-check.  Both exist whenever 1 + beta lambda is
+regular.  Entry points taking H also accept its ``Spectrum``.
 
 A transform of this family also has a Hermitian generator S = -i log U
 that is odd (anticommutes with beta).  Multi-step schemes produce unitary
@@ -36,7 +37,7 @@ from .algebra import (
     relative_norm,
 )
 from .errors import DegenerateFactor, DimensionMismatch, FWLabError, NotUnitary
-from .matfunc import inv_sqrt, sign_operator, unitary_log
+from .matfunc import Spectrum, inv_sqrt, sign_operator, unitary_log
 
 # Absolute Frobenius tolerance on ||U^H U - 1|| for accepted transforms.
 UNITARITY_TOL = 1e-10
@@ -56,6 +57,12 @@ METHOD_TAGS = (
     METHOD_STEPWISE,
     METHOD_WEAK_FIELD,
 )
+
+
+def hamiltonian_spectrum(h, grading: Grading) -> Spectrum:
+    """Spectrum.of a Hamiltonian argument whose matrix passes check_hamiltonian first."""
+    check_hamiltonian(h.matrix if isinstance(h, Spectrum) else h, grading)
+    return Spectrum.of(h)
 
 
 @dataclass(frozen=True)
@@ -98,7 +105,8 @@ class FWResult:
     @classmethod
     def of(cls, u, h, grading: Grading, method_tag: str) -> "FWResult":
         """Result for transform ``u`` of ``h``, with u h u^H built once."""
-        transformed = u @ h @ u.conj().T
+        h = hamiltonian_spectrum(h, grading)
+        transformed = u @ h.matrix @ u.conj().T
         return cls(u, transformed, method_tag,
                    compute_diagnostics(u, h, grading, transformed))
 
@@ -152,16 +160,14 @@ def compute_diagnostics(u, h, grading: Grading, transformed=None) -> DiagnosticS
     ``h`` and u h u^H, relative to ||h||_F; ``transformed`` is u h u^H if known.
     """
     u = grading.check(np.asarray(u, dtype=complex))
-    h = grading.check(np.asarray(h, dtype=complex))
+    h = hamiltonian_spectrum(h, grading)
     if transformed is None:
-        transformed = u @ h @ u.conj().T
+        transformed = u @ h.matrix @ u.conj().T
     unitarity = frobenius(u.conj().T @ u - np.eye(grading.dim))
     condition = eriksen_condition_residual(u, grading)
     blockness = odd_norm_ratio(transformed, grading)
-    spectrum_before = np.linalg.eigvalsh(h)
     spectrum_after = np.linalg.eigvalsh(0.5 * (transformed + transformed.conj().T))
-    drift = float(np.max(np.abs(spectrum_after - spectrum_before)))
-    drift /= max(frobenius(h), 1e-300)
+    drift = float(np.max(np.abs(spectrum_after - h.w))) / max(frobenius(h.matrix), 1e-300)
     try:
         odd_residual, _ = exponent_oddness(u, grading)
     except FWLabError:
@@ -185,7 +191,7 @@ def eriksen_transform(h, grading: Grading, *, gap_tol: float | None = None) -> F
     is.  SingularHamiltonian propagates from the sign kernel; a degenerate
     K surfaces as SingularOperand from the root kernel.
     """
-    h = check_hamiltonian(h, grading)
+    h = hamiltonian_spectrum(h, grading)
     u = one_shot_transform(sign_operator(h, gap_tol=gap_tol), make_beta(grading))
     return FWResult.of(u, h, grading, METHOD_ERIKSEN)
 
@@ -194,16 +200,14 @@ def eriksen_transform_alt(h, grading: Grading, *, gap_tol: float | None = None) 
     """Polar-form variant U = F (F^H F)^(-1/2) with F = 1 + beta lambda.
 
     Algebraically identical to ``eriksen_transform`` but coded on an
-    independent path.  Raises DegenerateFactor when the smallest singular
+    independent path: U is the unitary polar factor P Q^H of the SVD
+    F = P Sigma Q^H.  Raises DegenerateFactor when the smallest singular
     value of F drops below DEGENERATE_TOL.
     """
-    h = check_hamiltonian(h, grading)
+    h = hamiltonian_spectrum(h, grading)
     lam = sign_operator(h, gap_tol=gap_tol)
     factor = np.eye(grading.dim, dtype=complex) + make_beta(grading) @ lam
-    smallest = float(np.linalg.svd(factor, compute_uv=False)[-1])
-    if smallest < DEGENERATE_TOL:
-        raise DegenerateFactor(
-            f"1 + beta*lambda has smallest singular value {smallest:.3e}"
-        )
-    u = factor @ inv_sqrt(factor.conj().T @ factor)
-    return FWResult.of(u, h, grading, METHOD_ERIKSEN_ALT)
+    p, sigma, qh = np.linalg.svd(factor)
+    if sigma[-1] < DEGENERATE_TOL:
+        raise DegenerateFactor(f"1 + beta*lambda has smallest singular value {sigma[-1]:.3e}")
+    return FWResult.of(p @ qh, h, grading, METHOD_ERIKSEN_ALT)

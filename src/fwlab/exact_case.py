@@ -33,7 +33,7 @@ from .algebra import (
 )
 from .eriksen import METHOD_EXACT_CASE, FWResult
 from .errors import NotCommuting, OutsideValidityDomain
-from .matfunc import GAP_RTOL, inv_sqrt, principal_sqrt
+from .matfunc import GAP_RTOL, Spectrum, inv_sqrt, principal_sqrt
 
 # Commutation residual below which the closed forms are trusted.
 COMMUTE_TOL = 1e-12
@@ -63,16 +63,15 @@ def _require_commuting(d: DiracDecomposition, commute_tol: float):
         )
 
 
-def _epsilon_pair(d: DiracDecomposition):
-    # eps and 1/eps from the same PD operand m^2 + O^2 through one kernel.
-    a = d.mass**2 * np.eye(d.grading.dim, dtype=complex) + d.odd_part @ d.odd_part
-    return principal_sqrt(a), inv_sqrt(a)
+def _epsilon(d: DiracDecomposition):
+    # (a, eps, 1/eps) from one eigh of the PD a = m^2 + O^2; inv_sqrt rejects a singular a.
+    a = Spectrum.of(d.mass**2 * np.eye(d.grading.dim, dtype=complex) + d.odd_part @ d.odd_part)
+    return a, principal_sqrt(a), inv_sqrt(a)
 
 
 def epsilon_operator(d: DiracDecomposition) -> np.ndarray:
     """Kinetic-energy operator eps = sqrt(m^2 + O^2); Hermitian, even, >= m."""
-    eps, _ = _epsilon_pair(d)
-    return eps
+    return _epsilon(d)[1]
 
 
 def sqrt_hd2_exact(d: DiracDecomposition, *, commute_tol: float = COMMUTE_TOL,
@@ -85,7 +84,7 @@ def sqrt_hd2_exact(d: DiracDecomposition, *, commute_tol: float = COMMUTE_TOL,
     the principal root.
     """
     _require_commuting(d, commute_tol)
-    eps, eps_inv = _epsilon_pair(d)
+    _, eps, eps_inv = _epsilon(d)
     core = d.mass * make_beta(d.grading) + d.odd_part
     root = eps + core @ d.even_part @ eps_inv
     w = np.linalg.eigvalsh(0.5 * (root + root.conj().T))
@@ -106,23 +105,21 @@ def lambda_exact(d: DiracDecomposition, *, commute_tol: float = COMMUTE_TOL) -> 
     bitwise-identical result whatever E is.
     """
     _require_commuting(d, commute_tol)
-    _, eps_inv = _epsilon_pair(d)
-    lam = (d.mass * make_beta(d.grading) + d.odd_part) @ eps_inv
+    lam = (d.mass * make_beta(d.grading) + d.odd_part) @ _epsilon(d)[2]
     return 0.5 * (lam + lam.conj().T)
 
 
 def u_fw_exact(d: DiracDecomposition, *, commute_tol: float = COMMUTE_TOL) -> FWResult:
     """Closed-form transform (eps + m + beta O) / sqrt(2 eps (eps + m)).
 
-    The denominator is built from the same positive operand as eps, and
-    the result is unitary for any Hermitian odd part; it agrees with the
-    sign-operator construction on commuting input.
+    eps and the denominator are functions of the same eigendecomposition of
+    m^2 + O^2, and the result is unitary for any Hermitian odd part; it
+    agrees with the sign-operator construction on commuting input.
     """
     _require_commuting(d, commute_tol)
-    a = d.mass**2 * np.eye(d.grading.dim, dtype=complex) + d.odd_part @ d.odd_part
-    eps = principal_sqrt(a)
+    a, eps, _ = _epsilon(d)
     numerator = eps + d.mass * np.eye(d.grading.dim) + make_beta(d.grading) @ d.odd_part
-    u = numerator @ inv_sqrt(2.0 * a + 2.0 * d.mass * eps)
+    u = numerator @ a.apply(lambda w: 1.0 / np.sqrt(2.0 * w + 2.0 * d.mass * np.sqrt(w)))
     return FWResult.of(u, d.hamiltonian(), d.grading, METHOD_EXACT_CASE)
 
 
@@ -143,7 +140,7 @@ def weak_field_sqrt(d: DiracDecomposition) -> np.ndarray:
     keeping terms linear in E up to double commutators.  Exact whenever
     [E, O] = 0; otherwise accurate to second order in the even coupling.
     """
-    eps, eps_inv = _epsilon_pair(d)
+    _, eps, eps_inv = _epsilon(d)
     core = d.mass * make_beta(d.grading) + d.odd_part
     paired = anticommutator(core, d.even_part)
     first = 0.25 * anticommutator(eps_inv, paired)

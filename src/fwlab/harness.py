@@ -31,7 +31,7 @@ from .eriksen import (
 )
 from .errors import FWLabError
 from .exact_case import check_commutation, u_fw_exact, weak_field_sqrt
-from .matfunc import principal_sqrt, spectral_gap
+from .matfunc import Spectrum, spectral_gap
 from .models import ModelSpec, build_model
 from .fileio import write_text
 from .stepwise import stepwise_fw
@@ -133,27 +133,28 @@ def _weak_field_row(decomposition, h, grading, row: MethodRow):
     transform is assembled from that surrogate exactly as in the one-shot
     construction.  Off the commuting case the result is only approximately
     unitary, which is what the diagnostics are meant to show, so the
-    unconditionally-unitary result wrapper is bypassed on purpose.  Returns
-    (U, U H U^H), or None when the root is not positive definite.
+    unconditionally-unitary result wrapper is bypassed on purpose.  The
+    reference root is |H|.  Returns (U, U H U^H), or None when the root is
+    not positive definite.
     """
+    h = Spectrum.of(h)
     root = weak_field_sqrt(decomposition)
-    reference = principal_sqrt(h @ h)
+    reference = h.apply(np.abs)
     row.extras["sqrt_relative_error"] = relative_norm(root - reference, reference)
-    w, v = np.linalg.eigh(0.5 * (root + root.conj().T))
-    if w[0] <= 0.0:
+    root = Spectrum.of(0.5 * (root + root.conj().T))
+    if root.w[0] <= 0.0:
         row.error = "approximate root is not positive definite"
         row.error_type = "OutsideValidityDomain"
         return None
-    lam = h @ ((v * (1.0 / w)) @ v.conj().T)
-    u = one_shot_transform(lam, make_beta(grading))
-    transformed = u @ h @ u.conj().T
+    u = one_shot_transform(h.matrix @ root.apply(np.reciprocal), make_beta(grading))
+    transformed = u @ h.matrix @ u.conj().T
     row.diagnostics = compute_diagnostics(u, h, grading, transformed)
     return u, transformed
 
 
 def run_comparison(spec: ModelSpec, methods=METHOD_TAGS,
                    tolerances: ToleranceConfig = ToleranceConfig()) -> ComparisonReport:
-    """Build the model once and run every requested method on it.
+    """Build the model and its Spectrum once and run every requested method on them.
 
     Methods always appear in canonical order.  A method failure (for
     example NotCommuting for the closed forms on a non-commuting model)
@@ -166,6 +167,7 @@ def run_comparison(spec: ModelSpec, methods=METHOD_TAGS,
     methods = [m for m in METHOD_TAGS if m in methods]
 
     h, grading, decomposition = build_model(spec)
+    h = Spectrum.of(h)
     commutation = check_commutation(decomposition, commute_tol=tolerances.commute_tol)
     context = ReportContext(
         mass=spec.mass,

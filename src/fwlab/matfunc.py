@@ -1,11 +1,13 @@
 """Dense matrix-function kernels on Hermitian and unitary operands.
 
-Every Hermitian kernel runs through the same backend, the eigendecomposition
-by ``numpy.linalg.eigh``, which realizes the principal-branch convention
-uniformly: the square root of a positive operator is the positive root (so
-the root of the identity is the identity) and the logarithm of a unitary,
-taken from its Hermitian Cayley transform, has eigenphases in (-pi, pi).
-``odd_exp`` works from an SVD instead.
+A ``Spectrum`` is a Hermitian matrix with its ``numpy.linalg.eigh`` pair
+(w, V).  Every Hermitian kernel takes a matrix or a Spectrum and returns
+``apply(f)`` = V diag(f(w)) V^H, so one eigh of an operand serves them all.
+This realizes the principal-branch convention uniformly: the square root of
+a positive operator is the positive root, the sign of H comes from the
+eigenvalues of H itself, and the logarithm of a unitary, taken from its
+Hermitian Cayley transform, has eigenphases in (-pi, pi).  ``odd_exp``
+works from an SVD instead.
 """
 
 from __future__ import annotations
@@ -36,6 +38,31 @@ BRANCH_MARGIN = 1e-8
 UNITARY_TOL = 1e-10
 
 
+def _hermitize(a):
+    return 0.5 * (a + a.conj().T)
+
+
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """A Hermitian matrix with its eigenvalues ``w`` (ascending) and eigenvectors ``v``."""
+
+    matrix: np.ndarray
+    w: np.ndarray
+    v: np.ndarray
+
+    @classmethod
+    def of(cls, x) -> "Spectrum":
+        """``x`` itself when it is a Spectrum, else one ``eigh`` of the matrix ``x``."""
+        if isinstance(x, cls):
+            return x
+        x = np.asarray(x, dtype=complex)
+        return cls(x, *np.linalg.eigh(x))
+
+    def apply(self, f) -> np.ndarray:
+        """Hermitian V diag(f(w)) V^H."""
+        return _hermitize((self.v * f(self.w)) @ self.v.conj().T)
+
+
 @dataclass(frozen=True)
 class SpectralGapReport:
     """Smallest |eigenvalue| of a Hermitian operand and the gap verdict."""
@@ -45,100 +72,62 @@ class SpectralGapReport:
 
 
 def spectral_gap(h, gap_tol: float | None = None) -> SpectralGapReport:
-    """Measure the spectral gap of a Hermitian matrix around zero.
+    """Measure the spectral gap of a Hermitian matrix or Spectrum around zero.
 
     ``gap_tol`` defaults to GAP_RTOL * ||h||_F; ``is_definite`` reports
     whether the smallest |eigenvalue| clears it.
     """
-    h = np.asarray(h, dtype=complex)
+    h = Spectrum.of(h)
     if gap_tol is None:
-        gap_tol = GAP_RTOL * max(frobenius(h), NORM_FLOOR)
-    smallest = float(np.min(np.abs(np.linalg.eigvalsh(h))))
+        gap_tol = GAP_RTOL * max(frobenius(h.matrix), NORM_FLOOR)
+    smallest = float(np.min(np.abs(h.w)))
     return SpectralGapReport(smallest, bool(smallest >= gap_tol))
 
 
-def _hermitize(a):
-    return 0.5 * (a + a.conj().T)
-
-
 def principal_sqrt(a, *, psd_rtol: float = PSD_RTOL) -> np.ndarray:
-    """Principal (positive) square root of a Hermitian PSD matrix.
+    """Principal (positive) root R, R @ R = a, of a Hermitian PSD matrix or Spectrum.
 
-    Parameters
-    ----------
-    a : array_like
-        Hermitian positive-semidefinite matrix.  Eigenvalues down to
-        -psd_rtol * ||a||_F are tolerated and clamped to zero.
-
-    Returns
-    -------
-    ndarray
-        Hermitian PSD root R with R @ R = a to kernel accuracy.
-
-    Raises
-    ------
-    NotPositiveSemidefinite
-        If the smallest eigenvalue falls below the tolerance.
+    Eigenvalues down to -psd_rtol * ||a||_F are rounding noise and clamp to
+    zero; below that NotPositiveSemidefinite is raised.
     """
-    a = np.asarray(a, dtype=complex)
-    w, v = np.linalg.eigh(a)
-    floor = -psd_rtol * max(frobenius(a), NORM_FLOOR)
-    if w[0] < floor:
-        raise NotPositiveSemidefinite(
-            f"smallest eigenvalue {w[0]:.3e} is below tolerance {floor:.3e}"
-        )
-    r = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    return _hermitize(r)
+    a = Spectrum.of(a)
+    floor = -psd_rtol * max(frobenius(a.matrix), NORM_FLOOR)
+    if a.w[0] < floor:
+        raise NotPositiveSemidefinite(f"smallest eigenvalue {a.w[0]:.3e} "
+                                      f"is below tolerance {floor:.3e}")
+    return a.apply(lambda w: np.sqrt(np.clip(w, 0.0, None)))
 
 
-def inv_sqrt(a, *, gap_tol: float | None = None) -> np.ndarray:
-    """Inverse principal square root of a Hermitian positive-definite matrix.
+def inv_sqrt(a) -> np.ndarray:
+    """Inverse principal root P, P @ a @ P = 1, of a Hermitian PD matrix or Spectrum.
 
-    Parameters
-    ----------
-    a : array_like
-        Hermitian positive-definite matrix.
-    gap_tol : float, optional
-        Absolute eigenvalue floor.  Defaults to GAP_RTOL * ||a||_F.
-
-    Returns
-    -------
-    ndarray
-        Hermitian P with P @ a @ P = 1 to kernel accuracy.
-
-    Raises
-    ------
-    SingularOperand
-        If any eigenvalue lies below ``gap_tol``.
+    Raises SingularOperand if an eigenvalue lies below GAP_RTOL * ||a||_F.
     """
-    a = np.asarray(a, dtype=complex)
-    w, v = np.linalg.eigh(a)
-    if gap_tol is None:
-        gap_tol = GAP_RTOL * max(frobenius(a), NORM_FLOOR)
-    if w[0] < gap_tol:
-        raise SingularOperand(
-            f"smallest eigenvalue {w[0]:.3e} is below the gap tolerance {gap_tol:.3e}"
-        )
-    p = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-    return _hermitize(p)
+    a = Spectrum.of(a)
+    gap_tol = GAP_RTOL * max(frobenius(a.matrix), NORM_FLOOR)
+    if a.w[0] < gap_tol:
+        raise SingularOperand(f"smallest eigenvalue {a.w[0]:.3e} "
+                              f"is below the gap tolerance {gap_tol:.3e}")
+    return a.apply(lambda w: 1.0 / np.sqrt(w))
 
 
 def sign_operator(h, *, gap_tol: float | None = None) -> np.ndarray:
-    """Matrix sign lambda = h @ inv_sqrt(h @ h) of a gapped Hermitian matrix.
+    """Matrix sign V diag(sign w) V^H of a gapped Hermitian matrix or Spectrum.
 
     The result is a Hermitian involution whose +1 / -1 eigenspaces are the
-    positive / negative spectral subspaces of ``h``.
-
-    ``gap_tol`` applies to the eigenvalues of h @ h and defaults to
-    GAP_RTOL * ||h @ h||_F.  Raises SingularHamiltonian when the spectral
-    gap at zero is below it.
+    positive / negative spectral subspaces of ``h``; taken from eigh of h,
+    not of h @ h, its error grows like eps / delta at relative gap delta.
+    Raises SingularHamiltonian when min w^2 is below ``gap_tol``, which
+    defaults to GAP_RTOL * ||w^2||_2 = GAP_RTOL * ||h @ h||_F.
     """
-    h = np.asarray(h, dtype=complex)
-    try:
-        p = inv_sqrt(h @ h, gap_tol=gap_tol)
-    except SingularOperand as exc:
-        raise SingularHamiltonian(f"no spectral gap at zero: {exc}") from exc
-    return _hermitize(h @ p)
+    h = Spectrum.of(h)
+    squares = h.w ** 2
+    if gap_tol is None:
+        gap_tol = GAP_RTOL * max(float(np.linalg.norm(squares)), NORM_FLOOR)
+    if squares.min() < gap_tol:
+        raise SingularHamiltonian(f"no spectral gap at zero: smallest eigenvalue "
+                                  f"{squares.min():.3e} is below the gap tolerance {gap_tol:.3e}")
+    return h.apply(np.sign)
 
 
 def unitary_log(u, *, unitary_tol: float = UNITARY_TOL,
@@ -154,12 +143,14 @@ def unitary_log(u, *, unitary_tol: float = UNITARY_TOL,
     Raises
     ------
     NotUnitary
-        If ||u^H u - 1||_F exceeds ``unitary_tol`` or is not finite.
+        If u has a non-finite entry or ||u^H u - 1||_F exceeds ``unitary_tol``.
     BranchCutProximity
         If any eigenphase lies within ``branch_margin`` of +-pi, where the
         principal branch is ill-defined, or 1 + u is singular.
     """
     u = np.asarray(u, dtype=complex)
+    if not np.isfinite(u).all():
+        raise NotUnitary("U has non-finite entries")
     eye = np.eye(u.shape[0])
     defect = frobenius(u.conj().T @ u - eye)
     if not defect <= unitary_tol:
@@ -168,12 +159,11 @@ def unitary_log(u, *, unitary_tol: float = UNITARY_TOL,
         cayley = 1j * np.linalg.solve(eye + u, eye - u)
     except np.linalg.LinAlgError as exc:
         raise BranchCutProximity("1 + U is singular: eigenphase on the branch cut") from exc
-    w, q = np.linalg.eigh(_hermitize(cayley))
-    phases = 2.0 * np.arctan(w)
-    margin = float(np.min(np.pi - np.abs(phases)))
+    t = Spectrum.of(_hermitize(cayley))
+    margin = float(np.min(np.pi - np.abs(2.0 * np.arctan(t.w))))
     if margin < branch_margin:
         raise BranchCutProximity(f"eigenphase within {margin:.3e} of the +-pi branch cut")
-    return _hermitize((q * phases) @ q.conj().T)
+    return t.apply(lambda w: 2.0 * np.arctan(w))
 
 
 def odd_exp(c) -> np.ndarray:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Grading, check_hamiltonian, frobenius, odd_norm_ratio
-from .eriksen import METHOD_STEPWISE, FWResult, compute_diagnostics
+from .algebra import Grading, frobenius, odd_norm_ratio
+from .eriksen import METHOD_STEPWISE, FWResult, compute_diagnostics, hamiltonian_spectrum
 from .matfunc import odd_exp
 
 DEFAULT_TOL = 1e-8
@@ -56,8 +56,8 @@ def stepwise_fw(h, grading: Grading, mass: float, *, tol: float = DEFAULT_TOL,
 
     Parameters
     ----------
-    h : array_like
-        Hermitian Hamiltonian with finite entries.
+    h : array_like or Spectrum
+        Hermitian Hamiltonian with finite entries, or its Spectrum.
     grading : Grading
         Block structure.
     mass : float
@@ -77,9 +77,9 @@ def stepwise_fw(h, grading: Grading, mass: float, *, tol: float = DEFAULT_TOL,
         raise ValueError(f"mass must be positive and finite, got {mass}")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    h = check_hamiltonian(h, grading)
+    spectrum = hamiltonian_spectrum(h, grading)
     n = grading.upper_dim
-    current = h
+    current = spectrum.matrix
     composite = np.eye(grading.dim, dtype=complex)
     rows = []
     ratios = [odd_norm_ratio(current, grading)]
@@ -103,7 +103,7 @@ def stepwise_fw(h, grading: Grading, mass: float, *, tol: float = DEFAULT_TOL,
         composite = u_step @ composite
         rows.append((len(rows), ratio, np.sqrt(2.0) * frobenius(c)))
         ratios.append(odd_norm_ratio(current, grading))
-    diagnostics = compute_diagnostics(composite, h, grading)
+    diagnostics = compute_diagnostics(composite, spectrum, grading)
     result = FWResult(composite, current, METHOD_STEPWISE, diagnostics)
     converged = stop_reason == STOP_TOLERANCE
     return result, StepwiseTrace(tuple(rows), composite, converged, stop_reason)

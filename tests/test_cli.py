@@ -69,7 +69,7 @@ def test_matrix_subcommand(tmp_path):
     assert json.loads(out.read_text())["context"]["dim"] == 4
 
 
-def test_usage_errors_exit_one(capsys):
+def test_usage_errors_exit_one(capsys, monkeypatch, tmp_path):
     cases = (
         [],
         ["free"],
@@ -86,6 +86,15 @@ def test_usage_errors_exit_one(capsys):
     for argv in cases:
         assert run_cli(argv) == 1, argv
         capsys.readouterr()
+    # a bad FWLAB_THREADS fails before any output, whether or not the sweep uses the pool
+    monkeypatch.setenv("FWLAB_THREADS", "abc")
+    for n in (64, 8):
+        out_dir = tmp_path / f"sweep{n}"
+        argv = ["sweep", "--base", f"--n {n} --L 6 --mass 1 --potential constant:0.2",
+                "--param", "g", "--values", "0.2", "--out", str(out_dir)]
+        assert run_cli(argv) == 1, argv
+        assert "FWLAB_THREADS" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 def test_missing_matrix_file_exit_one(tmp_path, capsys):

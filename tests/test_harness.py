@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -141,3 +142,32 @@ def test_synthetic_model_report_runs_closed_forms():
     assert report.context.commutation_residual <= 1e-13
     row = report.row("exactcase")
     assert row.diagnostics.block_diagonality <= 1e-11
+
+
+def _count_decompositions(monkeypatch, spec):
+    """Run one comparison with eigh, eigvalsh and svd counted."""
+    counts = Counter()
+
+    def counted(name, kernel):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return kernel(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    report = run_comparison(spec)
+    return counts, report.row("stepwise").extras["iterations"]
+
+
+@pytest.mark.parametrize("spec, eigh, eigvalsh, one_shot", [
+    # H is decomposed once for every route; exactcase stops at NotCommuting
+    (GAUSS_SPEC, 8, 4, 13),
+    # exactcase runs too, and its diagnostics decompose d.hamiltonian() once more
+    (FREE_SPEC, 12, 5, 18),
+])
+def test_decomposition_counts_pinned(monkeypatch, spec, eigh, eigvalsh, one_shot):
+    counts, steps = _count_decompositions(monkeypatch, spec)
+    # one SVD for eriksenalt's polar factor, one per stepwise step
+    assert dict(counts) == {"eigh": eigh, "eigvalsh": eigvalsh, "svd": 1 + steps}
+    assert sum(counts.values()) - steps == one_shot

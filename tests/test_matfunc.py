@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import fwlab
 from fwlab import (
     Grading,
+    Spectrum,
     check_commutation,
     eriksen_transform,
     eriksen_transform_alt,
@@ -37,7 +38,7 @@ from fwlab import (
 )
 from fwlab.eriksen import METHOD_WEAK_FIELD
 from fwlab.harness import MethodRow, _weak_field_row
-from fwlab.matfunc import BRANCH_MARGIN
+from fwlab.matfunc import BRANCH_MARGIN, GAP_RTOL
 from fwlab.errors import (
     BranchCutProximity,
     NotPositiveSemidefinite,
@@ -175,6 +176,56 @@ def test_sign_operator_against_eigen_reconstruction():
 def test_sign_operator_rejects_gapless():
     with pytest.raises(SingularHamiltonian):
         sign_operator(np.diag([1.0, 0.0, -1.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(4, 64), log_delta=st.floats(float(np.log10(3e-5)), 0.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_sign_operator_accuracy_against_gap(dim, log_delta, seed):
+    """At relative gap delta the sign operator loses at most 1e-15 / delta."""
+    delta = 10.0 ** log_delta
+    rng = np.random.default_rng(seed)
+    q = _haar_unitary(rng, dim)
+    # eigenvalues +-delta straddle zero; the largest |eigenvalue| is 1
+    w = rng.choice((-1.0, 1.0), dim) * rng.uniform(delta, 1.0, dim)
+    w[:3] = (delta, -delta, rng.choice((-1.0, 1.0)))
+    lam = sign_operator((q * w) @ q.conj().T)
+    oracle = (q * np.sign(w)) @ q.conj().T
+    assert relative_norm(lam - oracle, lam) <= max(1e-13, 1e-15 / delta)
+
+
+@pytest.mark.parametrize("factor, accepted", [(0.5, False), (2.0, True)])
+def test_sign_operator_gap_threshold(factor, accepted):
+    # min w^2 at factor * GAP_RTOL * ||H^2||_F; the small entry leaves the norm unchanged
+    w = np.array([1.0, -1.0, 2.0, 0.0])
+    w[3] = -np.sqrt(factor * GAP_RTOL * frobenius(np.diag(w) @ np.diag(w)))
+    if not accepted:
+        with pytest.raises(SingularHamiltonian):
+            sign_operator(np.diag(w))
+        return
+    np.testing.assert_array_equal(sign_operator(np.diag(w)), np.diag(np.sign(w)))
+
+
+def test_kernels_reuse_a_spectrum(monkeypatch):
+    rng = np.random.default_rng(18)
+    h = _random_gapped_hermitian(rng, 8)
+    a = h @ h
+    expected = (sign_operator(h), principal_sqrt(a), inv_sqrt(a), spectral_gap(h))
+    spectrum, gram = Spectrum.of(h), Spectrum.of(a)
+    assert Spectrum.of(spectrum) is spectrum
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("a Spectrum argument must not be decomposed again")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    got = (sign_operator(spectrum), principal_sqrt(gram), inv_sqrt(gram), spectral_gap(spectrum))
+    for value, oracle in zip(got[:3], expected[:3]):
+        np.testing.assert_array_equal(value, oracle)
+    assert got[3] == expected[3]
+    # apply returns V diag(f(w)) V^H, Hermitian bit for bit
+    root = spectrum.apply(np.abs)
+    np.testing.assert_array_equal(root, root.conj().T)
+    np.testing.assert_allclose(root @ root, a, atol=1e-12)
 
 
 def test_odd_exp_against_taylor():
