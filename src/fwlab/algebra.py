@@ -48,6 +48,15 @@ def hermiticity_defect(a) -> float:
     return relative_norm(a - a.conj().T, a)
 
 
+def require_hermitian(a, name: str) -> np.ndarray:
+    """``a`` itself; NonHermitianInput if it is non-finite or not Hermitian within 1e-12."""
+    if not np.isfinite(a).all():
+        raise NonHermitianInput(f"{name} has non-finite entries")
+    if hermiticity_defect(a) > HERMITICITY_RTOL:
+        raise NonHermitianInput(f"{name} is not Hermitian within 1e-12")
+    return a
+
+
 @dataclass(frozen=True)
 class Grading:
     """Block splitting of the state space, +1 block ordered first.
@@ -76,6 +85,11 @@ class Grading:
             )
         return a
 
+    @property
+    def signs(self) -> np.ndarray:
+        """Diagonal of beta: +1 on the upper block, -1 on the lower."""
+        return np.repeat([1.0, -1.0], self.upper_dim)
+
 
 def check_hamiltonian(h, grading: Grading) -> np.ndarray:
     """Complex ndarray of the grading's shape; NonHermitianInput if non-finite."""
@@ -86,10 +100,8 @@ def check_hamiltonian(h, grading: Grading) -> np.ndarray:
 
 
 def make_beta(grading: Grading) -> np.ndarray:
-    """Dense grading involution diag(+1, ..., +1, -1, ..., -1)."""
-    signs = np.ones(grading.dim)
-    signs[grading.upper_dim:] = -1.0
-    return np.diag(signs).astype(complex)
+    """Dense grading involution diag(grading.signs)."""
+    return np.diag(grading.signs).astype(complex)
 
 
 def even_projection(h, grading: Grading) -> np.ndarray:
@@ -142,11 +154,8 @@ class DiracDecomposition:
             raise ValueError(f"mass must be positive and finite, got {self.mass}")
         e = even_projection(np.asarray(self.even_part, dtype=complex), self.grading)
         o = odd_projection(np.asarray(self.odd_part, dtype=complex), self.grading)
-        for name, part in (("even", e), ("odd", o)):
-            if not np.isfinite(part).all():
-                raise NonHermitianInput(f"{name} part has non-finite entries")
-            if hermiticity_defect(part) > HERMITICITY_RTOL:
-                raise NonHermitianInput(f"{name} part is not Hermitian within 1e-12")
+        require_hermitian(e, "even part")
+        require_hermitian(o, "odd part")
         object.__setattr__(self, "even_part", e)
         object.__setattr__(self, "odd_part", o)
 
@@ -158,30 +167,11 @@ class DiracDecomposition:
 def split_even_odd(h, grading: Grading, mass: float) -> DiracDecomposition:
     """Split a Hermitian Hamiltonian into mass, even, and odd pieces.
 
-    Parameters
-    ----------
-    h : array_like
-        Hermitian matrix of shape (grading.dim, grading.dim).
-    grading : Grading
-        Block structure used for the projections.
-    mass : float
-        Positive mass parameter; beta * mass is subtracted before
-        projecting.
-
-    Returns
-    -------
-    DiracDecomposition
-        Parts such that mass * beta + E + O reproduces ``h`` up to
-        floating-point rounding (~1e-16 relative).
-
-    Raises
-    ------
-    NonHermitianInput
-        If ``h`` is non-finite or deviates from Hermiticity by more than 1e-12.
+    beta * mass is subtracted before projecting, so mass * beta + E + O
+    reproduces ``h`` up to rounding (~1e-16 relative).  NonHermitianInput
+    if ``h`` is non-finite or deviates from Hermiticity by more than 1e-12.
     """
-    h = check_hamiltonian(h, grading)
-    if hermiticity_defect(h) > HERMITICITY_RTOL:
-        raise NonHermitianInput("Hamiltonian is not Hermitian within 1e-12")
+    h = require_hermitian(grading.check(np.asarray(h, dtype=complex)), "Hamiltonian")
     x = h - mass * make_beta(grading)
     return DiracDecomposition(
         grading, mass, even_projection(x, grading), odd_projection(x, grading)

@@ -2,18 +2,19 @@
 
 With lambda = H / sqrt(H^2) = V sign(w) V^H from one eigh of H the transform
 
-    U = (1/2) (1 + beta lambda) [1 + (beta lambda + lambda beta - 2) / 4]^(-1/2)
+    U = (1/2) (1 + beta lambda) K^(-1/2),   K = 1 + (beta lambda + lambda beta - 2) / 4,
 
 is unitary, satisfies the adjoint condition beta U = U^H beta, maps lambda
 to beta, and brings U H U^H to block-diagonal form with the positive part
-of the spectrum in the upper block.  The algebraically equivalent polar
-form
-
-    U = (1 + beta lambda) [(1 + beta lambda)^H (1 + beta lambda)]^(-1/2) = P Q^H,
-
-the polar factor of the SVD 1 + beta lambda = P Sigma Q^H, is coded
-separately as a cross-check.  Both exist whenever 1 + beta lambda is
-regular.  Entry points taking H also accept its ``Spectrum``.
+of the spectrum in the upper block.  That identity defines U; the code
+builds it from the same eigh as the direct rotation of Davis and Kahan
+(SIAM J. Numer. Anal. 7, 1 (1970)).  The positive eigenvectors [X; Y] span
+the graph of T = Y X^(-1); with T^H = P diag(tan theta) Q^H, U is the odd
+rotation exp [[0, C], [-C^H, 0]], C = P diag(theta) Q^H.  K has the
+eigenvalues cos^2 theta_i, each twice, so U exists exactly when X is
+regular.  The polar form U = P Q^H of the SVD 1 + beta lambda = P Sigma Q^H
+is coded separately from lambda as a cross-check.  Entry points taking H
+also accept its ``Spectrum``.
 
 A transform of this family also has a Hermitian generator S = -i log U
 that is odd (anticommutes with beta).  Multi-step schemes produce unitary
@@ -31,13 +32,12 @@ from .algebra import (
     Grading,
     check_hamiltonian,
     frobenius,
-    make_beta,
     odd_norm_ratio,
     even_projection,
     relative_norm,
 )
-from .errors import DegenerateFactor, DimensionMismatch, FWLabError, NotUnitary
-from .matfunc import Spectrum, inv_sqrt, sign_operator, unitary_log
+from .errors import DegenerateFactor, DimensionMismatch, FWLabError, NotUnitary, SingularOperand
+from .matfunc import GAP_RTOL, Spectrum, odd_rotation, require_gap, sign_operator, unitary_log
 
 # Absolute Frobenius tolerance on ||U^H U - 1|| for accepted transforms.
 UNITARITY_TOL = 1e-10
@@ -121,8 +121,8 @@ class FWResult:
 def eriksen_condition_residual(u, grading: Grading) -> float:
     """Relative Frobenius residual of the adjoint condition beta U = U^H beta."""
     u = grading.check(np.asarray(u, dtype=complex))
-    beta = make_beta(grading)
-    return relative_norm(beta @ u - u.conj().T @ beta, u)
+    signs = grading.signs
+    return relative_norm(signs[:, None] * u - u.conj().T * signs, u)
 
 
 def exponent_oddness(u, grading: Grading) -> tuple[float, float]:
@@ -175,25 +175,32 @@ def compute_diagnostics(u, h, grading: Grading, transformed=None) -> DiagnosticS
     return DiagnosticSet(unitarity, condition, blockness, odd_residual, drift)
 
 
-def one_shot_transform(lam, beta) -> np.ndarray:
-    """U = (1/2)(1 + beta lambda) K^(-1/2), K = 1 + (beta lambda + lambda beta - 2)/4."""
-    eye = np.eye(beta.shape[0], dtype=complex)
-    core = eye + 0.25 * (beta @ lam + lam @ beta - 2.0 * eye)
-    return 0.5 * (eye + beta @ lam) @ inv_sqrt(core)
-
-
 def eriksen_transform(h, grading: Grading, *, gap_tol: float | None = None) -> FWResult:
-    """Build the transform from the sign operator of ``h``.
+    """Build the transform as the direct rotation of the positive eigenvectors of ``h``.
 
-    Evaluates U = (1/2)(1 + beta lambda) K^(-1/2) with
-    K = 1 + (beta lambda + lambda beta - 2)/4; K equals ((beta + lambda)/2)^2,
-    so it is positive semidefinite and regular exactly when 1 + beta lambda
-    is.  SingularHamiltonian propagates from the sign kernel; a degenerate
-    K surfaces as SingularOperand from the root kernel.
+    One n x n solve gives T^H = X^(-H) Y^H, one n x n SVD its angles.
+    SingularHamiltonian comes from the sign operator's gap rule;
+    SingularOperand when H has not n positive eigenvalues, X is singular, or
+    min cos^2 theta (K's smallest eigenvalue) is below GAP_RTOL * ||K||_F.
     """
-    h = hamiltonian_spectrum(h, grading)
-    u = one_shot_transform(sign_operator(h, gap_tol=gap_tol), make_beta(grading))
-    return FWResult.of(u, h, grading, METHOD_ERIKSEN)
+    h = require_gap(hamiltonian_spectrum(h, grading), gap_tol)
+    n = grading.upper_dim
+    positive = h.v[:, h.w > 0.0]
+    if positive.shape[1] != n:
+        raise SingularOperand(f"H has {positive.shape[1]} positive eigenvalues, "
+                              f"the upper block {n}")
+    x, y = positive[:n], positive[n:]
+    try:
+        p, tan, qh = np.linalg.svd(np.linalg.solve(x.conj().T, y.conj().T))
+    except np.linalg.LinAlgError as exc:
+        raise SingularOperand("the upper block of the positive eigenvectors is singular") from exc
+    theta = np.arctan(tan)
+    cos2 = np.cos(theta) ** 2
+    floor = GAP_RTOL * np.sqrt(2.0 * np.sum(cos2 ** 2))
+    if cos2.min() < floor:
+        raise SingularOperand(f"smallest eigenvalue {cos2.min():.3e} of K "
+                              f"is below the gap tolerance {floor:.3e}")
+    return FWResult.of(odd_rotation(p, theta, qh), h, grading, METHOD_ERIKSEN)
 
 
 def eriksen_transform_alt(h, grading: Grading, *, gap_tol: float | None = None) -> FWResult:
@@ -206,7 +213,7 @@ def eriksen_transform_alt(h, grading: Grading, *, gap_tol: float | None = None) 
     """
     h = hamiltonian_spectrum(h, grading)
     lam = sign_operator(h, gap_tol=gap_tol)
-    factor = np.eye(grading.dim, dtype=complex) + make_beta(grading) @ lam
+    factor = np.eye(grading.dim, dtype=complex) + grading.signs[:, None] * lam
     p, sigma, qh = np.linalg.svd(factor)
     if sigma[-1] < DEGENERATE_TOL:
         raise DegenerateFactor(f"1 + beta*lambda has smallest singular value {sigma[-1]:.3e}")

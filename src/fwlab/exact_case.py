@@ -109,24 +109,25 @@ def lambda_exact(d: DiracDecomposition, *, commute_tol: float = COMMUTE_TOL) -> 
     return 0.5 * (lam + lam.conj().T)
 
 
-def u_fw_exact(d: DiracDecomposition, *, commute_tol: float = COMMUTE_TOL) -> FWResult:
+def u_fw_exact(d: DiracDecomposition, *, commute_tol: float = COMMUTE_TOL, h=None) -> FWResult:
     """Closed-form transform (eps + m + beta O) / sqrt(2 eps (eps + m)).
 
     eps and the denominator are functions of the same eigendecomposition of
     m^2 + O^2, and the result is unitary for any Hermitian odd part; it
-    agrees with the sign-operator construction on commuting input.
+    agrees with the sign-operator construction on commuting input.  The
+    diagnostics read ``h`` (H or its Spectrum), by default d.hamiltonian().
     """
     _require_commuting(d, commute_tol)
     a, eps, _ = _epsilon(d)
-    numerator = eps + d.mass * np.eye(d.grading.dim) + make_beta(d.grading) @ d.odd_part
+    numerator = eps + d.mass * np.eye(d.grading.dim) + d.grading.signs[:, None] * d.odd_part
     u = numerator @ a.apply(lambda w: 1.0 / np.sqrt(2.0 * w + 2.0 * d.mass * np.sqrt(w)))
-    return FWResult.of(u, d.hamiltonian(), d.grading, METHOD_EXACT_CASE)
+    return FWResult.of(u, d.hamiltonian() if h is None else h, d.grading, METHOD_EXACT_CASE)
 
 
 def h_fw_exact(d: DiracDecomposition, *, commute_tol: float = COMMUTE_TOL) -> np.ndarray:
     """Block-diagonal end point beta eps + E of the commuting case."""
     _require_commuting(d, commute_tol)
-    return make_beta(d.grading) @ epsilon_operator(d) + d.even_part
+    return d.grading.signs[:, None] * epsilon_operator(d) + d.even_part
 
 
 def weak_field_sqrt(d: DiracDecomposition) -> np.ndarray:

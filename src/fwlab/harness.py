@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .algebra import frobenius, make_beta, relative_norm
+from .algebra import frobenius, relative_norm
 from .eriksen import (
     METHOD_ERIKSEN,
     METHOD_ERIKSEN_ALT,
@@ -27,11 +27,10 @@ from .eriksen import (
     compute_diagnostics,
     eriksen_transform,
     eriksen_transform_alt,
-    one_shot_transform,
 )
 from .errors import FWLabError
 from .exact_case import check_commutation, u_fw_exact, weak_field_sqrt
-from .matfunc import Spectrum, spectral_gap
+from .matfunc import Spectrum, inv_sqrt, spectral_gap
 from .models import ModelSpec, build_model
 from .fileio import write_text
 from .stepwise import stepwise_fw
@@ -129,13 +128,13 @@ class ComparisonReport:
 def _weak_field_row(decomposition, h, grading, row: MethodRow):
     """Approximate-root route: diagnostics of the transform it induces.
 
-    The approximate root replaces sqrt(H^2) in the sign operator, and the
-    transform is assembled from that surrogate exactly as in the one-shot
-    construction.  Off the commuting case the result is only approximately
-    unitary, which is what the diagnostics are meant to show, so the
-    unconditionally-unitary result wrapper is bypassed on purpose.  The
-    reference root is |H|.  Returns (U, U H U^H), or None when the root is
-    not positive definite.
+    The approximate root R replaces sqrt(H^2): with lambda_w = H R^(-1) and
+    K_w = 1 + (beta lambda_w + lambda_w beta - 2)/4, U = (1/2)(1 + beta
+    lambda_w) [(K_w + K_w^H)/2]^(-1/2), since off the commuting case K_w is
+    not Hermitian.  U is then only approximately unitary, which is what the
+    diagnostics are meant to show, so the unitary result wrapper is
+    bypassed on purpose.  The reference root is |H|.  Returns
+    (U, U H U^H), or None when the root is not positive definite.
     """
     h = Spectrum.of(h)
     root = weak_field_sqrt(decomposition)
@@ -146,7 +145,11 @@ def _weak_field_row(decomposition, h, grading, row: MethodRow):
         row.error = "approximate root is not positive definite"
         row.error_type = "OutsideValidityDomain"
         return None
-    u = one_shot_transform(h.matrix @ root.apply(np.reciprocal), make_beta(grading))
+    lam = h.matrix @ root.apply(np.reciprocal)
+    beta_lam = grading.signs[:, None] * lam
+    eye = np.eye(grading.dim, dtype=complex)
+    core = eye + 0.25 * (beta_lam + lam * grading.signs - 2.0 * eye)
+    u = 0.5 * (eye + beta_lam) @ inv_sqrt(0.5 * (core + core.conj().T))
     transformed = u @ h.matrix @ u.conj().T
     row.diagnostics = compute_diagnostics(u, h, grading, transformed)
     return u, transformed
@@ -190,7 +193,7 @@ def run_comparison(spec: ModelSpec, methods=METHOD_TAGS,
             elif method == METHOD_ERIKSEN_ALT:
                 result = eriksen_transform_alt(h, grading, gap_tol=tolerances.gap_tol)
             elif method == METHOD_EXACT_CASE:
-                result = u_fw_exact(decomposition, commute_tol=tolerances.commute_tol)
+                result = u_fw_exact(decomposition, commute_tol=tolerances.commute_tol, h=h)
             elif method == METHOD_STEPWISE:
                 result, trace = stepwise_fw(
                     h, grading, spec.mass,

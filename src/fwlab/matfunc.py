@@ -6,8 +6,8 @@ A ``Spectrum`` is a Hermitian matrix with its ``numpy.linalg.eigh`` pair
 This realizes the principal-branch convention uniformly: the square root of
 a positive operator is the positive root, the sign of H comes from the
 eigenvalues of H itself, and the logarithm of a unitary, taken from its
-Hermitian Cayley transform, has eigenphases in (-pi, pi).  ``odd_exp``
-works from an SVD instead.
+Hermitian Cayley transform, has eigenphases in (-pi, pi).  ``odd_rotation``
+assembles the exponential of an odd generator from its SVD factors.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import NORM_FLOOR, frobenius
+from .algebra import NORM_FLOOR, frobenius, require_hermitian
 from .errors import (
     BranchCutProximity,
     NotPositiveSemidefinite,
@@ -52,10 +52,13 @@ class Spectrum:
 
     @classmethod
     def of(cls, x) -> "Spectrum":
-        """``x`` itself when it is a Spectrum, else one ``eigh`` of the matrix ``x``."""
+        """``x`` itself when it is a Spectrum, else one ``eigh`` of the matrix ``x``.
+
+        eigh reads one triangle, so a non-Hermitian ``x`` raises NonHermitianInput.
+        """
         if isinstance(x, cls):
             return x
-        x = np.asarray(x, dtype=complex)
+        x = require_hermitian(np.asarray(x, dtype=complex), "operand")
         return cls(x, *np.linalg.eigh(x))
 
     def apply(self, f) -> np.ndarray:
@@ -111,14 +114,9 @@ def inv_sqrt(a) -> np.ndarray:
     return a.apply(lambda w: 1.0 / np.sqrt(w))
 
 
-def sign_operator(h, *, gap_tol: float | None = None) -> np.ndarray:
-    """Matrix sign V diag(sign w) V^H of a gapped Hermitian matrix or Spectrum.
-
-    The result is a Hermitian involution whose +1 / -1 eigenspaces are the
-    positive / negative spectral subspaces of ``h``; taken from eigh of h,
-    not of h @ h, its error grows like eps / delta at relative gap delta.
-    Raises SingularHamiltonian when min w^2 is below ``gap_tol``, which
-    defaults to GAP_RTOL * ||w^2||_2 = GAP_RTOL * ||h @ h||_F.
+def require_gap(h, gap_tol: float | None = None) -> Spectrum:
+    """Spectrum of ``h``; SingularHamiltonian when min w^2 is below ``gap_tol``,
+    which defaults to GAP_RTOL * ||w^2||_2 = GAP_RTOL * ||h @ h||_F.
     """
     h = Spectrum.of(h)
     squares = h.w ** 2
@@ -127,7 +125,17 @@ def sign_operator(h, *, gap_tol: float | None = None) -> np.ndarray:
     if squares.min() < gap_tol:
         raise SingularHamiltonian(f"no spectral gap at zero: smallest eigenvalue "
                                   f"{squares.min():.3e} is below the gap tolerance {gap_tol:.3e}")
-    return h.apply(np.sign)
+    return h
+
+
+def sign_operator(h, *, gap_tol: float | None = None) -> np.ndarray:
+    """Matrix sign V diag(sign w) V^H of a gapped Hermitian matrix or Spectrum.
+
+    The result is a Hermitian involution whose +1 / -1 eigenspaces are the
+    positive / negative spectral subspaces of ``h``; taken from eigh of h,
+    not of h @ h, its error grows like eps / delta at relative gap delta.
+    """
+    return require_gap(h, gap_tol).apply(np.sign)
 
 
 def unitary_log(u, *, unitary_tol: float = UNITARY_TOL,
@@ -139,14 +147,9 @@ def unitary_log(u, *, unitary_tol: float = UNITARY_TOL,
     one eigh T = Q diag(w) Q^H gives S = Q diag(2 arctan w) Q^H.  For an
     eigenphase within delta of +-pi the relative error of S grows like
     eps / delta (about 1e-12 at delta = 1e-4, 1e-8 near BRANCH_MARGIN).
-
-    Raises
-    ------
-    NotUnitary
-        If u has a non-finite entry or ||u^H u - 1||_F exceeds ``unitary_tol``.
-    BranchCutProximity
-        If any eigenphase lies within ``branch_margin`` of +-pi, where the
-        principal branch is ill-defined, or 1 + u is singular.
+    Raises NotUnitary if u is non-finite or ||u^H u - 1||_F exceeds
+    ``unitary_tol``, and BranchCutProximity if 1 + u is singular or an
+    eigenphase lies within ``branch_margin`` of +-pi.
     """
     u = np.asarray(u, dtype=complex)
     if not np.isfinite(u).all():
@@ -167,12 +170,15 @@ def unitary_log(u, *, unitary_tol: float = UNITARY_TOL,
 
 
 def odd_exp(c) -> np.ndarray:
-    """Exponential of the odd anti-Hermitian generator [[0, c], [-c^H, 0]].
+    """Exponential of the odd anti-Hermitian generator [[0, c], [-c^H, 0]], from one SVD of c."""
+    return odd_rotation(*np.linalg.svd(np.asarray(c, dtype=complex)))
 
-    One SVD c = P diag(s) Q^H of the square block gives the cosine-sine form
+
+def odd_rotation(p, s, qh) -> np.ndarray:
+    """exp [[0, c], [-c^H, 0]] for c = P diag(s) Q^H, in cosine-sine form
+
     [[P cos(s) P^H, P sin(s) Q^H], [-Q sin(s) P^H, Q cos(s) Q^H]].
     """
-    p, s, qh = np.linalg.svd(np.asarray(c, dtype=complex))
     q = qh.conj().T
     cos, sin = np.cos(s), np.sin(s)
     left = np.vstack((p * cos, q * -sin)) @ p.conj().T

@@ -2,14 +2,14 @@
 
 Each pass splits the current Hamiltonian as beta m + E_k + O_k and rotates
 with U_k = exp(i S_k), S_k = -i beta O_k / (2 m), which cancels O_k to
-leading order in 1/m.  The generator i S_k = [[0, C], [-C^H, 0]] is odd and
-anti-Hermitian, with C the upper-right block of O_k over 2m, so each step's
-exponential comes from one n x n SVD of C in cosine-sine form.  The
-composite transform U_K ... U_1 is unitary and drives the odd weight of the
-Hamiltonian below a tolerance when the coupling is weak enough, but its
-Hermitian generator is not odd: the iteration approaches the
-block-diagonal Hamiltonian without approaching the sign-operator transform
-itself.
+leading order in 1/m.  The generator i S_k = [[0, C], [-C^H, 0]] is odd, with
+C the upper-right block of O_k over 2m, so its exponential comes from one
+n x n SVD of C.  The iteration rotates the eigenframe of H = V diag(w) V^H,
+not H: it tracks F = U_k ... U_1 V, whose blocks give the next odd block
+F_upper diag(w) F_lower^H.  The composite U_K ... U_1 = F V^H is unitary and
+drives the odd weight below a tolerance when the coupling is weak enough,
+but its Hermitian generator is not odd: the iteration approaches the
+block-diagonal Hamiltonian without approaching the sign-operator transform.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Grading, frobenius, odd_norm_ratio
+from .algebra import NORM_FLOOR, Grading, frobenius
 from .eriksen import METHOD_STEPWISE, FWResult, compute_diagnostics, hamiltonian_spectrum
 from .matfunc import odd_exp
 
@@ -54,24 +54,11 @@ def stepwise_fw(h, grading: Grading, mass: float, *, tol: float = DEFAULT_TOL,
                 max_iterations: int = DEFAULT_MAX_ITERATIONS) -> tuple[FWResult, StepwiseTrace]:
     """Run the iterative scheme until tolerance, stagnation, or the cap.
 
-    Parameters
-    ----------
-    h : array_like or Spectrum
-        Hermitian Hamiltonian with finite entries, or its Spectrum.
-    grading : Grading
-        Block structure.
-    mass : float
-        Positive finite mass used in every exponent S_k = -i beta O_k / (2 mass).
-    tol : float
-        Target odd_norm_ratio of the transformed Hamiltonian.
-    max_iterations : int
-        Hard cap on performed steps.
-
-    Returns
-    -------
-    (FWResult, StepwiseTrace)
-        Non-convergence is a reported outcome, not an error: the result
-        always carries the composite transform actually reached.
+    ``h`` is a finite Hermitian Hamiltonian or its Spectrum, ``mass`` the
+    positive finite m of every exponent, ``tol`` the target odd_norm_ratio
+    of the transformed Hamiltonian and ``max_iterations`` the cap on steps.
+    Non-convergence is a reported outcome, not an error: the result always
+    carries the composite transform actually reached.
     """
     if not 0.0 < mass < np.inf:
         raise ValueError(f"mass must be positive and finite, got {mass}")
@@ -79,10 +66,11 @@ def stepwise_fw(h, grading: Grading, mass: float, *, tol: float = DEFAULT_TOL,
         raise ValueError(f"tol must be positive, got {tol}")
     spectrum = hamiltonian_spectrum(h, grading)
     n = grading.upper_dim
-    current = spectrum.matrix
-    composite = np.eye(grading.dim, dtype=complex)
+    w, frame = spectrum.w, spectrum.v
+    scale = np.sqrt(2.0) / max(frobenius(spectrum.matrix), NORM_FLOOR)
+    block = spectrum.matrix[:n, n:]
     rows = []
-    ratios = [odd_norm_ratio(current, grading)]
+    ratios = [scale * frobenius(block)]
     while True:
         ratio = ratios[-1]
         if ratio <= tol:
@@ -97,14 +85,18 @@ def stepwise_fw(h, grading: Grading, mass: float, *, tol: float = DEFAULT_TOL,
         ):
             stop_reason = STOP_STAGNATION
             break
-        c = current[:n, n:] / (2.0 * mass)
-        u_step = odd_exp(c)
-        current = u_step @ current @ u_step.conj().T
-        composite = u_step @ composite
+        c = block / (2.0 * mass)
+        frame = odd_exp(c) @ frame
         rows.append((len(rows), ratio, np.sqrt(2.0) * frobenius(c)))
-        ratios.append(odd_norm_ratio(current, grading))
-    diagnostics = compute_diagnostics(composite, spectrum, grading)
+        block = (frame[:n] * w) @ frame[n:].conj().T
+        ratios.append(scale * frobenius(block))
+    if rows:
+        composite = frame @ spectrum.v.conj().T
+        current = (frame * w) @ frame.conj().T
+        current = 0.5 * (current + current.conj().T)
+    else:
+        composite, current = np.eye(grading.dim, dtype=complex), spectrum.matrix
+    diagnostics = compute_diagnostics(composite, spectrum, grading, current)
     result = FWResult(composite, current, METHOD_STEPWISE, diagnostics)
     converged = stop_reason == STOP_TOLERANCE
     return result, StepwiseTrace(tuple(rows), composite, converged, stop_reason)
-

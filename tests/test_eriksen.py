@@ -118,6 +118,33 @@ def test_degenerate_direction_raises():
         eriksen_transform(h, g)
 
 
+@pytest.mark.parametrize("w", [(1.0, 2.0, 3.0, -1.0), (1.0, -2.0, -3.0, -1.0)])
+def test_wrong_positive_count_raises(w):
+    # the positive subspace cannot rotate onto an upper block of another size
+    g = Grading(4, 2)
+    h = np.diag(w).astype(complex)
+    with pytest.raises(SingularOperand):
+        eriksen_transform(h, g)
+    with pytest.raises(DegenerateFactor):
+        eriksen_transform_alt(h, g)
+
+
+@pytest.mark.parametrize("coupling, singular", [(1e-5, True), (1e-4, False)])
+def test_rotation_angle_floor(coupling, singular):
+    # one pair near H = -m beta: cos^2 theta_max ~ coupling^2 / 4 against
+    # the floor GAP_RTOL * ||K||_F ~ 1.4e-10 set by the ordinary pair
+    g = Grading(4, 2)
+    h = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
+    h[0, 2] = h[2, 0] = 0.3
+    h[1, 3] = h[3, 1] = coupling
+    if singular:
+        with pytest.raises(SingularOperand):
+            eriksen_transform(h, g)
+        return
+    u = eriksen_transform(h, g).transform
+    assert relative_norm(u - eriksen_transform_alt(h, g).transform, u) <= 1e-10
+
+
 def test_identity_transform_diagnostics():
     h, g, _ = build_free_particle(1.0, (0.0, 0.0, 0.75))
     diag = compute_diagnostics(np.eye(4), h, g)

@@ -162,12 +162,13 @@ def _count_decompositions(monkeypatch, spec):
 
 @pytest.mark.parametrize("spec, eigh, eigvalsh, one_shot", [
     # H is decomposed once for every route; exactcase stops at NotCommuting
-    (GAUSS_SPEC, 8, 4, 13),
-    # exactcase runs too, and its diagnostics decompose d.hamiltonian() once more
-    (FREE_SPEC, 12, 5, 18),
+    pytest.param(GAUSS_SPEC, 7, 4, 13, id="gaussian-lattice"),
+    # exactcase runs too and reads the shared spectrum of H
+    pytest.param(FREE_SPEC, 10, 5, 17, id="free-particle"),
 ])
 def test_decomposition_counts_pinned(monkeypatch, spec, eigh, eigvalsh, one_shot):
     counts, steps = _count_decompositions(monkeypatch, spec)
-    # one SVD for eriksenalt's polar factor, one per stepwise step
-    assert dict(counts) == {"eigh": eigh, "eigvalsh": eigvalsh, "svd": 1 + steps}
+    # one SVD each for eriksen's rotation angles and eriksenalt's polar
+    # factor, one per stepwise step
+    assert dict(counts) == {"eigh": eigh, "eigvalsh": eigvalsh, "svd": 2 + steps}
     assert sum(counts.values()) - steps == one_shot

@@ -41,6 +41,7 @@ from fwlab.harness import MethodRow, _weak_field_row
 from fwlab.matfunc import BRANCH_MARGIN, GAP_RTOL
 from fwlab.errors import (
     BranchCutProximity,
+    NonHermitianInput,
     NotPositiveSemidefinite,
     NotUnitary,
     SingularHamiltonian,
@@ -226,6 +227,20 @@ def test_kernels_reuse_a_spectrum(monkeypatch):
     root = spectrum.apply(np.abs)
     np.testing.assert_array_equal(root, root.conj().T)
     np.testing.assert_allclose(root @ root, a, atol=1e-12)
+
+
+def test_spectrum_rejects_non_hermitian_matrix():
+    # eigh reads one triangle, so it would silently decompose some other matrix
+    rng = np.random.default_rng(19)
+    h = _random_gapped_hermitian(rng, 8)
+    skew = rng.standard_normal((8, 8))
+    skew = skew - skew.T
+    Spectrum.of(h + 1e-14 * skew)
+    for bad in (h + 1e-6 * skew, np.triu(h), np.full((8, 8), np.nan)):
+        with pytest.raises(NonHermitianInput):
+            Spectrum.of(bad)
+        with pytest.raises(NonHermitianInput):
+            inv_sqrt(bad)
 
 
 def test_odd_exp_against_taylor():

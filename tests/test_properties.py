@@ -1,0 +1,124 @@
+"""Properties of the eriksen and stepwise routes on random graded Hamiltonians.
+
+H = m beta + E + O with a random Hermitian even part of spectral norm
+(1 - gap) m and a random odd part of spectral norm coupling * m.  The upper
+block m + E_11 is then positive definite and the lower block -m + E_22
+negative definite, so H has n positive and n negative eigenvalues, none in
+(-gap m, gap m), and its positive eigenvectors have a regular upper block:
+Eriksen's transform exists.  The metamorphic relations are independent of
+how either route is computed:
+
+- U(cH) = U(H) for c > 0 (eriksen), and stepwise(cH, c m) = stepwise(H, m);
+- U(W H W^H) = W U(H) W^H for even unitaries W = diag(W1, W2), both routes.
+
+Stepwise relations compare runs of a fixed number of steps, so that a ratio
+lying on a stopping threshold cannot split two equivalent runs.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fwlab import Grading, eriksen_transform, make_beta, relative_norm, stepwise_fw
+
+SEEDS = st.integers(0, 2**32 - 1)
+SIZES = st.integers(1, 16)
+MASSES = st.floats(0.5, 8.0)
+
+
+def _complex_normal(rng, n):
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def _with_norm(a, norm):
+    return a * (norm / max(np.linalg.norm(a, 2), 1e-300))
+
+
+def graded_hamiltonian(seed, n, mass, gap, coupling):
+    """(H, grading) with n positive eigenvalues and none in (-gap m, gap m)."""
+    rng = np.random.default_rng(seed)
+    g = Grading(2 * n, n)
+    even = np.zeros((2 * n, 2 * n), dtype=complex)
+    for block in (slice(0, n), slice(n, 2 * n)):
+        a = _complex_normal(rng, n)
+        even[block, block] = a + a.conj().T
+    even = _with_norm(even, (1.0 - gap) * mass)
+    odd = np.zeros_like(even)
+    odd[:n, n:] = _with_norm(_complex_normal(rng, n), coupling * mass)
+    odd[n:, :n] = odd[:n, n:].conj().T
+    return mass * make_beta(g) + even + odd, g
+
+
+def even_unitary(seed, n):
+    rng = np.random.default_rng(seed)
+    w = np.zeros((2 * n, 2 * n), dtype=complex)
+    for block in (slice(0, n), slice(n, 2 * n)):
+        w[block, block] = np.linalg.qr(_complex_normal(rng, n))[0]
+    return w
+
+
+def _assert_block_form(result, g, bound):
+    d = result.diagnostics
+    assert d.unitarity_residual <= 1e-12
+    assert d.block_diagonality <= bound
+    n = g.upper_dim
+    transformed = result.transformed_hamiltonian
+    assert np.linalg.eigvalsh(transformed[:n, :n]).min() > 0.0
+    assert np.linalg.eigvalsh(transformed[n:, n:]).max() < 0.0
+
+
+def _steps(h, g, mass, steps):
+    result, trace = stepwise_fw(h, g, mass, tol=1e-300, max_iterations=steps)
+    assert len(trace.iterations) == steps
+    return result.transform
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, n=SIZES, mass=MASSES, gap=st.floats(0.05, 1.0), coupling=st.floats(0.0, 3.0))
+def test_eriksen_invariants(seed, n, mass, gap, coupling):
+    h, g = graded_hamiltonian(seed, n, mass, gap, coupling)
+    result = eriksen_transform(h, g)
+    _assert_block_form(result, g, 1e-10)
+    assert result.diagnostics.eriksen_condition_residual <= 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS, n=SIZES, mass=MASSES, gap=st.floats(0.7, 1.0), coupling=st.floats(0.0, 0.3))
+def test_stepwise_invariants_at_weak_coupling(seed, n, mass, gap, coupling):
+    h, g = graded_hamiltonian(seed, n, mass, gap, coupling)
+    result, trace = stepwise_fw(h, g, mass)
+    assert trace.converged
+    _assert_block_form(result, g, 1e-8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, n=SIZES, mass=MASSES, gap=st.floats(0.05, 1.0), coupling=st.floats(0.0, 3.0),
+       log_scale=st.floats(-3.0, 3.0))
+def test_eriksen_scale_invariance(seed, n, mass, gap, coupling, log_scale):
+    h, g = graded_hamiltonian(seed, n, mass, gap, coupling)
+    u = eriksen_transform(h, g).transform
+    scaled = eriksen_transform(10.0 ** log_scale * h, g).transform
+    assert relative_norm(scaled - u, u) <= 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS, n=SIZES, mass=MASSES, gap=st.floats(0.3, 1.0), coupling=st.floats(0.01, 1.0),
+       log_scale=st.floats(-3.0, 3.0), steps=st.integers(1, 3))
+def test_stepwise_scale_invariance(seed, n, mass, gap, coupling, log_scale, steps):
+    h, g = graded_hamiltonian(seed, n, mass, gap, coupling)
+    scale = 10.0 ** log_scale
+    u = _steps(h, g, mass, steps)
+    assert relative_norm(_steps(scale * h, g, scale * mass, steps) - u, u) <= 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=SEEDS, n=SIZES, mass=MASSES, gap=st.floats(0.05, 1.0), coupling=st.floats(0.01, 3.0),
+       rotation_seed=SEEDS, steps=st.integers(1, 3))
+def test_even_unitary_covariance(seed, n, mass, gap, coupling, rotation_seed, steps):
+    h, g = graded_hamiltonian(seed, n, mass, gap, coupling)
+    w = even_unitary(rotation_seed, n)
+    rotated = w @ h @ w.conj().T
+    for route in (lambda x: eriksen_transform(x, g).transform,
+                  lambda x: _steps(x, g, mass, steps)):
+        expected = w @ route(h) @ w.conj().T
+        assert relative_norm(route(rotated) - expected, expected) <= 1e-10

@@ -148,6 +148,7 @@ def test_first_step_matches_dense_expm(full_suite):
     (32, 8.0, Potential("gaussian", (0.1, 1.0)), 10, STOP_STAGNATION),
     (16, 8.0, Potential("step", (0.15, 0.0)), 21, STOP_TOLERANCE),
     (32, 16.0, Potential("linear", (0.02,)), 34, STOP_TOLERANCE),
+    (64, 25.0, Potential("gaussian", (0.15, 2.0)), 37, STOP_TOLERANCE),
 ])
 def test_step_count_pinned(n, length, potential, steps, stop_reason):
     # counts of the dense-expm iteration; a step kernel must not move them
@@ -155,6 +156,16 @@ def test_step_count_pinned(n, length, potential, steps, stop_reason):
     _, trace = stepwise_fw(h, g, 1.0)
     assert len(trace.iterations) == steps
     assert trace.stop_reason == stop_reason
+
+
+def test_transformed_hamiltonian_matches_composite(full_suite):
+    # the iteration rotates H's eigenframe; its end point must be U H U^H
+    for spec, h, g, _ in full_suite:
+        result, _ = stepwise_fw(h, g, spec.mass)
+        u = result.transform
+        expected = u @ h @ u.conj().T
+        assert relative_norm(result.transformed_hamiltonian - expected, expected) <= 1e-13, \
+            spec.describe()
 
 
 def test_trace_records_exponent_norms():
