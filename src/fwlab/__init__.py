@@ -79,7 +79,6 @@ from .matfunc import (
     Spectrum,
     inv_sqrt,
     odd_exp,
-    principal_sqrt,
     sign_operator,
     spectral_gap,
     unitary_log,

@@ -14,6 +14,7 @@ grading travels alongside them as a small value object.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -158,6 +159,11 @@ class DiracDecomposition:
         require_hermitian(o, "odd part")
         object.__setattr__(self, "even_part", e)
         object.__setattr__(self, "odd_part", o)
+
+    @cached_property
+    def odd_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """SVD (P, sigma, Q^H) of the upper-right block B of O = [[0, B], [B^H, 0]], taken once."""
+        return np.linalg.svd(self.odd_part[:self.grading.upper_dim, self.grading.upper_dim:])
 
     def hamiltonian(self) -> np.ndarray:
         """Reassemble beta * mass + E + O."""

@@ -22,6 +22,7 @@ from .errors import FWLabError
 from .harness import ComparisonReport, ToleranceConfig, emit_report, run_comparison
 from .fileio import write_text
 from .models import KIND_EXPLICIT, KIND_FREE, KIND_LATTICE, ModelSpec, parse_potential
+from .stepwise import STOP_TOLERANCE
 
 _METHOD_HELP = (
     "comma-separated subset of: "
@@ -218,7 +219,9 @@ def _sweep_summary(values, reports):
             "stop_reasons": reasons,
             "stagnation_values": [v for v, reason in zip(values, reasons)
                                   if reason == "stagnation"],
-            "orders": _orders(values, block),
+            # a point stopped at --tol sits just under it, so its ratios are noise
+            "orders": _orders(values, [None if reason == STOP_TOLERANCE else b
+                                       for b, reason in zip(block, reasons)]),
         }
     return summary
 

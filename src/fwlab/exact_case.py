@@ -8,6 +8,11 @@ For H = beta m + E + O with [E, O] = 0 and eps = sqrt(m^2 + O^2):
     U         = (eps + m + beta O) / sqrt(2 eps (eps + m))
     U H U^H   = beta eps + E
 
+One SVD B = P diag(sigma) Q^H of the odd part O = [[0, B], [B^H, 0]],
+taken once per decomposition, gives them all: with a = m^2 + sigma^2,
+eps = diag(P sqrt(a) P^H, Q sqrt(a) Q^H), U is the odd rotation by
+arctan2(sigma, m) / 2 and lambda = beta U^2.
+
 The closed root coincides with the principal root only while it stays
 positive; a strong even part pushes it onto another branch, which is
 reported as OutsideValidityDomain.
@@ -32,8 +37,8 @@ from .algebra import (
     make_beta,
 )
 from .eriksen import METHOD_EXACT_CASE, FWResult
-from .errors import NotCommuting, OutsideValidityDomain
-from .matfunc import GAP_RTOL, Spectrum, inv_sqrt, principal_sqrt
+from .errors import NotCommuting, OutsideValidityDomain, SingularOperand
+from .matfunc import GAP_RTOL, even_function, odd_rotation
 
 # Commutation residual below which the closed forms are trusted.
 COMMUTE_TOL = 1e-12
@@ -54,24 +59,27 @@ def check_commutation(d: DiracDecomposition, *, commute_tol: float = COMMUTE_TOL
     return CommutationReport(residual, bool(residual <= commute_tol))
 
 
-def _require_commuting(d: DiracDecomposition, commute_tol: float):
-    report = check_commutation(d, commute_tol=commute_tol)
-    if not report.is_commuting:
-        raise NotCommuting(
-            f"scaled commutator residual {report.commutator_residual:.3e} "
-            f"exceeds {commute_tol:.1e}"
-        )
-
-
-def _epsilon(d: DiracDecomposition):
-    # (a, eps, 1/eps) from one eigh of the PD a = m^2 + O^2; inv_sqrt rejects a singular a.
-    a = Spectrum.of(d.mass**2 * np.eye(d.grading.dim, dtype=complex) + d.odd_part @ d.odd_part)
-    return a, principal_sqrt(a), inv_sqrt(a)
+def _odd_block(d: DiracDecomposition, *powers, commute_tol: float | None = None):
+    # (P, sigma, Q^H) of B, then (m^2 + O^2)^k for k in powers; NotCommuting first if a
+    # commute_tol is given.  m^2 + O^2 has the eigenvalues a = m^2 + sigma^2, each twice,
+    # and SingularOperand is raised when min a is below GAP_RTOL * ||m^2 + O^2||_F.
+    if commute_tol is not None:
+        report = check_commutation(d, commute_tol=commute_tol)
+        if not report.is_commuting:
+            raise NotCommuting(f"scaled commutator residual {report.commutator_residual:.3e} "
+                               f"exceeds {commute_tol:.1e}")
+    p, sigma, qh = d.odd_svd
+    a = d.mass**2 + sigma**2
+    floor = GAP_RTOL * max(np.sqrt(2.0 * np.sum(a**2)), NORM_FLOOR)
+    if a.min() < floor:
+        raise SingularOperand(f"smallest eigenvalue {a.min():.3e} "
+                              f"is below the gap tolerance {floor:.3e}")
+    return (p, sigma, qh) + tuple(even_function(p, a**k, qh) for k in powers)
 
 
 def epsilon_operator(d: DiracDecomposition) -> np.ndarray:
     """Kinetic-energy operator eps = sqrt(m^2 + O^2); Hermitian, even, >= m."""
-    return _epsilon(d)[1]
+    return _odd_block(d, 0.5)[3]
 
 
 def sqrt_hd2_exact(d: DiracDecomposition, *, commute_tol: float = COMMUTE_TOL,
@@ -83,8 +91,7 @@ def sqrt_hd2_exact(d: DiracDecomposition, *, commute_tol: float = COMMUTE_TOL,
     ``gap_tol`` (default GAP_RTOL * ||result||_F), i.e. when it stops being
     the principal root.
     """
-    _require_commuting(d, commute_tol)
-    _, eps, eps_inv = _epsilon(d)
+    eps, eps_inv = _odd_block(d, 0.5, -0.5, commute_tol=commute_tol)[3:]
     core = d.mass * make_beta(d.grading) + d.odd_part
     root = eps + core @ d.even_part @ eps_inv
     w = np.linalg.eigvalsh(0.5 * (root + root.conj().T))
@@ -99,35 +106,31 @@ def sqrt_hd2_exact(d: DiracDecomposition, *, commute_tol: float = COMMUTE_TOL,
 
 
 def lambda_exact(d: DiracDecomposition, *, commute_tol: float = COMMUTE_TOL) -> np.ndarray:
-    """Sign operator (beta m + O) / eps of the commuting case.
+    """Sign operator (beta m + O) / eps = beta U^2 of the commuting case.
 
     The even part does not enter: bitwise-identical (m, O) give a
     bitwise-identical result whatever E is.
     """
-    _require_commuting(d, commute_tol)
-    lam = (d.mass * make_beta(d.grading) + d.odd_part) @ _epsilon(d)[2]
-    return 0.5 * (lam + lam.conj().T)
+    p, sigma, qh = _odd_block(d, commute_tol=commute_tol)
+    return d.grading.signs[:, None] * odd_rotation(p, np.arctan2(sigma, d.mass), qh)
 
 
 def u_fw_exact(d: DiracDecomposition, *, commute_tol: float = COMMUTE_TOL, h=None) -> FWResult:
     """Closed-form transform (eps + m + beta O) / sqrt(2 eps (eps + m)).
 
-    eps and the denominator are functions of the same eigendecomposition of
-    m^2 + O^2, and the result is unitary for any Hermitian odd part; it
-    agrees with the sign-operator construction on commuting input.  The
-    diagnostics read ``h`` (H or its Spectrum), by default d.hamiltonian().
+    It is the odd rotation by arctan2(sigma, m) / 2, unitary for any Hermitian
+    odd part, and agrees with the sign-operator construction on commuting
+    input.  The diagnostics read ``h`` (H or its Spectrum), by default d.hamiltonian().
     """
-    _require_commuting(d, commute_tol)
-    a, eps, _ = _epsilon(d)
-    numerator = eps + d.mass * np.eye(d.grading.dim) + d.grading.signs[:, None] * d.odd_part
-    u = numerator @ a.apply(lambda w: 1.0 / np.sqrt(2.0 * w + 2.0 * d.mass * np.sqrt(w)))
+    p, sigma, qh = _odd_block(d, commute_tol=commute_tol)
+    u = odd_rotation(p, 0.5 * np.arctan2(sigma, d.mass), qh)
     return FWResult.of(u, d.hamiltonian() if h is None else h, d.grading, METHOD_EXACT_CASE)
 
 
 def h_fw_exact(d: DiracDecomposition, *, commute_tol: float = COMMUTE_TOL) -> np.ndarray:
     """Block-diagonal end point beta eps + E of the commuting case."""
-    _require_commuting(d, commute_tol)
-    return d.grading.signs[:, None] * epsilon_operator(d) + d.even_part
+    eps = _odd_block(d, 0.5, commute_tol=commute_tol)[3]
+    return d.grading.signs[:, None] * eps + d.even_part
 
 
 def weak_field_sqrt(d: DiracDecomposition) -> np.ndarray:
@@ -141,7 +144,7 @@ def weak_field_sqrt(d: DiracDecomposition) -> np.ndarray:
     keeping terms linear in E up to double commutators.  Exact whenever
     [E, O] = 0; otherwise accurate to second order in the even coupling.
     """
-    _, eps, eps_inv = _epsilon(d)
+    eps, eps_inv = _odd_block(d, 0.5, -0.5)[3:]
     core = d.mass * make_beta(d.grading) + d.odd_part
     paired = anticommutator(core, d.even_part)
     first = 0.25 * anticommutator(eps_inv, paired)

@@ -3,11 +3,11 @@
 A ``Spectrum`` is a Hermitian matrix with its ``numpy.linalg.eigh`` pair
 (w, V).  Every Hermitian kernel takes a matrix or a Spectrum and returns
 ``apply(f)`` = V diag(f(w)) V^H, so one eigh of an operand serves them all.
-This realizes the principal-branch convention uniformly: the square root of
-a positive operator is the positive root, the sign of H comes from the
+This realizes the principal-branch convention uniformly: the inverse root
+of a positive operator is the positive one, the sign of H comes from the
 eigenvalues of H itself, and the logarithm of a unitary, taken from its
 Hermitian Cayley transform, has eigenphases in (-pi, pi).  ``odd_rotation``
-assembles the exponential of an odd generator from its SVD factors.
+and ``even_function`` assemble odd exponentials and even functions from SVD factors.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 from .algebra import NORM_FLOOR, frobenius, require_hermitian
 from .errors import (
     BranchCutProximity,
-    NotPositiveSemidefinite,
     NotUnitary,
     SingularHamiltonian,
     SingularOperand,
@@ -27,9 +26,6 @@ from .errors import (
 
 # Default relative spectral-gap tolerance for inverse kernels.
 GAP_RTOL = 1e-10
-
-# Eigenvalues above -PSD_RTOL * ||A||_F count as nonnegative.
-PSD_RTOL = 1e-12
 
 # Minimum distance of a unitary eigenphase from the +-pi branch cut.
 BRANCH_MARGIN = 1e-8
@@ -85,20 +81,6 @@ def spectral_gap(h, gap_tol: float | None = None) -> SpectralGapReport:
         gap_tol = GAP_RTOL * max(frobenius(h.matrix), NORM_FLOOR)
     smallest = float(np.min(np.abs(h.w)))
     return SpectralGapReport(smallest, bool(smallest >= gap_tol))
-
-
-def principal_sqrt(a, *, psd_rtol: float = PSD_RTOL) -> np.ndarray:
-    """Principal (positive) root R, R @ R = a, of a Hermitian PSD matrix or Spectrum.
-
-    Eigenvalues down to -psd_rtol * ||a||_F are rounding noise and clamp to
-    zero; below that NotPositiveSemidefinite is raised.
-    """
-    a = Spectrum.of(a)
-    floor = -psd_rtol * max(frobenius(a.matrix), NORM_FLOOR)
-    if a.w[0] < floor:
-        raise NotPositiveSemidefinite(f"smallest eigenvalue {a.w[0]:.3e} "
-                                      f"is below tolerance {floor:.3e}")
-    return a.apply(lambda w: np.sqrt(np.clip(w, 0.0, None)))
 
 
 def inv_sqrt(a) -> np.ndarray:
@@ -184,3 +166,9 @@ def odd_rotation(p, s, qh) -> np.ndarray:
     left = np.vstack((p * cos, q * -sin)) @ p.conj().T
     right = np.vstack((p * sin, q * cos)) @ qh
     return np.hstack((left, right))
+
+
+def even_function(p, f, qh) -> np.ndarray:
+    """Hermitian diag(P diag(f) P^H, Q diag(f) Q^H), the even counterpart of ``odd_rotation``."""
+    zero = np.zeros_like(p)
+    return _hermitize(np.block([[(p * f) @ p.conj().T, zero], [zero, (qh.conj().T * f) @ qh]]))

@@ -21,7 +21,6 @@ from fwlab import (
     h_fw_exact,
     lambda_exact,
     make_beta,
-    principal_sqrt,
     read_matrix,
     relative_norm,
     report_json,
@@ -35,6 +34,8 @@ from fwlab import (
     write_matrix,
 )
 from fwlab.models import KIND_LATTICE
+
+from oracles import principal_sqrt
 
 # the non-commuting reference model: sharp Gaussian well on a coarse grid
 SHARP_GAUSSIAN = ModelSpec(

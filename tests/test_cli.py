@@ -137,6 +137,28 @@ def test_sweep_outputs(tmp_path, capsys):
     assert summary["stepwise"]["stagnation_values"] == []
 
 
+@pytest.mark.parametrize("max_iter, stop_reason", [
+    (50, "tolerance_reached"),
+    (1, "max_iterations"),
+])
+def test_sweep_stepwise_orders_skip_converged_points(tmp_path, max_iter, stop_reason):
+    out_dir = tmp_path / "sweep"
+    code = run_cli([
+        "sweep",
+        "--base", "--n 16 --L 12 --mass 1 --potential gaussian:0.2,3.0 "
+                  f"--methods stepwise --max-iter {max_iter}",
+        "--param", "g",
+        "--values", "0.2,0.1,0.05",
+        "--out", str(out_dir),
+    ])
+    assert code == 0
+    stepwise = json.loads((out_dir / "summary.json").read_text())["stepwise"]
+    assert stepwise["stop_reasons"] == [stop_reason] * 3
+    # block diagonality just under --tol says nothing about the order
+    converged = stop_reason == "tolerance_reached"
+    assert [order is None for order in stepwise["orders"]] == [converged] * 2
+
+
 def test_sweep_flags_stagnation(tmp_path):
     out_dir = tmp_path / "sweep"
     code = run_cli([

@@ -14,7 +14,6 @@ from fwlab import (
     h_fw_exact,
     lambda_exact,
     make_beta,
-    principal_sqrt,
     relative_norm,
     sign_operator,
     sqrt_hd2_exact,
@@ -22,8 +21,10 @@ from fwlab import (
     weak_field_sqrt,
 )
 from fwlab.eriksen import METHOD_EXACT_CASE
-from fwlab.errors import NotCommuting, OutsideValidityDomain
+from fwlab.errors import NotCommuting, OutsideValidityDomain, SingularOperand
 from fwlab.models import DIRAC_ALPHA, DIRAC_BETA, Potential
+
+from oracles import principal_sqrt
 
 
 def test_commutation_report():
@@ -42,6 +43,20 @@ def test_closed_forms_reject_non_commuting():
     _, _, d = build_lattice_1d(8, 4.0, 1.0, Potential("gaussian", (0.1, 1.0)))
     for fn in (sqrt_hd2_exact, lambda_exact, u_fw_exact, h_fw_exact):
         with pytest.raises(NotCommuting):
+            fn(d)
+
+
+def test_closed_forms_reject_singular_m2_plus_o2():
+    # B = diag(1e6, 1): a = m^2 + sigma^2 = (1e12 + 1, 2), and min a is below
+    # GAP_RTOL * ||m^2 + O^2||_F ~ 141, whichever form reads the odd block
+    g = Grading(4, 2)
+    odd = np.zeros((4, 4), dtype=complex)
+    odd[:2, 2:] = np.diag([1e6, 1.0])
+    odd[2:, :2] = odd[:2, 2:].conj().T
+    d = DiracDecomposition(g, 1.0, np.zeros((4, 4)), odd)
+    for fn in (epsilon_operator, sqrt_hd2_exact, lambda_exact, u_fw_exact, h_fw_exact,
+               weak_field_sqrt):
+        with pytest.raises(SingularOperand):
             fn(d)
 
 

@@ -10,6 +10,7 @@ from fwlab import (
     ModelSpec,
     Potential,
     ToleranceConfig,
+    build_model,
     emit_report,
     report_csv,
     report_json,
@@ -162,13 +163,30 @@ def _count_decompositions(monkeypatch, spec):
 
 @pytest.mark.parametrize("spec, eigh, eigvalsh, one_shot", [
     # H is decomposed once for every route; exactcase stops at NotCommuting
-    pytest.param(GAUSS_SPEC, 7, 4, 13, id="gaussian-lattice"),
+    pytest.param(GAUSS_SPEC, 6, 4, 13, id="gaussian-lattice"),
     # exactcase runs too and reads the shared spectrum of H
-    pytest.param(FREE_SPEC, 10, 5, 17, id="free-particle"),
+    pytest.param(FREE_SPEC, 8, 5, 16, id="free-particle"),
 ])
 def test_decomposition_counts_pinned(monkeypatch, spec, eigh, eigvalsh, one_shot):
     counts, steps = _count_decompositions(monkeypatch, spec)
-    # one SVD each for eriksen's rotation angles and eriksenalt's polar
-    # factor, one per stepwise step
-    assert dict(counts) == {"eigh": eigh, "eigvalsh": eigvalsh, "svd": 2 + steps}
+    # one SVD each for eriksen's rotation angles, eriksenalt's polar factor
+    # and the odd block that exactcase and weakfield share, one per stepwise step
+    assert dict(counts) == {"eigh": eigh, "eigvalsh": eigvalsh, "svd": 3 + steps}
     assert sum(counts.values()) - steps == one_shot
+
+
+def test_closed_forms_share_one_svd_of_the_odd_block(monkeypatch):
+    spec = ModelSpec(kind=KIND_SYNTHETIC, mass=1.0, n=6, poly=(0.05, 0.02), seed=3)
+    operands = []
+    svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        operands.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    report = run_comparison(spec, methods=("exactcase", "weakfield"))
+    assert not report.has_errors()
+    _, _, d = build_model(spec)
+    assert len(operands) == 1
+    np.testing.assert_array_equal(operands[0], d.odd_part[:6, 6:])

@@ -28,7 +28,6 @@ from fwlab import (
     inv_sqrt,
     make_beta,
     odd_exp,
-    principal_sqrt,
     relative_norm,
     sign_operator,
     spectral_gap,
@@ -47,6 +46,8 @@ from fwlab.errors import (
     SingularHamiltonian,
     SingularOperand,
 )
+
+from oracles import principal_sqrt
 
 
 def _random_hermitian(rng, dim):

@@ -1,4 +1,4 @@
-"""Properties of the eriksen and stepwise routes on random graded Hamiltonians.
+"""Properties of the transform routes on random graded Hamiltonians.
 
 H = m beta + E + O with a random Hermitian even part of spectral norm
 (1 - gap) m and a random odd part of spectral norm coupling * m.  The upper
@@ -13,13 +13,32 @@ how either route is computed:
 
 Stepwise relations compare runs of a fixed number of steps, so that a ratio
 lying on a stopping threshold cannot split two equivalent runs.
+
+Commuting models take E as a polynomial in O^2 of spectral norm (1 - gap) m.
+Since eps = sqrt(m^2 + O^2) >= m, H = beta eps + E after the closed-form
+transform keeps the same signed gap, and the closed forms must reproduce
+eriksen's transform and the sign operator.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fwlab import Grading, eriksen_transform, make_beta, relative_norm, stepwise_fw
+from fwlab import (
+    DiracDecomposition,
+    Grading,
+    epsilon_operator,
+    eriksen_transform,
+    eriksen_transform_alt,
+    h_fw_exact,
+    lambda_exact,
+    make_beta,
+    relative_norm,
+    sign_operator,
+    split_even_odd,
+    stepwise_fw,
+    u_fw_exact,
+)
 
 SEEDS = st.integers(0, 2**32 - 1)
 SIZES = st.integers(1, 16)
@@ -47,6 +66,20 @@ def graded_hamiltonian(seed, n, mass, gap, coupling):
     odd[:n, n:] = _with_norm(_complex_normal(rng, n), coupling * mass)
     odd[n:, :n] = odd[:n, n:].conj().T
     return mass * make_beta(g) + even + odd, g
+
+
+def commuting_decomposition(seed, n, mass, gap, coupling, degree):
+    """DiracDecomposition whose even part is a degree-``degree`` polynomial in O^2."""
+    rng = np.random.default_rng(seed)
+    g = Grading(2 * n, n)
+    odd = np.zeros((2 * n, 2 * n), dtype=complex)
+    odd[:n, n:] = _with_norm(_complex_normal(rng, n), coupling * mass)
+    odd[n:, :n] = odd[:n, n:].conj().T
+    odd_sq = odd @ odd
+    even = np.zeros_like(odd)
+    for coefficient in rng.standard_normal(degree + 1):
+        even = even @ odd_sq + coefficient * np.eye(2 * n)
+    return DiracDecomposition(g, mass, _with_norm(even, (1.0 - gap) * mass), odd)
 
 
 def even_unitary(seed, n):
@@ -122,3 +155,37 @@ def test_even_unitary_covariance(seed, n, mass, gap, coupling, rotation_seed, st
                   lambda x: _steps(x, g, mass, steps)):
         expected = w @ route(h) @ w.conj().T
         assert relative_norm(route(rotated) - expected, expected) <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, n=SIZES, mass=MASSES, gap=st.floats(0.05, 1.0), coupling=st.floats(0.0, 3.0),
+       degree=st.integers(0, 3))
+def test_exactcase_on_commuting_models(seed, n, mass, gap, coupling, degree):
+    d = commuting_decomposition(seed, n, mass, gap, coupling, degree)
+    h, g = d.hamiltonian(), d.grading
+    result = u_fw_exact(d)
+    u = result.transform
+    assert result.diagnostics.unitarity_residual <= 1e-12
+    assert result.diagnostics.eriksen_condition_residual <= 1e-12
+    assert relative_norm(u @ h @ u.conj().T - h_fw_exact(d), h) <= 1e-12
+    assert relative_norm(u - eriksen_transform(h, g).transform, u) <= 1e-10
+    lam = sign_operator(h)
+    assert relative_norm(lambda_exact(d) - lam, lam) <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, n=SIZES, mass=MASSES, gap=st.floats(0.05, 1.0), coupling=st.floats(0.0, 3.0))
+def test_epsilon_matches_dense_root(seed, n, mass, gap, coupling):
+    h, g = graded_hamiltonian(seed, n, mass, gap, coupling)
+    d = split_even_odd(h, g, mass)
+    w, v = np.linalg.eigh(mass**2 * np.eye(g.dim) + d.odd_part @ d.odd_part)
+    oracle = (v * np.sqrt(w)) @ v.conj().T
+    assert relative_norm(epsilon_operator(d) - oracle, oracle) <= 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, n=SIZES, mass=MASSES, gap=st.floats(0.05, 1.0), coupling=st.floats(0.0, 3.0))
+def test_eriksenalt_agrees_with_eriksen(seed, n, mass, gap, coupling):
+    h, g = graded_hamiltonian(seed, n, mass, gap, coupling)
+    u = eriksen_transform(h, g).transform
+    assert relative_norm(eriksen_transform_alt(h, g).transform - u, u) <= 1e-10
