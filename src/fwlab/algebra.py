@@ -92,14 +92,6 @@ class Grading:
         return np.repeat([1.0, -1.0], self.upper_dim)
 
 
-def check_hamiltonian(h, grading: Grading) -> np.ndarray:
-    """Complex ndarray of the grading's shape; NonHermitianInput if non-finite."""
-    h = grading.check(np.asarray(h, dtype=complex))
-    if not np.isfinite(h).all():
-        raise NonHermitianInput("Hamiltonian has non-finite entries")
-    return h
-
-
 def make_beta(grading: Grading) -> np.ndarray:
     """Dense grading involution diag(grading.signs)."""
     return np.diag(grading.signs).astype(complex)

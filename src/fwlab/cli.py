@@ -22,7 +22,7 @@ from .errors import FWLabError
 from .harness import ComparisonReport, ToleranceConfig, emit_report, run_comparison
 from .fileio import write_text
 from .models import KIND_EXPLICIT, KIND_FREE, KIND_LATTICE, ModelSpec, parse_potential
-from .stepwise import STOP_TOLERANCE
+from .stepwise import DEFAULT_MAX_ITERATIONS, DEFAULT_TOL, STOP_TOLERANCE
 
 _METHOD_HELP = (
     "comma-separated subset of: "
@@ -99,9 +99,9 @@ def _add_lattice_arguments(parser):
     parser.add_argument("--potential", required=True,
                         help="zero | constant:c | gaussian:g,width | step:g,edge "
                              "| linear:g | file:path")
-    parser.add_argument("--tol", type=float, default=1e-8,
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help="stepwise odd-ratio target")
-    parser.add_argument("--max-iter", type=int, default=50,
+    parser.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITERATIONS,
                         help="stepwise iteration cap")
     parser.add_argument("--seed", type=int, default=None,
                         help="seed echoed into the report descriptor")

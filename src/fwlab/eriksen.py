@@ -28,19 +28,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .algebra import (
-    Grading,
-    check_hamiltonian,
-    frobenius,
-    odd_norm_ratio,
-    even_projection,
-    relative_norm,
-)
+from .algebra import (NORM_FLOOR, Grading, even_projection, frobenius, odd_norm_ratio,
+                      relative_norm, require_hermitian)
 from .errors import DegenerateFactor, DimensionMismatch, FWLabError, NotUnitary, SingularOperand
-from .matfunc import GAP_RTOL, Spectrum, odd_rotation, require_gap, sign_operator, unitary_log
-
-# Absolute Frobenius tolerance on ||U^H U - 1|| for accepted transforms.
-UNITARITY_TOL = 1e-10
+from .matfunc import (UNITARY_TOL, Spectrum, gap_floor, odd_rotation, require_gap,
+                      sign_operator, unitary_log)
 
 # Minimum singular value of 1 + beta*lambda accepted by the polar form.
 DEGENERATE_TOL = 1e-10
@@ -60,9 +52,12 @@ METHOD_TAGS = (
 
 
 def hamiltonian_spectrum(h, grading: Grading) -> Spectrum:
-    """Spectrum.of a Hamiltonian argument whose matrix passes check_hamiltonian first."""
-    check_hamiltonian(h.matrix if isinstance(h, Spectrum) else h, grading)
-    return Spectrum.of(h)
+    """Spectrum of a Hamiltonian of the grading's shape; a matrix must be finite and Hermitian."""
+    if isinstance(h, Spectrum):
+        grading.check(h.matrix)
+        return h
+    h = require_hermitian(grading.check(np.asarray(h, dtype=complex)), "Hamiltonian")
+    return Spectrum(h, *np.linalg.eigh(h))
 
 
 @dataclass(frozen=True)
@@ -94,7 +89,7 @@ class FWResult:
     """A produced transform together with the transformed Hamiltonian.
 
     Construction verifies unitarity: the diagnostics' ||U^H U - 1||_F must
-    not exceed UNITARITY_TOL.
+    not exceed UNITARY_TOL.
     """
 
     transform: np.ndarray
@@ -114,7 +109,7 @@ class FWResult:
         if self.method_tag not in METHOD_TAGS:
             raise ValueError(f"unknown method tag {self.method_tag!r}")
         defect = self.diagnostics.unitarity_residual
-        if defect > UNITARITY_TOL:
+        if defect > UNITARY_TOL:
             raise NotUnitary(f"{self.method_tag} transform: ||U^H U - 1||_F = {defect:.3e}")
 
 
@@ -167,7 +162,7 @@ def compute_diagnostics(u, h, grading: Grading, transformed=None) -> DiagnosticS
     condition = eriksen_condition_residual(u, grading)
     blockness = odd_norm_ratio(transformed, grading)
     spectrum_after = np.linalg.eigvalsh(0.5 * (transformed + transformed.conj().T))
-    drift = float(np.max(np.abs(spectrum_after - h.w))) / max(frobenius(h.matrix), 1e-300)
+    drift = float(np.max(np.abs(spectrum_after - h.w))) / max(frobenius(h.matrix), NORM_FLOOR)
     try:
         odd_residual, _ = exponent_oddness(u, grading)
     except FWLabError:
@@ -175,15 +170,15 @@ def compute_diagnostics(u, h, grading: Grading, transformed=None) -> DiagnosticS
     return DiagnosticSet(unitarity, condition, blockness, odd_residual, drift)
 
 
-def eriksen_transform(h, grading: Grading, *, gap_tol: float | None = None) -> FWResult:
+def eriksen_transform(h, grading: Grading) -> FWResult:
     """Build the transform as the direct rotation of the positive eigenvectors of ``h``.
 
     One n x n solve gives T^H = X^(-H) Y^H, one n x n SVD its angles.
     SingularHamiltonian comes from the sign operator's gap rule;
     SingularOperand when H has not n positive eigenvalues, X is singular, or
-    min cos^2 theta (K's smallest eigenvalue) is below GAP_RTOL * ||K||_F.
+    min cos^2 theta is below the ``gap_floor`` of K (eigenvalues cos^2 theta, each twice).
     """
-    h = require_gap(hamiltonian_spectrum(h, grading), gap_tol)
+    h = require_gap(hamiltonian_spectrum(h, grading))
     n = grading.upper_dim
     positive = h.v[:, h.w > 0.0]
     if positive.shape[1] != n:
@@ -196,14 +191,14 @@ def eriksen_transform(h, grading: Grading, *, gap_tol: float | None = None) -> F
         raise SingularOperand("the upper block of the positive eigenvectors is singular") from exc
     theta = np.arctan(tan)
     cos2 = np.cos(theta) ** 2
-    floor = GAP_RTOL * np.sqrt(2.0 * np.sum(cos2 ** 2))
+    floor = gap_floor(np.tile(cos2, 2))
     if cos2.min() < floor:
         raise SingularOperand(f"smallest eigenvalue {cos2.min():.3e} of K "
                               f"is below the gap tolerance {floor:.3e}")
     return FWResult.of(odd_rotation(p, theta, qh), h, grading, METHOD_ERIKSEN)
 
 
-def eriksen_transform_alt(h, grading: Grading, *, gap_tol: float | None = None) -> FWResult:
+def eriksen_transform_alt(h, grading: Grading) -> FWResult:
     """Polar-form variant U = F (F^H F)^(-1/2) with F = 1 + beta lambda.
 
     Algebraically identical to ``eriksen_transform`` but coded on an
@@ -212,7 +207,7 @@ def eriksen_transform_alt(h, grading: Grading, *, gap_tol: float | None = None) 
     value of F drops below DEGENERATE_TOL.
     """
     h = hamiltonian_spectrum(h, grading)
-    lam = sign_operator(h, gap_tol=gap_tol)
+    lam = sign_operator(h)
     factor = np.eye(grading.dim, dtype=complex) + grading.signs[:, None] * lam
     p, sigma, qh = np.linalg.svd(factor)
     if sigma[-1] < DEGENERATE_TOL:

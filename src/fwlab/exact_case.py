@@ -38,7 +38,7 @@ from .algebra import (
 )
 from .eriksen import METHOD_EXACT_CASE, FWResult
 from .errors import NotCommuting, OutsideValidityDomain, SingularOperand
-from .matfunc import GAP_RTOL, even_function, odd_rotation
+from .matfunc import even_function, gap_floor, odd_rotation
 
 # Commutation residual below which the closed forms are trusted.
 COMMUTE_TOL = 1e-12
@@ -52,25 +52,25 @@ class CommutationReport:
     is_commuting: bool
 
 
-def check_commutation(d: DiracDecomposition, *, commute_tol: float = COMMUTE_TOL) -> CommutationReport:
-    """Measure ||[E, O]||_F / (||E||_F ||O||_F + floor) against ``commute_tol``."""
+def check_commutation(d: DiracDecomposition) -> CommutationReport:
+    """Measure ||[E, O]||_F / (||E||_F ||O||_F + floor) against COMMUTE_TOL."""
     e, o = d.even_part, d.odd_part
     residual = frobenius(commutator(e, o)) / (frobenius(e) * frobenius(o) + NORM_FLOOR)
-    return CommutationReport(residual, bool(residual <= commute_tol))
+    return CommutationReport(residual, bool(residual <= COMMUTE_TOL))
 
 
-def _odd_block(d: DiracDecomposition, *powers, commute_tol: float | None = None):
-    # (P, sigma, Q^H) of B, then (m^2 + O^2)^k for k in powers; NotCommuting first if a
-    # commute_tol is given.  m^2 + O^2 has the eigenvalues a = m^2 + sigma^2, each twice,
-    # and SingularOperand is raised when min a is below GAP_RTOL * ||m^2 + O^2||_F.
-    if commute_tol is not None:
-        report = check_commutation(d, commute_tol=commute_tol)
+def _odd_block(d: DiracDecomposition, *powers, commuting: bool = True):
+    # (P, sigma, Q^H) of B, then (m^2 + O^2)^k for k in powers; NotCommuting first if
+    # ``commuting`` is required.  m^2 + O^2 has the eigenvalues a = m^2 + sigma^2, each
+    # twice, and SingularOperand is raised when min a is below their gap_floor.
+    if commuting:
+        report = check_commutation(d)
         if not report.is_commuting:
             raise NotCommuting(f"scaled commutator residual {report.commutator_residual:.3e} "
-                               f"exceeds {commute_tol:.1e}")
+                               f"exceeds {COMMUTE_TOL:.1e}")
     p, sigma, qh = d.odd_svd
     a = d.mass**2 + sigma**2
-    floor = GAP_RTOL * max(np.sqrt(2.0 * np.sum(a**2)), NORM_FLOOR)
+    floor = gap_floor(np.tile(a, 2))
     if a.min() < floor:
         raise SingularOperand(f"smallest eigenvalue {a.min():.3e} "
                               f"is below the gap tolerance {floor:.3e}")
@@ -79,25 +79,21 @@ def _odd_block(d: DiracDecomposition, *powers, commute_tol: float | None = None)
 
 def epsilon_operator(d: DiracDecomposition) -> np.ndarray:
     """Kinetic-energy operator eps = sqrt(m^2 + O^2); Hermitian, even, >= m."""
-    return _odd_block(d, 0.5)[3]
+    return _odd_block(d, 0.5, commuting=False)[3]
 
 
-def sqrt_hd2_exact(d: DiracDecomposition, *, commute_tol: float = COMMUTE_TOL,
-                   gap_tol: float | None = None) -> np.ndarray:
+def sqrt_hd2_exact(d: DiracDecomposition) -> np.ndarray:
     """Closed-form root eps + (beta m + O) E / eps of H^2.
 
-    Raises NotCommuting when [E, O] fails the tolerance and
+    Raises NotCommuting when [E, O] fails COMMUTE_TOL and
     OutsideValidityDomain when the closed form has an eigenvalue below
-    ``gap_tol`` (default GAP_RTOL * ||result||_F), i.e. when it stops being
-    the principal root.
+    its ``gap_floor``, i.e. when it stops being the principal root.
     """
-    eps, eps_inv = _odd_block(d, 0.5, -0.5, commute_tol=commute_tol)[3:]
+    eps, eps_inv = _odd_block(d, 0.5, -0.5)[3:]
     core = d.mass * make_beta(d.grading) + d.odd_part
     root = eps + core @ d.even_part @ eps_inv
     w = np.linalg.eigvalsh(0.5 * (root + root.conj().T))
-    if gap_tol is None:
-        gap_tol = GAP_RTOL * max(frobenius(root), NORM_FLOOR)
-    if w[0] < gap_tol:
+    if w[0] < gap_floor(w):
         raise OutsideValidityDomain(
             f"closed-form root has eigenvalue {w[0]:.3e}; "
             "the even part is too strong for the principal branch"
@@ -105,31 +101,31 @@ def sqrt_hd2_exact(d: DiracDecomposition, *, commute_tol: float = COMMUTE_TOL,
     return root
 
 
-def lambda_exact(d: DiracDecomposition, *, commute_tol: float = COMMUTE_TOL) -> np.ndarray:
+def lambda_exact(d: DiracDecomposition) -> np.ndarray:
     """Sign operator (beta m + O) / eps = beta U^2 of the commuting case.
 
     The even part does not enter: bitwise-identical (m, O) give a
     bitwise-identical result whatever E is.
     """
-    p, sigma, qh = _odd_block(d, commute_tol=commute_tol)
+    p, sigma, qh = _odd_block(d)
     return d.grading.signs[:, None] * odd_rotation(p, np.arctan2(sigma, d.mass), qh)
 
 
-def u_fw_exact(d: DiracDecomposition, *, commute_tol: float = COMMUTE_TOL, h=None) -> FWResult:
+def u_fw_exact(d: DiracDecomposition, *, h=None) -> FWResult:
     """Closed-form transform (eps + m + beta O) / sqrt(2 eps (eps + m)).
 
     It is the odd rotation by arctan2(sigma, m) / 2, unitary for any Hermitian
     odd part, and agrees with the sign-operator construction on commuting
     input.  The diagnostics read ``h`` (H or its Spectrum), by default d.hamiltonian().
     """
-    p, sigma, qh = _odd_block(d, commute_tol=commute_tol)
+    p, sigma, qh = _odd_block(d)
     u = odd_rotation(p, 0.5 * np.arctan2(sigma, d.mass), qh)
     return FWResult.of(u, d.hamiltonian() if h is None else h, d.grading, METHOD_EXACT_CASE)
 
 
-def h_fw_exact(d: DiracDecomposition, *, commute_tol: float = COMMUTE_TOL) -> np.ndarray:
+def h_fw_exact(d: DiracDecomposition) -> np.ndarray:
     """Block-diagonal end point beta eps + E of the commuting case."""
-    eps = _odd_block(d, 0.5, commute_tol=commute_tol)[3]
+    eps = _odd_block(d, 0.5)[3]
     return d.grading.signs[:, None] * eps + d.even_part
 
 
@@ -144,7 +140,7 @@ def weak_field_sqrt(d: DiracDecomposition) -> np.ndarray:
     keeping terms linear in E up to double commutators.  Exact whenever
     [E, O] = 0; otherwise accurate to second order in the even coupling.
     """
-    eps, eps_inv = _odd_block(d, 0.5, -0.5)[3:]
+    eps, eps_inv = _odd_block(d, 0.5, -0.5, commuting=False)[3:]
     core = d.mass * make_beta(d.grading) + d.odd_part
     paired = anticommutator(core, d.even_part)
     first = 0.25 * anticommutator(eps_inv, paired)

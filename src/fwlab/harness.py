@@ -29,23 +29,25 @@ from .eriksen import (
     eriksen_transform_alt,
 )
 from .errors import FWLabError
-from .exact_case import check_commutation, u_fw_exact, weak_field_sqrt
+from .exact_case import COMMUTE_TOL, check_commutation, u_fw_exact, weak_field_sqrt
 from .matfunc import Spectrum, inv_sqrt, spectral_gap
 from .models import ModelSpec, build_model
 from .fileio import write_text
-from .stepwise import stepwise_fw
+from .stepwise import DEFAULT_MAX_ITERATIONS, DEFAULT_TOL, stepwise_fw
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Knobs shared by every method run in one comparison."""
+    """The stepwise stopping rule, the only settable tolerances of a comparison.
 
-    commute_tol: float = 1e-12
-    gap_tol: float | None = None
-    stepwise_tol: float = 1e-8
-    max_iterations: int = 50
+    ``to_dict`` also records the fixed COMMUTE_TOL, and a null gap tolerance
+    since every gap test is the relative rule ``matfunc.gap_floor``.
+    """
+
+    stepwise_tol: float = DEFAULT_TOL
+    max_iterations: int = DEFAULT_MAX_ITERATIONS
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"commute_tol": COMMUTE_TOL, "gap_tol": None, **asdict(self)}
 
 
 @dataclass
@@ -171,7 +173,7 @@ def run_comparison(spec: ModelSpec, methods=METHOD_TAGS,
 
     h, grading, decomposition = build_model(spec)
     h = Spectrum.of(h)
-    commutation = check_commutation(decomposition, commute_tol=tolerances.commute_tol)
+    commutation = check_commutation(decomposition)
     context = ReportContext(
         mass=spec.mass,
         dim=grading.dim,
@@ -189,11 +191,11 @@ def run_comparison(spec: ModelSpec, methods=METHOD_TAGS,
         started = time.perf_counter()
         try:
             if method == METHOD_ERIKSEN:
-                result = eriksen_transform(h, grading, gap_tol=tolerances.gap_tol)
+                result = eriksen_transform(h, grading)
             elif method == METHOD_ERIKSEN_ALT:
-                result = eriksen_transform_alt(h, grading, gap_tol=tolerances.gap_tol)
+                result = eriksen_transform_alt(h, grading)
             elif method == METHOD_EXACT_CASE:
-                result = u_fw_exact(decomposition, commute_tol=tolerances.commute_tol, h=h)
+                result = u_fw_exact(decomposition, h=h)
             elif method == METHOD_STEPWISE:
                 result, trace = stepwise_fw(
                     h, grading, spec.mass,

@@ -8,6 +8,7 @@ of a positive operator is the positive one, the sign of H comes from the
 eigenvalues of H itself, and the logarithm of a unitary, taken from its
 Hermitian Cayley transform, has eigenphases in (-pi, pi).  ``odd_rotation``
 and ``even_function`` assemble odd exponentials and even functions from SVD factors.
+``gap_floor`` is the one rule for when an eigenvalue counts as zero.
 """
 
 from __future__ import annotations
@@ -24,18 +25,25 @@ from .errors import (
     SingularOperand,
 )
 
-# Default relative spectral-gap tolerance for inverse kernels.
+# Relative spectral-gap tolerance; read only through ``gap_floor``.
 GAP_RTOL = 1e-10
 
 # Minimum distance of a unitary eigenphase from the +-pi branch cut.
 BRANCH_MARGIN = 1e-8
 
-# Absolute Frobenius tolerance on ||U^H U - 1|| for logarithm inputs.
+# Absolute tolerance on ||U^H U - 1||_F for logarithm inputs and accepted transforms.
 UNITARY_TOL = 1e-10
 
 
 def _hermitize(a):
     return 0.5 * (a + a.conj().T)
+
+
+def gap_floor(w) -> float:
+    """The gap rule: an eigenvalue of a Hermitian operand with eigenvalues ``w``
+    (with multiplicity) counts as zero below GAP_RTOL * max(||w||_2, NORM_FLOOR),
+    where ||w||_2 is the operand's Frobenius norm."""
+    return GAP_RTOL * max(float(np.linalg.norm(w)), NORM_FLOOR)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,58 +78,53 @@ class SpectralGapReport:
     is_definite: bool
 
 
-def spectral_gap(h, gap_tol: float | None = None) -> SpectralGapReport:
+def spectral_gap(h) -> SpectralGapReport:
     """Measure the spectral gap of a Hermitian matrix or Spectrum around zero.
 
-    ``gap_tol`` defaults to GAP_RTOL * ||h||_F; ``is_definite`` reports
-    whether the smallest |eigenvalue| clears it.
+    ``is_definite`` reports whether the smallest |eigenvalue| clears ``gap_floor``.
     """
     h = Spectrum.of(h)
-    if gap_tol is None:
-        gap_tol = GAP_RTOL * max(frobenius(h.matrix), NORM_FLOOR)
     smallest = float(np.min(np.abs(h.w)))
-    return SpectralGapReport(smallest, bool(smallest >= gap_tol))
+    return SpectralGapReport(smallest, bool(smallest >= gap_floor(h.w)))
 
 
 def inv_sqrt(a) -> np.ndarray:
     """Inverse principal root P, P @ a @ P = 1, of a Hermitian PD matrix or Spectrum.
 
-    Raises SingularOperand if an eigenvalue lies below GAP_RTOL * ||a||_F.
+    Raises SingularOperand if an eigenvalue lies below ``gap_floor``.
     """
     a = Spectrum.of(a)
-    gap_tol = GAP_RTOL * max(frobenius(a.matrix), NORM_FLOOR)
-    if a.w[0] < gap_tol:
+    floor = gap_floor(a.w)
+    if a.w[0] < floor:
         raise SingularOperand(f"smallest eigenvalue {a.w[0]:.3e} "
-                              f"is below the gap tolerance {gap_tol:.3e}")
+                              f"is below the gap tolerance {floor:.3e}")
     return a.apply(lambda w: 1.0 / np.sqrt(w))
 
 
-def require_gap(h, gap_tol: float | None = None) -> Spectrum:
-    """Spectrum of ``h``; SingularHamiltonian when min w^2 is below ``gap_tol``,
-    which defaults to GAP_RTOL * ||w^2||_2 = GAP_RTOL * ||h @ h||_F.
+def require_gap(h) -> Spectrum:
+    """Spectrum of ``h``; SingularHamiltonian when min w^2 is below the
+    ``gap_floor`` of h @ h, whose eigenvalues are w^2.
     """
     h = Spectrum.of(h)
     squares = h.w ** 2
-    if gap_tol is None:
-        gap_tol = GAP_RTOL * max(float(np.linalg.norm(squares)), NORM_FLOOR)
-    if squares.min() < gap_tol:
+    floor = gap_floor(squares)
+    if squares.min() < floor:
         raise SingularHamiltonian(f"no spectral gap at zero: smallest eigenvalue "
-                                  f"{squares.min():.3e} is below the gap tolerance {gap_tol:.3e}")
+                                  f"{squares.min():.3e} is below the gap tolerance {floor:.3e}")
     return h
 
 
-def sign_operator(h, *, gap_tol: float | None = None) -> np.ndarray:
+def sign_operator(h) -> np.ndarray:
     """Matrix sign V diag(sign w) V^H of a gapped Hermitian matrix or Spectrum.
 
     The result is a Hermitian involution whose +1 / -1 eigenspaces are the
     positive / negative spectral subspaces of ``h``; taken from eigh of h,
     not of h @ h, its error grows like eps / delta at relative gap delta.
     """
-    return require_gap(h, gap_tol).apply(np.sign)
+    return require_gap(h).apply(np.sign)
 
 
-def unitary_log(u, *, unitary_tol: float = UNITARY_TOL,
-                branch_margin: float = BRANCH_MARGIN) -> np.ndarray:
+def unitary_log(u) -> np.ndarray:
     """Hermitian generator S with u = exp(i S) and eigenvalues in (-pi, pi).
 
     A numerically unitary u is normal, so its Cayley transform
@@ -130,23 +133,23 @@ def unitary_log(u, *, unitary_tol: float = UNITARY_TOL,
     eigenphase within delta of +-pi the relative error of S grows like
     eps / delta (about 1e-12 at delta = 1e-4, 1e-8 near BRANCH_MARGIN).
     Raises NotUnitary if u is non-finite or ||u^H u - 1||_F exceeds
-    ``unitary_tol``, and BranchCutProximity if 1 + u is singular or an
-    eigenphase lies within ``branch_margin`` of +-pi.
+    UNITARY_TOL, and BranchCutProximity if 1 + u is singular or an
+    eigenphase lies within BRANCH_MARGIN of +-pi.
     """
     u = np.asarray(u, dtype=complex)
     if not np.isfinite(u).all():
         raise NotUnitary("U has non-finite entries")
     eye = np.eye(u.shape[0])
     defect = frobenius(u.conj().T @ u - eye)
-    if not defect <= unitary_tol:
-        raise NotUnitary(f"||U^H U - 1||_F = {defect:.3e} exceeds {unitary_tol:.1e}")
+    if not defect <= UNITARY_TOL:
+        raise NotUnitary(f"||U^H U - 1||_F = {defect:.3e} exceeds {UNITARY_TOL:.1e}")
     try:
         cayley = 1j * np.linalg.solve(eye + u, eye - u)
     except np.linalg.LinAlgError as exc:
         raise BranchCutProximity("1 + U is singular: eigenphase on the branch cut") from exc
     t = Spectrum.of(_hermitize(cayley))
     margin = float(np.min(np.pi - np.abs(2.0 * np.arctan(t.w))))
-    if margin < branch_margin:
+    if margin < BRANCH_MARGIN:
         raise BranchCutProximity(f"eigenphase within {margin:.3e} of the +-pi branch cut")
     return t.apply(lambda w: 2.0 * np.arctan(w))
 

@@ -13,12 +13,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import DiracDecomposition, Grading, hermiticity_defect, split_even_odd
-from .errors import InvalidGrid, NonHermitianInput, ParseError
+from .algebra import DiracDecomposition, Grading, require_hermitian, split_even_odd
+from .errors import InvalidGrid, ParseError
 from .fileio import read_matrix, read_potential_table
-
-# Hermiticity tolerance applied to matrices loaded from disk.
-LOAD_HERMITICITY_TOL = 1e-10
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -214,11 +211,10 @@ def build_synthetic_commuting(n: int, mass: float, poly, seed) -> tuple[np.ndarr
 
 
 def load_explicit_matrix(path) -> tuple[np.ndarray, Grading]:
-    """Load a graded matrix file and verify Hermiticity to 1e-10 relative."""
+    """Load a graded matrix file; NonHermitianInput naming the file unless it
+    is Hermitian within HERMITICITY_RTOL = 1e-12, the tolerance of ``split_even_odd``."""
     entries, grading = read_matrix(path)
-    if hermiticity_defect(entries) > LOAD_HERMITICITY_TOL:
-        raise NonHermitianInput(f"{path}: matrix is not Hermitian within 1e-10")
-    return entries, grading
+    return require_hermitian(entries, f"{path}: matrix"), grading
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .algebra import NORM_FLOOR, Grading, frobenius
 from .eriksen import METHOD_STEPWISE, FWResult, compute_diagnostics, hamiltonian_spectrum
 from .matfunc import odd_exp
 
+# Default stopping rule of every stepwise run: target odd ratio and step cap.
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITERATIONS = 50
 
@@ -56,14 +57,17 @@ def stepwise_fw(h, grading: Grading, mass: float, *, tol: float = DEFAULT_TOL,
 
     ``h`` is a finite Hermitian Hamiltonian or its Spectrum, ``mass`` the
     positive finite m of every exponent, ``tol`` the target odd_norm_ratio
-    of the transformed Hamiltonian and ``max_iterations`` the cap on steps.
-    Non-convergence is a reported outcome, not an error: the result always
-    carries the composite transform actually reached.
+    of the transformed Hamiltonian and ``max_iterations`` the cap on steps;
+    ValueError unless 0 < tol < inf and max_iterations >= 0.  Non-convergence
+    is a reported outcome, not an error: the result always carries the
+    composite transform actually reached.
     """
     if not 0.0 < mass < np.inf:
         raise ValueError(f"mass must be positive and finite, got {mass}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if not max_iterations >= 0:
+        raise ValueError(f"max_iterations must be nonnegative, got {max_iterations}")
     spectrum = hamiltonian_spectrum(h, grading)
     n = grading.upper_dim
     w, frame = spectrum.w, spectrum.v

@@ -81,6 +81,13 @@ def test_usage_errors_exit_one(capsys, monkeypatch, tmp_path):
         ["lattice", "--n", "8", "--L", "4", "--mass", "1", "--potential", "nosuch:1"],
         ["lattice", "--n", "8", "--L", "4", "--mass", "1", "--potential", "gaussian:nan,1"],
         ["lattice", "--n", "8", "--L", "4", "--mass", "inf", "--potential", "zero"],
+        # stopping rules that cannot work
+        ["lattice", "--n", "8", "--L", "4", "--mass", "1", "--potential", "gaussian:0.2,1",
+         "--tol", "inf"],
+        ["lattice", "--n", "8", "--L", "4", "--mass", "1", "--potential", "gaussian:0.2,1",
+         "--tol", "0"],
+        ["lattice", "--n", "8", "--L", "4", "--mass", "1", "--potential", "gaussian:0.2,1",
+         "--max-iter", "-2"],
         ["nosuchcommand"],
     )
     for argv in cases:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import fwlab
+from fwlab.algebra import require_hermitian
 from fwlab import (
     DiagnosticSet,
     FWResult,
@@ -161,8 +163,27 @@ def test_non_finite_input_rejected(transform, bad):
     h, g, _ = build_free_particle(1.0, (0.0, 0.0, 0.75))
     h = h.copy()
     h[1, 3] = bad
-    with pytest.raises(NonHermitianInput, match="non-finite"):
+    with pytest.raises(NonHermitianInput, match="^Hamiltonian has non-finite entries$"):
         transform(h, g)
+
+
+def test_hamiltonian_matrix_checked_once(monkeypatch):
+    h, g, _ = build_free_particle(1.0, (0.3, 0.4, 0.0))
+    checked = []
+
+    def spy(a, name):
+        if np.array_equal(a, h):
+            checked.append(name)
+        return require_hermitian(a, name)
+
+    for module in (fwlab.eriksen, fwlab.matfunc):
+        monkeypatch.setattr(module, "require_hermitian", spy)
+    eriksen_transform(h, g)
+    assert checked == ["Hamiltonian"]
+    skew = h.copy()
+    skew[0, 2] += 1e-6
+    with pytest.raises(NonHermitianInput, match="^Hamiltonian is not Hermitian within 1e-12$"):
+        eriksen_transform(skew, g)
 
 
 def test_diagnostics_reuse_transformed_hamiltonian():

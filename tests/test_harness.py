@@ -125,10 +125,10 @@ def test_emit_report_writes_file(tmp_path):
 
 def test_tolerance_config_serialization():
     tols = ToleranceConfig()
-    as_dict = tols.to_dict()
-    assert as_dict["commute_tol"] == 1e-12
-    assert as_dict["stepwise_tol"] == 1e-8
-    assert as_dict["max_iterations"] == 50
+    # the report's tolerances block: the fixed commutation and gap rules, then the stopping rule
+    assert tols.to_dict() == {"commute_tol": 1e-12, "gap_tol": None,
+                              "stepwise_tol": 1e-8, "max_iterations": 50}
+    assert [f.name for f in fields(ToleranceConfig)] == ["stepwise_tol", "max_iterations"]
     report = run_comparison(
         FREE_SPEC, methods=("stepwise",),
         tolerances=ToleranceConfig(stepwise_tol=1e-3),

@@ -19,9 +19,11 @@ from hypothesis import strategies as st
 
 import fwlab
 from fwlab import (
+    DiracDecomposition,
     Grading,
     Spectrum,
     check_commutation,
+    epsilon_operator,
     eriksen_transform,
     eriksen_transform_alt,
     frobenius,
@@ -31,6 +33,7 @@ from fwlab import (
     relative_norm,
     sign_operator,
     spectral_gap,
+    sqrt_hd2_exact,
     stepwise_fw,
     u_fw_exact,
     unitary_log,
@@ -43,6 +46,7 @@ from fwlab.errors import (
     NonHermitianInput,
     NotPositiveSemidefinite,
     NotUnitary,
+    OutsideValidityDomain,
     SingularHamiltonian,
     SingularOperand,
 )
@@ -196,16 +200,60 @@ def test_sign_operator_accuracy_against_gap(dim, log_delta, seed):
     assert relative_norm(lam - oracle, lam) <= max(1e-13, 1e-15 / delta)
 
 
+def _gap_rule_sites(factor):
+    """Every site of the gap rule, its operand's smallest eigenvalue at ``factor``
+    times that site's own floor: (site, call, error type, message at factor 0.5)."""
+    g = Grading(4, 2)
+    # H with min w^2 against GAP_RTOL * ||H^2||_F = GAP_RTOL * sqrt(18)
+    w = np.array([1.0, -1.0, 2.0, -np.sqrt(factor * GAP_RTOL * np.sqrt(18.0))])
+    # a positive definite operand with min w against GAP_RTOL * ||a||_F = GAP_RTOL * sqrt(14)
+    a = np.diag([1.0, 2.0, 3.0, factor * GAP_RTOL * np.sqrt(14.0)])
+    # H = U^H diag(1, 2, -1, -2) U for the odd rotation U by (theta, 0), so K has
+    # cos^2 theta = factor * GAP_RTOL * ||K||_F with ||K||_F = sqrt(2 (1 + cos^4 theta))
+    u = fwlab.matfunc.odd_rotation(np.eye(2), np.array(
+        [np.arccos(np.sqrt(factor * GAP_RTOL * np.sqrt(2.0))), 0.0]), np.eye(2))
+    h_rotated = u.conj().T @ np.diag([1.0, 2.0, -1.0, -2.0]) @ u
+    # B = diag(1, 0): m^2 + O^2 has min a = m^2 against GAP_RTOL * sqrt(2 ((1 + m^2)^2 + m^4))
+    odd = np.zeros((4, 4))
+    odd[0, 2] = odd[2, 0] = 1.0
+    light = DiracDecomposition(g, np.sqrt(factor * GAP_RTOL * np.sqrt(2.0)), np.zeros((4, 4)), odd)
+    # O = 0 and m = 1: the closed root is 1 + beta E = diag(1, 1, 1, x) against GAP_RTOL * sqrt(3)
+    x = factor * GAP_RTOL * np.sqrt(3.0)
+    strong = DiracDecomposition(g, 1.0, np.diag([0.0, 0.0, 0.0, 1.0 - x]), np.zeros((4, 4)))
+    return [
+        ("require_gap", lambda: sign_operator(np.diag(w)), SingularHamiltonian,
+         "no spectral gap at zero: smallest eigenvalue 2.121e-10 "
+         "is below the gap tolerance 4.243e-10"),
+        ("inv_sqrt", lambda: inv_sqrt(a), SingularOperand,
+         "smallest eigenvalue 1.871e-10 is below the gap tolerance 3.742e-10"),
+        ("eriksen", lambda: eriksen_transform(h_rotated, g), SingularOperand,
+         "smallest eigenvalue 7.071e-11 of K is below the gap tolerance 1.414e-10"),
+        ("epsilon_operator", lambda: epsilon_operator(light), SingularOperand,
+         "smallest eigenvalue 7.071e-11 is below the gap tolerance 1.414e-10"),
+        ("sqrt_hd2_exact", lambda: sqrt_hd2_exact(strong), OutsideValidityDomain,
+         "closed-form root has eigenvalue 8.660e-11; "
+         "the even part is too strong for the principal branch"),
+    ]
+
+
 @pytest.mark.parametrize("factor, accepted", [(0.5, False), (2.0, True)])
 def test_sign_operator_gap_threshold(factor, accepted):
-    # min w^2 at factor * GAP_RTOL * ||H^2||_F; the small entry leaves the norm unchanged
-    w = np.array([1.0, -1.0, 2.0, 0.0])
-    w[3] = -np.sqrt(factor * GAP_RTOL * frobenius(np.diag(w) @ np.diag(w)))
-    if not accepted:
-        with pytest.raises(SingularHamiltonian):
-            sign_operator(np.diag(w))
-        return
-    np.testing.assert_array_equal(sign_operator(np.diag(w)), np.diag(np.sign(w)))
+    # each site at 0.5x and 2x its own floor GAP_RTOL * ||operand||_F (matfunc.gap_floor)
+    for site, call, error, message in _gap_rule_sites(factor):
+        if accepted:
+            call()
+            continue
+        with pytest.raises(error) as err:
+            call()
+        assert str(err.value) == message, site
+    # spectral_gap reports the same rule: min |w| against GAP_RTOL * ||H||_F = GAP_RTOL * sqrt(14)
+    w = np.array([1.0, -2.0, 3.0, factor * GAP_RTOL * np.sqrt(14.0)])
+    report = spectral_gap(np.diag(w))
+    assert report.min_abs_eigenvalue == w[3]
+    assert report.is_definite == accepted
+    if accepted:
+        w = np.array([1.0, -1.0, 2.0, -np.sqrt(factor * GAP_RTOL * np.sqrt(18.0))])
+        np.testing.assert_array_equal(sign_operator(np.diag(w)), np.diag(np.sign(w)))
 
 
 def test_kernels_reuse_a_spectrum(monkeypatch):

@@ -15,6 +15,7 @@ from fwlab import (
     parse_potential,
     write_matrix,
 )
+from fwlab.cli import main
 from fwlab.errors import InvalidGrid, NonHermitianInput, ParseError
 from fwlab.models import (
     DIRAC_ALPHA,
@@ -183,7 +184,7 @@ def test_synthetic_empty_polynomial_is_field_free():
     assert frobenius(d.even_part) == 0.0
 
 
-def test_load_explicit_matrix(tmp_path):
+def test_load_explicit_matrix(tmp_path, capsys):
     h, g, _ = build_free_particle(1.0, (0.1, 0.2, 0.3))
     path = tmp_path / "h.txt"
     write_matrix(path, h, g)
@@ -197,6 +198,20 @@ def test_load_explicit_matrix(tmp_path):
     write_matrix(bad_path, bad, g)
     with pytest.raises(NonHermitianInput):
         load_explicit_matrix(bad_path)
+
+    # a 3e-11 defect would fail the split's 1e-12 later; the load check rejects it, naming the file
+    slight = h.copy()
+    slight[0, 2] += 3e-11 * frobenius(h) / np.sqrt(2.0)
+    assert hermiticity_defect(slight) == pytest.approx(3e-11, rel=1e-3)
+    slight_path = tmp_path / "slight.txt"
+    write_matrix(slight_path, slight, g)
+    message = f"{slight_path}: matrix is not Hermitian within 1e-12"
+    with pytest.raises(NonHermitianInput) as err:
+        load_explicit_matrix(slight_path)
+    assert str(err.value) == message
+    capsys.readouterr()
+    assert main(["matrix", "--file", str(slight_path), "--mass", "1"]) == 1
+    assert capsys.readouterr().err == f"fwlab: error: {message}\n"
 
 
 def test_load_explicit_matrix_rejects_non_finite(tmp_path):

@@ -100,6 +100,9 @@ def test_iteration_cap():
     assert not trace.converged
     assert trace.stop_reason == STOP_MAX_ITERATIONS
     assert len(trace.iterations) == 2
+    _, trace = stepwise_fw(h, g, 1.0, max_iterations=0)
+    assert trace.stop_reason == STOP_MAX_ITERATIONS
+    assert trace.iterations == ()
 
 
 def test_block_diagonal_input_needs_no_steps():
@@ -118,6 +121,18 @@ def test_parameter_gates():
         stepwise_fw(h, g, -1.0)
     with pytest.raises(ValueError):
         stepwise_fw(h, g, 1.0, tol=0.0)
+    # stopping rules that cannot work; tol = inf "converged" after 0 steps on this
+    # lattice, whose block diagonality is 0.58
+    h, g, _ = build_lattice_1d(16, 8.0, 1.0, Potential("gaussian", (0.2, 1.0)))
+    for tol, max_iterations, message in (
+        (np.inf, 50, "tol must be positive and finite, got inf"),
+        (np.nan, 50, "tol must be positive and finite, got nan"),
+        (-1e-8, 50, "tol must be positive and finite, got -1e-08"),
+        (1e-8, -2, "max_iterations must be nonnegative, got -2"),
+    ):
+        with pytest.raises(ValueError) as err:
+            stepwise_fw(h, g, 1.0, tol=tol, max_iterations=max_iterations)
+        assert str(err.value) == message
 
 
 def test_rejects_infinite_mass():
