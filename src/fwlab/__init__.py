@@ -68,7 +68,6 @@ from .harness import (
     ComparisonReport,
     CrossRow,
     MethodRow,
-    ToleranceConfig,
     emit_report,
     report_csv,
     report_json,
@@ -93,6 +92,6 @@ from .models import (
     load_explicit_matrix,
     parse_potential,
 )
-from .stepwise import StepwiseTrace, stepwise_fw
+from .stepwise import StepwiseTrace, ToleranceConfig, stepwise_fw
 
 __version__ = "0.1.0"

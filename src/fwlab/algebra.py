@@ -58,6 +58,12 @@ def require_hermitian(a, name: str) -> np.ndarray:
     return a
 
 
+def require_mass(mass: float):
+    """ValueError unless 0 < mass < inf, the rule for every mass m."""
+    if not 0.0 < mass < np.inf:
+        raise ValueError(f"mass must be positive and finite, got {mass}")
+
+
 @dataclass(frozen=True)
 class Grading:
     """Block splitting of the state space, +1 block ordered first.
@@ -143,8 +149,7 @@ class DiracDecomposition:
     odd_part: np.ndarray
 
     def __post_init__(self):
-        if not 0.0 < self.mass < np.inf:
-            raise ValueError(f"mass must be positive and finite, got {self.mass}")
+        require_mass(self.mass)
         e = even_projection(np.asarray(self.even_part, dtype=complex), self.grading)
         o = odd_projection(np.asarray(self.odd_part, dtype=complex), self.grading)
         require_hermitian(e, "even part")
@@ -167,10 +172,11 @@ def split_even_odd(h, grading: Grading, mass: float) -> DiracDecomposition:
 
     beta * mass is subtracted before projecting, so mass * beta + E + O
     reproduces ``h`` up to rounding (~1e-16 relative).  NonHermitianInput
-    if ``h`` is non-finite or deviates from Hermiticity by more than 1e-12.
+    if ``h`` is non-finite or deviates from Hermiticity by more than 1e-12,
+    and ``require_mass``'s ValueError for a bad mass.
     """
     h = require_hermitian(grading.check(np.asarray(h, dtype=complex)), "Hamiltonian")
-    x = h - mass * make_beta(grading)
+    x = h - np.diag(mass * grading.signs)  # no inf * 0 off the diagonal for a bad mass
     return DiracDecomposition(
         grading, mass, even_projection(x, grading), odd_projection(x, grading)
     )

@@ -16,13 +16,14 @@ import os
 import shlex
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 from .eriksen import METHOD_STEPWISE, METHOD_TAGS, METHOD_WEAK_FIELD
 from .errors import FWLabError
-from .harness import ComparisonReport, ToleranceConfig, emit_report, run_comparison
+from .harness import ComparisonReport, emit_report, run_comparison
 from .fileio import write_text
 from .models import KIND_EXPLICIT, KIND_FREE, KIND_LATTICE, ModelSpec, parse_potential
-from .stepwise import DEFAULT_MAX_ITERATIONS, DEFAULT_TOL, STOP_TOLERANCE
+from .stepwise import STOP_TOLERANCE, ToleranceConfig
 
 _METHOD_HELP = (
     "comma-separated subset of: "
@@ -52,13 +53,7 @@ def _fail_usage(message: str):
 
 
 def _parse_methods(text: str) -> tuple[str, ...]:
-    methods = tuple(tok.strip() for tok in text.split(",") if tok.strip())
-    if not methods:
-        _fail_usage("--methods must name at least one method")
-    for method in methods:
-        if method not in METHOD_TAGS:
-            _fail_usage(f"unknown method {method!r}; known: {', '.join(METHOD_TAGS)}")
-    return methods
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
 def _parse_momentum(text: str):
@@ -69,11 +64,6 @@ def _parse_momentum(text: str):
         return tuple(float(tok) for tok in parts)
     except ValueError:
         _fail_usage(f"bad momentum {text!r}")
-
-
-def _check_mass(mass: float):
-    if not 0.0 < mass < math.inf:
-        _fail_usage(f"--mass must be positive and finite, got {mass}")
 
 
 def _emit(report: ComparisonReport, args) -> int:
@@ -99,12 +89,10 @@ def _add_lattice_arguments(parser):
     parser.add_argument("--potential", required=True,
                         help="zero | constant:c | gaussian:g,width | step:g,edge "
                              "| linear:g | file:path")
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
+    parser.add_argument("--tol", type=float, default=ToleranceConfig.stepwise_tol,
                         help="stepwise odd-ratio target")
-    parser.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITERATIONS,
+    parser.add_argument("--max-iter", type=int, default=ToleranceConfig.max_iterations,
                         help="stepwise iteration cap")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed echoed into the report descriptor")
     _add_common(parser)
 
 
@@ -158,23 +146,17 @@ def build_parser() -> _Parser:
 
 
 def _lattice_spec(args) -> tuple[ModelSpec, ToleranceConfig, tuple[str, ...]]:
-    _check_mass(args.mass)
-    methods = _parse_methods(args.methods)
-    potential = parse_potential(args.potential)
     spec = ModelSpec(
         kind=KIND_LATTICE, mass=args.mass, n=args.n, length=args.length,
-        potential=potential, seed=args.seed,
+        potential=parse_potential(args.potential),
     )
     tolerances = ToleranceConfig(stepwise_tol=args.tol, max_iterations=args.max_iter)
-    return spec, tolerances, methods
+    return spec, tolerances, _parse_methods(args.methods)
 
 
 def cmd_free(args) -> int:
-    _check_mass(args.mass)
-    methods = _parse_methods(args.methods)
-    momentum = _parse_momentum(args.p)
-    spec = ModelSpec(kind=KIND_FREE, mass=args.mass, momentum=momentum)
-    return _emit(run_comparison(spec, methods), args)
+    spec = ModelSpec(kind=KIND_FREE, mass=args.mass, momentum=_parse_momentum(args.p))
+    return _emit(run_comparison(spec, _parse_methods(args.methods)), args)
 
 
 def cmd_lattice(args) -> int:
@@ -183,10 +165,8 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    _check_mass(args.mass)
-    methods = _parse_methods(args.methods)
     spec = ModelSpec(kind=KIND_EXPLICIT, mass=args.mass, path=args.file)
-    return _emit(run_comparison(spec, methods), args)
+    return _emit(run_comparison(spec, _parse_methods(args.methods)), args)
 
 
 def _orders(values, errors):
@@ -242,25 +222,17 @@ def cmd_sweep(args) -> int:
         _fail_usage(f"bad --values {args.values!r}")
     if not values:
         _fail_usage("--values must contain at least one number")
-    if spec.potential.kind in ("zero", "tabulated"):
-        _fail_usage(f"potential {spec.potential.kind!r} has no strength to sweep")
     try:
         threads = max(1, int(os.environ.get("FWLAB_THREADS", "1")))
     except ValueError:
         _fail_usage(f"FWLAB_THREADS must be an integer, got {os.environ['FWLAB_THREADS']!r}")
 
-    os.makedirs(args.out, exist_ok=True)
-    specs = [
-        ModelSpec(
-            kind=spec.kind, mass=spec.mass, n=spec.n, length=spec.length,
-            potential=spec.potential.with_strength(value), seed=spec.seed,
-        )
-        for value in values
-    ]
+    specs = [replace(spec, potential=spec.potential.with_strength(value)) for value in values]
     workers = threads if spec.n >= _POOL_MIN_SITES else 1
     with ThreadPoolExecutor(max_workers=workers) as pool:
         reports = list(pool.map(lambda s: run_comparison(s, methods, tolerances), specs))
 
+    os.makedirs(args.out, exist_ok=True)
     for value, report in zip(values, reports):
         emit_report(report, "json", os.path.join(args.out, f"report_g{value!r}.json"))
     write_text(os.path.join(args.out, "summary.json"),

@@ -29,25 +29,11 @@ from .eriksen import (
     eriksen_transform_alt,
 )
 from .errors import FWLabError
-from .exact_case import COMMUTE_TOL, check_commutation, u_fw_exact, weak_field_sqrt
+from .exact_case import check_commutation, u_fw_exact, weak_field_sqrt
 from .matfunc import Spectrum, inv_sqrt, spectral_gap
 from .models import ModelSpec, build_model
 from .fileio import write_text
-from .stepwise import DEFAULT_MAX_ITERATIONS, DEFAULT_TOL, stepwise_fw
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """The stepwise stopping rule, the only settable tolerances of a comparison.
-
-    ``to_dict`` also records the fixed COMMUTE_TOL, and a null gap tolerance
-    since every gap test is the relative rule ``matfunc.gap_floor``.
-    """
-
-    stepwise_tol: float = DEFAULT_TOL
-    max_iterations: int = DEFAULT_MAX_ITERATIONS
-
-    def to_dict(self) -> dict:
-        return {"commute_tol": COMMUTE_TOL, "gap_tol": None, **asdict(self)}
+from .stepwise import ToleranceConfig, stepwise_fw
 
 
 @dataclass
@@ -161,14 +147,17 @@ def run_comparison(spec: ModelSpec, methods=METHOD_TAGS,
                    tolerances: ToleranceConfig = ToleranceConfig()) -> ComparisonReport:
     """Build the model and its Spectrum once and run every requested method on them.
 
-    Methods always appear in canonical order.  A method failure (for
-    example NotCommuting for the closed forms on a non-commuting model)
-    becomes an error record in its row; it never aborts the report.
+    Methods always appear in canonical order; ValueError for an empty or
+    unknown method list.  A method failure (for example NotCommuting for the
+    closed forms on a non-commuting model) becomes an error record in its
+    row; it never aborts the report.
     """
     methods = list(methods)
+    if not methods:
+        raise ValueError("methods must name at least one method")
     for method in methods:
         if method not in METHOD_TAGS:
-            raise ValueError(f"unknown method {method!r}; known: {METHOD_TAGS}")
+            raise ValueError(f"unknown method {method!r}; known: {', '.join(METHOD_TAGS)}")
     methods = [m for m in METHOD_TAGS if m in methods]
 
     h, grading, decomposition = build_model(spec)
@@ -197,11 +186,7 @@ def run_comparison(spec: ModelSpec, methods=METHOD_TAGS,
             elif method == METHOD_EXACT_CASE:
                 result = u_fw_exact(decomposition, h=h)
             elif method == METHOD_STEPWISE:
-                result, trace = stepwise_fw(
-                    h, grading, spec.mass,
-                    tol=tolerances.stepwise_tol,
-                    max_iterations=tolerances.max_iterations,
-                )
+                result, trace = stepwise_fw(h, grading, spec.mass, tolerances)
                 row.extras["converged"] = trace.converged
                 row.extras["stop_reason"] = trace.stop_reason
                 row.extras["iterations"] = len(trace.iterations)

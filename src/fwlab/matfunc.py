@@ -81,11 +81,12 @@ class SpectralGapReport:
 def spectral_gap(h) -> SpectralGapReport:
     """Measure the spectral gap of a Hermitian matrix or Spectrum around zero.
 
-    ``is_definite`` reports whether the smallest |eigenvalue| clears ``gap_floor``.
+    ``is_definite`` is the verdict of ``require_gap``: min w^2 clears the
+    ``gap_floor`` of h @ h, whose eigenvalues are w^2.
     """
     h = Spectrum.of(h)
-    smallest = float(np.min(np.abs(h.w)))
-    return SpectralGapReport(smallest, bool(smallest >= gap_floor(h.w)))
+    squares = h.w ** 2
+    return SpectralGapReport(float(np.min(np.abs(h.w))), bool(squares.min() >= gap_floor(squares)))
 
 
 def inv_sqrt(a) -> np.ndarray:
@@ -102,15 +103,13 @@ def inv_sqrt(a) -> np.ndarray:
 
 
 def require_gap(h) -> Spectrum:
-    """Spectrum of ``h``; SingularHamiltonian when min w^2 is below the
-    ``gap_floor`` of h @ h, whose eigenvalues are w^2.
-    """
+    """Spectrum of ``h``; SingularHamiltonian unless ``spectral_gap(h).is_definite``."""
     h = Spectrum.of(h)
-    squares = h.w ** 2
-    floor = gap_floor(squares)
-    if squares.min() < floor:
+    if not spectral_gap(h).is_definite:
+        squares = h.w ** 2
         raise SingularHamiltonian(f"no spectral gap at zero: smallest eigenvalue "
-                                  f"{squares.min():.3e} is below the gap tolerance {floor:.3e}")
+                                  f"{squares.min():.3e} is below the gap tolerance "
+                                  f"{gap_floor(squares):.3e}")
     return h
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import DiracDecomposition, Grading, require_hermitian, split_even_odd
+from .algebra import DiracDecomposition, Grading, require_hermitian, require_mass, split_even_odd
 from .errors import InvalidGrid, ParseError
 from .fileio import read_matrix, read_potential_table
 
@@ -250,8 +250,7 @@ class ModelSpec:
 
 def build_model(spec: ModelSpec) -> tuple[np.ndarray, Grading, DiracDecomposition]:
     """Build the (hamiltonian, grading, decomposition) triple for a spec."""
-    if not spec.mass > 0.0:
-        raise ValueError(f"mass must be positive, got {spec.mass}")
+    require_mass(spec.mass)
     if spec.kind == KIND_FREE:
         return build_free_particle(spec.mass, spec.momentum)
     if spec.kind == KIND_LATTICE:

@@ -14,17 +14,14 @@ block-diagonal Hamiltonian without approaching the sign-operator transform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .algebra import NORM_FLOOR, Grading, frobenius
+from .algebra import NORM_FLOOR, Grading, frobenius, require_mass
 from .eriksen import METHOD_STEPWISE, FWResult, compute_diagnostics, hamiltonian_spectrum
+from .exact_case import COMMUTE_TOL
 from .matfunc import odd_exp
-
-# Default stopping rule of every stepwise run: target odd ratio and step cap.
-DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITERATIONS = 50
 
 # The run stagnates when the odd ratio fails to shrink by this factor
 # over STAGNATION_STEPS consecutive steps.
@@ -37,37 +34,53 @@ STOP_STAGNATION = "stagnation"
 
 
 @dataclass(frozen=True)
+class ToleranceConfig:
+    """The stepwise stopping rule, the only settable tolerances of a comparison.
+
+    ``stepwise_tol`` is the target odd_norm_ratio and ``max_iterations`` the
+    cap on steps; ValueError unless 0 < stepwise_tol < inf and
+    max_iterations >= 0.  ``to_dict`` also records the fixed COMMUTE_TOL, and
+    a null gap tolerance since every gap test is the relative rule
+    ``matfunc.gap_floor``.
+    """
+
+    stepwise_tol: float = 1e-8
+    max_iterations: int = 50
+
+    def __post_init__(self):
+        if not 0.0 < self.stepwise_tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.stepwise_tol}")
+        if not self.max_iterations >= 0:
+            raise ValueError(f"max_iterations must be nonnegative, got {self.max_iterations}")
+
+    def to_dict(self) -> dict:
+        return {"commute_tol": COMMUTE_TOL, "gap_tol": None, **asdict(self)}
+
+
+@dataclass(frozen=True)
 class StepwiseTrace:
     """Step-by-step record of one iterative run.
 
     ``iterations`` holds one (index, odd_norm_ratio_before, exponent_norm)
     entry per performed step; an immediately block-diagonal input performs
-    zero steps and converges with the identity as composite.
+    zero steps and converges with the identity as the result's transform.
     """
 
     iterations: tuple[tuple[int, float, float], ...]
-    composite_transform: np.ndarray
     converged: bool
     stop_reason: str
 
 
-def stepwise_fw(h, grading: Grading, mass: float, *, tol: float = DEFAULT_TOL,
-                max_iterations: int = DEFAULT_MAX_ITERATIONS) -> tuple[FWResult, StepwiseTrace]:
+def stepwise_fw(h, grading: Grading, mass: float,
+                tolerances: ToleranceConfig = ToleranceConfig()) -> tuple[FWResult, StepwiseTrace]:
     """Run the iterative scheme until tolerance, stagnation, or the cap.
 
     ``h`` is a finite Hermitian Hamiltonian or its Spectrum, ``mass`` the
-    positive finite m of every exponent, ``tol`` the target odd_norm_ratio
-    of the transformed Hamiltonian and ``max_iterations`` the cap on steps;
-    ValueError unless 0 < tol < inf and max_iterations >= 0.  Non-convergence
-    is a reported outcome, not an error: the result always carries the
-    composite transform actually reached.
+    positive finite m of every exponent, and ``tolerances`` the stopping
+    rule.  Non-convergence is a reported outcome, not an error: the result
+    always carries the composite transform actually reached.
     """
-    if not 0.0 < mass < np.inf:
-        raise ValueError(f"mass must be positive and finite, got {mass}")
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    if not max_iterations >= 0:
-        raise ValueError(f"max_iterations must be nonnegative, got {max_iterations}")
+    require_mass(mass)
     spectrum = hamiltonian_spectrum(h, grading)
     n = grading.upper_dim
     w, frame = spectrum.w, spectrum.v
@@ -77,10 +90,10 @@ def stepwise_fw(h, grading: Grading, mass: float, *, tol: float = DEFAULT_TOL,
     ratios = [scale * frobenius(block)]
     while True:
         ratio = ratios[-1]
-        if ratio <= tol:
+        if ratio <= tolerances.stepwise_tol:
             stop_reason = STOP_TOLERANCE
             break
-        if len(rows) >= max_iterations:
+        if len(rows) >= tolerances.max_iterations:
             stop_reason = STOP_MAX_ITERATIONS
             break
         if len(ratios) > STAGNATION_STEPS and all(
@@ -103,4 +116,4 @@ def stepwise_fw(h, grading: Grading, mass: float, *, tol: float = DEFAULT_TOL,
     diagnostics = compute_diagnostics(composite, spectrum, grading, current)
     result = FWResult(composite, current, METHOD_STEPWISE, diagnostics)
     converged = stop_reason == STOP_TOLERANCE
-    return result, StepwiseTrace(tuple(rows), composite, converged, stop_reason)
+    return result, StepwiseTrace(tuple(rows), converged, stop_reason)

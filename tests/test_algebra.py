@@ -140,6 +140,8 @@ def test_decomposition_gates():
     for bad_mass in (-1.0, np.inf, np.nan):
         with pytest.raises(ValueError):
             DiracDecomposition(g, bad_mass, zero, zero)
+        with pytest.raises(ValueError, match="mass must be positive and finite"):
+            split_even_odd(make_beta(g), g, bad_mass)
     skew = np.zeros((4, 4), dtype=complex)
     skew[0, 1] = 1.0  # even-block entry without its mirror
     with pytest.raises(NonHermitianInput):

@@ -70,6 +70,7 @@ def test_matrix_subcommand(tmp_path):
 
 
 def test_usage_errors_exit_one(capsys, monkeypatch, tmp_path):
+    report = tmp_path / "report.json"
     cases = (
         [],
         ["free"],
@@ -88,11 +89,31 @@ def test_usage_errors_exit_one(capsys, monkeypatch, tmp_path):
          "--tol", "0"],
         ["lattice", "--n", "8", "--L", "4", "--mass", "1", "--potential", "gaussian:0.2,1",
          "--max-iter", "-2"],
+        # a stopping rule that no requested method reads is still checked
+        ["lattice", "--n", "8", "--L", "4", "--mass", "1", "--potential", "gaussian:0.2,1",
+         "--tol", "inf", "--methods", "eriksen", "--out", str(report)],
+        ["lattice", "--n", "8", "--L", "4", "--mass", "1", "--potential", "gaussian:0.2,1",
+         "--tol", "nan", "--methods", "eriksen", "--out", str(report)],
         ["nosuchcommand"],
     )
     for argv in cases:
         assert run_cli(argv) == 1, argv
         capsys.readouterr()
+    assert not report.exists()
+    # a sweep that cannot run leaves no output directory behind
+    base = "--n 8 --L 6 --mass 1 --potential constant:0.2"
+    for name, base_args, values in (
+        ("nan", base, "nan"),
+        ("cap", base + " --max-iter -2", "0.2"),
+        ("zero", "--n 8 --L 6 --mass 1 --potential zero", "0.2"),
+        ("method", base + " --methods nosuch", "0.2"),
+    ):
+        out_dir = tmp_path / f"sweep-{name}"
+        argv = ["sweep", "--base", base_args, "--param", "g", "--values", values,
+                "--out", str(out_dir)]
+        assert run_cli(argv) == 1, argv
+        capsys.readouterr()
+        assert not out_dir.exists(), argv
     # a bad FWLAB_THREADS fails before any output, whether or not the sweep uses the pool
     monkeypatch.setenv("FWLAB_THREADS", "abc")
     for n in (64, 8):

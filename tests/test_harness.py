@@ -1,6 +1,7 @@
 import json
+import warnings
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -85,8 +86,18 @@ def test_stepwise_row_extras():
 def test_method_subset_and_ordering():
     report = run_comparison(FREE_SPEC, methods=("stepwise", "eriksen"))
     assert [row.method for row in report.methods] == ["eriksen", "stepwise"]
-    with pytest.raises(ValueError):
-        run_comparison(FREE_SPEC, methods=("nosuch",))
+    for methods in (("nosuch",), ()):
+        with pytest.raises(ValueError):
+            run_comparison(FREE_SPEC, methods=methods)
+
+
+@pytest.mark.parametrize("spec", [GAUSS_SPEC, FREE_SPEC], ids=["lattice", "free"])
+def test_infinite_mass_names_the_mass(spec):
+    # the rule is checked before the build multiplies by m; a RuntimeWarning fails here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="^mass must be positive and finite, got inf$"):
+            run_comparison(replace(spec, mass=np.inf))
 
 
 def test_json_report_is_deterministic():

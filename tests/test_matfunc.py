@@ -123,6 +123,11 @@ def test_spectral_gap_known_spectrum():
     assert report.min_abs_eigenvalue == pytest.approx(0.25, rel=1e-14)
     assert report.is_definite
     assert not spectral_gap(np.diag([1.0, 0.0])).is_definite
+    # one verdict with sign_operator: w^2 = 1e-16 is below GAP_RTOL * ||H^2||_F = 1.4e-8
+    tiny = np.diag([1e-8, -1e-8, 10.0, -10.0])
+    assert not spectral_gap(tiny).is_definite
+    with pytest.raises(SingularHamiltonian):
+        sign_operator(tiny)
 
 
 def test_principal_sqrt_against_scipy():
@@ -246,13 +251,12 @@ def test_sign_operator_gap_threshold(factor, accepted):
         with pytest.raises(error) as err:
             call()
         assert str(err.value) == message, site
-    # spectral_gap reports the same rule: min |w| against GAP_RTOL * ||H||_F = GAP_RTOL * sqrt(14)
-    w = np.array([1.0, -2.0, 3.0, factor * GAP_RTOL * np.sqrt(14.0)])
+    # spectral_gap gives require_gap's verdict: min w^2 against GAP_RTOL * ||H^2||_F
+    w = np.array([1.0, -1.0, 2.0, -np.sqrt(factor * GAP_RTOL * np.sqrt(18.0))])
     report = spectral_gap(np.diag(w))
-    assert report.min_abs_eigenvalue == w[3]
+    assert report.min_abs_eigenvalue == -w[3]
     assert report.is_definite == accepted
     if accepted:
-        w = np.array([1.0, -1.0, 2.0, -np.sqrt(factor * GAP_RTOL * np.sqrt(18.0))])
         np.testing.assert_array_equal(sign_operator(np.diag(w)), np.diag(np.sign(w)))
 
 

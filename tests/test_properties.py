@@ -39,6 +39,7 @@ from fwlab import (
     stepwise_fw,
     u_fw_exact,
 )
+from fwlab.stepwise import ToleranceConfig
 
 SEEDS = st.integers(0, 2**32 - 1)
 SIZES = st.integers(1, 16)
@@ -101,7 +102,7 @@ def _assert_block_form(result, g, bound):
 
 
 def _steps(h, g, mass, steps):
-    result, trace = stepwise_fw(h, g, mass, tol=1e-300, max_iterations=steps)
+    result, trace = stepwise_fw(h, g, mass, ToleranceConfig(1e-300, steps))
     assert len(trace.iterations) == steps
     return result.transform
 

@@ -23,6 +23,7 @@ from fwlab.stepwise import (
     STOP_MAX_ITERATIONS,
     STOP_STAGNATION,
     STOP_TOLERANCE,
+    ToleranceConfig,
 )
 
 
@@ -96,11 +97,11 @@ def test_stagnation_detected_on_sharp_potential():
 
 def test_iteration_cap():
     h, g, _ = build_free_particle(1.0, (0.0, 0.0, 0.75))
-    _, trace = stepwise_fw(h, g, 1.0, max_iterations=2)
+    _, trace = stepwise_fw(h, g, 1.0, ToleranceConfig(max_iterations=2))
     assert not trace.converged
     assert trace.stop_reason == STOP_MAX_ITERATIONS
     assert len(trace.iterations) == 2
-    _, trace = stepwise_fw(h, g, 1.0, max_iterations=0)
+    _, trace = stepwise_fw(h, g, 1.0, ToleranceConfig(max_iterations=0))
     assert trace.stop_reason == STOP_MAX_ITERATIONS
     assert trace.iterations == ()
 
@@ -112,7 +113,7 @@ def test_block_diagonal_input_needs_no_steps():
     assert trace.converged
     assert trace.stop_reason == STOP_TOLERANCE
     assert len(trace.iterations) == 0
-    np.testing.assert_array_equal(trace.composite_transform, np.eye(4))
+    np.testing.assert_array_equal(result.transform, np.eye(4))
 
 
 def test_parameter_gates():
@@ -120,7 +121,7 @@ def test_parameter_gates():
     with pytest.raises(ValueError):
         stepwise_fw(h, g, -1.0)
     with pytest.raises(ValueError):
-        stepwise_fw(h, g, 1.0, tol=0.0)
+        stepwise_fw(h, g, 1.0, ToleranceConfig(stepwise_tol=0.0))
     # stopping rules that cannot work; tol = inf "converged" after 0 steps on this
     # lattice, whose block diagonality is 0.58
     h, g, _ = build_lattice_1d(16, 8.0, 1.0, Potential("gaussian", (0.2, 1.0)))
@@ -131,7 +132,7 @@ def test_parameter_gates():
         (1e-8, -2, "max_iterations must be nonnegative, got -2"),
     ):
         with pytest.raises(ValueError) as err:
-            stepwise_fw(h, g, 1.0, tol=tol, max_iterations=max_iterations)
+            stepwise_fw(h, g, 1.0, ToleranceConfig(tol, max_iterations))
         assert str(err.value) == message
 
 
