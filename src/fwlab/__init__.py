@@ -30,7 +30,6 @@ from .eriksen import (
     eriksen_transform,
     eriksen_transform_alt,
     exponent_oddness,
-    transform_state,
 )
 from .errors import (
     BranchCutProximity,
@@ -40,7 +39,6 @@ from .errors import (
     InvalidGrid,
     NonHermitianInput,
     NotCommuting,
-    NotPositiveSemidefinite,
     NotUnitary,
     OutsideValidityDomain,
     ParseError,

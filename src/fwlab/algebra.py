@@ -177,6 +177,4 @@ def split_even_odd(h, grading: Grading, mass: float) -> DiracDecomposition:
     """
     h = require_hermitian(grading.check(np.asarray(h, dtype=complex)), "Hamiltonian")
     x = h - np.diag(mass * grading.signs)  # no inf * 0 off the diagonal for a bad mass
-    return DiracDecomposition(
-        grading, mass, even_projection(x, grading), odd_projection(x, grading)
-    )
+    return DiracDecomposition(grading, mass, x, x)  # __post_init__ projects each part

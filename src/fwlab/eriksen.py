@@ -30,7 +30,7 @@ import numpy as np
 
 from .algebra import (NORM_FLOOR, Grading, even_projection, frobenius, odd_norm_ratio,
                       relative_norm, require_hermitian)
-from .errors import DegenerateFactor, DimensionMismatch, FWLabError, NotUnitary, SingularOperand
+from .errors import DegenerateFactor, FWLabError, NotUnitary, SingularOperand
 from .matfunc import (UNITARY_TOL, Spectrum, gap_floor, odd_rotation, require_gap,
                       sign_operator, unitary_log)
 
@@ -135,17 +135,6 @@ def exponent_oddness(u, grading: Grading) -> tuple[float, float]:
     odd_residual = relative_norm(even_projection(s, grading), s)
     hermiticity_residual = relative_norm(s - s.conj().T, s)
     return odd_residual, hermiticity_residual
-
-
-def transform_state(u, psi) -> np.ndarray:
-    """Apply a transform to a state vector; norms are preserved for unitary u."""
-    u = np.asarray(u, dtype=complex)
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (u.shape[1],):
-        raise DimensionMismatch(
-            f"state of shape {psi.shape} does not fit transform of shape {u.shape}"
-        )
-    return u @ psi
 
 
 def compute_diagnostics(u, h, grading: Grading, transformed=None) -> DiagnosticSet:

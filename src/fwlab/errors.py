@@ -9,10 +9,6 @@ class NonHermitianInput(FWLabError):
     """An operator that must be Hermitian fails its tolerance check."""
 
 
-class NotPositiveSemidefinite(FWLabError):
-    """Square-root operand has an eigenvalue below the negative tolerance."""
-
-
 class SingularOperand(FWLabError):
     """Inverse square root requested for an operator without a spectral gap."""
 

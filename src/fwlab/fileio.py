@@ -21,7 +21,8 @@ from .algebra import Grading
 from .errors import ParseError
 
 
-def _atomic_write(path, text: str):
+def write_text(path, text: str):
+    """Atomic plain-text write: a temp file in the target directory, then a rename."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -106,7 +107,7 @@ def write_matrix(path, entries, grading: Grading):
     rows = [f"{grading.dim} {grading.upper_dim}"]
     for row in range(grading.dim):
         rows.append(" ".join(format_complex(z) for z in entries[row]))
-    _atomic_write(path, "\n".join(rows) + "\n")
+    write_text(path, "\n".join(rows) + "\n")
 
 
 def read_potential_table(path) -> list[float]:
@@ -127,8 +128,3 @@ def read_potential_table(path) -> list[float]:
         if not np.isfinite(values[-1]):
             raise ParseError(f"non-finite value {tokens[0]!r}", path=path, line=number)
     return values
-
-
-def write_text(path, text: str):
-    """Atomic plain-text write used for reports."""
-    _atomic_write(path, text)

@@ -28,7 +28,7 @@ from .eriksen import (
     eriksen_transform,
     eriksen_transform_alt,
 )
-from .errors import FWLabError
+from .errors import FWLabError, OutsideValidityDomain
 from .exact_case import check_commutation, u_fw_exact, weak_field_sqrt
 from .matfunc import Spectrum, inv_sqrt, spectral_gap
 from .models import ModelSpec, build_model
@@ -122,7 +122,7 @@ def _weak_field_row(decomposition, h, grading, row: MethodRow):
     not Hermitian.  U is then only approximately unitary, which is what the
     diagnostics are meant to show, so the unitary result wrapper is
     bypassed on purpose.  The reference root is |H|.  Returns
-    (U, U H U^H), or None when the root is not positive definite.
+    (U, U H U^H); OutsideValidityDomain when the root is not positive definite.
     """
     h = Spectrum.of(h)
     root = weak_field_sqrt(decomposition)
@@ -130,9 +130,7 @@ def _weak_field_row(decomposition, h, grading, row: MethodRow):
     row.extras["sqrt_relative_error"] = relative_norm(root - reference, reference)
     root = Spectrum.of(0.5 * (root + root.conj().T))
     if root.w[0] <= 0.0:
-        row.error = "approximate root is not positive definite"
-        row.error_type = "OutsideValidityDomain"
-        return None
+        raise OutsideValidityDomain("approximate root is not positive definite")
     lam = h.matrix @ root.apply(np.reciprocal)
     beta_lam = grading.signs[:, None] * lam
     eye = np.eye(grading.dim, dtype=complex)
@@ -173,8 +171,7 @@ def run_comparison(spec: ModelSpec, methods=METHOD_TAGS,
     )
 
     rows = []
-    transforms = {}
-    transformed = {}
+    produced = {}   # method -> (U, U H U^H), in method order
     for method in methods:
         row = MethodRow(method=method)
         started = time.perf_counter()
@@ -191,14 +188,10 @@ def run_comparison(spec: ModelSpec, methods=METHOD_TAGS,
                 row.extras["stop_reason"] = trace.stop_reason
                 row.extras["iterations"] = len(trace.iterations)
             else:
-                result = None
-                weak = _weak_field_row(decomposition, h, grading, row)
-                if weak is not None:
-                    transforms[method], transformed[method] = weak
-            if result is not None:
+                produced[method] = _weak_field_row(decomposition, h, grading, row)
+            if method != METHOD_WEAK_FIELD:
                 row.diagnostics = result.diagnostics
-                transforms[method] = result.transform
-                transformed[method] = result.transformed_hamiltonian
+                produced[method] = result.transform, result.transformed_hamiltonian
         except FWLabError as exc:
             row.error = str(exc)
             row.error_type = type(exc).__name__
@@ -206,17 +199,13 @@ def run_comparison(spec: ModelSpec, methods=METHOD_TAGS,
         rows.append(row)
 
     cross = []
-    produced = [m for m in methods if m in transforms]
-    for i, first in enumerate(produced):
-        for second in produced[i + 1:]:
+    pairs = list(produced.items())
+    for i, (first, (u_first, h_first)) in enumerate(pairs):
+        for second, (u_second, h_second) in pairs[i + 1:]:
             cross.append(CrossRow(
                 method_pair=(first, second),
-                hamiltonian_disagreement=relative_norm(
-                    transformed[second] - transformed[first], transformed[first]
-                ),
-                transform_disagreement=relative_norm(
-                    transforms[second] - transforms[first], transforms[first]
-                ),
+                hamiltonian_disagreement=relative_norm(h_second - h_first, h_first),
+                transform_disagreement=relative_norm(u_second - u_first, u_first),
             ))
 
     return ComparisonReport(

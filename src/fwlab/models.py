@@ -82,21 +82,13 @@ class Potential:
             return np.where(x >= edge, strength, 0.0)
         if self.kind == "linear":
             return self.params[0] * x
-        if self.kind == "tabulated":
-            if len(self.table) != len(x):
-                raise ParseError(
-                    f"tabulated potential has {len(self.table)} values "
-                    f"but the grid has {len(x)} sites",
-                    path=self.source,
-                )
-            return np.asarray(self.table, dtype=float)
-        raise ValueError(f"unknown potential kind {self.kind!r}")
-
-    def strength(self) -> float:
-        """First parameter, the swept coupling for catalog potentials."""
-        if self.kind in ("zero", "tabulated"):
-            raise ValueError(f"potential {self.kind!r} has no strength parameter")
-        return self.params[0]
+        if len(self.table) != len(x):   # tabulated, the one kind left
+            raise ParseError(
+                f"tabulated potential has {len(self.table)} values "
+                f"but the grid has {len(x)} sites",
+                path=self.source,
+            )
+        return np.asarray(self.table, dtype=float)
 
     def with_strength(self, value: float) -> "Potential":
         if self.kind in ("zero", "tabulated"):
@@ -195,6 +187,9 @@ def build_synthetic_commuting(n: int, mass: float, poly, seed) -> tuple[np.ndarr
     """
     if n < 2:
         raise ValueError(f"block size must be at least 2, got {n}")
+    poly = tuple(poly)
+    if not np.isfinite(poly).all():
+        raise ValueError(f"poly must be finite, got {poly}")
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(2.0 * n)
     block = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
@@ -203,7 +198,7 @@ def build_synthetic_commuting(n: int, mass: float, poly, seed) -> tuple[np.ndarr
     odd[n:, :n] = block.conj().T
     odd_sq = odd @ odd
     even = np.zeros_like(odd)
-    for coefficient in reversed(tuple(poly)):
+    for coefficient in reversed(poly):
         even = even @ odd_sq + coefficient * np.eye(2 * n)
     grading = Grading(2 * n, n)
     decomposition = DiracDecomposition(grading, mass, even, odd)
@@ -248,16 +243,31 @@ class ModelSpec:
         raise ValueError(f"unknown model kind {self.kind!r}")
 
 
+# The ModelSpec fields each kind reads; build_model rejects a spec missing any.
+_REQUIRED_FIELDS = {
+    KIND_FREE: ("momentum",),
+    KIND_LATTICE: ("n", "length", "potential"),
+    KIND_SYNTHETIC: ("n",),
+    KIND_EXPLICIT: ("path",),
+}
+
+
 def build_model(spec: ModelSpec) -> tuple[np.ndarray, Grading, DiracDecomposition]:
-    """Build the (hamiltonian, grading, decomposition) triple for a spec."""
+    """Build the (hamiltonian, grading, decomposition) triple for a spec.
+
+    ValueError for a bad mass, an unknown kind, or a missing field its kind reads.
+    """
     require_mass(spec.mass)
+    required = _REQUIRED_FIELDS.get(spec.kind)
+    if required is None:
+        raise ValueError(f"unknown model kind {spec.kind!r}")
+    if any(getattr(spec, name) is None for name in required):
+        raise ValueError(f"{spec.kind} model needs {', '.join(required)}")
     if spec.kind == KIND_FREE:
         return build_free_particle(spec.mass, spec.momentum)
     if spec.kind == KIND_LATTICE:
         return build_lattice_1d(spec.n, spec.length, spec.mass, spec.potential)
     if spec.kind == KIND_SYNTHETIC:
         return build_synthetic_commuting(spec.n, spec.mass, spec.poly, spec.seed)
-    if spec.kind == KIND_EXPLICIT:
-        h, grading = load_explicit_matrix(spec.path)
-        return h, grading, split_even_odd(h, grading, spec.mass)
-    raise ValueError(f"unknown model kind {spec.kind!r}")
+    h, grading = load_explicit_matrix(spec.path)
+    return h, grading, split_even_odd(h, grading, spec.mass)

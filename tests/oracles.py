@@ -2,11 +2,15 @@
 
 import numpy as np
 
-from fwlab import NotPositiveSemidefinite, Spectrum, frobenius
+from fwlab import FWLabError, Spectrum, frobenius
 from fwlab.algebra import NORM_FLOOR
 
 # Eigenvalues above -PSD_RTOL * ||A||_F count as nonnegative.
 PSD_RTOL = 1e-12
+
+
+class NotPositiveSemidefinite(FWLabError):
+    """Square-root operand has an eigenvalue below the negative tolerance."""
 
 
 def principal_sqrt(a, *, psd_rtol: float = PSD_RTOL):

@@ -16,12 +16,10 @@ from fwlab import (
     make_beta,
     relative_norm,
     sign_operator,
-    transform_state,
 )
 from fwlab.eriksen import METHOD_ERIKSEN, METHOD_ERIKSEN_ALT
 from fwlab.errors import (
     DegenerateFactor,
-    DimensionMismatch,
     NonHermitianInput,
     NotUnitary,
     SingularOperand,
@@ -208,14 +206,3 @@ def test_result_wrapper_rejects_non_unitary():
                  compute_diagnostics(2.0 * np.eye(4), h, g))
     with pytest.raises(ValueError):
         FWResult(np.eye(4), h, "nosuchmethod", compute_diagnostics(np.eye(4), h, g))
-
-
-def test_transform_state():
-    h, g, _ = build_free_particle(1.0, (0.0, 0.0, 0.75))
-    u = eriksen_transform(h, g).transform
-    rng = np.random.default_rng(24)
-    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    phi = transform_state(u, psi)
-    assert np.linalg.norm(phi) == pytest.approx(np.linalg.norm(psi), rel=1e-13)
-    with pytest.raises(DimensionMismatch):
-        transform_state(u, np.ones(3))

@@ -75,6 +75,18 @@ def test_weak_field_row_shows_nonunitarity():
     assert row.diagnostics.exponent_odd_residual is None
 
 
+def test_weak_field_failure_row():
+    # a strong well drives the approximate root indefinite
+    spec = replace(GAUSS_SPEC, potential=Potential("gaussian", (2.0, 1.0)))
+    report = run_comparison(spec)
+    row = report.row("weakfield")
+    assert row.error == "approximate root is not positive definite"
+    assert row.error_type == "OutsideValidityDomain"
+    assert "sqrt_relative_error" in row.extras
+    assert row.diagnostics is None
+    assert not any("weakfield" in cross.method_pair for cross in report.cross)
+
+
 def test_stepwise_row_extras():
     report = run_comparison(FREE_SPEC)
     row = report.row("stepwise")

@@ -44,14 +44,13 @@ from fwlab.matfunc import BRANCH_MARGIN, GAP_RTOL
 from fwlab.errors import (
     BranchCutProximity,
     NonHermitianInput,
-    NotPositiveSemidefinite,
     NotUnitary,
     OutsideValidityDomain,
     SingularHamiltonian,
     SingularOperand,
 )
 
-from oracles import principal_sqrt
+from oracles import NotPositiveSemidefinite, principal_sqrt
 
 
 def _random_hermitian(rng, dim):

@@ -112,12 +112,12 @@ def test_potential_gates():
     with pytest.raises(ValueError):
         Potential("tabulated")
     with pytest.raises(ValueError):
-        Potential("zero").strength()
+        Potential("zero").with_strength(1.0)
 
 
 def test_potential_strength_rescaling():
     pot = Potential("gaussian", (0.2, 1.5))
-    assert pot.strength() == 0.2
+    assert pot.params[0] == 0.2
     scaled = pot.with_strength(0.05)
     assert scaled.params == (0.05, 1.5)
     assert scaled.describe() == "gaussian:0.05,1.5"
@@ -175,8 +175,10 @@ def test_synthetic_model_commutes_and_reproduces():
     assert h.tobytes() != h3.tobytes()
     with pytest.raises(ValueError):
         build_synthetic_commuting(1, 1.0, (0.1,), 0)
-    with pytest.raises(NonHermitianInput):
+    with pytest.raises(ValueError, match="poly"):
         build_synthetic_commuting(4, 1.0, (np.nan,), 0)
+    with pytest.raises(ValueError, match="poly"):
+        build_synthetic_commuting(4, 1.0, (0.1, np.inf), 0)
 
 
 def test_synthetic_empty_polynomial_is_field_free():
@@ -249,6 +251,20 @@ def test_build_model_dispatch(tmp_path):
         build_model(ModelSpec(kind=KIND_FREE, mass=0.0, momentum=(0.0, 0.0, 0.1)))
     with pytest.raises(ValueError):
         build_model(ModelSpec(kind="nosuch", mass=1.0))
+
+
+@pytest.mark.parametrize("spec, message", [
+    (ModelSpec(kind=KIND_FREE, mass=1.0), "free model needs momentum"),
+    (ModelSpec(kind=KIND_LATTICE, mass=1.0), "lattice model needs n, length, potential"),
+    (ModelSpec(kind=KIND_LATTICE, mass=1.0, n=8, length=4.0),
+     "lattice model needs n, length, potential"),
+    (ModelSpec(kind=KIND_SYNTHETIC, mass=1.0, poly=(0.1,)), "synthetic model needs n"),
+    (ModelSpec(kind=KIND_EXPLICIT, mass=1.0), "matrix model needs path"),
+])
+def test_build_model_names_missing_field(spec, message):
+    with pytest.raises(ValueError) as err:
+        build_model(spec)
+    assert str(err.value) == message
 
 
 def _written_matrix(tmp_path):
