@@ -22,7 +22,6 @@ from .algebra import (
     split_even_odd,
 )
 from .eriksen import (
-    METHOD_TAGS,
     DiagnosticSet,
     FWResult,
     compute_diagnostics,
@@ -63,6 +62,7 @@ from .fileio import (
     write_text,
 )
 from .harness import (
+    METHOD_TAGS,
     ComparisonReport,
     CrossRow,
     MethodRow,

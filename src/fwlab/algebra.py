@@ -105,22 +105,14 @@ def make_beta(grading: Grading) -> np.ndarray:
 
 def even_projection(h, grading: Grading) -> np.ndarray:
     """Block-diagonal part of ``h``, equal to (h + beta h beta) / 2."""
-    h = grading.check(h)
-    u = grading.upper_dim
-    out = np.zeros((grading.dim, grading.dim), dtype=complex)
-    out[:u, :u] = h[:u, :u]
-    out[u:, u:] = h[u:, u:]
-    return out
+    signs = grading.signs
+    return np.where(signs[:, None] == signs, grading.check(h), 0j)
 
 
 def odd_projection(h, grading: Grading) -> np.ndarray:
     """Block-off-diagonal part of ``h``, equal to (h - beta h beta) / 2."""
-    h = grading.check(h)
-    u = grading.upper_dim
-    out = np.zeros((grading.dim, grading.dim), dtype=complex)
-    out[:u, u:] = h[:u, u:]
-    out[u:, :u] = h[u:, :u]
-    return out
+    signs = grading.signs
+    return np.where(signs[:, None] != signs, grading.check(h), 0j)
 
 
 def odd_norm_ratio(h, grading: Grading) -> float:
@@ -164,7 +156,7 @@ class DiracDecomposition:
 
     def hamiltonian(self) -> np.ndarray:
         """Reassemble beta * mass + E + O."""
-        return self.mass * make_beta(self.grading) + self.even_part + self.odd_part
+        return np.diag(self.mass * self.grading.signs) + self.even_part + self.odd_part
 
 
 def split_even_odd(h, grading: Grading, mass: float) -> DiracDecomposition:

@@ -18,9 +18,9 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
-from .eriksen import METHOD_STEPWISE, METHOD_TAGS, METHOD_WEAK_FIELD
 from .errors import FWLabError
-from .harness import ComparisonReport, emit_report, run_comparison
+from .harness import (METHOD_STEPWISE, METHOD_TAGS, METHOD_WEAK_FIELD, ComparisonReport,
+                      emit_report, run_comparison)
 from .fileio import write_text
 from .models import KIND_EXPLICIT, KIND_FREE, KIND_LATTICE, ModelSpec, parse_potential
 from .stepwise import STOP_TOLERANCE, ToleranceConfig
@@ -47,11 +47,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _fail_usage(message: str):
-    print(f"fwlab: error: {message}", file=sys.stderr)
-    raise SystemExit(1)
-
-
 def _parse_methods(text: str) -> tuple[str, ...]:
     return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
@@ -59,11 +54,11 @@ def _parse_methods(text: str) -> tuple[str, ...]:
 def _parse_momentum(text: str):
     parts = text.split(",")
     if len(parts) != 3:
-        _fail_usage(f"--p needs three comma-separated components, got {text!r}")
+        raise ValueError(f"--p needs three comma-separated components, got {text!r}")
     try:
         return tuple(float(tok) for tok in parts)
     except ValueError:
-        _fail_usage(f"bad momentum {text!r}")
+        raise ValueError(f"bad momentum {text!r}") from None
 
 
 def _emit(report: ComparisonReport, args) -> int:
@@ -73,8 +68,11 @@ def _emit(report: ComparisonReport, args) -> int:
     return 2 if report.has_errors() else 0
 
 
-def _add_common(parser):
+def _add_methods(parser):
     parser.add_argument("--methods", default=",".join(METHOD_TAGS), help=_METHOD_HELP)
+
+
+def _add_output(parser):
     parser.add_argument("--out", default=None, help="output path; stdout when omitted")
     parser.add_argument("--format", default="json", choices=("json", "csv"),
                         help="report serialization format")
@@ -93,7 +91,7 @@ def _add_lattice_arguments(parser):
                         help="stepwise odd-ratio target")
     parser.add_argument("--max-iter", type=int, default=ToleranceConfig.max_iterations,
                         help="stepwise iteration cap")
-    _add_common(parser)
+    _add_methods(parser)
 
 
 def build_parser() -> _Parser:
@@ -110,13 +108,15 @@ def build_parser() -> _Parser:
                           description="Free particle: H = beta*m + alpha.p.")
     free.add_argument("--mass", type=float, required=True, help="positive mass")
     free.add_argument("--p", default="0,0,0", help="momentum components x,y,z")
-    _add_common(free)
+    _add_methods(free)
+    _add_output(free)
     free.set_defaults(func=cmd_free)
 
     lattice = sub.add_parser("lattice", help="1D two-component lattice model",
                              description="Periodic two-component Dirac operator "
                                          "with a scalar potential.")
     _add_lattice_arguments(lattice)
+    _add_output(lattice)
     lattice.set_defaults(func=cmd_lattice)
 
     matrix = sub.add_parser("matrix", help="explicit matrix from a file",
@@ -125,7 +125,8 @@ def build_parser() -> _Parser:
     matrix.add_argument("--file", required=True, help="graded matrix file path")
     matrix.add_argument("--mass", type=float, required=True,
                         help="positive mass used for the even/odd split")
-    _add_common(matrix)
+    _add_methods(matrix)
+    _add_output(matrix)
     matrix.set_defaults(func=cmd_matrix)
 
     sweep = sub.add_parser("sweep", help="sweep the potential strength",
@@ -170,12 +171,13 @@ def cmd_matrix(args) -> int:
 
 
 def _orders(values, errors):
-    """Empirical convergence orders between consecutive sweep points."""
+    """Empirical convergence orders between consecutive sweep points; None for a pair
+    without two positive errors and two distinct strengths of one sign."""
     orders = []
     for (v0, e0), (v1, e1) in zip(zip(values, errors), zip(values[1:], errors[1:])):
-        usable = e0 is not None and e1 is not None and e0 > 0.0 and e1 > 0.0
-        orders.append(math.log(e0 / e1) / math.log(v0 / v1)
-                      if usable and v0 != v1 else None)
+        usable = (e0 is not None and e1 is not None and e0 > 0.0 and e1 > 0.0
+                  and v0 * v1 > 0.0 and v0 != v1)
+        orders.append(math.log(e0 / e1) / math.log(v0 / v1) if usable else None)
     return orders
 
 
@@ -219,13 +221,14 @@ def cmd_sweep(args) -> int:
     try:
         values = tuple(float(tok) for tok in args.values.split(",") if tok.strip())
     except ValueError:
-        _fail_usage(f"bad --values {args.values!r}")
+        raise ValueError(f"bad --values {args.values!r}") from None
     if not values:
-        _fail_usage("--values must contain at least one number")
+        raise ValueError("--values must contain at least one number")
     try:
         threads = max(1, int(os.environ.get("FWLAB_THREADS", "1")))
     except ValueError:
-        _fail_usage(f"FWLAB_THREADS must be an integer, got {os.environ['FWLAB_THREADS']!r}")
+        raise ValueError(f"FWLAB_THREADS must be an integer, "
+                         f"got {os.environ['FWLAB_THREADS']!r}") from None
 
     specs = [replace(spec, potential=spec.potential.with_strength(value)) for value in values]
     workers = threads if spec.n >= _POOL_MIN_SITES else 1

@@ -37,19 +37,6 @@ from .matfunc import (UNITARY_TOL, Spectrum, gap_floor, odd_rotation, require_ga
 # Minimum singular value of 1 + beta*lambda accepted by the polar form.
 DEGENERATE_TOL = 1e-10
 
-METHOD_ERIKSEN = "eriksen"
-METHOD_ERIKSEN_ALT = "eriksenalt"
-METHOD_EXACT_CASE = "exactcase"
-METHOD_STEPWISE = "stepwise"
-METHOD_WEAK_FIELD = "weakfield"
-METHOD_TAGS = (
-    METHOD_ERIKSEN,
-    METHOD_ERIKSEN_ALT,
-    METHOD_EXACT_CASE,
-    METHOD_STEPWISE,
-    METHOD_WEAK_FIELD,
-)
-
 
 def hamiltonian_spectrum(h, grading: Grading) -> Spectrum:
     """Spectrum of a Hamiltonian of the grading's shape; a matrix must be finite and Hermitian."""
@@ -94,23 +81,19 @@ class FWResult:
 
     transform: np.ndarray
     transformed_hamiltonian: np.ndarray
-    method_tag: str
     diagnostics: DiagnosticSet
 
     @classmethod
-    def of(cls, u, h, grading: Grading, method_tag: str) -> "FWResult":
+    def of(cls, u, h, grading: Grading) -> "FWResult":
         """Result for transform ``u`` of ``h``, with u h u^H built once."""
         h = hamiltonian_spectrum(h, grading)
         transformed = u @ h.matrix @ u.conj().T
-        return cls(u, transformed, method_tag,
-                   compute_diagnostics(u, h, grading, transformed))
+        return cls(u, transformed, compute_diagnostics(u, h, grading, transformed))
 
     def __post_init__(self):
-        if self.method_tag not in METHOD_TAGS:
-            raise ValueError(f"unknown method tag {self.method_tag!r}")
         defect = self.diagnostics.unitarity_residual
         if defect > UNITARY_TOL:
-            raise NotUnitary(f"{self.method_tag} transform: ||U^H U - 1||_F = {defect:.3e}")
+            raise NotUnitary(f"||U^H U - 1||_F = {defect:.3e} exceeds {UNITARY_TOL:.1e}")
 
 
 def eriksen_condition_residual(u, grading: Grading) -> float:
@@ -137,16 +120,14 @@ def exponent_oddness(u, grading: Grading) -> tuple[float, float]:
     return odd_residual, hermiticity_residual
 
 
-def compute_diagnostics(u, h, grading: Grading, transformed=None) -> DiagnosticSet:
+def compute_diagnostics(u, h, grading: Grading, transformed) -> DiagnosticSet:
     """Evaluate the full diagnostic set for a transform of ``h``.
 
     ``spectrum_drift`` is the largest sorted-eigenvalue displacement between
-    ``h`` and u h u^H, relative to ||h||_F; ``transformed`` is u h u^H if known.
+    ``h`` and ``transformed`` = u h u^H, relative to ||h||_F.
     """
     u = grading.check(np.asarray(u, dtype=complex))
     h = hamiltonian_spectrum(h, grading)
-    if transformed is None:
-        transformed = u @ h.matrix @ u.conj().T
     unitarity = frobenius(u.conj().T @ u - np.eye(grading.dim))
     condition = eriksen_condition_residual(u, grading)
     blockness = odd_norm_ratio(transformed, grading)
@@ -184,7 +165,7 @@ def eriksen_transform(h, grading: Grading) -> FWResult:
     if cos2.min() < floor:
         raise SingularOperand(f"smallest eigenvalue {cos2.min():.3e} of K "
                               f"is below the gap tolerance {floor:.3e}")
-    return FWResult.of(odd_rotation(p, theta, qh), h, grading, METHOD_ERIKSEN)
+    return FWResult.of(odd_rotation(p, theta, qh), h, grading)
 
 
 def eriksen_transform_alt(h, grading: Grading) -> FWResult:
@@ -201,4 +182,4 @@ def eriksen_transform_alt(h, grading: Grading) -> FWResult:
     p, sigma, qh = np.linalg.svd(factor)
     if sigma[-1] < DEGENERATE_TOL:
         raise DegenerateFactor(f"1 + beta*lambda has smallest singular value {sigma[-1]:.3e}")
-    return FWResult.of(p @ qh, h, grading, METHOD_ERIKSEN_ALT)
+    return FWResult.of(p @ qh, h, grading)

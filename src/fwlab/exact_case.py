@@ -28,15 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    NORM_FLOOR,
-    DiracDecomposition,
-    anticommutator,
-    commutator,
-    frobenius,
-    make_beta,
-)
-from .eriksen import METHOD_EXACT_CASE, FWResult
+from .algebra import NORM_FLOOR, DiracDecomposition, anticommutator, commutator, frobenius
+from .eriksen import FWResult
 from .errors import NotCommuting, OutsideValidityDomain, SingularOperand
 from .matfunc import even_function, gap_floor, odd_rotation
 
@@ -90,7 +83,7 @@ def sqrt_hd2_exact(d: DiracDecomposition) -> np.ndarray:
     its ``gap_floor``, i.e. when it stops being the principal root.
     """
     eps, eps_inv = _odd_block(d, 0.5, -0.5)[3:]
-    core = d.mass * make_beta(d.grading) + d.odd_part
+    core = np.diag(d.mass * d.grading.signs) + d.odd_part
     root = eps + core @ d.even_part @ eps_inv
     w = np.linalg.eigvalsh(0.5 * (root + root.conj().T))
     if w[0] < gap_floor(w):
@@ -120,7 +113,7 @@ def u_fw_exact(d: DiracDecomposition, *, h=None) -> FWResult:
     """
     p, sigma, qh = _odd_block(d)
     u = odd_rotation(p, 0.5 * np.arctan2(sigma, d.mass), qh)
-    return FWResult.of(u, d.hamiltonian() if h is None else h, d.grading, METHOD_EXACT_CASE)
+    return FWResult.of(u, d.hamiltonian() if h is None else h, d.grading)
 
 
 def h_fw_exact(d: DiracDecomposition) -> np.ndarray:
@@ -141,7 +134,7 @@ def weak_field_sqrt(d: DiracDecomposition) -> np.ndarray:
     [E, O] = 0; otherwise accurate to second order in the even coupling.
     """
     eps, eps_inv = _odd_block(d, 0.5, -0.5, commuting=False)[3:]
-    core = d.mass * make_beta(d.grading) + d.odd_part
+    core = np.diag(d.mass * d.grading.signs) + d.odd_part
     paired = anticommutator(core, d.even_part)
     first = 0.25 * anticommutator(eps_inv, paired)
     nested = commutator(eps, commutator(eps, d.even_part))

@@ -16,20 +16,9 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .algebra import frobenius, relative_norm
-from .eriksen import (
-    METHOD_ERIKSEN,
-    METHOD_ERIKSEN_ALT,
-    METHOD_EXACT_CASE,
-    METHOD_STEPWISE,
-    METHOD_TAGS,
-    METHOD_WEAK_FIELD,
-    DiagnosticSet,
-    compute_diagnostics,
-    eriksen_transform,
-    eriksen_transform_alt,
-)
+from .eriksen import DiagnosticSet, compute_diagnostics, eriksen_transform, eriksen_transform_alt
 from .errors import FWLabError, OutsideValidityDomain
-from .exact_case import check_commutation, u_fw_exact, weak_field_sqrt
+from .exact_case import COMMUTE_TOL, check_commutation, u_fw_exact, weak_field_sqrt
 from .matfunc import Spectrum, inv_sqrt, spectral_gap
 from .models import ModelSpec, build_model
 from .fileio import write_text
@@ -100,7 +89,9 @@ class ComparisonReport:
             "context": self.context.to_dict(),
             "methods": [row.to_dict(include_timings) for row in self.methods],
             "cross": [row.to_dict() for row in self.cross],
-            "tolerances": self.tolerances.to_dict(),
+            # null: every gap test is the relative rule matfunc.gap_floor, not a fixed tolerance
+            "tolerances": {"commute_tol": COMMUTE_TOL, "gap_tol": None,
+                           **asdict(self.tolerances)},
         }
 
     def has_errors(self) -> bool:
@@ -139,6 +130,21 @@ def _weak_field_row(decomposition, h, grading, row: MethodRow):
     transformed = u @ h.matrix @ u.conj().T
     row.diagnostics = compute_diagnostics(u, h, grading, transformed)
     return u, transformed
+
+
+# The method catalog, in report order; run_comparison's if/elif chain dispatches on it.
+METHOD_ERIKSEN = "eriksen"
+METHOD_ERIKSEN_ALT = "eriksenalt"
+METHOD_EXACT_CASE = "exactcase"
+METHOD_STEPWISE = "stepwise"
+METHOD_WEAK_FIELD = "weakfield"
+METHOD_TAGS = (
+    METHOD_ERIKSEN,
+    METHOD_ERIKSEN_ALT,
+    METHOD_EXACT_CASE,
+    METHOD_STEPWISE,
+    METHOD_WEAK_FIELD,
+)
 
 
 def run_comparison(spec: ModelSpec, methods=METHOD_TAGS,

@@ -227,6 +227,8 @@ class ModelSpec:
     seed: int | None = None
 
     def describe(self) -> str:
+        """One-line descriptor; ValueError for an unknown kind or a missing field."""
+        _check_fields(self)
         if self.kind == KIND_FREE:
             p = ",".join(repr(float(c)) for c in self.momentum)
             return f"free(mass={self.mass!r}, p={p})"
@@ -238,12 +240,10 @@ class ModelSpec:
         if self.kind == KIND_SYNTHETIC:
             poly = ",".join(repr(float(c)) for c in self.poly)
             return f"synthetic(n={self.n}, mass={self.mass!r}, poly=[{poly}], seed={self.seed})"
-        if self.kind == KIND_EXPLICIT:
-            return f"matrix(path={self.path}, mass={self.mass!r})"
-        raise ValueError(f"unknown model kind {self.kind!r}")
+        return f"matrix(path={self.path}, mass={self.mass!r})"
 
 
-# The ModelSpec fields each kind reads; build_model rejects a spec missing any.
+# The ModelSpec fields each kind reads; _check_fields rejects a spec missing any.
 _REQUIRED_FIELDS = {
     KIND_FREE: ("momentum",),
     KIND_LATTICE: ("n", "length", "potential"),
@@ -252,17 +252,22 @@ _REQUIRED_FIELDS = {
 }
 
 
+def _check_fields(spec: ModelSpec):
+    """ValueError for an unknown kind or a missing field its kind reads."""
+    required = _REQUIRED_FIELDS.get(spec.kind)
+    if required is None:
+        raise ValueError(f"unknown model kind {spec.kind!r}")
+    if any(getattr(spec, name) is None for name in required):
+        raise ValueError(f"{spec.kind} model needs {', '.join(required)}")
+
+
 def build_model(spec: ModelSpec) -> tuple[np.ndarray, Grading, DiracDecomposition]:
     """Build the (hamiltonian, grading, decomposition) triple for a spec.
 
     ValueError for a bad mass, an unknown kind, or a missing field its kind reads.
     """
     require_mass(spec.mass)
-    required = _REQUIRED_FIELDS.get(spec.kind)
-    if required is None:
-        raise ValueError(f"unknown model kind {spec.kind!r}")
-    if any(getattr(spec, name) is None for name in required):
-        raise ValueError(f"{spec.kind} model needs {', '.join(required)}")
+    _check_fields(spec)
     if spec.kind == KIND_FREE:
         return build_free_particle(spec.mass, spec.momentum)
     if spec.kind == KIND_LATTICE:

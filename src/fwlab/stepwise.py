@@ -14,13 +14,12 @@ block-diagonal Hamiltonian without approaching the sign-operator transform.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import NORM_FLOOR, Grading, frobenius, require_mass
-from .eriksen import METHOD_STEPWISE, FWResult, compute_diagnostics, hamiltonian_spectrum
-from .exact_case import COMMUTE_TOL
+from .eriksen import FWResult, compute_diagnostics, hamiltonian_spectrum
 from .matfunc import odd_exp
 
 # The run stagnates when the odd ratio fails to shrink by this factor
@@ -39,9 +38,7 @@ class ToleranceConfig:
 
     ``stepwise_tol`` is the target odd_norm_ratio and ``max_iterations`` the
     cap on steps; ValueError unless 0 < stepwise_tol < inf and
-    max_iterations >= 0.  ``to_dict`` also records the fixed COMMUTE_TOL, and
-    a null gap tolerance since every gap test is the relative rule
-    ``matfunc.gap_floor``.
+    max_iterations >= 0.
     """
 
     stepwise_tol: float = 1e-8
@@ -52,9 +49,6 @@ class ToleranceConfig:
             raise ValueError(f"tol must be positive and finite, got {self.stepwise_tol}")
         if not self.max_iterations >= 0:
             raise ValueError(f"max_iterations must be nonnegative, got {self.max_iterations}")
-
-    def to_dict(self) -> dict:
-        return {"commute_tol": COMMUTE_TOL, "gap_tol": None, **asdict(self)}
 
 
 @dataclass(frozen=True)
@@ -114,6 +108,6 @@ def stepwise_fw(h, grading: Grading, mass: float,
     else:
         composite, current = np.eye(grading.dim, dtype=complex), spectrum.matrix
     diagnostics = compute_diagnostics(composite, spectrum, grading, current)
-    result = FWResult(composite, current, METHOD_STEPWISE, diagnostics)
+    result = FWResult(composite, current, diagnostics)
     converged = stop_reason == STOP_TOLERANCE
     return result, StepwiseTrace(tuple(rows), converged, stop_reason)

@@ -217,6 +217,35 @@ def test_sweep_usage_gates(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sweep_base_rejects_output_options(tmp_path, capsys):
+    # --base takes lattice arguments and --methods; the sweep always writes JSON into --out
+    for option in ("--format csv", "--out report.json"):
+        out_dir = tmp_path / "sweep"
+        assert run_cli([
+            "sweep", "--base", f"--n 8 --L 6 --mass 1 --potential constant:0.2 {option}",
+            "--param", "g", "--values", "0.2", "--out", str(out_dir),
+        ]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("values", ["0.2,0", "0.2,-0.1"])
+def test_sweep_order_needs_strengths_of_one_sign(tmp_path, values):
+    out_dir = tmp_path / "sweep"
+    code = run_cli([
+        "sweep",
+        "--base", "--n 16 --L 12 --mass 1 --potential gaussian:0.2,3.0",
+        "--param", "g",
+        "--values", values,
+        "--out", str(out_dir),
+    ])
+    assert code == 2   # exactcase records NotCommuting at g = 0.2
+    assert len(list(out_dir.glob("report_g*.json"))) == 2
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["weakfield"]["orders"] == [None]
+    assert summary["stepwise"]["orders"] == [None]
+
+
 def test_sweep_respects_thread_env(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_POOL_MIN_SITES", 0)  # run the pool at n=8 too
     written = {}

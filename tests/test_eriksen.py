@@ -17,7 +17,6 @@ from fwlab import (
     relative_norm,
     sign_operator,
 )
-from fwlab.eriksen import METHOD_ERIKSEN, METHOD_ERIKSEN_ALT
 from fwlab.errors import (
     DegenerateFactor,
     NonHermitianInput,
@@ -56,7 +55,6 @@ def test_free_particle_closed_form():
     np.testing.assert_allclose(
         result.transformed_hamiltonian, eps * DIRAC_BETA, atol=1e-13
     )
-    assert result.method_tag == METHOD_ERIKSEN
     assert result.diagnostics.eriksen_condition_residual <= 1e-14
     assert result.diagnostics.block_diagonality <= 1e-14
     assert result.diagnostics.spectrum_drift <= 1e-14
@@ -80,7 +78,6 @@ def test_two_forms_agree_random_gapped():
         u_a = eriksen_transform(h, g).transform
         u_b = eriksen_transform_alt(h, g).transform
         assert relative_norm(u_a - u_b, u_a) <= 1e-10
-        assert eriksen_transform_alt(h, g).method_tag == METHOD_ERIKSEN_ALT
 
 
 def test_polar_factor_commutes_with_its_gram():
@@ -147,7 +144,7 @@ def test_rotation_angle_floor(coupling, singular):
 
 def test_identity_transform_diagnostics():
     h, g, _ = build_free_particle(1.0, (0.0, 0.0, 0.75))
-    diag = compute_diagnostics(np.eye(4), h, g)
+    diag = compute_diagnostics(np.eye(4), h, g, h)
     assert diag.unitarity_residual == 0.0
     assert diag.eriksen_condition_residual == 0.0
     assert diag.block_diagonality == pytest.approx(0.6, rel=1e-14)
@@ -188,7 +185,7 @@ def test_diagnostics_reuse_transformed_hamiltonian():
     h, g, _ = build_free_particle(1.0, (0.3, 0.4, 0.0))
     for result in (eriksen_transform(h, g), eriksen_transform_alt(h, g)):
         u = result.transform
-        assert result.diagnostics == compute_diagnostics(u, h, g)
+        assert result.diagnostics == compute_diagnostics(u, h, g, u @ h @ u.conj().T)
         np.testing.assert_array_equal(result.transformed_hamiltonian, u @ h @ u.conj().T)
 
 
@@ -202,7 +199,4 @@ def test_result_wrapper_rejects_non_unitary():
     h, _, _ = build_free_particle(1.0, (0.0, 0.0, 0.1))
     # the wrapper reads the residual its diagnostics already measured
     with pytest.raises(NotUnitary):
-        FWResult(2.0 * np.eye(4), h, METHOD_ERIKSEN,
-                 compute_diagnostics(2.0 * np.eye(4), h, g))
-    with pytest.raises(ValueError):
-        FWResult(np.eye(4), h, "nosuchmethod", compute_diagnostics(np.eye(4), h, g))
+        FWResult(2.0 * np.eye(4), h, compute_diagnostics(2.0 * np.eye(4), h, g, 4.0 * h))

@@ -20,7 +20,6 @@ from fwlab import (
     u_fw_exact,
     weak_field_sqrt,
 )
-from fwlab.eriksen import METHOD_EXACT_CASE
 from fwlab.errors import NotCommuting, OutsideValidityDomain, SingularOperand
 from fwlab.models import DIRAC_ALPHA, DIRAC_BETA, Potential
 
@@ -73,7 +72,6 @@ def test_free_particle_closed_quantities():
         2.25 * np.eye(4) + 0.75 * DIRAC_BETA @ DIRAC_ALPHA[2]
     ) / np.sqrt(2.0 * 1.25 * 2.25)
     result = u_fw_exact(d)
-    assert result.method_tag == METHOD_EXACT_CASE
     np.testing.assert_allclose(result.transform, expected_u, atol=1e-14)
     np.testing.assert_allclose(h_fw_exact(d), 1.25 * DIRAC_BETA, atol=1e-14)
 

@@ -17,7 +17,7 @@ from fwlab import (
     report_json,
     run_comparison,
 )
-from fwlab.eriksen import METHOD_TAGS
+from fwlab.harness import METHOD_TAGS
 from fwlab.models import KIND_FREE, KIND_LATTICE, KIND_SYNTHETIC
 
 FREE_SPEC = ModelSpec(kind=KIND_FREE, mass=1.0, momentum=(0.0, 0.0, 0.75))
@@ -147,10 +147,9 @@ def test_emit_report_writes_file(tmp_path):
 
 
 def test_tolerance_config_serialization():
-    tols = ToleranceConfig()
     # the report's tolerances block: the fixed commutation and gap rules, then the stopping rule
-    assert tols.to_dict() == {"commute_tol": 1e-12, "gap_tol": None,
-                              "stepwise_tol": 1e-8, "max_iterations": 50}
+    assert run_comparison(FREE_SPEC).to_dict()["tolerances"] == {
+        "commute_tol": 1e-12, "gap_tol": None, "stepwise_tol": 1e-8, "max_iterations": 50}
     assert [f.name for f in fields(ToleranceConfig)] == ["stepwise_tol", "max_iterations"]
     report = run_comparison(
         FREE_SPEC, methods=("stepwise",),

@@ -38,8 +38,7 @@ from fwlab import (
     u_fw_exact,
     unitary_log,
 )
-from fwlab.eriksen import METHOD_WEAK_FIELD
-from fwlab.harness import MethodRow, _weak_field_row
+from fwlab.harness import METHOD_WEAK_FIELD, MethodRow, _weak_field_row
 from fwlab.matfunc import BRANCH_MARGIN, GAP_RTOL
 from fwlab.errors import (
     BranchCutProximity,

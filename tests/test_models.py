@@ -265,6 +265,9 @@ def test_build_model_names_missing_field(spec, message):
     with pytest.raises(ValueError) as err:
         build_model(spec)
     assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        spec.describe()
+    assert str(err.value) == message
 
 
 def _written_matrix(tmp_path):
