@@ -31,11 +31,8 @@ import numpy as np
 from .algebra import (NORM_FLOOR, Grading, even_projection, frobenius, odd_norm_ratio,
                       relative_norm, require_hermitian)
 from .errors import DegenerateFactor, FWLabError, NotUnitary, SingularOperand
-from .matfunc import (UNITARY_TOL, Spectrum, gap_floor, odd_rotation, require_gap,
+from .matfunc import (UNITARY_TOL, Spectrum, check_gap, odd_rotation, require_gap,
                       sign_operator, unitary_log)
-
-# Minimum singular value of 1 + beta*lambda accepted by the polar form.
-DEGENERATE_TOL = 1e-10
 
 
 def hamiltonian_spectrum(h, grading: Grading) -> Spectrum:
@@ -146,7 +143,7 @@ def eriksen_transform(h, grading: Grading) -> FWResult:
     One n x n solve gives T^H = X^(-H) Y^H, one n x n SVD its angles.
     SingularHamiltonian comes from the sign operator's gap rule;
     SingularOperand when H has not n positive eigenvalues, X is singular, or
-    min cos^2 theta is below the ``gap_floor`` of K (eigenvalues cos^2 theta, each twice).
+    min cos^2 theta, the smallest eigenvalue of K, fails ``check_gap``.
     """
     h = require_gap(hamiltonian_spectrum(h, grading))
     n = grading.upper_dim
@@ -160,11 +157,7 @@ def eriksen_transform(h, grading: Grading) -> FWResult:
     except np.linalg.LinAlgError as exc:
         raise SingularOperand("the upper block of the positive eigenvectors is singular") from exc
     theta = np.arctan(tan)
-    cos2 = np.cos(theta) ** 2
-    floor = gap_floor(np.tile(cos2, 2))
-    if cos2.min() < floor:
-        raise SingularOperand(f"smallest eigenvalue {cos2.min():.3e} of K "
-                              f"is below the gap tolerance {floor:.3e}")
+    check_gap(np.cos(theta) ** 2, SingularOperand, "smallest cos^2 theta")
     return FWResult.of(odd_rotation(p, theta, qh), h, grading)
 
 
@@ -173,13 +166,14 @@ def eriksen_transform_alt(h, grading: Grading) -> FWResult:
 
     Algebraically identical to ``eriksen_transform`` but coded on an
     independent path: U is the unitary polar factor P Q^H of the SVD
-    F = P Sigma Q^H.  Raises DegenerateFactor when the smallest singular
-    value of F drops below DEGENERATE_TOL.
+    F = P Sigma Q^H.  Since F^H F = 4 K, (Sigma / 2)^2 are the values
+    cos^2 theta that ``eriksen_transform`` tests, and DegenerateFactor is
+    raised when they fail the same ``check_gap``, so both routes refuse the
+    same models.
     """
     h = hamiltonian_spectrum(h, grading)
     lam = sign_operator(h)
     factor = np.eye(grading.dim, dtype=complex) + grading.signs[:, None] * lam
     p, sigma, qh = np.linalg.svd(factor)
-    if sigma[-1] < DEGENERATE_TOL:
-        raise DegenerateFactor(f"1 + beta*lambda has smallest singular value {sigma[-1]:.3e}")
+    check_gap((0.5 * sigma) ** 2, DegenerateFactor, "smallest (sigma / 2)^2 of 1 + beta*lambda")
     return FWResult.of(p @ qh, h, grading)

@@ -31,7 +31,7 @@ import numpy as np
 from .algebra import NORM_FLOOR, DiracDecomposition, anticommutator, commutator, frobenius
 from .eriksen import FWResult
 from .errors import NotCommuting, OutsideValidityDomain, SingularOperand
-from .matfunc import even_function, gap_floor, odd_rotation
+from .matfunc import check_gap, even_function, odd_rotation
 
 # Commutation residual below which the closed forms are trusted.
 COMMUTE_TOL = 1e-12
@@ -54,8 +54,8 @@ def check_commutation(d: DiracDecomposition) -> CommutationReport:
 
 def _odd_block(d: DiracDecomposition, *powers, commuting: bool = True):
     # (P, sigma, Q^H) of B, then (m^2 + O^2)^k for k in powers; NotCommuting first if
-    # ``commuting`` is required.  m^2 + O^2 has the eigenvalues a = m^2 + sigma^2, each
-    # twice, and SingularOperand is raised when min a is below their gap_floor.
+    # ``commuting`` is required.  m^2 + O^2 has the eigenvalues a = m^2 + sigma^2, and
+    # SingularOperand is raised when min a fails check_gap.
     if commuting:
         report = check_commutation(d)
         if not report.is_commuting:
@@ -63,10 +63,7 @@ def _odd_block(d: DiracDecomposition, *powers, commuting: bool = True):
                                f"exceeds {COMMUTE_TOL:.1e}")
     p, sigma, qh = d.odd_svd
     a = d.mass**2 + sigma**2
-    floor = gap_floor(np.tile(a, 2))
-    if a.min() < floor:
-        raise SingularOperand(f"smallest eigenvalue {a.min():.3e} "
-                              f"is below the gap tolerance {floor:.3e}")
+    check_gap(a, SingularOperand, "smallest eigenvalue of m^2 + O^2")
     return (p, sigma, qh) + tuple(even_function(p, a**k, qh) for k in powers)
 
 
@@ -79,18 +76,15 @@ def sqrt_hd2_exact(d: DiracDecomposition) -> np.ndarray:
     """Closed-form root eps + (beta m + O) E / eps of H^2.
 
     Raises NotCommuting when [E, O] fails COMMUTE_TOL and
-    OutsideValidityDomain when the closed form has an eigenvalue below
-    its ``gap_floor``, i.e. when it stops being the principal root.
+    OutsideValidityDomain when the closed form's smallest eigenvalue fails
+    ``check_gap``, i.e. when it stops being the principal root.
     """
     eps, eps_inv = _odd_block(d, 0.5, -0.5)[3:]
     core = np.diag(d.mass * d.grading.signs) + d.odd_part
     root = eps + core @ d.even_part @ eps_inv
-    w = np.linalg.eigvalsh(0.5 * (root + root.conj().T))
-    if w[0] < gap_floor(w):
-        raise OutsideValidityDomain(
-            f"closed-form root has eigenvalue {w[0]:.3e}; "
-            "the even part is too strong for the principal branch"
-        )
+    check_gap(np.linalg.eigvalsh(0.5 * (root + root.conj().T)), OutsideValidityDomain,
+              "the even part is too strong for the principal branch: "
+              "the closed-form root's smallest eigenvalue")
     return root
 
 

@@ -12,8 +12,9 @@ atomic rename.
 
 from __future__ import annotations
 
+import cmath
 import os
-import tempfile
+import uuid
 
 import numpy as np
 
@@ -22,9 +23,11 @@ from .errors import ParseError
 
 
 def write_text(path, text: str):
-    """Atomic plain-text write: a temp file in the target directory, then a rename."""
+    """Atomic plain-text write: a temp file in the target directory, created with the
+    mode ``open(path, "w")`` would give (0o666 less the umask), then a rename."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f".{os.path.basename(path)}.{uuid.uuid4().hex}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
@@ -69,36 +72,32 @@ def read_matrix(path) -> tuple[np.ndarray, Grading]:
         grading = Grading(dim, upper_dim)
     except ValueError as exc:
         raise ParseError(f"bad header: {exc}", path=path, line=header_no) from exc
-    entries = np.zeros((dim, dim), dtype=complex)
-    for row in range(dim):
-        try:
-            number, line = next(lines)
-        except StopIteration:
-            raise ParseError(
-                f"expected {dim} data rows, found {row}", path=path
-            ) from None
+    # every row is read and checked before the matrix is allocated, so a header
+    # with a huge dim fails at the first short row instead of in the allocation
+    rows = []
+    for number, line in lines:
+        if len(rows) == dim:
+            raise ParseError(f"unexpected extra data after {dim} rows", path=path, line=number)
         tokens = line.split()
         if len(tokens) != dim:
-            raise ParseError(
-                f"expected {dim} entries, got {len(tokens)}", path=path, line=number
-            )
-        for col, token in enumerate(tokens):
-            try:
-                entries[row, col] = complex(token)
-            except ValueError as exc:
-                raise ParseError(
-                    f"bad complex entry {token!r}", path=path, line=number, column=col + 1
-                ) from exc
-            if not np.isfinite(entries[row, col]):
-                raise ParseError(
-                    f"non-finite entry {token!r}", path=path, line=number, column=col + 1
-                )
-    leftovers = next(lines, None)
-    if leftovers is not None:
+            raise ParseError(f"expected {dim} entries, got {len(tokens)}", path=path, line=number)
+        rows.append([_parse_entry(token, path, number, col)
+                     for col, token in enumerate(tokens, start=1)])
+    if len(rows) != dim:
+        raise ParseError(f"expected {dim} data rows, found {len(rows)}", path=path)
+    return np.array(rows, dtype=complex), grading
+
+
+def _parse_entry(token, path, line, column) -> complex:
+    try:
+        z = complex(token)
+    except ValueError as exc:
         raise ParseError(
-            f"unexpected extra data after {dim} rows", path=path, line=leftovers[0]
-        )
-    return entries, grading
+            f"bad complex entry {token!r}", path=path, line=line, column=column
+        ) from exc
+    if not cmath.isfinite(z):
+        raise ParseError(f"non-finite entry {token!r}", path=path, line=line, column=column)
+    return z
 
 
 def write_matrix(path, entries, grading: Grading):

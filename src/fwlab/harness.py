@@ -89,7 +89,7 @@ class ComparisonReport:
             "context": self.context.to_dict(),
             "methods": [row.to_dict(include_timings) for row in self.methods],
             "cross": [row.to_dict() for row in self.cross],
-            # null: every gap test is the relative rule matfunc.gap_floor, not a fixed tolerance
+            # null: every gap test is the relative rule matfunc.check_gap, not a fixed tolerance
             "tolerances": {"commute_tol": COMMUTE_TOL, "gap_tol": None,
                            **asdict(self.tolerances)},
         }

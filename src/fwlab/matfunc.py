@@ -8,7 +8,7 @@ of a positive operator is the positive one, the sign of H comes from the
 eigenvalues of H itself, and the logarithm of a unitary, taken from its
 Hermitian Cayley transform, has eigenphases in (-pi, pi).  ``odd_rotation``
 and ``even_function`` assemble odd exponentials and even functions from SVD factors.
-``gap_floor`` is the one rule for when an eigenvalue counts as zero.
+``check_gap`` is the one rule for when an eigenvalue counts as zero.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import (
     SingularOperand,
 )
 
-# Relative spectral-gap tolerance; read only through ``gap_floor``.
+# Relative spectral-gap tolerance; read only by ``check_gap``.
 GAP_RTOL = 1e-10
 
 # Minimum distance of a unitary eigenphase from the +-pi branch cut.
@@ -39,11 +39,17 @@ def _hermitize(a):
     return 0.5 * (a + a.conj().T)
 
 
-def gap_floor(w) -> float:
-    """The gap rule: an eigenvalue of a Hermitian operand with eigenvalues ``w``
-    (with multiplicity) counts as zero below GAP_RTOL * max(||w||_2, NORM_FLOOR),
-    where ||w||_2 is the operand's Frobenius norm."""
-    return GAP_RTOL * max(float(np.linalg.norm(w)), NORM_FLOOR)
+def check_gap(values, error, what: str):
+    """The gap rule: ``error`` when min ``values`` < GAP_RTOL * max(max |values|, NORM_FLOOR).
+
+    ``values`` are an operand's eigenvalues, or |w| for a Hermitian H, so
+    max |values| is its 2-norm; the comparison is signed, so a negative
+    eigenvalue of a positive operand fails too.  ``what`` names the smallest value.
+    """
+    smallest = float(np.min(values))
+    floor = GAP_RTOL * max(float(np.max(np.abs(values))), NORM_FLOOR)
+    if not smallest >= floor:
+        raise error(f"{what} {smallest:.3e} is below the gap tolerance {floor:.3e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,35 +87,34 @@ class SpectralGapReport:
 def spectral_gap(h) -> SpectralGapReport:
     """Measure the spectral gap of a Hermitian matrix or Spectrum around zero.
 
-    ``is_definite`` is the verdict of ``require_gap``: min w^2 clears the
-    ``gap_floor`` of h @ h, whose eigenvalues are w^2.
+    ``is_definite`` is the verdict of ``require_gap``: min |w| clears
+    GAP_RTOL * max |w|, the gap rule ``check_gap`` at the 2-norm of h.
     """
     h = Spectrum.of(h)
-    squares = h.w ** 2
-    return SpectralGapReport(float(np.min(np.abs(h.w))), bool(squares.min() >= gap_floor(squares)))
+    try:
+        require_gap(h)
+    except SingularHamiltonian:
+        definite = False
+    else:
+        definite = True
+    return SpectralGapReport(float(np.min(np.abs(h.w))), definite)
 
 
 def inv_sqrt(a) -> np.ndarray:
     """Inverse principal root P, P @ a @ P = 1, of a Hermitian PD matrix or Spectrum.
 
-    Raises SingularOperand if an eigenvalue lies below ``gap_floor``.
+    Raises SingularOperand if the smallest eigenvalue fails ``check_gap``.
     """
     a = Spectrum.of(a)
-    floor = gap_floor(a.w)
-    if a.w[0] < floor:
-        raise SingularOperand(f"smallest eigenvalue {a.w[0]:.3e} "
-                              f"is below the gap tolerance {floor:.3e}")
+    check_gap(a.w, SingularOperand, "smallest eigenvalue")
     return a.apply(lambda w: 1.0 / np.sqrt(w))
 
 
 def require_gap(h) -> Spectrum:
-    """Spectrum of ``h``; SingularHamiltonian unless ``spectral_gap(h).is_definite``."""
+    """Spectrum of ``h``; SingularHamiltonian when |w| fails ``check_gap``: min |w| is
+    below GAP_RTOL * max |w|, where the sign operator's error eps / min |w| grows."""
     h = Spectrum.of(h)
-    if not spectral_gap(h).is_definite:
-        squares = h.w ** 2
-        raise SingularHamiltonian(f"no spectral gap at zero: smallest eigenvalue "
-                                  f"{squares.min():.3e} is below the gap tolerance "
-                                  f"{gap_floor(squares):.3e}")
+    check_gap(np.abs(h.w), SingularHamiltonian, "no spectral gap at zero: smallest |eigenvalue|")
     return h
 
 

@@ -139,6 +139,8 @@ def build_free_particle(mass: float, momentum) -> tuple[np.ndarray, Grading, Dir
     momentum = np.asarray(momentum, dtype=float)
     if momentum.shape != (3,):
         raise ValueError(f"momentum must have three components, got {momentum.shape}")
+    if not np.isfinite(momentum).all():
+        raise ValueError(f"momentum must be finite, got {tuple(momentum.tolist())}")
     grading = Grading(4, 2)
     h = mass * DIRAC_BETA
     for component, alpha in zip(momentum, DIRAC_ALPHA):

@@ -7,6 +7,9 @@ from fwlab import (
     DiagnosticSet,
     FWResult,
     Grading,
+    ModelSpec,
+    Potential,
+    build_model,
     compute_diagnostics,
     eriksen_condition_residual,
     eriksen_transform,
@@ -15,6 +18,7 @@ from fwlab import (
     frobenius,
     make_beta,
     relative_norm,
+    run_comparison,
     sign_operator,
 )
 from fwlab.errors import (
@@ -23,7 +27,8 @@ from fwlab.errors import (
     NotUnitary,
     SingularOperand,
 )
-from fwlab.models import DIRAC_ALPHA, DIRAC_BETA, build_free_particle
+from fwlab.harness import METHOD_ERIKSEN, METHOD_ERIKSEN_ALT
+from fwlab.models import DIRAC_ALPHA, DIRAC_BETA, KIND_LATTICE, build_free_particle
 
 
 def _random_gapped(rng, grading, gap=0.3):
@@ -126,10 +131,12 @@ def test_wrong_positive_count_raises(w):
         eriksen_transform_alt(h, g)
 
 
-@pytest.mark.parametrize("coupling, singular", [(1e-5, True), (1e-4, False)])
+@pytest.mark.parametrize("coupling, singular",
+                         [(1e-8, True), (1e-5, True), (2e-5, False), (1e-4, False)])
 def test_rotation_angle_floor(coupling, singular):
-    # one pair near H = -m beta: cos^2 theta_max ~ coupling^2 / 4 against
-    # the floor GAP_RTOL * ||K||_F ~ 1.4e-10 set by the ordinary pair
+    # one pair near H = -m beta: cos^2 theta ~ coupling^2 / 4 against the floor
+    # GAP_RTOL * max cos^2 theta ~ 9.8e-11 set by the ordinary pair; both routes
+    # test the same values, eriksenalt as (sigma / 2)^2 of 1 + beta lambda
     g = Grading(4, 2)
     h = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
     h[0, 2] = h[2, 0] = 0.3
@@ -137,9 +144,26 @@ def test_rotation_angle_floor(coupling, singular):
     if singular:
         with pytest.raises(SingularOperand):
             eriksen_transform(h, g)
+        with pytest.raises(DegenerateFactor):
+            eriksen_transform_alt(h, g)
         return
     u = eriksen_transform(h, g).transform
     assert relative_norm(u - eriksen_transform_alt(h, g).transform, u) <= 1e-10
+
+
+def test_step_crossing_near_gap():
+    # a level of this step lattice crosses zero at g* = 1.0576311600; at g* - 3e-8 the
+    # relative gap min |w| / max |w| is 9e-9, and both routes stay at rounding level
+    spec = ModelSpec(kind=KIND_LATTICE, mass=1.0, n=32, length=8.0,
+                     potential=Potential("step", (1.0576311600 - 3e-8, 0.0)))
+    w = np.abs(np.linalg.eigvalsh(build_model(spec)[0]))
+    assert 1e-9 < w.min() / w.max() < 1e-7
+    report = run_comparison(spec, methods=(METHOD_ERIKSEN, METHOD_ERIKSEN_ALT))
+    for row in report.methods:
+        assert row.error is None, row.error
+        for name, value in row.diagnostics.to_dict().items():
+            assert value <= 1e-10, (row.method, name)
+    assert report.cross[0].transform_disagreement <= 1e-12
 
 
 def test_identity_transform_diagnostics():

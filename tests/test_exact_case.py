@@ -47,7 +47,7 @@ def test_closed_forms_reject_non_commuting():
 
 def test_closed_forms_reject_singular_m2_plus_o2():
     # B = diag(1e6, 1): a = m^2 + sigma^2 = (1e12 + 1, 2), and min a is below
-    # GAP_RTOL * ||m^2 + O^2||_F ~ 141, whichever form reads the odd block
+    # GAP_RTOL * max a = 100, whichever form reads the odd block
     g = Grading(4, 2)
     odd = np.zeros((4, 4), dtype=complex)
     odd[:2, 2:] = np.diag([1e6, 1.0])

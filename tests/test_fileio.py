@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -87,6 +90,16 @@ def test_read_matrix_body_errors(tmp_path):
         read_matrix(path)
 
 
+@pytest.mark.parametrize("header", ["1000000 500000", "4000000000 2000000000"])
+def test_read_matrix_huge_header_fails_at_the_short_row(tmp_path, header):
+    # the rows are checked before a dim x dim matrix is allocated
+    path = tmp_path / "m.txt"
+    path.write_text(f"{header}\n1.0+0.0j 0.0+0.0j\n")
+    with pytest.raises(ParseError) as err:
+        read_matrix(path)
+    assert str(err.value).startswith(f"{path}:2: expected {header.split()[0]} entries, got 2")
+
+
 def test_read_potential_table(tmp_path):
     path = tmp_path / "v.txt"
     path.write_text("# values\n0.5\n\n-0.25\n1e-3\n")
@@ -107,6 +120,18 @@ def test_write_text_replaces_atomically(tmp_path):
     write_text(path, "second\n")
     assert path.read_text() == "second\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_write_text_mode_matches_plain_open(tmp_path):
+    previous = os.umask(0o022)
+    try:
+        write_text(tmp_path / "report.json", "{}\n")
+        with open(tmp_path / "plain.json", "w"):
+            pass
+    finally:
+        os.umask(previous)
+    assert (stat.S_IMODE((tmp_path / "report.json").stat().st_mode)
+            == stat.S_IMODE((tmp_path / "plain.json").stat().st_mode))
 
 
 def test_parse_error_location_formatting():

@@ -42,6 +42,7 @@ from fwlab.harness import METHOD_WEAK_FIELD, MethodRow, _weak_field_row
 from fwlab.matfunc import BRANCH_MARGIN, GAP_RTOL
 from fwlab.errors import (
     BranchCutProximity,
+    DegenerateFactor,
     NonHermitianInput,
     NotUnitary,
     OutsideValidityDomain,
@@ -121,8 +122,8 @@ def test_spectral_gap_known_spectrum():
     assert report.min_abs_eigenvalue == pytest.approx(0.25, rel=1e-14)
     assert report.is_definite
     assert not spectral_gap(np.diag([1.0, 0.0])).is_definite
-    # one verdict with sign_operator: w^2 = 1e-16 is below GAP_RTOL * ||H^2||_F = 1.4e-8
-    tiny = np.diag([1e-8, -1e-8, 10.0, -10.0])
+    # one verdict with sign_operator: |w| = 1e-10 is below GAP_RTOL * max |w| = 1e-9
+    tiny = np.diag([1e-10, -1e-10, 10.0, -10.0])
     assert not spectral_gap(tiny).is_definite
     with pytest.raises(SingularHamiltonian):
         sign_operator(tiny)
@@ -188,10 +189,11 @@ def test_sign_operator_rejects_gapless():
 
 
 @settings(max_examples=60, deadline=None)
-@given(dim=st.integers(4, 64), log_delta=st.floats(float(np.log10(3e-5)), 0.0),
+@given(dim=st.integers(4, 64), log_delta=st.floats(float(np.log10(2.0 * GAP_RTOL)), 0.0),
        seed=st.integers(0, 2**32 - 1))
 def test_sign_operator_accuracy_against_gap(dim, log_delta, seed):
-    """At relative gap delta the sign operator loses at most 1e-15 / delta."""
+    """At relative gap delta, down to twice the gap rule's cut, the sign operator
+    loses at most 1e-15 / delta."""
     delta = 10.0 ** log_delta
     rng = np.random.default_rng(seed)
     q = _haar_unitary(rng, dim)
@@ -204,44 +206,48 @@ def test_sign_operator_accuracy_against_gap(dim, log_delta, seed):
 
 
 def _gap_rule_sites(factor):
-    """Every site of the gap rule, its operand's smallest eigenvalue at ``factor``
-    times that site's own floor: (site, call, error type, message at factor 0.5)."""
+    """Every site of the gap rule, its operand's smallest value at ``factor``
+    times that site's own floor GAP_RTOL * max |value|:
+    (site, call, error type, message at factor 0.5)."""
     g = Grading(4, 2)
-    # H with min w^2 against GAP_RTOL * ||H^2||_F = GAP_RTOL * sqrt(18)
-    w = np.array([1.0, -1.0, 2.0, -np.sqrt(factor * GAP_RTOL * np.sqrt(18.0))])
-    # a positive definite operand with min w against GAP_RTOL * ||a||_F = GAP_RTOL * sqrt(14)
-    a = np.diag([1.0, 2.0, 3.0, factor * GAP_RTOL * np.sqrt(14.0)])
+    # H with min |w| against GAP_RTOL * max |w| = GAP_RTOL * 2
+    w = np.array([1.0, -1.0, 2.0, -factor * GAP_RTOL * 2.0])
+    # a positive definite operand with min w against GAP_RTOL * max w = GAP_RTOL * 3
+    a = np.diag([1.0, 2.0, 3.0, factor * GAP_RTOL * 3.0])
     # H = U^H diag(1, 2, -1, -2) U for the odd rotation U by (theta, 0), so K has
-    # cos^2 theta = factor * GAP_RTOL * ||K||_F with ||K||_F = sqrt(2 (1 + cos^4 theta))
+    # cos^2 theta = factor * GAP_RTOL against GAP_RTOL * max cos^2 theta = GAP_RTOL
     u = fwlab.matfunc.odd_rotation(np.eye(2), np.array(
-        [np.arccos(np.sqrt(factor * GAP_RTOL * np.sqrt(2.0))), 0.0]), np.eye(2))
+        [np.arccos(np.sqrt(factor * GAP_RTOL)), 0.0]), np.eye(2))
     h_rotated = u.conj().T @ np.diag([1.0, 2.0, -1.0, -2.0]) @ u
-    # B = diag(1, 0): m^2 + O^2 has min a = m^2 against GAP_RTOL * sqrt(2 ((1 + m^2)^2 + m^4))
+    # B = diag(1, 0): m^2 + O^2 has min a = m^2 against GAP_RTOL * (1 + m^2)
     odd = np.zeros((4, 4))
     odd[0, 2] = odd[2, 0] = 1.0
-    light = DiracDecomposition(g, np.sqrt(factor * GAP_RTOL * np.sqrt(2.0)), np.zeros((4, 4)), odd)
-    # O = 0 and m = 1: the closed root is 1 + beta E = diag(1, 1, 1, x) against GAP_RTOL * sqrt(3)
-    x = factor * GAP_RTOL * np.sqrt(3.0)
+    light = DiracDecomposition(g, np.sqrt(factor * GAP_RTOL), np.zeros((4, 4)), odd)
+    # O = 0 and m = 1: the closed root is 1 + beta E = diag(1, 1, 1, x) against GAP_RTOL
+    x = factor * GAP_RTOL
     strong = DiracDecomposition(g, 1.0, np.diag([0.0, 0.0, 0.0, 1.0 - x]), np.zeros((4, 4)))
     return [
         ("require_gap", lambda: sign_operator(np.diag(w)), SingularHamiltonian,
-         "no spectral gap at zero: smallest eigenvalue 2.121e-10 "
-         "is below the gap tolerance 4.243e-10"),
+         "no spectral gap at zero: smallest |eigenvalue| 1.000e-10 "
+         "is below the gap tolerance 2.000e-10"),
         ("inv_sqrt", lambda: inv_sqrt(a), SingularOperand,
-         "smallest eigenvalue 1.871e-10 is below the gap tolerance 3.742e-10"),
+         "smallest eigenvalue 1.500e-10 is below the gap tolerance 3.000e-10"),
         ("eriksen", lambda: eriksen_transform(h_rotated, g), SingularOperand,
-         "smallest eigenvalue 7.071e-11 of K is below the gap tolerance 1.414e-10"),
+         "smallest cos^2 theta 5.000e-11 is below the gap tolerance 1.000e-10"),
+        ("eriksenalt", lambda: eriksen_transform_alt(h_rotated, g), DegenerateFactor,
+         "smallest (sigma / 2)^2 of 1 + beta*lambda 5.000e-11 "
+         "is below the gap tolerance 1.000e-10"),
         ("epsilon_operator", lambda: epsilon_operator(light), SingularOperand,
-         "smallest eigenvalue 7.071e-11 is below the gap tolerance 1.414e-10"),
+         "smallest eigenvalue of m^2 + O^2 5.000e-11 is below the gap tolerance 1.000e-10"),
         ("sqrt_hd2_exact", lambda: sqrt_hd2_exact(strong), OutsideValidityDomain,
-         "closed-form root has eigenvalue 8.660e-11; "
-         "the even part is too strong for the principal branch"),
+         "the even part is too strong for the principal branch: the closed-form root's "
+         "smallest eigenvalue 5.000e-11 is below the gap tolerance 1.000e-10"),
     ]
 
 
 @pytest.mark.parametrize("factor, accepted", [(0.5, False), (2.0, True)])
 def test_sign_operator_gap_threshold(factor, accepted):
-    # each site at 0.5x and 2x its own floor GAP_RTOL * ||operand||_F (matfunc.gap_floor)
+    # each site at 0.5x and 2x its own floor GAP_RTOL * max |value| (matfunc.check_gap)
     for site, call, error, message in _gap_rule_sites(factor):
         if accepted:
             call()
@@ -249,8 +255,8 @@ def test_sign_operator_gap_threshold(factor, accepted):
         with pytest.raises(error) as err:
             call()
         assert str(err.value) == message, site
-    # spectral_gap gives require_gap's verdict: min w^2 against GAP_RTOL * ||H^2||_F
-    w = np.array([1.0, -1.0, 2.0, -np.sqrt(factor * GAP_RTOL * np.sqrt(18.0))])
+    # spectral_gap gives require_gap's verdict: min |w| against GAP_RTOL * max |w|
+    w = np.array([1.0, -1.0, 2.0, -factor * GAP_RTOL * 2.0])
     report = spectral_gap(np.diag(w))
     assert report.min_abs_eigenvalue == -w[3]
     assert report.is_definite == accepted

@@ -48,6 +48,12 @@ def test_free_particle_assembly():
         build_free_particle(1.0, (1.0, 2.0))
 
 
+@pytest.mark.parametrize("component", [np.inf, np.nan])
+def test_free_particle_rejects_non_finite_momentum(component):
+    with pytest.raises(ValueError, match=r"momentum must be finite, got \(1\.0, (inf|nan), 0"):
+        build_free_particle(1.0, (1.0, component, 0.0))
+
+
 def test_lattice_dispersion_without_potential():
     n, length, mass = 16, 8.0, 1.0
     h, g, _ = build_lattice_1d(n, length, mass, Potential("zero"))
