@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
 import json
 import math
 import os
@@ -19,8 +18,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from .errors import FWLabError
-from .harness import (METHOD_STEPWISE, METHOD_TAGS, METHOD_WEAK_FIELD, ComparisonReport,
-                      emit_report, run_comparison)
+from .harness import (CONCURRENCY_MIN_DIM, METHOD_STEPWISE, METHOD_TAGS, METHOD_WEAK_FIELD,
+                      ComparisonReport, emit_report, openblas_thread_controls, run_comparison)
 from .fileio import write_text
 from .models import KIND_EXPLICIT, KIND_FREE, KIND_LATTICE, ModelSpec, parse_potential
 from .stepwise import STOP_TOLERANCE, ToleranceConfig
@@ -208,11 +207,6 @@ def _sweep_summary(values, reports):
     return summary
 
 
-# Sweeps on fewer sites (dim < 128) run serially: their comparisons mostly hold
-# the GIL, so FWLAB_THREADS workers would only contend for it.
-_POOL_MIN_SITES = 64
-
-
 def cmd_sweep(args) -> int:
     lattice_parser = _Parser(prog="fwlab sweep --base")
     _add_lattice_arguments(lattice_parser)
@@ -231,7 +225,7 @@ def cmd_sweep(args) -> int:
                          f"got {os.environ['FWLAB_THREADS']!r}") from None
 
     specs = [replace(spec, potential=spec.potential.with_strength(value)) for value in values]
-    workers = threads if spec.n >= _POOL_MIN_SITES else 1
+    workers = threads if 2 * spec.n >= CONCURRENCY_MIN_DIM else 1
     with ThreadPoolExecutor(max_workers=workers) as pool:
         reports = list(pool.map(lambda s: run_comparison(s, methods, tolerances), specs))
 
@@ -243,53 +237,14 @@ def cmd_sweep(args) -> int:
     return 2 if any(r.has_errors() for r in reports) else 0
 
 
-# (get, set) thread-count entry points of the OpenBLAS builds numpy and
-# scipy ship: numpy's 64-bit-integer build, scipy's, then a system library.
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-_GET_THREADS = ctypes.CFUNCTYPE(ctypes.c_int)
-_SET_THREADS = ctypes.CFUNCTYPE(None, ctypes.c_int)
-
-
-def _openblas_thread_controls():
-    """(get, set) thread-count functions of every OpenBLAS already loaded.
-
-    Libraries are found in the process's memory map and opened without
-    loading anything new; where that map is unavailable, none are found.
-    """
-    try:
-        with open("/proc/self/maps") as maps:
-            # Columns: address, permissions, offset, device, inode, path.
-            rows = [line.split(maxsplit=5) for line in maps.read().splitlines()]
-    except OSError:
-        return []
-    paths = {row[5] for row in rows if len(row) == 6 and "openblas" in os.path.basename(row[5])}
-    controls = []
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-            try:
-                controls.append((_GET_THREADS((get_name, lib)), _SET_THREADS((set_name, lib))))
-                break
-            except AttributeError:
-                continue
-    return controls
-
-
 @contextlib.contextmanager
 def _single_blas_thread():
     """Run the block on one OpenBLAS thread, then restore the previous counts.
 
     The CLI owns its process: at dim <= ~256 threaded BLAS is slower than serial,
-    and stacked on the ``FWLAB_THREADS`` sweep pool it oversubscribes the cores.
+    oversubscribes the cores under the sweep pool and keeps the stepwise lanes shut.
     """
-    saved = [(set_, get()) for get, set_ in _openblas_thread_controls()]
+    saved = [(set_, get()) for get, set_ in openblas_thread_controls()]
     for set_, _ in saved:
         set_(1)
     try:

@@ -9,8 +9,12 @@ and no timing data unless explicitly requested.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -19,7 +23,7 @@ from .algebra import frobenius, relative_norm
 from .eriksen import DiagnosticSet, compute_diagnostics, eriksen_transform, eriksen_transform_alt
 from .errors import FWLabError, OutsideValidityDomain
 from .exact_case import COMMUTE_TOL, check_commutation, u_fw_exact, weak_field_sqrt
-from .matfunc import Spectrum, inv_sqrt, spectral_gap
+from .matfunc import Spectrum, check_gap, inv_sqrt, spectral_gap
 from .models import ModelSpec, build_model
 from .fileio import write_text
 from .stepwise import ToleranceConfig, stepwise_fw
@@ -113,15 +117,14 @@ def _weak_field_row(decomposition, h, grading, row: MethodRow):
     not Hermitian.  U is then only approximately unitary, which is what the
     diagnostics are meant to show, so the unitary result wrapper is
     bypassed on purpose.  The reference root is |H|.  Returns
-    (U, U H U^H); OutsideValidityDomain when the root is not positive definite.
+    (U, U H U^H); OutsideValidityDomain when the root fails ``check_gap``.
     """
     h = Spectrum.of(h)
     root = weak_field_sqrt(decomposition)
     reference = h.apply(np.abs)
     row.extras["sqrt_relative_error"] = relative_norm(root - reference, reference)
     root = Spectrum.of(0.5 * (root + root.conj().T))
-    if root.w[0] <= 0.0:
-        raise OutsideValidityDomain("approximate root is not positive definite")
+    check_gap(root.w, OutsideValidityDomain, "smallest eigenvalue of the approximate root")
     lam = h.matrix @ root.apply(np.reciprocal)
     beta_lam = grading.signs[:, None] * lam
     eye = np.eye(grading.dim, dtype=complex)
@@ -132,7 +135,7 @@ def _weak_field_row(decomposition, h, grading, row: MethodRow):
     return u, transformed
 
 
-# The method catalog, in report order; run_comparison's if/elif chain dispatches on it.
+# The method catalog, in report order; _run_method's if/elif chain dispatches on it.
 METHOD_ERIKSEN = "eriksen"
 METHOD_ERIKSEN_ALT = "eriksenalt"
 METHOD_EXACT_CASE = "exactcase"
@@ -146,6 +149,87 @@ METHOD_TAGS = (
     METHOD_WEAK_FIELD,
 )
 
+# Lanes here and the sweep pool in cli start at dim 128; below, threads contend for the GIL.
+CONCURRENCY_MIN_DIM = 128
+
+# (get, set) thread-count entry points of the OpenBLAS builds numpy and
+# scipy ship: numpy's 64-bit-integer build, scipy's, then a system library.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+_GET_THREADS = ctypes.CFUNCTYPE(ctypes.c_int)
+_SET_THREADS = ctypes.CFUNCTYPE(None, ctypes.c_int)
+
+
+def openblas_thread_controls():
+    """(get, set) thread-count functions of every OpenBLAS already loaded: found in the
+    process's memory map, where there is one, and opened without loading anything new."""
+    try:
+        with open("/proc/self/maps") as maps:
+            # Columns: address, permissions, offset, device, inode, path.
+            rows = [line.split(maxsplit=5) for line in maps.read().splitlines()]
+    except OSError:
+        return []
+    paths = {row[5] for row in rows if len(row) == 6 and "openblas" in os.path.basename(row[5])}
+    controls = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            try:
+                controls.append((_GET_THREADS((get_name, lib)), _SET_THREADS((set_name, lib))))
+                break
+            except AttributeError:
+                continue
+    return controls
+
+
+# Read once for the lane gate (a map read costs 0.5-3 ms); numpy loads its OpenBLAS at import.
+_loaded_openblas = functools.cache(openblas_thread_controls)
+
+
+def _run_lanes(methods, dim: int) -> bool:
+    """Whether stepwise runs beside the one-shot routes: from CONCURRENCY_MIN_DIM up, with
+    another method, two usable cores, and OpenBLAS loaded with every copy on one thread."""
+    if dim < CONCURRENCY_MIN_DIM or METHOD_STEPWISE not in methods or len(methods) < 2:
+        return False
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    # a second caller thread stacked on threaded BLAS makes a comparison slower
+    return (cores or 1) >= 2 and {get() for get, _ in _loaded_openblas()} == {1}
+
+
+def _run_method(method, h, grading, decomposition, mass, tolerances):
+    """One method's row and its (U, U H U^H); None in place of the pair after a failure."""
+    row = MethodRow(method=method)
+    pair = None
+    started = time.perf_counter()
+    try:
+        if method == METHOD_ERIKSEN:
+            result = eriksen_transform(h, grading)
+        elif method == METHOD_ERIKSEN_ALT:
+            result = eriksen_transform_alt(h, grading)
+        elif method == METHOD_EXACT_CASE:
+            result = u_fw_exact(decomposition, h=h)
+        elif method == METHOD_STEPWISE:
+            result, trace = stepwise_fw(h, grading, mass, tolerances)
+            row.extras["converged"] = trace.converged
+            row.extras["stop_reason"] = trace.stop_reason
+            row.extras["iterations"] = len(trace.iterations)
+        else:
+            pair = _weak_field_row(decomposition, h, grading, row)
+        if method != METHOD_WEAK_FIELD:
+            row.diagnostics = result.diagnostics
+            pair = result.transform, result.transformed_hamiltonian
+    except FWLabError as exc:
+        row.error = str(exc)
+        row.error_type = type(exc).__name__
+    row.wall_time_seconds = time.perf_counter() - started
+    return row, pair
+
 
 def run_comparison(spec: ModelSpec, methods=METHOD_TAGS,
                    tolerances: ToleranceConfig = ToleranceConfig()) -> ComparisonReport:
@@ -154,7 +238,9 @@ def run_comparison(spec: ModelSpec, methods=METHOD_TAGS,
     Methods always appear in canonical order; ValueError for an empty or
     unknown method list.  A method failure (for example NotCommuting for the
     closed forms on a non-commuting model) becomes an error record in its
-    row; it never aborts the report.
+    row; it never aborts the report.  Where ``_run_lanes`` allows, one helper
+    thread runs the other methods beside stepwise, so the rows'
+    ``wall_time_seconds`` overlap; the report is otherwise the same.
     """
     methods = list(methods)
     if not methods:
@@ -176,33 +262,17 @@ def run_comparison(spec: ModelSpec, methods=METHOD_TAGS,
         / (spec.mass * np.sqrt(grading.dim)),
     )
 
-    rows = []
-    produced = {}   # method -> (U, U H U^H), in method order
-    for method in methods:
-        row = MethodRow(method=method)
-        started = time.perf_counter()
-        try:
-            if method == METHOD_ERIKSEN:
-                result = eriksen_transform(h, grading)
-            elif method == METHOD_ERIKSEN_ALT:
-                result = eriksen_transform_alt(h, grading)
-            elif method == METHOD_EXACT_CASE:
-                result = u_fw_exact(decomposition, h=h)
-            elif method == METHOD_STEPWISE:
-                result, trace = stepwise_fw(h, grading, spec.mass, tolerances)
-                row.extras["converged"] = trace.converged
-                row.extras["stop_reason"] = trace.stop_reason
-                row.extras["iterations"] = len(trace.iterations)
-            else:
-                produced[method] = _weak_field_row(decomposition, h, grading, row)
-            if method != METHOD_WEAK_FIELD:
-                row.diagnostics = result.diagnostics
-                produced[method] = result.transform, result.transformed_hamiltonian
-        except FWLabError as exc:
-            row.error = str(exc)
-            row.error_type = type(exc).__name__
-        row.wall_time_seconds = time.perf_counter() - started
-        rows.append(row)
+    shared = (h, grading, decomposition, spec.mass, tolerances)
+    if _run_lanes(methods, grading.dim):
+        one_shot = [m for m in methods if m != METHOD_STEPWISE]
+        with ThreadPoolExecutor(max_workers=1) as lane:
+            pending = lane.submit(lambda: [_run_method(m, *shared) for m in one_shot])
+            outcomes = {METHOD_STEPWISE: _run_method(METHOD_STEPWISE, *shared)}
+            outcomes.update(zip(one_shot, pending.result()))
+    else:
+        outcomes = {m: _run_method(m, *shared) for m in methods}
+    rows = [outcomes[m][0] for m in methods]
+    produced = {m: outcomes[m][1] for m in methods if outcomes[m][1] is not None}  # in method order
 
     cross = []
     pairs = list(produced.items())

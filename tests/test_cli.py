@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fwlab import build_free_particle, cli, run_comparison, write_matrix
+from fwlab import build_free_particle, cli, write_matrix
 from fwlab.cli import main
 
 
@@ -247,7 +247,7 @@ def test_sweep_order_needs_strengths_of_one_sign(tmp_path, values):
 
 
 def test_sweep_respects_thread_env(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_POOL_MIN_SITES", 0)  # run the pool at n=8 too
+    monkeypatch.setattr(cli, "CONCURRENCY_MIN_DIM", 0)  # run the pool at n=8 too
     written = {}
     for threads in ("1", "2"):
         monkeypatch.setenv("FWLAB_THREADS", threads)
@@ -284,58 +284,3 @@ def test_sweep_pool_only_from_dim_128(tmp_path, monkeypatch):
             "--param", "g", "--values", "0.2,0.1", "--out", str(tmp_path / str(n)),
         ]) == 0
     assert sizes == [1, 2]
-
-
-@pytest.fixture
-def blas_controls():
-    """Loaded OpenBLAS controls, set to 2 threads and restored afterwards."""
-    controls = cli._openblas_thread_controls()
-    if not controls:
-        pytest.skip("no OpenBLAS library is loaded")
-    original = [get() for get, _ in controls]
-    for _, set_ in controls:
-        set_(2)
-    yield controls
-    for (_, set_), count in zip(controls, original):
-        set_(count)
-
-
-def _spy_blas_counts(monkeypatch, controls, error=None):
-    """Record the BLAS thread counts each time the CLI runs a comparison."""
-    seen = []
-
-    def spy(*args, **kwargs):
-        seen.append([get() for get, _ in controls])
-        if error is not None:
-            raise error
-        return run_comparison(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "run_comparison", spy)
-    return seen
-
-
-def test_cli_runs_on_one_blas_thread(blas_controls, monkeypatch, capsys):
-    seen = _spy_blas_counts(monkeypatch, blas_controls)
-    assert run_cli(["free", "--mass", "1", "--methods", "eriksen"]) == 0
-    assert seen == [[1] * len(blas_controls)]
-
-
-def test_cli_restores_blas_threads(blas_controls, monkeypatch, capsys):
-    before = [2] * len(blas_controls)
-    _spy_blas_counts(monkeypatch, blas_controls)
-    assert run_cli(["free", "--mass", "1", "--methods", "eriksen"]) == 0
-    assert [get() for get, _ in blas_controls] == before
-    assert run_cli(["free", "--mass", "-1"]) == 1
-    assert [get() for get, _ in blas_controls] == before
-    seen = _spy_blas_counts(monkeypatch, blas_controls, RuntimeError("kernel failure"))
-    with pytest.raises(RuntimeError):
-        main(["free", "--mass", "1", "--methods", "eriksen"])
-    assert seen == [[1] * len(blas_controls)]
-    assert [get() for get, _ in blas_controls] == before
-
-
-def test_cli_without_openblas_leaves_threads_alone(blas_controls, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_openblas_thread_controls", lambda: [])
-    seen = _spy_blas_counts(monkeypatch, blas_controls)
-    assert run_cli(["free", "--mass", "1", "--methods", "eriksen"]) == 0
-    assert seen == [[2] * len(blas_controls)]

@@ -1,6 +1,10 @@
 import json
+import os
+import sys
+import threading
 import warnings
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
@@ -12,11 +16,13 @@ from fwlab import (
     Potential,
     ToleranceConfig,
     build_model,
+    cli,
     emit_report,
     report_csv,
     report_json,
     run_comparison,
 )
+from fwlab import harness
 from fwlab.harness import METHOD_TAGS
 from fwlab.models import KIND_FREE, KIND_LATTICE, KIND_SYNTHETIC
 
@@ -80,11 +86,27 @@ def test_weak_field_failure_row():
     spec = replace(GAUSS_SPEC, potential=Potential("gaussian", (2.0, 1.0)))
     report = run_comparison(spec)
     row = report.row("weakfield")
-    assert row.error == "approximate root is not positive definite"
+    assert row.error == ("smallest eigenvalue of the approximate root -2.955e-01 "
+                         "is below the gap tolerance 2.731e-10")
     assert row.error_type == "OutsideValidityDomain"
     assert "sqrt_relative_error" in row.extras
     assert row.diagnostics is None
     assert not any("weakfield" in cross.method_pair for cross in report.cross)
+
+
+def test_weak_field_refuses_a_near_zero_root():
+    # E = c with c just under the smallest epsilon: H and the approximate root
+    # both have a relative gap of 1e-14, so weakfield refuses as eriksen does
+    _, _, d = build_model(ModelSpec(kind=KIND_SYNTHETIC, mass=1.0, n=4, poly=(0.0,), seed=3))
+    eps_min = np.sqrt(1.0 + d.odd_svd[1].min() ** 2)
+    spec = ModelSpec(kind=KIND_SYNTHETIC, mass=1.0, n=4, poly=(eps_min * (1 - 1e-14),), seed=3)
+    report = run_comparison(spec, methods=("eriksen", "weakfield"))
+    assert report.row("eriksen").error_type == "SingularHamiltonian"
+    row = report.row("weakfield")
+    assert row.error_type == "OutsideValidityDomain"
+    assert row.error.startswith("smallest eigenvalue of the approximate root 9.")
+    assert row.diagnostics is None
+    assert report.cross == []
 
 
 def test_stepwise_row_extras():
@@ -212,3 +234,179 @@ def test_closed_forms_share_one_svd_of_the_odd_block(monkeypatch):
     _, _, d = build_model(spec)
     assert len(operands) == 1
     np.testing.assert_array_equal(operands[0], d.odd_part[:6, 6:])
+
+
+LATTICE_128 = ModelSpec(
+    kind=KIND_LATTICE, mass=1.0, n=64, length=25.0,
+    potential=Potential("gaussian", (0.15, 2.0)),
+)
+
+
+def _open_gate(monkeypatch, blas_threads=1, cores=2, min_dim=0):
+    """Fake the facts run_comparison's lane gate reads; see ``_run_lanes``.
+    ``blas_threads`` None stands for a process with no OpenBLAS loaded."""
+    controls = [] if blas_threads is None else [(lambda: blas_threads, lambda count: None)]
+    monkeypatch.setattr(harness, "_loaded_openblas", lambda: controls)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    monkeypatch.setattr(harness, "CONCURRENCY_MIN_DIM", min_dim)
+
+
+def _count_lanes(monkeypatch):
+    """The max_workers of every lane pool run_comparison opens."""
+    sizes = []
+
+    class SpyPool(harness.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", SpyPool)
+    return sizes
+
+
+def _reports(specs):
+    reports = [run_comparison(spec) for spec in specs]
+    return [report_json(r) for r in reports], [report_csv(r) for r in reports]
+
+
+def test_lanes_write_the_serial_reports(monkeypatch, full_suite, one_blas_thread):
+    specs = [spec for spec, *_ in full_suite] + [LATTICE_128]
+    _open_gate(monkeypatch, min_dim=0)
+    lanes = _count_lanes(monkeypatch)
+    laned = _reports(specs)
+    assert lanes == [1] * len(specs)
+    monkeypatch.setattr(harness, "CONCURRENCY_MIN_DIM", 10 ** 9)
+    assert _reports(specs) == laned
+    assert len(lanes) == len(specs)
+
+
+def test_lanes_repeat_bit_for_bit(monkeypatch, one_blas_thread):
+    # criterion 10 under concurrency, at the real dim-128 threshold
+    _open_gate(monkeypatch, min_dim=harness.CONCURRENCY_MIN_DIM)
+    lanes = _count_lanes(monkeypatch)
+    texts = {report_json(run_comparison(LATTICE_128)) for _ in range(3)}
+    assert lanes == [1, 1, 1]
+    assert len(texts) == 1
+
+
+def test_lanes_under_contention(monkeypatch):
+    # more threads than cores and a short switch interval: every report is the serial one
+    specs = [FREE_SPEC, GAUSS_SPEC,
+             ModelSpec(kind=KIND_SYNTHETIC, mass=1.0, n=6, poly=(0.05, 0.02), seed=3)] * 2
+    _open_gate(monkeypatch, min_dim=10 ** 9)
+    serial = [report_json(run_comparison(spec)) for spec in specs]
+    _open_gate(monkeypatch, min_dim=0)
+    lanes = _count_lanes(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            laned = list(pool.map(lambda spec: report_json(run_comparison(spec)), specs,
+                                  timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert lanes == [1] * len(specs)
+    assert laned == serial
+
+
+def _refusing_pool(max_workers):
+    raise AssertionError("the lane pool must not be opened")
+
+
+@pytest.mark.parametrize("gate, methods", [
+    pytest.param({"blas_threads": 2}, METHOD_TAGS, id="threaded-blas"),
+    pytest.param({"blas_threads": None}, METHOD_TAGS, id="no-openblas"),
+    pytest.param({"cores": 1}, METHOD_TAGS, id="one-core"),
+    pytest.param({"min_dim": 33}, METHOD_TAGS, id="below-threshold"),
+    pytest.param({}, ("stepwise",), id="stepwise-alone"),
+    pytest.param({}, ("eriksen", "weakfield"), id="no-stepwise"),
+])
+def test_lane_gate_keeps_the_serial_loop(monkeypatch, gate, methods):
+    _open_gate(monkeypatch, **gate)
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", _refusing_pool)
+    report = run_comparison(GAUSS_SPEC, methods)
+    assert [row.method for row in report.methods] == [m for m in METHOD_TAGS if m in methods]
+    # the same gate facts with all conditions met do open the pool
+    _open_gate(monkeypatch)
+    with pytest.raises(AssertionError, match="lane pool"):
+        run_comparison(GAUSS_SPEC)
+
+
+@pytest.mark.parametrize("route", ["eriksen_transform", "stepwise_fw"],
+                         ids=["helper-lane", "calling-lane"])
+def test_lane_failure_propagates_and_joins(monkeypatch, route):
+    _open_gate(monkeypatch)
+    lanes = _count_lanes(monkeypatch)
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("kernel failure")
+
+    monkeypatch.setattr(harness, route, broken)
+    baseline = threading.active_count()
+    with pytest.raises(RuntimeError, match="kernel failure"):
+        run_comparison(GAUSS_SPEC)
+    assert lanes == [1]
+    assert threading.active_count() == baseline
+
+
+@pytest.fixture
+def blas_controls():
+    """Loaded OpenBLAS controls, set to 2 threads and restored afterwards."""
+    controls = harness.openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS library is loaded")
+    original = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(2)
+    yield controls
+    for (_, set_), count in zip(controls, original):
+        set_(count)
+
+
+@pytest.fixture
+def one_blas_thread(blas_controls):
+    """Every loaded OpenBLAS on one thread, as under OPENBLAS_NUM_THREADS=1."""
+    for _, set_ in blas_controls:
+        set_(1)
+    return blas_controls
+
+
+def _spy_blas_counts(monkeypatch, controls, error=None):
+    """Record the BLAS thread counts each time the CLI runs a comparison."""
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append([get() for get, _ in controls])
+        if error is not None:
+            raise error
+        return run_comparison(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_comparison", spy)
+    return seen
+
+
+def test_cli_runs_on_one_blas_thread(blas_controls, monkeypatch, capsys):
+    seen = _spy_blas_counts(monkeypatch, blas_controls)
+    assert cli.main(["free", "--mass", "1", "--methods", "eriksen"]) == 0
+    assert seen == [[1] * len(blas_controls)]
+
+
+def test_cli_restores_blas_threads(blas_controls, monkeypatch, capsys):
+    before = [2] * len(blas_controls)
+    _spy_blas_counts(monkeypatch, blas_controls)
+    assert cli.main(["free", "--mass", "1", "--methods", "eriksen"]) == 0
+    assert [get() for get, _ in blas_controls] == before
+    assert cli.main(["free", "--mass", "-1"]) == 1
+    assert [get() for get, _ in blas_controls] == before
+    seen = _spy_blas_counts(monkeypatch, blas_controls, RuntimeError("kernel failure"))
+    with pytest.raises(RuntimeError):
+        cli.main(["free", "--mass", "1", "--methods", "eriksen"])
+    assert seen == [[1] * len(blas_controls)]
+    assert [get() for get, _ in blas_controls] == before
+
+
+def test_cli_without_openblas_leaves_threads_alone(blas_controls, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "openblas_thread_controls", lambda: [])
+    seen = _spy_blas_counts(monkeypatch, blas_controls)
+    assert cli.main(["free", "--mass", "1", "--methods", "eriksen"]) == 0
+    assert seen == [[2] * len(blas_controls)]
