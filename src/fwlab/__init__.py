@@ -47,7 +47,6 @@ from .errors import (
 from .exact_case import (
     CommutationReport,
     check_commutation,
-    epsilon_operator,
     h_fw_exact,
     lambda_exact,
     sqrt_hd2_exact,

@@ -154,6 +154,11 @@ class DiracDecomposition:
         """SVD (P, sigma, Q^H) of the upper-right block B of O = [[0, B], [B^H, 0]], taken once."""
         return np.linalg.svd(self.odd_part[:self.grading.upper_dim, self.grading.upper_dim:])
 
+    @cached_property
+    def commutator_norm(self) -> float:
+        """||[E, O]||_F, taken once."""
+        return frobenius(commutator(self.even_part, self.odd_part))
+
     def hamiltonian(self) -> np.ndarray:
         """Reassemble beta * mass + E + O."""
         return np.diag(self.mass * self.grading.signs) + self.even_part + self.odd_part

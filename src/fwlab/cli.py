@@ -19,7 +19,8 @@ from dataclasses import replace
 
 from .errors import FWLabError
 from .harness import (CONCURRENCY_MIN_DIM, METHOD_STEPWISE, METHOD_TAGS, METHOD_WEAK_FIELD,
-                      ComparisonReport, emit_report, openblas_thread_controls, run_comparison)
+                      ComparisonReport, emit_report, lane_batch_size, openblas_thread_controls,
+                      run_comparison, run_comparisons)
 from .fileio import write_text
 from .models import KIND_EXPLICIT, KIND_FREE, KIND_LATTICE, ModelSpec, parse_potential
 from .stepwise import STOP_TOLERANCE, ToleranceConfig
@@ -225,9 +226,13 @@ def cmd_sweep(args) -> int:
                          f"got {os.environ['FWLAB_THREADS']!r}") from None
 
     specs = [replace(spec, potential=spec.potential.with_strength(value)) for value in values]
+    # contiguous batches of at least lane_batch_size points each, one point from dim 128 up
+    count = max(1, len(specs) // lane_batch_size(2 * spec.n))
+    batches = [specs[len(specs) * i // count:len(specs) * (i + 1) // count] for i in range(count)]
     workers = threads if 2 * spec.n >= CONCURRENCY_MIN_DIM else 1
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        reports = list(pool.map(lambda s: run_comparison(s, methods, tolerances), specs))
+        done = pool.map(lambda batch: run_comparisons(batch, methods, tolerances), batches)
+        reports = [report for batch in done for report in batch]
 
     os.makedirs(args.out, exist_ok=True)
     for value, report in zip(values, reports):

@@ -47,8 +47,7 @@ class CommutationReport:
 
 def check_commutation(d: DiracDecomposition) -> CommutationReport:
     """Measure ||[E, O]||_F / (||E||_F ||O||_F + floor) against COMMUTE_TOL."""
-    e, o = d.even_part, d.odd_part
-    residual = frobenius(commutator(e, o)) / (frobenius(e) * frobenius(o) + NORM_FLOOR)
+    residual = d.commutator_norm / (frobenius(d.even_part) * frobenius(d.odd_part) + NORM_FLOOR)
     return CommutationReport(residual, bool(residual <= COMMUTE_TOL))
 
 
@@ -65,11 +64,6 @@ def _odd_block(d: DiracDecomposition, *powers, commuting: bool = True):
     a = d.mass**2 + sigma**2
     check_gap(a, SingularOperand, "smallest eigenvalue of m^2 + O^2")
     return (p, sigma, qh) + tuple(even_function(p, a**k, qh) for k in powers)
-
-
-def epsilon_operator(d: DiracDecomposition) -> np.ndarray:
-    """Kinetic-energy operator eps = sqrt(m^2 + O^2); Hermitian, even, >= m."""
-    return _odd_block(d, 0.5, commuting=False)[3]
 
 
 def sqrt_hd2_exact(d: DiracDecomposition) -> np.ndarray:

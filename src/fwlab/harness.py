@@ -13,6 +13,7 @@ import ctypes
 import functools
 import json
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -26,7 +27,7 @@ from .exact_case import COMMUTE_TOL, check_commutation, u_fw_exact, weak_field_s
 from .matfunc import Spectrum, check_gap, inv_sqrt, spectral_gap
 from .models import ModelSpec, build_model
 from .fileio import write_text
-from .stepwise import ToleranceConfig, stepwise_fw
+from .stepwise import ToleranceConfig, stepwise_lockstep
 
 
 @dataclass
@@ -149,7 +150,8 @@ METHOD_TAGS = (
     METHOD_WEAK_FIELD,
 )
 
-# Lanes here and the sweep pool in cli start at dim 128; below, threads contend for the GIL.
+# Lanes open from count * dim^2 >= CONCURRENCY_MIN_DIM^2 (one model at dim 128, 16 at dim 32),
+# the sweep pool in cli from dim 128; below, threads contend for the GIL.
 CONCURRENCY_MIN_DIM = 128
 
 # (get, set) thread-count entry points of the OpenBLAS builds numpy and
@@ -192,18 +194,24 @@ def openblas_thread_controls():
 _loaded_openblas = functools.cache(openblas_thread_controls)
 
 
-def _run_lanes(methods, dim: int) -> bool:
-    """Whether stepwise runs beside the one-shot routes: from CONCURRENCY_MIN_DIM up, with
-    another method, two usable cores, and OpenBLAS loaded with every copy on one thread."""
-    if dim < CONCURRENCY_MIN_DIM or METHOD_STEPWISE not in methods or len(methods) < 2:
+def lane_batch_size(dim: int) -> int:
+    """Fewest models of dimension ``dim`` with count * dim^2 >= CONCURRENCY_MIN_DIM^2."""
+    return max(1, -(-CONCURRENCY_MIN_DIM ** 2 // dim ** 2))
+
+
+def _run_lanes(methods, count: int, dim: int) -> bool:
+    """Whether stepwise runs beside the one-shot routes: on ``lane_batch_size`` models or
+    more, with another method, two usable cores, and OpenBLAS on one thread in every copy."""
+    if count < lane_batch_size(dim) or METHOD_STEPWISE not in methods or len(methods) < 2:
         return False
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     # a second caller thread stacked on threaded BLAS makes a comparison slower
     return (cores or 1) >= 2 and {get() for get, _ in _loaded_openblas()} == {1}
 
 
-def _run_method(method, h, grading, decomposition, mass, tolerances):
-    """One method's row and its (U, U H U^H); None in place of the pair after a failure."""
+def _run_method(method, h, grading, decomposition, finish=None):
+    """One method's row and its (U, U H U^H); None in place of the pair after a failure.
+    Stepwise calls ``finish``, which ends the model's run in ``stepwise_lockstep``."""
     row = MethodRow(method=method)
     pair = None
     started = time.perf_counter()
@@ -215,7 +223,7 @@ def _run_method(method, h, grading, decomposition, mass, tolerances):
         elif method == METHOD_EXACT_CASE:
             result = u_fw_exact(decomposition, h=h)
         elif method == METHOD_STEPWISE:
-            result, trace = stepwise_fw(h, grading, mass, tolerances)
+            result, trace = finish()
             row.extras["converged"] = trace.converged
             row.extras["stop_reason"] = trace.stop_reason
             row.extras["iterations"] = len(trace.iterations)
@@ -231,16 +239,49 @@ def _run_method(method, h, grading, decomposition, mass, tolerances):
     return row, pair
 
 
-def run_comparison(spec: ModelSpec, methods=METHOD_TAGS,
-                   tolerances: ToleranceConfig = ToleranceConfig()) -> ComparisonReport:
-    """Build the model and its Spectrum once and run every requested method on them.
+def _model(spec: ModelSpec):
+    """[Spectrum of H, grading, decomposition, context] of one spec."""
+    h, grading, decomposition = build_model(spec)
+    h = Spectrum.of(h)
+    context = ReportContext(
+        mass=spec.mass,
+        dim=grading.dim,
+        commutation_residual=check_commutation(decomposition).commutator_residual,
+        spectral_gap=spectral_gap(h).min_abs_eigenvalue,
+        even_strength_ratio=frobenius(decomposition.even_part)
+        / (spec.mass * np.sqrt(grading.dim)),
+    )
+    return [h, grading, decomposition, context]
+
+
+def _report(spec, context, outcomes, tolerances) -> ComparisonReport:
+    """One model's report from its {method: (row, pair)} in canonical order."""
+    produced = [(m, pair) for m, (_, pair) in outcomes.items() if pair is not None]
+    cross = []
+    for i, (first, (u_first, h_first)) in enumerate(produced):
+        for second, (u_second, h_second) in produced[i + 1:]:
+            cross.append(CrossRow(
+                method_pair=(first, second),
+                hamiltonian_disagreement=relative_norm(h_second - h_first, h_first),
+                transform_disagreement=relative_norm(u_second - u_first, u_first),
+            ))
+    rows = [row for row, _ in outcomes.values()]
+    return ComparisonReport(spec.describe(), context, rows, cross, tolerances)
+
+
+def run_comparisons(specs, methods=METHOD_TAGS,
+                    tolerances: ToleranceConfig = ToleranceConfig()) -> list[ComparisonReport]:
+    """Build each model and its Spectrum once and run every requested method on them.
 
     Methods always appear in canonical order; ValueError for an empty or
     unknown method list.  A method failure (for example NotCommuting for the
     closed forms on a non-commuting model) becomes an error record in its
-    row; it never aborts the report.  Where ``_run_lanes`` allows, one helper
-    thread runs the other methods beside stepwise, so the rows'
-    ``wall_time_seconds`` overlap; the report is otherwise the same.
+    row; it never aborts the report.  Stepwise steps all models in lockstep
+    (DimensionMismatch unless they share one shape); the other methods run
+    one model at a time, on one helper thread beside it where ``_run_lanes``
+    allows.  A report, the same as for its spec alone, is built and its
+    model's matrices dropped once all of its rows are in.  A stepwise row's
+    ``wall_time_seconds`` runs from the start of the shared loop.
     """
     methods = list(methods)
     if not methods:
@@ -249,48 +290,53 @@ def run_comparison(spec: ModelSpec, methods=METHOD_TAGS,
         if method not in METHOD_TAGS:
             raise ValueError(f"unknown method {method!r}; known: {', '.join(METHOD_TAGS)}")
     methods = [m for m in METHOD_TAGS if m in methods]
+    one_shot = [m for m in methods if m != METHOD_STEPWISE]
+    specs = list(specs)
+    models = [_model(spec) for spec in specs]
+    if not models:
+        return []
+    outcomes = [dict.fromkeys(methods) for _ in models]
+    reports = [None] * len(models)
+    lock = threading.Lock()
 
-    h, grading, decomposition = build_model(spec)
-    h = Spectrum.of(h)
-    commutation = check_commutation(decomposition)
-    context = ReportContext(
-        mass=spec.mass,
-        dim=grading.dim,
-        commutation_residual=commutation.commutator_residual,
-        spectral_gap=spectral_gap(h).min_abs_eigenvalue,
-        even_strength_ratio=frobenius(decomposition.even_part)
-        / (spec.mass * np.sqrt(grading.dim)),
-    )
+    def record(i, produced):
+        with lock:
+            outcomes[i].update(produced)
+            complete = None not in outcomes[i].values()
+        if complete:
+            reports[i] = _report(specs[i], models[i][3], outcomes[i], tolerances)
+            models[i] = outcomes[i] = None
 
-    shared = (h, grading, decomposition, spec.mass, tolerances)
-    if _run_lanes(methods, grading.dim):
-        one_shot = [m for m in methods if m != METHOD_STEPWISE]
+    def stepwise_lane():
+        if METHOD_STEPWISE in methods:
+            started = time.perf_counter()
+            for i, finish in stepwise_lockstep([h for h, *_ in models], models[0][1],
+                                               [spec.mass for spec in specs], tolerances):
+                row, pair = _run_method(METHOD_STEPWISE, *models[i][:3], finish=finish)
+                row.wall_time_seconds = time.perf_counter() - started
+                record(i, {METHOD_STEPWISE: (row, pair)})
+
+    def one_shot_lane():
+        for i in range(len(models) if one_shot else 0):
+            h, grading, decomposition, _ = models[i]
+            models[i][2] = None  # only the one-shot routes read it
+            record(i, {m: _run_method(m, h, grading, decomposition) for m in one_shot})
+
+    if _run_lanes(methods, len(models), models[0][1].dim):
         with ThreadPoolExecutor(max_workers=1) as lane:
-            pending = lane.submit(lambda: [_run_method(m, *shared) for m in one_shot])
-            outcomes = {METHOD_STEPWISE: _run_method(METHOD_STEPWISE, *shared)}
-            outcomes.update(zip(one_shot, pending.result()))
+            pending = lane.submit(one_shot_lane)
+            stepwise_lane()
+            pending.result()
     else:
-        outcomes = {m: _run_method(m, *shared) for m in methods}
-    rows = [outcomes[m][0] for m in methods]
-    produced = {m: outcomes[m][1] for m in methods if outcomes[m][1] is not None}  # in method order
+        stepwise_lane()
+        one_shot_lane()
+    return reports
 
-    cross = []
-    pairs = list(produced.items())
-    for i, (first, (u_first, h_first)) in enumerate(pairs):
-        for second, (u_second, h_second) in pairs[i + 1:]:
-            cross.append(CrossRow(
-                method_pair=(first, second),
-                hamiltonian_disagreement=relative_norm(h_second - h_first, h_first),
-                transform_disagreement=relative_norm(u_second - u_first, u_first),
-            ))
 
-    return ComparisonReport(
-        model_descriptor=spec.describe(),
-        context=context,
-        methods=rows,
-        cross=cross,
-        tolerances=tolerances,
-    )
+def run_comparison(spec: ModelSpec, methods=METHOD_TAGS,
+                   tolerances: ToleranceConfig = ToleranceConfig()) -> ComparisonReport:
+    """The report of one spec: ``run_comparisons([spec], methods, tolerances)[0]``."""
+    return run_comparisons([spec], methods, tolerances)[0]
 
 
 def report_json(report: ComparisonReport, include_timings: bool = False) -> str:

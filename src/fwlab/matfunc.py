@@ -159,20 +159,21 @@ def unitary_log(u) -> np.ndarray:
 
 
 def odd_exp(c) -> np.ndarray:
-    """Exponential of the odd anti-Hermitian generator [[0, c], [-c^H, 0]], from one SVD of c."""
+    """Exponential of the odd anti-Hermitian generator [[0, c], [-c^H, 0]], from one SVD of c;
+    a stack of c gives the stack of exponentials, each slice bit for bit its own."""
     return odd_rotation(*np.linalg.svd(np.asarray(c, dtype=complex)))
 
 
 def odd_rotation(p, s, qh) -> np.ndarray:
     """exp [[0, c], [-c^H, 0]] for c = P diag(s) Q^H, in cosine-sine form
 
-    [[P cos(s) P^H, P sin(s) Q^H], [-Q sin(s) P^H, Q cos(s) Q^H]].
+    [[P cos(s) P^H, P sin(s) Q^H], [-Q sin(s) P^H, Q cos(s) Q^H]], slice by slice on stacks.
     """
-    q = qh.conj().T
-    cos, sin = np.cos(s), np.sin(s)
-    left = np.vstack((p * cos, q * -sin)) @ p.conj().T
-    right = np.vstack((p * sin, q * cos)) @ qh
-    return np.hstack((left, right))
+    q = qh.conj().swapaxes(-1, -2)
+    cos, sin = np.cos(s)[..., None, :], np.sin(s)[..., None, :]
+    left = np.concatenate((p * cos, q * -sin), axis=-2) @ p.conj().swapaxes(-1, -2)
+    right = np.concatenate((p * sin, q * cos), axis=-2) @ qh
+    return np.concatenate((left, right), axis=-1)
 
 
 def even_function(p, f, qh) -> np.ndarray:

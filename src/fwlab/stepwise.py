@@ -10,11 +10,14 @@ F_upper diag(w) F_lower^H.  The composite U_K ... U_1 = F V^H is unitary and
 drives the odd weight below a tolerance when the coupling is weak enough,
 but its Hermitian generator is not odd: the iteration approaches the
 block-diagonal Hamiltonian without approaching the sign-operator transform.
+``stepwise_lockstep`` steps a stack of models of one shape together, one
+stacked SVD per step; ``stepwise_fw`` is its stack of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -65,6 +68,71 @@ class StepwiseTrace:
     stop_reason: str
 
 
+def _stop_reason(ratios, steps: int, tolerances: ToleranceConfig):
+    """The rule that ends a run after ``steps`` steps with odd ratios ``ratios``, or None."""
+    stalled = len(ratios) > STAGNATION_STEPS and all(
+        ratios[-j] > STAGNATION_FACTOR * ratios[-j - 1] for j in range(1, STAGNATION_STEPS + 1))
+    return (STOP_TOLERANCE if ratios[-1] <= tolerances.stepwise_tol
+            else STOP_MAX_ITERATIONS if steps >= tolerances.max_iterations
+            else STOP_STAGNATION if stalled else None)
+
+
+def _finish(spectrum, grading: Grading, frame, rows, stop_reason):
+    """(FWResult, StepwiseTrace) of a run that ended at ``frame`` = F."""
+    if rows:
+        composite = frame @ spectrum.v.conj().T
+        current = (frame * spectrum.w) @ frame.conj().T
+        current = 0.5 * (current + current.conj().T)
+    else:
+        composite, current = np.eye(grading.dim, dtype=complex), spectrum.matrix
+    diagnostics = compute_diagnostics(composite, spectrum, grading, current)
+    trace = StepwiseTrace(tuple(rows), stop_reason == STOP_TOLERANCE, stop_reason)
+    return FWResult(composite, current, diagnostics), trace
+
+
+def stepwise_lockstep(hamiltonians, grading: Grading, masses,
+                      tolerances: ToleranceConfig = ToleranceConfig()):
+    """``stepwise_fw`` of each (H or Spectrum, mass), all models stepped at once.
+
+    Each step is one stacked SVD and one set of stacked products over the
+    models still running; numpy runs the same LAPACK and BLAS call on each
+    slice, so each run is bit for bit the run alone.  When a model's own rule
+    fires it leaves the stack and (index, finish) is yielded; ``finish()``
+    gives its (FWResult, StepwiseTrace).
+    """
+    for mass in masses:
+        require_mass(mass)
+    spectra = [hamiltonian_spectrum(h, grading) for h in hamiltonians]
+    if len(masses) != len(spectra):
+        raise ValueError(f"{len(spectra)} Hamiltonians need as many masses, got {len(masses)}")
+    n = grading.upper_dim
+    live = list(range(len(spectra)))  # the model in each slice of the stack
+    w = np.stack([s.w for s in spectra])[:, None]
+    frame = np.stack([s.v for s in spectra])
+    block = np.stack([s.matrix[:n, n:] for s in spectra])
+    twice_mass = 2.0 * np.reshape(masses, (-1, 1, 1))
+    scales = [np.sqrt(2.0) / max(frobenius(s.matrix), NORM_FLOOR) for s in spectra]
+    ratios = [[scale * frobenius(b)] for scale, b in zip(scales, block)]
+    rows = [[] for _ in spectra]
+    while True:
+        reasons = [_stop_reason(ratios[i], len(rows[i]), tolerances) for i in live]
+        for slot, (i, reason) in enumerate(zip(live, reasons)):
+            if reason is not None:
+                yield i, partial(_finish, spectra[i], grading, frame[slot], rows[i], reason)
+        keep = [slot for slot, reason in enumerate(reasons) if reason is None]
+        if not keep:
+            return
+        if len(keep) < len(live):  # a copy per step would slow a stack of one
+            live = [live[slot] for slot in keep]
+            w, frame, block, twice_mass = w[keep], frame[keep], block[keep], twice_mass[keep]
+        c = block / twice_mass
+        frame = odd_exp(c) @ frame
+        block = (frame[:, :n] * w) @ frame[:, n:].conj().swapaxes(1, 2)
+        for slot, i in enumerate(live):
+            rows[i].append((len(rows[i]), ratios[i][-1], np.sqrt(2.0) * frobenius(c[slot])))
+            ratios[i].append(scales[i] * frobenius(block[slot]))
+
+
 def stepwise_fw(h, grading: Grading, mass: float,
                 tolerances: ToleranceConfig = ToleranceConfig()) -> tuple[FWResult, StepwiseTrace]:
     """Run the iterative scheme until tolerance, stagnation, or the cap.
@@ -72,42 +140,8 @@ def stepwise_fw(h, grading: Grading, mass: float,
     ``h`` is a finite Hermitian Hamiltonian or its Spectrum, ``mass`` the
     positive finite m of every exponent, and ``tolerances`` the stopping
     rule.  Non-convergence is a reported outcome, not an error: the result
-    always carries the composite transform actually reached.
+    always carries the composite transform actually reached.  This is
+    ``stepwise_lockstep`` on a stack of one.
     """
-    require_mass(mass)
-    spectrum = hamiltonian_spectrum(h, grading)
-    n = grading.upper_dim
-    w, frame = spectrum.w, spectrum.v
-    scale = np.sqrt(2.0) / max(frobenius(spectrum.matrix), NORM_FLOOR)
-    block = spectrum.matrix[:n, n:]
-    rows = []
-    ratios = [scale * frobenius(block)]
-    while True:
-        ratio = ratios[-1]
-        if ratio <= tolerances.stepwise_tol:
-            stop_reason = STOP_TOLERANCE
-            break
-        if len(rows) >= tolerances.max_iterations:
-            stop_reason = STOP_MAX_ITERATIONS
-            break
-        if len(ratios) > STAGNATION_STEPS and all(
-            ratios[-j] > STAGNATION_FACTOR * ratios[-j - 1]
-            for j in range(1, STAGNATION_STEPS + 1)
-        ):
-            stop_reason = STOP_STAGNATION
-            break
-        c = block / (2.0 * mass)
-        frame = odd_exp(c) @ frame
-        rows.append((len(rows), ratio, np.sqrt(2.0) * frobenius(c)))
-        block = (frame[:n] * w) @ frame[n:].conj().T
-        ratios.append(scale * frobenius(block))
-    if rows:
-        composite = frame @ spectrum.v.conj().T
-        current = (frame * w) @ frame.conj().T
-        current = 0.5 * (current + current.conj().T)
-    else:
-        composite, current = np.eye(grading.dim, dtype=complex), spectrum.matrix
-    diagnostics = compute_diagnostics(composite, spectrum, grading, current)
-    result = FWResult(composite, current, diagnostics)
-    converged = stop_reason == STOP_TOLERANCE
-    return result, StepwiseTrace(tuple(rows), converged, stop_reason)
+    [(_, finish)] = stepwise_lockstep([h], grading, [mass], tolerances)
+    return finish()

@@ -1,4 +1,4 @@
-"""Shared model suites.
+"""Shared model suites, and fixtures that fake or spy on the stepwise lanes.
 
 Three fixed families, sized so the whole run stays in the seconds range:
 20 free-particle momenta, 10 lattice configurations with n <= 64, and 10
@@ -7,10 +7,12 @@ synthetic commuting models.  Every member is gapped (min |eig| at least
 well defined suite-wide.
 """
 
+import os
+
 import numpy as np
 import pytest
 
-from fwlab import ModelSpec, Potential, build_model
+from fwlab import ModelSpec, Potential, build_model, harness
 from fwlab.models import KIND_FREE, KIND_LATTICE, KIND_SYNTHETIC
 
 HAND_MOMENTA = (
@@ -108,3 +110,32 @@ def full_suite(free_suite, lattice_suite, synthetic_suite):
 def commuting_suite(free_suite, commuting_lattice_suite, synthetic_suite):
     """The 33 models with [E, O] = 0, where the closed forms apply."""
     return free_suite + commuting_lattice_suite + synthetic_suite
+
+
+@pytest.fixture
+def open_gate(monkeypatch):
+    """Fake the facts the lane gate reads (see ``harness._run_lanes``) with
+    ``open_gate(blas_threads=1, cores=2, min_dim=0)``; ``blas_threads`` None
+    stands for a process with no OpenBLAS loaded."""
+
+    def fake(blas_threads=1, cores=2, min_dim=0):
+        controls = [] if blas_threads is None else [(lambda: blas_threads, lambda count: None)]
+        monkeypatch.setattr(harness, "_loaded_openblas", lambda: controls)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        monkeypatch.setattr(harness, "CONCURRENCY_MIN_DIM", min_dim)
+
+    return fake
+
+
+@pytest.fixture
+def lane_pools(monkeypatch):
+    """The max_workers of every lane pool ``run_comparisons`` opens, in order."""
+    sizes = []
+
+    class SpyPool(harness.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", SpyPool)
+    return sizes

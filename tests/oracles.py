@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from fwlab import FWLabError, Spectrum, frobenius
+from fwlab import FWLabError, SingularOperand, Spectrum, frobenius
 from fwlab.algebra import NORM_FLOOR
+from fwlab.matfunc import check_gap, even_function
 
 # Eigenvalues above -PSD_RTOL * ||A||_F count as nonnegative.
 PSD_RTOL = 1e-12
@@ -25,3 +26,13 @@ def principal_sqrt(a, *, psd_rtol: float = PSD_RTOL):
         raise NotPositiveSemidefinite(f"smallest eigenvalue {a.w[0]:.3e} "
                                       f"is below tolerance {floor:.3e}")
     return a.apply(lambda w: np.sqrt(np.clip(w, 0.0, None)))
+
+
+def epsilon_operator(d):
+    """Kinetic-energy operator eps = sqrt(m^2 + O^2) of a DiracDecomposition, from its
+    odd-block SVD; Hermitian, even, >= m.  SingularOperand when min m^2 + sigma^2 fails
+    ``check_gap``."""
+    p, sigma, qh = d.odd_svd
+    a = d.mass**2 + sigma**2
+    check_gap(a, SingularOperand, "smallest eigenvalue of m^2 + O^2")
+    return even_function(p, a**0.5, qh)

@@ -1,9 +1,13 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from fwlab import build_free_particle, cli, write_matrix
+from fwlab import (ModelSpec, Potential, build_free_particle, cli, harness, report_json,
+                   run_comparison, write_matrix)
 from fwlab.cli import main
+from fwlab.harness import run_comparisons
+from fwlab.models import KIND_LATTICE
 
 
 def run_cli(argv):
@@ -248,6 +252,7 @@ def test_sweep_order_needs_strengths_of_one_sign(tmp_path, values):
 
 def test_sweep_respects_thread_env(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "CONCURRENCY_MIN_DIM", 0)  # run the pool at n=8 too
+    monkeypatch.setattr(cli, "lane_batch_size", lambda dim: 1)  # on batches of one point
     written = {}
     for threads in ("1", "2"):
         monkeypatch.setenv("FWLAB_THREADS", threads)
@@ -267,6 +272,18 @@ def test_sweep_respects_thread_env(tmp_path, monkeypatch):
     assert written["1"] == written["2"]
 
 
+def _spy_batches(monkeypatch):
+    """The size of every batch cmd_sweep passes to run_comparisons, in order."""
+    batches = []
+
+    def spy(specs, *args):
+        batches.append(len(specs))
+        return run_comparisons(specs, *args)
+
+    monkeypatch.setattr(cli, "run_comparisons", spy)
+    return batches
+
+
 def test_sweep_pool_only_from_dim_128(tmp_path, monkeypatch):
     sizes = []
 
@@ -276,6 +293,7 @@ def test_sweep_pool_only_from_dim_128(tmp_path, monkeypatch):
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(cli, "ThreadPoolExecutor", SpyPool)
+    batches = _spy_batches(monkeypatch)
     monkeypatch.setenv("FWLAB_THREADS", "2")
     for n in (62, 64):  # dim 124 runs serially, dim 128 on FWLAB_THREADS workers
         assert run_cli([
@@ -284,3 +302,50 @@ def test_sweep_pool_only_from_dim_128(tmp_path, monkeypatch):
             "--param", "g", "--values", "0.2,0.1", "--out", str(tmp_path / str(n)),
         ]) == 0
     assert sizes == [1, 2]
+    # the pool maps batches: both dim-124 points in one, one point each at dim 128
+    assert batches == [2, 1, 1]
+
+
+SWEEP_VALUES = tuple(round(0.4 - 0.022 * k, 3) for k in range(16))
+
+
+def _sweep_files(tmp_path, n, values=SWEEP_VALUES):
+    out_dir = tmp_path / f"sweep-n{n}-{len(values)}"
+    # exit code 2: exactcase records NotCommuting on every Gaussian lattice
+    assert run_cli(["sweep", "--base", f"--n {n} --L {n / 2} --mass 1 "
+                    "--potential gaussian:0.2,1.5", "--param", "g",
+                    "--values", ",".join(map(repr, values)), "--out", str(out_dir)]) == 2
+    return {path.name: path.read_text() for path in out_dir.iterdir()}
+
+
+@pytest.mark.parametrize("n", [8, 16], ids=["dim16", "dim32"])
+@pytest.mark.parametrize("lanes", ["open", "shut"])
+def test_sweep_batches_write_the_per_point_reports(tmp_path, open_gate, lane_pools, n, lanes):
+    # one batch of all 16 points either way; a CONCURRENCY_MIN_DIM of 4 * dim opens its lanes
+    open_gate(min_dim=4 * 2 * n if lanes == "open" else 10 ** 9)
+    written = _sweep_files(tmp_path, n)
+    assert lane_pools == ([1] if lanes == "open" else [])
+    base = ModelSpec(kind=KIND_LATTICE, mass=1.0, n=n, length=n / 2,
+                     potential=Potential("gaussian", (0.2, 1.5)))
+    reports = [run_comparison(replace(base, potential=Potential("gaussian", (value, 1.5))))
+               for value in SWEEP_VALUES]
+    expected = {f"report_g{value!r}.json": report_json(report)
+                for value, report in zip(SWEEP_VALUES, reports)}
+    expected["summary.json"] = json.dumps(cli._sweep_summary(SWEEP_VALUES, reports),
+                                          sort_keys=True, indent=2) + "\n"
+    assert written == expected
+
+
+@pytest.mark.parametrize("n, count, pools", [
+    pytest.param(16, 16, [1], id="dim32-16-points"),
+    pytest.param(16, 2, [], id="dim32-2-points"),
+    pytest.param(16, 1, [], id="dim32-1-point"),
+    pytest.param(64, 2, [1, 1], id="dim128-2-points"),
+])
+def test_sweep_lane_gate(tmp_path, monkeypatch, open_gate, lane_pools, n, count, pools):
+    # the real CONCURRENCY_MIN_DIM: count * dim^2 must reach 128^2, so 16 points at dim 32
+    open_gate(min_dim=harness.CONCURRENCY_MIN_DIM)
+    batches = _spy_batches(monkeypatch)
+    _sweep_files(tmp_path, n, SWEEP_VALUES[:count])
+    assert lane_pools == pools
+    assert batches == ([count] if n == 16 else [1] * count)

@@ -8,7 +8,6 @@ from fwlab import (
     build_lattice_1d,
     build_synthetic_commuting,
     check_commutation,
-    epsilon_operator,
     eriksen_transform,
     frobenius,
     h_fw_exact,
@@ -23,7 +22,7 @@ from fwlab import (
 from fwlab.errors import NotCommuting, OutsideValidityDomain, SingularOperand
 from fwlab.models import DIRAC_ALPHA, DIRAC_BETA, Potential
 
-from oracles import principal_sqrt
+from oracles import epsilon_operator, principal_sqrt
 
 
 def test_commutation_report():

@@ -1,5 +1,4 @@
 import json
-import os
 import sys
 import threading
 import warnings
@@ -23,7 +22,8 @@ from fwlab import (
     run_comparison,
 )
 from fwlab import harness
-from fwlab.harness import METHOD_TAGS
+from fwlab.errors import DimensionMismatch
+from fwlab.harness import METHOD_TAGS, run_comparisons
 from fwlab.models import KIND_FREE, KIND_LATTICE, KIND_SYNTHETIC
 
 FREE_SPEC = ModelSpec(kind=KIND_FREE, mass=1.0, momentum=(0.0, 0.0, 0.75))
@@ -242,61 +242,37 @@ LATTICE_128 = ModelSpec(
 )
 
 
-def _open_gate(monkeypatch, blas_threads=1, cores=2, min_dim=0):
-    """Fake the facts run_comparison's lane gate reads; see ``_run_lanes``.
-    ``blas_threads`` None stands for a process with no OpenBLAS loaded."""
-    controls = [] if blas_threads is None else [(lambda: blas_threads, lambda count: None)]
-    monkeypatch.setattr(harness, "_loaded_openblas", lambda: controls)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
-    monkeypatch.setattr(harness, "CONCURRENCY_MIN_DIM", min_dim)
-
-
-def _count_lanes(monkeypatch):
-    """The max_workers of every lane pool run_comparison opens."""
-    sizes = []
-
-    class SpyPool(harness.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", SpyPool)
-    return sizes
-
-
 def _reports(specs):
     reports = [run_comparison(spec) for spec in specs]
     return [report_json(r) for r in reports], [report_csv(r) for r in reports]
 
 
-def test_lanes_write_the_serial_reports(monkeypatch, full_suite, one_blas_thread):
+def test_lanes_write_the_serial_reports(monkeypatch, full_suite, one_blas_thread, open_gate,
+                                        lane_pools):
     specs = [spec for spec, *_ in full_suite] + [LATTICE_128]
-    _open_gate(monkeypatch, min_dim=0)
-    lanes = _count_lanes(monkeypatch)
+    open_gate(min_dim=0)
     laned = _reports(specs)
-    assert lanes == [1] * len(specs)
+    assert lane_pools == [1] * len(specs)
     monkeypatch.setattr(harness, "CONCURRENCY_MIN_DIM", 10 ** 9)
     assert _reports(specs) == laned
-    assert len(lanes) == len(specs)
+    assert len(lane_pools) == len(specs)
 
 
-def test_lanes_repeat_bit_for_bit(monkeypatch, one_blas_thread):
+def test_lanes_repeat_bit_for_bit(one_blas_thread, open_gate, lane_pools):
     # criterion 10 under concurrency, at the real dim-128 threshold
-    _open_gate(monkeypatch, min_dim=harness.CONCURRENCY_MIN_DIM)
-    lanes = _count_lanes(monkeypatch)
+    open_gate(min_dim=harness.CONCURRENCY_MIN_DIM)
     texts = {report_json(run_comparison(LATTICE_128)) for _ in range(3)}
-    assert lanes == [1, 1, 1]
+    assert lane_pools == [1, 1, 1]
     assert len(texts) == 1
 
 
-def test_lanes_under_contention(monkeypatch):
+def test_lanes_under_contention(open_gate, lane_pools):
     # more threads than cores and a short switch interval: every report is the serial one
     specs = [FREE_SPEC, GAUSS_SPEC,
              ModelSpec(kind=KIND_SYNTHETIC, mass=1.0, n=6, poly=(0.05, 0.02), seed=3)] * 2
-    _open_gate(monkeypatch, min_dim=10 ** 9)
+    open_gate(min_dim=10 ** 9)
     serial = [report_json(run_comparison(spec)) for spec in specs]
-    _open_gate(monkeypatch, min_dim=0)
-    lanes = _count_lanes(monkeypatch)
+    open_gate(min_dim=0)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -305,8 +281,38 @@ def test_lanes_under_contention(monkeypatch):
                                   timeout=60))
     finally:
         sys.setswitchinterval(interval)
-    assert lanes == [1] * len(specs)
+    assert lane_pools == [1] * len(specs)
     assert laned == serial
+
+
+def test_batches_under_contention(open_gate, lane_pools):
+    # lockstep batches with both lanes open, on more threads than cores: every report is
+    # the one of its spec alone, so no outcome of a batch is lost or crossed
+    batches = [[replace(GAUSS_SPEC, potential=Potential("gaussian", (g, width)))
+                for g in (0.05, 0.1, 0.2)] for width in (0.5, 1.0, 1.5, 2.0)]
+    open_gate(min_dim=10 ** 9)
+    serial = [[report_json(run_comparison(spec)) for spec in batch] for batch in batches]
+    open_gate(min_dim=0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            laned = list(pool.map(lambda batch: [report_json(r) for r in run_comparisons(batch)],
+                                  batches, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert lane_pools == [1] * len(batches)
+    assert laned == serial
+
+
+def test_batch_of_mixed_shapes():
+    specs = [FREE_SPEC, GAUSS_SPEC]
+    with pytest.raises(DimensionMismatch):
+        run_comparisons(specs)
+    # without stepwise each model runs alone
+    methods = ("eriksen", "weakfield")
+    assert [report_json(r) for r in run_comparisons(specs, methods)] == [
+        report_json(run_comparison(spec, methods)) for spec in specs]
 
 
 def _refusing_pool(max_workers):
@@ -321,22 +327,21 @@ def _refusing_pool(max_workers):
     pytest.param({}, ("stepwise",), id="stepwise-alone"),
     pytest.param({}, ("eriksen", "weakfield"), id="no-stepwise"),
 ])
-def test_lane_gate_keeps_the_serial_loop(monkeypatch, gate, methods):
-    _open_gate(monkeypatch, **gate)
+def test_lane_gate_keeps_the_serial_loop(monkeypatch, open_gate, gate, methods):
+    open_gate(**gate)
     monkeypatch.setattr(harness, "ThreadPoolExecutor", _refusing_pool)
     report = run_comparison(GAUSS_SPEC, methods)
     assert [row.method for row in report.methods] == [m for m in METHOD_TAGS if m in methods]
     # the same gate facts with all conditions met do open the pool
-    _open_gate(monkeypatch)
+    open_gate()
     with pytest.raises(AssertionError, match="lane pool"):
         run_comparison(GAUSS_SPEC)
 
 
-@pytest.mark.parametrize("route", ["eriksen_transform", "stepwise_fw"],
+@pytest.mark.parametrize("route", ["eriksen_transform", "stepwise_lockstep"],
                          ids=["helper-lane", "calling-lane"])
-def test_lane_failure_propagates_and_joins(monkeypatch, route):
-    _open_gate(monkeypatch)
-    lanes = _count_lanes(monkeypatch)
+def test_lane_failure_propagates_and_joins(monkeypatch, open_gate, lane_pools, route):
+    open_gate()
 
     def broken(*args, **kwargs):
         raise RuntimeError("kernel failure")
@@ -345,7 +350,7 @@ def test_lane_failure_propagates_and_joins(monkeypatch, route):
     baseline = threading.active_count()
     with pytest.raises(RuntimeError, match="kernel failure"):
         run_comparison(GAUSS_SPEC)
-    assert lanes == [1]
+    assert lane_pools == [1]
     assert threading.active_count() == baseline
 
 

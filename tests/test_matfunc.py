@@ -23,7 +23,6 @@ from fwlab import (
     Grading,
     Spectrum,
     check_commutation,
-    epsilon_operator,
     eriksen_transform,
     eriksen_transform_alt,
     frobenius,
@@ -50,7 +49,7 @@ from fwlab.errors import (
     SingularOperand,
 )
 
-from oracles import NotPositiveSemidefinite, principal_sqrt
+from oracles import NotPositiveSemidefinite, epsilon_operator, principal_sqrt
 
 
 def _random_hermitian(rng, dim):

@@ -9,7 +9,8 @@ Eriksen's transform exists.  The metamorphic relations are independent of
 how either route is computed:
 
 - U(cH) = U(H) for c > 0 (eriksen), and stepwise(cH, c m) = stepwise(H, m);
-- U(W H W^H) = W U(H) W^H for even unitaries W = diag(W1, W2), both routes.
+- U(W H W^H) = W U(H) W^H for even unitaries W = diag(W1, W2), both routes;
+- stepwise on a stack of models in lockstep equals each model's own run bit for bit.
 
 Stepwise relations compare runs of a fixed number of steps, so that a ratio
 lying on a stopping threshold cannot split two equivalent runs.
@@ -27,7 +28,6 @@ from hypothesis import strategies as st
 from fwlab import (
     DiracDecomposition,
     Grading,
-    epsilon_operator,
     eriksen_transform,
     eriksen_transform_alt,
     h_fw_exact,
@@ -39,7 +39,10 @@ from fwlab import (
     stepwise_fw,
     u_fw_exact,
 )
-from fwlab.stepwise import ToleranceConfig
+from fwlab.stepwise import (STOP_MAX_ITERATIONS, STOP_STAGNATION, STOP_TOLERANCE,
+                            ToleranceConfig, stepwise_lockstep)
+
+from oracles import epsilon_operator
 
 SEEDS = st.integers(0, 2**32 - 1)
 SIZES = st.integers(1, 16)
@@ -190,3 +193,62 @@ def test_eriksenalt_agrees_with_eriksen(seed, n, mass, gap, coupling):
     h, g = graded_hamiltonian(seed, n, mass, gap, coupling)
     u = eriksen_transform(h, g).transform
     assert relative_norm(eriksen_transform_alt(h, g).transform - u, u) <= 1e-10
+
+
+# (gap range, coupling range) per kind of stepwise run at a cap of 4-12 steps: an odd part
+# of zero stops at step zero, weak coupling reaches the tolerance, moderate coupling mostly
+# the cap and strong coupling mostly stagnates.
+STEPWISE_KINDS = {
+    "zero": ((0.05, 1.0), (0.0, 0.0)),
+    "weak": ((0.7, 1.0), (0.01, 0.3)),
+    "moderate": ((0.3, 1.0), (0.5, 1.0)),
+    "strong": ((0.05, 1.0), (1.5, 3.0)),
+}
+
+
+@st.composite
+def stepwise_stacks(draw):
+    """(models, tolerances): 2-6 (H, grading, mass) of one dimension, of mixed kinds."""
+    n = draw(st.integers(1, 8))
+    models = []
+    for kind in draw(st.lists(st.sampled_from(sorted(STEPWISE_KINDS)), min_size=2, max_size=6)):
+        (gap_lo, gap_hi), (lo, hi) = STEPWISE_KINDS[kind]
+        mass = draw(MASSES)
+        h, g = graded_hamiltonian(draw(SEEDS), n, mass, draw(st.floats(gap_lo, gap_hi)),
+                                  draw(st.floats(lo, hi)))
+        models.append((h, g, mass))
+    return models, ToleranceConfig(1e-8, draw(st.integers(4, 12)))
+
+
+def _lockstep_matches_alone(models, tolerances):
+    """Assert each model's lockstep result is its stepwise_fw result bit for bit; its traces."""
+    g = models[0][1]
+    run = stepwise_lockstep([h for h, _, _ in models], g, [m for _, _, m in models], tolerances)
+    finished = {i: finish() for i, finish in run}
+    assert sorted(finished) == list(range(len(models)))
+    for i, (h, _, mass) in enumerate(models):
+        (result, trace), (alone, alone_trace) = finished[i], stepwise_fw(h, g, mass, tolerances)
+        np.testing.assert_array_equal(result.transform, alone.transform)
+        np.testing.assert_array_equal(result.transformed_hamiltonian,
+                                      alone.transformed_hamiltonian)
+        assert result.diagnostics == alone.diagnostics
+        assert trace.iterations == alone_trace.iterations
+        assert trace.stop_reason == alone_trace.stop_reason
+    return [finished[i][1] for i in range(len(models))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(stack=stepwise_stacks())
+def test_lockstep_equals_each_run_alone(stack):
+    _lockstep_matches_alone(*stack)
+
+
+def test_lockstep_stack_mixes_every_stop():
+    # (gap, coupling) of a zero-step, a tolerance, a cap, a stagnation and a tolerance run
+    params = ((0.5, 0.0), (0.9, 0.1), (0.5, 0.7), (0.1, 2.5), (0.9, 0.2))
+    models = [(*graded_hamiltonian(seed, 4, 1.0 + seed, gap, coupling), 1.0 + seed)
+              for seed, (gap, coupling) in enumerate(params)]
+    traces = _lockstep_matches_alone(models, ToleranceConfig(1e-8, 8))
+    assert [(len(t.iterations), t.stop_reason) for t in traces] == [
+        (0, STOP_TOLERANCE), (6, STOP_TOLERANCE), (8, STOP_MAX_ITERATIONS),
+        (4, STOP_STAGNATION), (7, STOP_TOLERANCE)]

@@ -24,6 +24,7 @@ from fwlab.stepwise import (
     STOP_STAGNATION,
     STOP_TOLERANCE,
     ToleranceConfig,
+    stepwise_lockstep,
 )
 
 
@@ -134,6 +135,12 @@ def test_parameter_gates():
         with pytest.raises(ValueError) as err:
             stepwise_fw(h, g, 1.0, ToleranceConfig(tol, max_iterations))
         assert str(err.value) == message
+
+
+def test_lockstep_needs_one_mass_per_model():
+    h, g, _ = build_free_particle(1.0, (0.0, 0.0, 0.1))
+    with pytest.raises(ValueError, match="2 Hamiltonians need as many masses, got 1"):
+        next(stepwise_lockstep([h, h], g, [1.0]))
 
 
 def test_rejects_infinite_mass():
