@@ -14,13 +14,11 @@ import math
 import os
 import shlex
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from .errors import FWLabError
-from .harness import (CONCURRENCY_MIN_DIM, METHOD_STEPWISE, METHOD_TAGS, METHOD_WEAK_FIELD,
-                      ComparisonReport, emit_report, lane_batch_size, openblas_thread_controls,
-                      run_comparison, run_comparisons)
+from .harness import (METHOD_STEPWISE, METHOD_TAGS, METHOD_WEAK_FIELD, ComparisonReport,
+                      emit_report, openblas_thread_controls, run_comparison, run_comparisons)
 from .fileio import write_text
 from .models import KIND_EXPLICIT, KIND_FREE, KIND_LATTICE, ModelSpec, parse_potential
 from .stepwise import STOP_TOLERANCE, ToleranceConfig
@@ -171,12 +169,12 @@ def cmd_matrix(args) -> int:
 
 
 def _orders(values, errors):
-    """Empirical convergence orders between consecutive sweep points; None for a pair
-    without two positive errors and two distinct strengths of one sign."""
+    """Empirical convergence orders between consecutive sweep points, whose strengths differ;
+    None for a pair without two positive errors and two strengths of one sign."""
     orders = []
     for (v0, e0), (v1, e1) in zip(zip(values, errors), zip(values[1:], errors[1:])):
         usable = (e0 is not None and e1 is not None and e0 > 0.0 and e1 > 0.0
-                  and v0 * v1 > 0.0 and v0 != v1)
+                  and v0 * v1 > 0.0)
         orders.append(math.log(e0 / e1) / math.log(v0 / v1) if usable else None)
     return orders
 
@@ -219,20 +217,12 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"bad --values {args.values!r}") from None
     if not values:
         raise ValueError("--values must contain at least one number")
-    try:
-        threads = max(1, int(os.environ.get("FWLAB_THREADS", "1")))
-    except ValueError:
-        raise ValueError(f"FWLAB_THREADS must be an integer, "
-                         f"got {os.environ['FWLAB_THREADS']!r}") from None
+    for k, value in enumerate(values):
+        if value in values[:k]:
+            raise ValueError(f"--values repeats {value!r}; each strength writes one report")
 
     specs = [replace(spec, potential=spec.potential.with_strength(value)) for value in values]
-    # contiguous batches of at least lane_batch_size points each, one point from dim 128 up
-    count = max(1, len(specs) // lane_batch_size(2 * spec.n))
-    batches = [specs[len(specs) * i // count:len(specs) * (i + 1) // count] for i in range(count)]
-    workers = threads if 2 * spec.n >= CONCURRENCY_MIN_DIM else 1
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        done = pool.map(lambda batch: run_comparisons(batch, methods, tolerances), batches)
-        reports = [report for batch in done for report in batch]
+    reports = run_comparisons(specs, methods, tolerances)
 
     os.makedirs(args.out, exist_ok=True)
     for value, report in zip(values, reports):
@@ -246,8 +236,8 @@ def cmd_sweep(args) -> int:
 def _single_blas_thread():
     """Run the block on one OpenBLAS thread, then restore the previous counts.
 
-    The CLI owns its process: at dim <= ~256 threaded BLAS is slower than serial,
-    oversubscribes the cores under the sweep pool and keeps the stepwise lanes shut.
+    The CLI owns its process: at dim <= ~256 threaded BLAS is slower than serial
+    and keeps the harness's lanes shut.
     """
     saved = [(set_, get()) for get, set_ in openblas_thread_controls()]
     for set_, _ in saved:

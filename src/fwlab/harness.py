@@ -1,4 +1,4 @@
-"""Runs the transform catalog over one model and serializes the outcome.
+"""Runs the transform catalog over a list of models and serializes each outcome.
 
 A comparison report holds one row per requested method (diagnostics or an
 error record, never both), cross rows with pairwise disagreements of the
@@ -150,8 +150,8 @@ METHOD_TAGS = (
     METHOD_WEAK_FIELD,
 )
 
-# Lanes open from count * dim^2 >= CONCURRENCY_MIN_DIM^2 (one model at dim 128, 16 at dim 32),
-# the sweep pool in cli from dim 128; below, threads contend for the GIL.
+# Lanes open from count * dim^2 >= CONCURRENCY_MIN_DIM^2 (one model at dim 128, 16 at dim 32);
+# below, threads contend for the GIL.
 CONCURRENCY_MIN_DIM = 128
 
 # (get, set) thread-count entry points of the OpenBLAS builds numpy and
@@ -199,14 +199,14 @@ def lane_batch_size(dim: int) -> int:
     return max(1, -(-CONCURRENCY_MIN_DIM ** 2 // dim ** 2))
 
 
-def _run_lanes(methods, count: int, dim: int) -> bool:
-    """Whether stepwise runs beside the one-shot routes: on ``lane_batch_size`` models or
-    more, with another method, two usable cores, and OpenBLAS on one thread in every copy."""
-    if count < lane_batch_size(dim) or METHOD_STEPWISE not in methods or len(methods) < 2:
-        return False
+def _lane_count(tasks: int, count: int, dim: int) -> int:
+    """Lanes, the caller among them, for ``tasks`` tasks on ``count`` models of dimension ``dim``:
+    min(cores, tasks) from ``lane_batch_size`` models on single-threaded BLAS, else one."""
+    if count < lane_batch_size(dim):
+        return 1
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     # a second caller thread stacked on threaded BLAS makes a comparison slower
-    return (cores or 1) >= 2 and {get() for get, _ in _loaded_openblas()} == {1}
+    return min(cores or 1, tasks) if {get() for get, _ in _loaded_openblas()} == {1} else 1
 
 
 def _run_method(method, h, grading, decomposition, finish=None):
@@ -276,12 +276,13 @@ def run_comparisons(specs, methods=METHOD_TAGS,
     Methods always appear in canonical order; ValueError for an empty or
     unknown method list.  A method failure (for example NotCommuting for the
     closed forms on a non-commuting model) becomes an error record in its
-    row; it never aborts the report.  Stepwise steps all models in lockstep
-    (DimensionMismatch unless they share one shape); the other methods run
-    one model at a time, on one helper thread beside it where ``_run_lanes``
-    allows.  A report, the same as for its spec alone, is built and its
-    model's matrices dropped once all of its rows are in.  A stepwise row's
-    ``wall_time_seconds`` runs from the start of the shared loop.
+    row; it never aborts the report.  Each contiguous batch of
+    ``lane_batch_size`` models is a stream of tasks, which the
+    ``_lane_count`` lanes take in order: stepwise on the whole batch in
+    lockstep (DimensionMismatch unless every model has the first one's
+    shape), then the other methods model by model.  A report, the same as for
+    its spec alone, is built once all of its rows are in; a stepwise row's
+    ``wall_time_seconds`` runs from the start of its batch.
     """
     methods = list(methods)
     if not methods:
@@ -292,11 +293,13 @@ def run_comparisons(specs, methods=METHOD_TAGS,
     methods = [m for m in METHOD_TAGS if m in methods]
     one_shot = [m for m in methods if m != METHOD_STEPWISE]
     specs = list(specs)
-    models = [_model(spec) for spec in specs]
-    if not models:
+    if not specs:
         return []
-    outcomes = [dict.fromkeys(methods) for _ in models]
-    reports = [None] * len(models)
+    models = [_model(specs[0])] + [None] * (len(specs) - 1)
+    grading = models[0][1]
+    count = max(1, len(specs) // lane_batch_size(grading.dim))
+    outcomes = [dict.fromkeys(methods) for _ in specs]
+    reports = [None] * len(specs)
     lock = threading.Lock()
 
     def record(i, produced):
@@ -307,29 +310,52 @@ def run_comparisons(specs, methods=METHOD_TAGS,
             reports[i] = _report(specs[i], models[i][3], outcomes[i], tolerances)
             models[i] = outcomes[i] = None
 
-    def stepwise_lane():
-        if METHOD_STEPWISE in methods:
-            started = time.perf_counter()
-            for i, finish in stepwise_lockstep([h for h, *_ in models], models[0][1],
-                                               [spec.mass for spec in specs], tolerances):
-                row, pair = _run_method(METHOD_STEPWISE, *models[i][:3], finish=finish)
-                row.wall_time_seconds = time.perf_counter() - started
-                record(i, {METHOD_STEPWISE: (row, pair)})
+    def stepwise(batch):
+        started = time.perf_counter()
+        for slot, finish in stepwise_lockstep([models[i][0] for i in batch], grading,
+                                              [specs[i].mass for i in batch], tolerances):
+            row, pair = _run_method(METHOD_STEPWISE, *models[batch[slot]][:3], finish=finish)
+            row.wall_time_seconds = time.perf_counter() - started
+            record(batch[slot], {METHOD_STEPWISE: (row, pair)})
 
-    def one_shot_lane():
-        for i in range(len(models) if one_shot else 0):
-            h, grading, decomposition, _ = models[i]
-            models[i][2] = None  # only the one-shot routes read it
-            record(i, {m: _run_method(m, h, grading, decomposition) for m in one_shot})
+    def others(i):
+        h, model_grading, decomposition, _ = models[i]
+        models[i][2] = None  # only the one-shot routes read it
+        record(i, {m: _run_method(m, h, model_grading, decomposition) for m in one_shot})
 
-    if _run_lanes(methods, len(models), models[0][1].dim):
-        with ThreadPoolExecutor(max_workers=1) as lane:
-            pending = lane.submit(one_shot_lane)
-            stepwise_lane()
-            pending.result()
+    def stream():  # advanced under the lock, so a batch is built when its first task is taken
+        for k in range(count):
+            batch = range(len(specs) * k // count, len(specs) * (k + 1) // count)
+            for i in batch:
+                models[i] = models[i] or _model(specs[i])
+            if METHOD_STEPWISE in methods:
+                yield functools.partial(stepwise, batch)
+            yield from (functools.partial(others, i) for i in batch if one_shot)
+
+    tasks = stream()
+
+    def take():
+        with lock:
+            return next(tasks, None)
+
+    def lane():
+        try:
+            while (task := take()) is not None:
+                task()
+        finally:
+            with lock:
+                tasks.close()  # after a failure the other lanes stop at their next task
+
+    task_count = (count if METHOD_STEPWISE in methods else 0) + (len(specs) if one_shot else 0)
+    lanes = _lane_count(task_count, len(specs), grading.dim)
+    if lanes == 1:
+        lane()
     else:
-        stepwise_lane()
-        one_shot_lane()
+        with ThreadPoolExecutor(max_workers=lanes - 1) as pool:
+            helpers = [pool.submit(lane) for _ in range(lanes - 1)]
+            lane()
+            for helper in helpers:
+                helper.result()
     return reports
 
 

@@ -1,4 +1,4 @@
-"""Shared model suites, and fixtures that fake or spy on the stepwise lanes.
+"""Shared model suites, and fixtures that fake or spy on the lanes of ``run_comparisons``.
 
 Three fixed families, sized so the whole run stays in the seconds range:
 20 free-particle momenta, 10 lattice configurations with n <= 64, and 10
@@ -114,7 +114,7 @@ def commuting_suite(free_suite, commuting_lattice_suite, synthetic_suite):
 
 @pytest.fixture
 def open_gate(monkeypatch):
-    """Fake the facts the lane gate reads (see ``harness._run_lanes``) with
+    """Fake the facts the lane gate reads (see ``harness._lane_count``) with
     ``open_gate(blas_threads=1, cores=2, min_dim=0)``; ``blas_threads`` None
     stands for a process with no OpenBLAS loaded."""
 
@@ -128,14 +128,29 @@ def open_gate(monkeypatch):
 
 
 @pytest.fixture
-def lane_pools(monkeypatch):
-    """The max_workers of every lane pool ``run_comparisons`` opens, in order."""
-    sizes = []
+def lane_counts(monkeypatch):
+    """The lanes of every lane pool ``run_comparisons`` opens, in order: its helper
+    threads and the calling thread.  A serial call opens none."""
+    counts = []
 
     class SpyPool(harness.ThreadPoolExecutor):
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            counts.append(max_workers + 1)
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(harness, "ThreadPoolExecutor", SpyPool)
+    return counts
+
+
+@pytest.fixture
+def lockstep_batches(monkeypatch):
+    """The number of models of every ``stepwise_lockstep`` call the harness makes, in order."""
+    sizes = []
+    lockstep = harness.stepwise_lockstep
+
+    def spy(hamiltonians, *args):
+        sizes.append(len(hamiltonians))
+        return lockstep(hamiltonians, *args)
+
+    monkeypatch.setattr(harness, "stepwise_lockstep", spy)
     return sizes

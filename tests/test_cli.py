@@ -6,7 +6,6 @@ import pytest
 from fwlab import (ModelSpec, Potential, build_free_particle, cli, harness, report_json,
                    run_comparison, write_matrix)
 from fwlab.cli import main
-from fwlab.harness import run_comparisons
 from fwlab.models import KIND_LATTICE
 
 
@@ -73,7 +72,7 @@ def test_matrix_subcommand(tmp_path):
     assert json.loads(out.read_text())["context"]["dim"] == 4
 
 
-def test_usage_errors_exit_one(capsys, monkeypatch, tmp_path):
+def test_usage_errors_exit_one(capsys, tmp_path):
     report = tmp_path / "report.json"
     cases = (
         [],
@@ -118,15 +117,19 @@ def test_usage_errors_exit_one(capsys, monkeypatch, tmp_path):
         assert run_cli(argv) == 1, argv
         capsys.readouterr()
         assert not out_dir.exists(), argv
-    # a bad FWLAB_THREADS fails before any output, whether or not the sweep uses the pool
-    monkeypatch.setenv("FWLAB_THREADS", "abc")
-    for n in (64, 8):
-        out_dir = tmp_path / f"sweep{n}"
-        argv = ["sweep", "--base", f"--n {n} --L 6 --mass 1 --potential constant:0.2",
-                "--param", "g", "--values", "0.2", "--out", str(out_dir)]
-        assert run_cli(argv) == 1, argv
-        assert "FWLAB_THREADS" in capsys.readouterr().err
-        assert not out_dir.exists()
+
+
+def test_sweep_rejects_repeated_strengths(tmp_path, monkeypatch, capsys):
+    # 0.1 and 0.10 would write one report_g0.1.json over the other
+    def refused(*args):
+        raise AssertionError("no comparison may run")
+
+    monkeypatch.setattr(cli, "run_comparisons", refused)
+    out_dir = tmp_path / "sweep"
+    assert run_cli(["sweep", "--base", "--n 8 --L 6 --mass 1 --potential constant:0.2",
+                    "--param", "g", "--values", "0.1,0.10,0.05", "--out", str(out_dir)]) == 1
+    assert "--values repeats 0.1;" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_missing_matrix_file_exit_one(tmp_path, capsys):
@@ -250,60 +253,19 @@ def test_sweep_order_needs_strengths_of_one_sign(tmp_path, values):
     assert summary["stepwise"]["orders"] == [None]
 
 
-def test_sweep_respects_thread_env(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "CONCURRENCY_MIN_DIM", 0)  # run the pool at n=8 too
-    monkeypatch.setattr(cli, "lane_batch_size", lambda dim: 1)  # on batches of one point
-    written = {}
-    for threads in ("1", "2"):
-        monkeypatch.setenv("FWLAB_THREADS", threads)
-        out_dir = tmp_path / f"sweep{threads}"
-        assert run_cli([
-            "sweep",
-            "--base", "--n 8 --L 6 --mass 1 --potential constant:0.2 "
-                      "--methods eriksen,stepwise",
-            "--param", "g",
-            "--values", "0.2,0.1,0.05",
-            "--out", str(out_dir),
-        ]) == 0
-        assert (out_dir / "summary.json").exists()
-        assert len(list(out_dir.glob("report_g*.json"))) == 3
-        written[threads] = {path.name: path.read_bytes() for path in out_dir.iterdir()}
-    # the pool size changes the schedule, never a byte of the output
-    assert written["1"] == written["2"]
-
-
-def _spy_batches(monkeypatch):
-    """The size of every batch cmd_sweep passes to run_comparisons, in order."""
-    batches = []
-
-    def spy(specs, *args):
-        batches.append(len(specs))
-        return run_comparisons(specs, *args)
-
-    monkeypatch.setattr(cli, "run_comparisons", spy)
-    return batches
-
-
-def test_sweep_pool_only_from_dim_128(tmp_path, monkeypatch):
-    sizes = []
-
-    class SpyPool(cli.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", SpyPool)
-    batches = _spy_batches(monkeypatch)
-    monkeypatch.setenv("FWLAB_THREADS", "2")
-    for n in (62, 64):  # dim 124 runs serially, dim 128 on FWLAB_THREADS workers
-        assert run_cli([
-            "sweep", "--base", f"--n {n} --L 6 --mass 1 --potential constant:0.2 "
-                               "--methods eriksen",
-            "--param", "g", "--values", "0.2,0.1", "--out", str(tmp_path / str(n)),
-        ]) == 0
-    assert sizes == [1, 2]
-    # the pool maps batches: both dim-124 points in one, one point each at dim 128
-    assert batches == [2, 1, 1]
+def test_sweep_pool_only_from_dim_128(tmp_path, open_gate, lane_counts, lockstep_batches):
+    # the real threshold: one point opens the lanes from dim 128 (dim 124 stays serial) and
+    # two points from dim 124, in one lockstep batch there and a batch each at dim 128
+    open_gate(min_dim=harness.CONCURRENCY_MIN_DIM)
+    for values in ("0.2", "0.2,0.1"):
+        for n in (62, 64):
+            assert run_cli([
+                "sweep", "--base", f"--n {n} --L 6 --mass 1 --potential constant:0.2 "
+                                   "--methods eriksen,stepwise",
+                "--param", "g", "--values", values, "--out", str(tmp_path / f"{n}-{values}"),
+            ]) == 0
+    assert lane_counts == [2, 2, 2]
+    assert lockstep_batches == [1, 1, 2, 1, 1]
 
 
 SWEEP_VALUES = tuple(round(0.4 - 0.022 * k, 3) for k in range(16))
@@ -320,11 +282,13 @@ def _sweep_files(tmp_path, n, values=SWEEP_VALUES):
 
 @pytest.mark.parametrize("n", [8, 16], ids=["dim16", "dim32"])
 @pytest.mark.parametrize("lanes", ["open", "shut"])
-def test_sweep_batches_write_the_per_point_reports(tmp_path, open_gate, lane_pools, n, lanes):
+def test_sweep_batches_write_the_per_point_reports(tmp_path, open_gate, lane_counts,
+                                                   lockstep_batches, n, lanes):
     # one batch of all 16 points either way; a CONCURRENCY_MIN_DIM of 4 * dim opens its lanes
     open_gate(min_dim=4 * 2 * n if lanes == "open" else 10 ** 9)
     written = _sweep_files(tmp_path, n)
-    assert lane_pools == ([1] if lanes == "open" else [])
+    assert lane_counts == ([2] if lanes == "open" else [])
+    assert lockstep_batches == [16]
     base = ModelSpec(kind=KIND_LATTICE, mass=1.0, n=n, length=n / 2,
                      potential=Potential("gaussian", (0.2, 1.5)))
     reports = [run_comparison(replace(base, potential=Potential("gaussian", (value, 1.5))))
@@ -336,16 +300,30 @@ def test_sweep_batches_write_the_per_point_reports(tmp_path, open_gate, lane_poo
     assert written == expected
 
 
-@pytest.mark.parametrize("n, count, pools", [
-    pytest.param(16, 16, [1], id="dim32-16-points"),
+@pytest.mark.parametrize("n, count, lanes", [
+    pytest.param(16, 16, [2], id="dim32-16-points"),
     pytest.param(16, 2, [], id="dim32-2-points"),
     pytest.param(16, 1, [], id="dim32-1-point"),
-    pytest.param(64, 2, [1, 1], id="dim128-2-points"),
+    pytest.param(64, 2, [2], id="dim128-2-points"),
 ])
-def test_sweep_lane_gate(tmp_path, monkeypatch, open_gate, lane_pools, n, count, pools):
+def test_sweep_lane_gate(tmp_path, open_gate, lane_counts, lockstep_batches, n, count, lanes):
     # the real CONCURRENCY_MIN_DIM: count * dim^2 must reach 128^2, so 16 points at dim 32
     open_gate(min_dim=harness.CONCURRENCY_MIN_DIM)
-    batches = _spy_batches(monkeypatch)
     _sweep_files(tmp_path, n, SWEEP_VALUES[:count])
-    assert lane_pools == pools
-    assert batches == ([count] if n == 16 else [1] * count)
+    assert lane_counts == lanes
+    assert lockstep_batches == ([count] if n == 16 else [1] * count)
+
+
+def test_sweep_lanes_write_the_serial_files(tmp_path, open_gate, lane_counts):
+    # eight dim-128 points, a batch each, on 1, 2 and 4 lanes: the same bytes
+    written = []
+    for cores in (1, 2, 4):
+        open_gate(cores=cores, min_dim=harness.CONCURRENCY_MIN_DIM)
+        out_dir = tmp_path / f"cores{cores}"
+        assert run_cli(["sweep", "--base", "--n 64 --L 25 --mass 1 --potential gaussian:0.1,2",
+                        "--param", "g", "--values", ",".join(map(repr, SWEEP_VALUES[::2])),
+                        "--out", str(out_dir)]) == 2
+        written.append({path.name: path.read_bytes() for path in out_dir.iterdir()})
+    assert lane_counts == [2, 4]
+    assert len(written[0]) == 9
+    assert written[1] == written[0] and written[2] == written[0]

@@ -242,71 +242,79 @@ LATTICE_128 = ModelSpec(
 )
 
 
-def _reports(specs):
-    reports = [run_comparison(spec) for spec in specs]
+def _texts(reports):
     return [report_json(r) for r in reports], [report_csv(r) for r in reports]
 
 
 def test_lanes_write_the_serial_reports(monkeypatch, full_suite, one_blas_thread, open_gate,
-                                        lane_pools):
-    specs = [spec for spec, *_ in full_suite] + [LATTICE_128]
-    open_gate(min_dim=0)
-    laned = _reports(specs)
-    assert lane_pools == [1] * len(specs)
-    monkeypatch.setattr(harness, "CONCURRENCY_MIN_DIM", 10 ** 9)
-    assert _reports(specs) == laned
-    assert len(lane_pools) == len(specs)
+                                        lane_counts):
+    # the free particles (dim 4) go as one call, in batches of 4 at a threshold of 8
+    free = [spec for spec, *_ in full_suite[:20]]
+    alone = [spec for spec, *_ in full_suite[20:]] + [LATTICE_128]
+    open_gate(min_dim=10 ** 9)
+    serial = _texts([run_comparison(spec) for spec in free + alone])
+    for cores in (1, 2, 4):
+        open_gate(cores=cores, min_dim=8)
+        laned = _texts(run_comparisons(free) + [run_comparison(spec) for spec in alone])
+        assert laned == serial, cores
+    # one comparison alone is two tasks, a lockstep and the other routes; below dim 8 its
+    # lanes stay shut
+    paired = 1 + sum(grading.dim >= 8 for _, _, grading, _ in full_suite[20:])
+    assert lane_counts == [2] * (1 + paired) + [4] + [2] * paired
 
 
-def test_lanes_repeat_bit_for_bit(one_blas_thread, open_gate, lane_pools):
+def test_lanes_repeat_bit_for_bit(one_blas_thread, open_gate, lane_counts):
     # criterion 10 under concurrency, at the real dim-128 threshold
     open_gate(min_dim=harness.CONCURRENCY_MIN_DIM)
     texts = {report_json(run_comparison(LATTICE_128)) for _ in range(3)}
-    assert lane_pools == [1, 1, 1]
+    assert lane_counts == [2, 2, 2]
     assert len(texts) == 1
 
 
-def test_lanes_under_contention(open_gate, lane_pools):
+def _contended(function, items):
+    """``function`` of every item on four threads at a 1e-5 s switch interval."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            return list(pool.map(function, items, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_lanes_under_contention(open_gate, lane_counts):
     # more threads than cores and a short switch interval: every report is the serial one
     specs = [FREE_SPEC, GAUSS_SPEC,
              ModelSpec(kind=KIND_SYNTHETIC, mass=1.0, n=6, poly=(0.05, 0.02), seed=3)] * 2
     open_gate(min_dim=10 ** 9)
     serial = [report_json(run_comparison(spec)) for spec in specs]
     open_gate(min_dim=0)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            laned = list(pool.map(lambda spec: report_json(run_comparison(spec)), specs,
-                                  timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    assert lane_pools == [1] * len(specs)
-    assert laned == serial
+    assert _contended(lambda spec: report_json(run_comparison(spec)), specs) == serial
+    assert lane_counts == [2] * len(specs)
 
 
-def test_batches_under_contention(open_gate, lane_pools):
-    # lockstep batches with both lanes open, on more threads than cores: every report is
+def test_batches_under_contention(open_gate, lane_counts, lockstep_batches):
+    # lockstep batches on four lanes each, on more threads than cores: every report is
     # the one of its spec alone, so no outcome of a batch is lost or crossed
     batches = [[replace(GAUSS_SPEC, potential=Potential("gaussian", (g, width)))
                 for g in (0.05, 0.1, 0.2)] for width in (0.5, 1.0, 1.5, 2.0)]
     open_gate(min_dim=10 ** 9)
     serial = [[report_json(run_comparison(spec)) for spec in batch] for batch in batches]
-    open_gate(min_dim=0)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            laned = list(pool.map(lambda batch: [report_json(r) for r in run_comparisons(batch)],
-                                  batches, timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    assert lane_pools == [1] * len(batches)
+    # a threshold of 48 makes lane_batch_size(32) = 3: one lockstep and three one-shot tasks
+    open_gate(cores=4, min_dim=48)
+    lockstep_batches.clear()
+    laned = _contended(lambda batch: [report_json(r) for r in run_comparisons(batch)], batches)
+    assert lane_counts == [4] * len(batches)
+    assert lockstep_batches == [3] * len(batches)
     assert laned == serial
 
 
-def test_batch_of_mixed_shapes():
+def test_batch_of_mixed_shapes(monkeypatch):
     specs = [FREE_SPEC, GAUSS_SPEC]
+    with pytest.raises(DimensionMismatch):
+        run_comparisons(specs)
+    # in batches of one too, stepwise needs the first model's shape
+    monkeypatch.setattr(harness, "CONCURRENCY_MIN_DIM", 4)
     with pytest.raises(DimensionMismatch):
         run_comparisons(specs)
     # without stepwise each model runs alone
@@ -324,6 +332,7 @@ def _refusing_pool(max_workers):
     pytest.param({"blas_threads": None}, METHOD_TAGS, id="no-openblas"),
     pytest.param({"cores": 1}, METHOD_TAGS, id="one-core"),
     pytest.param({"min_dim": 33}, METHOD_TAGS, id="below-threshold"),
+    # one model with one kind of task is a single task
     pytest.param({}, ("stepwise",), id="stepwise-alone"),
     pytest.param({}, ("eriksen", "weakfield"), id="no-stepwise"),
 ])
@@ -338,19 +347,93 @@ def test_lane_gate_keeps_the_serial_loop(monkeypatch, open_gate, gate, methods):
         run_comparison(GAUSS_SPEC)
 
 
+def _strengths(count):
+    return [replace(GAUSS_SPEC, potential=Potential("gaussian", (0.02 * (k + 1), 1.0)))
+            for k in range(count)]
+
+
 @pytest.mark.parametrize("route", ["eriksen_transform", "stepwise_lockstep"],
-                         ids=["helper-lane", "calling-lane"])
-def test_lane_failure_propagates_and_joins(monkeypatch, open_gate, lane_pools, route):
-    open_gate()
+                         ids=["one-shot-task", "stepwise-task"])
+def test_lane_failure_propagates_and_joins(monkeypatch, open_gate, lane_counts, route):
+    # eight batches of one on four lanes; the route fails the first time it is called
+    open_gate(cores=4, min_dim=32)
+    calls = []
+    original = getattr(harness, route)
 
     def broken(*args, **kwargs):
-        raise RuntimeError("kernel failure")
+        calls.append(route)
+        if len(calls) == 1:
+            raise RuntimeError("kernel failure")
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(harness, route, broken)
+    built = []
+    model = harness._model
+    monkeypatch.setattr(harness, "_model", lambda spec: built.append(spec) or model(spec))
     baseline = threading.active_count()
     with pytest.raises(RuntimeError, match="kernel failure"):
-        run_comparison(GAUSS_SPEC)
-    assert lane_pools == [1]
+        run_comparisons(_strengths(8))
+    assert lane_counts == [4]
+    assert threading.active_count() == baseline
+    # the other lanes stop after their current task instead of draining the stream
+    assert len(built) < 8
+
+
+def _spy_open_models(monkeypatch):
+    """The most models at any time that were built and have no report yet."""
+    guard = threading.Lock()
+    state = {"open": 0, "most": 0}
+    model, report = harness._model, harness._report
+
+    def built(spec):
+        with guard:
+            state["open"] += 1
+            state["most"] = max(state["most"], state["open"])
+        return model(spec)
+
+    def reported(*args):
+        with guard:
+            state["open"] -= 1
+        return report(*args)
+
+    monkeypatch.setattr(harness, "_model", built)
+    monkeypatch.setattr(harness, "_report", reported)
+    return state
+
+
+@pytest.mark.parametrize("min_dim, size", [(32, 1), (40, 2)], ids=["batches-of-1", "batches-of-2"])
+@pytest.mark.parametrize("cores", [1, 2, 4])
+def test_lanes_build_batches_as_they_go(monkeypatch, open_gate, lane_counts, min_dim, size,
+                                        cores):
+    # at most one batch beyond those on the lanes has its models built
+    open_gate(cores=cores, min_dim=min_dim)
+    state = _spy_open_models(monkeypatch)
+    threads = set()
+    run_method = harness._run_method
+    monkeypatch.setattr(harness, "_run_method",
+                        lambda *args, **kwargs: threads.add(threading.get_ident())
+                        or run_method(*args, **kwargs))
+    assert len(run_comparisons(_strengths(8))) == 8
+    assert lane_counts == ([] if cores == 1 else [cores])
+    # the calling thread is one of the lanes
+    assert threading.get_ident() in threads and len(threads) <= cores
+    assert state["open"] == 0
+    assert state["most"] <= size * (cores + 1)
+
+
+def test_later_build_error_propagates_and_joins(monkeypatch, open_gate, lane_counts):
+    # the fifth of seven batches of one has a bad mass; no later batch is built
+    open_gate(cores=2, min_dim=32)
+    specs = _strengths(7)
+    specs[4] = replace(specs[4], mass=-1.0)
+    built = []
+    model = harness._model
+    monkeypatch.setattr(harness, "_model", lambda spec: built.append(spec) or model(spec))
+    baseline = threading.active_count()
+    with pytest.raises(ValueError, match="mass"):
+        run_comparisons(specs)
+    assert lane_counts == [2]
+    assert built == specs[:5]
     assert threading.active_count() == baseline
 
 
