@@ -52,6 +52,7 @@ from .exact_case import (
     sqrt_hd2_exact,
     u_fw_exact,
     weak_field_sqrt,
+    weak_field_transform,
 )
 from .fileio import (
     format_complex,

@@ -72,8 +72,9 @@ class DiagnosticSet:
 class FWResult:
     """A produced transform together with the transformed Hamiltonian.
 
-    Construction verifies unitarity: the diagnostics' ||U^H U - 1||_F must
-    not exceed UNITARY_TOL.
+    Construction verifies unitarity: the diagnostics' ||U^H U - 1||_F must not exceed
+    UNITARY_TOL, save for ``of(..., unitary=False)``, which the weak-field transform,
+    unitary only as far as its approximate root is exact, uses to report its defect.
     """
 
     transform: np.ndarray
@@ -81,16 +82,23 @@ class FWResult:
     diagnostics: DiagnosticSet
 
     @classmethod
-    def of(cls, u, h, grading: Grading) -> "FWResult":
-        """Result for transform ``u`` of ``h``, with u h u^H built once."""
+    def of(cls, u, h, grading: Grading, transformed=None, *, unitary=True) -> "FWResult":
+        """Result for transform ``u`` of ``h``; u h u^H is built once unless ``transformed``."""
         h = hamiltonian_spectrum(h, grading)
-        transformed = u @ h.matrix @ u.conj().T
-        return cls(u, transformed, compute_diagnostics(u, h, grading, transformed))
+        if transformed is None:
+            transformed = u @ h.matrix @ u.conj().T
+        diagnostics = compute_diagnostics(u, h, grading, transformed)
+        return (cls if unitary else _Approximate)(u, transformed, diagnostics)
 
     def __post_init__(self):
         defect = self.diagnostics.unitarity_residual
         if defect > UNITARY_TOL:
             raise NotUnitary(f"||U^H U - 1||_F = {defect:.3e} exceeds {UNITARY_TOL:.1e}")
+
+
+class _Approximate(FWResult):
+    def __post_init__(self):
+        """No unitarity check: a result of ``FWResult.of(..., unitary=False)``."""
 
 
 def eriksen_condition_residual(u, grading: Grading) -> float:
@@ -101,20 +109,15 @@ def eriksen_condition_residual(u, grading: Grading) -> float:
 
 
 def exponent_oddness(u, grading: Grading) -> tuple[float, float]:
-    """Oddness and Hermiticity residuals of the generator S = -i log U.
+    """Oddness residual of the generator S = -i log U, and 0.0.
 
-    Returns ``(odd_residual, hermiticity_residual)`` where the first is
-    ||(S + beta S beta) / 2||_F / max(||S||_F, floor), i.e. the relative
-    weight of the even (block-diagonal) component of S, and the second is
-    ||S - S^H||_F / max(||S||_F, floor).
-
-    Raises whatever ``unitary_log`` raises for unusable input.
+    The first entry is ||(S + beta S beta) / 2||_F / max(||S||_F, floor), the
+    relative weight of the even (block-diagonal) component of S.  The second,
+    S's Hermiticity residual, is 0.0 bit for bit, since ``unitary_log`` returns
+    a hermitized S.  Raises whatever ``unitary_log`` raises for unusable input.
     """
-    u = grading.check(np.asarray(u, dtype=complex))
-    s = unitary_log(u)
-    odd_residual = relative_norm(even_projection(s, grading), s)
-    hermiticity_residual = relative_norm(s - s.conj().T, s)
-    return odd_residual, hermiticity_residual
+    s = unitary_log(grading.check(np.asarray(u, dtype=complex)))
+    return relative_norm(even_projection(s, grading), s), 0.0
 
 
 def compute_diagnostics(u, h, grading: Grading, transformed) -> DiagnosticSet:
@@ -131,7 +134,8 @@ def compute_diagnostics(u, h, grading: Grading, transformed) -> DiagnosticSet:
     spectrum_after = np.linalg.eigvalsh(0.5 * (transformed + transformed.conj().T))
     drift = float(np.max(np.abs(spectrum_after - h.w))) / max(frobenius(h.matrix), NORM_FLOOR)
     try:
-        odd_residual, _ = exponent_oddness(u, grading)
+        s = unitary_log(u, defect=unitarity)
+        odd_residual = relative_norm(even_projection(s, grading), s)
     except FWLabError:
         odd_residual = None
     return DiagnosticSet(unitarity, condition, blockness, odd_residual, drift)

@@ -17,9 +17,9 @@ The closed root coincides with the principal root only while it stays
 positive; a strong even part pushes it onto another branch, which is
 reported as OutsideValidityDomain.
 
-``weak_field_sqrt`` keeps the anticommutator term and one double
-commutator of eps with E.  It needs no commutation assumption and
-collapses to the closed root whenever [E, O] = 0.
+``weak_field_sqrt`` keeps the anticommutator term and one double commutator
+of eps with E.  It needs no commutation assumption, collapses to the closed
+root whenever [E, O] = 0, and ``weak_field_transform`` builds its transform.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import NORM_FLOOR, DiracDecomposition, anticommutator, commutator, frobenius
-from .eriksen import FWResult
+from .algebra import NORM_FLOOR, DiracDecomposition, Grading, anticommutator, commutator, frobenius
+from .eriksen import FWResult, hamiltonian_spectrum
 from .errors import NotCommuting, OutsideValidityDomain, SingularOperand
-from .matfunc import check_gap, even_function, odd_rotation
+from .matfunc import Spectrum, check_gap, even_function, inv_sqrt, odd_rotation
 
 # Commutation residual below which the closed forms are trusted.
 COMMUTE_TOL = 1e-12
@@ -128,3 +128,22 @@ def weak_field_sqrt(d: DiracDecomposition) -> np.ndarray:
     nested = commutator(eps, commutator(eps, d.even_part))
     second = 0.125 * anticommutator(core @ eps_inv, nested)
     return eps + first - second
+
+
+def weak_field_transform(h, root, grading: Grading) -> FWResult:
+    """Transform of ``h`` (H or its Spectrum) induced by an approximate root R of H^2.
+
+    With lambda_w = H R^(-1) and K_w = 1 + (beta lambda_w + lambda_w beta - 2)/4,
+    U = (1/2)(1 + beta lambda_w) [(K_w + K_w^H)/2]^(-1/2), as K_w is not Hermitian off the
+    commuting case.  U is only as unitary as R is exact, and its diagnostics show that, so
+    the result skips the NotUnitary check.  OutsideValidityDomain when R fails ``check_gap``.
+    """
+    h = hamiltonian_spectrum(h, grading)
+    root = Spectrum.of(0.5 * (root + root.conj().T))
+    check_gap(root.w, OutsideValidityDomain, "smallest eigenvalue of the approximate root")
+    lam = h.matrix @ root.apply(np.reciprocal)
+    beta_lam = grading.signs[:, None] * lam
+    eye = np.eye(grading.dim, dtype=complex)
+    core = eye + 0.25 * (beta_lam + lam * grading.signs - 2.0 * eye)
+    u = 0.5 * (eye + beta_lam) @ inv_sqrt(0.5 * (core + core.conj().T))
+    return FWResult.of(u, h, grading, unitary=False)

@@ -1,10 +1,11 @@
 """Runs the transform catalog over a list of models and serializes each outcome.
 
-A comparison report holds one row per requested method (diagnostics or an
-error record, never both), cross rows with pairwise disagreements of the
-produced transforms and transformed Hamiltonians, and model context.  The
-JSON form is deterministic: stable key order, shortest round-trip floats,
-and no timing data unless explicitly requested.
+Every method is a route in ``ROUTES`` that returns an ``FWResult``, so all are
+run, timed and recorded alike.  A comparison report holds one row per requested
+method (diagnostics or an error record, never both), cross rows with pairwise
+disagreements of the produced transforms and transformed Hamiltonians, and
+model context.  The JSON form is deterministic: stable key order, shortest
+round-trip floats, and no timing data unless explicitly requested.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .algebra import frobenius, relative_norm
-from .eriksen import DiagnosticSet, compute_diagnostics, eriksen_transform, eriksen_transform_alt
-from .errors import FWLabError, OutsideValidityDomain
-from .exact_case import COMMUTE_TOL, check_commutation, u_fw_exact, weak_field_sqrt
-from .matfunc import Spectrum, check_gap, inv_sqrt, spectral_gap
+from .eriksen import DiagnosticSet, eriksen_transform, eriksen_transform_alt
+from .errors import FWLabError
+from .exact_case import (COMMUTE_TOL, check_commutation, u_fw_exact, weak_field_sqrt,
+                         weak_field_transform)
+from .matfunc import Spectrum, spectral_gap
 from .models import ModelSpec, build_model
 from .fileio import write_text
 from .stepwise import ToleranceConfig, stepwise_lockstep
@@ -109,46 +111,34 @@ class ComparisonReport:
         raise KeyError(method)
 
 
-def _weak_field_row(decomposition, h, grading, row: MethodRow):
-    """Approximate-root route: diagnostics of the transform it induces.
+def _stepwise(h, decomposition, extras, finish):
+    result, trace = finish()
+    extras.update(converged=trace.converged, stop_reason=trace.stop_reason,
+                  iterations=len(trace.iterations))
+    return result
 
-    The approximate root R replaces sqrt(H^2): with lambda_w = H R^(-1) and
-    K_w = 1 + (beta lambda_w + lambda_w beta - 2)/4, U = (1/2)(1 + beta
-    lambda_w) [(K_w + K_w^H)/2]^(-1/2), since off the commuting case K_w is
-    not Hermitian.  U is then only approximately unitary, which is what the
-    diagnostics are meant to show, so the unitary result wrapper is
-    bypassed on purpose.  The reference root is |H|.  Returns
-    (U, U H U^H); OutsideValidityDomain when the root fails ``check_gap``.
-    """
-    h = Spectrum.of(h)
+
+def _weak_field(h, decomposition, extras, finish):
+    # the root's error against |H| goes into the row even when the root fails its gap check
     root = weak_field_sqrt(decomposition)
     reference = h.apply(np.abs)
-    row.extras["sqrt_relative_error"] = relative_norm(root - reference, reference)
-    root = Spectrum.of(0.5 * (root + root.conj().T))
-    check_gap(root.w, OutsideValidityDomain, "smallest eigenvalue of the approximate root")
-    lam = h.matrix @ root.apply(np.reciprocal)
-    beta_lam = grading.signs[:, None] * lam
-    eye = np.eye(grading.dim, dtype=complex)
-    core = eye + 0.25 * (beta_lam + lam * grading.signs - 2.0 * eye)
-    u = 0.5 * (eye + beta_lam) @ inv_sqrt(0.5 * (core + core.conj().T))
-    transformed = u @ h.matrix @ u.conj().T
-    row.diagnostics = compute_diagnostics(u, h, grading, transformed)
-    return u, transformed
+    extras["sqrt_relative_error"] = relative_norm(root - reference, reference)
+    return weak_field_transform(h, root, decomposition.grading)
 
 
-# The method catalog, in report order; _run_method's if/elif chain dispatches on it.
-METHOD_ERIKSEN = "eriksen"
-METHOD_ERIKSEN_ALT = "eriksenalt"
-METHOD_EXACT_CASE = "exactcase"
-METHOD_STEPWISE = "stepwise"
-METHOD_WEAK_FIELD = "weakfield"
-METHOD_TAGS = (
-    METHOD_ERIKSEN,
-    METHOD_ERIKSEN_ALT,
-    METHOD_EXACT_CASE,
-    METHOD_STEPWISE,
-    METHOD_WEAK_FIELD,
-)
+# The method catalog, in report order: tag -> route (H's Spectrum, decomposition, the row's
+# extras, finish) -> FWResult, where finish ends a stepwise run in ``stepwise_lockstep``.
+# A route looks its function up in this module when called, so a wrapper set here is seen.
+ROUTES = {
+    "eriksen": lambda h, d, extras, finish: eriksen_transform(h, d.grading),
+    "eriksenalt": lambda h, d, extras, finish: eriksen_transform_alt(h, d.grading),
+    "exactcase": lambda h, d, extras, finish: u_fw_exact(d, h=h),
+    "stepwise": _stepwise,
+    "weakfield": _weak_field,
+}
+METHOD_TAGS = tuple(ROUTES)
+(METHOD_ERIKSEN, METHOD_ERIKSEN_ALT, METHOD_EXACT_CASE, METHOD_STEPWISE,
+ METHOD_WEAK_FIELD) = METHOD_TAGS
 
 # Lanes open from count * dim^2 >= CONCURRENCY_MIN_DIM^2 (one model at dim 128, 16 at dim 32);
 # below, threads contend for the GIL.
@@ -209,29 +199,14 @@ def _lane_count(tasks: int, count: int, dim: int) -> int:
     return min(cores or 1, tasks) if {get() for get, _ in _loaded_openblas()} == {1} else 1
 
 
-def _run_method(method, h, grading, decomposition, finish=None):
-    """One method's row and its (U, U H U^H); None in place of the pair after a failure.
-    Stepwise calls ``finish``, which ends the model's run in ``stepwise_lockstep``."""
-    row = MethodRow(method=method)
-    pair = None
+def _run_method(method, h, decomposition, finish=None):
+    """One method's row and its (U, U H U^H); None in place of the pair after a failure."""
+    row, pair = MethodRow(method=method), None
     started = time.perf_counter()
     try:
-        if method == METHOD_ERIKSEN:
-            result = eriksen_transform(h, grading)
-        elif method == METHOD_ERIKSEN_ALT:
-            result = eriksen_transform_alt(h, grading)
-        elif method == METHOD_EXACT_CASE:
-            result = u_fw_exact(decomposition, h=h)
-        elif method == METHOD_STEPWISE:
-            result, trace = finish()
-            row.extras["converged"] = trace.converged
-            row.extras["stop_reason"] = trace.stop_reason
-            row.extras["iterations"] = len(trace.iterations)
-        else:
-            pair = _weak_field_row(decomposition, h, grading, row)
-        if method != METHOD_WEAK_FIELD:
-            row.diagnostics = result.diagnostics
-            pair = result.transform, result.transformed_hamiltonian
+        result = ROUTES[method](h, decomposition, row.extras, finish)
+        row.diagnostics = result.diagnostics
+        pair = result.transform, result.transformed_hamiltonian
     except FWLabError as exc:
         row.error = str(exc)
         row.error_type = type(exc).__name__
@@ -240,7 +215,7 @@ def _run_method(method, h, grading, decomposition, finish=None):
 
 
 def _model(spec: ModelSpec):
-    """[Spectrum of H, grading, decomposition, context] of one spec."""
+    """[Spectrum of H, decomposition, context] of one spec."""
     h, grading, decomposition = build_model(spec)
     h = Spectrum.of(h)
     context = ReportContext(
@@ -251,7 +226,7 @@ def _model(spec: ModelSpec):
         even_strength_ratio=frobenius(decomposition.even_part)
         / (spec.mass * np.sqrt(grading.dim)),
     )
-    return [h, grading, decomposition, context]
+    return [h, decomposition, context]
 
 
 def _report(spec, context, outcomes, tolerances) -> ComparisonReport:
@@ -296,7 +271,7 @@ def run_comparisons(specs, methods=METHOD_TAGS,
     if not specs:
         return []
     models = [_model(specs[0])] + [None] * (len(specs) - 1)
-    grading = models[0][1]
+    grading = models[0][1].grading
     count = max(1, len(specs) // lane_batch_size(grading.dim))
     outcomes = [dict.fromkeys(methods) for _ in specs]
     reports = [None] * len(specs)
@@ -307,21 +282,21 @@ def run_comparisons(specs, methods=METHOD_TAGS,
             outcomes[i].update(produced)
             complete = None not in outcomes[i].values()
         if complete:
-            reports[i] = _report(specs[i], models[i][3], outcomes[i], tolerances)
+            reports[i] = _report(specs[i], models[i][2], outcomes[i], tolerances)
             models[i] = outcomes[i] = None
 
     def stepwise(batch):
         started = time.perf_counter()
         for slot, finish in stepwise_lockstep([models[i][0] for i in batch], grading,
                                               [specs[i].mass for i in batch], tolerances):
-            row, pair = _run_method(METHOD_STEPWISE, *models[batch[slot]][:3], finish=finish)
+            row, pair = _run_method(METHOD_STEPWISE, *models[batch[slot]][:2], finish)
             row.wall_time_seconds = time.perf_counter() - started
             record(batch[slot], {METHOD_STEPWISE: (row, pair)})
 
     def others(i):
-        h, model_grading, decomposition, _ = models[i]
-        models[i][2] = None  # only the one-shot routes read it
-        record(i, {m: _run_method(m, h, model_grading, decomposition) for m in one_shot})
+        h, decomposition, _ = models[i]
+        models[i][1] = None  # only the one-shot routes read it
+        record(i, {m: _run_method(m, h, decomposition) for m in one_shot})
 
     def stream():  # advanced under the lock, so a batch is built when its first task is taken
         for k in range(count):

@@ -128,7 +128,7 @@ def sign_operator(h) -> np.ndarray:
     return require_gap(h).apply(np.sign)
 
 
-def unitary_log(u) -> np.ndarray:
+def unitary_log(u, *, defect=None) -> np.ndarray:
     """Hermitian generator S with u = exp(i S) and eigenvalues in (-pi, pi).
 
     A numerically unitary u is normal, so its Cayley transform
@@ -136,15 +136,15 @@ def unitary_log(u) -> np.ndarray:
     one eigh T = Q diag(w) Q^H gives S = Q diag(2 arctan w) Q^H.  For an
     eigenphase within delta of +-pi the relative error of S grows like
     eps / delta (about 1e-12 at delta = 1e-4, 1e-8 near BRANCH_MARGIN).
-    Raises NotUnitary if u is non-finite or ||u^H u - 1||_F exceeds
-    UNITARY_TOL, and BranchCutProximity if 1 + u is singular or an
-    eigenphase lies within BRANCH_MARGIN of +-pi.
+    Raises NotUnitary if u is non-finite or ||u^H u - 1||_F (``defect`` if
+    the caller measured it) exceeds UNITARY_TOL, and BranchCutProximity if
+    1 + u is singular or an eigenphase lies within BRANCH_MARGIN of +-pi.
     """
     u = np.asarray(u, dtype=complex)
     if not np.isfinite(u).all():
         raise NotUnitary("U has non-finite entries")
     eye = np.eye(u.shape[0])
-    defect = frobenius(u.conj().T @ u - eye)
+    defect = frobenius(u.conj().T @ u - eye) if defect is None else defect
     if not defect <= UNITARY_TOL:
         raise NotUnitary(f"||U^H U - 1||_F = {defect:.3e} exceeds {UNITARY_TOL:.1e}")
     try:

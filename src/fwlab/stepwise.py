@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from .algebra import NORM_FLOOR, Grading, frobenius, require_mass
-from .eriksen import FWResult, compute_diagnostics, hamiltonian_spectrum
+from .eriksen import FWResult, hamiltonian_spectrum
 from .matfunc import odd_exp
 
 # The run stagnates when the odd ratio fails to shrink by this factor
@@ -85,9 +85,8 @@ def _finish(spectrum, grading: Grading, frame, rows, stop_reason):
         current = 0.5 * (current + current.conj().T)
     else:
         composite, current = np.eye(grading.dim, dtype=complex), spectrum.matrix
-    diagnostics = compute_diagnostics(composite, spectrum, grading, current)
     trace = StepwiseTrace(tuple(rows), stop_reason == STOP_TOLERANCE, stop_reason)
-    return FWResult(composite, current, diagnostics), trace
+    return FWResult.of(composite, spectrum, grading, current), trace
 
 
 def stepwise_lockstep(hamiltonians, grading: Grading, masses,

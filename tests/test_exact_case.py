@@ -3,6 +3,7 @@ import pytest
 
 from fwlab import (
     DiracDecomposition,
+    FWResult,
     Grading,
     build_free_particle,
     build_lattice_1d,
@@ -18,8 +19,9 @@ from fwlab import (
     sqrt_hd2_exact,
     u_fw_exact,
     weak_field_sqrt,
+    weak_field_transform,
 )
-from fwlab.errors import NotCommuting, OutsideValidityDomain, SingularOperand
+from fwlab.errors import NotCommuting, NotUnitary, OutsideValidityDomain, SingularOperand
 from fwlab.models import DIRAC_ALPHA, DIRAC_BETA, Potential
 
 from oracles import epsilon_operator, principal_sqrt
@@ -159,3 +161,22 @@ def test_weak_field_accepts_non_commuting():
     root = weak_field_sqrt(d)
     exact = principal_sqrt(h @ h)
     assert relative_norm(root - exact, exact) <= 1e-3
+
+
+def test_weak_field_transform_reports_its_defect():
+    # off the commuting case U is only approximately unitary: the result carries the
+    # defect, where the default gate of FWResult.of refuses the same U
+    h, g, d = build_lattice_1d(16, 8.0, 1.0, Potential("gaussian", (0.1, 1.0)))
+    result = weak_field_transform(h, weak_field_sqrt(d), g)
+    assert result.diagnostics.unitarity_residual > 1e-6
+    with pytest.raises(NotUnitary):
+        FWResult.of(result.transform, h, g)
+
+
+def test_weak_field_transform_is_eriksen_on_commuting(commuting_suite):
+    # measured 2.2e-15 at worst
+    for spec, h, g, d in commuting_suite:
+        weak = weak_field_transform(h, weak_field_sqrt(d), g).transform
+        exact = eriksen_transform(h, g).transform
+        assert relative_norm(weak - exact, exact) <= 1e-12, spec.describe()
+    assert len(commuting_suite) == 33

@@ -81,6 +81,19 @@ def test_weak_field_row_shows_nonunitarity():
     assert row.diagnostics.exponent_odd_residual is None
 
 
+def test_routes_call_their_module_functions_at_run_time(monkeypatch):
+    # a wrapper set in harness's namespace, as a tracer sets one, is the function each route calls
+    calls = Counter()
+    for name in ("eriksen_transform", "weak_field_transform"):
+        original = getattr(harness, name)
+        monkeypatch.setattr(harness, name, lambda *args, original=original, name=name, **kwargs:
+                            calls.update([name]) or original(*args, **kwargs))
+    report = run_comparison(GAUSS_SPEC)
+    assert calls == {"eriksen_transform": 1, "weak_field_transform": 1}
+    assert report.row("eriksen").diagnostics is not None
+    assert report.row("weakfield").diagnostics is not None
+
+
 def test_weak_field_failure_row():
     # a strong well drives the approximate root indefinite
     spec = replace(GAUSS_SPEC, potential=Potential("gaussian", (2.0, 1.0)))

@@ -36,8 +36,9 @@ from fwlab import (
     stepwise_fw,
     u_fw_exact,
     unitary_log,
+    weak_field_sqrt,
+    weak_field_transform,
 )
-from fwlab.harness import METHOD_WEAK_FIELD, MethodRow, _weak_field_row
 from fwlab.matfunc import BRANCH_MARGIN, GAP_RTOL
 from fwlab.errors import (
     BranchCutProximity,
@@ -413,8 +414,8 @@ def test_unitary_log_matches_schur_on_suite_transforms(full_suite):
         ]
         if check_commutation(decomposition).is_commuting:
             transforms.append(u_fw_exact(decomposition).transform)
-            row = MethodRow(METHOD_WEAK_FIELD)
-            transforms.append(_weak_field_row(decomposition, h, grading, row)[0])
+            root = weak_field_sqrt(decomposition)
+            transforms.append(weak_field_transform(h, root, grading).transform)
         for u in transforms:
             oracle = _schur_log(u)
             assert relative_norm(unitary_log(u) - oracle, oracle) <= 1e-13, spec.describe()
