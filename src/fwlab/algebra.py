@@ -31,17 +31,26 @@ def frobenius(a) -> float:
     return float(np.linalg.norm(a, "fro"))
 
 
+def adjoint(a):
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
 def relative_norm(num, den) -> float:
     """Frobenius norm of ``num`` relative to that of ``den``, floored."""
     return frobenius(num) / max(frobenius(den), NORM_FLOOR)
 
 
 def commutator(a, b):
-    return a @ b - b @ a
+    out = a @ b
+    out -= b @ a
+    return out
 
 
 def anticommutator(a, b):
-    return a @ b + b @ a
+    out = a @ b
+    out += b @ a
+    return out
 
 
 def hermiticity_defect(a) -> float:
@@ -84,9 +93,9 @@ class Grading:
             )
 
     def check(self, a) -> np.ndarray:
-        """Return ``a`` as an ndarray after verifying its shape."""
+        """Return ``a`` as an ndarray after verifying its shape, or each shape of a stack."""
         a = np.asarray(a)
-        if a.shape != (self.dim, self.dim):
+        if a.shape[-2:] != (self.dim, self.dim):
             raise DimensionMismatch(
                 f"expected a {self.dim}x{self.dim} matrix, got shape {a.shape}"
             )
@@ -148,11 +157,6 @@ class DiracDecomposition:
         require_hermitian(o, "odd part")
         object.__setattr__(self, "even_part", e)
         object.__setattr__(self, "odd_part", o)
-
-    @cached_property
-    def odd_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """SVD (P, sigma, Q^H) of the upper-right block B of O = [[0, B], [B^H, 0]], taken once."""
-        return np.linalg.svd(self.odd_part[:self.grading.upper_dim, self.grading.upper_dim:])
 
     @cached_property
     def commutator_norm(self) -> float:

@@ -14,7 +14,8 @@ rotation exp [[0, C], [-C^H, 0]], C = P diag(theta) Q^H.  K has the
 eigenvalues cos^2 theta_i, each twice, so U exists exactly when X is
 regular.  The polar form U = P Q^H of the SVD 1 + beta lambda = P Sigma Q^H
 is coded separately from lambda as a cross-check.  Entry points taking H
-also accept its ``Spectrum``.
+also accept its ``Spectrum``.  Each route runs on a stack of models too, one
+LAPACK call per kernel, and ``diagnose`` measures a stack as one.
 
 A transform of this family also has a Hermitian generator S = -i log U
 that is odd (anticommutes with beta).  Multi-step schemes produce unitary
@@ -28,20 +29,17 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .algebra import (NORM_FLOOR, Grading, even_projection, frobenius, odd_norm_ratio,
-                      relative_norm, require_hermitian)
+from .algebra import (NORM_FLOOR, Grading, adjoint, even_projection, frobenius, odd_norm_ratio,
+                      relative_norm)
 from .errors import DegenerateFactor, FWLabError, NotUnitary, SingularOperand
-from .matfunc import (UNITARY_TOL, Spectrum, check_gap, odd_rotation, require_gap,
-                      sign_operator, unitary_log)
+from .matfunc import (UNITARY_TOL, Slices, Spectrum, _hermitize, check_gap, odd_rotation,
+                      require_gap, unitary_log)
 
 
 def hamiltonian_spectrum(h, grading: Grading) -> Spectrum:
     """Spectrum of a Hamiltonian of the grading's shape; a matrix must be finite and Hermitian."""
-    if isinstance(h, Spectrum):
-        grading.check(h.matrix)
-        return h
-    h = require_hermitian(grading.check(np.asarray(h, dtype=complex)), "Hamiltonian")
-    return Spectrum(h, *np.linalg.eigh(h))
+    grading.check(h.matrix if isinstance(h, Spectrum) else h)
+    return Spectrum.of(h, "Hamiltonian")
 
 
 @dataclass(frozen=True)
@@ -85,10 +83,10 @@ class FWResult:
     def of(cls, u, h, grading: Grading, transformed=None, *, unitary=True) -> "FWResult":
         """Result for transform ``u`` of ``h``; u h u^H is built once unless ``transformed``."""
         h = hamiltonian_spectrum(h, grading)
+        u = grading.check(np.asarray(u, dtype=complex))
         if transformed is None:
-            transformed = u @ h.matrix @ u.conj().T
-        diagnostics = compute_diagnostics(u, h, grading, transformed)
-        return (cls if unitary else _Approximate)(u, transformed, diagnostics)
+            transformed = u @ h.matrix @ adjoint(u)
+        return diagnose(Slices(1), h[None], u[None], transformed[None], grading, unitary)[0]
 
     def __post_init__(self):
         defect = self.diagnostics.unitarity_residual
@@ -101,11 +99,26 @@ class _Approximate(FWResult):
         """No unitarity check: a result of ``FWResult.of(..., unitary=False)``."""
 
 
+def diagnose(slices: Slices, h, u, transformed, grading: Grading, unitary=True) -> list:
+    """FWResults of stacks ``h`` (a Spectrum), ``u`` and ``transformed``, in slice order; a slice
+    failing the NotUnitary gate (unless not ``unitary``) leaves ``slices``."""
+    diagnostics, results = compute_diagnostics(u, h, grading, transformed), []
+    kind = FWResult if unitary else _Approximate
+    slices.gate(lambda slot: results.append(kind(u[slot], transformed[slot], diagnostics[slot])))
+    return results
+
+
+def _alone(route, h, grading: Grading, unitary=True) -> FWResult:
+    """FWResult of ``route(slices, stack of H)`` -> (H, U, U H U^H) stacks on one model."""
+    h, u, transformed = route(Slices(1), hamiltonian_spectrum(h, grading)[None])
+    return FWResult.of(u[0], h[0], grading, transformed[0], unitary=unitary)
+
+
 def eriksen_condition_residual(u, grading: Grading) -> float:
     """Relative Frobenius residual of the adjoint condition beta U = U^H beta."""
     u = grading.check(np.asarray(u, dtype=complex))
     signs = grading.signs
-    return relative_norm(signs[:, None] * u - u.conj().T * signs, u)
+    return relative_norm(signs[:, None] * u - adjoint(u) * signs, u)
 
 
 def exponent_oddness(u, grading: Grading) -> tuple[float, float]:
@@ -120,52 +133,72 @@ def exponent_oddness(u, grading: Grading) -> tuple[float, float]:
     return relative_norm(even_projection(s, grading), s), 0.0
 
 
-def compute_diagnostics(u, h, grading: Grading, transformed) -> DiagnosticSet:
+def compute_diagnostics(u, h, grading: Grading, transformed):
     """Evaluate the full diagnostic set for a transform of ``h``.
 
     ``spectrum_drift`` is the largest sorted-eigenvalue displacement between
-    ``h`` and ``transformed`` = u h u^H, relative to ||h||_F.
+    ``h`` and ``transformed`` = u h u^H, relative to ||h||_F.  On stacks (``h``
+    a stacked Spectrum) it gives a list, each norm taken on its own slice.
     """
-    u = grading.check(np.asarray(u, dtype=complex))
-    h = hamiltonian_spectrum(h, grading)
-    unitarity = frobenius(u.conj().T @ u - np.eye(grading.dim))
-    condition = eriksen_condition_residual(u, grading)
-    blockness = odd_norm_ratio(transformed, grading)
-    spectrum_after = np.linalg.eigvalsh(0.5 * (transformed + transformed.conj().T))
-    drift = float(np.max(np.abs(spectrum_after - h.w))) / max(frobenius(h.matrix), NORM_FLOOR)
+    if np.ndim(u) == 2:
+        return compute_diagnostics(grading.check(np.asarray(u, dtype=complex))[None],
+                                   hamiltonian_spectrum(h, grading)[None], grading,
+                                   np.asarray(transformed)[None])[0]
+    gram = adjoint(u) @ u
+    gram -= np.eye(grading.dim)
+    unitarity = [frobenius(x) for x in gram]
+    del gram
+    condition = [eriksen_condition_residual(x, grading) for x in u]
+    blockness = [odd_norm_ratio(x, grading) for x in transformed]
+    after = np.linalg.eigvalsh(_hermitize(transformed))
+    drift = [float(np.max(np.abs(a - w))) / max(frobenius(x), NORM_FLOOR)
+             for a, w, x in zip(after, h.w, h.matrix)]
+    slices = Slices(len(u))
     try:
-        s = unitary_log(u, defect=unitarity)
-        odd_residual = relative_norm(even_projection(s, grading), s)
+        s = unitary_log(u, defect=unitarity, slices=slices)
+        oddness = dict(zip(slices.index, (relative_norm(x, y) for x, y in
+                                          zip(even_projection(s, grading), s))))
     except FWLabError:
-        odd_residual = None
-    return DiagnosticSet(unitarity, condition, blockness, odd_residual, drift)
+        oddness = {}
+    return [DiagnosticSet(*values, oddness.get(slot), drift[slot])
+            for slot, values in enumerate(zip(unitarity, condition, blockness))]
 
 
-def eriksen_transform(h, grading: Grading) -> FWResult:
+def eriksen_transform(h, grading: Grading, slices: Slices | None = None):
     """Build the transform as the direct rotation of the positive eigenvectors of ``h``.
 
     One n x n solve gives T^H = X^(-H) Y^H, one n x n SVD its angles.
     SingularHamiltonian comes from the sign operator's gap rule;
     SingularOperand when H has not n positive eigenvalues, X is singular, or
-    min cos^2 theta, the smallest eigenvalue of K, fails ``check_gap``.
+    min cos^2 theta, the smallest eigenvalue of K, fails ``check_gap``.  With
+    ``slices``, (H, U, U H U^H) stacks of a stacked Spectrum ``h``.
     """
-    h = require_gap(hamiltonian_spectrum(h, grading))
+    if slices is None:
+        return _alone(lambda slices, h: eriksen_transform(h, grading, slices), h, grading)
     n = grading.upper_dim
-    positive = h.v[:, h.w > 0.0]
-    if positive.shape[1] != n:
-        raise SingularOperand(f"H has {positive.shape[1]} positive eigenvalues, "
-                              f"the upper block {n}")
-    x, y = positive[:n], positive[n:]
-    try:
-        p, tan, qh = np.linalg.svd(np.linalg.solve(x.conj().T, y.conj().T))
-    except np.linalg.LinAlgError as exc:
-        raise SingularOperand("the upper block of the positive eigenvectors is singular") from exc
+    h, = slices.gate(lambda slot: require_gap(h[slot]), h)
+
+    def upper(slot):
+        count = int(np.count_nonzero(h.w[slot] > 0.0))
+        if count != n:
+            raise SingularOperand(f"H has {count} positive eigenvalues, the upper block {n}")
+
+    h, = slices.gate(upper, h)
+    # the positive eigenvectors [X; Y] are the last n columns, as eigh sorts w
+    t, h = slices.solve(adjoint(h.v[:, :n, n:]), adjoint(h.v[:, n:, n:]), SingularOperand,
+                        "the upper block of the positive eigenvectors is singular", h)
+    p, tan, qh = np.linalg.svd(t)
     theta = np.arctan(tan)
-    check_gap(np.cos(theta) ** 2, SingularOperand, "smallest cos^2 theta")
-    return FWResult.of(odd_rotation(p, theta, qh), h, grading)
+    cos2 = np.cos(theta) ** 2
+    h, p, theta, qh = slices.gate(
+        lambda slot: check_gap(cos2[slot], SingularOperand, "smallest cos^2 theta"),
+        h, p, theta, qh)
+    u = odd_rotation(p, theta, qh)
+    del p, qh
+    return h, u, u @ h.matrix @ adjoint(u)
 
 
-def eriksen_transform_alt(h, grading: Grading) -> FWResult:
+def eriksen_transform_alt(h, grading: Grading, slices: Slices | None = None):
     """Polar-form variant U = F (F^H F)^(-1/2) with F = 1 + beta lambda.
 
     Algebraically identical to ``eriksen_transform`` but coded on an
@@ -173,11 +206,18 @@ def eriksen_transform_alt(h, grading: Grading) -> FWResult:
     F = P Sigma Q^H.  Since F^H F = 4 K, (Sigma / 2)^2 are the values
     cos^2 theta that ``eriksen_transform`` tests, and DegenerateFactor is
     raised when they fail the same ``check_gap``, so both routes refuse the
-    same models.
+    same models.  ``slices`` as for ``eriksen_transform``.
     """
-    h = hamiltonian_spectrum(h, grading)
-    lam = sign_operator(h)
-    factor = np.eye(grading.dim, dtype=complex) + grading.signs[:, None] * lam
+    if slices is None:
+        return _alone(lambda slices, h: eriksen_transform_alt(h, grading, slices), h, grading)
+    h, = slices.gate(lambda slot: require_gap(h[slot]), h)
+    factor = grading.signs[:, None] * h.apply(np.sign)  # lambda, the sign operator
+    factor += np.eye(grading.dim, dtype=complex)
     p, sigma, qh = np.linalg.svd(factor)
-    check_gap((0.5 * sigma) ** 2, DegenerateFactor, "smallest (sigma / 2)^2 of 1 + beta*lambda")
-    return FWResult.of(p @ qh, h, grading)
+    del factor
+    quarter = (0.5 * sigma) ** 2
+    h, p, qh = slices.gate(lambda slot: check_gap(
+        quarter[slot], DegenerateFactor, "smallest (sigma / 2)^2 of 1 + beta*lambda"), h, p, qh)
+    u = p @ qh
+    del p, qh
+    return h, u, u @ h.matrix @ adjoint(u)

@@ -1,8 +1,9 @@
 """Runs the transform catalog over a list of models and serializes each outcome.
 
-Every method is a route in ``ROUTES`` that returns an ``FWResult``, so all are
-run, timed and recorded alike.  A comparison report holds one row per requested
-method (diagnostics or an error record, never both), cross rows with pairwise
+Every method is a route in ``ROUTES`` that gives each model of a batch
+(U, U H U^H) or its error, and the scheduler diagnoses the route's stack as
+one, so all are run, timed and recorded alike.  A comparison report holds one
+row per requested method (diagnostics or an error record, never both), cross rows with pairwise
 disagreements of the produced transforms and transformed Hamiltonians, and
 model context.  The JSON form is deterministic: stable key order, shortest
 round-trip floats, and no timing data unless explicitly requested.
@@ -12,21 +13,23 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 import json
 import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
+from types import SimpleNamespace
 
 import numpy as np
 
-from .algebra import frobenius, relative_norm
-from .eriksen import DiagnosticSet, eriksen_transform, eriksen_transform_alt
+from .algebra import frobenius, relative_norm, require_hermitian
+from .eriksen import DiagnosticSet, diagnose, eriksen_transform, eriksen_transform_alt
 from .errors import FWLabError
-from .exact_case import (COMMUTE_TOL, check_commutation, u_fw_exact, weak_field_sqrt,
+from .exact_case import (COMMUTE_TOL, ModelStack, check_commutation, u_fw_exact, weak_field_sqrt,
                          weak_field_transform)
-from .matfunc import Spectrum, spectral_gap
+from .matfunc import Slices, Spectrum, spectral_gap
 from .models import ModelSpec, build_model
 from .fileio import write_text
 from .stepwise import ToleranceConfig, stepwise_lockstep
@@ -111,34 +114,42 @@ class ComparisonReport:
         raise KeyError(method)
 
 
-def _stepwise(h, decomposition, extras, finish):
-    result, trace = finish()
-    extras.update(converged=trace.converged, stop_reason=trace.stop_reason,
-                  iterations=len(trace.iterations))
-    return result
+def _stepwise(slices, batch, extras):
+    u, transformed, traces = stepwise_lockstep(batch.h, batch.grading, batch.masses,
+                                               batch.tolerances)
+    for row_extras, trace in zip(extras, traces):
+        row_extras.update(converged=trace.converged, stop_reason=trace.stop_reason,
+                          iterations=len(trace.iterations))
+    return batch.h, u, transformed
 
 
-def _weak_field(h, decomposition, extras, finish):
+def _weak_field(slices, batch, extras):
     # the root's error against |H| goes into the row even when the root fails its gap check
-    root = weak_field_sqrt(decomposition)
-    reference = h.apply(np.abs)
-    extras["sqrt_relative_error"] = relative_norm(root - reference, reference)
-    return weak_field_transform(h, root, decomposition.grading)
+    parts, root = weak_field_sqrt(batch.parts, slices)
+    reference = parts.h.apply(np.abs)
+    for slot, i in enumerate(slices.index):
+        extras[i]["sqrt_relative_error"] = relative_norm(root[slot] - reference[slot],
+                                                         reference[slot])
+    del reference
+    return weak_field_transform(parts.h, root, batch.grading, slices)
 
 
-# The method catalog, in report order: tag -> route (H's Spectrum, decomposition, the row's
-# extras, finish) -> FWResult, where finish ends a stepwise run in ``stepwise_lockstep``.
-# A route looks its function up in this module when called, so a wrapper set here is seen.
+# The method catalog, in report order: tag -> route (Slices, batch, each model's row extras)
+# -> (H, U, U H U^H) stacks of the models that pass, the others leaving the Slices (see
+# ``run_comparisons``' ``stack``).  A route looks its function up in this module when called,
+# so a wrapper set here is seen.
 ROUTES = {
-    "eriksen": lambda h, d, extras, finish: eriksen_transform(h, d.grading),
-    "eriksenalt": lambda h, d, extras, finish: eriksen_transform_alt(h, d.grading),
-    "exactcase": lambda h, d, extras, finish: u_fw_exact(d, h=h),
+    "eriksen": lambda slices, b, extras: eriksen_transform(b.h, b.grading, slices),
+    "eriksenalt": lambda slices, b, extras: eriksen_transform_alt(b.h, b.grading, slices),
+    "exactcase": lambda slices, b, extras: u_fw_exact(b.parts, slices=slices),
     "stepwise": _stepwise,
     "weakfield": _weak_field,
 }
 METHOD_TAGS = tuple(ROUTES)
 (METHOD_ERIKSEN, METHOD_ERIKSEN_ALT, METHOD_EXACT_CASE, METHOD_STEPWISE,
  METHOD_WEAK_FIELD) = METHOD_TAGS
+# The routes that read a batch's ModelStack; they run first, so that it goes early.
+_PARTS_READERS = (METHOD_EXACT_CASE, METHOD_WEAK_FIELD)
 
 # Lanes open from count * dim^2 >= CONCURRENCY_MIN_DIM^2 (one model at dim 128, 16 at dim 32);
 # below, threads contend for the GIL.
@@ -199,34 +210,34 @@ def _lane_count(tasks: int, count: int, dim: int) -> int:
     return min(cores or 1, tasks) if {get() for get, _ in _loaded_openblas()} == {1} else 1
 
 
-def _run_method(method, h, decomposition, finish=None):
-    """One method's row and its (U, U H U^H); None in place of the pair after a failure."""
-    row, pair = MethodRow(method=method), None
+def _run_method(method, batch):
+    """(row, (U, U H U^H) or None) of one method on each model of a batch: its route, then one
+    diagnostics step on the stack it gives."""
     started = time.perf_counter()
+    slices, extras = Slices(len(batch.index)), [{} for _ in batch.index]
     try:
-        result = ROUTES[method](h, decomposition, row.extras, finish)
-        row.diagnostics = result.diagnostics
-        pair = result.transform, result.transformed_hamiltonian
-    except FWLabError as exc:
-        row.error = str(exc)
-        row.error_type = type(exc).__name__
-    row.wall_time_seconds = time.perf_counter() - started
-    return row, pair
+        h, u, transformed = ROUTES[method](slices, batch, extras)
+        found = diagnose(slices, h, u, transformed, batch.grading, method != METHOD_WEAK_FIELD)
+        results = dict(zip(slices.index, found))
+    except FWLabError as exc:  # no slice is left, or one error fails them all
+        results = {}
+        slices.errors.update(dict.fromkeys(slices.index, (type(exc), str(exc))))
+    elapsed, outcomes = time.perf_counter() - started, []
+    for slot, row_extras in enumerate(extras):
+        row = MethodRow(method=method, extras=row_extras, wall_time_seconds=elapsed)
+        if (result := results.get(slot)) is None:
+            kind, row.error = slices.errors[slot]
+            row.error_type = kind.__name__
+        else:
+            row.diagnostics = result.diagnostics
+        outcomes.append((row, result and (result.transform, result.transformed_hamiltonian)))
+    return outcomes
 
 
 def _model(spec: ModelSpec):
-    """[Spectrum of H, decomposition, context] of one spec."""
-    h, grading, decomposition = build_model(spec)
-    h = Spectrum.of(h)
-    context = ReportContext(
-        mass=spec.mass,
-        dim=grading.dim,
-        commutation_residual=check_commutation(decomposition).commutator_residual,
-        spectral_gap=spectral_gap(h).min_abs_eigenvalue,
-        even_strength_ratio=frobenius(decomposition.even_part)
-        / (spec.mass * np.sqrt(grading.dim)),
-    )
-    return [h, decomposition, context]
+    """[H, decomposition] of one spec; H is checked as an eigh operand."""
+    h, _, decomposition = build_model(spec)
+    return [require_hermitian(np.asarray(h, dtype=complex), "operand"), decomposition]
 
 
 def _report(spec, context, outcomes, tolerances) -> ComparisonReport:
@@ -246,7 +257,7 @@ def _report(spec, context, outcomes, tolerances) -> ComparisonReport:
 
 def run_comparisons(specs, methods=METHOD_TAGS,
                     tolerances: ToleranceConfig = ToleranceConfig()) -> list[ComparisonReport]:
-    """Build each model and its Spectrum once and run every requested method on them.
+    """Build each batch of models as stacks and run every requested method on them.
 
     Methods always appear in canonical order; ValueError for an empty or
     unknown method list.  A method failure (for example NotCommuting for the
@@ -255,9 +266,11 @@ def run_comparisons(specs, methods=METHOD_TAGS,
     ``lane_batch_size`` models is a stream of tasks, which the
     ``_lane_count`` lanes take in order: stepwise on the whole batch in
     lockstep (DimensionMismatch unless every model has the first one's
-    shape), then the other methods model by model.  A report, the same as for
-    its spec alone, is built once all of its rows are in; a stepwise row's
-    ``wall_time_seconds`` runs from the start of its batch.
+    shape), then one task per other method on the whole batch (without
+    stepwise, each run of models of one shape is a batch of its own).  A
+    report, the same as for its spec alone, is built once all of its rows are
+    in; a row's ``wall_time_seconds`` runs from the start of its method's task
+    on the batch to the end of the diagnostics.
     """
     methods = list(methods)
     if not methods:
@@ -266,7 +279,8 @@ def run_comparisons(specs, methods=METHOD_TAGS,
         if method not in METHOD_TAGS:
             raise ValueError(f"unknown method {method!r}; known: {', '.join(METHOD_TAGS)}")
     methods = [m for m in METHOD_TAGS if m in methods]
-    one_shot = [m for m in methods if m != METHOD_STEPWISE]
+    one_shot = sorted((m for m in methods if m != METHOD_STEPWISE),
+                      key=lambda m: m not in _PARTS_READERS)
     specs = list(specs)
     if not specs:
         return []
@@ -274,7 +288,7 @@ def run_comparisons(specs, methods=METHOD_TAGS,
     grading = models[0][1].grading
     count = max(1, len(specs) // lane_batch_size(grading.dim))
     outcomes = [dict.fromkeys(methods) for _ in specs]
-    reports = [None] * len(specs)
+    contexts, reports = [None] * len(specs), [None] * len(specs)
     lock = threading.Lock()
 
     def record(i, produced):
@@ -282,30 +296,49 @@ def run_comparisons(specs, methods=METHOD_TAGS,
             outcomes[i].update(produced)
             complete = None not in outcomes[i].values()
         if complete:
-            reports[i] = _report(specs[i], models[i][2], outcomes[i], tolerances)
-            models[i] = outcomes[i] = None
+            reports[i] = _report(specs[i], contexts[i], outcomes[i], tolerances)
+            contexts[i] = outcomes[i] = None
 
-    def stepwise(batch):
-        started = time.perf_counter()
-        for slot, finish in stepwise_lockstep([models[i][0] for i in batch], grading,
-                                              [specs[i].mass for i in batch], tolerances):
-            row, pair = _run_method(METHOD_STEPWISE, *models[batch[slot]][:2], finish)
-            row.wall_time_seconds = time.perf_counter() - started
-            record(batch[slot], {METHOD_STEPWISE: (row, pair)})
+    def run(method, batch):
+        for i, outcome in zip(batch.index, _run_method(method, batch)):
+            record(i, {method: outcome})
+        with lock:
+            batch.readers.discard(method)
+            if not batch.readers:
+                batch.parts = None
 
-    def others(i):
-        h, decomposition, _ = models[i]
-        models[i][1] = None  # only the one-shot routes read it
-        record(i, {m: _run_method(m, h, decomposition) for m in one_shot})
+    def stack(index):
+        """The batch of built models ``index`` of one shape: H's stacked Spectrum, and the
+        ModelStack ``parts`` that goes once no method in ``readers`` is left to read it."""
+        h, ds = np.stack([models[i][0] for i in index]), [models[i][1] for i in index]
+        models[index[0]:index[-1] + 1] = [None] * len(index)
+        h, readers = Spectrum(h, *np.linalg.eigh(h)), {m for m in _PARTS_READERS if m in methods}
+        parts = ModelStack.of(ds, h) if readers else None
+        if METHOD_WEAK_FIELD in readers:
+            parts.odd_svd  # taken here, once, for exactcase and weakfield on any lanes
+        dim = ds[0].grading.dim
+        for slot, (i, d) in enumerate(zip(index, ds)):
+            mass = specs[i].mass
+            contexts[i] = ReportContext(mass, dim, check_commutation(d).commutator_residual,
+                                        spectral_gap(h[slot]).min_abs_eigenvalue,
+                                        frobenius(d.even_part) / (mass * np.sqrt(dim)))
+        return SimpleNamespace(index=index, h=h, parts=parts, grading=ds[0].grading,
+                               masses=[specs[i].mass for i in index], tolerances=tolerances,
+                               readers=readers)
 
     def stream():  # advanced under the lock, so a batch is built when its first task is taken
         for k in range(count):
-            batch = range(len(specs) * k // count, len(specs) * (k + 1) // count)
-            for i in batch:
+            block = range(len(specs) * k // count, len(specs) * (k + 1) // count)
+            for i in block:
                 models[i] = models[i] or _model(specs[i])
-            if METHOD_STEPWISE in methods:
-                yield functools.partial(stepwise, batch)
-            yield from (functools.partial(others, i) for i in batch if one_shot)
+                if METHOD_STEPWISE in methods:
+                    grading.check(models[i][0])
+            for _, index in itertools.groupby(block, key=lambda i: models[i][0].shape):
+                batch = stack(list(index))
+                if METHOD_STEPWISE in methods:
+                    yield functools.partial(run, METHOD_STEPWISE, batch)
+                yield from (functools.partial(run, m, batch) for m in one_shot)
+                del batch
 
     tasks = stream()
 
@@ -321,6 +354,7 @@ def run_comparisons(specs, methods=METHOD_TAGS,
             with lock:
                 tasks.close()  # after a failure the other lanes stop at their next task
 
+    # one lockstep per batch and the one-shot routes of each model, as parallel work
     task_count = (count if METHOD_STEPWISE in methods else 0) + (len(specs) if one_shot else 0)
     lanes = _lane_count(task_count, len(specs), grading.dim)
     if lanes == 1:

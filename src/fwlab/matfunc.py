@@ -8,7 +8,9 @@ of a positive operator is the positive one, the sign of H comes from the
 eigenvalues of H itself, and the logarithm of a unitary, taken from its
 Hermitian Cayley transform, has eigenphases in (-pi, pi).  ``odd_rotation``
 and ``even_function`` assemble odd exponentials and even functions from SVD factors.
-``check_gap`` is the one rule for when an eigenvalue counts as zero.
+``check_gap`` is the one rule for when an eigenvalue counts as zero.  Kernels
+also take stacks, each slice bit for bit its own call; ``Slices`` tracks which
+models of a stack are left, each that fails a gate leaving with its own error.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import NORM_FLOOR, frobenius, require_hermitian
+from .algebra import NORM_FLOOR, adjoint, frobenius, require_hermitian
 from .errors import (
     BranchCutProximity,
+    FWLabError,
     NotUnitary,
     SingularHamiltonian,
     SingularOperand,
@@ -36,7 +39,53 @@ UNITARY_TOL = 1e-10
 
 
 def _hermitize(a):
-    return 0.5 * (a + a.conj().T)
+    # (a + a^H) / 2, the real and imaginary parts of the sum written in place
+    out = np.empty_like(a)
+    np.add(a.real, a.real.swapaxes(-1, -2), out=out.real)
+    if np.iscomplexobj(a):
+        np.subtract(a.imag, a.imag.swapaxes(-1, -2), out=out.imag)
+    out *= 0.5
+    return out
+
+
+class Slices:
+    """Models of a stack still in a computation: ``index[slot]`` is each slice's model, and
+    ``errors`` maps each model that left to the (FWLabError type, message) it raises alone."""
+
+    def __init__(self, count: int):
+        self.index, self.errors = list(range(count)), {}
+
+    def gate(self, test, *stacks):
+        """``stacks`` without the slices where ``test(slot)`` raises an FWLabError, recorded as
+        the model's error; the last one is raised when none is left."""
+        keep = []
+        for slot, model in enumerate(self.index):
+            try:
+                test(slot)
+            except FWLabError as exc:
+                self.errors[model] = type(exc), str(exc)
+            else:
+                keep.append(slot)
+        if not keep:
+            (kind, message), self.index = self.errors[self.index[-1]], []
+            raise kind(message)
+        if len(keep) < len(self.index):
+            self.index = [self.index[slot] for slot in keep]
+            stacks = tuple(stack[keep] for stack in stacks)
+        return stacks
+
+    def solve(self, a, b, error, what: str, *stacks):
+        """(np.linalg.solve(a, b), *stacks); a slice LAPACK finds singular leaves with error(what)."""
+        def regular(slot):
+            try:
+                np.linalg.solve(a[slot], b[slot])
+            except np.linalg.LinAlgError as exc:
+                raise error(what) from exc
+        try:
+            return (np.linalg.solve(a, b), *stacks)
+        except np.linalg.LinAlgError:
+            a, b, *stacks = self.gate(regular, a, b, *stacks)
+            return (np.linalg.solve(a, b), *stacks)
 
 
 def check_gap(values, error, what: str):
@@ -61,19 +110,32 @@ class Spectrum:
     v: np.ndarray
 
     @classmethod
-    def of(cls, x) -> "Spectrum":
+    def of(cls, x, name: str = "operand") -> "Spectrum":
         """``x`` itself when it is a Spectrum, else one ``eigh`` of the matrix ``x``.
 
-        eigh reads one triangle, so a non-Hermitian ``x`` raises NonHermitianInput.
+        eigh reads one triangle, so a non-Hermitian ``x`` raises NonHermitianInput naming it.
         """
         if isinstance(x, cls):
             return x
-        x = require_hermitian(np.asarray(x, dtype=complex), "operand")
+        x = require_hermitian(np.asarray(x, dtype=complex), name)
         return cls(x, *np.linalg.eigh(x))
 
+    @classmethod
+    def of_stack(cls, x, slices: Slices, *stacks):
+        """(Spectrum without the matrix, *stacks) of a hermitized stack ``x``: one eigh; a slice
+        fails ``of``'s check only when not finite, and then leaves ``slices``."""
+        x = np.asarray(x, dtype=complex)
+        if not np.isfinite(x).all():
+            x, *stacks = slices.gate(lambda slot: require_hermitian(x[slot], "operand"), x, *stacks)
+        return (cls(None, *np.linalg.eigh(x)), *stacks)
+
+    def __getitem__(self, key) -> "Spectrum":
+        """The Spectrum of a slice, or the stack of the slices ``key`` selects."""
+        return Spectrum(*(None if x is None else x[key] for x in (self.matrix, self.w, self.v)))
+
     def apply(self, f) -> np.ndarray:
-        """Hermitian V diag(f(w)) V^H."""
-        return _hermitize((self.v * f(self.w)) @ self.v.conj().T)
+        """Hermitian V diag(f(w)) V^H, of each slice on a stack."""
+        return _hermitize((self.v * f(self.w)[..., None, :]) @ adjoint(self.v))
 
 
 @dataclass(frozen=True)
@@ -100,14 +162,19 @@ def spectral_gap(h) -> SpectralGapReport:
     return SpectralGapReport(float(np.min(np.abs(h.w))), definite)
 
 
-def inv_sqrt(a) -> np.ndarray:
+def inv_sqrt(a, slices: Slices | None = None, *stacks):
     """Inverse principal root P, P @ a @ P = 1, of a Hermitian PD matrix or Spectrum.
 
-    Raises SingularOperand if the smallest eigenvalue fails ``check_gap``.
+    Raises SingularOperand if the smallest eigenvalue fails ``check_gap``.  With
+    ``slices``, (the roots, *stacks) of the slices of a hermitized stack ``a`` that pass.
     """
-    a = Spectrum.of(a)
-    check_gap(a.w, SingularOperand, "smallest eigenvalue")
-    return a.apply(lambda w: 1.0 / np.sqrt(w))
+    if slices is None:
+        return inv_sqrt(Spectrum.of(a)[None], Slices(1))[0][0]
+    if not isinstance(a, Spectrum):
+        a, *stacks = Spectrum.of_stack(a, slices, *stacks)
+    a, *stacks = slices.gate(lambda slot: check_gap(a.w[slot], SingularOperand,
+                                                    "smallest eigenvalue"), a, *stacks)
+    return (a.apply(lambda w: 1.0 / np.sqrt(w)), *stacks)
 
 
 def require_gap(h) -> Spectrum:
@@ -128,7 +195,7 @@ def sign_operator(h) -> np.ndarray:
     return require_gap(h).apply(np.sign)
 
 
-def unitary_log(u, *, defect=None) -> np.ndarray:
+def unitary_log(u, *, defect=None, slices: Slices | None = None) -> np.ndarray:
     """Hermitian generator S with u = exp(i S) and eigenvalues in (-pi, pi).
 
     A numerically unitary u is normal, so its Cayley transform
@@ -139,22 +206,35 @@ def unitary_log(u, *, defect=None) -> np.ndarray:
     Raises NotUnitary if u is non-finite or ||u^H u - 1||_F (``defect`` if
     the caller measured it) exceeds UNITARY_TOL, and BranchCutProximity if
     1 + u is singular or an eigenphase lies within BRANCH_MARGIN of +-pi.
+    With ``slices`` the stack of S of a stack ``u`` (``defect`` one per slice) is
+    returned, each failing slice leaving ``slices``.
     """
-    u = np.asarray(u, dtype=complex)
-    if not np.isfinite(u).all():
-        raise NotUnitary("U has non-finite entries")
-    eye = np.eye(u.shape[0])
-    defect = frobenius(u.conj().T @ u - eye) if defect is None else defect
-    if not defect <= UNITARY_TOL:
-        raise NotUnitary(f"||U^H U - 1||_F = {defect:.3e} exceeds {UNITARY_TOL:.1e}")
-    try:
-        cayley = 1j * np.linalg.solve(eye + u, eye - u)
-    except np.linalg.LinAlgError as exc:
-        raise BranchCutProximity("1 + U is singular: eigenphase on the branch cut") from exc
-    t = Spectrum.of(_hermitize(cayley))
-    margin = float(np.min(np.pi - np.abs(2.0 * np.arctan(t.w))))
-    if margin < BRANCH_MARGIN:
-        raise BranchCutProximity(f"eigenphase within {margin:.3e} of the +-pi branch cut")
+    if slices is None:
+        return unitary_log(np.asarray(u, dtype=complex)[None], slices=Slices(1),
+                           defect=None if defect is None else [defect])[0]
+    eye = np.eye(u.shape[-1])
+
+    def usable(slot):
+        if not np.isfinite(u[slot]).all():
+            raise NotUnitary("U has non-finite entries")
+        value = frobenius(adjoint(u[slot]) @ u[slot] - eye) if defect is None else defect[slot]
+        if not value <= UNITARY_TOL:
+            raise NotUnitary(f"||U^H U - 1||_F = {value:.3e} exceeds {UNITARY_TOL:.1e}")
+
+    u, = slices.gate(usable, u)
+    cayley, = slices.solve(eye + u, eye - u, BranchCutProximity,
+                           "1 + U is singular: eigenphase on the branch cut")
+    cayley *= 1j
+    t, = Spectrum.of_stack(_hermitize(cayley), slices)
+    del cayley
+    margin = np.min(np.pi - np.abs(2.0 * np.arctan(t.w)), axis=-1)
+
+    def clear(slot):
+        if margin[slot] < BRANCH_MARGIN:
+            raise BranchCutProximity(
+                f"eigenphase within {float(margin[slot]):.3e} of the +-pi branch cut")
+
+    t, = slices.gate(clear, t)
     return t.apply(lambda w: 2.0 * np.arctan(w))
 
 
@@ -177,6 +257,10 @@ def odd_rotation(p, s, qh) -> np.ndarray:
 
 
 def even_function(p, f, qh) -> np.ndarray:
-    """Hermitian diag(P diag(f) P^H, Q diag(f) Q^H), the even counterpart of ``odd_rotation``."""
-    zero = np.zeros_like(p)
-    return _hermitize(np.block([[(p * f) @ p.conj().T, zero], [zero, (qh.conj().T * f) @ qh]]))
+    """Hermitian diag(P diag(f) P^H, Q diag(f) Q^H), the even counterpart of ``odd_rotation``,
+    slice by slice on stacks."""
+    n, f = p.shape[-1], f[..., None, :]
+    out = np.zeros(p.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    out[..., :n, :n] = (p * f) @ adjoint(p)
+    out[..., n:, n:] = (adjoint(qh) * f) @ qh
+    return _hermitize(out)

@@ -11,19 +11,19 @@ drives the odd weight below a tolerance when the coupling is weak enough,
 but its Hermitian generator is not odd: the iteration approaches the
 block-diagonal Hamiltonian without approaching the sign-operator transform.
 ``stepwise_lockstep`` steps a stack of models of one shape together, one
-stacked SVD per step; ``stepwise_fw`` is its stack of one.
+stacked SVD per step, and returns them undiagnosed, as the other routes do;
+``stepwise_fw`` is its stack of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .algebra import NORM_FLOOR, Grading, frobenius, require_mass
+from .algebra import NORM_FLOOR, Grading, adjoint, frobenius, require_mass
 from .eriksen import FWResult, hamiltonian_spectrum
-from .matfunc import odd_exp
+from .matfunc import Spectrum, _hermitize, odd_exp
 
 # The run stagnates when the odd ratio fails to shrink by this factor
 # over STAGNATION_STEPS consecutive steps.
@@ -77,59 +77,61 @@ def _stop_reason(ratios, steps: int, tolerances: ToleranceConfig):
             else STOP_STAGNATION if stalled else None)
 
 
-def _finish(spectrum, grading: Grading, frame, rows, stop_reason):
-    """(FWResult, StepwiseTrace) of a run that ended at ``frame`` = F."""
-    if rows:
-        composite = frame @ spectrum.v.conj().T
-        current = (frame * spectrum.w) @ frame.conj().T
-        current = 0.5 * (current + current.conj().T)
-    else:
-        composite, current = np.eye(grading.dim, dtype=complex), spectrum.matrix
-    trace = StepwiseTrace(tuple(rows), stop_reason == STOP_TOLERANCE, stop_reason)
-    return FWResult.of(composite, spectrum, grading, current), trace
-
-
 def stepwise_lockstep(hamiltonians, grading: Grading, masses,
                       tolerances: ToleranceConfig = ToleranceConfig()):
-    """``stepwise_fw`` of each (H or Spectrum, mass), all models stepped at once.
+    """``stepwise_fw`` of each (H, mass), all models stepped at once, undiagnosed:
+    (U, U H U^H, traces), U and U H U^H stacked in model order.
 
-    Each step is one stacked SVD and one set of stacked products over the
-    models still running; numpy runs the same LAPACK and BLAS call on each
-    slice, so each run is bit for bit the run alone.  When a model's own rule
-    fires it leaves the stack and (index, finish) is yielded; ``finish()``
-    gives its (FWResult, StepwiseTrace).
+    ``hamiltonians`` is a list of H or Spectrum, or a stacked Spectrum.  Each
+    step is one stacked SVD and one set of stacked products over the models
+    still running; numpy runs the same LAPACK and BLAS call on each slice, so
+    each run is bit for bit the run alone.  A model leaves the stack when its
+    own rule fires; a run of zero steps keeps the exact identity and H.
     """
     for mass in masses:
         require_mass(mass)
-    spectra = [hamiltonian_spectrum(h, grading) for h in hamiltonians]
-    if len(masses) != len(spectra):
-        raise ValueError(f"{len(spectra)} Hamiltonians need as many masses, got {len(masses)}")
+    h = hamiltonians
+    if not isinstance(h, Spectrum):
+        spectra = [hamiltonian_spectrum(x, grading) for x in h]
+        h = Spectrum(*(np.stack(parts) for parts in zip(*((s.matrix, s.w, s.v) for s in spectra))))
+    if len(masses) != len(h.w):
+        raise ValueError(f"{len(h.w)} Hamiltonians need as many masses, got {len(masses)}")
+    grading.check(h.matrix)
     n = grading.upper_dim
-    live = list(range(len(spectra)))  # the model in each slice of the stack
-    w = np.stack([s.w for s in spectra])[:, None]
-    frame = np.stack([s.v for s in spectra])
-    block = np.stack([s.matrix[:n, n:] for s in spectra])
+    live = list(range(len(h.w)))  # the model in each slice of the stack
+    w, frame, block = h.w[:, None], h.v, h.matrix[:, :n, n:]
     twice_mass = 2.0 * np.reshape(masses, (-1, 1, 1))
-    scales = [np.sqrt(2.0) / max(frobenius(s.matrix), NORM_FLOOR) for s in spectra]
+    scales = [np.sqrt(2.0) / max(frobenius(x), NORM_FLOOR) for x in h.matrix]
     ratios = [[scale * frobenius(b)] for scale, b in zip(scales, block)]
-    rows = [[] for _ in spectra]
-    while True:
-        reasons = [_stop_reason(ratios[i], len(rows[i]), tolerances) for i in live]
-        for slot, (i, reason) in enumerate(zip(live, reasons)):
-            if reason is not None:
-                yield i, partial(_finish, spectra[i], grading, frame[slot], rows[i], reason)
-        keep = [slot for slot, reason in enumerate(reasons) if reason is None]
-        if not keep:
-            return
+    rows, reasons = [[] for _ in live], [None] * len(live)
+    final = np.empty_like(frame)  # each model's frame F when it leaves
+    while live:
+        for slot, i in enumerate(live):
+            reasons[i] = _stop_reason(ratios[i], len(rows[i]), tolerances)
+            if reasons[i] is not None:
+                final[i] = frame[slot]
+        keep = [slot for slot, i in enumerate(live) if reasons[i] is None]
         if len(keep) < len(live):  # a copy per step would slow a stack of one
             live = [live[slot] for slot in keep]
             w, frame, block, twice_mass = w[keep], frame[keep], block[keep], twice_mass[keep]
+        if not live:
+            break
         c = block / twice_mass
         frame = odd_exp(c) @ frame
         block = (frame[:, :n] * w) @ frame[:, n:].conj().swapaxes(1, 2)
         for slot, i in enumerate(live):
             rows[i].append((len(rows[i]), ratios[i][-1], np.sqrt(2.0) * frobenius(c[slot])))
             ratios[i].append(scales[i] * frobenius(block[slot]))
+    # U = F V^H, and U H U^H the Hermitian part of F diag(w) F^H
+    transformed = _hermitize((final * h.w[:, None]) @ adjoint(final))
+    u = final @ adjoint(h.v)
+    del final
+    for i, steps in enumerate(rows):
+        if not steps:
+            u[i], transformed[i] = np.eye(grading.dim), h.matrix[i]
+    traces = [StepwiseTrace(tuple(steps), reason == STOP_TOLERANCE, reason)
+              for steps, reason in zip(rows, reasons)]
+    return u, transformed, traces
 
 
 def stepwise_fw(h, grading: Grading, mass: float,
@@ -142,5 +144,6 @@ def stepwise_fw(h, grading: Grading, mass: float,
     always carries the composite transform actually reached.  This is
     ``stepwise_lockstep`` on a stack of one.
     """
-    [(_, finish)] = stepwise_lockstep([h], grading, [mass], tolerances)
-    return finish()
+    h = hamiltonian_spectrum(h, grading)
+    u, transformed, [trace] = stepwise_lockstep(h[None], grading, [mass], tolerances)
+    return FWResult.of(u[0], h, grading, transformed[0]), trace

@@ -148,9 +148,9 @@ def lockstep_batches(monkeypatch):
     sizes = []
     lockstep = harness.stepwise_lockstep
 
-    def spy(hamiltonians, *args):
-        sizes.append(len(hamiltonians))
-        return lockstep(hamiltonians, *args)
+    def spy(hamiltonians, grading, masses, *args):
+        sizes.append(len(masses))
+        return lockstep(hamiltonians, grading, masses, *args)
 
     monkeypatch.setattr(harness, "stepwise_lockstep", spy)
     return sizes

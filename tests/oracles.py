@@ -32,7 +32,8 @@ def epsilon_operator(d):
     """Kinetic-energy operator eps = sqrt(m^2 + O^2) of a DiracDecomposition, from its
     odd-block SVD; Hermitian, even, >= m.  SingularOperand when min m^2 + sigma^2 fails
     ``check_gap``."""
-    p, sigma, qh = d.odd_svd
+    n = d.grading.upper_dim
+    p, sigma, qh = np.linalg.svd(d.odd_part[:n, n:])
     a = d.mass**2 + sigma**2
     check_gap(a, SingularOperand, "smallest eigenvalue of m^2 + O^2")
     return even_function(p, a**0.5, qh)

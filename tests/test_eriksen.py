@@ -195,8 +195,8 @@ def test_hamiltonian_matrix_checked_once(monkeypatch):
             checked.append(name)
         return require_hermitian(a, name)
 
-    for module in (fwlab.eriksen, fwlab.matfunc):
-        monkeypatch.setattr(module, "require_hermitian", spy)
+    # hamiltonian_spectrum checks a matrix through Spectrum.of, naming it
+    monkeypatch.setattr(fwlab.matfunc, "require_hermitian", spy)
     eriksen_transform(h, g)
     assert checked == ["Hamiltonian"]
     skew = h.copy()

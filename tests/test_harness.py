@@ -1,6 +1,7 @@
 import json
 import sys
 import threading
+import tracemalloc
 import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -11,20 +12,23 @@ import pytest
 
 from fwlab import (
     DiagnosticSet,
+    Grading,
     ModelSpec,
     Potential,
     ToleranceConfig,
     build_model,
     cli,
     emit_report,
+    make_beta,
     report_csv,
     report_json,
     run_comparison,
+    write_matrix,
 )
 from fwlab import harness
 from fwlab.errors import DimensionMismatch
 from fwlab.harness import METHOD_TAGS, run_comparisons
-from fwlab.models import KIND_FREE, KIND_LATTICE, KIND_SYNTHETIC
+from fwlab.models import KIND_EXPLICIT, KIND_FREE, KIND_LATTICE, KIND_SYNTHETIC
 
 FREE_SPEC = ModelSpec(kind=KIND_FREE, mass=1.0, momentum=(0.0, 0.0, 0.75))
 GAUSS_SPEC = ModelSpec(
@@ -111,7 +115,7 @@ def test_weak_field_refuses_a_near_zero_root():
     # E = c with c just under the smallest epsilon: H and the approximate root
     # both have a relative gap of 1e-14, so weakfield refuses as eriksen does
     _, _, d = build_model(ModelSpec(kind=KIND_SYNTHETIC, mass=1.0, n=4, poly=(0.0,), seed=3))
-    eps_min = np.sqrt(1.0 + d.odd_svd[1].min() ** 2)
+    eps_min = np.sqrt(1.0 + np.linalg.svd(d.odd_part[:4, 4:], compute_uv=False).min() ** 2)
     spec = ModelSpec(kind=KIND_SYNTHETIC, mass=1.0, n=4, poly=(eps_min * (1 - 1e-14),), seed=3)
     report = run_comparison(spec, methods=("eriksen", "weakfield"))
     assert report.row("eriksen").error_type == "SingularHamiltonian"
@@ -232,6 +236,121 @@ def test_decomposition_counts_pinned(monkeypatch, spec, eigh, eigvalsh, one_shot
     assert sum(counts.values()) - steps == one_shot
 
 
+def _strength_sweep(count, n=16):
+    """``count`` non-commuting gaussian lattices of dimension 2n, as ``fwlab sweep`` makes them."""
+    return [replace(GAUSS_SPEC, n=n, potential=Potential("gaussian", (0.02 + 0.38 * k / 15, 2.0)))
+            for k in range(count)]
+
+
+def _count_stacked_calls(monkeypatch, specs):
+    """run_comparisons on ``specs`` with LAPACK calls and problems (slices) counted by phase:
+    the batch's build, each method's route and each method's diagnostics step."""
+    calls, slices, phase = Counter(), Counter(), ["build"]
+
+    def counted(name, kernel):
+        def wrapper(a, *args, **kwargs):
+            calls[phase[0], name] += 1
+            slices[phase[0], name] += len(a) if np.ndim(a) == 3 else 1
+            return kernel(a, *args, **kwargs)
+        return wrapper
+
+    def in_phase(name, function):
+        def wrapper(*args, **kwargs):
+            outer, phase[0] = phase[0], name(*args)
+            try:
+                return function(*args, **kwargs)
+            finally:
+                phase[0] = outer
+        return wrapper
+
+    for name in ("eigh", "eigvalsh", "svd", "solve"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(harness, "_run_method",
+                        in_phase(lambda method, batch: method, harness._run_method))
+    monkeypatch.setattr(harness, "diagnose",
+                        in_phase(lambda *args: phase[0] + " diagnostics", harness.diagnose))
+    reports = run_comparisons(specs)
+    return calls, slices, [r.row("stepwise").extras["iterations"] for r in reports]
+
+
+# One call per kernel per phase of a batch, whatever its size.  Weakfield takes two eigh, of
+# its root and of K_w; its transform is not unitary off the commuting case, so its logarithm
+# stops before the Cayley solve, and exactcase stops at NotCommuting.
+STACKED_CALLS = {
+    ("build", "eigh"): 1, ("build", "svd"): 1,
+    ("eriksen", "solve"): 1, ("eriksen", "svd"): 1, ("eriksenalt", "svd"): 1,
+    ("weakfield", "eigh"): 2, ("weakfield diagnostics", "eigvalsh"): 1,
+    **{(f"{method} diagnostics", kernel): 1 for method in ("eriksen", "eriksenalt", "stepwise")
+       for kernel in ("eigh", "eigvalsh", "solve")},
+}
+
+
+def test_stacked_call_counts_pinned(monkeypatch, open_gate):
+    # on one lane, dim-32 batches of 1, 4 and 16 points; the lockstep takes one stacked SVD
+    # per step of its longest run, and one SVD problem per step of each run
+    open_gate(cores=1, min_dim=harness.CONCURRENCY_MIN_DIM)
+    _, one, [steps] = _count_stacked_calls(monkeypatch, _strength_sweep(1))
+    assert one == STACKED_CALLS | {("stepwise", "svd"): steps}
+    for count in (4, 16):
+        calls, slices, steps = _count_stacked_calls(monkeypatch, _strength_sweep(count))
+        assert calls == STACKED_CALLS | {("stepwise", "svd"): max(steps)}, count
+        assert slices == {key: count * n for key, n in STACKED_CALLS.items()} | {
+            ("stepwise", "svd"): sum(steps)}, count
+
+
+def _failing_batch(tmp_path):
+    """Seven dim-32 models, each paired with the rows it fails alone: {method: (type, start)}."""
+    n = 16
+    grading, beta = Grading(2 * n, n), make_beta(Grading(2 * n, n))
+
+    def matrix(name, h):
+        write_matrix(tmp_path / f"{name}.txt", h, grading)
+        return ModelSpec(kind=KIND_EXPLICIT, mass=1.0, path=str(tmp_path / f"{name}.txt"))
+
+    # n + 1 positive eigenvalues
+    surplus = np.diag(np.r_[np.ones(n), -np.ones(n - 1), 1.0])
+    # H = -beta: the positive eigenvectors have X = 0, so the stacked solve raises LinAlgError
+    # one pair near -m beta: cos^2 theta = 2.5e-17, and 1 + beta lambda is degenerate
+    near = beta.copy()
+    near[1, 1], near[n + 1, n + 1] = -1.0, 1.0
+    near[0, n] = near[n, 0] = 0.3
+    near[1, n + 1] = near[n + 1, 1] = 1e-8
+    lattice = replace(GAUSS_SPEC, n=n)
+    polar = ("DegenerateFactor", "smallest (sigma / 2)^2 of 1 + beta*lambda")
+    closed = ("NotCommuting", "scaled commutator residual")
+    weak = ("OutsideValidityDomain", "smallest eigenvalue of the approximate root")
+    return [
+        (lattice, {"exactcase": closed}),
+        (replace(lattice, potential=Potential("zero")), {}),
+        (replace(lattice, potential=Potential("gaussian", (2.0, 1.0))), {
+            "eriksen": ("SingularOperand", "H has 18 positive eigenvalues, the upper block 16"),
+            "eriksenalt": polar, "exactcase": closed, "weakfield": weak}),
+        (matrix("surplus", surplus), {
+            "eriksen": ("SingularOperand", "H has 17 positive eigenvalues, the upper block 16"),
+            "eriksenalt": polar, "weakfield": weak}),
+        (matrix("flipped", -beta), {
+            "eriksen": ("SingularOperand", "the upper block of the positive eigenvectors"),
+            "eriksenalt": polar, "weakfield": weak}),
+        (matrix("near", near), {
+            "eriksen": ("SingularOperand", "smallest cos^2 theta 2.500e-17"),
+            "eriksenalt": polar, "exactcase": closed, "weakfield": weak}),
+        (replace(lattice, mass=2.5), {"exactcase": closed}),
+    ]
+
+
+def test_batch_members_fail_alone(tmp_path):
+    # one batch whose members fail different gates: each report is the report of its spec
+    # alone, and each failing row names the gate the model fails alone
+    specs, failures = zip(*_failing_batch(tmp_path))
+    batch = run_comparisons(specs)
+    for spec, report, failing in zip(specs, batch, failures):
+        alone = run_comparison(spec)
+        assert (report_json(report), report_csv(report)) == (report_json(alone),
+                                                              report_csv(alone))
+        assert {row.method: (row.error_type, row.error[:len(failing[row.method][1])])
+                for row in report.methods if row.error} == failing
+
+
 def test_closed_forms_share_one_svd_of_the_odd_block(monkeypatch):
     spec = ModelSpec(kind=KIND_SYNTHETIC, mass=1.0, n=6, poly=(0.05, 0.02), seed=3)
     operands = []
@@ -245,14 +364,52 @@ def test_closed_forms_share_one_svd_of_the_odd_block(monkeypatch):
     report = run_comparison(spec, methods=("exactcase", "weakfield"))
     assert not report.has_errors()
     _, _, d = build_model(spec)
+    # one stacked call over the batch, here a stack of one
     assert len(operands) == 1
-    np.testing.assert_array_equal(operands[0], d.odd_part[:6, 6:])
+    np.testing.assert_array_equal(operands[0], d.odd_part[None, :6, 6:])
 
 
 LATTICE_128 = ModelSpec(
     kind=KIND_LATTICE, mass=1.0, n=64, length=25.0,
     potential=Potential("gaussian", (0.15, 2.0)),
 )
+
+
+def _traced_peak(function):
+    """Peak traced memory in bytes of a call of ``function``, after one call to warm up."""
+    function()
+    tracemalloc.start()
+    try:
+        function()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("specs, bound", [
+    # 16 points at dim 32 hold 4 routes' (U, U H U^H) stacks at once: 3.76 MB measured,
+    # 2.28 MB before the one-shot routes ran on stacks
+    pytest.param(lambda: _strength_sweep(16), 3.9e6, id="sweep-dim32"),
+    # 3.82 MB measured, 6.57 MB before
+    pytest.param(lambda: [LATTICE_128], 7.2e6, id="lattice-dim128"),
+])
+def test_working_set(open_gate, specs, bound):
+    open_gate(cores=1, min_dim=harness.CONCURRENCY_MIN_DIM)
+    specs = specs()
+    assert _traced_peak(lambda: run_comparisons(specs)) <= bound
+
+
+def test_stacked_rows_share_their_task_time(open_gate):
+    # a row's wall time runs from the start of its method's task on the batch to the end of
+    # the diagnostics, so the rows of one method in one batch agree; none is in the default
+    open_gate(cores=1, min_dim=harness.CONCURRENCY_MIN_DIM)
+    reports = run_comparisons(_strength_sweep(4))
+    for method in METHOD_TAGS:
+        times = {report.row(method).wall_time_seconds for report in reports}
+        assert len(times) == 1 and min(times) >= 0.0, method
+        for report in reports:
+            assert "wall_time_seconds" in report.to_dict(True)["methods"][0]
+            assert "wall_time_seconds" not in report_json(report)
 
 
 def _texts(reports):

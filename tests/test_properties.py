@@ -10,7 +10,8 @@ how either route is computed:
 
 - U(cH) = U(H) for c > 0 (eriksen), and stepwise(cH, c m) = stepwise(H, m);
 - U(W H W^H) = W U(H) W^H for even unitaries W = diag(W1, W2), both routes;
-- stepwise on a stack of models in lockstep equals each model's own run bit for bit.
+- stepwise on a stack of models in lockstep equals each model's own run bit for bit;
+- a batch of lattices of random masses and strengths gives each its report alone.
 
 Stepwise relations compare runs of a fixed number of steps, so that a ratio
 lying on a stopping threshold cannot split two equivalent runs.
@@ -27,18 +28,25 @@ from hypothesis import strategies as st
 
 from fwlab import (
     DiracDecomposition,
+    FWResult,
     Grading,
+    ModelSpec,
+    Potential,
     eriksen_transform,
     eriksen_transform_alt,
     h_fw_exact,
     lambda_exact,
     make_beta,
     relative_norm,
+    report_csv,
+    report_json,
+    run_comparison,
     sign_operator,
     split_even_odd,
     stepwise_fw,
     u_fw_exact,
 )
+from fwlab.harness import run_comparisons
 from fwlab.stepwise import (STOP_MAX_ITERATIONS, STOP_STAGNATION, STOP_TOLERANCE,
                             ToleranceConfig, stepwise_lockstep)
 
@@ -223,18 +231,19 @@ def stepwise_stacks(draw):
 def _lockstep_matches_alone(models, tolerances):
     """Assert each model's lockstep result is its stepwise_fw result bit for bit; its traces."""
     g = models[0][1]
-    run = stepwise_lockstep([h for h, _, _ in models], g, [m for _, _, m in models], tolerances)
-    finished = {i: finish() for i, finish in run}
-    assert sorted(finished) == list(range(len(models)))
+    u, transformed, traces = stepwise_lockstep([h for h, _, _ in models], g,
+                                               [m for _, _, m in models], tolerances)
+    assert len(u) == len(transformed) == len(traces) == len(models)
     for i, (h, _, mass) in enumerate(models):
-        (result, trace), (alone, alone_trace) = finished[i], stepwise_fw(h, g, mass, tolerances)
+        result, trace = FWResult.of(u[i], h, g, transformed[i]), traces[i]
+        alone, alone_trace = stepwise_fw(h, g, mass, tolerances)
         np.testing.assert_array_equal(result.transform, alone.transform)
         np.testing.assert_array_equal(result.transformed_hamiltonian,
                                       alone.transformed_hamiltonian)
         assert result.diagnostics == alone.diagnostics
         assert trace.iterations == alone_trace.iterations
         assert trace.stop_reason == alone_trace.stop_reason
-    return [finished[i][1] for i in range(len(models))]
+    return traces
 
 
 @settings(max_examples=40, deadline=None)
@@ -252,3 +261,15 @@ def test_lockstep_stack_mixes_every_stop():
     assert [(len(t.iterations), t.stop_reason) for t in traces] == [
         (0, STOP_TOLERANCE), (6, STOP_TOLERANCE), (8, STOP_MAX_ITERATIONS),
         (4, STOP_STAGNATION), (7, STOP_TOLERANCE)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(length=st.floats(4.0, 12.0), width=st.floats(0.5, 3.0),
+       members=st.lists(st.tuples(MASSES, st.floats(-0.5, 3.0)), min_size=2, max_size=6))
+def test_batch_reports_equal_reports_alone(length, width, members):
+    # strong wells fail eriksen, eriksenalt or weakfield for some members and not others
+    specs = [ModelSpec(kind="lattice", mass=mass, n=8, length=length,
+                       potential=Potential("gaussian", (strength, width)))
+             for mass, strength in members]
+    texts = [(report_json(r), report_csv(r)) for r in run_comparisons(specs)]
+    assert texts == [(report_json(r), report_csv(r)) for r in map(run_comparison, specs)]
