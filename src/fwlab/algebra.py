@@ -14,7 +14,6 @@ grading travels alongside them as a small value object.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -27,8 +26,22 @@ NORM_FLOOR = 1e-300
 HERMITICITY_RTOL = 1e-12
 
 
-def frobenius(a) -> float:
-    return float(np.linalg.norm(a, "fro"))
+def frobenius(a):
+    """Frobenius norm of a matrix, a float, or of each matrix of a stack, an array.
+
+    For C-contiguous slices this is one stacked (1, N) @ (N, 1) product per real and
+    imaginary part, which numpy runs through the BLAS dot ``np.linalg.norm`` uses, so
+    each norm equals the slice's own bit for bit.  Other slices, which that norm reads
+    in memory order, are taken one by one.
+    """
+    a = np.asarray(a)
+    if a.ndim == 2:
+        return float(np.linalg.norm(a, "fro"))
+    if not a.flags.c_contiguous:
+        return np.array([np.linalg.norm(x, "fro") for x in a])
+    rows = a.reshape(len(a), 1, -1)
+    parts = (rows.real, rows.imag) if np.iscomplexobj(rows) else (rows,)
+    return np.sqrt(sum(x @ x.swapaxes(1, 2) for x in parts)[:, 0, 0])
 
 
 def adjoint(a):
@@ -36,9 +49,12 @@ def adjoint(a):
     return a.conj().swapaxes(-1, -2)
 
 
-def relative_norm(num, den) -> float:
-    """Frobenius norm of ``num`` relative to that of ``den``, floored."""
-    return frobenius(num) / max(frobenius(den), NORM_FLOOR)
+def relative_norm(num, den):
+    """Frobenius norm of ``num`` relative to that of ``den``, floored; on stacks, of each slice."""
+    num, den = frobenius(num), frobenius(den)
+    with np.errstate(over="ignore", invalid="ignore"):  # as quiet as float division
+        ratio = num / np.maximum(den, NORM_FLOOR)
+    return ratio if np.ndim(ratio) else float(ratio)
 
 
 def commutator(a, b):
@@ -124,8 +140,8 @@ def odd_projection(h, grading: Grading) -> np.ndarray:
     return np.where(signs[:, None] != signs, grading.check(h), 0j)
 
 
-def odd_norm_ratio(h, grading: Grading) -> float:
-    """Fraction of ``h`` living in the odd sector.
+def odd_norm_ratio(h, grading: Grading):
+    """Fraction of ``h`` living in the odd sector, of each slice on a stack.
 
     Returns ||odd part||_F / max(||h||_F, NORM_FLOOR).  Zero exactly when
     ``h`` is block-diagonal; this is the convergence measure used by the
@@ -157,11 +173,6 @@ class DiracDecomposition:
         require_hermitian(o, "odd part")
         object.__setattr__(self, "even_part", e)
         object.__setattr__(self, "odd_part", o)
-
-    @cached_property
-    def commutator_norm(self) -> float:
-        """||[E, O]||_F, taken once."""
-        return frobenius(commutator(self.even_part, self.odd_part))
 
     def hamiltonian(self) -> np.ndarray:
         """Reassemble beta * mass + E + O."""

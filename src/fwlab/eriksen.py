@@ -25,7 +25,7 @@ quantifies the failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +63,7 @@ class DiagnosticSet:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -114,8 +114,9 @@ def _alone(route, h, grading: Grading, unitary=True) -> FWResult:
     return FWResult.of(u[0], h[0], grading, transformed[0], unitary=unitary)
 
 
-def eriksen_condition_residual(u, grading: Grading) -> float:
-    """Relative Frobenius residual of the adjoint condition beta U = U^H beta."""
+def eriksen_condition_residual(u, grading: Grading):
+    """Relative Frobenius residual of the adjoint condition beta U = U^H beta, of each slice
+    on a stack."""
     u = grading.check(np.asarray(u, dtype=complex))
     signs = grading.signs
     return relative_norm(signs[:, None] * u - adjoint(u) * signs, u)
@@ -146,18 +147,17 @@ def compute_diagnostics(u, h, grading: Grading, transformed):
                                    np.asarray(transformed)[None])[0]
     gram = adjoint(u) @ u
     gram -= np.eye(grading.dim)
-    unitarity = [frobenius(x) for x in gram]
+    unitarity = frobenius(gram).tolist()
     del gram
-    condition = [eriksen_condition_residual(x, grading) for x in u]
-    blockness = [odd_norm_ratio(x, grading) for x in transformed]
+    condition = eriksen_condition_residual(u, grading).tolist()
+    blockness = odd_norm_ratio(transformed, grading).tolist()
     after = np.linalg.eigvalsh(_hermitize(transformed))
-    drift = [float(np.max(np.abs(a - w))) / max(frobenius(x), NORM_FLOOR)
-             for a, w, x in zip(after, h.w, h.matrix)]
+    drift = (np.max(np.abs(after - h.w), axis=-1)
+             / np.maximum(frobenius(h.matrix), NORM_FLOOR)).tolist()
     slices = Slices(len(u))
     try:
         s = unitary_log(u, defect=unitarity, slices=slices)
-        oddness = dict(zip(slices.index, (relative_norm(x, y) for x, y in
-                                          zip(even_projection(s, grading), s))))
+        oddness = dict(zip(slices.index, relative_norm(even_projection(s, grading), s).tolist()))
     except FWLabError:
         oddness = {}
     return [DiagnosticSet(*values, oddness.get(slot), drift[slot])

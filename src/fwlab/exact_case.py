@@ -50,8 +50,7 @@ class CommutationReport:
 
 def check_commutation(d: DiracDecomposition) -> CommutationReport:
     """Measure ||[E, O]||_F / (||E||_F ||O||_F + floor) against COMMUTE_TOL."""
-    residual = d.commutator_norm / (frobenius(d.even_part) * frobenius(d.odd_part) + NORM_FLOOR)
-    return CommutationReport(residual, bool(residual <= COMMUTE_TOL))
+    return ModelStack.of([d]).commutation[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,9 +67,12 @@ class ModelStack:
 
     @classmethod
     def of(cls, ds, h: Spectrum | None = None) -> "ModelStack":
-        return cls(ds[0].grading, h, np.array([[d.mass] for d in ds]),
-                   np.stack([d.even_part for d in ds]), np.stack([d.odd_part for d in ds]),
-                   [check_commutation(d) for d in ds])
+        even, odd = np.stack([d.even_part for d in ds]), np.stack([d.odd_part for d in ds])
+        with np.errstate(over="ignore", invalid="ignore"):  # as quiet as float arithmetic
+            scaled = frobenius(commutator(even, odd)) / (frobenius(even) * frobenius(odd)
+                                                         + NORM_FLOOR)
+        return cls(ds[0].grading, h, np.array([[d.mass] for d in ds]), even, odd,
+                   [CommutationReport(r, r <= COMMUTE_TOL) for r in scaled.tolist()])
 
     @cached_property
     def odd_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

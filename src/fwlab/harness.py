@@ -19,18 +19,17 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
 import numpy as np
 
-from .algebra import frobenius, relative_norm, require_hermitian
+from .algebra import NORM_FLOOR, frobenius, relative_norm, require_hermitian
 from .eriksen import DiagnosticSet, diagnose, eriksen_transform, eriksen_transform_alt
 from .errors import FWLabError
-from .exact_case import (COMMUTE_TOL, ModelStack, check_commutation, u_fw_exact, weak_field_sqrt,
-                         weak_field_transform)
-from .matfunc import Slices, Spectrum, spectral_gap
-from .models import ModelSpec, build_model
+from .exact_case import COMMUTE_TOL, ModelStack, u_fw_exact, weak_field_sqrt, weak_field_transform
+from .matfunc import Slices, Spectrum
+from .models import KIND_SYNTHETIC, ModelSpec, build_model
 from .fileio import write_text
 from .stepwise import ToleranceConfig, stepwise_lockstep
 
@@ -68,7 +67,7 @@ class CrossRow:
     transform_disagreement: float
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "method_pair": list(self.method_pair)}
+        return {**vars(self), "method_pair": list(self.method_pair)}
 
 
 @dataclass
@@ -82,7 +81,7 @@ class ReportContext:
     even_strength_ratio: float   # ||E||_F / (mass * sqrt(dim))
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 @dataclass
@@ -101,7 +100,7 @@ class ComparisonReport:
             "cross": [row.to_dict() for row in self.cross],
             # null: every gap test is the relative rule matfunc.check_gap, not a fixed tolerance
             "tolerances": {"commute_tol": COMMUTE_TOL, "gap_tol": None,
-                           **asdict(self.tolerances)},
+                           **vars(self.tolerances)},
         }
 
     def has_errors(self) -> bool:
@@ -127,10 +126,10 @@ def _weak_field(slices, batch, extras):
     # the root's error against |H| goes into the row even when the root fails its gap check
     parts, root = weak_field_sqrt(batch.parts, slices)
     reference = parts.h.apply(np.abs)
-    for slot, i in enumerate(slices.index):
-        extras[i]["sqrt_relative_error"] = relative_norm(root[slot] - reference[slot],
-                                                         reference[slot])
+    errors = relative_norm(root - reference, reference).tolist()
     del reference
+    for i, error in zip(slices.index, errors):
+        extras[i]["sqrt_relative_error"] = error
     return weak_field_transform(parts.h, root, batch.grading, slices)
 
 
@@ -211,12 +210,13 @@ def _lane_count(tasks: int, count: int, dim: int) -> int:
 
 
 def _run_method(method, batch):
-    """(row, (U, U H U^H) or None) of one method on each model of a batch: its route, then one
-    diagnostics step on the stack it gives."""
+    """(row, (U, U H U^H, ||U||_F, ||U H U^H||_F) or None) of one method on each model of a
+    batch: its route, then one diagnostics step on the stack it gives."""
     started = time.perf_counter()
     slices, extras = Slices(len(batch.index)), [{} for _ in batch.index]
     try:
         h, u, transformed = ROUTES[method](slices, batch, extras)
+        norms = dict(zip(slices.index, zip(frobenius(u).tolist(), frobenius(transformed).tolist())))
         found = diagnose(slices, h, u, transformed, batch.grading, method != METHOD_WEAK_FIELD)
         results = dict(zip(slices.index, found))
     except FWLabError as exc:  # no slice is left, or one error fails them all
@@ -230,26 +230,30 @@ def _run_method(method, batch):
             row.error_type = kind.__name__
         else:
             row.diagnostics = result.diagnostics
-        outcomes.append((row, result and (result.transform, result.transformed_hamiltonian)))
+        outcomes.append((row, result and (result.transform, result.transformed_hamiltonian,
+                                          *norms[slot])))
     return outcomes
 
 
 def _model(spec: ModelSpec):
-    """[H, decomposition] of one spec; H is checked as an eigh operand."""
+    """[H, decomposition] of one spec, H checked as an eigh operand: by ``split_even_odd``, save
+    for the synthetic kind, whose H is assembled from its checked parts."""
     h, _, decomposition = build_model(spec)
-    return [require_hermitian(np.asarray(h, dtype=complex), "operand"), decomposition]
+    if spec.kind == KIND_SYNTHETIC:
+        require_hermitian(h, "operand")
+    return [np.asarray(h, dtype=complex), decomposition]
 
 
 def _report(spec, context, outcomes, tolerances) -> ComparisonReport:
-    """One model's report from its {method: (row, pair)} in canonical order."""
+    """One model's report from its {method: (row, produced)} in canonical order."""
     produced = [(m, pair) for m, (_, pair) in outcomes.items() if pair is not None]
     cross = []
-    for i, (first, (u_first, h_first)) in enumerate(produced):
-        for second, (u_second, h_second) in produced[i + 1:]:
+    for i, (first, (u_first, h_first, u_norm, h_norm)) in enumerate(produced):
+        for second, (u_second, h_second, _, _) in produced[i + 1:]:
             cross.append(CrossRow(
                 method_pair=(first, second),
-                hamiltonian_disagreement=relative_norm(h_second - h_first, h_first),
-                transform_disagreement=relative_norm(u_second - u_first, u_first),
+                hamiltonian_disagreement=frobenius(h_second - h_first) / max(h_norm, NORM_FLOOR),
+                transform_disagreement=frobenius(u_second - u_first) / max(u_norm, NORM_FLOOR),
             ))
     rows = [row for row, _ in outcomes.values()]
     return ComparisonReport(spec.describe(), context, rows, cross, tolerances)
@@ -268,9 +272,12 @@ def run_comparisons(specs, methods=METHOD_TAGS,
     lockstep (DimensionMismatch unless every model has the first one's
     shape), then one task per other method on the whole batch (without
     stepwise, each run of models of one shape is a batch of its own).  A
-    report, the same as for its spec alone, is built once all of its rows are
-    in; a row's ``wall_time_seconds`` runs from the start of its method's task
-    on the batch to the end of the diagnostics.
+    batch is opened with H's stacked eigh alone, so the lockstep starts there;
+    the rest of its preparation, each model's context among it, runs once, in
+    the first task that needs it, and every task has its batch prepared before
+    it records rows.  A report, the same as for its spec alone, is built once
+    all of its rows are in; a row's ``wall_time_seconds`` runs from the start of
+    its method's task on the batch to the end of the diagnostics.
     """
     methods = list(methods)
     if not methods:
@@ -300,31 +307,43 @@ def run_comparisons(specs, methods=METHOD_TAGS,
             contexts[i] = outcomes[i] = None
 
     def run(method, batch):
-        for i, outcome in zip(batch.index, _run_method(method, batch)):
+        if method != METHOD_STEPWISE:
+            prepare(batch)
+        found = _run_method(method, batch)
+        prepare(batch)  # before its rows are in, so each report finds its context
+        for i, outcome in zip(batch.index, found):
             record(i, {method: outcome})
         with lock:
             batch.readers.discard(method)
             if not batch.readers:
                 batch.parts = None
 
+    def prepare(batch):
+        """Once per batch, other tasks waiting: the ModelStack ``parts`` with its odd-block SVD,
+        kept while a method in ``readers`` is left, and each model's context."""
+        with batch.preparing:
+            if batch.ds is None:
+                return
+            parts, dim = ModelStack.of(batch.ds, batch.h), batch.grading.dim
+            if METHOD_WEAK_FIELD in batch.readers:
+                parts.odd_svd
+            gaps = np.min(np.abs(batch.h.w), axis=-1).tolist()
+            strengths = frobenius(parts.even_part) / (np.array(batch.masses) * np.sqrt(dim))
+            for i, mass, commutation, gap, strength in zip(
+                    batch.index, batch.masses, parts.commutation, gaps, strengths.tolist()):
+                contexts[i] = ReportContext(mass, dim, commutation.commutator_residual, gap,
+                                            strength)
+            batch.parts, batch.ds = parts if batch.readers else None, None
+
     def stack(index):
         """The batch of built models ``index`` of one shape: H's stacked Spectrum, and the
-        ModelStack ``parts`` that goes once no method in ``readers`` is left to read it."""
+        decompositions ``ds`` that ``prepare`` takes."""
         h, ds = np.stack([models[i][0] for i in index]), [models[i][1] for i in index]
         models[index[0]:index[-1] + 1] = [None] * len(index)
-        h, readers = Spectrum(h, *np.linalg.eigh(h)), {m for m in _PARTS_READERS if m in methods}
-        parts = ModelStack.of(ds, h) if readers else None
-        if METHOD_WEAK_FIELD in readers:
-            parts.odd_svd  # taken here, once, for exactcase and weakfield on any lanes
-        dim = ds[0].grading.dim
-        for slot, (i, d) in enumerate(zip(index, ds)):
-            mass = specs[i].mass
-            contexts[i] = ReportContext(mass, dim, check_commutation(d).commutator_residual,
-                                        spectral_gap(h[slot]).min_abs_eigenvalue,
-                                        frobenius(d.even_part) / (mass * np.sqrt(dim)))
-        return SimpleNamespace(index=index, h=h, parts=parts, grading=ds[0].grading,
-                               masses=[specs[i].mass for i in index], tolerances=tolerances,
-                               readers=readers)
+        return SimpleNamespace(index=index, h=Spectrum(h, *np.linalg.eigh(h)), ds=ds, parts=None,
+                               readers={m for m in _PARTS_READERS if m in methods},
+                               preparing=threading.Lock(), grading=ds[0].grading,
+                               masses=[specs[i].mass for i in index], tolerances=tolerances)
 
     def stream():  # advanced under the lock, so a batch is built when its first task is taken
         for k in range(count):

@@ -101,8 +101,8 @@ def stepwise_lockstep(hamiltonians, grading: Grading, masses,
     live = list(range(len(h.w)))  # the model in each slice of the stack
     w, frame, block = h.w[:, None], h.v, h.matrix[:, :n, n:]
     twice_mass = 2.0 * np.reshape(masses, (-1, 1, 1))
-    scales = [np.sqrt(2.0) / max(frobenius(x), NORM_FLOOR) for x in h.matrix]
-    ratios = [[scale * frobenius(b)] for scale, b in zip(scales, block)]
+    scales = np.sqrt(2.0) / np.maximum(frobenius(h.matrix), NORM_FLOOR)
+    ratios = [[ratio] for ratio in (scales * frobenius(block)).tolist()]
     rows, reasons = [[] for _ in live], [None] * len(live)
     final = np.empty_like(frame)  # each model's frame F when it leaves
     while live:
@@ -114,14 +114,16 @@ def stepwise_lockstep(hamiltonians, grading: Grading, masses,
         if len(keep) < len(live):  # a copy per step would slow a stack of one
             live = [live[slot] for slot in keep]
             w, frame, block, twice_mass = w[keep], frame[keep], block[keep], twice_mass[keep]
+            scales = scales[keep]
         if not live:
             break
         c = block / twice_mass
         frame = odd_exp(c) @ frame
         block = (frame[:, :n] * w) @ frame[:, n:].conj().swapaxes(1, 2)
-        for slot, i in enumerate(live):
-            rows[i].append((len(rows[i]), ratios[i][-1], np.sqrt(2.0) * frobenius(c[slot])))
-            ratios[i].append(scales[i] * frobenius(block[slot]))
+        exponents = (np.sqrt(2.0) * frobenius(c)).tolist()
+        for i, exponent, ratio in zip(live, exponents, (scales * frobenius(block)).tolist()):
+            rows[i].append((len(rows[i]), ratios[i][-1], exponent))
+            ratios[i].append(ratio)
     # U = F V^H, and U H U^H the Hermitian part of F diag(w) F^H
     transformed = _hermitize((final * h.w[:, None]) @ adjoint(final))
     u = final @ adjoint(h.v)

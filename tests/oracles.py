@@ -61,3 +61,17 @@ def stepwise_departure(d):
     beta = d.grading.signs[:, None]
     oe = commutator(o, e)
     return -beta * (oe @ oe) / 8 - beta * anticommutator(o, commutator(oe, e)) / 16
+
+
+def stepwise_rate(h, mass):
+    """rho = max |1 - (a + b)/2m| over H's positive eigenvalues a and |negative| ones b.
+
+    Near its block-diagonal end point diag(A, -B) one step of the step-by-step
+    method maps the odd block X to X - (AX + XB)/2m, a Sylvester map whose rate
+    is rho; the iteration converges iff rho < 1, i.e. iff H's spectral width
+    w_max - w_min = a_max + b_max is below 4m.
+    """
+    w = np.linalg.eigvalsh(h)
+    a, b = w[w > 0.0], -w[w < 0.0]
+    extremes = np.array([a.min() + b.min(), a.max() + b.max()])
+    return float(np.max(np.abs(1.0 - extremes / (2.0 * mass))))

@@ -1,6 +1,7 @@
 import json
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from collections import Counter
@@ -477,6 +478,40 @@ def test_batches_under_contention(open_gate, lane_counts, lockstep_batches):
     assert lane_counts == [4] * len(batches)
     assert lockstep_batches == [3] * len(batches)
     assert laned == serial
+
+
+def test_routes_wait_for_their_batch_preparation(monkeypatch, open_gate, lane_counts):
+    # a slow batch preparation on four lanes: no one-shot route reads a batch before it is
+    # prepared, and every report is the serial one
+    specs = _strength_sweep(8)
+    open_gate(min_dim=10 ** 9)
+    serial = _texts(run_comparisons(specs))
+    prepared, started = [], []  # the prepared batches' spectra, kept alive
+    of, run_method = harness.ModelStack.of, harness._run_method
+
+    def slow(ds, h=None):
+        time.sleep(0.02)
+        parts = of(ds, h)
+        prepared.append(h)
+        return parts
+
+    def spy(method, batch):
+        started.append((method, any(h is batch.h for h in prepared)))
+        return run_method(method, batch)
+
+    monkeypatch.setattr(harness.ModelStack, "of", slow)
+    monkeypatch.setattr(harness, "_run_method", spy)
+    # a threshold of 64 makes lane_batch_size(32) = 4: two batches of five tasks
+    open_gate(cores=4, min_dim=64)
+    assert _texts(run_comparisons(specs)) == serial
+    assert lane_counts == [4]
+    assert len(started) == 10
+    assert all(ready for method, ready in started if method != "stepwise")
+    # on one lane each lockstep, its batch's first task, starts before the preparation
+    started.clear()
+    open_gate(cores=1, min_dim=64)
+    assert _texts(run_comparisons(specs)) == serial
+    assert [ready for method, ready in started if method == "stepwise"] == [False, False]
 
 
 def test_batch_of_mixed_shapes(monkeypatch):

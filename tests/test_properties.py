@@ -11,7 +11,8 @@ how either route is computed:
 - U(cH) = U(H) for c > 0 (eriksen), and stepwise(cH, c m) = stepwise(H, m);
 - U(W H W^H) = W U(H) W^H for even unitaries W = diag(W1, W2), both routes;
 - stepwise on a stack of models in lockstep equals each model's own run bit for bit;
-- a batch of lattices of random masses and strengths gives each its report alone.
+- a batch of lattices of random masses and strengths gives each its report alone;
+- the stacked Frobenius norm of each slice is its ``np.linalg.norm`` bit for bit.
 
 Stepwise relations compare runs of a fixed number of steps, so that a ratio
 lying on a stopping threshold cannot split two equivalent runs.
@@ -34,6 +35,7 @@ from fwlab import (
     Potential,
     eriksen_transform,
     eriksen_transform_alt,
+    frobenius,
     h_fw_exact,
     lambda_exact,
     make_beta,
@@ -273,3 +275,28 @@ def test_batch_reports_equal_reports_alone(length, width, members):
              for mass, strength in members]
     texts = [(report_json(r), report_csv(r)) for r in run_comparisons(specs)]
     assert texts == [(report_json(r), report_csv(r)) for r in map(run_comparison, specs)]
+
+
+# Memory layouts of a stack's slices: C-contiguous, transposed, and a strided block of each.
+LAYOUTS = {
+    "c": lambda a: a,
+    "transposed": lambda a: a.swapaxes(1, 2),
+    "block": lambda a: a[:, 1:, ::2],
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=SEEDS, count=st.integers(1, 20), dim=st.integers(2, 33),
+       log_scale=st.floats(-8.0, 3.0), complex_entries=st.booleans(),
+       layout=st.sampled_from(sorted(LAYOUTS)))
+def test_stacked_frobenius_is_each_slice_norm(seed, count, dim, log_scale, complex_entries,
+                                              layout):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((count, dim, dim))
+    if complex_entries:
+        a = a + 1j * rng.standard_normal((count, dim, dim))
+    a = LAYOUTS[layout](a * 10.0 ** log_scale)
+    b = np.ascontiguousarray(a[::-1])
+    assert frobenius(a).tolist() == [np.linalg.norm(x, "fro") for x in a]
+    assert relative_norm(a, b).tolist() == [relative_norm(x, y) for x, y in zip(a, b)]
+    assert type(frobenius(a[0])) is float and type(relative_norm(a[0], b[0])) is float
