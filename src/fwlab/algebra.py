@@ -32,16 +32,17 @@ def frobenius(a):
     For C-contiguous slices this is one stacked (1, N) @ (N, 1) product per real and
     imaginary part, which numpy runs through the BLAS dot ``np.linalg.norm`` uses, so
     each norm equals the slice's own bit for bit.  Other slices, which that norm reads
-    in memory order, are taken one by one.
+    in memory order, are taken one by one.  A norm whose square overflows is inf, quietly.
     """
     a = np.asarray(a)
-    if a.ndim == 2:
-        return float(np.linalg.norm(a, "fro"))
-    if not a.flags.c_contiguous:
-        return np.array([np.linalg.norm(x, "fro") for x in a])
-    rows = a.reshape(len(a), 1, -1)
-    parts = (rows.real, rows.imag) if np.iscomplexobj(rows) else (rows,)
-    return np.sqrt(sum(x @ x.swapaxes(1, 2) for x in parts)[:, 0, 0])
+    with np.errstate(over="ignore"):
+        if a.ndim == 2:
+            return float(np.linalg.norm(a, "fro"))
+        if not a.flags.c_contiguous:
+            return np.array([np.linalg.norm(x, "fro") for x in a])
+        rows = a.reshape(len(a), 1, -1)
+        parts = (rows.real, rows.imag) if np.iscomplexobj(rows) else (rows,)
+        return np.sqrt(sum(x @ x.swapaxes(1, 2) for x in parts)[:, 0, 0])
 
 
 def adjoint(a):
@@ -70,15 +71,19 @@ def anticommutator(a, b):
 
 
 def hermiticity_defect(a) -> float:
-    """Relative Frobenius distance of ``a`` from its own adjoint."""
-    return relative_norm(a - a.conj().T, a)
+    """Relative Frobenius distance of ``a`` from its own adjoint; NaN once ||a||_F^2 overflows."""
+    norm = frobenius(a)
+    return frobenius(a - a.conj().T) / max(norm, NORM_FLOOR) if norm < np.inf else np.nan
 
 
 def require_hermitian(a, name: str) -> np.ndarray:
-    """``a`` itself; NonHermitianInput if it is non-finite or not Hermitian within 1e-12."""
+    """``a``; NonHermitianInput if non-finite, of overflowing norm, or not Hermitian to 1e-12."""
     if not np.isfinite(a).all():
         raise NonHermitianInput(f"{name} has non-finite entries")
-    if hermiticity_defect(a) > HERMITICITY_RTOL:
+    defect = hermiticity_defect(a)
+    if np.isnan(defect):
+        raise NonHermitianInput(f"{name} has a Frobenius norm that overflows")
+    if defect > HERMITICITY_RTOL:
         raise NonHermitianInput(f"{name} is not Hermitian within 1e-12")
     return a
 
@@ -157,7 +162,7 @@ class DiracDecomposition:
     ``even_part`` commutes with beta and is stored with its off-diagonal
     blocks exactly zero; ``odd_part`` anticommutes and is stored with its
     diagonal blocks exactly zero.  Both parts must be finite and Hermitian
-    to relative tolerance 1e-12.
+    to relative tolerance 1e-12, and their norms over the mass finite.
     """
 
     grading: Grading
@@ -169,8 +174,9 @@ class DiracDecomposition:
         require_mass(self.mass)
         e = even_projection(np.asarray(self.even_part, dtype=complex), self.grading)
         o = odd_projection(np.asarray(self.odd_part, dtype=complex), self.grading)
-        require_hermitian(e, "even part")
-        require_hermitian(o, "odd part")
+        for part, name in ((e, "even part"), (o, "odd part")):
+            if not frobenius(require_hermitian(part, name)) / float(self.mass) < np.inf:
+                raise ValueError(f"{name} norm over mass {self.mass!r} overflows")
         object.__setattr__(self, "even_part", e)
         object.__setattr__(self, "odd_part", o)
 

@@ -8,7 +8,6 @@ report serializers; nothing is printed in ad-hoc formats.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import os
@@ -18,7 +17,7 @@ from dataclasses import replace
 
 from .errors import FWLabError
 from .harness import (METHOD_STEPWISE, METHOD_TAGS, METHOD_WEAK_FIELD, ComparisonReport,
-                      emit_report, openblas_thread_controls, run_comparison, run_comparisons)
+                      emit_report, run_comparison, run_comparisons, single_blas_thread)
 from .fileio import write_text
 from .models import KIND_EXPLICIT, KIND_FREE, KIND_LATTICE, ModelSpec, parse_potential
 from .stepwise import STOP_TOLERANCE, ToleranceConfig
@@ -232,28 +231,11 @@ def cmd_sweep(args) -> int:
     return 2 if any(r.has_errors() for r in reports) else 0
 
 
-@contextlib.contextmanager
-def _single_blas_thread():
-    """Run the block on one OpenBLAS thread, then restore the previous counts.
-
-    The CLI owns its process: at dim <= ~256 threaded BLAS is slower than serial
-    and keeps the harness's lanes shut.
-    """
-    saved = [(set_, get()) for get, set_ in openblas_thread_controls()]
-    for set_, _ in saved:
-        set_(1)
-    try:
-        yield
-    finally:
-        for set_, count in saved:
-            set_(count)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with _single_blas_thread():
+        with single_blas_thread():
             return args.func(args)
     except OSError as exc:
         print(f"fwlab: i/o error: {exc}", file=sys.stderr)

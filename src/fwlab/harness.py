@@ -11,6 +11,7 @@ round-trip floats, and no timing data unless explicitly requested.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import itertools
@@ -26,7 +27,7 @@ import numpy as np
 
 from .algebra import NORM_FLOOR, frobenius, relative_norm, require_hermitian
 from .eriksen import DiagnosticSet, diagnose, eriksen_transform, eriksen_transform_alt
-from .errors import FWLabError
+from .errors import FWLabError, OutsideValidityDomain
 from .exact_case import COMMUTE_TOL, ModelStack, u_fw_exact, weak_field_sqrt, weak_field_transform
 from .matfunc import Slices, Spectrum
 from .models import KIND_SYNTHETIC, ModelSpec, build_model
@@ -123,13 +124,20 @@ def _stepwise(slices, batch, extras):
 
 
 def _weak_field(slices, batch, extras):
-    # the root's error against |H| goes into the row even when the root fails its gap check
-    parts, root = weak_field_sqrt(batch.parts, slices)
-    reference = parts.h.apply(np.abs)
-    errors = relative_norm(root - reference, reference).tolist()
+    # the root's error against |H| goes into the row even when the root fails its gap check;
+    # a root whose error overflows leaves, as its products of H overflow before eriksen's do
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts, root = weak_field_sqrt(batch.parts, slices)
+        reference = parts.h.apply(np.abs)
+        errors = relative_norm(root - reference, reference).tolist()
     del reference
-    for i, error in zip(slices.index, errors):
-        extras[i]["sqrt_relative_error"] = error
+
+    def measured(slot):
+        if not errors[slot] < np.inf:
+            raise OutsideValidityDomain("the approximate root's error against |H| overflows")
+        extras[slices.index[slot]]["sqrt_relative_error"] = errors[slot]
+
+    parts, root = slices.gate(measured, parts, root)
     return weak_field_transform(parts.h, root, batch.grading, slices)
 
 
@@ -154,44 +162,48 @@ _PARTS_READERS = (METHOD_EXACT_CASE, METHOD_WEAK_FIELD)
 # below, threads contend for the GIL.
 CONCURRENCY_MIN_DIM = 128
 
-# (get, set) thread-count entry points of the OpenBLAS builds numpy and
-# scipy ship: numpy's 64-bit-integer build, scipy's, then a system library.
+# (get, set) thread-count entry points of the OpenBLAS builds numpy ships: its 64-bit-integer
+# build, its 32-bit one, then a system library.
 _OPENBLAS_THREAD_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
-_GET_THREADS = ctypes.CFUNCTYPE(ctypes.c_int)
-_SET_THREADS = ctypes.CFUNCTYPE(None, ctypes.c_int)
 
 
-def openblas_thread_controls():
-    """(get, set) thread-count functions of every OpenBLAS already loaded: found in the
-    process's memory map, where there is one, and opened without loading anything new."""
+@functools.cache
+def numpy_openblas():
+    """(get, set) thread-count functions of the OpenBLAS that runs numpy's linalg, or None when
+    numpy uses another BLAS: looked up through the handle of numpy's ``_umath_linalg``, which
+    links it, so nothing is loaded and another library's OpenBLAS is not seen."""
     try:
-        with open("/proc/self/maps") as maps:
-            # Columns: address, permissions, offset, device, inode, path.
-            rows = [line.split(maxsplit=5) for line in maps.read().splitlines()]
-    except OSError:
-        return []
-    paths = {row[5] for row in rows if len(row) == 6 and "openblas" in os.path.basename(row[5])}
-    controls = []
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-            try:
-                controls.append((_GET_THREADS((get_name, lib)), _SET_THREADS((set_name, lib))))
-                break
-            except AttributeError:
-                continue
-    return controls
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__, mode=os.RTLD_NOLOAD)
+    except (AttributeError, OSError):  # no RTLD_NOLOAD, as on Windows
+        return None
+    for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+        if hasattr(lib, get_name):
+            return (ctypes.CFUNCTYPE(ctypes.c_int)((get_name, lib)),
+                    ctypes.CFUNCTYPE(None, ctypes.c_int)((set_name, lib)))
+    return None
 
 
-# Read once for the lane gate (a map read costs 0.5-3 ms); numpy loads its OpenBLAS at import.
-_loaded_openblas = functools.cache(openblas_thread_controls)
+@contextlib.contextmanager
+def single_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then restore its count.
+
+    At dim <= ~256 threaded BLAS is slower than serial, and it keeps the lanes shut.
+    """
+    controls = numpy_openblas()
+    if controls is None:
+        yield
+        return
+    get, set_ = controls
+    saved = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(saved)
 
 
 def lane_batch_size(dim: int) -> int:
@@ -206,7 +218,8 @@ def _lane_count(tasks: int, count: int, dim: int) -> int:
         return 1
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     # a second caller thread stacked on threaded BLAS makes a comparison slower
-    return min(cores or 1, tasks) if {get() for get, _ in _loaded_openblas()} == {1} else 1
+    controls = numpy_openblas()
+    return min(cores or 1, tasks) if controls is not None and controls[0]() == 1 else 1
 
 
 def _run_method(method, batch):

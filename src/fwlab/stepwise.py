@@ -77,23 +77,19 @@ def _stop_reason(ratios, steps: int, tolerances: ToleranceConfig):
             else STOP_STAGNATION if stalled else None)
 
 
-def stepwise_lockstep(hamiltonians, grading: Grading, masses,
+def stepwise_lockstep(h: Spectrum, grading: Grading, masses,
                       tolerances: ToleranceConfig = ToleranceConfig()):
     """``stepwise_fw`` of each (H, mass), all models stepped at once, undiagnosed:
     (U, U H U^H, traces), U and U H U^H stacked in model order.
 
-    ``hamiltonians`` is a list of H or Spectrum, or a stacked Spectrum.  Each
-    step is one stacked SVD and one set of stacked products over the models
-    still running; numpy runs the same LAPACK and BLAS call on each slice, so
-    each run is bit for bit the run alone.  A model leaves the stack when its
-    own rule fires; a run of zero steps keeps the exact identity and H.
+    ``h`` is the stacked Spectrum of the Hamiltonians.  Each step is one
+    stacked SVD and one set of stacked products over the models still
+    running; numpy runs the same LAPACK and BLAS call on each slice, so each
+    run is bit for bit the run alone.  A model leaves the stack when its own
+    rule fires; a run of zero steps keeps the exact identity and H.
     """
     for mass in masses:
         require_mass(mass)
-    h = hamiltonians
-    if not isinstance(h, Spectrum):
-        spectra = [hamiltonian_spectrum(x, grading) for x in h]
-        h = Spectrum(*(np.stack(parts) for parts in zip(*((s.matrix, s.w, s.v) for s in spectra))))
     if len(masses) != len(h.w):
         raise ValueError(f"{len(h.w)} Hamiltonians need as many masses, got {len(masses)}")
     grading.check(h.matrix)

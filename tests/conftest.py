@@ -116,11 +116,11 @@ def commuting_suite(free_suite, commuting_lattice_suite, synthetic_suite):
 def open_gate(monkeypatch):
     """Fake the facts the lane gate reads (see ``harness._lane_count``) with
     ``open_gate(blas_threads=1, cores=2, min_dim=0)``; ``blas_threads`` None
-    stands for a process with no OpenBLAS loaded."""
+    stands for a numpy on another BLAS than OpenBLAS."""
 
     def fake(blas_threads=1, cores=2, min_dim=0):
-        controls = [] if blas_threads is None else [(lambda: blas_threads, lambda count: None)]
-        monkeypatch.setattr(harness, "_loaded_openblas", lambda: controls)
+        controls = None if blas_threads is None else (lambda: blas_threads, lambda count: None)
+        monkeypatch.setattr(harness, "numpy_openblas", lambda: controls)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
         monkeypatch.setattr(harness, "CONCURRENCY_MIN_DIM", min_dim)
 

@@ -153,6 +153,11 @@ def test_decomposition_gates():
     # NaN passes every tolerance comparison, so it is rejected by name
     with pytest.raises(NonHermitianInput):
         DiracDecomposition(g, 1.0, np.full((4, 4), np.nan), zero)
+    # finite parts whose norm over the mass overflows: E / m and O / 2m are never formed
+    with pytest.raises(ValueError, match="^even part norm over mass 1e-200 overflows$"):
+        DiracDecomposition(g, 1e-200, 1e150 * make_beta(g), zero)
+    with pytest.raises(ValueError, match="^odd part norm over mass 1e-200 overflows$"):
+        DiracDecomposition(g, 1e-200, zero, 1e150 * np.fliplr(np.eye(4)))
 
 
 def test_split_rejects_non_hermitian():

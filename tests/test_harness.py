@@ -528,6 +528,17 @@ def test_batch_of_mixed_shapes(monkeypatch):
         report_json(run_comparison(spec, methods)) for spec in specs]
 
 
+def test_weak_field_root_whose_error_overflows_leaves():
+    # at m = 1e100 the root's products reach m^2 ||E||, and its error against |H| overflows
+    report = run_comparison(ModelSpec(kind=KIND_SYNTHETIC, mass=1e100, n=4, poly=(0.3, 0.1),
+                                      seed=1))
+    row = report.row("weakfield")
+    assert (row.error_type, row.error) == (
+        "OutsideValidityDomain", "the approximate root's error against |H| overflows")
+    assert row.extras == {}
+    assert [r.method for r in report.methods if r.error is not None] == ["weakfield"]
+
+
 def _refusing_pool(max_workers):
     raise AssertionError("the lane pool must not be opened")
 
@@ -644,10 +655,10 @@ def test_later_build_error_propagates_and_joins(monkeypatch, open_gate, lane_cou
 
 @pytest.fixture
 def blas_controls():
-    """Loaded OpenBLAS controls, set to 2 threads and restored afterwards."""
-    controls = harness.openblas_thread_controls()
-    if not controls:
-        pytest.skip("no OpenBLAS library is loaded")
+    """[numpy's OpenBLAS controls], set to 2 threads and restored afterwards."""
+    controls = [harness.numpy_openblas()]
+    if controls == [None]:
+        pytest.skip("numpy does not run on OpenBLAS")
     original = [get() for get, _ in controls]
     for _, set_ in controls:
         set_(2)
@@ -658,7 +669,7 @@ def blas_controls():
 
 @pytest.fixture
 def one_blas_thread(blas_controls):
-    """Every loaded OpenBLAS on one thread, as under OPENBLAS_NUM_THREADS=1."""
+    """numpy's OpenBLAS on one thread, as under OPENBLAS_NUM_THREADS=1."""
     for _, set_ in blas_controls:
         set_(1)
     return blas_controls
@@ -699,7 +710,7 @@ def test_cli_restores_blas_threads(blas_controls, monkeypatch, capsys):
 
 
 def test_cli_without_openblas_leaves_threads_alone(blas_controls, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "openblas_thread_controls", lambda: [])
+    monkeypatch.setattr(harness, "numpy_openblas", lambda: None)
     seen = _spy_blas_counts(monkeypatch, blas_controls)
     assert cli.main(["free", "--mass", "1", "--methods", "eriksen"]) == 0
     assert seen == [[2] * len(blas_controls)]

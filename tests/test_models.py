@@ -13,6 +13,7 @@ from fwlab import (
     hermiticity_defect,
     load_explicit_matrix,
     parse_potential,
+    run_comparison,
     write_matrix,
 )
 from fwlab.cli import main
@@ -220,6 +221,37 @@ def test_load_explicit_matrix(tmp_path, capsys):
     capsys.readouterr()
     assert main(["matrix", "--file", str(slight_path), "--mass", "1"]) == 1
     assert capsys.readouterr().err == f"fwlab: error: {message}\n"
+
+
+@pytest.mark.parametrize("spec, source", [
+    pytest.param(ModelSpec(kind=KIND_SYNTHETIC, mass=1.0, n=4, poly=(1e300, 1e300), seed=1),
+                 "even part", id="synthetic-poly"),
+    pytest.param(ModelSpec(kind=KIND_LATTICE, mass=1.0, n=8, length=4.0,
+                           potential=Potential("gaussian", (1e155, 1.0))),
+                 "Hamiltonian", id="lattice-g"),
+    pytest.param(ModelSpec(kind=KIND_FREE, mass=1e155, momentum=(0.0, 0.0, 0.1)),
+                 "Hamiltonian", id="free-mass"),
+    pytest.param(ModelSpec(kind=KIND_LATTICE, mass=1e155, n=8, length=4.0,
+                           potential=Potential("gaussian", (0.2, 1.0))),
+                 "Hamiltonian", id="lattice-mass"),
+])
+def test_overflowing_norm_fails_at_build(spec, source):
+    # every entry is finite, but ||H||_F^2, which every route's products reach, is not;
+    # warnings are errors under pytest, so no RuntimeWarning escapes either
+    message = f"^{source} has a Frobenius norm that overflows$"
+    with pytest.raises(NonHermitianInput, match=message):
+        build_model(spec)
+    with pytest.raises(NonHermitianInput, match=message):
+        run_comparison(spec)
+
+
+def test_cli_rejects_an_overflowing_matrix_file(tmp_path, capsys):
+    h, g, _ = build_free_particle(1.0, (0.3, 0.0, 0.4))
+    path = tmp_path / "huge.txt"
+    write_matrix(path, 1e300 * h, g)
+    assert main(["matrix", "--file", str(path), "--mass", "1"]) == 1
+    assert capsys.readouterr().err == (
+        f"fwlab: error: {path}: matrix has a Frobenius norm that overflows\n")
 
 
 def test_load_explicit_matrix_rejects_non_finite(tmp_path):

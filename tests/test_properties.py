@@ -10,9 +10,11 @@ how either route is computed:
 
 - U(cH) = U(H) for c > 0 (eriksen), and stepwise(cH, c m) = stepwise(H, m);
 - U(W H W^H) = W U(H) W^H for even unitaries W = diag(W1, W2), both routes;
-- stepwise on a stack of models in lockstep equals each model's own run bit for bit;
+- each slice of a stacked eigh is its model's own eigh bit for bit, and stepwise on that
+  stack in lockstep equals each model's own run bit for bit;
 - a batch of lattices of random masses and strengths gives each its report alone;
-- the stacked Frobenius norm of each slice is its ``np.linalg.norm`` bit for bit.
+- the stacked Frobenius norm of each slice is its ``np.linalg.norm`` bit for bit;
+- a model of any scale fails with a typed error or gets a report that is strict JSON.
 
 Stepwise relations compare runs of a fixed number of steps, so that a ratio
 lying on a stopping threshold cannot split two equivalent runs.
@@ -23,16 +25,20 @@ transform keeps the same signed gap, and the closed forms must reproduce
 eriksen's transform and the sign operator.
 """
 
+import json
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fwlab import (
     DiracDecomposition,
+    FWLabError,
     FWResult,
     Grading,
     ModelSpec,
     Potential,
+    Spectrum,
     eriksen_transform,
     eriksen_transform_alt,
     frobenius,
@@ -231,10 +237,17 @@ def stepwise_stacks(draw):
 
 
 def _lockstep_matches_alone(models, tolerances):
-    """Assert each model's lockstep result is its stepwise_fw result bit for bit; its traces."""
+    """Assert each model's lockstep result is its stepwise_fw result bit for bit, on a stack
+    whose slices are each model's own Spectrum bit for bit; its traces."""
     g = models[0][1]
-    u, transformed, traces = stepwise_lockstep([h for h, _, _ in models], g,
-                                               [m for _, _, m in models], tolerances)
+    stack = np.stack([h for h, _, _ in models])
+    spectrum = Spectrum(stack, *np.linalg.eigh(stack))
+    for i, (h, _, _) in enumerate(models):
+        w, v = np.linalg.eigh(h)
+        np.testing.assert_array_equal(spectrum.w[i], w)
+        np.testing.assert_array_equal(spectrum.v[i], v)
+    u, transformed, traces = stepwise_lockstep(spectrum, g, [m for _, _, m in models],
+                                               tolerances)
     assert len(u) == len(transformed) == len(traces) == len(models)
     for i, (h, _, mass) in enumerate(models):
         result, trace = FWResult.of(u[i], h, g, transformed[i]), traces[i]
@@ -300,3 +313,26 @@ def test_stacked_frobenius_is_each_slice_norm(seed, count, dim, log_scale, compl
     assert frobenius(a).tolist() == [np.linalg.norm(x, "fro") for x in a]
     assert relative_norm(a, b).tolist() == [relative_norm(x, y) for x, y in zip(a, b)]
     assert type(frobenius(a[0])) is float and type(relative_norm(a[0], b[0])) is float
+
+
+def _reject_constant(name):
+    raise AssertionError(f"{name} is not JSON (RFC 8259)")
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["synthetic", "lattice", "free"]),
+       log_scale=st.floats(-300.0, 300.0), log_mass=st.floats(-300.0, 300.0))
+def test_every_scale_fails_typed_or_writes_strict_json(kind, log_scale, log_mass):
+    # the synthetic poly, the lattice g or the momentum, and the mass, each from 10^[-300, 300]
+    scale, mass = 10.0 ** log_scale, 10.0 ** log_mass
+    spec = {
+        "synthetic": ModelSpec(kind="synthetic", mass=mass, n=4, poly=(scale, scale), seed=1),
+        "lattice": ModelSpec(kind="lattice", mass=mass, n=8, length=4.0,
+                             potential=Potential("gaussian", (scale, 1.0))),
+        "free": ModelSpec(kind="free", mass=mass, momentum=(0.6 * scale, 0.0, 0.8 * scale)),
+    }[kind]
+    try:
+        report = run_comparison(spec)
+    except (FWLabError, ValueError):
+        return
+    json.loads(report_json(report), parse_constant=_reject_constant)

@@ -3,6 +3,10 @@
 import ast
 from pathlib import Path
 
+import pytest
+
+from fwlab import harness
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "fwlab"
 
 # os.environ, os.environb, os.getenv and os.getenvb, read as attributes or imported by name
@@ -23,27 +27,67 @@ def test_no_module_reads_the_environment():
     assert reads == []
 
 
-def _linalg_norm_users(path):
-    """'module:function' of each use of numpy.linalg's norm in one module, by enclosing def."""
-    users = []
+def _users(path, matches):
+    """'module:function' of each node of one module that ``matches``, by enclosing def."""
+    found = []
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
             defines = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             inner = child.name if defines else where
-            attribute = (isinstance(child, ast.Attribute) and child.attr == "norm"
-                         and ast.unparse(child.value).endswith("linalg"))
-            imported = (isinstance(child, ast.ImportFrom) and child.module == "numpy.linalg"
-                        and any(alias.name == "norm" for alias in child.names))
-            if attribute or imported:
-                users.append(f"{path.stem}:{where}")
+            if matches(child):
+                found.append(f"{path.stem}:{where}")
             visit(child, inner)
 
     visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
-    return users
+    return found
+
+
+def _uses_linalg_norm(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "norm"
+            and ast.unparse(node.value).endswith("linalg")
+            or isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
+            and any(alias.name == "norm" for alias in node.names))
 
 
 def test_only_frobenius_calls_linalg_norm():
     # every norm runs on the one pinned kernel, whose stacked form is bit for bit np.linalg.norm
-    users = {user for path in sorted(SRC.rglob("*.py")) for user in _linalg_norm_users(path)}
+    users = {user for path in sorted(SRC.rglob("*.py"))
+             for user in _users(path, _uses_linalg_norm)}
     assert users == {"algebra:frobenius"}
+
+
+def _opens_proc(node):
+    return isinstance(node, ast.Constant) and isinstance(node.value, str) and (
+        node.value.startswith("/proc"))
+
+
+def _names_cdll(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "CDLL"
+            or isinstance(node, ast.ImportFrom) and node.module == "ctypes"
+            and any(alias.name == "CDLL" for alias in node.names))
+
+
+def test_blas_is_found_through_numpy_only():
+    # no module reads the process's files, and one function opens numpy's BLAS
+    paths = sorted(SRC.rglob("*.py"))
+    assert [user for path in paths for user in _users(path, _opens_proc)] == []
+    assert {user for path in paths for user in _users(path, _names_cdll)} == {
+        "harness:numpy_openblas"}
+
+
+def test_numpy_openblas_round_trip():
+    pytest.importorskip("scipy.linalg")  # its own OpenBLAS is loaded beside numpy's
+    controls = harness.numpy_openblas()
+    if controls is None:
+        pytest.skip("numpy does not run on OpenBLAS")
+    assert len(controls) == 2 and all(callable(f) for f in controls)
+    get, set_ = controls
+    before = get()
+    try:
+        for count in (2, 1):
+            set_(count)
+            assert get() == count
+    finally:
+        set_(before)
+    assert harness.numpy_openblas() is controls

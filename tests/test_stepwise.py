@@ -6,6 +6,7 @@ from fwlab import (
     Grading,
     ModelSpec,
     NonHermitianInput,
+    Spectrum,
     build_free_particle,
     build_lattice_1d,
     eriksen_transform,
@@ -139,8 +140,9 @@ def test_parameter_gates():
 
 def test_lockstep_needs_one_mass_per_model():
     h, g, _ = build_free_particle(1.0, (0.0, 0.0, 0.1))
+    stack = np.stack([h, h])
     with pytest.raises(ValueError, match="2 Hamiltonians need as many masses, got 1"):
-        next(stepwise_lockstep([h, h], g, [1.0]))
+        stepwise_lockstep(Spectrum(stack, *np.linalg.eigh(stack)), g, [1.0])
 
 
 def test_rejects_infinite_mass():
