@@ -8,7 +8,6 @@ report serializers; nothing is printed in ad-hoc formats.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import shlex
@@ -17,7 +16,7 @@ from dataclasses import replace
 
 from .errors import FWLabError
 from .harness import (METHOD_STEPWISE, METHOD_TAGS, METHOD_WEAK_FIELD, ComparisonReport,
-                      emit_report, run_comparison, run_comparisons, single_blas_thread)
+                      emit_report, json_text, run_comparison, run_comparisons, single_blas_thread)
 from .fileio import write_text
 from .models import KIND_EXPLICIT, KIND_FREE, KIND_LATTICE, ModelSpec, parse_potential
 from .stepwise import STOP_TOLERANCE, ToleranceConfig
@@ -226,8 +225,7 @@ def cmd_sweep(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     for value, report in zip(values, reports):
         emit_report(report, "json", os.path.join(args.out, f"report_g{value!r}.json"))
-    write_text(os.path.join(args.out, "summary.json"),
-               json.dumps(_sweep_summary(values, reports), sort_keys=True, indent=2) + "\n")
+    write_text(os.path.join(args.out, "summary.json"), json_text(_sweep_summary(values, reports)))
     return 2 if any(r.has_errors() for r in reports) else 0
 
 

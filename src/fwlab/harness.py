@@ -287,10 +287,10 @@ def run_comparisons(specs, methods=METHOD_TAGS,
     stepwise, each run of models of one shape is a batch of its own).  A
     batch is opened with H's stacked eigh alone, so the lockstep starts there;
     the rest of its preparation, each model's context among it, runs once, in
-    the first task that needs it, and every task has its batch prepared before
-    it records rows.  A report, the same as for its spec alone, is built once
-    all of its rows are in; a row's ``wall_time_seconds`` runs from the start of
-    its method's task on the batch to the end of the diagnostics.
+    the first task that needs it.  The task that stores a batch's last
+    method's outcomes builds all of its reports, each the same as for its spec
+    alone; a row's ``wall_time_seconds`` runs from the start of its method's
+    task on the batch to the end of the diagnostics.
     """
     methods = list(methods)
     if not methods:
@@ -307,33 +307,27 @@ def run_comparisons(specs, methods=METHOD_TAGS,
     models = [_model(specs[0])] + [None] * (len(specs) - 1)
     grading = models[0][1].grading
     count = max(1, len(specs) // lane_batch_size(grading.dim))
-    outcomes = [dict.fromkeys(methods) for _ in specs]
-    contexts, reports = [None] * len(specs), [None] * len(specs)
-    lock = threading.Lock()
-
-    def record(i, produced):
-        with lock:
-            outcomes[i].update(produced)
-            complete = None not in outcomes[i].values()
-        if complete:
-            reports[i] = _report(specs[i], contexts[i], outcomes[i], tolerances)
-            contexts[i] = outcomes[i] = None
+    reports, lock = [None] * len(specs), threading.Lock()
 
     def run(method, batch):
         if method != METHOD_STEPWISE:
             prepare(batch)
-        found = _run_method(method, batch)
-        prepare(batch)  # before its rows are in, so each report finds its context
-        for i, outcome in zip(batch.index, found):
-            record(i, {method: outcome})
+        outcomes = _run_method(method, batch)
         with lock:
+            batch.found[method] = outcomes
             batch.readers.discard(method)
             if not batch.readers:
                 batch.parts = None
+            if len(batch.found) < len(methods):
+                return
+        prepare(batch)  # a stepwise-only batch has no task that prepared it
+        for i, context, *found in zip(batch.index, batch.contexts, *map(batch.found.get, methods)):
+            reports[i] = _report(specs[i], context, dict(zip(methods, found)), tolerances)
+        batch.found = None
 
     def prepare(batch):
         """Once per batch, other tasks waiting: the ModelStack ``parts`` with its odd-block SVD,
-        kept while a method in ``readers`` is left, and each model's context."""
+        kept while a method in ``readers`` is left, and each model's context in ``contexts``."""
         with batch.preparing:
             if batch.ds is None:
                 return
@@ -342,10 +336,9 @@ def run_comparisons(specs, methods=METHOD_TAGS,
                 parts.odd_svd
             gaps = np.min(np.abs(batch.h.w), axis=-1).tolist()
             strengths = frobenius(parts.even_part) / (np.array(batch.masses) * np.sqrt(dim))
-            for i, mass, commutation, gap, strength in zip(
-                    batch.index, batch.masses, parts.commutation, gaps, strengths.tolist()):
-                contexts[i] = ReportContext(mass, dim, commutation.commutator_residual, gap,
-                                            strength)
+            batch.contexts = [ReportContext(mass, dim, c.commutator_residual, gap, strength)
+                              for mass, c, gap, strength in zip(
+                                  batch.masses, parts.commutation, gaps, strengths.tolist())]
             batch.parts, batch.ds = parts if batch.readers else None, None
 
     def stack(index):
@@ -354,7 +347,7 @@ def run_comparisons(specs, methods=METHOD_TAGS,
         h, ds = np.stack([models[i][0] for i in index]), [models[i][1] for i in index]
         models[index[0]:index[-1] + 1] = [None] * len(index)
         return SimpleNamespace(index=index, h=Spectrum(h, *np.linalg.eigh(h)), ds=ds, parts=None,
-                               readers={m for m in _PARTS_READERS if m in methods},
+                               found={}, readers={m for m in _PARTS_READERS if m in methods},
                                preparing=threading.Lock(), grading=ds[0].grading,
                                masses=[specs[i].mass for i in index], tolerances=tolerances)
 
@@ -406,9 +399,14 @@ def run_comparison(spec: ModelSpec, methods=METHOD_TAGS,
     return run_comparisons([spec], methods, tolerances)[0]
 
 
+def json_text(data) -> str:
+    """Canonical JSON text of an acyclic dict: sorted keys, indent 2, shortest round-trip floats."""
+    return json.dumps(data, sort_keys=True, indent=2, check_circular=False) + "\n"
+
+
 def report_json(report: ComparisonReport, include_timings: bool = False) -> str:
-    """Canonical JSON text: sorted keys, shortest round-trip floats."""
-    return json.dumps(report.to_dict(include_timings), sort_keys=True, indent=2) + "\n"
+    """A report's canonical JSON text (``json_text``)."""
+    return json_text(report.to_dict(include_timings))
 
 
 def report_csv(report: ComparisonReport) -> str:

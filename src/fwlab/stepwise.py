@@ -116,7 +116,10 @@ def stepwise_lockstep(h: Spectrum, grading: Grading, masses,
         c = block / twice_mass
         frame = odd_exp(c) @ frame
         block = (frame[:, :n] * w) @ frame[:, n:].conj().swapaxes(1, 2)
-        exponents = (np.sqrt(2.0) * frobenius(c)).tolist()
+        norms = frobenius(c)  # c is finite, as odd_exp took it, but its square may overflow
+        for k in np.flatnonzero(~np.isfinite(norms)):
+            norms[k] = (scale := np.max(np.abs(c[k]))) * frobenius(c[k] / scale)
+        exponents = (np.sqrt(2.0) * norms).tolist()
         for i, exponent, ratio in zip(live, exponents, (scales * frobenius(block)).tolist()):
             rows[i].append((len(rows[i]), ratios[i][-1], exponent))
             ratios[i].append(ratio)

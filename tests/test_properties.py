@@ -12,7 +12,8 @@ how either route is computed:
 - U(W H W^H) = W U(H) W^H for even unitaries W = diag(W1, W2), both routes;
 - each slice of a stacked eigh is its model's own eigh bit for bit, and stepwise on that
   stack in lockstep equals each model's own run bit for bit;
-- a batch of lattices of random masses and strengths gives each its report alone;
+- a batch of lattices of random masses and strengths gives each its report alone, for
+  any method list;
 - the stacked Frobenius norm of each slice is its ``np.linalg.norm`` bit for bit;
 - a model of any scale fails with a typed error or gets a report that is strict JSON.
 
@@ -54,7 +55,8 @@ from fwlab import (
     stepwise_fw,
     u_fw_exact,
 )
-from fwlab.harness import run_comparisons
+from fwlab.harness import (METHOD_ERIKSEN, METHOD_EXACT_CASE, METHOD_STEPWISE, METHOD_TAGS,
+                           METHOD_WEAK_FIELD, run_comparisons)
 from fwlab.stepwise import (STOP_MAX_ITERATIONS, STOP_STAGNATION, STOP_TOLERANCE,
                             ToleranceConfig, stepwise_lockstep)
 
@@ -278,16 +280,26 @@ def test_lockstep_stack_mixes_every_stop():
         (4, STOP_STAGNATION), (7, STOP_TOLERANCE)]
 
 
-@settings(max_examples=20, deadline=None)
+# Method lists of a batch: the lockstep alone (the only task, so it prepares the contexts
+# itself), one-shot routes only, every route, and any subset.
+METHOD_LISTS = st.one_of(
+    st.sampled_from([(METHOD_STEPWISE,), (METHOD_ERIKSEN, METHOD_EXACT_CASE, METHOD_WEAK_FIELD),
+                     METHOD_TAGS]),
+    st.lists(st.sampled_from(METHOD_TAGS), min_size=1, max_size=5, unique=True))
+
+
+@settings(max_examples=30, deadline=None)
 @given(length=st.floats(4.0, 12.0), width=st.floats(0.5, 3.0),
-       members=st.lists(st.tuples(MASSES, st.floats(-0.5, 3.0)), min_size=2, max_size=6))
-def test_batch_reports_equal_reports_alone(length, width, members):
+       members=st.lists(st.tuples(MASSES, st.floats(-0.5, 3.0)), min_size=2, max_size=6),
+       methods=METHOD_LISTS)
+def test_batch_reports_equal_reports_alone(length, width, members, methods):
     # strong wells fail eriksen, eriksenalt or weakfield for some members and not others
     specs = [ModelSpec(kind="lattice", mass=mass, n=8, length=length,
                        potential=Potential("gaussian", (strength, width)))
              for mass, strength in members]
-    texts = [(report_json(r), report_csv(r)) for r in run_comparisons(specs)]
-    assert texts == [(report_json(r), report_csv(r)) for r in map(run_comparison, specs)]
+    texts = [(report_json(r), report_csv(r)) for r in run_comparisons(specs, methods)]
+    assert texts == [(report_json(r), report_csv(r))
+                     for r in (run_comparison(spec, methods) for spec in specs)]
 
 
 # Memory layouts of a stack's slices: C-contiguous, transposed, and a strided block of each.

@@ -200,3 +200,15 @@ def test_trace_records_exponent_norms():
     assert trace.iterations[0][2] == pytest.approx(0.1, rel=1e-12)
     indices = [row[0] for row in trace.iterations]
     assert indices == list(range(len(indices)))
+
+
+def test_exponent_norms_survive_a_square_that_overflows():
+    # ||O||_F / 2m ~ 1e160: its square overflows, the norm itself does not
+    mass = 1e-160
+    h, g, _ = build_lattice_1d(8, 4.0, mass, Potential("gaussian", (0.2, 1.0)))
+    _, trace = stepwise_fw(h, g, mass)
+    exponents = [row[2] for row in trace.iterations]
+    assert exponents and all(np.isfinite(exponents))
+    n = g.upper_dim
+    expected = np.sqrt(2.0) * np.linalg.norm(h[:n, n:]) / (2.0 * mass)
+    assert exponents[0] == pytest.approx(expected, rel=1e-12)
