@@ -77,7 +77,10 @@ def hermiticity_defect(a) -> float:
 
 
 def require_hermitian(a, name: str) -> np.ndarray:
-    """``a``; NonHermitianInput if non-finite, of overflowing norm, or not Hermitian to 1e-12."""
+    """``a``; DimensionMismatch unless a square matrix, NonHermitianInput if non-finite, of
+    overflowing norm, or not Hermitian to 1e-12."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"{name} must be a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NonHermitianInput(f"{name} has non-finite entries")
     defect = hermiticity_defect(a)
@@ -88,10 +91,12 @@ def require_hermitian(a, name: str) -> np.ndarray:
     return a
 
 
-def require_mass(mass: float):
-    """ValueError unless 0 < mass < inf, the rule for every mass m."""
+def require_mass(mass: float, norm: float = 0.0, name: str = ""):
+    """ValueError unless 0 < mass < inf and ``norm``, of the part ``name``, over the mass < inf."""
     if not 0.0 < mass < np.inf:
         raise ValueError(f"mass must be positive and finite, got {mass}")
+    if not norm / float(mass) < np.inf:
+        raise ValueError(f"{name} norm over mass {mass!r} overflows")
 
 
 @dataclass(frozen=True)
@@ -175,8 +180,7 @@ class DiracDecomposition:
         e = even_projection(np.asarray(self.even_part, dtype=complex), self.grading)
         o = odd_projection(np.asarray(self.odd_part, dtype=complex), self.grading)
         for part, name in ((e, "even part"), (o, "odd part")):
-            if not frobenius(require_hermitian(part, name)) / float(self.mass) < np.inf:
-                raise ValueError(f"{name} norm over mass {self.mass!r} overflows")
+            require_mass(self.mass, frobenius(require_hermitian(part, name)), name)
         object.__setattr__(self, "even_part", e)
         object.__setattr__(self, "odd_part", o)
 

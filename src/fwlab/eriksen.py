@@ -14,8 +14,8 @@ rotation exp [[0, C], [-C^H, 0]], C = P diag(theta) Q^H.  K has the
 eigenvalues cos^2 theta_i, each twice, so U exists exactly when X is
 regular.  The polar form U = P Q^H of the SVD 1 + beta lambda = P Sigma Q^H
 is coded separately from lambda as a cross-check.  Entry points taking H
-also accept its ``Spectrum``.  Each route runs on a stack of models too, one
-LAPACK call per kernel, and ``diagnose`` measures a stack as one.
+also accept its ``Spectrum``.  Each route is a kernel on stacks only, one LAPACK
+call per step, that ``_alone`` runs on one model; ``diagnose`` measures a stack as one.
 
 A transform of this family also has a Hermitian generator S = -i log U
 that is odd (anticommutes with beta).  Multi-step schemes produce unitary
@@ -31,9 +31,9 @@ import numpy as np
 
 from .algebra import (NORM_FLOOR, Grading, adjoint, even_projection, frobenius, odd_norm_ratio,
                       relative_norm)
-from .errors import DegenerateFactor, FWLabError, NotUnitary, SingularOperand
+from .errors import DegenerateFactor, FWLabError, NonHermitianInput, NotUnitary, SingularOperand
 from .matfunc import (UNITARY_TOL, Slices, Spectrum, _hermitize, check_gap, odd_rotation,
-                      require_gap, unitary_log)
+                      require_gap, unitary_log, unitary_log_stack)
 
 
 def hamiltonian_spectrum(h, grading: Grading) -> Spectrum:
@@ -84,8 +84,10 @@ class FWResult:
         """Result for transform ``u`` of ``h``; u h u^H is built once unless ``transformed``."""
         h = hamiltonian_spectrum(h, grading)
         u = grading.check(np.asarray(u, dtype=complex))
-        if transformed is None:
-            transformed = u @ h.matrix @ adjoint(u)
+        for x, error, name in ((u, NotUnitary, "U"), (transformed, NonHermitianInput, "U H U^H")):
+            if x is not None and not np.isfinite(x).all():
+                raise error(f"{name} has non-finite entries")
+        transformed = u @ h.matrix @ adjoint(u) if transformed is None else transformed
         return diagnose(Slices(1), h[None], u[None], transformed[None], grading, unitary)[0]
 
     def __post_init__(self):
@@ -108,9 +110,9 @@ def diagnose(slices: Slices, h, u, transformed, grading: Grading, unitary=True) 
     return results
 
 
-def _alone(route, h, grading: Grading, unitary=True) -> FWResult:
-    """FWResult of ``route(slices, stack of H)`` -> (H, U, U H U^H) stacks on one model."""
-    h, u, transformed = route(Slices(1), hamiltonian_spectrum(h, grading)[None])
+def _alone(route, h, grading: Grading, *stacks, unitary=True) -> FWResult:
+    """FWResult of ``route(Slices(1), H's stack, *stacks, grading)`` -> (H, U, U H U^H) stacks."""
+    h, u, transformed = route(Slices(1), hamiltonian_spectrum(h, grading)[None], *stacks, grading)
     return FWResult.of(u[0], h[0], grading, transformed[0], unitary=unitary)
 
 
@@ -138,13 +140,11 @@ def compute_diagnostics(u, h, grading: Grading, transformed):
     """Evaluate the full diagnostic set for a transform of ``h``.
 
     ``spectrum_drift`` is the largest sorted-eigenvalue displacement between
-    ``h`` and ``transformed`` = u h u^H, relative to ||h||_F.  On stacks (``h``
-    a stacked Spectrum) it gives a list, each norm taken on its own slice.
+    ``h`` and ``transformed`` = u h u^H, relative to ||h||_F.  A stack (``h`` a stacked
+    Spectrum) gives a list; one matrix, the diagnostics of ``FWResult.of(..., unitary=False)``.
     """
     if np.ndim(u) == 2:
-        return compute_diagnostics(grading.check(np.asarray(u, dtype=complex))[None],
-                                   hamiltonian_spectrum(h, grading)[None], grading,
-                                   np.asarray(transformed)[None])[0]
+        return FWResult.of(u, h, grading, transformed, unitary=False).diagnostics
     gram = adjoint(u) @ u
     gram -= np.eye(grading.dim)
     unitarity = frobenius(gram).tolist()
@@ -156,7 +156,7 @@ def compute_diagnostics(u, h, grading: Grading, transformed):
              / np.maximum(frobenius(h.matrix), NORM_FLOOR)).tolist()
     slices = Slices(len(u))
     try:
-        s = unitary_log(u, defect=unitarity, slices=slices)
+        s = unitary_log_stack(slices, u, unitarity)
         oddness = dict(zip(slices.index, relative_norm(even_projection(s, grading), s).tolist()))
     except FWLabError:
         oddness = {}
@@ -164,17 +164,19 @@ def compute_diagnostics(u, h, grading: Grading, transformed):
             for slot, values in enumerate(zip(unitarity, condition, blockness))]
 
 
-def eriksen_transform(h, grading: Grading, slices: Slices | None = None):
+def eriksen_transform(h, grading: Grading) -> FWResult:
     """Build the transform as the direct rotation of the positive eigenvectors of ``h``.
 
     One n x n solve gives T^H = X^(-H) Y^H, one n x n SVD its angles.
     SingularHamiltonian comes from the sign operator's gap rule;
     SingularOperand when H has not n positive eigenvalues, X is singular, or
-    min cos^2 theta, the smallest eigenvalue of K, fails ``check_gap``.  With
-    ``slices``, (H, U, U H U^H) stacks of a stacked Spectrum ``h``.
+    min cos^2 theta, the smallest eigenvalue of K, fails ``check_gap``.
     """
-    if slices is None:
-        return _alone(lambda slices, h: eriksen_transform(h, grading, slices), h, grading)
+    return _alone(eriksen_stack, h, grading)
+
+
+def eriksen_stack(slices: Slices, h: Spectrum, grading: Grading):
+    """``eriksen_transform`` of a stacked Spectrum ``h``: (H, U, U H U^H) stacks."""
     n = grading.upper_dim
     h, = slices.gate(lambda slot: require_gap(h[slot]), h)
 
@@ -198,7 +200,7 @@ def eriksen_transform(h, grading: Grading, slices: Slices | None = None):
     return h, u, u @ h.matrix @ adjoint(u)
 
 
-def eriksen_transform_alt(h, grading: Grading, slices: Slices | None = None):
+def eriksen_transform_alt(h, grading: Grading) -> FWResult:
     """Polar-form variant U = F (F^H F)^(-1/2) with F = 1 + beta lambda.
 
     Algebraically identical to ``eriksen_transform`` but coded on an
@@ -206,10 +208,13 @@ def eriksen_transform_alt(h, grading: Grading, slices: Slices | None = None):
     F = P Sigma Q^H.  Since F^H F = 4 K, (Sigma / 2)^2 are the values
     cos^2 theta that ``eriksen_transform`` tests, and DegenerateFactor is
     raised when they fail the same ``check_gap``, so both routes refuse the
-    same models.  ``slices`` as for ``eriksen_transform``.
+    same models.
     """
-    if slices is None:
-        return _alone(lambda slices, h: eriksen_transform_alt(h, grading, slices), h, grading)
+    return _alone(eriksen_alt_stack, h, grading)
+
+
+def eriksen_alt_stack(slices: Slices, h: Spectrum, grading: Grading):
+    """``eriksen_transform_alt`` of a stacked Spectrum ``h``: (H, U, U H U^H) stacks."""
     h, = slices.gate(lambda slot: require_gap(h[slot]), h)
     factor = grading.signs[:, None] * h.apply(np.sign)  # lambda, the sign operator
     factor += np.eye(grading.dim, dtype=complex)

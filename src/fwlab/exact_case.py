@@ -20,7 +20,7 @@ reported as OutsideValidityDomain.
 ``weak_field_sqrt`` keeps the anticommutator term and one double commutator
 of eps with E.  It needs no commutation assumption, collapses to the closed
 root whenever [E, O] = 0, and ``weak_field_transform`` builds its transform.
-Both routes also run on a ``ModelStack``, as ``eriksen``'s routes do.
+Their routes take a ``ModelStack`` only; a single-model name is its stack of one.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ import numpy as np
 
 from .algebra import (NORM_FLOOR, DiracDecomposition, Grading, adjoint, anticommutator,
                       commutator, frobenius)
-from .eriksen import _alone
+from .eriksen import FWResult, _alone
 from .errors import NotCommuting, OutsideValidityDomain, SingularOperand
-from .matfunc import Slices, Spectrum, _hermitize, check_gap, even_function, inv_sqrt, odd_rotation
+from .matfunc import Slices, Spectrum, check_gap, even_function, inv_sqrt_stack, odd_rotation
 
 # Commutation residual below which the closed forms are trusted.
 COMMUTE_TOL = 1e-12
@@ -108,12 +108,6 @@ def _odd_block(d: ModelStack, slices: Slices, *powers, commuting: bool = True):
     return (d, p, sigma, qh) + tuple(even_function(p, a**k, qh) for k in powers)
 
 
-def _one_block(d: DiracDecomposition, *powers, commuting: bool = True):
-    """``_odd_block`` of one decomposition: (P, sigma, Q^H, powers...)."""
-    return tuple(x[0] for x in _odd_block(ModelStack.of([d]), Slices(1), *powers,
-                                          commuting=commuting)[1:])
-
-
 def sqrt_hd2_exact(d: DiracDecomposition) -> np.ndarray:
     """Closed-form root eps + (beta m + O) E / eps of H^2.
 
@@ -121,7 +115,7 @@ def sqrt_hd2_exact(d: DiracDecomposition) -> np.ndarray:
     OutsideValidityDomain when the closed form's smallest eigenvalue fails
     ``check_gap``, i.e. when it stops being the principal root.
     """
-    eps, eps_inv = _one_block(d, 0.5, -0.5)[3:]
+    eps, eps_inv = (x[0] for x in _odd_block(ModelStack.of([d]), Slices(1), 0.5, -0.5)[4:])
     core = np.diag(d.mass * d.grading.signs) + d.odd_part
     root = eps + core @ d.even_part @ eps_inv
     check_gap(np.linalg.eigvalsh(0.5 * (root + root.conj().T)), OutsideValidityDomain,
@@ -136,21 +130,23 @@ def lambda_exact(d: DiracDecomposition) -> np.ndarray:
     The even part does not enter: bitwise-identical (m, O) give a
     bitwise-identical result whatever E is.
     """
-    p, sigma, qh = _one_block(d)
+    p, sigma, qh = (x[0] for x in _odd_block(ModelStack.of([d]), Slices(1))[1:])
     return d.grading.signs[:, None] * odd_rotation(p, np.arctan2(sigma, d.mass), qh)
 
 
-def u_fw_exact(d, *, h=None, slices: Slices | None = None):
+def u_fw_exact(d: DiracDecomposition, *, h=None) -> FWResult:
     """Closed-form transform (eps + m + beta O) / sqrt(2 eps (eps + m)).
 
     It is the odd rotation by arctan2(sigma, m) / 2, unitary for any Hermitian
     odd part, and agrees with the sign-operator construction on commuting
     input.  The diagnostics read ``h`` (H or its Spectrum), by default d.hamiltonian().
-    With ``slices``, (H, U, U H U^H) stacks of a ModelStack ``d`` and its ``h``.
     """
-    if slices is None:
-        return _alone(lambda slices, h: u_fw_exact(ModelStack.of([d], h), slices=slices),
-                      d.hamiltonian() if h is None else h, d.grading)
+    return _alone(lambda slices, h, grading: u_fw_stack(slices, ModelStack.of([d], h)),
+                  d.hamiltonian() if h is None else h, d.grading)
+
+
+def u_fw_stack(slices: Slices, d: ModelStack):
+    """``u_fw_exact`` of a ModelStack ``d`` and its ``h``: (H, U, U H U^H) stacks."""
     d, p, sigma, qh = _odd_block(d, slices)
     u = odd_rotation(p, 0.5 * np.arctan2(sigma, d.masses), qh)
     return d.h, u, u @ d.h.matrix @ adjoint(u)
@@ -158,11 +154,11 @@ def u_fw_exact(d, *, h=None, slices: Slices | None = None):
 
 def h_fw_exact(d: DiracDecomposition) -> np.ndarray:
     """Block-diagonal end point beta eps + E of the commuting case."""
-    eps = _one_block(d, 0.5)[3]
+    eps = _odd_block(ModelStack.of([d]), Slices(1), 0.5)[4][0]
     return d.grading.signs[:, None] * eps + d.even_part
 
 
-def weak_field_sqrt(d, slices: Slices | None = None):
+def weak_field_sqrt(d: DiracDecomposition) -> np.ndarray:
     """Weak-coupling approximation of sqrt(H^2).
 
     Evaluates
@@ -172,10 +168,12 @@ def weak_field_sqrt(d, slices: Slices | None = None):
 
     keeping terms linear in E up to double commutators.  Exact whenever
     [E, O] = 0; otherwise accurate to second order in the even coupling.
-    With ``slices``, (the ModelStack of the models that pass, their roots).
     """
-    if slices is None:
-        return weak_field_sqrt(ModelStack.of([d]), Slices(1))[1][0]
+    return weak_root_stack(Slices(1), ModelStack.of([d]))[1][0]
+
+
+def weak_root_stack(slices: Slices, d: ModelStack):
+    """``weak_field_sqrt`` of a ModelStack ``d``: (the ModelStack left, the root of each slice)."""
     d, _, _, _, eps, eps_inv = _odd_block(d, slices, 0.5, -0.5, commuting=False)
     core = np.stack([np.diag(m * d.grading.signs) for m in d.masses[:, 0]]) + d.odd_part
     paired = anticommutator(core, d.even_part)
@@ -192,19 +190,20 @@ def weak_field_sqrt(d, slices: Slices | None = None):
     return d, root
 
 
-def weak_field_transform(h, root, grading: Grading, slices: Slices | None = None):
+def weak_field_transform(h, root, grading: Grading) -> FWResult:
     """Transform of ``h`` (H or its Spectrum) induced by an approximate root R of H^2.
 
     With lambda_w = H R^(-1) and K_w = 1 + (beta lambda_w + lambda_w beta - 2)/4,
     U = (1/2)(1 + beta lambda_w) [(K_w + K_w^H)/2]^(-1/2), as K_w is not Hermitian off the
     commuting case.  U is only as unitary as R is exact, and its diagnostics show that, so
     the result skips the NotUnitary check.  OutsideValidityDomain when R fails ``check_gap``.
-    With ``slices``, (H, U, U H U^H) stacks of stacks ``h`` and ``root``.
     """
-    if slices is None:
-        return _alone(lambda slices, h: weak_field_transform(
-            h, np.asarray(root)[None], grading, slices), h, grading, unitary=False)
-    root, h = Spectrum.of_stack(_hermitize(root), slices, h)
+    return _alone(weak_field_stack, h, grading, np.asarray(root)[None], unitary=False)
+
+
+def weak_field_stack(slices: Slices, h: Spectrum, root, grading: Grading):
+    """``weak_field_transform`` of a stacked Spectrum ``h`` and roots: (H, U, U H U^H) stacks."""
+    root, h = Spectrum.of_stack(root, slices, h)
     root, h = slices.gate(lambda slot: check_gap(
         root.w[slot], OutsideValidityDomain, "smallest eigenvalue of the approximate root"),
         root, h)
@@ -214,6 +213,6 @@ def weak_field_transform(h, root, grading: Grading, slices: Slices | None = None
     eye = np.eye(grading.dim, dtype=complex)
     core = eye + 0.25 * (beta_lam + lam * grading.signs - 2.0 * eye)
     del lam
-    core, beta_lam, h = inv_sqrt(_hermitize(core), slices, beta_lam, h)
+    core, beta_lam, h = inv_sqrt_stack(slices, *Spectrum.of_stack(core, slices, beta_lam, h))
     u = 0.5 * (eye + beta_lam) @ core
     return h, u, u @ h.matrix @ adjoint(u)

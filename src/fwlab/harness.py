@@ -26,9 +26,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from .algebra import NORM_FLOOR, frobenius, relative_norm, require_hermitian
-from .eriksen import DiagnosticSet, diagnose, eriksen_transform, eriksen_transform_alt
+from .eriksen import DiagnosticSet, diagnose, eriksen_alt_stack, eriksen_stack
 from .errors import FWLabError, OutsideValidityDomain
-from .exact_case import COMMUTE_TOL, ModelStack, u_fw_exact, weak_field_sqrt, weak_field_transform
+from .exact_case import COMMUTE_TOL, ModelStack, u_fw_stack, weak_field_stack, weak_root_stack
 from .matfunc import Slices, Spectrum
 from .models import KIND_SYNTHETIC, ModelSpec, build_model
 from .fileio import write_text
@@ -127,7 +127,7 @@ def _weak_field(slices, batch, extras):
     # the root's error against |H| goes into the row even when the root fails its gap check;
     # a root whose error overflows leaves, as its products of H overflow before eriksen's do
     with np.errstate(over="ignore", invalid="ignore"):
-        parts, root = weak_field_sqrt(batch.parts, slices)
+        parts, root = weak_root_stack(slices, batch.parts)
         reference = parts.h.apply(np.abs)
         errors = relative_norm(root - reference, reference).tolist()
     del reference
@@ -138,7 +138,7 @@ def _weak_field(slices, batch, extras):
         extras[slices.index[slot]]["sqrt_relative_error"] = errors[slot]
 
     parts, root = slices.gate(measured, parts, root)
-    return weak_field_transform(parts.h, root, batch.grading, slices)
+    return weak_field_stack(slices, parts.h, root, batch.grading)
 
 
 # The method catalog, in report order: tag -> route (Slices, batch, each model's row extras)
@@ -146,9 +146,9 @@ def _weak_field(slices, batch, extras):
 # ``run_comparisons``' ``stack``).  A route looks its function up in this module when called,
 # so a wrapper set here is seen.
 ROUTES = {
-    "eriksen": lambda slices, b, extras: eriksen_transform(b.h, b.grading, slices),
-    "eriksenalt": lambda slices, b, extras: eriksen_transform_alt(b.h, b.grading, slices),
-    "exactcase": lambda slices, b, extras: u_fw_exact(b.parts, slices=slices),
+    "eriksen": lambda slices, b, extras: eriksen_stack(slices, b.h, b.grading),
+    "eriksenalt": lambda slices, b, extras: eriksen_alt_stack(slices, b.h, b.grading),
+    "exactcase": lambda slices, b, extras: u_fw_stack(slices, b.parts),
     "stepwise": _stepwise,
     "weakfield": _weak_field,
 }

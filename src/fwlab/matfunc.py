@@ -8,9 +8,9 @@ of a positive operator is the positive one, the sign of H comes from the
 eigenvalues of H itself, and the logarithm of a unitary, taken from its
 Hermitian Cayley transform, has eigenphases in (-pi, pi).  ``odd_rotation``
 and ``even_function`` assemble odd exponentials and even functions from SVD factors.
-``check_gap`` is the one rule for when an eigenvalue counts as zero.  Kernels
-also take stacks, each slice bit for bit its own call; ``Slices`` tracks which
-models of a stack are left, each that fails a gate leaving with its own error.
+``check_gap`` is the one rule for when an eigenvalue counts as zero.  Kernels run
+on stacks, each slice bit for bit its own call; a ``*_stack`` kernel takes first the
+``Slices`` of the models left, and its single-model name is its stack of one.
 """
 
 from __future__ import annotations
@@ -122,9 +122,9 @@ class Spectrum:
 
     @classmethod
     def of_stack(cls, x, slices: Slices, *stacks):
-        """(Spectrum without the matrix, *stacks) of a hermitized stack ``x``: one eigh; a slice
-        fails ``of``'s check only when not finite, and then leaves ``slices``."""
-        x = np.asarray(x, dtype=complex)
+        """(Spectrum without the matrix, *stacks) of the Hermitian part of a stack ``x``: one eigh;
+        a slice fails ``of``'s check only when not finite, and then leaves ``slices``."""
+        x = _hermitize(np.asarray(x, dtype=complex))
         if not np.isfinite(x).all():
             x, *stacks = slices.gate(lambda slot: require_hermitian(x[slot], "operand"), x, *stacks)
         return (cls(None, *np.linalg.eigh(x)), *stacks)
@@ -162,16 +162,14 @@ def spectral_gap(h) -> SpectralGapReport:
     return SpectralGapReport(float(np.min(np.abs(h.w))), definite)
 
 
-def inv_sqrt(a, slices: Slices | None = None, *stacks):
-    """Inverse principal root P, P @ a @ P = 1, of a Hermitian PD matrix or Spectrum.
+def inv_sqrt(a) -> np.ndarray:
+    """Inverse principal root P, P @ a @ P = 1, of a Hermitian PD matrix or Spectrum;
+    SingularOperand if the smallest eigenvalue fails ``check_gap``."""
+    return inv_sqrt_stack(Slices(1), Spectrum.of(a)[None])[0][0]
 
-    Raises SingularOperand if the smallest eigenvalue fails ``check_gap``.  With
-    ``slices``, (the roots, *stacks) of the slices of a hermitized stack ``a`` that pass.
-    """
-    if slices is None:
-        return inv_sqrt(Spectrum.of(a)[None], Slices(1))[0][0]
-    if not isinstance(a, Spectrum):
-        a, *stacks = Spectrum.of_stack(a, slices, *stacks)
+
+def inv_sqrt_stack(slices: Slices, a: Spectrum, *stacks):
+    """(``inv_sqrt`` of each slice of a stacked Spectrum ``a``, *stacks) of the slices left."""
     a, *stacks = slices.gate(lambda slot: check_gap(a.w[slot], SingularOperand,
                                                     "smallest eigenvalue"), a, *stacks)
     return (a.apply(lambda w: 1.0 / np.sqrt(w)), *stacks)
@@ -195,7 +193,7 @@ def sign_operator(h) -> np.ndarray:
     return require_gap(h).apply(np.sign)
 
 
-def unitary_log(u, *, defect=None, slices: Slices | None = None) -> np.ndarray:
+def unitary_log(u) -> np.ndarray:
     """Hermitian generator S with u = exp(i S) and eigenvalues in (-pi, pi).
 
     A numerically unitary u is normal, so its Cayley transform
@@ -203,15 +201,15 @@ def unitary_log(u, *, defect=None, slices: Slices | None = None) -> np.ndarray:
     one eigh T = Q diag(w) Q^H gives S = Q diag(2 arctan w) Q^H.  For an
     eigenphase within delta of +-pi the relative error of S grows like
     eps / delta (about 1e-12 at delta = 1e-4, 1e-8 near BRANCH_MARGIN).
-    Raises NotUnitary if u is non-finite or ||u^H u - 1||_F (``defect`` if
-    the caller measured it) exceeds UNITARY_TOL, and BranchCutProximity if
-    1 + u is singular or an eigenphase lies within BRANCH_MARGIN of +-pi.
-    With ``slices`` the stack of S of a stack ``u`` (``defect`` one per slice) is
-    returned, each failing slice leaving ``slices``.
+    Raises NotUnitary if u is non-finite or ||u^H u - 1||_F exceeds
+    UNITARY_TOL, and BranchCutProximity if 1 + u is singular or an
+    eigenphase lies within BRANCH_MARGIN of +-pi.
     """
-    if slices is None:
-        return unitary_log(np.asarray(u, dtype=complex)[None], slices=Slices(1),
-                           defect=None if defect is None else [defect])[0]
+    return unitary_log_stack(Slices(1), np.asarray(u, dtype=complex)[None])[0]
+
+
+def unitary_log_stack(slices: Slices, u, defect=None) -> np.ndarray:
+    """``unitary_log`` of each slice of ``u`` left; ``defect``, if given: each ||u^H u - 1||_F."""
     eye = np.eye(u.shape[-1])
 
     def usable(slot):
@@ -225,7 +223,7 @@ def unitary_log(u, *, defect=None, slices: Slices | None = None) -> np.ndarray:
     cayley, = slices.solve(eye + u, eye - u, BranchCutProximity,
                            "1 + U is singular: eigenphase on the branch cut")
     cayley *= 1j
-    t, = Spectrum.of_stack(_hermitize(cayley), slices)
+    t, = Spectrum.of_stack(cayley, slices)
     del cayley
     margin = np.min(np.pi - np.abs(2.0 * np.arctan(t.w)), axis=-1)
 

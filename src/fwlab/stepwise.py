@@ -88,17 +88,18 @@ def stepwise_lockstep(h: Spectrum, grading: Grading, masses,
     run is bit for bit the run alone.  A model leaves the stack when its own
     rule fires; a run of zero steps keeps the exact identity and H.
     """
-    for mass in masses:
-        require_mass(mass)
     if len(masses) != len(h.w):
         raise ValueError(f"{len(h.w)} Hamiltonians need as many masses, got {len(masses)}")
     grading.check(h.matrix)
     n = grading.upper_dim
     live = list(range(len(h.w)))  # the model in each slice of the stack
     w, frame, block = h.w[:, None], h.v, h.matrix[:, :n, n:]
+    odd = frobenius(block)
+    for mass, norm in zip(masses, odd.tolist()):
+        require_mass(mass, 2 ** 0.5 * norm, "odd part")  # ||O||_F = sqrt(2) ||B||_F
     twice_mass = 2.0 * np.reshape(masses, (-1, 1, 1))
     scales = np.sqrt(2.0) / np.maximum(frobenius(h.matrix), NORM_FLOOR)
-    ratios = [[ratio] for ratio in (scales * frobenius(block)).tolist()]
+    ratios = [[ratio] for ratio in (scales * odd).tolist()]
     rows, reasons = [[] for _ in live], [None] * len(live)
     final = np.empty_like(frame)  # each model's frame F when it leaves
     while live:
@@ -139,10 +140,10 @@ def stepwise_fw(h, grading: Grading, mass: float,
                 tolerances: ToleranceConfig = ToleranceConfig()) -> tuple[FWResult, StepwiseTrace]:
     """Run the iterative scheme until tolerance, stagnation, or the cap.
 
-    ``h`` is a finite Hermitian Hamiltonian or its Spectrum, ``mass`` the
-    positive finite m of every exponent, and ``tolerances`` the stopping
-    rule.  Non-convergence is a reported outcome, not an error: the result
-    always carries the composite transform actually reached.  This is
+    ``h`` is a finite Hermitian Hamiltonian or its Spectrum, ``mass`` the positive finite
+    m of every exponent, over which ||O||_F must stay finite (``require_mass``), and
+    ``tolerances`` the stopping rule.  Non-convergence is a reported outcome, not an error:
+    the result always carries the composite transform actually reached.  This is
     ``stepwise_lockstep`` on a stack of one.
     """
     h = hamiltonian_spectrum(h, grading)

@@ -213,6 +213,23 @@ def test_diagnostics_reuse_transformed_hamiltonian():
         np.testing.assert_array_equal(result.transformed_hamiltonian, u @ h @ u.conj().T)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_single_model_diagnostics_reject_non_finite_operands(bad):
+    # a typed error naming the operand, not LAPACK's "Eigenvalues did not converge"
+    h, g, _ = build_free_particle(1.0, (0.3, 0.4, 0.0))
+    result = eriksen_transform(h, g)
+    u, transformed = result.transform.copy(), result.transformed_hamiltonian.copy()
+    u[0, 1], transformed[1, 1] = bad, bad
+    for call in (lambda: FWResult.of(u, h, g),
+                 lambda: compute_diagnostics(u, h, g, result.transformed_hamiltonian)):
+        with pytest.raises(NotUnitary, match="^U has non-finite entries$"):
+            call()
+    for call in (lambda: FWResult.of(result.transform, h, g, transformed),
+                 lambda: compute_diagnostics(result.transform, h, g, transformed)):
+        with pytest.raises(NonHermitianInput, match="^U H U\\^H has non-finite entries$"):
+            call()
+
+
 def test_diagnostics_reject_negative_entries():
     with pytest.raises(ValueError):
         DiagnosticSet(-1.0, 0.0, 0.0, None, 0.0)

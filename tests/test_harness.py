@@ -20,14 +20,19 @@ from fwlab import (
     build_model,
     cli,
     emit_report,
+    eriksen_transform,
+    eriksen_transform_alt,
     make_beta,
     report_csv,
     report_json,
     run_comparison,
+    u_fw_exact,
+    weak_field_sqrt,
+    weak_field_transform,
     write_matrix,
 )
 from fwlab import harness
-from fwlab.errors import DimensionMismatch
+from fwlab.errors import DimensionMismatch, FWLabError
 from fwlab.harness import METHOD_TAGS, run_comparisons
 from fwlab.models import KIND_EXPLICIT, KIND_FREE, KIND_LATTICE, KIND_SYNTHETIC
 
@@ -89,14 +94,40 @@ def test_weak_field_row_shows_nonunitarity():
 def test_routes_call_their_module_functions_at_run_time(monkeypatch):
     # a wrapper set in harness's namespace, as a tracer sets one, is the function each route calls
     calls = Counter()
-    for name in ("eriksen_transform", "weak_field_transform"):
+    for name in ("eriksen_stack", "weak_field_stack"):
         original = getattr(harness, name)
         monkeypatch.setattr(harness, name, lambda *args, original=original, name=name, **kwargs:
                             calls.update([name]) or original(*args, **kwargs))
     report = run_comparison(GAUSS_SPEC)
-    assert calls == {"eriksen_transform": 1, "weak_field_transform": 1}
+    assert calls == {"eriksen_stack": 1, "weak_field_stack": 1}
     assert report.row("eriksen").diagnostics is not None
     assert report.row("weakfield").diagnostics is not None
+
+
+# Each one-shot method's single-model function, on (H, grading, decomposition).
+SINGLE_MODEL = {
+    "eriksen": lambda h, g, d: eriksen_transform(h, g),
+    "eriksenalt": lambda h, g, d: eriksen_transform_alt(h, g),
+    "exactcase": lambda h, g, d: u_fw_exact(d),
+    "weakfield": lambda h, g, d: weak_field_transform(h, weak_field_sqrt(d), g),
+}
+
+
+def test_single_model_functions_match_their_rows(full_suite):
+    # a single-model function is its route on a stack of one, so it gives the row's
+    # diagnostics bit for bit, or the row's error
+    outcomes = Counter()
+    for spec, h, g, d in full_suite:
+        report = run_comparison(spec)
+        for method, alone in SINGLE_MODEL.items():
+            row = report.row(method)
+            try:
+                found = alone(h, g, d).diagnostics, None, None
+            except FWLabError as exc:
+                found = None, type(exc).__name__, str(exc)
+            assert found == (row.diagnostics, row.error_type, row.error), (spec.describe(), method)
+            outcomes[row.error_type] += 1
+    assert sum(outcomes.values()) == 160 and 0 < outcomes[None] < 160
 
 
 def test_weak_field_failure_row():
@@ -568,7 +599,7 @@ def _strengths(count):
             for k in range(count)]
 
 
-@pytest.mark.parametrize("route", ["eriksen_transform", "stepwise_lockstep"],
+@pytest.mark.parametrize("route", ["eriksen_stack", "stepwise_lockstep"],
                          ids=["one-shot-task", "stepwise-task"])
 def test_lane_failure_propagates_and_joins(monkeypatch, open_gate, lane_counts, route):
     # eight batches of one on four lanes; the route fails the first time it is called

@@ -43,6 +43,7 @@ from fwlab.matfunc import BRANCH_MARGIN, GAP_RTOL
 from fwlab.errors import (
     BranchCutProximity,
     DegenerateFactor,
+    DimensionMismatch,
     NonHermitianInput,
     NotUnitary,
     OutsideValidityDomain,
@@ -298,6 +299,15 @@ def test_spectrum_rejects_non_hermitian_matrix():
             Spectrum.of(bad)
         with pytest.raises(NonHermitianInput):
             inv_sqrt(bad)
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (3,), (2, 2, 2)])
+def test_spectrum_rejects_non_square_operand(shape):
+    # a typed error, not numpy's broadcast ValueError or eigh's LinAlgError
+    for call in (lambda: Spectrum.of(np.ones(shape), "H"), lambda: inv_sqrt(np.ones(shape)),
+                 lambda: sign_operator(np.ones(shape))):
+        with pytest.raises(DimensionMismatch, match=r"must be a square matrix, got shape"):
+            call()
 
 
 def test_odd_exp_against_taylor():

@@ -27,6 +27,33 @@ def test_no_module_reads_the_environment():
     assert reads == []
 
 
+def _slices_parameters():
+    """'module:function' of each function under src/fwlab with a ``slices`` parameter, and of
+    those whose ``slices`` has a default."""
+    taking, defaulted = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args, where = node.args, f"{path.stem}:{getattr(node, 'name', '<lambda>')}"
+            positional = args.posonlyargs + args.args
+            with_default = positional[len(positional) - len(args.defaults):] + [
+                arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default]
+            taking += [where for arg in positional + args.kwonlyargs if arg.arg == "slices"]
+            defaulted += [where for arg in with_default if arg.arg == "slices"]
+    return taking, defaulted
+
+
+def test_kernels_take_stacks_only():
+    # a default for ``slices`` is a second, single-model path through a kernel; the single-model
+    # names run their kernel on Slices(1) instead
+    taking, defaulted = _slices_parameters()
+    assert {"matfunc:inv_sqrt_stack", "matfunc:unitary_log_stack", "eriksen:eriksen_stack",
+            "eriksen:eriksen_alt_stack", "exact_case:u_fw_stack", "exact_case:weak_root_stack",
+            "exact_case:weak_field_stack"} <= set(taking)
+    assert defaulted == []
+
+
 def _users(path, matches):
     """'module:function' of each node of one module that ``matches``, by enclosing def."""
     found = []

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from fwlab import (
+    DiracDecomposition,
     Grading,
     ModelSpec,
     NonHermitianInput,
@@ -149,6 +150,19 @@ def test_rejects_infinite_mass():
     h, g, _ = build_free_particle(1.0, (0.0, 0.0, 0.1))
     with pytest.raises(ValueError, match="positive and finite"):
         stepwise_fw(h, g, float("inf"))
+
+
+def test_rejects_mass_at_which_the_odd_part_overflows():
+    # ||O||_F / m overflows, so the first exponent O / 2m is never formed; the decomposition
+    # applies the same rule to the same part, with the same message
+    h, g, d = build_lattice_1d(8, 4.0, 1.0, Potential("gaussian", (0.2, 1.0)))
+    message = "^odd part norm over mass 1e-310 overflows$"
+    with pytest.raises(ValueError, match=message):
+        stepwise_fw(h, g, 1e-310)
+    with pytest.raises(ValueError, match=message):
+        stepwise_lockstep(Spectrum.of(h)[None], g, [1e-310])
+    with pytest.raises(ValueError, match=message):
+        DiracDecomposition(g, 1e-310, np.zeros_like(h), d.odd_part)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
