@@ -16,7 +16,7 @@ from dataclasses import replace
 
 from .errors import FWLabError
 from .harness import (METHOD_STEPWISE, METHOD_TAGS, METHOD_WEAK_FIELD, ComparisonReport,
-                      emit_report, json_text, run_comparison, run_comparisons, single_blas_thread)
+                      emit_report, json_text, run_comparison, run_comparisons)
 from .fileio import write_text
 from .models import KIND_EXPLICIT, KIND_FREE, KIND_LATTICE, ModelSpec, parse_potential
 from .stepwise import STOP_TOLERANCE, ToleranceConfig
@@ -233,8 +233,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with single_blas_thread():
-            return args.func(args)
+        return args.func(args)
     except OSError as exc:
         print(f"fwlab: i/o error: {exc}", file=sys.stderr)
         return 1

@@ -15,7 +15,8 @@ eigenvalues cos^2 theta_i, each twice, so U exists exactly when X is
 regular.  The polar form U = P Q^H of the SVD 1 + beta lambda = P Sigma Q^H
 is coded separately from lambda as a cross-check.  Entry points taking H
 also accept its ``Spectrum``.  Each route is a kernel on stacks only, one LAPACK
-call per step, that ``_alone`` runs on one model; ``diagnose`` measures a stack as one.
+call per step, that ``_alone`` runs on one model at the caller's BLAS thread count, so it
+gives a report's row bit for bit only at one thread; ``diagnose`` measures a stack as one.
 
 A transform of this family also has a Hermitian generator S = -i log U
 that is odd (anticommutes with beta).  Multi-step schemes produce unitary

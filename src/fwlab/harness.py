@@ -170,6 +170,8 @@ _OPENBLAS_THREAD_SYMBOLS = (
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
 
+_pins = SimpleNamespace(lock=threading.Lock(), open=0, saved=None)  # see single_blas_thread
+
 
 @functools.cache
 def numpy_openblas():
@@ -189,21 +191,27 @@ def numpy_openblas():
 
 @contextlib.contextmanager
 def single_blas_thread():
-    """Run the block with numpy's OpenBLAS on one thread, then restore its count.
-
-    At dim <= ~256 threaded BLAS is slower than serial, and it keeps the lanes shut.
+    """Run the block with numpy's OpenBLAS on one thread and yield True, or yield False when
+    numpy runs on another BLAS.  The first of overlapping entries saves the thread count, and
+    the last one out restores it.  At dim <= ~256 threaded BLAS is slower than serial.
     """
     controls = numpy_openblas()
     if controls is None:
-        yield
+        yield False
         return
     get, set_ = controls
-    saved = get()
-    set_(1)
+    with _pins.lock:
+        if not _pins.open:
+            _pins.saved = get()
+            set_(1)
+        _pins.open += 1
     try:
-        yield
+        yield True
     finally:
-        set_(saved)
+        with _pins.lock:
+            _pins.open -= 1
+            if not _pins.open:
+                set_(_pins.saved)
 
 
 def lane_batch_size(dim: int) -> int:
@@ -211,15 +219,14 @@ def lane_batch_size(dim: int) -> int:
     return max(1, -(-CONCURRENCY_MIN_DIM ** 2 // dim ** 2))
 
 
-def _lane_count(tasks: int, count: int, dim: int) -> int:
+def _lane_count(tasks: int, count: int, dim: int, pinned: bool) -> int:
     """Lanes, the caller among them, for ``tasks`` tasks on ``count`` models of dimension ``dim``:
-    min(cores, tasks) from ``lane_batch_size`` models on single-threaded BLAS, else one."""
-    if count < lane_batch_size(dim):
+    min(cores, tasks) from ``lane_batch_size`` models on BLAS ``pinned`` to one thread, else one."""
+    # a second caller thread stacked on threaded BLAS makes a comparison slower
+    if count < lane_batch_size(dim) or not pinned:
         return 1
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    # a second caller thread stacked on threaded BLAS makes a comparison slower
-    controls = numpy_openblas()
-    return min(cores or 1, tasks) if controls is not None and controls[0]() == 1 else 1
+    return min(cores or 1, tasks)
 
 
 def _run_method(method, batch):
@@ -290,7 +297,9 @@ def run_comparisons(specs, methods=METHOD_TAGS,
     the first task that needs it.  The task that stores a batch's last
     method's outcomes builds all of its reports, each the same as for its spec
     alone; a row's ``wall_time_seconds`` runs from the start of its method's
-    task on the batch to the end of the diagnostics.
+    task on the batch to the end of the diagnostics.  All of it runs under
+    ``single_blas_thread``: numpy's OpenBLAS is on one thread, process-wide,
+    until the last of overlapping calls restores the count.
     """
     methods = list(methods)
     if not methods:
@@ -304,9 +313,6 @@ def run_comparisons(specs, methods=METHOD_TAGS,
     specs = list(specs)
     if not specs:
         return []
-    models = [_model(specs[0])] + [None] * (len(specs) - 1)
-    grading = models[0][1].grading
-    count = max(1, len(specs) // lane_batch_size(grading.dim))
     reports, lock = [None] * len(specs), threading.Lock()
 
     def run(method, batch):
@@ -365,8 +371,6 @@ def run_comparisons(specs, methods=METHOD_TAGS,
                 yield from (functools.partial(run, m, batch) for m in one_shot)
                 del batch
 
-    tasks = stream()
-
     def take():
         with lock:
             return next(tasks, None)
@@ -379,17 +383,22 @@ def run_comparisons(specs, methods=METHOD_TAGS,
             with lock:
                 tasks.close()  # after a failure the other lanes stop at their next task
 
-    # one lockstep per batch and the one-shot routes of each model, as parallel work
-    task_count = (count if METHOD_STEPWISE in methods else 0) + (len(specs) if one_shot else 0)
-    lanes = _lane_count(task_count, len(specs), grading.dim)
-    if lanes == 1:
-        lane()
-    else:
-        with ThreadPoolExecutor(max_workers=lanes - 1) as pool:
-            helpers = [pool.submit(lane) for _ in range(lanes - 1)]
+    with single_blas_thread() as pinned:
+        models = [_model(specs[0])] + [None] * (len(specs) - 1)
+        grading = models[0][1].grading
+        count = max(1, len(specs) // lane_batch_size(grading.dim))
+        tasks = stream()
+        # one lockstep per batch and the one-shot routes of each model, as parallel work
+        task_count = (count if METHOD_STEPWISE in methods else 0) + (len(specs) if one_shot else 0)
+        lanes = _lane_count(task_count, len(specs), grading.dim, pinned)
+        if lanes == 1:
             lane()
-            for helper in helpers:
-                helper.result()
+        else:
+            with ThreadPoolExecutor(max_workers=lanes - 1) as pool:
+                helpers = [pool.submit(lane) for _ in range(lanes - 1)]
+                lane()
+                for helper in helpers:
+                    helper.result()
     return reports
 
 

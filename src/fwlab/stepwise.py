@@ -12,7 +12,7 @@ but its Hermitian generator is not odd: the iteration approaches the
 block-diagonal Hamiltonian without approaching the sign-operator transform.
 ``stepwise_lockstep`` steps a stack of models of one shape together, one
 stacked SVD per step, and returns them undiagnosed, as the other routes do;
-``stepwise_fw`` is its stack of one.
+``stepwise_fw`` is its stack of one; it equals a report's row only at one BLAS thread.
 """
 
 from __future__ import annotations

@@ -115,8 +115,8 @@ def commuting_suite(free_suite, commuting_lattice_suite, synthetic_suite):
 @pytest.fixture
 def open_gate(monkeypatch):
     """Fake the facts the lane gate reads (see ``harness._lane_count``) with
-    ``open_gate(blas_threads=1, cores=2, min_dim=0)``; ``blas_threads`` None
-    stands for a numpy on another BLAS than OpenBLAS."""
+    ``open_gate(blas_threads=1, cores=2, min_dim=0)``: a numpy OpenBLAS that reads
+    ``blas_threads`` and ignores the pin, or None for a numpy on another BLAS."""
 
     def fake(blas_threads=1, cores=2, min_dim=0):
         controls = None if blas_threads is None else (lambda: blas_threads, lambda count: None)

@@ -114,15 +114,16 @@ SINGLE_MODEL = {
 
 
 def test_single_model_functions_match_their_rows(full_suite):
-    # a single-model function is its route on a stack of one, so it gives the row's
-    # diagnostics bit for bit, or the row's error
+    # a single-model function is its route on a stack of one, so on the one BLAS thread the
+    # rows run at, it gives the row's diagnostics bit for bit, or the row's error
     outcomes = Counter()
     for spec, h, g, d in full_suite:
         report = run_comparison(spec)
         for method, alone in SINGLE_MODEL.items():
             row = report.row(method)
             try:
-                found = alone(h, g, d).diagnostics, None, None
+                with harness.single_blas_thread():
+                    found = alone(h, g, d).diagnostics, None, None
             except FWLabError as exc:
                 found = None, type(exc).__name__, str(exc)
             assert found == (row.diagnostics, row.error_type, row.error), (spec.describe(), method)
@@ -575,7 +576,6 @@ def _refusing_pool(max_workers):
 
 
 @pytest.mark.parametrize("gate, methods", [
-    pytest.param({"blas_threads": 2}, METHOD_TAGS, id="threaded-blas"),
     pytest.param({"blas_threads": None}, METHOD_TAGS, id="no-openblas"),
     pytest.param({"cores": 1}, METHOD_TAGS, id="one-core"),
     pytest.param({"min_dim": 33}, METHOD_TAGS, id="below-threshold"),
@@ -590,6 +590,14 @@ def test_lane_gate_keeps_the_serial_loop(monkeypatch, open_gate, gate, methods):
     assert [row.method for row in report.methods] == [m for m in METHOD_TAGS if m in methods]
     # the same gate facts with all conditions met do open the pool
     open_gate()
+    with pytest.raises(AssertionError, match="lane pool"):
+        run_comparison(GAUSS_SPEC)
+
+
+def test_lane_gate_opens_at_a_blas_entry_count_of_2(monkeypatch, open_gate):
+    # the comparison pins BLAS to one thread itself, so the count it finds keeps no lane shut
+    open_gate(blas_threads=2)
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", _refusing_pool)
     with pytest.raises(AssertionError, match="lane pool"):
         run_comparison(GAUSS_SPEC)
 
@@ -706,42 +714,76 @@ def one_blas_thread(blas_controls):
     return blas_controls
 
 
+def _blas_counts(controls):
+    return [get() for get, _ in controls]
+
+
 def _spy_blas_counts(monkeypatch, controls, error=None):
-    """Record the BLAS thread counts each time the CLI runs a comparison."""
+    """Record the BLAS thread counts each time a comparison runs a method on a batch."""
     seen = []
+    run_method = harness._run_method
 
     def spy(*args, **kwargs):
-        seen.append([get() for get, _ in controls])
+        seen.append(_blas_counts(controls))
         if error is not None:
             raise error
-        return run_comparison(*args, **kwargs)
+        return run_method(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "run_comparison", spy)
+    monkeypatch.setattr(harness, "_run_method", spy)
     return seen
 
 
 def test_cli_runs_on_one_blas_thread(blas_controls, monkeypatch, capsys):
+    # through run_comparisons, which pins BLAS for the CLI as for any caller
     seen = _spy_blas_counts(monkeypatch, blas_controls)
     assert cli.main(["free", "--mass", "1", "--methods", "eriksen"]) == 0
     assert seen == [[1] * len(blas_controls)]
 
 
-def test_cli_restores_blas_threads(blas_controls, monkeypatch, capsys):
+def test_comparisons_run_on_one_blas_thread_and_restore_it(blas_controls, monkeypatch):
     before = [2] * len(blas_controls)
-    _spy_blas_counts(monkeypatch, blas_controls)
-    assert cli.main(["free", "--mass", "1", "--methods", "eriksen"]) == 0
-    assert [get() for get, _ in blas_controls] == before
-    assert cli.main(["free", "--mass", "-1"]) == 1
-    assert [get() for get, _ in blas_controls] == before
+    seen = _spy_blas_counts(monkeypatch, blas_controls)
+    run_comparison(FREE_SPEC, ("eriksen",))
+    assert seen == [[1] * len(blas_controls)]
+    assert _blas_counts(blas_controls) == before
+    with pytest.raises(ValueError, match="mass"):
+        run_comparison(replace(FREE_SPEC, mass=-1.0))
+    assert _blas_counts(blas_controls) == before
     seen = _spy_blas_counts(monkeypatch, blas_controls, RuntimeError("kernel failure"))
     with pytest.raises(RuntimeError):
-        cli.main(["free", "--mass", "1", "--methods", "eriksen"])
+        run_comparison(FREE_SPEC, ("eriksen",))
     assert seen == [[1] * len(blas_controls)]
-    assert [get() for get, _ in blas_controls] == before
+    assert _blas_counts(blas_controls) == before
 
 
-def test_cli_without_openblas_leaves_threads_alone(blas_controls, monkeypatch, capsys):
+def test_comparisons_without_openblas_leave_threads_alone(blas_controls, monkeypatch):
     monkeypatch.setattr(harness, "numpy_openblas", lambda: None)
     seen = _spy_blas_counts(monkeypatch, blas_controls)
-    assert cli.main(["free", "--mass", "1", "--methods", "eriksen"]) == 0
+    run_comparison(FREE_SPEC, ("eriksen",))
     assert seen == [[2] * len(blas_controls)]
+    with harness.single_blas_thread() as pinned:
+        assert pinned is False
+
+
+def test_reports_do_not_depend_on_the_callers_blas_count(blas_controls):
+    # criterion 10 across callers: a library call at two BLAS threads gives the CLI's bytes
+    texts = []
+    for count in (2, 1):
+        for _, set_ in blas_controls:
+            set_(count)
+        report = run_comparison(LATTICE_128)
+        texts.append((report_json(report), report_csv(report)))
+        assert _blas_counts(blas_controls) == [count] * len(blas_controls)
+    assert texts[0] == texts[1]
+
+
+def test_overlapping_pins_restore_at_the_last_exit(blas_controls):
+    # two library calls on other threads may enter A, B and leave A, B
+    first, second = harness.single_blas_thread(), harness.single_blas_thread()
+    entered = [first.__enter__(), second.__enter__()]
+    assert _blas_counts(blas_controls) == [1] * len(blas_controls)
+    first.__exit__(None, None, None)
+    assert _blas_counts(blas_controls) == [1] * len(blas_controls)
+    second.__exit__(None, None, None)
+    assert _blas_counts(blas_controls) == [2] * len(blas_controls)
+    assert entered == [True, True]

@@ -103,6 +103,21 @@ def test_blas_is_found_through_numpy_only():
         "harness:numpy_openblas"}
 
 
+def _names(name):
+    return lambda node: (isinstance(node, ast.Name) and node.id == name
+                         or isinstance(node, ast.ImportFrom)
+                         and any(alias.name == name for alias in node.names))
+
+
+def test_one_pin_sets_blas():
+    # every comparison, from the CLI or the library, runs under the one pin, and only the pin
+    # reads or sets the thread count
+    paths = sorted(SRC.rglob("*.py"))
+    for name, owner in (("numpy_openblas", "harness:single_blas_thread"),
+                        ("single_blas_thread", "harness:run_comparisons")):
+        assert [user for path in paths for user in _users(path, _names(name))] == [owner]
+
+
 def test_numpy_openblas_round_trip():
     pytest.importorskip("scipy.linalg")  # its own OpenBLAS is loaded beside numpy's
     controls = harness.numpy_openblas()
