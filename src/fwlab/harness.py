@@ -14,7 +14,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import itertools
 import json
 import os
 import threading
@@ -25,12 +24,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .algebra import NORM_FLOOR, frobenius, relative_norm, require_hermitian
+from .algebra import NORM_FLOOR, frobenius, relative_norm
 from .eriksen import DiagnosticSet, diagnose, eriksen_alt_stack, eriksen_stack
 from .errors import FWLabError, OutsideValidityDomain
 from .exact_case import COMMUTE_TOL, ModelStack, u_fw_stack, weak_field_stack, weak_root_stack
 from .matfunc import Slices, Spectrum
-from .models import KIND_SYNTHETIC, ModelSpec, build_model
+from .models import ModelSpec, build_model
 from .fileio import write_text
 from .stepwise import ToleranceConfig, stepwise_lockstep
 
@@ -143,7 +142,7 @@ def _weak_field(slices, batch, extras):
 
 # The method catalog, in report order: tag -> route (Slices, batch, each model's row extras)
 # -> (H, U, U H U^H) stacks of the models that pass, the others leaving the Slices (see
-# ``run_comparisons``' ``stack``).  A route looks its function up in this module when called,
+# ``run_comparisons``' ``stream``).  A route looks its function up in this module when called,
 # so a wrapper set here is seen.
 ROUTES = {
     "eriksen": lambda slices, b, extras: eriksen_stack(slices, b.h, b.grading),
@@ -256,12 +255,9 @@ def _run_method(method, batch):
 
 
 def _model(spec: ModelSpec):
-    """[H, decomposition] of one spec, H checked as an eigh operand: by ``split_even_odd``, save
-    for the synthetic kind, whose H is assembled from its checked parts."""
+    """[H, decomposition] of one spec; ``build_model`` checks H as an eigh operand."""
     h, _, decomposition = build_model(spec)
-    if spec.kind == KIND_SYNTHETIC:
-        require_hermitian(h, "operand")
-    return [np.asarray(h, dtype=complex), decomposition]
+    return [h, decomposition]
 
 
 def _report(spec, context, outcomes, tolerances) -> ComparisonReport:
@@ -283,22 +279,18 @@ def run_comparisons(specs, methods=METHOD_TAGS,
                     tolerances: ToleranceConfig = ToleranceConfig()) -> list[ComparisonReport]:
     """Build each batch of models as stacks and run every requested method on them.
 
-    Methods always appear in canonical order; ValueError for an empty or
-    unknown method list.  A method failure (for example NotCommuting for the
-    closed forms on a non-commuting model) becomes an error record in its
-    row; it never aborts the report.  Each contiguous batch of
-    ``lane_batch_size`` models is a stream of tasks, which the
-    ``_lane_count`` lanes take in order: stepwise on the whole batch in
-    lockstep (DimensionMismatch unless every model has the first one's
-    shape), then one task per other method on the whole batch (without
-    stepwise, each run of models of one shape is a batch of its own).  A
-    batch is opened with H's stacked eigh alone, so the lockstep starts there;
-    the rest of its preparation, each model's context among it, runs once, in
-    the first task that needs it.  The task that stores a batch's last
-    method's outcomes builds all of its reports, each the same as for its spec
-    alone; a row's ``wall_time_seconds`` runs from the start of its method's
-    task on the batch to the end of the diagnostics.  All of it runs under
-    ``single_blas_thread``: numpy's OpenBLAS is on one thread, process-wide,
+    Methods always appear in canonical order; ValueError for an empty or unknown method list.
+    A method failure (for example NotCommuting for the closed forms on a non-commuting model)
+    becomes an error record in its row; it never aborts the report.  The specs fall into
+    contiguous batches of ``lane_batch_size`` models, and every model must have the first
+    one's shape (DimensionMismatch).  A stream of tasks, advanced under the call's one lock,
+    sets each batch up when it is reached: it builds the models, runs H's stacked eigh and
+    yields the stepwise lockstep, then prepares the rest (the ModelStack and each model's
+    context) and yields one task per other method.  Tasks only compute; ``_lane_count`` lanes
+    take them in order.  A batch's reports are built once its contexts and every method's
+    outcomes are in, each the same as for its spec alone; a row's ``wall_time_seconds`` runs
+    from the start of its method's task on the batch to the end of the diagnostics.  All of
+    it runs under ``single_blas_thread``: numpy's OpenBLAS is on one thread, process-wide,
     until the last of overlapping calls restores the count.
     """
     methods = list(methods)
@@ -316,60 +308,52 @@ def run_comparisons(specs, methods=METHOD_TAGS,
     reports, lock = [None] * len(specs), threading.Lock()
 
     def run(method, batch):
-        if method != METHOD_STEPWISE:
-            prepare(batch)
         outcomes = _run_method(method, batch)
         with lock:
             batch.found[method] = outcomes
             batch.readers.discard(method)
             if not batch.readers:
                 batch.parts = None
-            if len(batch.found) < len(methods):
-                return
-        prepare(batch)  # a stepwise-only batch has no task that prepared it
+            finish(batch)
+
+    def finish(batch):
+        """Under the lock: the batch's reports, once its contexts and all outcomes are in."""
+        if batch.contexts is None or len(batch.found) < len(methods):
+            return
         for i, context, *found in zip(batch.index, batch.contexts, *map(batch.found.get, methods)):
             reports[i] = _report(specs[i], context, dict(zip(methods, found)), tolerances)
         batch.found = None
 
-    def prepare(batch):
-        """Once per batch, other tasks waiting: the ModelStack ``parts`` with its odd-block SVD,
-        kept while a method in ``readers`` is left, and each model's context in ``contexts``."""
-        with batch.preparing:
-            if batch.ds is None:
-                return
-            parts, dim = ModelStack.of(batch.ds, batch.h), batch.grading.dim
-            if METHOD_WEAK_FIELD in batch.readers:
+    def stream():  # advanced under the lock, so each batch is set up once, when it is reached
+        for k in range(count):
+            index = range(len(specs) * k // count, len(specs) * (k + 1) // count)
+            for i in index:
+                models[i] = models[i] or _model(specs[i])
+                grading.check(models[i][0])
+            h, ds = np.stack([models[i][0] for i in index]), [models[i][1] for i in index]
+            models[index.start:index.stop] = [None] * len(index)
+            batch = SimpleNamespace(index=index, h=Spectrum(h, *np.linalg.eigh(h)), parts=None,
+                                    contexts=None, found={}, grading=grading,
+                                    readers={m for m in _PARTS_READERS if m in methods},
+                                    masses=[specs[i].mass for i in index], tolerances=tolerances)
+            del h
+            if METHOD_STEPWISE in methods:  # the lockstep starts at the eigh
+                yield functools.partial(run, METHOD_STEPWISE, batch)
+            # ``parts`` is kept while a method in ``readers`` is left
+            parts, dim = ModelStack.of(ds, batch.h), grading.dim
+            del ds
+            if METHOD_WEAK_FIELD in methods:
                 parts.odd_svd
             gaps = np.min(np.abs(batch.h.w), axis=-1).tolist()
             strengths = frobenius(parts.even_part) / (np.array(batch.masses) * np.sqrt(dim))
             batch.contexts = [ReportContext(mass, dim, c.commutator_residual, gap, strength)
                               for mass, c, gap, strength in zip(
                                   batch.masses, parts.commutation, gaps, strengths.tolist())]
-            batch.parts, batch.ds = parts if batch.readers else None, None
-
-    def stack(index):
-        """The batch of built models ``index`` of one shape: H's stacked Spectrum, and the
-        decompositions ``ds`` that ``prepare`` takes."""
-        h, ds = np.stack([models[i][0] for i in index]), [models[i][1] for i in index]
-        models[index[0]:index[-1] + 1] = [None] * len(index)
-        return SimpleNamespace(index=index, h=Spectrum(h, *np.linalg.eigh(h)), ds=ds, parts=None,
-                               found={}, readers={m for m in _PARTS_READERS if m in methods},
-                               preparing=threading.Lock(), grading=ds[0].grading,
-                               masses=[specs[i].mass for i in index], tolerances=tolerances)
-
-    def stream():  # advanced under the lock, so a batch is built when its first task is taken
-        for k in range(count):
-            block = range(len(specs) * k // count, len(specs) * (k + 1) // count)
-            for i in block:
-                models[i] = models[i] or _model(specs[i])
-                if METHOD_STEPWISE in methods:
-                    grading.check(models[i][0])
-            for _, index in itertools.groupby(block, key=lambda i: models[i][0].shape):
-                batch = stack(list(index))
-                if METHOD_STEPWISE in methods:
-                    yield functools.partial(run, METHOD_STEPWISE, batch)
-                yield from (functools.partial(run, m, batch) for m in one_shot)
-                del batch
+            batch.parts = parts if batch.readers else None
+            del parts
+            finish(batch)  # a stepwise-only batch's lockstep may have ended
+            yield from (functools.partial(run, m, batch) for m in one_shot)
+            del batch
 
     def take():
         with lock:

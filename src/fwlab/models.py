@@ -204,7 +204,7 @@ def build_synthetic_commuting(n: int, mass: float, poly, seed) -> tuple[np.ndarr
         even = even @ odd_sq + coefficient * np.eye(2 * n)
     grading = Grading(2 * n, n)
     decomposition = DiracDecomposition(grading, mass, even, odd)
-    return decomposition.hamiltonian(), grading, decomposition
+    return require_hermitian(decomposition.hamiltonian(), "Hamiltonian"), grading, decomposition
 
 
 def load_explicit_matrix(path) -> tuple[np.ndarray, Grading]:
@@ -227,6 +227,12 @@ class ModelSpec:
     path: str | None = None
     poly: tuple[float, ...] = ()
     seed: int | None = None
+
+    def __post_init__(self):
+        # numpy scalars read as the Python numbers they hold, so reports serialize them alike
+        for name in ("mass", "n", "length", "seed"):
+            if isinstance(value := getattr(self, name), np.generic):
+                object.__setattr__(self, name, value.item())
 
     def describe(self) -> str:
         """One-line descriptor; ValueError for an unknown kind or a missing field."""

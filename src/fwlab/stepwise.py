@@ -17,6 +17,7 @@ stacked SVD per step, and returns them undiagnosed, as the other routes do;
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,18 +41,23 @@ class ToleranceConfig:
     """The stepwise stopping rule, the only settable tolerances of a comparison.
 
     ``stepwise_tol`` is the target odd_norm_ratio and ``max_iterations`` the
-    cap on steps; ValueError unless 0 < stepwise_tol < inf and
-    max_iterations >= 0.
+    cap on steps, stored as a Python float and int; ValueError unless
+    0 < stepwise_tol < inf and max_iterations is an integer >= 0, neither a bool.
     """
 
     stepwise_tol: float = 1e-8
     max_iterations: int = 50
 
     def __post_init__(self):
-        if not 0.0 < self.stepwise_tol < np.inf:
-            raise ValueError(f"tol must be positive and finite, got {self.stepwise_tol}")
-        if not self.max_iterations >= 0:
-            raise ValueError(f"max_iterations must be nonnegative, got {self.max_iterations}")
+        tol, cap = self.stepwise_tol, self.max_iterations
+        if isinstance(tol, bool) or not 0.0 < tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {tol}")
+        if isinstance(cap, bool) or not isinstance(cap, numbers.Integral):
+            raise ValueError(f"max_iterations must be an integer, got {cap}")
+        if not cap >= 0:
+            raise ValueError(f"max_iterations must be nonnegative, got {cap}")
+        object.__setattr__(self, "stepwise_tol", float(tol))
+        object.__setattr__(self, "max_iterations", int(cap))
 
 
 @dataclass(frozen=True)

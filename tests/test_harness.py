@@ -230,6 +230,28 @@ def test_tolerance_config_serialization():
     assert report.row("stepwise").extras["iterations"] < 13
 
 
+@pytest.mark.parametrize("spec, numpy_fields", [
+    pytest.param(FREE_SPEC, {"mass": np.float32(1.0)}, id="free"),
+    pytest.param(replace(GAUSS_SPEC, seed=3),
+                 {"mass": np.float64(1.0), "n": np.int64(16), "length": np.float32(8.0),
+                  "seed": np.int64(3)}, id="lattice"),
+    pytest.param(ModelSpec(kind=KIND_SYNTHETIC, mass=1.0, n=6, poly=(0.05, 0.02), seed=3),
+                 {"n": np.int32(6), "seed": np.uint64(3)}, id="synthetic"),
+])
+def test_numpy_scalars_read_as_python_numbers(spec, numpy_fields):
+    # each value is exact in its numpy type, so the reports are the Python numbers' bytes
+    tolerances = ToleranceConfig(2.0 ** -20, 5)
+    numpy_tolerances = ToleranceConfig(np.float32(2.0 ** -20), np.int64(5))
+    numpy_spec = replace(spec, **numpy_fields)
+    assert numpy_spec == spec and numpy_tolerances == tolerances
+    assert [type(getattr(numpy_spec, name)) for name in numpy_fields] == [
+        type(getattr(spec, name)) for name in numpy_fields]
+    report = run_comparison(spec, tolerances=tolerances)
+    numpy_report = run_comparison(numpy_spec, tolerances=numpy_tolerances)
+    assert (report_json(numpy_report), report_csv(numpy_report)) == (report_json(report),
+                                                                      report_csv(report))
+
+
 def test_synthetic_model_report_runs_closed_forms():
     spec = ModelSpec(kind=KIND_SYNTHETIC, mass=1.0, n=6, poly=(0.05, 0.02), seed=3)
     report = run_comparison(spec)
@@ -550,14 +572,12 @@ def test_batch_of_mixed_shapes(monkeypatch):
     specs = [FREE_SPEC, GAUSS_SPEC]
     with pytest.raises(DimensionMismatch):
         run_comparisons(specs)
-    # in batches of one too, stepwise needs the first model's shape
+    # in batches of one too, every model needs the first model's shape, whatever the methods
     monkeypatch.setattr(harness, "CONCURRENCY_MIN_DIM", 4)
     with pytest.raises(DimensionMismatch):
         run_comparisons(specs)
-    # without stepwise each model runs alone
-    methods = ("eriksen", "weakfield")
-    assert [report_json(r) for r in run_comparisons(specs, methods)] == [
-        report_json(run_comparison(spec, methods)) for spec in specs]
+    with pytest.raises(DimensionMismatch):
+        run_comparisons(specs, ("eriksen", "weakfield"))
 
 
 def test_weak_field_root_whose_error_overflows_leaves():
@@ -660,7 +680,14 @@ def _spy_open_models(monkeypatch):
 @pytest.mark.parametrize("cores", [1, 2, 4])
 def test_lanes_build_batches_as_they_go(monkeypatch, open_gate, lane_counts, min_dim, size,
                                         cores):
-    # at most one batch beyond those on the lanes has its models built
+    # for each method list, at most one batch beyond those on the lanes has its models built,
+    # and each batch's reports are built once, whichever of its tasks or its preparation ends
+    # last; every list makes at least 4 tasks
+    specs = _strengths(8)
+    open_gate(min_dim=10 ** 9)
+    alone = {methods: [_texts([run_comparison(spec, methods)]) for spec in specs]
+             for methods in (METHOD_TAGS, ("stepwise",), ("eriksen", "weakfield"),
+                             ("exactcase", "stepwise"))}
     open_gate(cores=cores, min_dim=min_dim)
     state = _spy_open_models(monkeypatch)
     threads = set()
@@ -668,12 +695,18 @@ def test_lanes_build_batches_as_they_go(monkeypatch, open_gate, lane_counts, min
     monkeypatch.setattr(harness, "_run_method",
                         lambda *args, **kwargs: threads.add(threading.get_ident())
                         or run_method(*args, **kwargs))
-    assert len(run_comparisons(_strengths(8))) == 8
-    assert lane_counts == ([] if cores == 1 else [cores])
-    # the calling thread is one of the lanes
-    assert threading.get_ident() in threads and len(threads) <= cores
-    assert state["open"] == 0
-    assert state["most"] <= size * (cores + 1)
+    for methods, texts in alone.items():
+        threads.clear()
+        lane_counts.clear()
+        state["most"] = 0
+        assert [_texts([report]) for report in run_comparisons(specs, methods)] == texts, methods
+        assert lane_counts == ([] if cores == 1 else [cores])
+        assert len(threads) <= cores
+        # the calling thread is one of the lanes: with every method the helpers leave it tasks,
+        # but four lockstep tasks on four lanes may all go to the helpers
+        assert methods != METHOD_TAGS or threading.get_ident() in threads
+        assert state["open"] == 0
+        assert state["most"] <= size * (cores + 1)
 
 
 def test_later_build_error_propagates_and_joins(monkeypatch, open_gate, lane_counts):

@@ -226,6 +226,8 @@ def test_load_explicit_matrix(tmp_path, capsys):
 @pytest.mark.parametrize("spec, source", [
     pytest.param(ModelSpec(kind=KIND_SYNTHETIC, mass=1.0, n=4, poly=(1e300, 1e300), seed=1),
                  "even part", id="synthetic-poly"),
+    pytest.param(ModelSpec(kind=KIND_SYNTHETIC, mass=1e154, n=4, poly=(0.0,), seed=1),
+                 "Hamiltonian", id="synthetic-mass"),
     pytest.param(ModelSpec(kind=KIND_LATTICE, mass=1.0, n=8, length=4.0,
                            potential=Potential("gaussian", (1e155, 1.0))),
                  "Hamiltonian", id="lattice-g"),

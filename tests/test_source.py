@@ -118,6 +118,24 @@ def test_one_pin_sets_blas():
         assert [user for path in paths for user in _users(path, _names(name))] == [owner]
 
 
+def _kind_name(node):
+    name = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+            else node.name if isinstance(node, ast.alias) else "")
+    return name.startswith("KIND_")
+
+
+def test_one_lock_sets_up_each_batch():
+    # the harness reads no model kind, and a comparison's one lock guards its task stream,
+    # which builds and prepares each batch, so no batch has a lock of its own
+    path = SRC / "harness.py"
+    assert _users(path, _kind_name) == []
+    [function] = [node for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.FunctionDef) and node.name == "run_comparisons"]
+    locks = [node for node in ast.walk(function)
+             if isinstance(node, ast.Call) and ast.unparse(node.func) == "threading.Lock"]
+    assert len(locks) == 1
+
+
 def test_numpy_openblas_round_trip():
     pytest.importorskip("scipy.linalg")  # its own OpenBLAS is loaded beside numpy's
     controls = harness.numpy_openblas()

@@ -133,6 +133,10 @@ def test_parameter_gates():
         (np.nan, 50, "tol must be positive and finite, got nan"),
         (-1e-8, 50, "tol must be positive and finite, got -1e-08"),
         (1e-8, -2, "max_iterations must be nonnegative, got -2"),
+        (True, 50, "tol must be positive and finite, got True"),
+        (1e-8, True, "max_iterations must be an integer, got True"),
+        (1e-8, 2.5, "max_iterations must be an integer, got 2.5"),
+        (1e-8, np.inf, "max_iterations must be an integer, got inf"),
     ):
         with pytest.raises(ValueError) as err:
             stepwise_fw(h, g, 1.0, ToleranceConfig(tol, max_iterations))
