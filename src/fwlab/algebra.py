@@ -13,6 +13,7 @@ grading travels alongside them as a small value object.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +90,17 @@ def require_hermitian(a, name: str) -> np.ndarray:
     if defect > HERMITICITY_RTOL:
         raise NonHermitianInput(f"{name} is not Hermitian within 1e-12")
     return a
+
+
+def as_number(value, name: str, integer: bool = False, rule: str = ""):
+    """``value`` as a Python number, a numpy scalar read as the number it holds; ValueError
+    "``name`` must be ``rule``, got ..." for a bool, a non-number or, with ``integer``, a
+    non-integer. ``rule`` defaults to "an integer" or "a real number"."""
+    value = value.item() if isinstance(value, np.generic) else value
+    kind, default = (numbers.Integral, "an integer") if integer else (numbers.Real, "a real number")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {rule or default}, got {value!r}")
+    return value
 
 
 def require_mass(mass: float, norm: float = 0.0, name: str = ""):

@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import DiracDecomposition, Grading, require_hermitian, require_mass, split_even_odd
+from .algebra import (DiracDecomposition, Grading, as_number, require_hermitian, require_mass,
+                      split_even_odd)
 from .errors import InvalidGrid, ParseError
 from .fileio import read_matrix, read_potential_table
 
@@ -33,18 +34,25 @@ KIND_LATTICE = "lattice"
 KIND_SYNTHETIC = "synthetic"
 KIND_EXPLICIT = "matrix"
 
-POTENTIAL_PARAM_COUNTS = {
-    "zero": 0,
-    "constant": 1,   # (value,)
-    "gaussian": 2,   # (strength, width)
-    "step": 2,       # (strength, edge)
-    "linear": 1,     # (slope,)
+# Each analytic potential as V(x, *params); its parameters are the names after x, and a width
+# must be positive.  "tabulated", a table of values read from a file, is the one other kind.
+POTENTIALS = {
+    "zero": lambda x: np.zeros_like(x),
+    "constant": lambda x, value: np.full_like(x, value),
+    "gaussian": lambda x, strength, width: strength * np.exp(-((x / width) ** 2)),
+    "step": lambda x, strength, edge: np.where(x >= edge, strength, 0.0),
+    "linear": lambda x, slope: slope * x,
 }
+
+
+def _floats(values) -> str:
+    return ",".join(repr(float(v)) for v in values)
 
 
 @dataclass(frozen=True)
 class Potential:
-    """Scalar potential on the lattice, from a closed catalog or a table."""
+    """Scalar potential on the lattice, from ``POTENTIALS`` or a table; ``params`` are stored
+    as a tuple of floats, each read by ``as_number``."""
 
     kind: str
     params: tuple[float, ...] = ()
@@ -56,53 +64,38 @@ class Potential:
             if self.table is None:
                 raise ValueError("tabulated potential needs a value table")
             return
-        expected = POTENTIAL_PARAM_COUNTS.get(self.kind)
-        if expected is None:
+        if self.kind not in POTENTIALS:
             raise ValueError(f"unknown potential kind {self.kind!r}")
-        if len(self.params) != expected:
-            raise ValueError(
-                f"potential {self.kind!r} takes {expected} parameter(s), "
-                f"got {len(self.params)}"
-            )
-        if not np.isfinite(self.params).all():
-            raise ValueError(f"potential {self.kind!r} needs finite parameters, got {self.params}")
-        if self.kind == "gaussian" and not self.params[1] > 0.0:
-            raise ValueError("gaussian width must be positive")
+        code = POTENTIALS[self.kind].__code__
+        names = code.co_varnames[1:code.co_argcount]   # V's parameters after x
+        params = tuple(float(as_number(p, f"potential {self.kind!r} parameter"))
+                       for p in self.params)
+        if len(params) != len(names):
+            raise ValueError(f"potential {self.kind!r} takes {len(names)} parameter(s), "
+                             f"got {len(params)}")
+        if not np.isfinite(params).all():
+            raise ValueError(f"potential {self.kind!r} needs finite parameters, got {params}")
+        if "width" in names and not params[names.index("width")] > 0.0:
+            raise ValueError(f"{self.kind} width must be positive")
+        object.__setattr__(self, "params", params)
 
     def sample(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == "zero":
-            return np.zeros_like(x)
-        if self.kind == "constant":
-            return np.full_like(x, self.params[0])
-        if self.kind == "gaussian":
-            strength, width = self.params
-            return strength * np.exp(-((x / width) ** 2))
-        if self.kind == "step":
-            strength, edge = self.params
-            return np.where(x >= edge, strength, 0.0)
-        if self.kind == "linear":
-            return self.params[0] * x
-        if len(self.table) != len(x):   # tabulated, the one kind left
-            raise ParseError(
-                f"tabulated potential has {len(self.table)} values "
-                f"but the grid has {len(x)} sites",
-                path=self.source,
-            )
+        if self.kind != "tabulated":
+            return POTENTIALS[self.kind](x, *self.params)
+        if len(self.table) != len(x):
+            raise ParseError(f"tabulated potential has {len(self.table)} values "
+                             f"but the grid has {len(x)} sites", path=self.source)
         return np.asarray(self.table, dtype=float)
 
     def with_strength(self, value: float) -> "Potential":
-        if self.kind in ("zero", "tabulated"):
+        if self.kind == "tabulated" or not self.params:
             raise ValueError(f"potential {self.kind!r} has no strength parameter")
-        return replace(self, params=(float(value),) + self.params[1:])
+        return replace(self, params=(value,) + self.params[1:])
 
     def describe(self) -> str:
         if self.kind == "tabulated":
-            if self.source:
-                return f"file:{self.source}"
-            return f"tabulated:{len(self.table)}"
-        if not self.params:
-            return self.kind
-        return self.kind + ":" + ",".join(repr(float(p)) for p in self.params)
+            return f"file:{self.source}" if self.source else f"tabulated:{len(self.table)}"
+        return f"{self.kind}:{_floats(self.params)}" if self.params else self.kind
 
 
 def parse_potential(text: str) -> Potential:
@@ -114,8 +107,8 @@ def parse_potential(text: str) -> Potential:
             raise ParseError("file potential needs a path, e.g. file:values.txt")
         values = read_potential_table(remainder)
         return Potential("tabulated", table=tuple(values), source=remainder)
-    if name not in POTENTIAL_PARAM_COUNTS:
-        known = ", ".join(sorted(POTENTIAL_PARAM_COUNTS) + ["file"])
+    if name not in POTENTIALS:
+        known = ", ".join(sorted(POTENTIALS) + ["file"])
         raise ParseError(f"unknown potential {name!r}; known: {known}")
     params = ()
     if remainder:
@@ -127,6 +120,10 @@ def parse_potential(text: str) -> Potential:
         return Potential(name, params)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def _split(h, grading: Grading, mass: float) -> tuple[np.ndarray, Grading, DiracDecomposition]:
+    return h, grading, split_even_odd(h, grading, mass)
 
 
 def build_free_particle(mass: float, momentum) -> tuple[np.ndarray, Grading, DiracDecomposition]:
@@ -141,11 +138,10 @@ def build_free_particle(mass: float, momentum) -> tuple[np.ndarray, Grading, Dir
         raise ValueError(f"momentum must have three components, got {momentum.shape}")
     if not np.isfinite(momentum).all():
         raise ValueError(f"momentum must be finite, got {tuple(momentum.tolist())}")
-    grading = Grading(4, 2)
     h = mass * DIRAC_BETA
     for component, alpha in zip(momentum, DIRAC_ALPHA):
         h = h + component * alpha
-    return h, grading, split_even_odd(h, grading, mass)
+    return _split(h, Grading(4, 2), mass)
 
 
 def build_lattice_1d(n: int, length: float, mass: float,
@@ -175,8 +171,7 @@ def build_lattice_1d(n: int, length: float, mass: float,
         + np.kron(_SIGMA_X, momentum)
         + np.kron(_EYE2, np.diag(v).astype(complex))
     )
-    grading = Grading(2 * n, n)
-    return h, grading, split_even_odd(h, grading, mass)
+    return _split(h, Grading(2 * n, n), mass)
 
 
 def build_synthetic_commuting(n: int, mass: float, poly, seed) -> tuple[np.ndarray, Grading, DiracDecomposition]:
@@ -216,7 +211,8 @@ def load_explicit_matrix(path) -> tuple[np.ndarray, Grading]:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Declarative description of a model run; drives builds and reports."""
+    """Declarative description of a model run; drives builds and reports.  ``mass`` and
+    ``length`` are real numbers and ``n`` and ``seed`` integers, each read by ``as_number``."""
 
     kind: str
     mass: float
@@ -229,44 +225,42 @@ class ModelSpec:
     seed: int | None = None
 
     def __post_init__(self):
-        # numpy scalars read as the Python numbers they hold, so reports serialize them alike
-        for name in ("mass", "n", "length", "seed"):
-            if isinstance(value := getattr(self, name), np.generic):
-                object.__setattr__(self, name, value.item())
+        object.__setattr__(self, "mass", as_number(self.mass, "mass"))
+        for name, integer in (("length", False), ("n", True), ("seed", True)):
+            if (value := getattr(self, name)) is not None:
+                object.__setattr__(self, name, as_number(value, name, integer))
 
     def describe(self) -> str:
         """One-line descriptor; ValueError for an unknown kind or a missing field."""
-        _check_fields(self)
-        if self.kind == KIND_FREE:
-            p = ",".join(repr(float(c)) for c in self.momentum)
-            return f"free(mass={self.mass!r}, p={p})"
-        if self.kind == KIND_LATTICE:
-            return (
-                f"lattice(n={self.n}, L={float(self.length)!r}, mass={self.mass!r}, "
-                f"potential={self.potential.describe()}, seed={self.seed})"
-            )
-        if self.kind == KIND_SYNTHETIC:
-            poly = ",".join(repr(float(c)) for c in self.poly)
-            return f"synthetic(n={self.n}, mass={self.mass!r}, poly=[{poly}], seed={self.seed})"
-        return f"matrix(path={self.path}, mass={self.mass!r})"
+        _, describe = _kind(self)
+        return describe(self)
 
 
-# The ModelSpec fields each kind reads; _check_fields rejects a spec missing any.
-_REQUIRED_FIELDS = {
-    KIND_FREE: ("momentum",),
-    KIND_LATTICE: ("n", "length", "potential"),
-    KIND_SYNTHETIC: ("n",),
-    KIND_EXPLICIT: ("path",),
+# Each model kind: the ModelSpec fields it reads, its builder and its descriptor.
+_KINDS = {
+    KIND_FREE: (("momentum",), lambda s: build_free_particle(s.mass, s.momentum),
+                lambda s: f"free(mass={s.mass!r}, p={_floats(s.momentum)})"),
+    KIND_LATTICE: (("n", "length", "potential"),
+                   lambda s: build_lattice_1d(s.n, s.length, s.mass, s.potential),
+                   lambda s: (f"lattice(n={s.n}, L={float(s.length)!r}, mass={s.mass!r}, "
+                              f"potential={s.potential.describe()}, seed={s.seed})")),
+    KIND_SYNTHETIC: (("n",), lambda s: build_synthetic_commuting(s.n, s.mass, s.poly, s.seed),
+                     lambda s: (f"synthetic(n={s.n}, mass={s.mass!r}, "
+                                f"poly=[{_floats(s.poly)}], seed={s.seed})")),
+    KIND_EXPLICIT: (("path",), lambda s: _split(*load_explicit_matrix(s.path), s.mass),
+                    lambda s: f"matrix(path={s.path}, mass={s.mass!r})"),
 }
 
 
-def _check_fields(spec: ModelSpec):
-    """ValueError for an unknown kind or a missing field its kind reads."""
-    required = _REQUIRED_FIELDS.get(spec.kind)
-    if required is None:
+def _kind(spec: ModelSpec):
+    """(builder, descriptor) of a spec's kind; ValueError for an unknown kind or a missing field
+    it reads."""
+    if spec.kind not in _KINDS:
         raise ValueError(f"unknown model kind {spec.kind!r}")
-    if any(getattr(spec, name) is None for name in required):
-        raise ValueError(f"{spec.kind} model needs {', '.join(required)}")
+    fields, build, describe = _KINDS[spec.kind]
+    if any(getattr(spec, name) is None for name in fields):
+        raise ValueError(f"{spec.kind} model needs {', '.join(fields)}")
+    return build, describe
 
 
 def build_model(spec: ModelSpec) -> tuple[np.ndarray, Grading, DiracDecomposition]:
@@ -275,12 +269,5 @@ def build_model(spec: ModelSpec) -> tuple[np.ndarray, Grading, DiracDecompositio
     ValueError for a bad mass, an unknown kind, or a missing field its kind reads.
     """
     require_mass(spec.mass)
-    _check_fields(spec)
-    if spec.kind == KIND_FREE:
-        return build_free_particle(spec.mass, spec.momentum)
-    if spec.kind == KIND_LATTICE:
-        return build_lattice_1d(spec.n, spec.length, spec.mass, spec.potential)
-    if spec.kind == KIND_SYNTHETIC:
-        return build_synthetic_commuting(spec.n, spec.mass, spec.poly, spec.seed)
-    h, grading = load_explicit_matrix(spec.path)
-    return h, grading, split_even_odd(h, grading, spec.mass)
+    build, _ = _kind(spec)
+    return build(spec)

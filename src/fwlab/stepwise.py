@@ -17,12 +17,11 @@ stacked SVD per step, and returns them undiagnosed, as the other routes do;
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import NORM_FLOOR, Grading, adjoint, frobenius, require_mass
+from .algebra import NORM_FLOOR, Grading, adjoint, as_number, frobenius, require_mass
 from .eriksen import FWResult, hamiltonian_spectrum
 from .matfunc import Spectrum, _hermitize, odd_exp
 
@@ -41,19 +40,18 @@ class ToleranceConfig:
     """The stepwise stopping rule, the only settable tolerances of a comparison.
 
     ``stepwise_tol`` is the target odd_norm_ratio and ``max_iterations`` the
-    cap on steps, stored as a Python float and int; ValueError unless
-    0 < stepwise_tol < inf and max_iterations is an integer >= 0, neither a bool.
+    cap on steps, stored as a Python float and int, each read by ``as_number``;
+    ValueError unless 0 < stepwise_tol < inf and max_iterations is an integer >= 0.
     """
 
     stepwise_tol: float = 1e-8
     max_iterations: int = 50
 
     def __post_init__(self):
-        tol, cap = self.stepwise_tol, self.max_iterations
-        if isinstance(tol, bool) or not 0.0 < tol < np.inf:
+        tol = as_number(self.stepwise_tol, "tol", rule="positive and finite")
+        cap = as_number(self.max_iterations, "max_iterations", integer=True)
+        if not 0.0 < tol < np.inf:
             raise ValueError(f"tol must be positive and finite, got {tol}")
-        if isinstance(cap, bool) or not isinstance(cap, numbers.Integral):
-            raise ValueError(f"max_iterations must be an integer, got {cap}")
         if not cap >= 0:
             raise ValueError(f"max_iterations must be nonnegative, got {cap}")
         object.__setattr__(self, "stepwise_tol", float(tol))

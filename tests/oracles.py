@@ -75,3 +75,24 @@ def stepwise_rate(h, mass):
     a, b = w[w > 0.0], -w[w < 0.0]
     extremes = np.array([a.min() + b.min(), a.max() + b.max()])
     return float(np.max(np.abs(1.0 - extremes / (2.0 * mass))))
+
+
+def mp_sign_transform(h, grading, dps=40):
+    """(U, lambda) of a Hermitian matrix ``h`` from the paper's formula at ``dps`` digits, rounded
+    to complex128: lambda = V sign(w) V^H from mpmath's ``eighe``, and
+
+        U = (1 + beta lambda) K^(-1/2) / 2,   K = 1 + (beta lambda + lambda beta - 2) / 4,
+
+    with K^(-1/2) from a second ``eighe``; no numpy kernel takes part."""
+    import mpmath
+
+    def apply(a, f):
+        w, v = mpmath.eighe(a)
+        return v * mpmath.diag([f(x) for x in w]) * v.H
+
+    with mpmath.workdps(dps):
+        eye, beta = mpmath.eye(grading.dim), mpmath.diag(grading.signs.tolist())
+        lam = apply(mpmath.matrix(np.asarray(h).tolist()), mpmath.sign)
+        u = (eye + beta * lam) * apply(eye + (beta * lam + lam * beta - 2 * eye) / 4,
+                                       lambda x: 1 / mpmath.sqrt(x)) / 2
+        return tuple(np.array(x.tolist(), dtype=complex) for x in (u, lam))

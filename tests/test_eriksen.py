@@ -29,6 +29,7 @@ from fwlab.errors import (
 )
 from fwlab.harness import METHOD_ERIKSEN, METHOD_ERIKSEN_ALT
 from fwlab.models import DIRAC_ALPHA, DIRAC_BETA, KIND_LATTICE, build_free_particle
+from oracles import mp_sign_transform
 
 
 def _random_gapped(rng, grading, gap=0.3):
@@ -241,3 +242,34 @@ def test_result_wrapper_rejects_non_unitary():
     # the wrapper reads the residual its diagnostics already measured
     with pytest.raises(NotUnitary):
         FWResult(2.0 * np.eye(4), h, compute_diagnostics(2.0 * np.eye(4), h, g, 4.0 * h))
+
+
+def _gap_model(delta, seed):
+    """(H, w): dim-8 H = V diag(w) V^H with V = exp(0.1 i A) near the identity, A a random
+    Hermitian, and +-delta the eigenvalues nearest zero, +delta in the upper block."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    e, q = np.linalg.eigh(a + a.conj().T)
+    v = (q * np.exp(0.05j * e)) @ q.conj().T
+    w = np.array([delta, 0.5, 1.0, 2.0, -delta, -0.7, -1.3, -2.0])
+    h = (v * w) @ v.conj().T
+    return (h + h.conj().T) / 2, w
+
+
+# Forward error against the 40-digit reference in units of eps max|w| / min|w|; measured over
+# seeds 0-39 and delta = 1e-1 ... 1e-9: at most 0.22 (eriksen), 0.63 (eriksenalt) and 0.31
+# (lambda).  An error growing faster than 1 / delta, as eps / delta^2, fails by orders.
+FORWARD_ERROR_C = 2.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_forward_error_grows_as_eps_over_the_gap(seed):
+    pytest.importorskip("mpmath")
+    g = Grading(8, 4)
+    for k in range(1, 10):
+        h, w = _gap_model(10.0 ** -k, seed)
+        u_ref, lam_ref = mp_sign_transform(h, g)
+        bound = FORWARD_ERROR_C * np.finfo(float).eps * np.abs(w).max() / np.abs(w).min()
+        assert relative_norm(sign_operator(h) - lam_ref, lam_ref) <= bound, k
+        for route in (eriksen_transform, eriksen_transform_alt):
+            assert relative_norm(route(h, g).transform - u_ref, u_ref) <= bound, (route, k)

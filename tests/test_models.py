@@ -13,6 +13,7 @@ from fwlab import (
     hermiticity_defect,
     load_explicit_matrix,
     parse_potential,
+    report_json,
     run_comparison,
     write_matrix,
 )
@@ -309,6 +310,80 @@ def test_build_model_names_missing_field(spec, message):
         spec.describe()
     assert str(err.value) == message
 
+
+
+GAUSS = Potential("gaussian", (0.1, 1.0))
+
+
+@pytest.mark.parametrize("fields, message", [
+    pytest.param(dict(kind=KIND_LATTICE, mass=True, n=8, length=4.0, potential=GAUSS),
+                 "mass must be a real number, got True", id="mass-bool"),
+    pytest.param(dict(kind=KIND_FREE, mass="1.0", momentum=(0.0, 0.0, 0.1)),
+                 "mass must be a real number, got '1.0'", id="mass-str"),
+    pytest.param(dict(kind=KIND_LATTICE, mass=1.0, n=8.0, length=4.0, potential=GAUSS),
+                 "n must be an integer, got 8.0", id="lattice-n-float"),
+    pytest.param(dict(kind=KIND_LATTICE, mass=1.0, n=True, length=4.0, potential=GAUSS),
+                 "n must be an integer, got True", id="lattice-n-bool"),
+    pytest.param(dict(kind=KIND_LATTICE, mass=1.0, n=8, length=True, potential=GAUSS),
+                 "length must be a real number, got True", id="length-bool"),
+    pytest.param(dict(kind=KIND_SYNTHETIC, mass=1.0, n=4.0, poly=(0.1,), seed=1),
+                 "n must be an integer, got 4.0", id="synthetic-n-float"),
+    pytest.param(dict(kind=KIND_SYNTHETIC, mass=1.0, n=4, poly=(0.1,), seed=1.5),
+                 "seed must be an integer, got 1.5", id="synthetic-seed-float"),
+])
+def test_model_spec_reads_its_numbers_by_one_rule(fields, message):
+    # each once ran as a bool or raised a raw TypeError deep in a builder
+    with pytest.raises(ValueError) as err:
+        run_comparison(ModelSpec(**fields), ("eriksen",))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("params", [("0.1", 1.0), (True, 1.0), (0.1, np.True_)])
+def test_potential_parameters_are_real_numbers(params):
+    with pytest.raises(ValueError, match="^potential 'gaussian' parameter must be a real number"):
+        Potential("gaussian", params)
+
+
+def test_potential_stores_a_tuple_of_floats():
+    pot = Potential("gaussian", [0.1, np.float32(1.0)])
+    assert pot == GAUSS and [type(p) for p in pot.params] == [float, float]
+    assert pot.with_strength(0.2) == Potential("gaussian", (0.2, 1.0))
+    with pytest.raises(ValueError, match="parameter must be a real number, got True"):
+        pot.with_strength(True)
+
+
+def test_an_int_stays_a_real():
+    report = run_comparison(ModelSpec(kind=KIND_FREE, mass=1, momentum=(0, 0, 1)), ("eriksen",))
+    assert report.model_descriptor == "free(mass=1, p=0.0,0.0,1.0)"
+    assert '"mass": 1,' in report_json(report)
+
+
+def test_model_descriptors(tmp_path):
+    # one exact descriptor per model kind
+    assert ModelSpec(kind=KIND_FREE, mass=2.5, momentum=(0, -0.5, 1e-20)).describe() == (
+        "free(mass=2.5, p=0.0,-0.5,1e-20)")
+    assert ModelSpec(kind=KIND_LATTICE, mass=1.0, n=16, length=8, potential=GAUSS,
+                     seed=4).describe() == (
+        "lattice(n=16, L=8.0, mass=1.0, potential=gaussian:0.1,1.0, seed=4)")
+    assert ModelSpec(kind=KIND_SYNTHETIC, mass=1.0, n=6, poly=(0.05, 2)).describe() == (
+        "synthetic(n=6, mass=1.0, poly=[0.05,2.0], seed=None)")
+    assert ModelSpec(kind=KIND_EXPLICIT, mass=0.5, path="h.txt").describe() == (
+        "matrix(path=h.txt, mass=0.5)")
+
+
+@pytest.mark.parametrize("potential, descriptor", [
+    (Potential("zero"), "zero"),
+    (Potential("constant", (-0.1,)), "constant:-0.1"),
+    (Potential("gaussian", (0.2, 1.5)), "gaussian:0.2,1.5"),
+    (Potential("step", (0.15, 0)), "step:0.15,0.0"),
+    (Potential("linear", (1e-3,)), "linear:0.001"),
+    (Potential("tabulated", table=(0.1, 0.2, 0.3)), "tabulated:3"),
+    (Potential("tabulated", table=(0.1, 0.2), source="v.txt"), "file:v.txt"),
+])
+def test_potential_descriptors(potential, descriptor):
+    assert potential.describe() == descriptor
+    if potential.kind != "tabulated":
+        assert parse_potential(descriptor) == potential
 
 def _written_matrix(tmp_path):
     h, g, _ = build_free_particle(1.0, (0.0, 0.0, 0.5))

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from fwlab import harness
+from fwlab import harness, models
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fwlab"
 
@@ -151,3 +151,51 @@ def test_numpy_openblas_round_trip():
     finally:
         set_(before)
     assert harness.numpy_openblas() is controls
+
+
+def _top_level_users(path, matches):
+    """The name each top-level statement of a module defines, once per node in it that
+    ``matches``."""
+    found = []
+    for statement in ast.parse(path.read_text(), filename=str(path)).body:
+        name = (getattr(statement, "name", None)
+                or isinstance(statement, ast.Assign) and ast.unparse(statement.targets[0]))
+        found += [name for node in ast.walk(statement) if matches(node)]
+    return found
+
+
+def _constant_in(values):
+    return lambda node: isinstance(node, ast.Constant) and node.value in values
+
+
+def test_one_table_per_catalog():
+    # a model kind is named by its KIND_* constant, which only _KINDS reads, and an analytic
+    # potential only by its POTENTIALS key
+    path = SRC / "models.py"
+    constants = {name for name in vars(models) if name.startswith("KIND_")}
+    assert set(models._KINDS) == {getattr(models, name) for name in constants}
+    assert set(_top_level_users(path, _kind_name)) == constants | {"_KINDS"}
+    assert set(_top_level_users(path, _constant_in(set(models._KINDS)))) == constants
+    assert set(_top_level_users(path, _constant_in(set(models.POTENTIALS)))) == {"POTENTIALS"}
+    source = path.read_text()
+    for gone in ("_REQUIRED_FIELDS", "_check_fields", "POTENTIAL_PARAM_COUNTS"):
+        assert gone not in source
+
+
+def _refuses_bool(node):
+    return (isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"
+            and "bool" in ast.unparse(node.args[1]))
+
+
+def test_one_number_rule():
+    # only as_number tells a bool or a non-integer from a number; ToleranceConfig and ModelSpec
+    # call it instead of checks of their own
+    paths = sorted(SRC.rglob("*.py"))
+    assert [user for path in paths for user in _users(path, _refuses_bool)] == [
+        "algebra:as_number"]
+    assert [user for path in paths
+            for user in _users(path, lambda node: getattr(node, "attr", None) == "Integral")] == [
+        "algebra:as_number"]
+    for path, owner in ((SRC / "stepwise.py", "stepwise:__post_init__"),
+                        (SRC / "models.py", "models:__post_init__")):
+        assert owner in _users(path, _names("as_number"))

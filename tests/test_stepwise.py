@@ -137,6 +137,8 @@ def test_parameter_gates():
         (1e-8, True, "max_iterations must be an integer, got True"),
         (1e-8, 2.5, "max_iterations must be an integer, got 2.5"),
         (1e-8, np.inf, "max_iterations must be an integer, got inf"),
+        ("1e-8", 50, "tol must be positive and finite, got '1e-8'"),
+        (1e-8, "50", "max_iterations must be an integer, got '50'"),
     ):
         with pytest.raises(ValueError) as err:
             stepwise_fw(h, g, 1.0, ToleranceConfig(tol, max_iterations))
