@@ -92,10 +92,21 @@ def require_hermitian(a, name: str) -> np.ndarray:
     return a
 
 
-def as_number(value, name: str, integer: bool = False, rule: str = ""):
+def as_number(value, name: str, integer: bool = False, rule: str = "", shape: tuple = ()):
     """``value`` as a Python number, a numpy scalar read as the number it holds; ValueError
     "``name`` must be ``rule``, got ..." for a bool, a non-number or, with ``integer``, a
-    non-integer. ``rule`` defaults to "an integer" or "a real number"."""
+    non-integer. ``rule`` defaults to "an integer" or "a real number".  With ``shape`` (k,), or
+    (None,) for any k, a list, tuple or 1-D array of k finite real numbers as a tuple of Python
+    floats; ValueError naming ``name`` for another value, count or a non-finite entry."""
+    if shape:
+        if not isinstance(value, (list, tuple)) and np.ndim(value) != 1:
+            raise ValueError(f"{name} must be a list, tuple or 1-D array, got {value!r}")
+        if shape[0] is not None and len(value) != shape[0]:
+            raise ValueError(f"{name} needs {shape[0]} entries, got {len(value)}")
+        values = tuple(float(as_number(entry, name)) for entry in value)
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite, got {values}")
+        return values
     value = value.item() if isinstance(value, np.generic) else value
     kind, default = (numbers.Integral, "an integer") if integer else (numbers.Real, "a real number")
     if isinstance(value, bool) or not isinstance(value, kind):

@@ -48,11 +48,8 @@ def _parse_methods(text: str) -> tuple[str, ...]:
 
 
 def _parse_momentum(text: str):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"--p needs three comma-separated components, got {text!r}")
     try:
-        return tuple(float(tok) for tok in parts)
+        return tuple(float(tok) for tok in text.split(","))
     except ValueError:
         raise ValueError(f"bad momentum {text!r}") from None
 

@@ -71,7 +71,7 @@ class ModelStack:
         with np.errstate(over="ignore", invalid="ignore"):  # as quiet as float arithmetic
             scaled = frobenius(commutator(even, odd)) / (frobenius(even) * frobenius(odd)
                                                          + NORM_FLOOR)
-        return cls(ds[0].grading, h, np.array([[d.mass] for d in ds]), even, odd,
+        return cls(ds[0].grading, h, np.array([[d.mass] for d in ds], dtype=float), even, odd,
                    [CommutationReport(r, r <= COMMUTE_TOL) for r in scaled.tolist()])
 
     @cached_property

@@ -51,8 +51,8 @@ def _floats(values) -> str:
 
 @dataclass(frozen=True)
 class Potential:
-    """Scalar potential on the lattice, from ``POTENTIALS`` or a table; ``params`` are stored
-    as a tuple of floats, each read by ``as_number``."""
+    """Scalar potential on the lattice, from ``POTENTIALS`` or a table; ``params``, as many as
+    its V takes after x, and ``table`` are read by ``as_number`` as tuples of floats."""
 
     kind: str
     params: tuple[float, ...] = ()
@@ -60,21 +60,17 @@ class Potential:
     source: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, str) or self.kind not in {*POTENTIALS, "tabulated"}:
+            raise ValueError(f"unknown potential kind {self.kind!r}")
         if self.kind == "tabulated":
             if self.table is None:
                 raise ValueError("tabulated potential needs a value table")
+            table = as_number(self.table, "potential table", shape=(None,))
+            object.__setattr__(self, "table", table)
             return
-        if self.kind not in POTENTIALS:
-            raise ValueError(f"unknown potential kind {self.kind!r}")
         code = POTENTIALS[self.kind].__code__
         names = code.co_varnames[1:code.co_argcount]   # V's parameters after x
-        params = tuple(float(as_number(p, f"potential {self.kind!r} parameter"))
-                       for p in self.params)
-        if len(params) != len(names):
-            raise ValueError(f"potential {self.kind!r} takes {len(names)} parameter(s), "
-                             f"got {len(params)}")
-        if not np.isfinite(params).all():
-            raise ValueError(f"potential {self.kind!r} needs finite parameters, got {params}")
+        params = as_number(self.params, f"potential {self.kind!r} parameter", shape=(len(names),))
         if "width" in names and not params[names.index("width")] > 0.0:
             raise ValueError(f"{self.kind} width must be positive")
         object.__setattr__(self, "params", params)
@@ -85,7 +81,7 @@ class Potential:
         if len(self.table) != len(x):
             raise ParseError(f"tabulated potential has {len(self.table)} values "
                              f"but the grid has {len(x)} sites", path=self.source)
-        return np.asarray(self.table, dtype=float)
+        return np.array(self.table)
 
     def with_strength(self, value: float) -> "Potential":
         if self.kind == "tabulated" or not self.params:
@@ -133,13 +129,8 @@ def build_free_particle(mass: float, momentum) -> tuple[np.ndarray, Grading, Dir
     commuting for every momentum; the spectrum is +-sqrt(m^2 + |p|^2),
     each twofold.
     """
-    momentum = np.asarray(momentum, dtype=float)
-    if momentum.shape != (3,):
-        raise ValueError(f"momentum must have three components, got {momentum.shape}")
-    if not np.isfinite(momentum).all():
-        raise ValueError(f"momentum must be finite, got {tuple(momentum.tolist())}")
     h = mass * DIRAC_BETA
-    for component, alpha in zip(momentum, DIRAC_ALPHA):
+    for component, alpha in zip(as_number(momentum, "momentum", shape=(3,)), DIRAC_ALPHA):
         h = h + component * alpha
     return _split(h, Grading(4, 2), mass)
 
@@ -165,11 +156,10 @@ def build_lattice_1d(n: int, length: float, mass: float,
     shift = np.eye(n, dtype=complex)
     forward = np.roll(shift, -1, axis=0)   # forward[j, j+1] = 1 with wrap
     momentum = (-1.0j / (2.0 * dx)) * (forward - forward.T)
-    v = np.asarray(potential.sample(x), dtype=float)
     h = (
         mass * np.kron(_SIGMA_Z, np.eye(n, dtype=complex))
         + np.kron(_SIGMA_X, momentum)
-        + np.kron(_EYE2, np.diag(v).astype(complex))
+        + np.kron(_EYE2, np.diag(potential.sample(x)).astype(complex))
     )
     return _split(h, Grading(2 * n, n), mass)
 
@@ -184,9 +174,7 @@ def build_synthetic_commuting(n: int, mass: float, poly, seed) -> tuple[np.ndarr
     """
     if n < 2:
         raise ValueError(f"block size must be at least 2, got {n}")
-    poly = tuple(poly)
-    if not np.isfinite(poly).all():
-        raise ValueError(f"poly must be finite, got {poly}")
+    poly = as_number(poly, "poly", shape=(None,))
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(2.0 * n)
     block = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
@@ -211,8 +199,8 @@ def load_explicit_matrix(path) -> tuple[np.ndarray, Grading]:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Declarative description of a model run; drives builds and reports.  ``mass`` and
-    ``length`` are real numbers and ``n`` and ``seed`` integers, each read by ``as_number``."""
+    """Declarative description of a model run; drives builds and reports.  ``as_number`` reads
+    each number and, in the builders, vector; ``potential`` is a ``Potential``."""
 
     kind: str
     mass: float
@@ -229,6 +217,8 @@ class ModelSpec:
         for name, integer in (("length", False), ("n", True), ("seed", True)):
             if (value := getattr(self, name)) is not None:
                 object.__setattr__(self, name, as_number(value, name, integer))
+        if not isinstance(self.potential, (Potential, type(None))):
+            raise ValueError(f"potential must be a Potential, got {self.potential!r}")
 
     def describe(self) -> str:
         """One-line descriptor; ValueError for an unknown kind or a missing field."""
@@ -244,7 +234,8 @@ _KINDS = {
                    lambda s: build_lattice_1d(s.n, s.length, s.mass, s.potential),
                    lambda s: (f"lattice(n={s.n}, L={float(s.length)!r}, mass={s.mass!r}, "
                               f"potential={s.potential.describe()}, seed={s.seed})")),
-    KIND_SYNTHETIC: (("n",), lambda s: build_synthetic_commuting(s.n, s.mass, s.poly, s.seed),
+    KIND_SYNTHETIC: (("n", "seed"),
+                     lambda s: build_synthetic_commuting(s.n, s.mass, s.poly, s.seed),
                      lambda s: (f"synthetic(n={s.n}, mass={s.mass!r}, "
                                 f"poly=[{_floats(s.poly)}], seed={s.seed})")),
     KIND_EXPLICIT: (("path",), lambda s: _split(*load_explicit_matrix(s.path), s.mass),
@@ -255,7 +246,7 @@ _KINDS = {
 def _kind(spec: ModelSpec):
     """(builder, descriptor) of a spec's kind; ValueError for an unknown kind or a missing field
     it reads."""
-    if spec.kind not in _KINDS:
+    if not isinstance(spec.kind, str) or spec.kind not in _KINDS:
         raise ValueError(f"unknown model kind {spec.kind!r}")
     fields, build, describe = _KINDS[spec.kind]
     if any(getattr(spec, name) is None for name in fields):

@@ -299,8 +299,10 @@ def test_build_model_dispatch(tmp_path):
     (ModelSpec(kind=KIND_LATTICE, mass=1.0), "lattice model needs n, length, potential"),
     (ModelSpec(kind=KIND_LATTICE, mass=1.0, n=8, length=4.0),
      "lattice model needs n, length, potential"),
-    (ModelSpec(kind=KIND_SYNTHETIC, mass=1.0, poly=(0.1,)), "synthetic model needs n"),
+    (ModelSpec(kind=KIND_SYNTHETIC, mass=1.0, poly=(0.1,)), "synthetic model needs n, seed"),
     (ModelSpec(kind=KIND_EXPLICIT, mass=1.0), "matrix model needs path"),
+    # a seedless synthetic model once drew its block from OS entropy, new on every run
+    (ModelSpec(kind=KIND_SYNTHETIC, mass=1.0, n=4, poly=(0.1,)), "synthetic model needs n, seed"),
 ])
 def test_build_model_names_missing_field(spec, message):
     with pytest.raises(ValueError) as err:
@@ -352,6 +354,64 @@ def test_potential_stores_a_tuple_of_floats():
         pot.with_strength(True)
 
 
+def _spec_run(**fields):
+    return lambda: run_comparison(ModelSpec(**fields), ("eriksen",))
+
+
+FREE = dict(kind=KIND_FREE, mass=1.0)
+SYNTHETIC = dict(kind=KIND_SYNTHETIC, mass=1.0, n=4, seed=1)
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(_spec_run(**FREE, momentum=(True, 0, 0)),
+                 "momentum must be a real number, got True", id="momentum-bool"),
+    pytest.param(_spec_run(**FREE, momentum=("0.5", 0, 0)),
+                 "momentum must be a real number, got '0.5'", id="momentum-str"),
+    pytest.param(_spec_run(**FREE, momentum=(None, 0, 0)),
+                 "momentum must be a real number, got None", id="momentum-none"),
+    pytest.param(_spec_run(**FREE, momentum=(1.0, 2.0)),
+                 "momentum needs 3 entries, got 2", id="momentum-count"),
+    pytest.param(_spec_run(**FREE, momentum="0,0,1"),
+                 "momentum must be a list, tuple or 1-D array, got '0,0,1'", id="momentum-text"),
+    pytest.param(_spec_run(**SYNTHETIC, poly={}),
+                 "poly must be a list, tuple or 1-D array, got {}", id="poly-dict"),
+    pytest.param(_spec_run(**SYNTHETIC, poly=0.1),
+                 "poly must be a list, tuple or 1-D array, got 0.1", id="poly-scalar"),
+    pytest.param(_spec_run(**SYNTHETIC, poly=(True, 0, 0)),
+                 "poly must be a real number, got True", id="poly-bool"),
+    pytest.param(_spec_run(kind=KIND_SYNTHETIC, mass=1.0, n=4, poly=(0.1,)),
+                 "synthetic model needs n, seed", id="synthetic-seedless"),
+    pytest.param(_spec_run(kind=KIND_LATTICE, mass=1.0, n=8, length=4.0,
+                           potential="gaussian:0.1,1"),
+                 "potential must be a Potential, got 'gaussian:0.1,1'", id="potential-str"),
+    pytest.param(lambda: Potential("constant", 0.2),
+                 "potential 'constant' parameter must be a list, tuple or 1-D array, got 0.2",
+                 id="params-scalar"),
+    pytest.param(lambda: Potential("zero", (0.1,)),
+                 "potential 'zero' parameter needs 0 entries, got 1", id="params-zero-count"),
+    pytest.param(lambda: Potential("gaussian", (0.1,)),
+                 "potential 'gaussian' parameter needs 2 entries, got 1", id="params-count"),
+    pytest.param(lambda: Potential("tabulated", table=("a",) * 8),
+                 "potential table must be a real number, got 'a'", id="table-str"),
+    pytest.param(lambda: Potential("tabulated", table=np.full(8, np.nan)),
+                 "potential table must be finite, got (nan, nan, nan, nan, nan, nan, nan, nan)",
+                 id="table-nan"),
+])
+def test_model_vectors_read_by_the_number_rule(make, message):
+    # each once ran silently, was read as NaN, or raised a raw TypeError or AttributeError
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
+
+
+def test_vectors_are_stored_as_tuples_of_floats():
+    pot = Potential("tabulated", table=np.arange(4))
+    assert pot.table == (0.0, 1.0, 2.0, 3.0) and type(pot.table[0]) is float
+    assert pot.sample(np.zeros(4)).tolist() == [0.0, 1.0, 2.0, 3.0]
+    h, _, _ = build_free_particle(1.0, np.array([0, 0, 1]))
+    assert h.tobytes() == build_free_particle(1.0, (0.0, 0.0, 1.0))[0].tobytes()
+
+
 def test_an_int_stays_a_real():
     report = run_comparison(ModelSpec(kind=KIND_FREE, mass=1, momentum=(0, 0, 1)), ("eriksen",))
     assert report.model_descriptor == "free(mass=1, p=0.0,0.0,1.0)"
@@ -365,8 +425,8 @@ def test_model_descriptors(tmp_path):
     assert ModelSpec(kind=KIND_LATTICE, mass=1.0, n=16, length=8, potential=GAUSS,
                      seed=4).describe() == (
         "lattice(n=16, L=8.0, mass=1.0, potential=gaussian:0.1,1.0, seed=4)")
-    assert ModelSpec(kind=KIND_SYNTHETIC, mass=1.0, n=6, poly=(0.05, 2)).describe() == (
-        "synthetic(n=6, mass=1.0, poly=[0.05,2.0], seed=None)")
+    assert ModelSpec(kind=KIND_SYNTHETIC, mass=1.0, n=6, poly=(0.05, 2), seed=3).describe() == (
+        "synthetic(n=6, mass=1.0, poly=[0.05,2.0], seed=3)")
     assert ModelSpec(kind=KIND_EXPLICIT, mass=0.5, path="h.txt").describe() == (
         "matrix(path=h.txt, mass=0.5)")
 

@@ -15,7 +15,9 @@ how either route is computed:
 - a batch of lattices of random masses and strengths gives each its report alone, for
   any method list;
 - the stacked Frobenius norm of each slice is its ``np.linalg.norm`` bit for bit;
-- a model of any scale fails with a typed error or gets a report that is strict JSON.
+- a model of any scale fails with a typed error or gets a report that is strict JSON;
+- a model with any field, or any entry of a vector field, set to a hostile value fails with a
+  typed error or gets a report whose bytes two runs repeat.
 
 Stepwise relations compare runs of a fixed number of steps, so that a ratio
 lying on a stopping threshold cannot split two equivalent runs.
@@ -26,6 +28,7 @@ transform keeps the same signed gap, and the closed forms must reproduce
 eriksen's transform and the sign operator.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -348,3 +351,55 @@ def test_every_scale_fails_typed_or_writes_strict_json(kind, log_scale, log_mass
     except (FWLabError, ValueError):
         return
     json.loads(report_json(report), parse_constant=_reject_constant)
+
+
+# Values no model field expects: none, bools, text, non-finite, huge and big-integer reals, numpy
+# scalars and arrays, containers and a bare object.
+HOSTILE = [None, True, False, np.True_, "0.5", "", float("nan"), float("inf"), -float("inf"),
+           1e308, 2**70, np.float64(0.5), np.int64(3), np.array(0.5), np.array([0.5, 1.0]),
+           np.zeros((2, 2)), {}, {"a": 1.0}, object(), [], (0.5,)]
+
+# Valid fields of each model kind, and of the lattice's potentials
+HOSTILE_BASES = {
+    "free": dict(kind="free", mass=1.0, momentum=(0.3, 0.0, 0.4)),
+    "lattice": dict(kind="lattice", mass=1.0, n=8, length=4.0),
+    "synthetic": dict(kind="synthetic", mass=1.0, n=4, poly=(0.1, 0.02), seed=1),
+}
+HOSTILE_POTENTIALS = (dict(kind="gaussian", params=(0.1, 1.0)),
+                      dict(kind="tabulated", table=(0.1,) * 8, source="v.txt"))
+
+
+@st.composite
+def hostile_models(draw):
+    """(kind, {ModelSpec, Potential, ToleranceConfig: fields}) of a valid model with one field,
+    or the first entry of a vector field, made hostile; a Potential's only on a lattice."""
+    kind = draw(st.sampled_from(sorted(HOSTILE_BASES)))
+    fields = {ModelSpec: dict(HOSTILE_BASES[kind]), ToleranceConfig: {},
+              Potential: dict(draw(st.sampled_from(HOSTILE_POTENTIALS)))}
+    owner = draw(st.sampled_from([ModelSpec, ToleranceConfig]
+                                 + [Potential] * (kind == "lattice")))
+    name = draw(st.sampled_from([f.name for f in dataclasses.fields(owner)]))
+    value, current = draw(st.sampled_from(HOSTILE)), fields[owner].get(name)
+    if isinstance(current, tuple) and draw(st.booleans()):
+        value = (value,) + current[1:]
+    fields[owner][name] = value
+    return kind, fields
+
+
+def _hostile_run(kind, fields):
+    potential = Potential(**fields[Potential]) if kind == "lattice" else None
+    spec = ModelSpec(**{"potential": potential, **fields[ModelSpec]})
+    return run_comparison(spec, METHOD_TAGS, ToleranceConfig(**fields[ToleranceConfig]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=hostile_models())
+def test_hostile_fields_fail_typed_or_repeat_their_bytes(model):
+    # no raw TypeError or AttributeError, and nothing read from OS entropy
+    try:
+        reports = [_hostile_run(*model) for _ in range(2)]
+    except (FWLabError, ValueError):
+        return
+    first, second = ((report_json(r), report_csv(r)) for r in reports)
+    assert first == second
+    json.loads(first[0], parse_constant=_reject_constant)

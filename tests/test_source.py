@@ -197,5 +197,15 @@ def test_one_number_rule():
             for user in _users(path, lambda node: getattr(node, "attr", None) == "Integral")] == [
         "algebra:as_number"]
     for path, owner in ((SRC / "stepwise.py", "stepwise:__post_init__"),
-                        (SRC / "models.py", "models:__post_init__")):
+                        (SRC / "models.py", "models:__post_init__"),
+                        (SRC / "models.py", "models:build_free_particle"),
+                        (SRC / "models.py", "models:build_synthetic_commuting")):
         assert owner in _users(path, _names("as_number"))
+
+
+def test_models_check_no_input_themselves():
+    # as_number reads every vector and number a model takes, so finiteness of an input is tested
+    # by it, require_hermitian and the file readers, which name a line; no builder or Potential
+    # converts or checks one of its own
+    attrs = ("isfinite", "asarray")
+    assert _users(SRC / "models.py", lambda node: getattr(node, "attr", None) in attrs) == []
