@@ -61,16 +61,7 @@ from .fileio import (
     write_matrix,
     write_text,
 )
-from .harness import (
-    METHOD_TAGS,
-    ComparisonReport,
-    CrossRow,
-    MethodRow,
-    emit_report,
-    report_csv,
-    report_json,
-    run_comparison,
-)
+from .harness import METHOD_TAGS, run_comparison
 from .matfunc import (
     SpectralGapReport,
     Spectrum,
@@ -90,6 +81,7 @@ from .models import (
     load_explicit_matrix,
     parse_potential,
 )
+from .report import ComparisonReport, CrossRow, MethodRow, emit_report, report_csv, report_json
 from .stepwise import StepwiseTrace, ToleranceConfig, stepwise_fw
 
 __version__ = "0.1.0"

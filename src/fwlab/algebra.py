@@ -14,6 +14,7 @@ grading travels alongside them as a small value object.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,10 +95,11 @@ def require_hermitian(a, name: str) -> np.ndarray:
 
 def as_number(value, name: str, integer: bool = False, rule: str = "", shape: tuple = ()):
     """``value`` as a Python number, a numpy scalar read as the number it holds; ValueError
-    "``name`` must be ``rule``, got ..." for a bool, a non-number or, with ``integer``, a
-    non-integer. ``rule`` defaults to "an integer" or "a real number".  With ``shape`` (k,), or
-    (None,) for any k, a list, tuple or 1-D array of k finite real numbers as a tuple of Python
-    floats; ValueError naming ``name`` for another value, count or a non-finite entry."""
+    "``name`` must be ``rule``, got ..." for a bool, a non-number, an int beyond float range
+    where a real is due (never its repr, refused past 4300 digits) or, with ``integer``, a
+    non-integer.  ``rule`` defaults to "an integer" or "a real number".  With ``shape`` (k,),
+    or (None,) for any k, a list, tuple or 1-D array of k finite real numbers as a tuple of
+    Python floats; ValueError naming ``name`` for another value, count or a non-finite entry."""
     if shape:
         if not isinstance(value, (list, tuple)) and np.ndim(value) != 1:
             raise ValueError(f"{name} must be a list, tuple or 1-D array, got {value!r}")
@@ -111,6 +113,8 @@ def as_number(value, name: str, integer: bool = False, rule: str = "", shape: tu
     kind, default = (numbers.Integral, "an integer") if integer else (numbers.Real, "a real number")
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{name} must be {rule or default}, got {value!r}")
+    if not integer and isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ValueError(f"{name} must be {rule or default}, got an int beyond float range")
     return value
 
 

@@ -15,10 +15,11 @@ import sys
 from dataclasses import replace
 
 from .errors import FWLabError
-from .harness import (METHOD_STEPWISE, METHOD_TAGS, METHOD_WEAK_FIELD, ComparisonReport,
-                      emit_report, json_text, run_comparison, run_comparisons)
 from .fileio import write_text
+from .harness import (METHOD_STEPWISE, METHOD_TAGS, METHOD_WEAK_FIELD, run_comparison,
+                      run_comparisons)
 from .models import KIND_EXPLICIT, KIND_FREE, KIND_LATTICE, ModelSpec, parse_potential
+from .report import ComparisonReport, emit_report, json_text
 from .stepwise import STOP_TOLERANCE, ToleranceConfig
 
 _METHOD_HELP = (

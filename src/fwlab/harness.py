@@ -1,12 +1,9 @@
-"""Runs the transform catalog over a list of models and serializes each outcome.
+"""Schedules the transform catalog over a list of models: batches, lanes and the BLAS pin.
 
 Every method is a route in ``ROUTES`` that gives each model of a batch
 (U, U H U^H) or its error, and the scheduler diagnoses the route's stack as
-one, so all are run, timed and recorded alike.  A comparison report holds one
-row per requested method (diagnostics or an error record, never both), cross rows with pairwise
-disagreements of the produced transforms and transformed Hamiltonians, and
-model context.  The JSON form is deterministic: stable key order, shortest
-round-trip floats, and no timing data unless explicitly requested.
+one, so all are run, timed and recorded alike; ``report`` turns the outcomes
+into reports.
 """
 
 from __future__ import annotations
@@ -14,103 +11,23 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import json
 import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
 import numpy as np
 
-from .algebra import NORM_FLOOR, frobenius, relative_norm
-from .eriksen import DiagnosticSet, diagnose, eriksen_alt_stack, eriksen_stack
+from .algebra import frobenius, relative_norm
+from .eriksen import diagnose, eriksen_alt_stack, eriksen_stack
 from .errors import FWLabError, OutsideValidityDomain
-from .exact_case import COMMUTE_TOL, ModelStack, u_fw_stack, weak_field_stack, weak_root_stack
+from .exact_case import ModelStack, u_fw_stack, weak_field_stack, weak_root_stack
 from .matfunc import Slices, Spectrum
 from .models import ModelSpec, build_model
-from .fileio import write_text
+# report_json stays importable from here: the benchmarks call it as harness.report_json
+from .report import ComparisonReport, MethodRow, assemble_report, report_contexts, report_json
 from .stepwise import ToleranceConfig, stepwise_lockstep
-
-
-@dataclass
-class MethodRow:
-    """Outcome of one method on one model."""
-
-    method: str
-    diagnostics: DiagnosticSet | None = None
-    error: str | None = None
-    error_type: str | None = None
-    wall_time_seconds: float = 0.0
-    extras: dict = field(default_factory=dict)
-
-    def to_dict(self, include_timings: bool) -> dict:
-        row = {
-            "method": self.method,
-            "diagnostics": None if self.diagnostics is None else self.diagnostics.to_dict(),
-            "error": self.error,
-            "error_type": self.error_type,
-            "extras": dict(sorted(self.extras.items())),
-        }
-        if include_timings:
-            row["wall_time_seconds"] = self.wall_time_seconds
-        return row
-
-
-@dataclass
-class CrossRow:
-    """Pairwise disagreement of two produced transforms."""
-
-    method_pair: tuple[str, str]
-    hamiltonian_disagreement: float
-    transform_disagreement: float
-
-    def to_dict(self) -> dict:
-        return {**vars(self), "method_pair": list(self.method_pair)}
-
-
-@dataclass
-class ReportContext:
-    """Model-level facts shared by all rows."""
-
-    mass: float
-    dim: int
-    commutation_residual: float
-    spectral_gap: float
-    even_strength_ratio: float   # ||E||_F / (mass * sqrt(dim))
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))
-
-
-@dataclass
-class ComparisonReport:
-    model_descriptor: str
-    context: ReportContext
-    methods: list[MethodRow]
-    cross: list[CrossRow]
-    tolerances: ToleranceConfig
-
-    def to_dict(self, include_timings: bool = False) -> dict:
-        return {
-            "model": self.model_descriptor,
-            "context": self.context.to_dict(),
-            "methods": [row.to_dict(include_timings) for row in self.methods],
-            "cross": [row.to_dict() for row in self.cross],
-            # null: every gap test is the relative rule matfunc.check_gap, not a fixed tolerance
-            "tolerances": {"commute_tol": COMMUTE_TOL, "gap_tol": None,
-                           **vars(self.tolerances)},
-        }
-
-    def has_errors(self) -> bool:
-        return any(row.error is not None for row in self.methods)
-
-    def row(self, method: str) -> MethodRow:
-        for candidate in self.methods:
-            if candidate.method == method:
-                return candidate
-        raise KeyError(method)
 
 
 def _stepwise(slices, batch, extras):
@@ -260,21 +177,6 @@ def _model(spec: ModelSpec):
     return [h, decomposition]
 
 
-def _report(spec, context, outcomes, tolerances) -> ComparisonReport:
-    """One model's report from its {method: (row, produced)} in canonical order."""
-    produced = [(m, pair) for m, (_, pair) in outcomes.items() if pair is not None]
-    cross = []
-    for i, (first, (u_first, h_first, u_norm, h_norm)) in enumerate(produced):
-        for second, (u_second, h_second, _, _) in produced[i + 1:]:
-            cross.append(CrossRow(
-                method_pair=(first, second),
-                hamiltonian_disagreement=frobenius(h_second - h_first) / max(h_norm, NORM_FLOOR),
-                transform_disagreement=frobenius(u_second - u_first) / max(u_norm, NORM_FLOOR),
-            ))
-    rows = [row for row, _ in outcomes.values()]
-    return ComparisonReport(spec.describe(), context, rows, cross, tolerances)
-
-
 def run_comparisons(specs, methods=METHOD_TAGS,
                     tolerances: ToleranceConfig = ToleranceConfig()) -> list[ComparisonReport]:
     """Build each batch of models as stacks and run every requested method on them.
@@ -321,7 +223,7 @@ def run_comparisons(specs, methods=METHOD_TAGS,
         if batch.contexts is None or len(batch.found) < len(methods):
             return
         for i, context, *found in zip(batch.index, batch.contexts, *map(batch.found.get, methods)):
-            reports[i] = _report(specs[i], context, dict(zip(methods, found)), tolerances)
+            reports[i] = assemble_report(specs[i], context, dict(zip(methods, found)), tolerances)
         batch.found = None
 
     def stream():  # advanced under the lock, so each batch is set up once, when it is reached
@@ -340,15 +242,11 @@ def run_comparisons(specs, methods=METHOD_TAGS,
             if METHOD_STEPWISE in methods:  # the lockstep starts at the eigh
                 yield functools.partial(run, METHOD_STEPWISE, batch)
             # ``parts`` is kept while a method in ``readers`` is left
-            parts, dim = ModelStack.of(ds, batch.h), grading.dim
+            parts = ModelStack.of(ds, batch.h)
             del ds
             if METHOD_WEAK_FIELD in methods:
                 parts.odd_svd
-            gaps = np.min(np.abs(batch.h.w), axis=-1).tolist()
-            strengths = frobenius(parts.even_part) / (np.array(batch.masses) * np.sqrt(dim))
-            batch.contexts = [ReportContext(mass, dim, c.commutator_residual, gap, strength)
-                              for mass, c, gap, strength in zip(
-                                  batch.masses, parts.commutation, gaps, strengths.tolist())]
+            batch.contexts = report_contexts(parts, batch.masses)
             batch.parts = parts if batch.readers else None
             del parts
             finish(batch)  # a stepwise-only batch's lockstep may have ended
@@ -390,40 +288,3 @@ def run_comparison(spec: ModelSpec, methods=METHOD_TAGS,
                    tolerances: ToleranceConfig = ToleranceConfig()) -> ComparisonReport:
     """The report of one spec: ``run_comparisons([spec], methods, tolerances)[0]``."""
     return run_comparisons([spec], methods, tolerances)[0]
-
-
-def json_text(data) -> str:
-    """Canonical JSON text of an acyclic dict: sorted keys, indent 2, shortest round-trip floats."""
-    return json.dumps(data, sort_keys=True, indent=2, check_circular=False) + "\n"
-
-
-def report_json(report: ComparisonReport, include_timings: bool = False) -> str:
-    """A report's canonical JSON text (``json_text``)."""
-    return json_text(report.to_dict(include_timings))
-
-
-def report_csv(report: ComparisonReport) -> str:
-    """One row per (method, metric); blank value where a metric is absent."""
-    lines = ["method,metric,value"]
-    names = [f.name for f in fields(DiagnosticSet)]
-    for row in report.methods:
-        metrics = row.diagnostics.to_dict() if row.diagnostics is not None else {}
-        for name in names:
-            value = metrics.get(name)
-            rendered = "" if value is None else repr(float(value))
-            lines.append(f"{row.method},{name},{rendered}")
-    return "\n".join(lines) + "\n"
-
-
-def emit_report(report: ComparisonReport, fmt: str, path=None,
-                include_timings: bool = False) -> str:
-    """Serialize a report; write atomically when a path is given."""
-    if fmt == "json":
-        text = report_json(report, include_timings)
-    elif fmt == "csv":
-        text = report_csv(report)
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
-    if path is not None:
-        write_text(path, text)
-    return text

@@ -9,6 +9,7 @@ parts commute by construction, and explicit matrices loaded from disk.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -199,8 +200,8 @@ def load_explicit_matrix(path) -> tuple[np.ndarray, Grading]:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Declarative description of a model run; drives builds and reports.  ``as_number`` reads
-    each number and, in the builders, vector; ``potential`` is a ``Potential``."""
+    """Declarative description of a model run.  ``as_number`` reads each number and, in the
+    builders, vector; ``potential`` is a ``Potential`` and ``path`` a str or os.PathLike."""
 
     kind: str
     mass: float
@@ -217,8 +218,12 @@ class ModelSpec:
         for name, integer in (("length", False), ("n", True), ("seed", True)):
             if (value := getattr(self, name)) is not None:
                 object.__setattr__(self, name, as_number(value, name, integer))
+        if self.n is not None and 2 * self.n > np.iinfo(np.intp).max:  # 2n is H's dimension
+            raise ValueError(f"n must be at most {np.iinfo(np.intp).max // 2}, got a larger int")
         if not isinstance(self.potential, (Potential, type(None))):
             raise ValueError(f"potential must be a Potential, got {self.potential!r}")
+        if not isinstance(self.path, (str, os.PathLike, type(None))):  # open(True) opens fd 1
+            raise ValueError(f"path must be a str or os.PathLike, got {self.path!r}")
 
     def describe(self) -> str:
         """One-line descriptor; ValueError for an unknown kind or a missing field."""

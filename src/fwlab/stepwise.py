@@ -101,7 +101,7 @@ def stepwise_lockstep(h: Spectrum, grading: Grading, masses,
     odd = frobenius(block)
     for mass, norm in zip(masses, odd.tolist()):
         require_mass(mass, 2 ** 0.5 * norm, "odd part")  # ||O||_F = sqrt(2) ||B||_F
-    twice_mass = 2.0 * np.reshape(masses, (-1, 1, 1))
+    twice_mass = 2.0 * np.array(masses, dtype=float).reshape(-1, 1, 1)  # not object for 2**70
     scales = np.sqrt(2.0) / np.maximum(frobenius(h.matrix), NORM_FLOOR)
     ratios = [[ratio] for ratio in (scales * odd).tolist()]
     rows, reasons = [[] for _ in live], [None] * len(live)

@@ -35,6 +35,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # conftest, run as
 
 from conftest import free_specs, lattice_specs, synthetic_specs  # noqa: E402
 from fwlab import ModelSpec, Potential, cli, harness  # noqa: E402
+from fwlab import report as reporting  # noqa: E402
 
 FIXTURE = Path(__file__).with_name("sections.json")
 
@@ -65,18 +66,18 @@ def _sha(text: str) -> str:
 def _sections(data: dict, csv: str | None = None) -> dict:
     """The hash of each section of a report's dict, and of its CSV when given."""
     head = {key: value for key, value in data.items() if key not in ("methods", "cross")}
-    sections = {"context": _sha(harness.json_text(head))}
+    sections = {"context": _sha(reporting.json_text(head))}
     if csv is not None:
         sections["csv"] = _sha(csv)
     for row in data["methods"]:
-        sections[f"method/{row['method']}"] = _sha(harness.json_text(row))
+        sections[f"method/{row['method']}"] = _sha(reporting.json_text(row))
     for row in data["cross"]:
-        sections["cross/" + "~".join(row["method_pair"])] = _sha(harness.json_text(row))
+        sections["cross/" + "~".join(row["method_pair"])] = _sha(reporting.json_text(row))
     return sections
 
 
 def _report_sections(report) -> dict:
-    return _sections(json.loads(harness.report_json(report)), harness.report_csv(report))
+    return _sections(json.loads(reporting.report_json(report)), reporting.report_csv(report))
 
 
 def section_hashes() -> dict:

@@ -35,6 +35,7 @@ from fwlab import harness
 from fwlab.errors import DimensionMismatch, FWLabError
 from fwlab.harness import METHOD_TAGS, run_comparisons
 from fwlab.models import KIND_EXPLICIT, KIND_FREE, KIND_LATTICE, KIND_SYNTHETIC
+from fwlab.report import json_text
 
 FREE_SPEC = ModelSpec(kind=KIND_FREE, mass=1.0, momentum=(0.0, 0.0, 0.75))
 GAUSS_SPEC = ModelSpec(
@@ -193,6 +194,16 @@ def test_json_report_is_deterministic():
     assert "wall_time_seconds" not in text_a
     timed = report_json(run_comparison(GAUSS_SPEC), include_timings=True)
     assert "wall_time_seconds" in timed
+
+
+def test_timings_are_all_the_opt_in_adds(full_suite):
+    # a timed report with each row's wall_time_seconds dropped is the default bytes
+    for spec, *_ in full_suite:
+        report = run_comparison(spec)
+        timed = json.loads(report_json(report, include_timings=True))
+        for row in timed["methods"]:
+            assert row.pop("wall_time_seconds") >= 0.0
+        assert json_text(timed) == report_json(report)
 
 
 def test_csv_shape():
@@ -463,7 +474,7 @@ def test_stacked_rows_share_their_task_time(open_gate):
         times = {report.row(method).wall_time_seconds for report in reports}
         assert len(times) == 1 and min(times) >= 0.0, method
         for report in reports:
-            assert "wall_time_seconds" in report.to_dict(True)["methods"][0]
+            assert "wall_time_seconds" in report_json(report, include_timings=True)
             assert "wall_time_seconds" not in report_json(report)
 
 
@@ -658,7 +669,7 @@ def _spy_open_models(monkeypatch):
     """The most models at any time that were built and have no report yet."""
     guard = threading.Lock()
     state = {"open": 0, "most": 0}
-    model, report = harness._model, harness._report
+    model, report = harness._model, harness.assemble_report
 
     def built(spec):
         with guard:
@@ -672,7 +683,7 @@ def _spy_open_models(monkeypatch):
         return report(*args)
 
     monkeypatch.setattr(harness, "_model", built)
-    monkeypatch.setattr(harness, "_report", reported)
+    monkeypatch.setattr(harness, "assemble_report", reported)
     return state
 
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from fwlab import (
     check_commutation,
     frobenius,
     hermiticity_defect,
+    ToleranceConfig,
     load_explicit_matrix,
     parse_potential,
     report_json,
@@ -332,6 +335,23 @@ GAUSS = Potential("gaussian", (0.1, 1.0))
                  "n must be an integer, got 4.0", id="synthetic-n-float"),
     pytest.param(dict(kind=KIND_SYNTHETIC, mass=1.0, n=4, poly=(0.1,), seed=1.5),
                  "seed must be an integer, got 1.5", id="synthetic-seed-float"),
+    # an int beyond float range raised a raw OverflowError; past 4300 digits Python refuses to
+    # print it, so the message names the field and not the number
+    pytest.param(dict(kind=KIND_FREE, mass=10**400, momentum=(0.0, 0.0, 0.1)),
+                 "mass must be a real number, got an int beyond float range", id="mass-huge-int"),
+    pytest.param(dict(kind=KIND_FREE, mass=-10**5000, momentum=(0.0, 0.0, 0.1)),
+                 "mass must be a real number, got an int beyond float range", id="mass-5001-digits"),
+    pytest.param(dict(kind=KIND_LATTICE, mass=1.0, n=8, length=10**400, potential=GAUSS),
+                 "length must be a real number, got an int beyond float range",
+                 id="length-huge-int"),
+    # n sets H's dimension 2n, so it must be a numpy size; 10**400 raised a raw OverflowError
+    # and 2**70 numpy's unnamed "Maximum allowed size exceeded"
+    pytest.param(dict(kind=KIND_LATTICE, mass=1.0, n=10**400, length=4.0, potential=GAUSS),
+                 f"n must be at most {np.iinfo(np.intp).max // 2}, got a larger int",
+                 id="lattice-n-huge-int"),
+    pytest.param(dict(kind=KIND_SYNTHETIC, mass=1.0, n=2**70, poly=(0.1,), seed=1),
+                 f"n must be at most {np.iinfo(np.intp).max // 2}, got a larger int",
+                 id="synthetic-n-past-numpy"),
 ])
 def test_model_spec_reads_its_numbers_by_one_rule(fields, message):
     # each once ran as a bool or raised a raw TypeError deep in a builder
@@ -396,6 +416,17 @@ SYNTHETIC = dict(kind=KIND_SYNTHETIC, mass=1.0, n=4, seed=1)
     pytest.param(lambda: Potential("tabulated", table=np.full(8, np.nan)),
                  "potential table must be finite, got (nan, nan, nan, nan, nan, nan, nan, nan)",
                  id="table-nan"),
+    pytest.param(_spec_run(**FREE, momentum=(0, 10**400, 0)),
+                 "momentum must be a real number, got an int beyond float range",
+                 id="momentum-huge-int"),
+    pytest.param(_spec_run(**SYNTHETIC, poly=(0.1, -10**400)),
+                 "poly must be a real number, got an int beyond float range", id="poly-huge-int"),
+    pytest.param(lambda: Potential("gaussian", (10**400, 1.0)),
+                 "potential 'gaussian' parameter must be a real number, got an int beyond float "
+                 "range", id="params-huge-int"),
+    pytest.param(lambda: ToleranceConfig(stepwise_tol=10**400),
+                 "tol must be positive and finite, got an int beyond float range",
+                 id="stepwise-tol-huge-int"),
 ])
 def test_model_vectors_read_by_the_number_rule(make, message):
     # each once ran silently, was read as NaN, or raised a raw TypeError or AttributeError
@@ -416,6 +447,35 @@ def test_an_int_stays_a_real():
     report = run_comparison(ModelSpec(kind=KIND_FREE, mass=1, momentum=(0, 0, 1)), ("eriksen",))
     assert report.model_descriptor == "free(mass=1, p=0.0,0.0,1.0)"
     assert '"mass": 1,' in report_json(report)
+
+
+def test_big_ints_within_their_range_are_read():
+    # 2**70 is within a float's range and an integer cap has no such range: neither is refused
+    tolerances = ToleranceConfig(max_iterations=10**400)
+    assert tolerances.max_iterations == 10**400
+    report = run_comparison(ModelSpec(kind=KIND_FREE, mass=2**70, momentum=(0, 0, 1)),
+                            ("eriksen", "stepwise"), tolerances)
+    assert not report.has_errors() and f'"mass": {2**70},' in report_json(report)
+
+
+@pytest.mark.parametrize("path", [True, False, 1, np.int64(3), b"h.txt", 0.5],
+                         ids=["true", "false", "int", "numpy-int", "bytes", "float"])
+def test_model_path_is_a_str_or_path_like(path):
+    # open() reads an int as a file descriptor, which the reader's ``with`` then closed: True
+    # closed stdout, False stdin and np.int64(3) fd 3
+    with pytest.raises(ValueError) as err:
+        run_comparison(ModelSpec(kind=KIND_EXPLICIT, mass=1.0, path=path))
+    assert str(err.value) == f"path must be a str or os.PathLike, got {path!r}"
+    os.fstat(0)
+    os.fstat(1)
+
+
+def test_model_path_may_be_a_path_object(tmp_path):
+    h, g, _ = build_free_particle(1.0, (0.3, 0.0, 0.4))
+    write_matrix(tmp_path / "h.txt", h, g)
+    specs = [ModelSpec(kind=KIND_EXPLICIT, mass=1.0, path=path)
+             for path in (tmp_path / "h.txt", str(tmp_path / "h.txt"))]
+    assert report_json(run_comparison(specs[0])) == report_json(run_comparison(specs[1]))
 
 
 def test_model_descriptors(tmp_path):

@@ -209,3 +209,31 @@ def test_models_check_no_input_themselves():
     # converts or checks one of its own
     attrs = ("isfinite", "asarray")
     assert _users(SRC / "models.py", lambda node: getattr(node, "attr", None) in attrs) == []
+
+
+def _imported(path):
+    """The modules one module imports, a package module by its own name ("fileio")."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and not node.module:
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found.add(node.module)
+    return found
+
+
+def _parameters(node):
+    args = node.args
+    return [arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs]
+
+
+def test_report_has_one_owner():
+    # report.py owns the schema and its serializers, and the harness only schedules; the one
+    # opt-in, the rows' timings, is a parameter of report_json alone
+    assert _users(SRC / "harness.py", _names("dataclass")) == []
+    assert not {"json", "fileio", "dataclasses"} & _imported(SRC / "harness.py")
+    assert "harness" not in _imported(SRC / "report.py")
+    assert [f"{path.stem}:{node.name}" for path in sorted(SRC.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and "include_timings" in _parameters(node)] == ["report:report_json"]

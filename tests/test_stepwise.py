@@ -139,6 +139,7 @@ def test_parameter_gates():
         (1e-8, np.inf, "max_iterations must be an integer, got inf"),
         ("1e-8", 50, "tol must be positive and finite, got '1e-8'"),
         (1e-8, "50", "max_iterations must be an integer, got '50'"),
+        (10**400, 50, "tol must be positive and finite, got an int beyond float range"),
     ):
         with pytest.raises(ValueError) as err:
             stepwise_fw(h, g, 1.0, ToleranceConfig(tol, max_iterations))
