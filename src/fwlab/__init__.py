@@ -9,8 +9,8 @@ elimination so the routes can be compared quantitatively on small models.
 
 from .algebra import (
     DiracDecomposition,
-    Grading,
     anticommutator,
+    beta_signs,
     commutator,
     even_projection,
     frobenius,

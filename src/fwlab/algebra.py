@@ -7,8 +7,9 @@ in the decomposed form
 
     H = beta * m + E + O,        beta E = E beta,   beta O = -O beta,
 
-with E and O Hermitian.  Matrices are plain dense complex ndarrays; the
-grading travels alongside them as a small value object.
+with E and O Hermitian.  Matrices are plain dense complex ndarrays, and
+the grading is their shape: a 2n x 2n operand has beta = diag(I_n, -I_n),
+upper block first, which ``beta_signs`` reads off it.
 """
 
 from __future__ import annotations
@@ -126,65 +127,50 @@ def require_mass(mass: float, norm: float = 0.0, name: str = ""):
         raise ValueError(f"{name} norm over mass {mass!r} overflows")
 
 
-@dataclass(frozen=True)
-class Grading:
-    """Block splitting of the state space, +1 block ordered first.
-
-    Only equal blocks are supported: ``dim`` must be exactly twice
-    ``upper_dim``.  Unequal splittings are rejected at construction.
-    """
-
-    dim: int
-    upper_dim: int
-
-    def __post_init__(self):
-        if self.dim <= 0 or self.dim % 2 != 0:
-            raise ValueError(f"dim must be positive and even, got {self.dim}")
-        if self.upper_dim * 2 != self.dim:
-            raise ValueError(
-                f"unequal blocks are not supported: dim={self.dim}, upper_dim={self.upper_dim}"
-            )
-
-    def check(self, a) -> np.ndarray:
-        """Return ``a`` as an ndarray after verifying its shape, or each shape of a stack."""
-        a = np.asarray(a)
-        if a.shape[-2:] != (self.dim, self.dim):
+def beta_signs(operands: dict) -> np.ndarray:
+    """Diagonal of beta = diag(I_n, -I_n), +1 on the upper block, on the one shape that every
+    operand of ``operands``, {name: a 2n x 2n matrix, a stack of them, a Spectrum or None to
+    skip}, must have.  DimensionMismatch naming the first operand that is not 2n x 2n for some
+    n >= 1 or not of the first one's shape, with its own shape."""
+    first = None
+    for name, a in operands.items():
+        if a is None:
+            continue
+        shape = np.shape(getattr(a, "matrix", a))  # a Spectrum's shape is its matrix's
+        if len(shape) < 2 or shape[-1] != shape[-2] or shape[-1] % 2 or not shape[-1]:
+            raise DimensionMismatch(f"{name} must be 2n x 2n, n >= 1, got shape {shape}")
+        if first is not None and shape != first[1]:
             raise DimensionMismatch(
-                f"expected a {self.dim}x{self.dim} matrix, got shape {a.shape}"
-            )
-        return a
-
-    @property
-    def signs(self) -> np.ndarray:
-        """Diagonal of beta: +1 on the upper block, -1 on the lower."""
-        return np.repeat([1.0, -1.0], self.upper_dim)
+                f"{name} must have the shape {first[1]} of {first[0]}, got shape {shape}")
+        first = first or (name, shape)
+    return np.repeat([1.0, -1.0], first[1][-1] // 2)
 
 
-def make_beta(grading: Grading) -> np.ndarray:
-    """Dense grading involution diag(grading.signs)."""
-    return np.diag(grading.signs).astype(complex)
+def make_beta(dim: int) -> np.ndarray:
+    """Dense beta = diag(I_n, -I_n) of dimension ``dim`` = 2n."""
+    return np.diag(beta_signs({"beta": np.eye(dim)})).astype(complex)
 
 
-def even_projection(h, grading: Grading) -> np.ndarray:
+def even_projection(h) -> np.ndarray:
     """Block-diagonal part of ``h``, equal to (h + beta h beta) / 2."""
-    signs = grading.signs
-    return np.where(signs[:, None] == signs, grading.check(h), 0j)
+    signs = beta_signs({"h": h})
+    return np.where(signs[:, None] == signs, h, 0j)
 
 
-def odd_projection(h, grading: Grading) -> np.ndarray:
+def odd_projection(h) -> np.ndarray:
     """Block-off-diagonal part of ``h``, equal to (h - beta h beta) / 2."""
-    signs = grading.signs
-    return np.where(signs[:, None] != signs, grading.check(h), 0j)
+    signs = beta_signs({"h": h})
+    return np.where(signs[:, None] != signs, h, 0j)
 
 
-def odd_norm_ratio(h, grading: Grading):
+def odd_norm_ratio(h):
     """Fraction of ``h`` living in the odd sector, of each slice on a stack.
 
     Returns ||odd part||_F / max(||h||_F, NORM_FLOOR).  Zero exactly when
     ``h`` is block-diagonal; this is the convergence measure used by the
     iterative scheme and the block-diagonality diagnostic.
     """
-    return relative_norm(odd_projection(h, grading), h)
+    return relative_norm(odd_projection(h), h)
 
 
 @dataclass(frozen=True)
@@ -197,15 +183,15 @@ class DiracDecomposition:
     to relative tolerance 1e-12, and their norms over the mass finite.
     """
 
-    grading: Grading
     mass: float
     even_part: np.ndarray
     odd_part: np.ndarray
 
     def __post_init__(self):
         require_mass(self.mass)
-        e = even_projection(np.asarray(self.even_part, dtype=complex), self.grading)
-        o = odd_projection(np.asarray(self.odd_part, dtype=complex), self.grading)
+        e, o = (np.asarray(x, dtype=complex) for x in (self.even_part, self.odd_part))
+        beta_signs({"even part": e, "odd part": o})
+        e, o = even_projection(e), odd_projection(o)
         for part, name in ((e, "even part"), (o, "odd part")):
             require_mass(self.mass, frobenius(require_hermitian(part, name)), name)
         object.__setattr__(self, "even_part", e)
@@ -213,17 +199,20 @@ class DiracDecomposition:
 
     def hamiltonian(self) -> np.ndarray:
         """Reassemble beta * mass + E + O."""
-        return np.diag(self.mass * self.grading.signs) + self.even_part + self.odd_part
+        signs = beta_signs({"even part": self.even_part})
+        return np.diag(self.mass * signs) + self.even_part + self.odd_part
 
 
-def split_even_odd(h, grading: Grading, mass: float) -> DiracDecomposition:
+def split_even_odd(h, mass: float) -> DiracDecomposition:
     """Split a Hermitian Hamiltonian into mass, even, and odd pieces.
 
     beta * mass is subtracted before projecting, so mass * beta + E + O
-    reproduces ``h`` up to rounding (~1e-16 relative).  NonHermitianInput
-    if ``h`` is non-finite or deviates from Hermiticity by more than 1e-12,
-    and ``require_mass``'s ValueError for a bad mass.
+    reproduces ``h`` up to rounding (~1e-16 relative).  DimensionMismatch
+    unless ``h`` is 2n x 2n, NonHermitianInput if it is non-finite or deviates
+    from Hermiticity by more than 1e-12, and ``require_mass``'s ValueError
+    for a bad mass.
     """
-    h = require_hermitian(grading.check(np.asarray(h, dtype=complex)), "Hamiltonian")
-    x = h - np.diag(mass * grading.signs)  # no inf * 0 off the diagonal for a bad mass
-    return DiracDecomposition(grading, mass, x, x)  # __post_init__ projects each part
+    signs = beta_signs({"Hamiltonian": h})
+    h = require_hermitian(np.asarray(h, dtype=complex), "Hamiltonian")
+    x = h - np.diag(mass * signs)  # no inf * 0 off the diagonal for a bad mass
+    return DiracDecomposition(mass, x, x)  # __post_init__ projects each part

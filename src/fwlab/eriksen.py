@@ -30,16 +30,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (NORM_FLOOR, Grading, adjoint, even_projection, frobenius, odd_norm_ratio,
-                      relative_norm)
+from .algebra import (NORM_FLOOR, adjoint, beta_signs, even_projection, frobenius,
+                      odd_norm_ratio, relative_norm)
 from .errors import DegenerateFactor, FWLabError, NonHermitianInput, NotUnitary, SingularOperand
 from .matfunc import (UNITARY_TOL, Slices, Spectrum, _hermitize, check_gap, odd_rotation,
                       require_gap, unitary_log, unitary_log_stack)
 
 
-def hamiltonian_spectrum(h, grading: Grading) -> Spectrum:
-    """Spectrum of a Hamiltonian of the grading's shape; a matrix must be finite and Hermitian."""
-    grading.check(h.matrix if isinstance(h, Spectrum) else h)
+def hamiltonian_spectrum(h) -> Spectrum:
+    """Spectrum of a 2n x 2n Hamiltonian; a matrix must be finite and Hermitian."""
+    beta_signs({"Hamiltonian": h})
     return Spectrum.of(h, "Hamiltonian")
 
 
@@ -81,15 +81,16 @@ class FWResult:
     diagnostics: DiagnosticSet
 
     @classmethod
-    def of(cls, u, h, grading: Grading, transformed=None, *, unitary=True) -> "FWResult":
-        """Result for transform ``u`` of ``h``; u h u^H is built once unless ``transformed``."""
-        h = hamiltonian_spectrum(h, grading)
-        u = grading.check(np.asarray(u, dtype=complex))
+    def of(cls, u, h, transformed=None, *, unitary=True) -> "FWResult":
+        """Result for transform ``u`` of ``h``, all of H's shape (DimensionMismatch); u h u^H is
+        built once unless ``transformed``."""
+        beta_signs({"H": h, "U": u, "U H U^H": transformed})
+        h, u = hamiltonian_spectrum(h), np.asarray(u, dtype=complex)
         for x, error, name in ((u, NotUnitary, "U"), (transformed, NonHermitianInput, "U H U^H")):
             if x is not None and not np.isfinite(x).all():
                 raise error(f"{name} has non-finite entries")
         transformed = u @ h.matrix @ adjoint(u) if transformed is None else transformed
-        return diagnose(Slices(1), h[None], u[None], transformed[None], grading, unitary)[0]
+        return diagnose(Slices(1), h[None], u[None], transformed[None], unitary)[0]
 
     def __post_init__(self):
         defect = self.diagnostics.unitarity_residual
@@ -102,70 +103,68 @@ class _Approximate(FWResult):
         """No unitarity check: a result of ``FWResult.of(..., unitary=False)``."""
 
 
-def diagnose(slices: Slices, h, u, transformed, grading: Grading, unitary=True) -> list:
+def diagnose(slices: Slices, h, u, transformed, unitary=True) -> list:
     """FWResults of stacks ``h`` (a Spectrum), ``u`` and ``transformed``, in slice order; a slice
     failing the NotUnitary gate (unless not ``unitary``) leaves ``slices``."""
-    diagnostics, results = compute_diagnostics(u, h, grading, transformed), []
+    diagnostics, results = compute_diagnostics(u, h, transformed), []
     kind = FWResult if unitary else _Approximate
     slices.gate(lambda slot: results.append(kind(u[slot], transformed[slot], diagnostics[slot])))
     return results
 
 
-def _alone(route, h, grading: Grading, *stacks, unitary=True) -> FWResult:
-    """FWResult of ``route(Slices(1), H's stack, *stacks, grading)`` -> (H, U, U H U^H) stacks."""
-    h, u, transformed = route(Slices(1), hamiltonian_spectrum(h, grading)[None], *stacks, grading)
-    return FWResult.of(u[0], h[0], grading, transformed[0], unitary=unitary)
+def _alone(route, h, *stacks, unitary=True) -> FWResult:
+    """FWResult of ``route(Slices(1), H's stack, *stacks)`` -> (H, U, U H U^H) stacks."""
+    h, u, transformed = route(Slices(1), hamiltonian_spectrum(h)[None], *stacks)
+    return FWResult.of(u[0], h[0], transformed[0], unitary=unitary)
 
 
-def eriksen_condition_residual(u, grading: Grading):
+def eriksen_condition_residual(u):
     """Relative Frobenius residual of the adjoint condition beta U = U^H beta, of each slice
     on a stack."""
-    u = grading.check(np.asarray(u, dtype=complex))
-    signs = grading.signs
+    u = np.asarray(u, dtype=complex)
+    signs = beta_signs({"U": u})
     return relative_norm(signs[:, None] * u - adjoint(u) * signs, u)
 
 
-def exponent_oddness(u, grading: Grading) -> tuple[float, float]:
-    """Oddness residual of the generator S = -i log U, and 0.0.
-
-    The first entry is ||(S + beta S beta) / 2||_F / max(||S||_F, floor), the
-    relative weight of the even (block-diagonal) component of S.  The second,
-    S's Hermiticity residual, is 0.0 bit for bit, since ``unitary_log`` returns
-    a hermitized S.  Raises whatever ``unitary_log`` raises for unusable input.
-    """
-    s = unitary_log(grading.check(np.asarray(u, dtype=complex)))
-    return relative_norm(even_projection(s, grading), s), 0.0
+def exponent_oddness(u) -> float:
+    """Relative weight ||(S + beta S beta) / 2||_F / max(||S||_F, floor) of the even part of
+    the generator S = -i log U; raises whatever ``unitary_log`` raises for unusable input."""
+    beta_signs({"U": u})
+    s = unitary_log(u)
+    return relative_norm(even_projection(s), s)
 
 
-def compute_diagnostics(u, h, grading: Grading, transformed):
+def compute_diagnostics(u, h, transformed):
     """Evaluate the full diagnostic set for a transform of ``h``.
 
     ``spectrum_drift`` is the largest sorted-eigenvalue displacement between
     ``h`` and ``transformed`` = u h u^H, relative to ||h||_F.  A stack (``h`` a stacked
     Spectrum) gives a list; one matrix, the diagnostics of ``FWResult.of(..., unitary=False)``.
+    DimensionMismatch unless all are of H's shape.
     """
     if np.ndim(u) == 2:
-        return FWResult.of(u, h, grading, transformed, unitary=False).diagnostics
+        return FWResult.of(u, h, transformed, unitary=False).diagnostics
+    signs = beta_signs({"H": h, "U": u, "U H U^H": transformed})
     gram = adjoint(u) @ u
-    gram -= np.eye(grading.dim)
+    gram -= np.eye(len(signs))
     unitarity = frobenius(gram).tolist()
     del gram
-    condition = eriksen_condition_residual(u, grading).tolist()
-    blockness = odd_norm_ratio(transformed, grading).tolist()
+    condition = eriksen_condition_residual(u).tolist()
+    blockness = odd_norm_ratio(transformed).tolist()
     after = np.linalg.eigvalsh(_hermitize(transformed))
     drift = (np.max(np.abs(after - h.w), axis=-1)
              / np.maximum(frobenius(h.matrix), NORM_FLOOR)).tolist()
     slices = Slices(len(u))
     try:
         s = unitary_log_stack(slices, u, unitarity)
-        oddness = dict(zip(slices.index, relative_norm(even_projection(s, grading), s).tolist()))
+        oddness = dict(zip(slices.index, relative_norm(even_projection(s), s).tolist()))
     except FWLabError:
         oddness = {}
     return [DiagnosticSet(*values, oddness.get(slot), drift[slot])
             for slot, values in enumerate(zip(unitarity, condition, blockness))]
 
 
-def eriksen_transform(h, grading: Grading) -> FWResult:
+def eriksen_transform(h) -> FWResult:
     """Build the transform as the direct rotation of the positive eigenvectors of ``h``.
 
     One n x n solve gives T^H = X^(-H) Y^H, one n x n SVD its angles.
@@ -173,12 +172,12 @@ def eriksen_transform(h, grading: Grading) -> FWResult:
     SingularOperand when H has not n positive eigenvalues, X is singular, or
     min cos^2 theta, the smallest eigenvalue of K, fails ``check_gap``.
     """
-    return _alone(eriksen_stack, h, grading)
+    return _alone(eriksen_stack, h)
 
 
-def eriksen_stack(slices: Slices, h: Spectrum, grading: Grading):
+def eriksen_stack(slices: Slices, h: Spectrum):
     """``eriksen_transform`` of a stacked Spectrum ``h``: (H, U, U H U^H) stacks."""
-    n = grading.upper_dim
+    n = len(beta_signs({"H": h})) // 2
     h, = slices.gate(lambda slot: require_gap(h[slot]), h)
 
     def upper(slot):
@@ -201,7 +200,7 @@ def eriksen_stack(slices: Slices, h: Spectrum, grading: Grading):
     return h, u, u @ h.matrix @ adjoint(u)
 
 
-def eriksen_transform_alt(h, grading: Grading) -> FWResult:
+def eriksen_transform_alt(h) -> FWResult:
     """Polar-form variant U = F (F^H F)^(-1/2) with F = 1 + beta lambda.
 
     Algebraically identical to ``eriksen_transform`` but coded on an
@@ -211,14 +210,15 @@ def eriksen_transform_alt(h, grading: Grading) -> FWResult:
     raised when they fail the same ``check_gap``, so both routes refuse the
     same models.
     """
-    return _alone(eriksen_alt_stack, h, grading)
+    return _alone(eriksen_alt_stack, h)
 
 
-def eriksen_alt_stack(slices: Slices, h: Spectrum, grading: Grading):
+def eriksen_alt_stack(slices: Slices, h: Spectrum):
     """``eriksen_transform_alt`` of a stacked Spectrum ``h``: (H, U, U H U^H) stacks."""
+    signs = beta_signs({"H": h})
     h, = slices.gate(lambda slot: require_gap(h[slot]), h)
-    factor = grading.signs[:, None] * h.apply(np.sign)  # lambda, the sign operator
-    factor += np.eye(grading.dim, dtype=complex)
+    factor = signs[:, None] * h.apply(np.sign)  # lambda, the sign operator
+    factor += np.eye(len(signs), dtype=complex)
     p, sigma, qh = np.linalg.svd(factor)
     del factor
     quarter = (0.5 * sigma) ** 2

@@ -26,7 +26,7 @@ class BranchCutProximity(FWLabError):
 
 
 class DimensionMismatch(FWLabError):
-    """Operand shapes do not match the grading."""
+    """An operand is not 2n x 2n, or not of the shape of the operands it meets."""
 
 
 class NotCommuting(FWLabError):

@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import (NORM_FLOOR, DiracDecomposition, Grading, adjoint, anticommutator,
+from .algebra import (NORM_FLOOR, DiracDecomposition, adjoint, anticommutator, beta_signs,
                       commutator, frobenius)
 from .eriksen import FWResult, _alone
 from .errors import NotCommuting, OutsideValidityDomain, SingularOperand
@@ -55,10 +55,9 @@ def check_commutation(d: DiracDecomposition) -> CommutationReport:
 
 @dataclass(frozen=True, eq=False)
 class ModelStack:
-    """Decompositions of one grading as stacks, with each CommutationReport and H's stacked
+    """Decompositions of one shape as stacks, with each CommutationReport and H's stacked
     Spectrum where a route needs it; ``odd_svd`` is taken on first use, ``[keep]`` selects."""
 
-    grading: Grading
     h: Spectrum | None
     masses: np.ndarray
     even_part: np.ndarray
@@ -71,17 +70,17 @@ class ModelStack:
         with np.errstate(over="ignore", invalid="ignore"):  # as quiet as float arithmetic
             scaled = frobenius(commutator(even, odd)) / (frobenius(even) * frobenius(odd)
                                                          + NORM_FLOOR)
-        return cls(ds[0].grading, h, np.array([[d.mass] for d in ds], dtype=float), even, odd,
+        return cls(h, np.array([[d.mass] for d in ds], dtype=float), even, odd,
                    [CommutationReport(r, r <= COMMUTE_TOL) for r in scaled.tolist()])
 
     @cached_property
     def odd_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """SVD (P, sigma, Q^H) of each upper-right block B of O = [[0, B], [B^H, 0]]."""
-        n = self.grading.upper_dim
+        n = self.odd_part.shape[-1] // 2
         return np.linalg.svd(self.odd_part[:, :n, n:])
 
     def __getitem__(self, keep) -> "ModelStack":
-        part = ModelStack(self.grading, self.h and self.h[keep], self.masses[keep],
+        part = ModelStack(self.h and self.h[keep], self.masses[keep],
                           self.even_part[keep], self.odd_part[keep],
                           [self.commutation[slot] for slot in keep])
         if "odd_svd" in vars(self):
@@ -116,7 +115,7 @@ def sqrt_hd2_exact(d: DiracDecomposition) -> np.ndarray:
     ``check_gap``, i.e. when it stops being the principal root.
     """
     eps, eps_inv = (x[0] for x in _odd_block(ModelStack.of([d]), Slices(1), 0.5, -0.5)[4:])
-    core = np.diag(d.mass * d.grading.signs) + d.odd_part
+    core = np.diag(d.mass * beta_signs({"odd part": d.odd_part})) + d.odd_part
     root = eps + core @ d.even_part @ eps_inv
     check_gap(np.linalg.eigvalsh(0.5 * (root + root.conj().T)), OutsideValidityDomain,
               "the even part is too strong for the principal branch: "
@@ -131,7 +130,8 @@ def lambda_exact(d: DiracDecomposition) -> np.ndarray:
     bitwise-identical result whatever E is.
     """
     p, sigma, qh = (x[0] for x in _odd_block(ModelStack.of([d]), Slices(1))[1:])
-    return d.grading.signs[:, None] * odd_rotation(p, np.arctan2(sigma, d.mass), qh)
+    signs = beta_signs({"odd part": d.odd_part})
+    return signs[:, None] * odd_rotation(p, np.arctan2(sigma, d.mass), qh)
 
 
 def u_fw_exact(d: DiracDecomposition, *, h=None) -> FWResult:
@@ -139,10 +139,12 @@ def u_fw_exact(d: DiracDecomposition, *, h=None) -> FWResult:
 
     It is the odd rotation by arctan2(sigma, m) / 2, unitary for any Hermitian
     odd part, and agrees with the sign-operator construction on commuting
-    input.  The diagnostics read ``h`` (H or its Spectrum), by default d.hamiltonian().
+    input.  The diagnostics read ``h`` (H or its Spectrum), by default d.hamiltonian(), which
+    must have the shape of d's parts (DimensionMismatch).
     """
-    return _alone(lambda slices, h, grading: u_fw_stack(slices, ModelStack.of([d], h)),
-                  d.hamiltonian() if h is None else h, d.grading)
+    beta_signs({"odd part": d.odd_part, "H": h})
+    return _alone(lambda slices, h: u_fw_stack(slices, ModelStack.of([d], h)),
+                  d.hamiltonian() if h is None else h)
 
 
 def u_fw_stack(slices: Slices, d: ModelStack):
@@ -155,7 +157,7 @@ def u_fw_stack(slices: Slices, d: ModelStack):
 def h_fw_exact(d: DiracDecomposition) -> np.ndarray:
     """Block-diagonal end point beta eps + E of the commuting case."""
     eps = _odd_block(ModelStack.of([d]), Slices(1), 0.5)[4][0]
-    return d.grading.signs[:, None] * eps + d.even_part
+    return beta_signs({"even part": d.even_part})[:, None] * eps + d.even_part
 
 
 def weak_field_sqrt(d: DiracDecomposition) -> np.ndarray:
@@ -175,7 +177,8 @@ def weak_field_sqrt(d: DiracDecomposition) -> np.ndarray:
 def weak_root_stack(slices: Slices, d: ModelStack):
     """``weak_field_sqrt`` of a ModelStack ``d``: (the ModelStack left, the root of each slice)."""
     d, _, _, _, eps, eps_inv = _odd_block(d, slices, 0.5, -0.5, commuting=False)
-    core = np.stack([np.diag(m * d.grading.signs) for m in d.masses[:, 0]]) + d.odd_part
+    signs = beta_signs({"odd part": d.odd_part})
+    core = np.stack([np.diag(m * signs) for m in d.masses[:, 0]]) + d.odd_part
     paired = anticommutator(core, d.even_part)
     first = anticommutator(eps_inv, paired)
     first *= 0.25
@@ -190,28 +193,31 @@ def weak_root_stack(slices: Slices, d: ModelStack):
     return d, root
 
 
-def weak_field_transform(h, root, grading: Grading) -> FWResult:
+def weak_field_transform(h, root) -> FWResult:
     """Transform of ``h`` (H or its Spectrum) induced by an approximate root R of H^2.
 
     With lambda_w = H R^(-1) and K_w = 1 + (beta lambda_w + lambda_w beta - 2)/4,
     U = (1/2)(1 + beta lambda_w) [(K_w + K_w^H)/2]^(-1/2), as K_w is not Hermitian off the
     commuting case.  U is only as unitary as R is exact, and its diagnostics show that, so
-    the result skips the NotUnitary check.  OutsideValidityDomain when R fails ``check_gap``.
+    the result skips the NotUnitary check.  OutsideValidityDomain when R fails ``check_gap``,
+    DimensionMismatch unless R has H's shape.
     """
-    return _alone(weak_field_stack, h, grading, np.asarray(root)[None], unitary=False)
+    beta_signs({"H": h, "root": root})
+    return _alone(weak_field_stack, h, np.asarray(root)[None], unitary=False)
 
 
-def weak_field_stack(slices: Slices, h: Spectrum, root, grading: Grading):
+def weak_field_stack(slices: Slices, h: Spectrum, root):
     """``weak_field_transform`` of a stacked Spectrum ``h`` and roots: (H, U, U H U^H) stacks."""
+    signs = beta_signs({"H": h, "root": root})
     root, h = Spectrum.of_stack(root, slices, h)
     root, h = slices.gate(lambda slot: check_gap(
         root.w[slot], OutsideValidityDomain, "smallest eigenvalue of the approximate root"),
         root, h)
     lam = h.matrix @ root.apply(np.reciprocal)
     del root
-    beta_lam = grading.signs[:, None] * lam
-    eye = np.eye(grading.dim, dtype=complex)
-    core = eye + 0.25 * (beta_lam + lam * grading.signs - 2.0 * eye)
+    beta_lam = signs[:, None] * lam
+    eye = np.eye(len(signs), dtype=complex)
+    core = eye + 0.25 * (beta_lam + lam * signs - 2.0 * eye)
     del lam
     core, beta_lam, h = inv_sqrt_stack(slices, *Spectrum.of_stack(core, slices, beta_lam, h))
     u = 0.5 * (eye + beta_lam) @ core

@@ -18,7 +18,7 @@ import uuid
 
 import numpy as np
 
-from .algebra import Grading
+from .algebra import beta_signs
 from .errors import ParseError
 
 
@@ -54,8 +54,8 @@ def _data_lines(path):
             yield number, line
 
 
-def read_matrix(path) -> tuple[np.ndarray, Grading]:
-    """Load a graded matrix file; returns (entries, grading)."""
+def read_matrix(path) -> np.ndarray:
+    """Load a graded matrix file; its header must read ``2n n`` for some n >= 1."""
     lines = _data_lines(path)
     try:
         header_no, header = next(lines)
@@ -69,7 +69,10 @@ def read_matrix(path) -> tuple[np.ndarray, Grading]:
         )
     try:
         dim, upper_dim = int(fields[0]), int(fields[1])
-        grading = Grading(dim, upper_dim)
+        if dim <= 0 or dim % 2 != 0:
+            raise ValueError(f"dim must be positive and even, got {dim}")
+        if upper_dim * 2 != dim:
+            raise ValueError(f"unequal blocks are not supported: dim={dim}, upper_dim={upper_dim}")
     except ValueError as exc:
         raise ParseError(f"bad header: {exc}", path=path, line=header_no) from exc
     # every row is read and checked before the matrix is allocated, so a header
@@ -85,7 +88,7 @@ def read_matrix(path) -> tuple[np.ndarray, Grading]:
                      for col, token in enumerate(tokens, start=1)])
     if len(rows) != dim:
         raise ParseError(f"expected {dim} data rows, found {len(rows)}", path=path)
-    return np.array(rows, dtype=complex), grading
+    return np.array(rows, dtype=complex)
 
 
 def _parse_entry(token, path, line, column) -> complex:
@@ -100,12 +103,12 @@ def _parse_entry(token, path, line, column) -> complex:
     return z
 
 
-def write_matrix(path, entries, grading: Grading):
-    """Save a graded matrix; read_matrix reproduces the entries bit-exactly."""
-    entries = grading.check(np.asarray(entries, dtype=complex))
-    rows = [f"{grading.dim} {grading.upper_dim}"]
-    for row in range(grading.dim):
-        rows.append(" ".join(format_complex(z) for z in entries[row]))
+def write_matrix(path, entries):
+    """Save a 2n x 2n matrix under the header ``2n n``; read_matrix reproduces the entries
+    bit-exactly."""
+    entries = np.asarray(entries, dtype=complex)
+    dim = len(beta_signs({"entries": entries}))
+    rows = [f"{dim} {dim // 2}"] + [" ".join(map(format_complex, row)) for row in entries]
     write_text(path, "\n".join(rows) + "\n")
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import frobenius, relative_norm
 from .eriksen import diagnose, eriksen_alt_stack, eriksen_stack
-from .errors import FWLabError, OutsideValidityDomain
+from .errors import DimensionMismatch, FWLabError, OutsideValidityDomain
 from .exact_case import ModelStack, u_fw_stack, weak_field_stack, weak_root_stack
 from .matfunc import Slices, Spectrum
 from .models import ModelSpec, build_model
@@ -31,8 +31,7 @@ from .stepwise import ToleranceConfig, stepwise_lockstep
 
 
 def _stepwise(slices, batch, extras):
-    u, transformed, traces = stepwise_lockstep(batch.h, batch.grading, batch.masses,
-                                               batch.tolerances)
+    u, transformed, traces = stepwise_lockstep(batch.h, batch.masses, batch.tolerances)
     for row_extras, trace in zip(extras, traces):
         row_extras.update(converged=trace.converged, stop_reason=trace.stop_reason,
                           iterations=len(trace.iterations))
@@ -54,7 +53,7 @@ def _weak_field(slices, batch, extras):
         extras[slices.index[slot]]["sqrt_relative_error"] = errors[slot]
 
     parts, root = slices.gate(measured, parts, root)
-    return weak_field_stack(slices, parts.h, root, batch.grading)
+    return weak_field_stack(slices, parts.h, root)
 
 
 # The method catalog, in report order: tag -> route (Slices, batch, each model's row extras)
@@ -62,8 +61,8 @@ def _weak_field(slices, batch, extras):
 # ``run_comparisons``' ``stream``).  A route looks its function up in this module when called,
 # so a wrapper set here is seen.
 ROUTES = {
-    "eriksen": lambda slices, b, extras: eriksen_stack(slices, b.h, b.grading),
-    "eriksenalt": lambda slices, b, extras: eriksen_alt_stack(slices, b.h, b.grading),
+    "eriksen": lambda slices, b, extras: eriksen_stack(slices, b.h),
+    "eriksenalt": lambda slices, b, extras: eriksen_alt_stack(slices, b.h),
     "exactcase": lambda slices, b, extras: u_fw_stack(slices, b.parts),
     "stepwise": _stepwise,
     "weakfield": _weak_field,
@@ -153,7 +152,7 @@ def _run_method(method, batch):
     try:
         h, u, transformed = ROUTES[method](slices, batch, extras)
         norms = dict(zip(slices.index, zip(frobenius(u).tolist(), frobenius(transformed).tolist())))
-        found = diagnose(slices, h, u, transformed, batch.grading, method != METHOD_WEAK_FIELD)
+        found = diagnose(slices, h, u, transformed, method != METHOD_WEAK_FIELD)
         results = dict(zip(slices.index, found))
     except FWLabError as exc:  # no slice is left, or one error fails them all
         results = {}
@@ -172,9 +171,8 @@ def _run_method(method, batch):
 
 
 def _model(spec: ModelSpec):
-    """[H, decomposition] of one spec; ``build_model`` checks H as an eigh operand."""
-    h, _, decomposition = build_model(spec)
-    return [h, decomposition]
+    """(H, decomposition) of one spec; ``build_model`` checks H as an eigh operand."""
+    return build_model(spec)
 
 
 def run_comparisons(specs, methods=METHOD_TAGS,
@@ -231,11 +229,13 @@ def run_comparisons(specs, methods=METHOD_TAGS,
             index = range(len(specs) * k // count, len(specs) * (k + 1) // count)
             for i in index:
                 models[i] = models[i] or _model(specs[i])
-                grading.check(models[i][0])
+                if len(models[i][0]) != dim:
+                    raise DimensionMismatch(f"model {i} has shape {models[i][0].shape}, "
+                                            f"model 0 {(dim, dim)}")
             h, ds = np.stack([models[i][0] for i in index]), [models[i][1] for i in index]
             models[index.start:index.stop] = [None] * len(index)
             batch = SimpleNamespace(index=index, h=Spectrum(h, *np.linalg.eigh(h)), parts=None,
-                                    contexts=None, found={}, grading=grading,
+                                    contexts=None, found={},
                                     readers={m for m in _PARTS_READERS if m in methods},
                                     masses=[specs[i].mass for i in index], tolerances=tolerances)
             del h
@@ -267,12 +267,12 @@ def run_comparisons(specs, methods=METHOD_TAGS,
 
     with single_blas_thread() as pinned:
         models = [_model(specs[0])] + [None] * (len(specs) - 1)
-        grading = models[0][1].grading
-        count = max(1, len(specs) // lane_batch_size(grading.dim))
+        dim = len(models[0][0])
+        count = max(1, len(specs) // lane_batch_size(dim))
         tasks = stream()
         # one lockstep per batch and the one-shot routes of each model, as parallel work
         task_count = (count if METHOD_STEPWISE in methods else 0) + (len(specs) if one_shot else 0)
-        lanes = _lane_count(task_count, len(specs), grading.dim, pinned)
+        lanes = _lane_count(task_count, len(specs), dim, pinned)
         if lanes == 1:
             lane()
         else:

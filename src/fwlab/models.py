@@ -1,7 +1,8 @@
 """Model builders: small graded Hamiltonians with known structure.
 
-Each builder returns the triple (hamiltonian, grading, decomposition) so
-that callers never re-derive the even/odd split.  The catalog covers the
+Each builder returns the pair (hamiltonian, decomposition) so that
+callers never re-derive the even/odd split; a 2n x 2n H is graded by
+beta = diag(I_n, -I_n), and 2n is at most MAX_DIM.  The catalog covers the
 4x4 free particle, a two-component Dirac operator on a periodic 1D grid
 with a scalar potential, seeded synthetic Hamiltonians whose even and odd
 parts commute by construction, and explicit matrices loaded from disk.
@@ -14,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import (DiracDecomposition, Grading, as_number, require_hermitian, require_mass,
+from .algebra import (DiracDecomposition, as_number, require_hermitian, require_mass,
                       split_even_odd)
 from .errors import InvalidGrid, ParseError
 from .fileio import read_matrix, read_potential_table
@@ -34,6 +35,9 @@ KIND_FREE = "free"
 KIND_LATTICE = "lattice"
 KIND_SYNTHETIC = "synthetic"
 KIND_EXPLICIT = "matrix"
+
+# Largest dimension 2n a builder makes, 8x the largest in use; a larger n fails before allocating.
+MAX_DIM = 2048
 
 # Each analytic potential as V(x, *params); its parameters are the names after x, and a width
 # must be positive.  "tabulated", a table of values read from a file, is the one other kind.
@@ -119,11 +123,7 @@ def parse_potential(text: str) -> Potential:
         raise ParseError(str(exc)) from exc
 
 
-def _split(h, grading: Grading, mass: float) -> tuple[np.ndarray, Grading, DiracDecomposition]:
-    return h, grading, split_even_odd(h, grading, mass)
-
-
-def build_free_particle(mass: float, momentum) -> tuple[np.ndarray, Grading, DiracDecomposition]:
+def build_free_particle(mass: float, momentum) -> tuple[np.ndarray, DiracDecomposition]:
     """4x4 free-particle Hamiltonian beta m + alpha . p.
 
     The even part vanishes and the odd part is alpha . p, so this model is
@@ -133,11 +133,11 @@ def build_free_particle(mass: float, momentum) -> tuple[np.ndarray, Grading, Dir
     h = mass * DIRAC_BETA
     for component, alpha in zip(as_number(momentum, "momentum", shape=(3,)), DIRAC_ALPHA):
         h = h + component * alpha
-    return _split(h, Grading(4, 2), mass)
+    return h, split_even_odd(h, mass)
 
 
 def build_lattice_1d(n: int, length: float, mass: float,
-                     potential: Potential) -> tuple[np.ndarray, Grading, DiracDecomposition]:
+                     potential: Potential) -> tuple[np.ndarray, DiracDecomposition]:
     """Two-component Dirac operator on a periodic grid of n sites.
 
     Sites sit at x_j = -L + (j + 1/2) * (2L / n); the momentum operator is
@@ -146,8 +146,10 @@ def build_lattice_1d(n: int, length: float, mass: float,
     Layout is upper component block first: beta = diag(I_n, -I_n), the
     kinetic term is purely odd, and the potential is even.
 
-    Raises InvalidGrid for n < 4 or odd n or a nonpositive or non-finite length.
+    Raises InvalidGrid for 2n > MAX_DIM, n < 4, odd n, or a nonpositive or non-finite length.
     """
+    if 2 * n > MAX_DIM:
+        raise InvalidGrid(f"n = {n} exceeds {MAX_DIM // 2}, as 2n is at most MAX_DIM = {MAX_DIM}")
     if n < 4 or n % 2 != 0:
         raise InvalidGrid(f"need an even site count of at least 4, got {n}")
     if not 0.0 < length < np.inf:
@@ -162,17 +164,19 @@ def build_lattice_1d(n: int, length: float, mass: float,
         + np.kron(_SIGMA_X, momentum)
         + np.kron(_EYE2, np.diag(potential.sample(x)).astype(complex))
     )
-    return _split(h, Grading(2 * n, n), mass)
+    return h, split_even_odd(h, mass)
 
 
-def build_synthetic_commuting(n: int, mass: float, poly, seed) -> tuple[np.ndarray, Grading, DiracDecomposition]:
+def build_synthetic_commuting(n: int, mass: float, poly, seed) -> tuple[np.ndarray, DiracDecomposition]:
     """Seeded random model whose even part is a polynomial in O^2.
 
     A random complex n x n block B gives the odd part O = [[0, B], [B^H, 0]];
     the even part sum_k poly[k] (O^2)^k then commutes with O identically,
     so the closed forms apply.  Entries of B are scaled so that ||O||_2
-    stays near 2 independent of n.
+    stays near 2 independent of n.  ValueError for 2n > MAX_DIM or n < 2.
     """
+    if 2 * n > MAX_DIM:
+        raise ValueError(f"n = {n} exceeds {MAX_DIM // 2}, as 2n is at most MAX_DIM = {MAX_DIM}")
     if n < 2:
         raise ValueError(f"block size must be at least 2, got {n}")
     poly = as_number(poly, "poly", shape=(None,))
@@ -186,16 +190,14 @@ def build_synthetic_commuting(n: int, mass: float, poly, seed) -> tuple[np.ndarr
     even = np.zeros_like(odd)
     for coefficient in reversed(poly):
         even = even @ odd_sq + coefficient * np.eye(2 * n)
-    grading = Grading(2 * n, n)
-    decomposition = DiracDecomposition(grading, mass, even, odd)
-    return require_hermitian(decomposition.hamiltonian(), "Hamiltonian"), grading, decomposition
+    decomposition = DiracDecomposition(mass, even, odd)
+    return require_hermitian(decomposition.hamiltonian(), "Hamiltonian"), decomposition
 
 
-def load_explicit_matrix(path) -> tuple[np.ndarray, Grading]:
+def load_explicit_matrix(path) -> np.ndarray:
     """Load a graded matrix file; NonHermitianInput naming the file unless it
     is Hermitian within HERMITICITY_RTOL = 1e-12, the tolerance of ``split_even_odd``."""
-    entries, grading = read_matrix(path)
-    return require_hermitian(entries, f"{path}: matrix"), grading
+    return require_hermitian(read_matrix(path), f"{path}: matrix")
 
 
 @dataclass(frozen=True)
@@ -243,7 +245,8 @@ _KINDS = {
                      lambda s: build_synthetic_commuting(s.n, s.mass, s.poly, s.seed),
                      lambda s: (f"synthetic(n={s.n}, mass={s.mass!r}, "
                                 f"poly=[{_floats(s.poly)}], seed={s.seed})")),
-    KIND_EXPLICIT: (("path",), lambda s: _split(*load_explicit_matrix(s.path), s.mass),
+    KIND_EXPLICIT: (("path",),
+                    lambda s: ((h := load_explicit_matrix(s.path)), split_even_odd(h, s.mass)),
                     lambda s: f"matrix(path={s.path}, mass={s.mass!r})"),
 }
 
@@ -259,8 +262,8 @@ def _kind(spec: ModelSpec):
     return build, describe
 
 
-def build_model(spec: ModelSpec) -> tuple[np.ndarray, Grading, DiracDecomposition]:
-    """Build the (hamiltonian, grading, decomposition) triple for a spec.
+def build_model(spec: ModelSpec) -> tuple[np.ndarray, DiracDecomposition]:
+    """Build the (hamiltonian, decomposition) pair for a spec.
 
     ValueError for a bad mass, an unknown kind, or a missing field its kind reads.
     """

@@ -81,7 +81,7 @@ class ComparisonReport:
 
 def report_contexts(parts: ModelStack, masses) -> list[ReportContext]:
     """Each model's context from its batch's ModelStack and its spec's mass, kept as given."""
-    dim = parts.grading.dim
+    dim = parts.even_part.shape[-1]
     gaps = np.min(np.abs(parts.h.w), axis=-1).tolist()
     strengths = (frobenius(parts.even_part) / (np.array(masses) * np.sqrt(dim))).tolist()
     return [ReportContext(mass, dim, c.commutator_residual, gap, strength)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import NORM_FLOOR, Grading, adjoint, as_number, frobenius, require_mass
+from .algebra import NORM_FLOOR, adjoint, as_number, beta_signs, frobenius, require_mass
 from .eriksen import FWResult, hamiltonian_spectrum
 from .matfunc import Spectrum, _hermitize, odd_exp
 
@@ -81,8 +81,7 @@ def _stop_reason(ratios, steps: int, tolerances: ToleranceConfig):
             else STOP_STAGNATION if stalled else None)
 
 
-def stepwise_lockstep(h: Spectrum, grading: Grading, masses,
-                      tolerances: ToleranceConfig = ToleranceConfig()):
+def stepwise_lockstep(h: Spectrum, masses, tolerances: ToleranceConfig = ToleranceConfig()):
     """``stepwise_fw`` of each (H, mass), all models stepped at once, undiagnosed:
     (U, U H U^H, traces), U and U H U^H stacked in model order.
 
@@ -94,8 +93,7 @@ def stepwise_lockstep(h: Spectrum, grading: Grading, masses,
     """
     if len(masses) != len(h.w):
         raise ValueError(f"{len(h.w)} Hamiltonians need as many masses, got {len(masses)}")
-    grading.check(h.matrix)
-    n = grading.upper_dim
+    n = len(beta_signs({"H": h})) // 2
     live = list(range(len(h.w)))  # the model in each slice of the stack
     w, frame, block = h.w[:, None], h.v, h.matrix[:, :n, n:]
     odd = frobenius(block)
@@ -134,13 +132,13 @@ def stepwise_lockstep(h: Spectrum, grading: Grading, masses,
     del final
     for i, steps in enumerate(rows):
         if not steps:
-            u[i], transformed[i] = np.eye(grading.dim), h.matrix[i]
+            u[i], transformed[i] = np.eye(2 * n), h.matrix[i]
     traces = [StepwiseTrace(tuple(steps), reason == STOP_TOLERANCE, reason)
               for steps, reason in zip(rows, reasons)]
     return u, transformed, traces
 
 
-def stepwise_fw(h, grading: Grading, mass: float,
+def stepwise_fw(h, mass: float,
                 tolerances: ToleranceConfig = ToleranceConfig()) -> tuple[FWResult, StepwiseTrace]:
     """Run the iterative scheme until tolerance, stagnation, or the cap.
 
@@ -150,6 +148,6 @@ def stepwise_fw(h, grading: Grading, mass: float,
     the result always carries the composite transform actually reached.  This is
     ``stepwise_lockstep`` on a stack of one.
     """
-    h = hamiltonian_spectrum(h, grading)
-    u, transformed, [trace] = stepwise_lockstep(h[None], grading, [mass], tolerances)
-    return FWResult.of(u[0], h, grading, transformed[0]), trace
+    h = hamiltonian_spectrum(h)
+    u, transformed, [trace] = stepwise_lockstep(h[None], [mass], tolerances)
+    return FWResult.of(u[0], h, transformed[0]), trace

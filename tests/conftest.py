@@ -81,7 +81,7 @@ def _build_all(specs):
 
 @pytest.fixture(scope="session")
 def free_suite():
-    """20 x (spec, h, grading, decomposition), all commuting (E = 0)."""
+    """20 x (spec, h, decomposition), all commuting (E = 0)."""
     return _build_all(free_specs())
 
 
@@ -148,9 +148,9 @@ def lockstep_batches(monkeypatch):
     sizes = []
     lockstep = harness.stepwise_lockstep
 
-    def spy(hamiltonians, grading, masses, *args):
+    def spy(hamiltonians, masses, *args):
         sizes.append(len(masses))
-        return lockstep(hamiltonians, grading, masses, *args)
+        return lockstep(hamiltonians, masses, *args)
 
     monkeypatch.setattr(harness, "stepwise_lockstep", spy)
     return sizes

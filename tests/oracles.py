@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from fwlab import FWLabError, SingularOperand, Spectrum, anticommutator, commutator, frobenius
+from fwlab import (FWLabError, SingularOperand, Spectrum, anticommutator, beta_signs, commutator,
+                   frobenius)
 from fwlab.algebra import NORM_FLOOR
 from fwlab.matfunc import check_gap, even_function
 
@@ -32,7 +33,7 @@ def epsilon_operator(d):
     """Kinetic-energy operator eps = sqrt(m^2 + O^2) of a DiracDecomposition, from its
     odd-block SVD; Hermitian, even, >= m.  SingularOperand when min m^2 + sigma^2 fails
     ``check_gap``."""
-    n = d.grading.upper_dim
+    n = len(d.odd_part) // 2
     p, sigma, qh = np.linalg.svd(d.odd_part[:n, n:])
     a = d.mass**2 + sigma**2
     check_gap(a, SingularOperand, "smallest eigenvalue of m^2 + O^2")
@@ -47,9 +48,10 @@ def fw_series(d):
             + beta {O, [[O, E], E]}/16m^3.
     """
     m, e, o = d.mass, d.even_part, d.odd_part
-    beta = d.grading.signs[:, None]
+    signs = beta_signs({"odd part": o})
+    beta = signs[:, None]
     oe, o2 = commutator(o, e), o @ o
-    return (np.diag(m * d.grading.signs) + e + beta * o2 / (2 * m)
+    return (np.diag(m * signs) + e + beta * o2 / (2 * m)
             - commutator(o, oe) / (8 * m**2) - beta * (o2 @ o2) / (8 * m**3)
             + beta * anticommutator(o, commutator(oe, e)) / (16 * m**3))
 
@@ -58,7 +60,7 @@ def stepwise_departure(d):
     """D3 = -beta [O, E]^2/8 - beta {O, [[O, E], E]}/16, the leading term of
     (H_stepwise - H_eriksen) m^3 for a step-by-step run converged to its end point."""
     e, o = d.even_part, d.odd_part
-    beta = d.grading.signs[:, None]
+    beta = beta_signs({"odd part": o})[:, None]
     oe = commutator(o, e)
     return -beta * (oe @ oe) / 8 - beta * anticommutator(o, commutator(oe, e)) / 16
 
@@ -77,9 +79,9 @@ def stepwise_rate(h, mass):
     return float(np.max(np.abs(1.0 - extremes / (2.0 * mass))))
 
 
-def mp_sign_transform(h, grading, dps=40):
-    """(U, lambda) of a Hermitian matrix ``h`` from the paper's formula at ``dps`` digits, rounded
-    to complex128: lambda = V sign(w) V^H from mpmath's ``eighe``, and
+def mp_sign_transform(h, dps=40):
+    """(U, lambda, U h U^H) of a Hermitian 2n x 2n matrix ``h`` from the paper's formula at ``dps``
+    digits, rounded to complex128: lambda = V sign(w) V^H from mpmath's ``eighe``, and
 
         U = (1 + beta lambda) K^(-1/2) / 2,   K = 1 + (beta lambda + lambda beta - 2) / 4,
 
@@ -90,9 +92,11 @@ def mp_sign_transform(h, grading, dps=40):
         w, v = mpmath.eighe(a)
         return v * mpmath.diag([f(x) for x in w]) * v.H
 
+    signs = beta_signs({"h": h})
     with mpmath.workdps(dps):
-        eye, beta = mpmath.eye(grading.dim), mpmath.diag(grading.signs.tolist())
-        lam = apply(mpmath.matrix(np.asarray(h).tolist()), mpmath.sign)
+        h = mpmath.matrix(np.asarray(h).tolist())
+        eye, beta = mpmath.eye(len(signs)), mpmath.diag(signs.tolist())
+        lam = apply(h, mpmath.sign)
         u = (eye + beta * lam) * apply(eye + (beta * lam + lam * beta - 2 * eye) / 4,
                                        lambda x: 1 / mpmath.sqrt(x)) / 2
-        return tuple(np.array(x.tolist(), dtype=complex) for x in (u, lam))
+        return tuple(np.array(x.tolist(), dtype=complex) for x in (u, lam, u * h * u.H))

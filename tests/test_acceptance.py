@@ -9,7 +9,6 @@ so ``pytest -s`` doubles as a numerical report.
 import numpy as np
 
 from fwlab import (
-    Grading,
     ModelSpec,
     Potential,
     build_model,
@@ -54,10 +53,10 @@ SMOOTH_GAUSSIAN = ModelSpec(
 def test_criterion_01_adjoint_condition_suite_wide(full_suite):
     worst_gap_ratio = np.inf
     worst = 0.0
-    for spec, h, grading, _ in full_suite:
+    for spec, h, _ in full_suite:
         gap = spectral_gap(h).min_abs_eigenvalue
         worst_gap_ratio = min(worst_gap_ratio, gap / frobenius(h))
-        residual = eriksen_transform(h, grading).diagnostics.eriksen_condition_residual
+        residual = eriksen_transform(h).diagnostics.eriksen_condition_residual
         worst = max(worst, residual)
         assert residual <= 1e-10, spec.describe()
     # suite precondition: every model is gapped
@@ -69,14 +68,14 @@ def test_criterion_01_adjoint_condition_suite_wide(full_suite):
 def test_criterion_02_both_forms_coincide(full_suite):
     worst_diff = 0.0
     worst_comm = 0.0
-    for spec, h, grading, _ in full_suite:
-        u_direct = eriksen_transform(h, grading).transform
-        u_polar = eriksen_transform_alt(h, grading).transform
+    for spec, h, _ in full_suite:
+        u_direct = eriksen_transform(h).transform
+        u_polar = eriksen_transform_alt(h).transform
         diff = relative_norm(u_direct - u_polar, u_direct)
         worst_diff = max(worst_diff, diff)
         assert diff <= 1e-10, spec.describe()
 
-        factor = np.eye(grading.dim) + make_beta(grading) @ sign_operator(h)
+        factor = np.eye(len(h)) + make_beta(len(h)) @ sign_operator(h)
         gram = factor.conj().T @ factor
         comm = frobenius(factor @ gram - gram @ factor) / (
             frobenius(factor) * frobenius(gram)
@@ -90,9 +89,9 @@ def test_criterion_02_both_forms_coincide(full_suite):
 def test_criterion_03_closed_form_reproduces_transform(commuting_suite):
     worst_u = 0.0
     worst_h = 0.0
-    for spec, h, grading, d in commuting_suite:
+    for spec, h, d in commuting_suite:
         closed = u_fw_exact(d)
-        u_ref = eriksen_transform(h, grading).transform
+        u_ref = eriksen_transform(h).transform
         diff_u = relative_norm(closed.transform - u_ref, u_ref)
         diff_h = relative_norm(
             closed.transformed_hamiltonian - h_fw_exact(d), h
@@ -107,24 +106,24 @@ def test_criterion_03_closed_form_reproduces_transform(commuting_suite):
 
 
 def test_criterion_04_sign_operator_identities(full_suite, commuting_suite):
-    def identities(lam, grading):
-        beta = make_beta(grading)
-        eye_norm = np.sqrt(grading.dim)
+    def identities(lam):
+        beta = make_beta(len(lam))
+        eye_norm = np.sqrt(len(lam))
         a = beta @ lam
         b = lam @ beta
         return (
-            frobenius(lam @ lam - np.eye(grading.dim)) / eye_norm,
+            frobenius(lam @ lam - np.eye(len(lam))) / eye_norm,
             frobenius(a @ b - b @ a) / eye_norm,
             frobenius(beta @ (a + b) - (a + b) @ beta) / eye_norm,
         )
 
     worst = 0.0
-    for spec, h, grading, _ in full_suite:
-        for value in identities(sign_operator(h), grading):
+    for spec, h, _ in full_suite:
+        for value in identities(sign_operator(h)):
             worst = max(worst, value)
             assert value <= 1e-11, spec.describe()
-    for spec, h, grading, d in commuting_suite:
-        for value in identities(lambda_exact(d), grading):
+    for spec, h, d in commuting_suite:
+        for value in identities(lambda_exact(d)):
             worst = max(worst, value)
             assert value <= 1e-11, spec.describe()
     print(f"[criterion 4] PASS worst identity residual {worst:.3e}")
@@ -133,7 +132,7 @@ def test_criterion_04_sign_operator_identities(full_suite, commuting_suite):
 def test_criterion_05_closed_root_contract(commuting_suite):
     worst_square = 0.0
     worst_oracle = 0.0
-    for spec, h, grading, d in commuting_suite:
+    for spec, h, d in commuting_suite:
         root = sqrt_hd2_exact(d)
         hd2 = h @ h
         square = relative_norm(root @ root - hd2, hd2)
@@ -149,7 +148,7 @@ def test_criterion_05_closed_root_contract(commuting_suite):
 
 def test_criterion_06_weak_field_collapse_and_order(commuting_suite):
     worst_collapse = 0.0
-    for spec, h, grading, d in commuting_suite:
+    for spec, h, d in commuting_suite:
         root = sqrt_hd2_exact(d)
         collapse = relative_norm(weak_field_sqrt(d) - root, root)
         worst_collapse = max(worst_collapse, collapse)
@@ -163,7 +162,7 @@ def test_criterion_06_weak_field_collapse_and_order(commuting_suite):
             n=SMOOTH_GAUSSIAN.n, length=SMOOTH_GAUSSIAN.length,
             potential=SMOOTH_GAUSSIAN.potential.with_strength(g),
         )
-        h, grading, d = build_model(spec)
+        h, d = build_model(spec)
         exact = principal_sqrt(h @ h)
         errors.append(relative_norm(weak_field_sqrt(d) - exact, exact))
     orders = [
@@ -179,23 +178,23 @@ def test_criterion_06_weak_field_collapse_and_order(commuting_suite):
 def test_criterion_07_spectrum_and_blocks(full_suite, commuting_suite):
     worst_drift = 0.0
     worst_block = 0.0
-    for spec, h, grading, _ in full_suite:
-        single = eriksen_transform(h, grading)
-        polar = eriksen_transform_alt(h, grading)
-        multi, _ = stepwise_fw(h, grading, spec.mass)
+    for spec, h, _ in full_suite:
+        single = eriksen_transform(h)
+        polar = eriksen_transform_alt(h)
+        multi, _ = stepwise_fw(h, spec.mass)
         for result in (single, polar, multi):
             worst_drift = max(worst_drift, result.diagnostics.spectrum_drift)
             assert result.diagnostics.spectrum_drift <= 1e-10, spec.describe()
         worst_block = max(worst_block, single.diagnostics.block_diagonality)
         assert single.diagnostics.block_diagonality <= 1e-10, spec.describe()
 
-        upper = grading.upper_dim
+        upper = len(h) // 2
         transformed = single.transformed_hamiltonian
         upper_spectrum = np.linalg.eigvalsh(transformed[:upper, :upper])
         lower_spectrum = np.linalg.eigvalsh(transformed[upper:, upper:])
         assert upper_spectrum.min() > 0.0, spec.describe()
         assert lower_spectrum.max() < 0.0, spec.describe()
-    for spec, h, grading, d in commuting_suite:
+    for spec, h, d in commuting_suite:
         closed = u_fw_exact(d)
         worst_drift = max(worst_drift, closed.diagnostics.spectrum_drift)
         assert closed.diagnostics.spectrum_drift <= 1e-10, spec.describe()
@@ -205,16 +204,16 @@ def test_criterion_07_spectrum_and_blocks(full_suite, commuting_suite):
 
 
 def test_criterion_08_exponent_oddness_separation():
-    h, grading, _ = build_model(SHARP_GAUSSIAN)
-    single = eriksen_transform(h, grading)
-    multi, trace = stepwise_fw(h, grading, SHARP_GAUSSIAN.mass)
-    odd_single, _ = exponent_oddness(single.transform, grading)
-    odd_multi, _ = exponent_oddness(multi.transform, grading)
+    h, _ = build_model(SHARP_GAUSSIAN)
+    single = eriksen_transform(h)
+    multi, trace = stepwise_fw(h, SHARP_GAUSSIAN.mass)
+    odd_single = exponent_oddness(single.transform)
+    odd_multi = exponent_oddness(multi.transform)
     assert odd_single <= 1e-10
     assert odd_multi >= 1e2 * odd_single
     # the composite also breaks the adjoint condition it should satisfy
-    cond_multi = eriksen_condition_residual(multi.transform, grading)
-    assert cond_multi >= 1e2 * eriksen_condition_residual(single.transform, grading)
+    cond_multi = eriksen_condition_residual(multi.transform)
+    assert cond_multi >= 1e2 * eriksen_condition_residual(single.transform)
     print(f"[criterion 8] PASS exponent oddness: one-shot {odd_single:.3e} vs "
           f"composite {odd_multi:.3e} after {len(trace.iterations)} steps "
           f"({trace.stop_reason}); separation factor {odd_multi / odd_single:.1e}")
@@ -222,12 +221,12 @@ def test_criterion_08_exponent_oddness_separation():
 
 def test_criterion_09_eigenstate_block_annihilation(full_suite):
     worst = 0.0
-    for spec, h, grading, _ in full_suite:
-        u = eriksen_transform(h, grading).transform
+    for spec, h, _ in full_suite:
+        u = eriksen_transform(h).transform
         w, v = np.linalg.eigh(h)
         rotated = u @ v
-        upper = grading.upper_dim
-        for k in range(grading.dim):
+        upper = len(h) // 2
+        for k in range(len(h)):
             leak = (
                 np.linalg.norm(rotated[upper:, k]) if w[k] > 0.0
                 else np.linalg.norm(rotated[:upper, k])
@@ -242,17 +241,16 @@ def test_criterion_10_determinism_and_round_trip(tmp_path):
     second = report_json(run_comparison(SHARP_GAUSSIAN))
     assert first == second
 
-    h, grading, _ = build_model(SHARP_GAUSSIAN)
+    h, _ = build_model(SHARP_GAUSSIAN)
     path = tmp_path / "model.txt"
-    write_matrix(path, h, grading)
-    loaded, loaded_grading = read_matrix(path)
+    write_matrix(path, h)
+    loaded = read_matrix(path)
     assert loaded.tobytes() == h.tobytes()
-    assert loaded_grading == grading
 
     tricky = np.array([[complex(-0.0, -0.0), 1.0 + 2.0j],
                        [1.0 - 2.0j, complex(0.0, -0.0)]])
-    write_matrix(tmp_path / "tricky.txt", tricky, Grading(2, 1))
-    reloaded, _ = read_matrix(tmp_path / "tricky.txt")
+    write_matrix(tmp_path / "tricky.txt", tricky)
+    reloaded = read_matrix(tmp_path / "tricky.txt")
     assert reloaded.tobytes() == tricky.tobytes()
     print("[criterion 10] PASS byte-identical reports and bit-exact "
           "matrix round-trips (signed zeros preserved)")

@@ -25,8 +25,8 @@ TOLERANCES = ToleranceConfig(stepwise_tol=1e-14, max_iterations=2000)
 
 def _observed_rate(spec):
     """(rho, the last ratio of successive odd ratios, stop reason) of one stepwise run."""
-    h, grading, _ = build_model(spec)
-    _, trace = stepwise_fw(h, grading, spec.mass, TOLERANCES)
+    h, _ = build_model(spec)
+    _, trace = stepwise_fw(h, spec.mass, TOLERANCES)
     ratios = [ratio for _, ratio, _ in trace.iterations]
     return stepwise_rate(h, spec.mass), ratios[-1] / ratios[-2], trace.stop_reason
 

@@ -61,9 +61,9 @@ def test_method_error_exit_code(tmp_path):
 
 
 def test_matrix_subcommand(tmp_path):
-    h, g, _ = build_free_particle(1.0, (0.0, 0.0, 0.5))
+    h, _ = build_free_particle(1.0, (0.0, 0.0, 0.5))
     path = tmp_path / "h.txt"
-    write_matrix(path, h, g)
+    write_matrix(path, h)
     out = tmp_path / "report.json"
     assert run_cli([
         "matrix", "--file", str(path), "--mass", "1",

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ import fwlab
 from fwlab.algebra import require_hermitian
 from fwlab import (
     DiagnosticSet,
+    DiracDecomposition,
     FWResult,
-    Grading,
     ModelSpec,
     Potential,
     build_model,
@@ -20,9 +22,13 @@ from fwlab import (
     relative_norm,
     run_comparison,
     sign_operator,
+    Spectrum,
+    u_fw_exact,
+    weak_field_transform,
 )
 from fwlab.errors import (
     DegenerateFactor,
+    DimensionMismatch,
     NonHermitianInput,
     NotUnitary,
     SingularOperand,
@@ -32,18 +38,17 @@ from fwlab.models import DIRAC_ALPHA, DIRAC_BETA, KIND_LATTICE, build_free_parti
 from oracles import mp_sign_transform
 
 
-def _random_gapped(rng, grading, gap=0.3):
+def _random_gapped(rng, dim, gap=0.3):
     """Gapped Hermitian with as many positive as negative eigenvalues.
 
     The transform only exists when the positive subspace matches the
     upper block in dimension, so the signature must be balanced.
     """
-    dim = grading.dim
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, _ = np.linalg.qr(a)
     w = np.concatenate([
-        -(gap + rng.uniform(0.0, 2.0, grading.upper_dim)),
-        gap + rng.uniform(0.0, 2.0, dim - grading.upper_dim),
+        -(gap + rng.uniform(0.0, 2.0, dim // 2)),
+        gap + rng.uniform(0.0, 2.0, dim - dim // 2),
     ])
     return (q * w) @ q.conj().T
 
@@ -51,12 +56,12 @@ def _random_gapped(rng, grading, gap=0.3):
 def test_free_particle_closed_form():
     # for H = m beta + p alpha_3 the transform is
     # (eps + m + p beta alpha_3) / sqrt(2 eps (eps + m)) with eps = 1.25
-    h, g, _ = build_free_particle(1.0, (0.0, 0.0, 0.75))
+    h, _ = build_free_particle(1.0, (0.0, 0.0, 0.75))
     eps = 1.25
     expected = (
         (eps + 1.0) * np.eye(4) + 0.75 * DIRAC_BETA @ DIRAC_ALPHA[2]
     ) / np.sqrt(2.0 * eps * (eps + 1.0))
-    result = eriksen_transform(h, g)
+    result = eriksen_transform(h)
     np.testing.assert_allclose(result.transform, expected, atol=1e-14)
     np.testing.assert_allclose(
         result.transformed_hamiltonian, eps * DIRAC_BETA, atol=1e-13
@@ -69,20 +74,18 @@ def test_free_particle_closed_form():
 
 def test_adjoint_condition_random_gapped():
     rng = np.random.default_rng(20)
-    g = Grading(12, 6)
     for _ in range(5):
-        h = _random_gapped(rng, g)
-        u = eriksen_transform(h, g).transform
-        assert eriksen_condition_residual(u, g) <= 1e-10
+        h = _random_gapped(rng, 12)
+        u = eriksen_transform(h).transform
+        assert eriksen_condition_residual(u) <= 1e-10
 
 
 def test_two_forms_agree_random_gapped():
     rng = np.random.default_rng(21)
-    g = Grading(10, 5)
     for _ in range(5):
-        h = _random_gapped(rng, g)
-        u_a = eriksen_transform(h, g).transform
-        u_b = eriksen_transform_alt(h, g).transform
+        h = _random_gapped(rng, 10)
+        u_a = eriksen_transform(h).transform
+        u_b = eriksen_transform_alt(h).transform
         assert relative_norm(u_a - u_b, u_a) <= 1e-10
 
 
@@ -90,10 +93,9 @@ def test_polar_factor_commutes_with_its_gram():
     # F = 1 + beta lambda commutes with F^H F; this is what makes the
     # "multiply then root" and "root then multiply" orders interchangeable
     rng = np.random.default_rng(22)
-    g = Grading(16, 8)
-    h = _random_gapped(rng, g)
+    h = _random_gapped(rng, 16)
     lam = sign_operator(h)
-    f = np.eye(16) + make_beta(g) @ lam
+    f = np.eye(16) + make_beta(16) @ lam
     gram = f.conj().T @ f
     residual = frobenius(f @ gram - gram @ f) / (frobenius(f) * frobenius(gram))
     assert residual <= 1e-11
@@ -101,35 +103,31 @@ def test_polar_factor_commutes_with_its_gram():
 
 def test_exponent_is_odd_and_hermitian():
     rng = np.random.default_rng(23)
-    g = Grading(8, 4)
-    h = _random_gapped(rng, g)
-    u = eriksen_transform(h, g).transform
-    odd_res, herm_res = exponent_oddness(u, g)
-    assert odd_res <= 1e-11
-    assert herm_res <= 1e-11
+    h = _random_gapped(rng, 8)
+    u = eriksen_transform(h).transform
+    assert exponent_oddness(u) <= 1e-11
+    # S is Hermitian bit for bit, as unitary_log hermitizes it (test_unitary_log_hermitian_output)
 
 
 def test_degenerate_direction_raises():
     # H = -m beta makes lambda = -beta, so 1 + beta lambda vanishes:
     # the polar route reports the degeneracy, the direct route the
     # singular denominator
-    g = Grading(4, 2)
-    h = -1.0 * make_beta(g)
+    h = -1.0 * make_beta(4)
     with pytest.raises(DegenerateFactor):
-        eriksen_transform_alt(h, g)
+        eriksen_transform_alt(h)
     with pytest.raises(SingularOperand):
-        eriksen_transform(h, g)
+        eriksen_transform(h)
 
 
 @pytest.mark.parametrize("w", [(1.0, 2.0, 3.0, -1.0), (1.0, -2.0, -3.0, -1.0)])
 def test_wrong_positive_count_raises(w):
     # the positive subspace cannot rotate onto an upper block of another size
-    g = Grading(4, 2)
     h = np.diag(w).astype(complex)
     with pytest.raises(SingularOperand):
-        eriksen_transform(h, g)
+        eriksen_transform(h)
     with pytest.raises(DegenerateFactor):
-        eriksen_transform_alt(h, g)
+        eriksen_transform_alt(h)
 
 
 @pytest.mark.parametrize("coupling, singular",
@@ -138,18 +136,17 @@ def test_rotation_angle_floor(coupling, singular):
     # one pair near H = -m beta: cos^2 theta ~ coupling^2 / 4 against the floor
     # GAP_RTOL * max cos^2 theta ~ 9.8e-11 set by the ordinary pair; both routes
     # test the same values, eriksenalt as (sigma / 2)^2 of 1 + beta lambda
-    g = Grading(4, 2)
     h = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
     h[0, 2] = h[2, 0] = 0.3
     h[1, 3] = h[3, 1] = coupling
     if singular:
         with pytest.raises(SingularOperand):
-            eriksen_transform(h, g)
+            eriksen_transform(h)
         with pytest.raises(DegenerateFactor):
-            eriksen_transform_alt(h, g)
+            eriksen_transform_alt(h)
         return
-    u = eriksen_transform(h, g).transform
-    assert relative_norm(u - eriksen_transform_alt(h, g).transform, u) <= 1e-10
+    u = eriksen_transform(h).transform
+    assert relative_norm(u - eriksen_transform_alt(h).transform, u) <= 1e-10
 
 
 def test_step_crossing_near_gap():
@@ -168,8 +165,8 @@ def test_step_crossing_near_gap():
 
 
 def test_identity_transform_diagnostics():
-    h, g, _ = build_free_particle(1.0, (0.0, 0.0, 0.75))
-    diag = compute_diagnostics(np.eye(4), h, g, h)
+    h, _ = build_free_particle(1.0, (0.0, 0.0, 0.75))
+    diag = compute_diagnostics(np.eye(4), h, h)
     assert diag.unitarity_residual == 0.0
     assert diag.eriksen_condition_residual == 0.0
     assert diag.block_diagonality == pytest.approx(0.6, rel=1e-14)
@@ -180,15 +177,15 @@ def test_identity_transform_diagnostics():
 @pytest.mark.parametrize("transform", [eriksen_transform, eriksen_transform_alt])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_input_rejected(transform, bad):
-    h, g, _ = build_free_particle(1.0, (0.0, 0.0, 0.75))
+    h, _ = build_free_particle(1.0, (0.0, 0.0, 0.75))
     h = h.copy()
     h[1, 3] = bad
     with pytest.raises(NonHermitianInput, match="^Hamiltonian has non-finite entries$"):
-        transform(h, g)
+        transform(h)
 
 
 def test_hamiltonian_matrix_checked_once(monkeypatch):
-    h, g, _ = build_free_particle(1.0, (0.3, 0.4, 0.0))
+    h, _ = build_free_particle(1.0, (0.3, 0.4, 0.0))
     checked = []
 
     def spy(a, name):
@@ -198,37 +195,68 @@ def test_hamiltonian_matrix_checked_once(monkeypatch):
 
     # hamiltonian_spectrum checks a matrix through Spectrum.of, naming it
     monkeypatch.setattr(fwlab.matfunc, "require_hermitian", spy)
-    eriksen_transform(h, g)
+    eriksen_transform(h)
     assert checked == ["Hamiltonian"]
     skew = h.copy()
     skew[0, 2] += 1e-6
     with pytest.raises(NonHermitianInput, match="^Hamiltonian is not Hermitian within 1e-12$"):
-        eriksen_transform(skew, g)
+        eriksen_transform(skew)
 
 
 def test_diagnostics_reuse_transformed_hamiltonian():
-    h, g, _ = build_free_particle(1.0, (0.3, 0.4, 0.0))
-    for result in (eriksen_transform(h, g), eriksen_transform_alt(h, g)):
+    h, _ = build_free_particle(1.0, (0.3, 0.4, 0.0))
+    for result in (eriksen_transform(h), eriksen_transform_alt(h)):
         u = result.transform
-        assert result.diagnostics == compute_diagnostics(u, h, g, u @ h @ u.conj().T)
+        assert result.diagnostics == compute_diagnostics(u, h, u @ h @ u.conj().T)
         np.testing.assert_array_equal(result.transformed_hamiltonian, u @ h @ u.conj().T)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_single_model_diagnostics_reject_non_finite_operands(bad):
     # a typed error naming the operand, not LAPACK's "Eigenvalues did not converge"
-    h, g, _ = build_free_particle(1.0, (0.3, 0.4, 0.0))
-    result = eriksen_transform(h, g)
+    h, _ = build_free_particle(1.0, (0.3, 0.4, 0.0))
+    result = eriksen_transform(h)
     u, transformed = result.transform.copy(), result.transformed_hamiltonian.copy()
     u[0, 1], transformed[1, 1] = bad, bad
-    for call in (lambda: FWResult.of(u, h, g),
-                 lambda: compute_diagnostics(u, h, g, result.transformed_hamiltonian)):
+    for call in (lambda: FWResult.of(u, h),
+                 lambda: compute_diagnostics(u, h, result.transformed_hamiltonian)):
         with pytest.raises(NotUnitary, match="^U has non-finite entries$"):
             call()
-    for call in (lambda: FWResult.of(result.transform, h, g, transformed),
-                 lambda: compute_diagnostics(result.transform, h, g, transformed)):
+    for call in (lambda: FWResult.of(result.transform, h, transformed),
+                 lambda: compute_diagnostics(result.transform, h, transformed)):
         with pytest.raises(NonHermitianInput, match="^U H U\\^H has non-finite entries$"):
             call()
+
+
+# Each entry point that takes several operands, called on a 4x4 H (and its decomposition d)
+# with one 8x8 operand x: (call, the message naming x by its own shape).
+MISMATCHED = {
+    "FWResult.of U": (lambda h, d, x: FWResult.of(x, h),
+                      "U must have the shape (4, 4) of H, got shape (8, 8)"),
+    "FWResult.of U H U^H": (lambda h, d, x: FWResult.of(np.eye(4), h, x),
+                            "U H U^H must have the shape (4, 4) of H, got shape (8, 8)"),
+    "compute_diagnostics": (lambda h, d, x: compute_diagnostics(np.eye(4), h, x),
+                            "U H U^H must have the shape (4, 4) of H, got shape (8, 8)"),
+    "compute_diagnostics stack": (
+        lambda h, d, x: compute_diagnostics(np.eye(4)[None], Spectrum.of(h)[None], x[None]),
+        "U H U^H must have the shape (1, 4, 4) of H, got shape (1, 8, 8)"),
+    "weak_field_transform": (lambda h, d, x: weak_field_transform(h, x),
+                             "root must have the shape (4, 4) of H, got shape (8, 8)"),
+    "u_fw_exact": (lambda h, d, x: u_fw_exact(d, h=x),
+                   "H must have the shape (4, 4) of odd part, got shape (8, 8)"),
+    "DiracDecomposition": (lambda h, d, x: DiracDecomposition(1.0, d.even_part, x),
+                           "odd part must have the shape (4, 4) of even part, got shape (8, 8)"),
+}
+
+
+@pytest.mark.parametrize("entry", MISMATCHED)
+def test_operands_of_another_shape_are_named(entry):
+    # a typed error naming the operand and its own shape, not numpy's matmul ValueError or
+    # the shape of an internal stack of one
+    call, message = MISMATCHED[entry]
+    h, d = build_free_particle(1.0, (0.3, 0.4, 0.0))
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+        call(h, d, np.eye(8, dtype=complex))
 
 
 def test_diagnostics_reject_negative_entries():
@@ -237,11 +265,10 @@ def test_diagnostics_reject_negative_entries():
 
 
 def test_result_wrapper_rejects_non_unitary():
-    g = Grading(4, 2)
-    h, _, _ = build_free_particle(1.0, (0.0, 0.0, 0.1))
+    h, _ = build_free_particle(1.0, (0.0, 0.0, 0.1))
     # the wrapper reads the residual its diagnostics already measured
     with pytest.raises(NotUnitary):
-        FWResult(2.0 * np.eye(4), h, compute_diagnostics(2.0 * np.eye(4), h, g, 4.0 * h))
+        FWResult(2.0 * np.eye(4), h, compute_diagnostics(2.0 * np.eye(4), h, 4.0 * h))
 
 
 def _gap_model(delta, seed):
@@ -258,18 +285,23 @@ def _gap_model(delta, seed):
 
 # Forward error against the 40-digit reference in units of eps max|w| / min|w|; measured over
 # seeds 0-39 and delta = 1e-1 ... 1e-9: at most 0.22 (eriksen), 0.63 (eriksenalt) and 0.31
-# (lambda).  An error growing faster than 1 / delta, as eps / delta^2, fails by orders.
+# (lambda), and for U H U^H at most 0.39 (eriksen) and 1.21 (eriksenalt).  An error growing
+# faster than 1 / delta, as eps / delta^2, fails by orders.
 FORWARD_ERROR_C = 2.0
+H_FW_FORWARD_ERROR_C = 4.0
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_forward_error_grows_as_eps_over_the_gap(seed):
     pytest.importorskip("mpmath")
-    g = Grading(8, 4)
     for k in range(1, 10):
         h, w = _gap_model(10.0 ** -k, seed)
-        u_ref, lam_ref = mp_sign_transform(h, g)
-        bound = FORWARD_ERROR_C * np.finfo(float).eps * np.abs(w).max() / np.abs(w).min()
+        u_ref, lam_ref, h_fw_ref = mp_sign_transform(h)
+        unit = np.finfo(float).eps * np.abs(w).max() / np.abs(w).min()
+        bound = FORWARD_ERROR_C * unit
         assert relative_norm(sign_operator(h) - lam_ref, lam_ref) <= bound, k
         for route in (eriksen_transform, eriksen_transform_alt):
-            assert relative_norm(route(h, g).transform - u_ref, u_ref) <= bound, (route, k)
+            result = route(h)
+            assert relative_norm(result.transform - u_ref, u_ref) <= bound, (route, k)
+            assert (relative_norm(result.transformed_hamiltonian - h_fw_ref, h_fw_ref)
+                    <= H_FW_FORWARD_ERROR_C * unit), (route, k)

@@ -4,7 +4,6 @@ import pytest
 from fwlab import (
     DiracDecomposition,
     FWResult,
-    Grading,
     build_free_particle,
     build_lattice_1d,
     build_synthetic_commuting,
@@ -28,19 +27,19 @@ from oracles import epsilon_operator, principal_sqrt
 
 
 def test_commutation_report():
-    _, _, d = build_free_particle(1.0, (0.1, 0.2, 0.3))
+    _, d = build_free_particle(1.0, (0.1, 0.2, 0.3))
     report = check_commutation(d)
     assert report.is_commuting
     assert report.commutator_residual <= 1e-15
 
-    _, _, d_bad = build_lattice_1d(8, 4.0, 1.0, Potential("gaussian", (0.1, 1.0)))
+    _, d_bad = build_lattice_1d(8, 4.0, 1.0, Potential("gaussian", (0.1, 1.0)))
     report_bad = check_commutation(d_bad)
     assert not report_bad.is_commuting
     assert report_bad.commutator_residual > 1e-6
 
 
 def test_closed_forms_reject_non_commuting():
-    _, _, d = build_lattice_1d(8, 4.0, 1.0, Potential("gaussian", (0.1, 1.0)))
+    _, d = build_lattice_1d(8, 4.0, 1.0, Potential("gaussian", (0.1, 1.0)))
     for fn in (sqrt_hd2_exact, lambda_exact, u_fw_exact, h_fw_exact):
         with pytest.raises(NotCommuting):
             fn(d)
@@ -49,11 +48,10 @@ def test_closed_forms_reject_non_commuting():
 def test_closed_forms_reject_singular_m2_plus_o2():
     # B = diag(1e6, 1): a = m^2 + sigma^2 = (1e12 + 1, 2), and min a is below
     # GAP_RTOL * max a = 100, whichever form reads the odd block
-    g = Grading(4, 2)
     odd = np.zeros((4, 4), dtype=complex)
     odd[:2, 2:] = np.diag([1e6, 1.0])
     odd[2:, :2] = odd[:2, 2:].conj().T
-    d = DiracDecomposition(g, 1.0, np.zeros((4, 4)), odd)
+    d = DiracDecomposition(1.0, np.zeros((4, 4)), odd)
     for fn in (epsilon_operator, sqrt_hd2_exact, lambda_exact, u_fw_exact, h_fw_exact,
                weak_field_sqrt):
         with pytest.raises(SingularOperand):
@@ -61,7 +59,7 @@ def test_closed_forms_reject_singular_m2_plus_o2():
 
 
 def test_free_particle_closed_quantities():
-    h, g, d = build_free_particle(1.0, (0.0, 0.0, 0.75))
+    h, d = build_free_particle(1.0, (0.0, 0.0, 0.75))
     eps = epsilon_operator(d)
     np.testing.assert_allclose(eps, 1.25 * np.eye(4), atol=1e-14)
     np.testing.assert_allclose(sqrt_hd2_exact(d), 1.25 * np.eye(4), atol=1e-14)
@@ -78,7 +76,7 @@ def test_free_particle_closed_quantities():
 
 
 def test_epsilon_spectrum_matches_odd_part():
-    _, _, d = build_synthetic_commuting(6, 1.0, (0.05, 0.02), 3)
+    _, d = build_synthetic_commuting(6, 1.0, (0.05, 0.02), 3)
     eps = epsilon_operator(d)
     w_odd = np.linalg.eigvalsh(d.odd_part)
     w_eps = np.sort(np.sqrt(1.0 + np.sort(w_odd**2)))
@@ -91,7 +89,7 @@ def test_sqrt_contract_on_commuting_models():
         lambda: build_lattice_1d(16, 8.0, 1.0, Potential("constant", (0.2,))),
         lambda: build_synthetic_commuting(8, 1.0, (0.0, 0.0, 0.01), 4),
     ):
-        h, g, d = builder()
+        h, d = builder()
         root = sqrt_hd2_exact(d)
         assert relative_norm(root @ root - h @ h, h @ h) <= 1e-10
         oracle = principal_sqrt(h @ h)
@@ -99,25 +97,25 @@ def test_sqrt_contract_on_commuting_models():
 
 
 def test_lambda_exact_matches_sign_operator():
-    h, g, d = build_synthetic_commuting(10, 1.0, (-0.1,), 5)
+    h, d = build_synthetic_commuting(10, 1.0, (-0.1,), 5)
     np.testing.assert_allclose(lambda_exact(d), sign_operator(h), atol=1e-11)
 
 
 def test_lambda_ignores_even_part_bitwise():
     # same odd part (same seed), different even polynomials: the closed
     # form never touches E, so the bytes agree exactly
-    _, _, d_a = build_synthetic_commuting(6, 1.0, (0.05, 0.02), 3)
-    _, _, d_b = build_synthetic_commuting(6, 1.0, (0.19,), 3)
+    _, d_a = build_synthetic_commuting(6, 1.0, (0.05, 0.02), 3)
+    _, d_b = build_synthetic_commuting(6, 1.0, (0.19,), 3)
     assert lambda_exact(d_a).tobytes() == lambda_exact(d_b).tobytes()
 
 
 def test_transform_block_diagonalizes():
-    h, g, d = build_synthetic_commuting(12, 1.0, (0.1, 0.03), 6)
+    h, d = build_synthetic_commuting(12, 1.0, (0.1, 0.03), 6)
     result = u_fw_exact(d)
     u = result.transform
-    beta = make_beta(g)
+    beta = make_beta(len(h))
     assert relative_norm(u @ h @ u.conj().T - h_fw_exact(d), h) <= 1e-12
-    assert relative_norm(u - eriksen_transform(h, g).transform, u) <= 1e-11
+    assert relative_norm(u - eriksen_transform(h).transform, u) <= 1e-11
     assert result.diagnostics.block_diagonality <= 1e-12
     eps = epsilon_operator(d)
     np.testing.assert_allclose(
@@ -128,10 +126,9 @@ def test_transform_block_diagonalizes():
 def test_closed_transform_outside_gap_domain():
     # strong even part pushes the closed root indefinite, yet the closed
     # transform stays unitary and still maps H to beta eps + E
-    g = Grading(4, 2)
     odd = 0.75 * DIRAC_ALPHA[2]
     even = -3.0 * np.eye(4)
-    d = DiracDecomposition(g, 1.0, even, odd)
+    d = DiracDecomposition(1.0, even, odd)
     with pytest.raises(OutsideValidityDomain):
         sqrt_hd2_exact(d)
     result = u_fw_exact(d)
@@ -145,19 +142,19 @@ def test_weak_field_collapses_on_commuting():
         lambda: build_synthetic_commuting(8, 1.0, (0.0, 0.0, 0.01), 4),
         lambda: build_lattice_1d(16, 8.0, 1.0, Potential("constant", (0.2,))),
     ):
-        _, _, d = builder()
+        _, d = builder()
         root = sqrt_hd2_exact(d)
         assert relative_norm(weak_field_sqrt(d) - root, root) <= 1e-12
 
 
 def test_weak_field_reduces_to_epsilon_without_field():
-    _, _, d = build_free_particle(1.0, (0.0, 0.0, 0.75))
+    _, d = build_free_particle(1.0, (0.0, 0.0, 0.75))
     np.testing.assert_array_equal(weak_field_sqrt(d), epsilon_operator(d))
 
 
 def test_weak_field_accepts_non_commuting():
     # the expansion is exactly the regime where [E, O] != 0; no gate here
-    h, _, d = build_lattice_1d(16, 8.0, 1.0, Potential("gaussian", (0.05, 3.0)))
+    h, d = build_lattice_1d(16, 8.0, 1.0, Potential("gaussian", (0.05, 3.0)))
     root = weak_field_sqrt(d)
     exact = principal_sqrt(h @ h)
     assert relative_norm(root - exact, exact) <= 1e-3
@@ -166,17 +163,17 @@ def test_weak_field_accepts_non_commuting():
 def test_weak_field_transform_reports_its_defect():
     # off the commuting case U is only approximately unitary: the result carries the
     # defect, where the default gate of FWResult.of refuses the same U
-    h, g, d = build_lattice_1d(16, 8.0, 1.0, Potential("gaussian", (0.1, 1.0)))
-    result = weak_field_transform(h, weak_field_sqrt(d), g)
+    h, d = build_lattice_1d(16, 8.0, 1.0, Potential("gaussian", (0.1, 1.0)))
+    result = weak_field_transform(h, weak_field_sqrt(d))
     assert result.diagnostics.unitarity_residual > 1e-6
     with pytest.raises(NotUnitary):
-        FWResult.of(result.transform, h, g)
+        FWResult.of(result.transform, h)
 
 
 def test_weak_field_transform_is_eriksen_on_commuting(commuting_suite):
     # measured 2.2e-15 at worst
-    for spec, h, g, d in commuting_suite:
-        weak = weak_field_transform(h, weak_field_sqrt(d), g).transform
-        exact = eriksen_transform(h, g).transform
+    for spec, h, d in commuting_suite:
+        weak = weak_field_transform(h, weak_field_sqrt(d)).transform
+        exact = eriksen_transform(h).transform
         assert relative_norm(weak - exact, exact) <= 1e-12, spec.describe()
     assert len(commuting_suite) == 33

@@ -1,11 +1,12 @@
 import os
+import re
 import stat
 
 import numpy as np
 import pytest
 
-from fwlab import Grading, read_matrix, write_matrix
-from fwlab.errors import ParseError
+from fwlab import read_matrix, write_matrix
+from fwlab.errors import DimensionMismatch, ParseError
 from fwlab.fileio import format_complex, read_potential_table, write_text
 
 
@@ -21,15 +22,14 @@ def test_format_complex_round_trip_strings():
 
 def test_matrix_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(30)
-    g = Grading(6, 3)
     a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     a[0, 0] = complex(-0.0, 0.0)
     a[1, 2] = complex(1e-308, -1e-308)   # subnormal-ish magnitudes survive
     path = tmp_path / "m.txt"
-    write_matrix(path, a, g)
-    b, g2 = read_matrix(path)
+    write_matrix(path, a)
+    b = read_matrix(path)
     assert b.tobytes() == a.tobytes()
-    assert g2 == g
+    assert path.read_text().startswith("6 3\n")
 
 
 def test_read_matrix_skips_comments_and_blanks(tmp_path):
@@ -42,8 +42,7 @@ def test_read_matrix_skips_comments_and_blanks(tmp_path):
         "# middle comment\n"
         "0.0-1.0j -1.0+0.0j\n"
     )
-    a, g = read_matrix(path)
-    assert g == Grading(2, 1)
+    a = read_matrix(path)
     np.testing.assert_array_equal(a, np.array([[1.0, 1.0j], [-1.0j, -1.0]]))
 
 
@@ -56,12 +55,22 @@ def test_read_matrix_header_errors(tmp_path):
     with pytest.raises(ParseError):
         read_matrix(path)
     # grading constraints surface as parse errors with the header line
-    path.write_text("3 1\n")
-    with pytest.raises(ParseError):
-        read_matrix(path)
+    for header, problem in (("3 1", "dim must be positive and even, got 3"),
+                            ("0 0", "dim must be positive and even, got 0"),
+                            ("6 2", "unequal blocks are not supported: dim=6, upper_dim=2")):
+        path.write_text(f"{header}\n")
+        with pytest.raises(ParseError, match=rf"^{re.escape(f'{path}:1: bad header: {problem}')}$"):
+            read_matrix(path)
     path.write_text("")
     with pytest.raises(ParseError):
         read_matrix(path)
+
+
+def test_write_matrix_needs_a_graded_shape(tmp_path):
+    for shape in ((3, 3), (4, 2)):
+        with pytest.raises(DimensionMismatch, match=rf"^entries must be 2n x 2n"):
+            write_matrix(tmp_path / "m.txt", np.zeros(shape))
+    assert not os.listdir(tmp_path)
 
 
 def test_read_matrix_body_errors(tmp_path):

@@ -13,7 +13,6 @@ import pytest
 
 from fwlab import (
     DiagnosticSet,
-    Grading,
     ModelSpec,
     Potential,
     ToleranceConfig,
@@ -105,12 +104,12 @@ def test_routes_call_their_module_functions_at_run_time(monkeypatch):
     assert report.row("weakfield").diagnostics is not None
 
 
-# Each one-shot method's single-model function, on (H, grading, decomposition).
+# Each one-shot method's single-model function, on (H, decomposition).
 SINGLE_MODEL = {
-    "eriksen": lambda h, g, d: eriksen_transform(h, g),
-    "eriksenalt": lambda h, g, d: eriksen_transform_alt(h, g),
-    "exactcase": lambda h, g, d: u_fw_exact(d),
-    "weakfield": lambda h, g, d: weak_field_transform(h, weak_field_sqrt(d), g),
+    "eriksen": lambda h, d: eriksen_transform(h),
+    "eriksenalt": lambda h, d: eriksen_transform_alt(h),
+    "exactcase": lambda h, d: u_fw_exact(d),
+    "weakfield": lambda h, d: weak_field_transform(h, weak_field_sqrt(d)),
 }
 
 
@@ -118,13 +117,13 @@ def test_single_model_functions_match_their_rows(full_suite):
     # a single-model function is its route on a stack of one, so on the one BLAS thread the
     # rows run at, it gives the row's diagnostics bit for bit, or the row's error
     outcomes = Counter()
-    for spec, h, g, d in full_suite:
+    for spec, h, d in full_suite:
         report = run_comparison(spec)
         for method, alone in SINGLE_MODEL.items():
             row = report.row(method)
             try:
                 with harness.single_blas_thread():
-                    found = alone(h, g, d).diagnostics, None, None
+                    found = alone(h, d).diagnostics, None, None
             except FWLabError as exc:
                 found = None, type(exc).__name__, str(exc)
             assert found == (row.diagnostics, row.error_type, row.error), (spec.describe(), method)
@@ -148,7 +147,7 @@ def test_weak_field_failure_row():
 def test_weak_field_refuses_a_near_zero_root():
     # E = c with c just under the smallest epsilon: H and the approximate root
     # both have a relative gap of 1e-14, so weakfield refuses as eriksen does
-    _, _, d = build_model(ModelSpec(kind=KIND_SYNTHETIC, mass=1.0, n=4, poly=(0.0,), seed=3))
+    _, d = build_model(ModelSpec(kind=KIND_SYNTHETIC, mass=1.0, n=4, poly=(0.0,), seed=3))
     eps_min = np.sqrt(1.0 + np.linalg.svd(d.odd_part[:4, 4:], compute_uv=False).min() ** 2)
     spec = ModelSpec(kind=KIND_SYNTHETIC, mass=1.0, n=4, poly=(eps_min * (1 - 1e-14),), seed=3)
     report = run_comparison(spec, methods=("eriksen", "weakfield"))
@@ -367,10 +366,10 @@ def test_stacked_call_counts_pinned(monkeypatch, open_gate):
 def _failing_batch(tmp_path):
     """Seven dim-32 models, each paired with the rows it fails alone: {method: (type, start)}."""
     n = 16
-    grading, beta = Grading(2 * n, n), make_beta(Grading(2 * n, n))
+    beta = make_beta(2 * n)
 
     def matrix(name, h):
-        write_matrix(tmp_path / f"{name}.txt", h, grading)
+        write_matrix(tmp_path / f"{name}.txt", h)
         return ModelSpec(kind=KIND_EXPLICIT, mass=1.0, path=str(tmp_path / f"{name}.txt"))
 
     # n + 1 positive eigenvalues
@@ -429,7 +428,7 @@ def test_closed_forms_share_one_svd_of_the_odd_block(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", recorded)
     report = run_comparison(spec, methods=("exactcase", "weakfield"))
     assert not report.has_errors()
-    _, _, d = build_model(spec)
+    _, d = build_model(spec)
     # one stacked call over the batch, here a stack of one
     assert len(operands) == 1
     np.testing.assert_array_equal(operands[0], d.odd_part[None, :6, 6:])
@@ -495,7 +494,7 @@ def test_lanes_write_the_serial_reports(monkeypatch, full_suite, one_blas_thread
         assert laned == serial, cores
     # one comparison alone is two tasks, a lockstep and the other routes; below dim 8 its
     # lanes stay shut
-    paired = 1 + sum(grading.dim >= 8 for _, _, grading, _ in full_suite[20:])
+    paired = 1 + sum(len(h) >= 8 for _, h, _ in full_suite[20:])
     assert lane_counts == [2] * (1 + paired) + [4] + [2] * paired
 
 

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 import fwlab
 from fwlab import (
     DiracDecomposition,
-    Grading,
     Spectrum,
     check_commutation,
     eriksen_transform,
@@ -210,7 +209,6 @@ def _gap_rule_sites(factor):
     """Every site of the gap rule, its operand's smallest value at ``factor``
     times that site's own floor GAP_RTOL * max |value|:
     (site, call, error type, message at factor 0.5)."""
-    g = Grading(4, 2)
     # H with min |w| against GAP_RTOL * max |w| = GAP_RTOL * 2
     w = np.array([1.0, -1.0, 2.0, -factor * GAP_RTOL * 2.0])
     # a positive definite operand with min w against GAP_RTOL * max w = GAP_RTOL * 3
@@ -223,19 +221,19 @@ def _gap_rule_sites(factor):
     # B = diag(1, 0): m^2 + O^2 has min a = m^2 against GAP_RTOL * (1 + m^2)
     odd = np.zeros((4, 4))
     odd[0, 2] = odd[2, 0] = 1.0
-    light = DiracDecomposition(g, np.sqrt(factor * GAP_RTOL), np.zeros((4, 4)), odd)
+    light = DiracDecomposition(np.sqrt(factor * GAP_RTOL), np.zeros((4, 4)), odd)
     # O = 0 and m = 1: the closed root is 1 + beta E = diag(1, 1, 1, x) against GAP_RTOL
     x = factor * GAP_RTOL
-    strong = DiracDecomposition(g, 1.0, np.diag([0.0, 0.0, 0.0, 1.0 - x]), np.zeros((4, 4)))
+    strong = DiracDecomposition(1.0, np.diag([0.0, 0.0, 0.0, 1.0 - x]), np.zeros((4, 4)))
     return [
         ("require_gap", lambda: sign_operator(np.diag(w)), SingularHamiltonian,
          "no spectral gap at zero: smallest |eigenvalue| 1.000e-10 "
          "is below the gap tolerance 2.000e-10"),
         ("inv_sqrt", lambda: inv_sqrt(a), SingularOperand,
          "smallest eigenvalue 1.500e-10 is below the gap tolerance 3.000e-10"),
-        ("eriksen", lambda: eriksen_transform(h_rotated, g), SingularOperand,
+        ("eriksen", lambda: eriksen_transform(h_rotated), SingularOperand,
          "smallest cos^2 theta 5.000e-11 is below the gap tolerance 1.000e-10"),
-        ("eriksenalt", lambda: eriksen_transform_alt(h_rotated, g), DegenerateFactor,
+        ("eriksenalt", lambda: eriksen_transform_alt(h_rotated), DegenerateFactor,
          "smallest (sigma / 2)^2 of 1 + beta*lambda 5.000e-11 "
          "is below the gap tolerance 1.000e-10"),
         ("epsilon_operator", lambda: epsilon_operator(light), SingularOperand,
@@ -341,7 +339,7 @@ def test_odd_exp_against_expm():
 def test_odd_exp_unitary_and_adjoint(n, rank_fraction, norm, seed):
     c = _random_block(np.random.default_rng(seed), n, round(rank_fraction * n), norm)
     u = odd_exp(c)
-    beta = make_beta(Grading(2 * n, n))
+    beta = make_beta(2 * n)
     assert frobenius(u.conj().T @ u - np.eye(2 * n)) <= 1e-13
     # the generator is odd, so beta U beta = exp(-G) = U^H
     assert frobenius(beta @ u @ beta - u.conj().T) <= 1e-13
@@ -416,16 +414,16 @@ def test_unitary_log_accuracy_against_phase_margin(n, log_delta, seed):
 
 def test_unitary_log_matches_schur_on_suite_transforms(full_suite):
     checked = 0
-    for spec, h, grading, decomposition in full_suite:
+    for spec, h, decomposition in full_suite:
         transforms = [
-            eriksen_transform(h, grading).transform,
-            eriksen_transform_alt(h, grading).transform,
-            stepwise_fw(h, grading, spec.mass)[0].transform,
+            eriksen_transform(h).transform,
+            eriksen_transform_alt(h).transform,
+            stepwise_fw(h, spec.mass)[0].transform,
         ]
         if check_commutation(decomposition).is_commuting:
             transforms.append(u_fw_exact(decomposition).transform)
             root = weak_field_sqrt(decomposition)
-            transforms.append(weak_field_transform(h, root, grading).transform)
+            transforms.append(weak_field_transform(h, root).transform)
         for u in transforms:
             oracle = _schur_log(u)
             assert relative_norm(unitary_log(u) - oracle, oracle) <= 1e-13, spec.describe()

@@ -20,6 +20,7 @@ from fwlab import (
     run_comparison,
     write_matrix,
 )
+from fwlab import models
 from fwlab.cli import main
 from fwlab.errors import InvalidGrid, NonHermitianInput, ParseError
 from fwlab.models import (
@@ -43,10 +44,9 @@ def test_dirac_matrices_clifford_algebra():
 
 def test_free_particle_assembly():
     p = (0.3, -0.2, 0.5)
-    h, g, d = build_free_particle(1.5, p)
+    h, d = build_free_particle(1.5, p)
     expected = 1.5 * DIRAC_BETA + sum(c * a for c, a in zip(p, DIRAC_ALPHA))
     np.testing.assert_array_equal(h, expected)
-    assert g.dim == 4 and g.upper_dim == 2
     assert frobenius(d.even_part) == 0.0
     assert check_commutation(d).is_commuting
     with pytest.raises(ValueError):
@@ -61,7 +61,7 @@ def test_free_particle_rejects_non_finite_momentum(component):
 
 def test_lattice_dispersion_without_potential():
     n, length, mass = 16, 8.0, 1.0
-    h, g, _ = build_lattice_1d(n, length, mass, Potential("zero"))
+    h, _ = build_lattice_1d(n, length, mass, Potential("zero"))
     dx = 2.0 * length / n
     lattice_momenta = np.sin(2.0 * np.pi * np.arange(n) / n) / dx
     band = np.sqrt(mass**2 + lattice_momenta**2)
@@ -72,7 +72,7 @@ def test_lattice_dispersion_without_potential():
 def test_lattice_parts_land_in_sectors():
     n, length = 8, 4.0
     pot = Potential("gaussian", (0.1, 1.0))
-    h, g, d = build_lattice_1d(n, length, 1.0, pot)
+    h, d = build_lattice_1d(n, length, 1.0, pot)
     assert hermiticity_defect(h) <= 1e-15
     dx = 2.0 * length / n
     x = -length + (np.arange(n) + 0.5) * dx
@@ -175,14 +175,14 @@ def test_parse_potential_from_file(tmp_path):
 
 
 def test_synthetic_model_commutes_and_reproduces():
-    h, g, d = build_synthetic_commuting(8, 1.0, (0.05, 0.02), 3)
-    assert g.dim == 16
+    h, d = build_synthetic_commuting(8, 1.0, (0.05, 0.02), 3)
+    assert h.shape == (16, 16)
     report = check_commutation(d)
     assert report.is_commuting
     assert report.commutator_residual <= 1e-13
-    h2, _, _ = build_synthetic_commuting(8, 1.0, (0.05, 0.02), 3)
+    h2, _ = build_synthetic_commuting(8, 1.0, (0.05, 0.02), 3)
     assert h.tobytes() == h2.tobytes()
-    h3, _, _ = build_synthetic_commuting(8, 1.0, (0.05, 0.02), 4)
+    h3, _ = build_synthetic_commuting(8, 1.0, (0.05, 0.02), 4)
     assert h.tobytes() != h3.tobytes()
     with pytest.raises(ValueError):
         build_synthetic_commuting(1, 1.0, (0.1,), 0)
@@ -193,22 +193,21 @@ def test_synthetic_model_commutes_and_reproduces():
 
 
 def test_synthetic_empty_polynomial_is_field_free():
-    _, _, d = build_synthetic_commuting(4, 1.0, (), 2)
+    _, d = build_synthetic_commuting(4, 1.0, (), 2)
     assert frobenius(d.even_part) == 0.0
 
 
 def test_load_explicit_matrix(tmp_path, capsys):
-    h, g, _ = build_free_particle(1.0, (0.1, 0.2, 0.3))
+    h, _ = build_free_particle(1.0, (0.1, 0.2, 0.3))
     path = tmp_path / "h.txt"
-    write_matrix(path, h, g)
-    loaded, loaded_grading = load_explicit_matrix(path)
+    write_matrix(path, h)
+    loaded = load_explicit_matrix(path)
     assert loaded.tobytes() == h.tobytes()
-    assert loaded_grading == g
 
     bad = np.zeros((4, 4), dtype=complex)
     bad[0, 1] = 1.0
     bad_path = tmp_path / "bad.txt"
-    write_matrix(bad_path, bad, g)
+    write_matrix(bad_path, bad)
     with pytest.raises(NonHermitianInput):
         load_explicit_matrix(bad_path)
 
@@ -217,7 +216,7 @@ def test_load_explicit_matrix(tmp_path, capsys):
     slight[0, 2] += 3e-11 * frobenius(h) / np.sqrt(2.0)
     assert hermiticity_defect(slight) == pytest.approx(3e-11, rel=1e-3)
     slight_path = tmp_path / "slight.txt"
-    write_matrix(slight_path, slight, g)
+    write_matrix(slight_path, slight)
     message = f"{slight_path}: matrix is not Hermitian within 1e-12"
     with pytest.raises(NonHermitianInput) as err:
         load_explicit_matrix(slight_path)
@@ -252,9 +251,9 @@ def test_overflowing_norm_fails_at_build(spec, source):
 
 
 def test_cli_rejects_an_overflowing_matrix_file(tmp_path, capsys):
-    h, g, _ = build_free_particle(1.0, (0.3, 0.0, 0.4))
+    h, _ = build_free_particle(1.0, (0.3, 0.0, 0.4))
     path = tmp_path / "huge.txt"
-    write_matrix(path, 1e300 * h, g)
+    write_matrix(path, 1e300 * h)
     assert main(["matrix", "--file", str(path), "--mass", "1"]) == 1
     assert capsys.readouterr().err == (
         f"fwlab: error: {path}: matrix has a Frobenius norm that overflows\n")
@@ -282,14 +281,14 @@ def test_model_spec_describe():
 
 def test_build_model_dispatch(tmp_path):
     free = ModelSpec(kind=KIND_FREE, mass=1.0, momentum=(0.0, 0.0, 0.1))
-    h, g, _ = build_model(free)
-    assert g.dim == 4
+    h, _ = build_model(free)
+    assert h.shape == (4, 4)
 
-    h_file, g_file, _ = build_model(ModelSpec(
+    h_file, _ = build_model(ModelSpec(
         kind=KIND_EXPLICIT, mass=1.0,
         path=str(_written_matrix(tmp_path)),
     ))
-    assert g_file.dim == 4
+    assert h_file.shape == (4, 4)
 
     with pytest.raises(ValueError):
         build_model(ModelSpec(kind=KIND_FREE, mass=0.0, momentum=(0.0, 0.0, 0.1)))
@@ -439,7 +438,7 @@ def test_vectors_are_stored_as_tuples_of_floats():
     pot = Potential("tabulated", table=np.arange(4))
     assert pot.table == (0.0, 1.0, 2.0, 3.0) and type(pot.table[0]) is float
     assert pot.sample(np.zeros(4)).tolist() == [0.0, 1.0, 2.0, 3.0]
-    h, _, _ = build_free_particle(1.0, np.array([0, 0, 1]))
+    h, _ = build_free_particle(1.0, np.array([0, 0, 1]))
     assert h.tobytes() == build_free_particle(1.0, (0.0, 0.0, 1.0))[0].tobytes()
 
 
@@ -471,8 +470,8 @@ def test_model_path_is_a_str_or_path_like(path):
 
 
 def test_model_path_may_be_a_path_object(tmp_path):
-    h, g, _ = build_free_particle(1.0, (0.3, 0.0, 0.4))
-    write_matrix(tmp_path / "h.txt", h, g)
+    h, _ = build_free_particle(1.0, (0.3, 0.0, 0.4))
+    write_matrix(tmp_path / "h.txt", h)
     specs = [ModelSpec(kind=KIND_EXPLICIT, mass=1.0, path=path)
              for path in (tmp_path / "h.txt", str(tmp_path / "h.txt"))]
     assert report_json(run_comparison(specs[0])) == report_json(run_comparison(specs[1]))
@@ -506,7 +505,23 @@ def test_potential_descriptors(potential, descriptor):
         assert parse_potential(descriptor) == potential
 
 def _written_matrix(tmp_path):
-    h, g, _ = build_free_particle(1.0, (0.0, 0.0, 0.5))
+    h, _ = build_free_particle(1.0, (0.0, 0.0, 0.5))
     path = tmp_path / "model.txt"
-    write_matrix(path, h, g)
+    write_matrix(path, h)
     return path
+
+
+class _UnusedNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} is used before the size check")
+
+
+@pytest.mark.parametrize("n", [1025, 2**70])
+def test_builders_refuse_a_dimension_over_the_cap(monkeypatch, n):
+    # the check comes first, before numpy is touched, so 2**70 fails as 1025 does
+    monkeypatch.setattr(models, "np", _UnusedNumpy())
+    message = rf"^n = {n} exceeds 1024, as 2n is at most MAX_DIM = 2048$"
+    with pytest.raises(InvalidGrid, match=message):
+        build_lattice_1d(n, 8.0, 1.0, Potential("zero"))
+    with pytest.raises(ValueError, match=message):
+        build_synthetic_commuting(n, 1.0, (0.1,), 0)

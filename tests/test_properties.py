@@ -40,7 +40,6 @@ from fwlab import (
     DiracDecomposition,
     FWLabError,
     FWResult,
-    Grading,
     ModelSpec,
     Potential,
     Spectrum,
@@ -80,9 +79,8 @@ def _with_norm(a, norm):
 
 
 def graded_hamiltonian(seed, n, mass, gap, coupling):
-    """(H, grading) with n positive eigenvalues and none in (-gap m, gap m)."""
+    """2n x 2n H with n positive eigenvalues and none in (-gap m, gap m)."""
     rng = np.random.default_rng(seed)
-    g = Grading(2 * n, n)
     even = np.zeros((2 * n, 2 * n), dtype=complex)
     for block in (slice(0, n), slice(n, 2 * n)):
         a = _complex_normal(rng, n)
@@ -91,13 +89,12 @@ def graded_hamiltonian(seed, n, mass, gap, coupling):
     odd = np.zeros_like(even)
     odd[:n, n:] = _with_norm(_complex_normal(rng, n), coupling * mass)
     odd[n:, :n] = odd[:n, n:].conj().T
-    return mass * make_beta(g) + even + odd, g
+    return mass * make_beta(2 * n) + even + odd
 
 
 def commuting_decomposition(seed, n, mass, gap, coupling, degree):
     """DiracDecomposition whose even part is a degree-``degree`` polynomial in O^2."""
     rng = np.random.default_rng(seed)
-    g = Grading(2 * n, n)
     odd = np.zeros((2 * n, 2 * n), dtype=complex)
     odd[:n, n:] = _with_norm(_complex_normal(rng, n), coupling * mass)
     odd[n:, :n] = odd[:n, n:].conj().T
@@ -105,7 +102,7 @@ def commuting_decomposition(seed, n, mass, gap, coupling, degree):
     even = np.zeros_like(odd)
     for coefficient in rng.standard_normal(degree + 1):
         even = even @ odd_sq + coefficient * np.eye(2 * n)
-    return DiracDecomposition(g, mass, _with_norm(even, (1.0 - gap) * mass), odd)
+    return DiracDecomposition(mass, _with_norm(even, (1.0 - gap) * mass), odd)
 
 
 def even_unitary(seed, n):
@@ -116,18 +113,18 @@ def even_unitary(seed, n):
     return w
 
 
-def _assert_block_form(result, g, bound):
+def _assert_block_form(result, bound):
     d = result.diagnostics
     assert d.unitarity_residual <= 1e-12
     assert d.block_diagonality <= bound
-    n = g.upper_dim
     transformed = result.transformed_hamiltonian
+    n = len(transformed) // 2
     assert np.linalg.eigvalsh(transformed[:n, :n]).min() > 0.0
     assert np.linalg.eigvalsh(transformed[n:, n:]).max() < 0.0
 
 
-def _steps(h, g, mass, steps):
-    result, trace = stepwise_fw(h, g, mass, ToleranceConfig(1e-300, steps))
+def _steps(h, mass, steps):
+    result, trace = stepwise_fw(h, mass, ToleranceConfig(1e-300, steps))
     assert len(trace.iterations) == steps
     return result.transform
 
@@ -135,28 +132,28 @@ def _steps(h, g, mass, steps):
 @settings(max_examples=40, deadline=None)
 @given(seed=SEEDS, n=SIZES, mass=MASSES, gap=st.floats(0.05, 1.0), coupling=st.floats(0.0, 3.0))
 def test_eriksen_invariants(seed, n, mass, gap, coupling):
-    h, g = graded_hamiltonian(seed, n, mass, gap, coupling)
-    result = eriksen_transform(h, g)
-    _assert_block_form(result, g, 1e-10)
+    h = graded_hamiltonian(seed, n, mass, gap, coupling)
+    result = eriksen_transform(h)
+    _assert_block_form(result, 1e-10)
     assert result.diagnostics.eriksen_condition_residual <= 1e-10
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=SEEDS, n=SIZES, mass=MASSES, gap=st.floats(0.7, 1.0), coupling=st.floats(0.0, 0.3))
 def test_stepwise_invariants_at_weak_coupling(seed, n, mass, gap, coupling):
-    h, g = graded_hamiltonian(seed, n, mass, gap, coupling)
-    result, trace = stepwise_fw(h, g, mass)
+    h = graded_hamiltonian(seed, n, mass, gap, coupling)
+    result, trace = stepwise_fw(h, mass)
     assert trace.converged
-    _assert_block_form(result, g, 1e-8)
+    _assert_block_form(result, 1e-8)
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=SEEDS, n=SIZES, mass=MASSES, gap=st.floats(0.05, 1.0), coupling=st.floats(0.0, 3.0),
        log_scale=st.floats(-3.0, 3.0))
 def test_eriksen_scale_invariance(seed, n, mass, gap, coupling, log_scale):
-    h, g = graded_hamiltonian(seed, n, mass, gap, coupling)
-    u = eriksen_transform(h, g).transform
-    scaled = eriksen_transform(10.0 ** log_scale * h, g).transform
+    h = graded_hamiltonian(seed, n, mass, gap, coupling)
+    u = eriksen_transform(h).transform
+    scaled = eriksen_transform(10.0 ** log_scale * h).transform
     assert relative_norm(scaled - u, u) <= 1e-10
 
 
@@ -164,21 +161,21 @@ def test_eriksen_scale_invariance(seed, n, mass, gap, coupling, log_scale):
 @given(seed=SEEDS, n=SIZES, mass=MASSES, gap=st.floats(0.3, 1.0), coupling=st.floats(0.01, 1.0),
        log_scale=st.floats(-3.0, 3.0), steps=st.integers(1, 3))
 def test_stepwise_scale_invariance(seed, n, mass, gap, coupling, log_scale, steps):
-    h, g = graded_hamiltonian(seed, n, mass, gap, coupling)
+    h = graded_hamiltonian(seed, n, mass, gap, coupling)
     scale = 10.0 ** log_scale
-    u = _steps(h, g, mass, steps)
-    assert relative_norm(_steps(scale * h, g, scale * mass, steps) - u, u) <= 1e-10
+    u = _steps(h, mass, steps)
+    assert relative_norm(_steps(scale * h, scale * mass, steps) - u, u) <= 1e-10
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=SEEDS, n=SIZES, mass=MASSES, gap=st.floats(0.05, 1.0), coupling=st.floats(0.01, 3.0),
        rotation_seed=SEEDS, steps=st.integers(1, 3))
 def test_even_unitary_covariance(seed, n, mass, gap, coupling, rotation_seed, steps):
-    h, g = graded_hamiltonian(seed, n, mass, gap, coupling)
+    h = graded_hamiltonian(seed, n, mass, gap, coupling)
     w = even_unitary(rotation_seed, n)
     rotated = w @ h @ w.conj().T
-    for route in (lambda x: eriksen_transform(x, g).transform,
-                  lambda x: _steps(x, g, mass, steps)):
+    for route in (lambda x: eriksen_transform(x).transform,
+                  lambda x: _steps(x, mass, steps)):
         expected = w @ route(h) @ w.conj().T
         assert relative_norm(route(rotated) - expected, expected) <= 1e-10
 
@@ -188,13 +185,13 @@ def test_even_unitary_covariance(seed, n, mass, gap, coupling, rotation_seed, st
        degree=st.integers(0, 3))
 def test_exactcase_on_commuting_models(seed, n, mass, gap, coupling, degree):
     d = commuting_decomposition(seed, n, mass, gap, coupling, degree)
-    h, g = d.hamiltonian(), d.grading
+    h = d.hamiltonian()
     result = u_fw_exact(d)
     u = result.transform
     assert result.diagnostics.unitarity_residual <= 1e-12
     assert result.diagnostics.eriksen_condition_residual <= 1e-12
     assert relative_norm(u @ h @ u.conj().T - h_fw_exact(d), h) <= 1e-12
-    assert relative_norm(u - eriksen_transform(h, g).transform, u) <= 1e-10
+    assert relative_norm(u - eriksen_transform(h).transform, u) <= 1e-10
     lam = sign_operator(h)
     assert relative_norm(lambda_exact(d) - lam, lam) <= 1e-10
 
@@ -202,9 +199,9 @@ def test_exactcase_on_commuting_models(seed, n, mass, gap, coupling, degree):
 @settings(max_examples=40, deadline=None)
 @given(seed=SEEDS, n=SIZES, mass=MASSES, gap=st.floats(0.05, 1.0), coupling=st.floats(0.0, 3.0))
 def test_epsilon_matches_dense_root(seed, n, mass, gap, coupling):
-    h, g = graded_hamiltonian(seed, n, mass, gap, coupling)
-    d = split_even_odd(h, g, mass)
-    w, v = np.linalg.eigh(mass**2 * np.eye(g.dim) + d.odd_part @ d.odd_part)
+    h = graded_hamiltonian(seed, n, mass, gap, coupling)
+    d = split_even_odd(h, mass)
+    w, v = np.linalg.eigh(mass**2 * np.eye(2 * n) + d.odd_part @ d.odd_part)
     oracle = (v * np.sqrt(w)) @ v.conj().T
     assert relative_norm(epsilon_operator(d) - oracle, oracle) <= 1e-13
 
@@ -212,9 +209,9 @@ def test_epsilon_matches_dense_root(seed, n, mass, gap, coupling):
 @settings(max_examples=40, deadline=None)
 @given(seed=SEEDS, n=SIZES, mass=MASSES, gap=st.floats(0.05, 1.0), coupling=st.floats(0.0, 3.0))
 def test_eriksenalt_agrees_with_eriksen(seed, n, mass, gap, coupling):
-    h, g = graded_hamiltonian(seed, n, mass, gap, coupling)
-    u = eriksen_transform(h, g).transform
-    assert relative_norm(eriksen_transform_alt(h, g).transform - u, u) <= 1e-10
+    h = graded_hamiltonian(seed, n, mass, gap, coupling)
+    u = eriksen_transform(h).transform
+    assert relative_norm(eriksen_transform_alt(h).transform - u, u) <= 1e-10
 
 
 # (gap range, coupling range) per kind of stepwise run at a cap of 4-12 steps: an odd part
@@ -230,34 +227,33 @@ STEPWISE_KINDS = {
 
 @st.composite
 def stepwise_stacks(draw):
-    """(models, tolerances): 2-6 (H, grading, mass) of one dimension, of mixed kinds."""
+    """(models, tolerances): 2-6 (H, mass) of one dimension, of mixed kinds."""
     n = draw(st.integers(1, 8))
     models = []
     for kind in draw(st.lists(st.sampled_from(sorted(STEPWISE_KINDS)), min_size=2, max_size=6)):
         (gap_lo, gap_hi), (lo, hi) = STEPWISE_KINDS[kind]
         mass = draw(MASSES)
-        h, g = graded_hamiltonian(draw(SEEDS), n, mass, draw(st.floats(gap_lo, gap_hi)),
-                                  draw(st.floats(lo, hi)))
-        models.append((h, g, mass))
+        h = graded_hamiltonian(draw(SEEDS), n, mass, draw(st.floats(gap_lo, gap_hi)),
+                               draw(st.floats(lo, hi)))
+        models.append((h, mass))
     return models, ToleranceConfig(1e-8, draw(st.integers(4, 12)))
 
 
 def _lockstep_matches_alone(models, tolerances):
     """Assert each model's lockstep result is its stepwise_fw result bit for bit, on a stack
     whose slices are each model's own Spectrum bit for bit; its traces."""
-    g = models[0][1]
-    stack = np.stack([h for h, _, _ in models])
+    stack = np.stack([h for h, _ in models])
     spectrum = Spectrum(stack, *np.linalg.eigh(stack))
-    for i, (h, _, _) in enumerate(models):
+    for i, (h, _) in enumerate(models):
         w, v = np.linalg.eigh(h)
         np.testing.assert_array_equal(spectrum.w[i], w)
         np.testing.assert_array_equal(spectrum.v[i], v)
-    u, transformed, traces = stepwise_lockstep(spectrum, g, [m for _, _, m in models],
+    u, transformed, traces = stepwise_lockstep(spectrum, [m for _, m in models],
                                                tolerances)
     assert len(u) == len(transformed) == len(traces) == len(models)
-    for i, (h, _, mass) in enumerate(models):
-        result, trace = FWResult.of(u[i], h, g, transformed[i]), traces[i]
-        alone, alone_trace = stepwise_fw(h, g, mass, tolerances)
+    for i, (h, mass) in enumerate(models):
+        result, trace = FWResult.of(u[i], h, transformed[i]), traces[i]
+        alone, alone_trace = stepwise_fw(h, mass, tolerances)
         np.testing.assert_array_equal(result.transform, alone.transform)
         np.testing.assert_array_equal(result.transformed_hamiltonian,
                                       alone.transformed_hamiltonian)
@@ -276,7 +272,7 @@ def test_lockstep_equals_each_run_alone(stack):
 def test_lockstep_stack_mixes_every_stop():
     # (gap, coupling) of a zero-step, a tolerance, a cap, a stagnation and a tolerance run
     params = ((0.5, 0.0), (0.9, 0.1), (0.5, 0.7), (0.1, 2.5), (0.9, 0.2))
-    models = [(*graded_hamiltonian(seed, 4, 1.0 + seed, gap, coupling), 1.0 + seed)
+    models = [(graded_hamiltonian(seed, 4, 1.0 + seed, gap, coupling), 1.0 + seed)
               for seed, (gap, coupling) in enumerate(params)]
     traces = _lockstep_matches_alone(models, ToleranceConfig(1e-8, 8))
     assert [(len(t.iterations), t.stop_reason) for t in traces] == [

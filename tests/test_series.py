@@ -32,9 +32,9 @@ def _check_series(potential):
     series_errors, departures = [], []
     for mass in MASSES:
         spec = ModelSpec(kind=KIND_LATTICE, mass=mass, n=32, length=24.0, potential=potential)
-        h, grading, d = build_model(spec)
-        h_eriksen = eriksen_transform(h, grading).transformed_hamiltonian
-        result, trace = stepwise_fw(h, grading, mass, ToleranceConfig(stepwise_tol=1e-14))
+        h, d = build_model(spec)
+        h_eriksen = eriksen_transform(h).transformed_hamiltonian
+        result, trace = stepwise_fw(h, mass, ToleranceConfig(stepwise_tol=1e-14))
         assert trace.stop_reason == STOP_TOLERANCE
         series_errors.append(frobenius(h_eriksen - fw_series(d)))
         departure = result.transformed_hamiltonian - h_eriksen

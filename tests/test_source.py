@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import fwlab
 from fwlab import harness, models
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fwlab"
@@ -225,6 +226,15 @@ def _imported(path):
 def _parameters(node):
     args = node.args
     return [arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs]
+
+
+def test_the_grading_is_the_shape():
+    # beta is read off each operand's 2n x 2n shape, so no function takes a grading beside it
+    assert [f"{path.stem}:{getattr(node, 'name', '<lambda>')}" for path in sorted(SRC.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            and "grading" in _parameters(node)] == []
+    assert not hasattr(fwlab, "Grading")
 
 
 def test_report_has_one_owner():
