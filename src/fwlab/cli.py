@@ -31,8 +31,9 @@ _METHOD_HELP = (
     "eps = sqrt(m^2 + O^2)), "
     "stepwise (iterated exp(b*O_k/(2m)) rotations until the odd block falls "
     "below tolerance), "
-    "weakfield (approximate root eps + {1/eps,{b*m+O,E}}/4 - "
-    "{(b*m+O)/eps,[eps,[eps,E]]}/8 driving a surrogate one-shot transform)"
+    "weakfield (approximate root R = eps + L, eps*L + L*eps = {b*m+O,E}, exact to first "
+    "order in E, the closed root when [E,O] = 0 and c*R for c*H, driving a surrogate "
+    "one-shot transform)"
 )
 
 

@@ -17,9 +17,12 @@ The closed root coincides with the principal root only while it stays
 positive; a strong even part pushes it onto another branch, which is
 reported as OutsideValidityDomain.
 
-``weak_field_sqrt`` keeps the anticommutator term and one double commutator
-of eps with E.  It needs no commutation assumption, collapses to the closed
-root whenever [E, O] = 0, and ``weak_field_transform`` builds its transform.
+``weak_field_sqrt`` is the root of H^2 = eps^2 + X + E^2, X = {beta m + O, E}, exact to
+first order in E: R = eps + L(X), where eps L + L eps = X.  In eps's eigenbasis
+W = diag(P, Q), L_ij = X_ij / (e_i + e_j) with e = sqrt(a) on both blocks.  It needs no
+commutation assumption; when [E, O] = 0, L(X) = (beta m + O) E / eps and R is the closed
+root.  R is homogeneous: (c m, c E, c O) gives c R.  ``weak_field_transform`` builds its
+transform.
 Their routes take a ``ModelStack`` only; a single-model name is its stack of one.
 """
 
@@ -161,36 +164,28 @@ def h_fw_exact(d: DiracDecomposition) -> np.ndarray:
 
 
 def weak_field_sqrt(d: DiracDecomposition) -> np.ndarray:
-    """Weak-coupling approximation of sqrt(H^2).
+    """Weak-coupling approximation of sqrt(H^2), exact to first order in E.
 
-    Evaluates
-
-        eps + {1/eps, {beta m + O, E}} / 4
-            - {(beta m + O)/eps, [eps, [eps, E]]} / 8,
-
-    keeping terms linear in E up to double commutators.  Exact whenever
-    [E, O] = 0; otherwise accurate to second order in the even coupling.
+    Evaluates R = eps + L(X), X = {beta m + O, E}, where L solves eps L + L eps = X.
+    When [E, O] = 0 this is the closed root eps + (beta m + O) E / eps exactly; otherwise its
+    error is second order in the even coupling.  Scaling (m, E, O) by c > 0 scales R by c.
     """
     return weak_root_stack(Slices(1), ModelStack.of([d]))[1][0]
 
 
 def weak_root_stack(slices: Slices, d: ModelStack):
     """``weak_field_sqrt`` of a ModelStack ``d``: (the ModelStack left, the root of each slice)."""
-    d, _, _, _, eps, eps_inv = _odd_block(d, slices, 0.5, -0.5, commuting=False)
+    d, p, sigma, qh = _odd_block(d, slices, commuting=False)
     signs = beta_signs({"odd part": d.odd_part})
     core = np.stack([np.diag(m * signs) for m in d.masses[:, 0]]) + d.odd_part
-    paired = anticommutator(core, d.even_part)
-    first = anticommutator(eps_inv, paired)
-    first *= 0.25
-    core = core @ eps_inv  # (beta m + O) / eps
-    del paired, eps_inv
-    nested = commutator(eps, commutator(eps, d.even_part))
-    second = anticommutator(core, nested)
-    second *= 0.125
-    del core, nested
-    root = eps + first
-    root -= second
-    return d, root
+    n, e = p.shape[-1], np.sqrt(d.masses**2 + sigma**2)
+    e = np.concatenate((e, e), axis=-1)  # eps = W diag(e) W^H with W = diag(P, Q)
+    w = np.zeros_like(core)
+    w[:, :n, :n], w[:, n:, n:] = p, adjoint(qh)
+    root = adjoint(w) @ anticommutator(core, d.even_part) @ w
+    root /= e[:, :, None] + e[:, None, :]
+    root[:, range(2 * n), range(2 * n)] += e
+    return d, w @ root @ adjoint(w)
 
 
 def weak_field_transform(h, root) -> FWResult:

@@ -19,7 +19,7 @@ import uuid
 import numpy as np
 
 from .algebra import beta_signs
-from .errors import ParseError
+from .errors import DimensionMismatch, ParseError
 
 
 def write_text(path, text: str):
@@ -104,9 +104,11 @@ def _parse_entry(token, path, line, column) -> complex:
 
 
 def write_matrix(path, entries):
-    """Save a 2n x 2n matrix under the header ``2n n``; read_matrix reproduces the entries
-    bit-exactly."""
+    """Save one 2n x 2n matrix under the header ``2n n``; read_matrix reproduces the entries
+    bit-exactly.  DimensionMismatch naming the shape of any other array, a stack too."""
     entries = np.asarray(entries, dtype=complex)
+    if entries.ndim > 2:
+        raise DimensionMismatch(f"entries must be 2n x 2n, n >= 1, got shape {entries.shape}")
     dim = len(beta_signs({"entries": entries}))
     rows = [f"{dim} {dim // 2}"] + [" ".join(map(format_complex, row)) for row in entries]
     write_text(path, "\n".join(rows) + "\n")

@@ -40,7 +40,7 @@ def _stepwise(slices, batch, extras):
 
 def _weak_field(slices, batch, extras):
     # the root's error against |H| goes into the row even when the root fails its gap check;
-    # a root whose error overflows leaves, as its products of H overflow before eriksen's do
+    # a root whose error overflows leaves: its {beta m + O, E} is of the size of H^2
     with np.errstate(over="ignore", invalid="ignore"):
         parts, root = weak_root_stack(slices, batch.parts)
         reference = parts.h.apply(np.abs)

@@ -12,7 +12,9 @@ report minus its rows), one ``method/<tag>`` per method row, one
 ``cross/<a>~<b>`` per cross row, and ``csv``.  The sweep writes JSON only, so
 its reports have no ``csv`` section, and its ``summary.json`` is one ``json``
 section.
-A hash per section lets a diff name the rows that moved.
+A hash per section lets a diff name the rows that moved; before it overwrites the
+file, the script prints the sections whose hash moved against it, the list that
+``tests/test_golden.py`` reports.
 
 The bytes depend on the BLAS kernels, which OpenBLAS picks by CPU, so the
 file is keyed on numpy's version and OpenBLAS's config string; elsewhere
@@ -99,8 +101,18 @@ def section_hashes() -> dict:
     return found
 
 
+def moved_sections(expected: dict, found: dict) -> list[str]:
+    """Sorted ``report: section`` of every section whose hash differs, or that one side lacks."""
+    return sorted(f"{name}: {section}" for name in expected.keys() | found.keys()
+                  for section in expected.get(name, {}).keys() | found.get(name, {}).keys()
+                  if expected.get(name, {}).get(section) != found.get(name, {}).get(section))
+
+
 def main() -> None:
     fixture = {"environment": environment(), "sections": section_hashes()}
+    if FIXTURE.exists():
+        moved = moved_sections(json.loads(FIXTURE.read_text())["sections"], fixture["sections"])
+        print(f"{len(moved)} sections moved against the committed file", *moved, sep="\n")
     FIXTURE.write_text(json.dumps(fixture, indent=1, sort_keys=True) + "\n")
     print(f"wrote {FIXTURE} ({len(fixture['sections'])} reports)")
 

@@ -132,6 +132,14 @@ def test_sweep_rejects_repeated_strengths(tmp_path, monkeypatch, capsys):
     assert not out_dir.exists()
 
 
+def test_sweep_needs_a_strength(tmp_path, capsys):
+    out_dir = tmp_path / "sweep"
+    assert run_cli(["sweep", "--base", "--n 8 --L 6 --mass 1 --potential constant:0.2",
+                    "--param", "g", "--values", ",", "--out", str(out_dir)]) == 1
+    assert "--values must contain at least one number" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_missing_matrix_file_exit_one(tmp_path, capsys):
     assert run_cli([
         "matrix", "--file", str(tmp_path / "absent.txt"), "--mass", "1",

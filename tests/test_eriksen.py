@@ -273,7 +273,7 @@ def test_result_wrapper_rejects_non_unitary():
 
 def _gap_model(delta, seed):
     """(H, w): dim-8 H = V diag(w) V^H with V = exp(0.1 i A) near the identity, A a random
-    Hermitian, and +-delta the eigenvalues nearest zero, +delta in the upper block."""
+    Hermitian, and +-delta, +delta in the upper block, the eigenvalues nearest zero below 0.5."""
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     e, q = np.linalg.eigh(a + a.conj().T)
@@ -286,22 +286,31 @@ def _gap_model(delta, seed):
 # Forward error against the 40-digit reference in units of eps max|w| / min|w|; measured over
 # seeds 0-39 and delta = 1e-1 ... 1e-9: at most 0.22 (eriksen), 0.63 (eriksenalt) and 0.31
 # (lambda), and for U H U^H at most 0.39 (eriksen) and 1.21 (eriksenalt).  An error growing
-# faster than 1 / delta, as eps / delta^2, fails by orders.
+# faster than 1 / delta, as eps / delta^2, fails by orders.  Once the gap is open, at delta = 1
+# and 0.5, the error scales as dim eps instead, so the unit there is eps (max|w| / min|w| + dim):
+# at most 0.53 for lambda, and 1.17 for U and 2.21 for U H U^H, both from eriksenalt.
 FORWARD_ERROR_C = 2.0
 H_FW_FORWARD_ERROR_C = 4.0
+
+
+def _assert_forward_error(h, unit, label):
+    u_ref, lam_ref, h_fw_ref = mp_sign_transform(h)
+    bound = FORWARD_ERROR_C * unit
+    assert relative_norm(sign_operator(h) - lam_ref, lam_ref) <= bound, label
+    for route in (eriksen_transform, eriksen_transform_alt):
+        result = route(h)
+        assert relative_norm(result.transform - u_ref, u_ref) <= bound, (route, label)
+        assert (relative_norm(result.transformed_hamiltonian - h_fw_ref, h_fw_ref)
+                <= H_FW_FORWARD_ERROR_C * unit), (route, label)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_forward_error_grows_as_eps_over_the_gap(seed):
     pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
     for k in range(1, 10):
         h, w = _gap_model(10.0 ** -k, seed)
-        u_ref, lam_ref, h_fw_ref = mp_sign_transform(h)
-        unit = np.finfo(float).eps * np.abs(w).max() / np.abs(w).min()
-        bound = FORWARD_ERROR_C * unit
-        assert relative_norm(sign_operator(h) - lam_ref, lam_ref) <= bound, k
-        for route in (eriksen_transform, eriksen_transform_alt):
-            result = route(h)
-            assert relative_norm(result.transform - u_ref, u_ref) <= bound, (route, k)
-            assert (relative_norm(result.transformed_hamiltonian - h_fw_ref, h_fw_ref)
-                    <= H_FW_FORWARD_ERROR_C * unit), (route, k)
+        _assert_forward_error(h, eps * np.abs(w).max() / np.abs(w).min(), k)
+    for delta in (1.0, 0.5):
+        h, w = _gap_model(delta, seed)
+        _assert_forward_error(h, eps * (np.abs(w).max() / np.abs(w).min() + len(w)), delta)

@@ -20,7 +20,8 @@ from fwlab import (
     weak_field_sqrt,
     weak_field_transform,
 )
-from fwlab.errors import NotCommuting, NotUnitary, OutsideValidityDomain, SingularOperand
+from fwlab.errors import (NonHermitianInput, NotCommuting, NotUnitary, OutsideValidityDomain,
+                          SingularOperand)
 from fwlab.models import DIRAC_ALPHA, DIRAC_BETA, Potential
 
 from oracles import epsilon_operator, principal_sqrt
@@ -168,6 +169,14 @@ def test_weak_field_transform_reports_its_defect():
     assert result.diagnostics.unitarity_residual > 1e-6
     with pytest.raises(NotUnitary):
         FWResult.of(result.transform, h)
+
+
+def test_weak_field_transform_refuses_a_non_finite_root():
+    h, d = build_free_particle(1.0, (0.0, 0.0, 0.75))
+    root = weak_field_sqrt(d)
+    root[0, 0] = np.nan
+    with pytest.raises(NonHermitianInput, match="^operand has non-finite entries$"):
+        weak_field_transform(h, root)
 
 
 def test_weak_field_transform_is_eriksen_on_commuting(commuting_suite):

@@ -67,8 +67,10 @@ def test_read_matrix_header_errors(tmp_path):
 
 
 def test_write_matrix_needs_a_graded_shape(tmp_path):
-    for shape in ((3, 3), (4, 2)):
-        with pytest.raises(DimensionMismatch, match=rf"^entries must be 2n x 2n"):
+    # a stack of graded matrices is refused by its shape before a line is formatted
+    for shape in ((3, 3), (4, 2), (2, 4, 4)):
+        message = f"entries must be 2n x 2n, n >= 1, got shape {shape}"
+        with pytest.raises(DimensionMismatch, match=rf"^{re.escape(message)}$"):
             write_matrix(tmp_path / "m.txt", np.zeros(shape))
     assert not os.listdir(tmp_path)
 
@@ -121,6 +123,10 @@ def test_read_potential_table(tmp_path):
     with pytest.raises(ParseError) as err:
         read_potential_table(path)
     assert f"{path}:3" in str(err.value)
+    path.write_text("0.1 0.2\n")
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}:1: expected one value per "
+                                         r"line, got 2$"):
+        read_potential_table(path)
 
 
 def test_write_text_replaces_atomically(tmp_path):
@@ -129,6 +135,13 @@ def test_write_text_replaces_atomically(tmp_path):
     write_text(path, "second\n")
     assert path.read_text() == "second\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_write_text_onto_a_directory_leaves_no_temp_file(tmp_path):
+    (tmp_path / "out").mkdir()
+    with pytest.raises(IsADirectoryError):
+        write_text(tmp_path / "out", "{}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
 def test_write_text_mode_matches_plain_open(tmp_path):

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from golden.regenerate import FIXTURE, environment, section_hashes
+from golden.regenerate import FIXTURE, environment, moved_sections, section_hashes
 
 
 def test_default_report_bytes_match_the_golden_fixture():
@@ -19,8 +19,5 @@ def test_default_report_bytes_match_the_golden_fixture():
     here = environment()
     if here != fixture["environment"]:
         pytest.skip(f"golden fixture made on {fixture['environment']}, this is {here}")
-    expected, found = fixture["sections"], section_hashes()
-    moved = sorted(f"{name}: {section}" for name in expected.keys() | found.keys()
-                   for section in expected.get(name, {}).keys() | found.get(name, {}).keys()
-                   if expected.get(name, {}).get(section) != found.get(name, {}).get(section))
+    moved = moved_sections(fixture["sections"], section_hashes())
     assert not moved, "sections whose bytes moved:\n" + "\n".join(moved)

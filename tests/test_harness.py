@@ -30,7 +30,7 @@ from fwlab import (
     weak_field_transform,
     write_matrix,
 )
-from fwlab import harness
+from fwlab import exact_case, harness
 from fwlab.errors import DimensionMismatch, FWLabError
 from fwlab.harness import METHOD_TAGS, run_comparisons
 from fwlab.models import KIND_EXPLICIT, KIND_FREE, KIND_LATTICE, KIND_SYNTHETIC
@@ -136,8 +136,8 @@ def test_weak_field_failure_row():
     spec = replace(GAUSS_SPEC, potential=Potential("gaussian", (2.0, 1.0)))
     report = run_comparison(spec)
     row = report.row("weakfield")
-    assert row.error == ("smallest eigenvalue of the approximate root -2.955e-01 "
-                         "is below the gap tolerance 2.731e-10")
+    assert row.error == ("smallest eigenvalue of the approximate root -2.998e-01 "
+                         "is below the gap tolerance 2.735e-10")
     assert row.error_type == "OutsideValidityDomain"
     assert "sqrt_relative_error" in row.extras
     assert row.diagnostics is None
@@ -154,7 +154,7 @@ def test_weak_field_refuses_a_near_zero_root():
     assert report.row("eriksen").error_type == "SingularHamiltonian"
     row = report.row("weakfield")
     assert row.error_type == "OutsideValidityDomain"
-    assert row.error.startswith("smallest eigenvalue of the approximate root 9.")
+    assert row.error.startswith("smallest eigenvalue of the approximate root 1.0")
     assert row.diagnostics is None
     assert report.cross == []
 
@@ -578,6 +578,10 @@ def test_routes_wait_for_their_batch_preparation(monkeypatch, open_gate, lane_co
     assert [ready for method, ready in started if method == "stepwise"] == [False, False]
 
 
+def test_run_comparisons_of_no_models():
+    assert run_comparisons([]) == []
+
+
 def test_batch_of_mixed_shapes(monkeypatch):
     specs = [FREE_SPEC, GAUSS_SPEC]
     with pytest.raises(DimensionMismatch):
@@ -590,10 +594,23 @@ def test_batch_of_mixed_shapes(monkeypatch):
         run_comparisons(specs, ("eriksen", "weakfield"))
 
 
-def test_weak_field_root_whose_error_overflows_leaves():
-    # at m = 1e100 the root's products reach m^2 ||E||, and its error against |H| overflows
+def test_weak_field_root_stays_finite_at_a_huge_mass():
+    # at m = 1e100 every term of the root is of the size of eps, so its error against |H|
+    # stays at rounding
     report = run_comparison(ModelSpec(kind=KIND_SYNTHETIC, mass=1e100, n=4, poly=(0.3, 0.1),
                                       seed=1))
+    assert not report.has_errors()
+    assert report.row("weakfield").extras["sqrt_relative_error"] < 1e-14
+
+
+def test_weak_field_root_whose_error_overflows_leaves(monkeypatch):
+    # a root whose error against |H| overflows leaves the batch before its transform
+    def overflowing(slices, parts):
+        parts, root = exact_case.weak_root_stack(slices, parts)
+        return parts, root * 1e300
+
+    monkeypatch.setattr(harness, "weak_root_stack", overflowing)
+    report = run_comparison(FREE_SPEC)
     row = report.row("weakfield")
     assert (row.error_type, row.error) == (
         "OutsideValidityDomain", "the approximate root's error against |H| overflows")

@@ -8,7 +8,8 @@ negative definite, so H has n positive and n negative eigenvalues, none in
 Eriksen's transform exists.  The metamorphic relations are independent of
 how either route is computed:
 
-- U(cH) = U(H) for c > 0 (eriksen), and stepwise(cH, c m) = stepwise(H, m);
+- U(cH) = U(H) for c > 0 (eriksen), stepwise(cH, c m) = stepwise(H, m), and the weak-field
+  root of (c m, c E, c O) is c times that of (m, E, O);
 - U(W H W^H) = W U(H) W^H for even unitaries W = diag(W1, W2), both routes;
 - each slice of a stacked eigh is its model's own eigh bit for bit, and stepwise on that
   stack in lockstep equals each model's own run bit for bit;
@@ -57,6 +58,7 @@ from fwlab import (
     split_even_odd,
     stepwise_fw,
     u_fw_exact,
+    weak_field_sqrt,
 )
 from fwlab.harness import (METHOD_ERIKSEN, METHOD_EXACT_CASE, METHOD_STEPWISE, METHOD_TAGS,
                            METHOD_WEAK_FIELD, run_comparisons)
@@ -155,6 +157,17 @@ def test_eriksen_scale_invariance(seed, n, mass, gap, coupling, log_scale):
     u = eriksen_transform(h).transform
     scaled = eriksen_transform(10.0 ** log_scale * h).transform
     assert relative_norm(scaled - u, u) <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, n=SIZES, mass=MASSES, gap=st.floats(0.05, 1.0), coupling=st.floats(0.0, 3.0),
+       log_scale=st.floats(-3.0, 3.0))
+def test_weakfield_scale_invariance(seed, n, mass, gap, coupling, log_scale):
+    d = split_even_odd(graded_hamiltonian(seed, n, mass, gap, coupling), mass)
+    scale = 10.0 ** log_scale
+    root = weak_field_sqrt(d)
+    scaled = DiracDecomposition(scale * mass, scale * d.even_part, scale * d.odd_part)
+    assert relative_norm(weak_field_sqrt(scaled) - scale * root, scale * root) <= 1e-12
 
 
 @settings(max_examples=25, deadline=None)
