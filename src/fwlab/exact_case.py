@@ -70,9 +70,11 @@ class ModelStack:
     @classmethod
     def of(cls, ds, h: Spectrum | None = None) -> "ModelStack":
         even, odd = np.stack([d.even_part for d in ds]), np.stack([d.odd_part for d in ds])
-        with np.errstate(over="ignore", invalid="ignore"):  # as quiet as float arithmetic
-            scaled = frobenius(commutator(even, odd)) / (frobenius(even) * frobenius(odd)
-                                                         + NORM_FLOOR)
+        # each part over 2^k near its largest entry or the floor, exactly: no square overflows
+        k = [np.frexp(np.maximum(abs(x).max(axis=(1, 2)), NORM_FLOOR))[1] for x in (even, odd)]
+        e, o = (x * np.ldexp(1.0, -kx)[:, None, None] for x, kx in zip((even, odd), k))
+        scaled = frobenius(commutator(e, o)) / (frobenius(e) * frobenius(o)
+                                                + np.ldexp(NORM_FLOOR, -k[0] - k[1]))
         return cls(h, np.array([[d.mass] for d in ds], dtype=float), even, odd,
                    [CommutationReport(r, r <= COMMUTE_TOL) for r in scaled.tolist()])
 

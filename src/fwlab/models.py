@@ -123,6 +123,13 @@ def parse_potential(text: str) -> Potential:
         raise ParseError(str(exc)) from exc
 
 
+def require_size(n: int, error=ValueError):
+    """``error`` naming n, past float range without its repr, unless 2n <= MAX_DIM."""
+    if 2 * n > MAX_DIM:
+        shown = n if n < 2 ** 1024 else "an int beyond float range"
+        raise error(f"n = {shown} exceeds {MAX_DIM // 2}, as 2n is at most MAX_DIM = {MAX_DIM}")
+
+
 def build_free_particle(mass: float, momentum) -> tuple[np.ndarray, DiracDecomposition]:
     """4x4 free-particle Hamiltonian beta m + alpha . p.
 
@@ -148,8 +155,7 @@ def build_lattice_1d(n: int, length: float, mass: float,
 
     Raises InvalidGrid for 2n > MAX_DIM, n < 4, odd n, or a nonpositive or non-finite length.
     """
-    if 2 * n > MAX_DIM:
-        raise InvalidGrid(f"n = {n} exceeds {MAX_DIM // 2}, as 2n is at most MAX_DIM = {MAX_DIM}")
+    require_size(n, InvalidGrid)
     if n < 4 or n % 2 != 0:
         raise InvalidGrid(f"need an even site count of at least 4, got {n}")
     if not 0.0 < length < np.inf:
@@ -175,8 +181,7 @@ def build_synthetic_commuting(n: int, mass: float, poly, seed) -> tuple[np.ndarr
     so the closed forms apply.  Entries of B are scaled so that ||O||_2
     stays near 2 independent of n.  ValueError for 2n > MAX_DIM or n < 2.
     """
-    if 2 * n > MAX_DIM:
-        raise ValueError(f"n = {n} exceeds {MAX_DIM // 2}, as 2n is at most MAX_DIM = {MAX_DIM}")
+    require_size(n)
     if n < 2:
         raise ValueError(f"block size must be at least 2, got {n}")
     poly = as_number(poly, "poly", shape=(None,))
@@ -220,8 +225,7 @@ class ModelSpec:
         for name, integer in (("length", False), ("n", True), ("seed", True)):
             if (value := getattr(self, name)) is not None:
                 object.__setattr__(self, name, as_number(value, name, integer))
-        if self.n is not None and 2 * self.n > np.iinfo(np.intp).max:  # 2n is H's dimension
-            raise ValueError(f"n must be at most {np.iinfo(np.intp).max // 2}, got a larger int")
+        require_size(self.n or 0)  # the builders' size rule, before describe prints n
         if not isinstance(self.potential, (Potential, type(None))):
             raise ValueError(f"potential must be a Potential, got {self.potential!r}")
         if not isinstance(self.path, (str, os.PathLike, type(None))):  # open(True) opens fd 1

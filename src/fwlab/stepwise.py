@@ -10,8 +10,9 @@ F_upper diag(w) F_lower^H.  The composite U_K ... U_1 = F V^H is unitary and
 drives the odd weight below a tolerance when the coupling is weak enough,
 but its Hermitian generator is not odd: the iteration approaches the
 block-diagonal Hamiltonian without approaching the sign-operator transform.
-``stepwise_lockstep`` steps a stack of models of one shape together, one
-stacked SVD per step, and returns them undiagnosed, as the other routes do;
+A run keeps one series, the odd ratios r_k = ||O_k||_F / ||H||_F; ||S_k||_F = ||O_k||_F / 2m
+is r_k ||H||_F / 2m.  ``stepwise_lockstep`` steps a stack of models of one shape together, one
+stacked SVD and norm per step, and returns them undiagnosed, as the other routes do;
 ``stepwise_fw`` is its stack of one; it equals a report's row only at one BLAS thread.
 """
 
@@ -62,9 +63,10 @@ class ToleranceConfig:
 class StepwiseTrace:
     """Step-by-step record of one iterative run.
 
-    ``iterations`` holds one (index, odd_norm_ratio_before, exponent_norm)
-    entry per performed step; an immediately block-diagonal input performs
-    zero steps and converges with the identity as the result's transform.
+    ``iterations`` holds one (index, odd_norm_ratio_before, exponent_norm) entry of Python
+    numbers per performed step, exponent_norm = ||S_k||_F the odd ratio times ||H||_F / 2m;
+    an immediately block-diagonal input performs zero steps and converges with the identity
+    as the result's transform.
     """
 
     iterations: tuple[tuple[int, float, float], ...]
@@ -72,12 +74,12 @@ class StepwiseTrace:
     stop_reason: str
 
 
-def _stop_reason(ratios, steps: int, tolerances: ToleranceConfig):
-    """The rule that ends a run after ``steps`` steps with odd ratios ``ratios``, or None."""
+def _stop_reason(ratios, tolerances: ToleranceConfig):
+    """The rule that ends a run with odd ratios ``ratios``, one per step and the last, or None."""
     stalled = len(ratios) > STAGNATION_STEPS and all(
         ratios[-j] > STAGNATION_FACTOR * ratios[-j - 1] for j in range(1, STAGNATION_STEPS + 1))
     return (STOP_TOLERANCE if ratios[-1] <= tolerances.stepwise_tol
-            else STOP_MAX_ITERATIONS if steps >= tolerances.max_iterations
+            else STOP_MAX_ITERATIONS if len(ratios) > tolerances.max_iterations
             else STOP_STAGNATION if stalled else None)
 
 
@@ -85,56 +87,47 @@ def stepwise_lockstep(h: Spectrum, masses, tolerances: ToleranceConfig = Toleran
     """``stepwise_fw`` of each (H, mass), all models stepped at once, undiagnosed:
     (U, U H U^H, traces), U and U H U^H stacked in model order.
 
-    ``h`` is the stacked Spectrum of the Hamiltonians.  Each step is one
-    stacked SVD and one set of stacked products over the models still
-    running; numpy runs the same LAPACK and BLAS call on each slice, so each
-    run is bit for bit the run alone.  A model leaves the stack when its own
-    rule fires; a run of zero steps keeps the exact identity and H.
+    ``h`` is the stacked Spectrum of the Hamiltonians.  Each step is one stacked SVD, one set of
+    stacked products and one stacked norm over the models still running; numpy runs the same
+    LAPACK and BLAS call on each slice, so each run is bit for bit the run alone.  A model leaves
+    the stack when its own rule fires; a run of zero steps keeps the exact identity and H.
     """
     if len(masses) != len(h.w):
         raise ValueError(f"{len(h.w)} Hamiltonians need as many masses, got {len(masses)}")
     n = len(beta_signs({"H": h})) // 2
     live = list(range(len(h.w)))  # the model in each slice of the stack
     w, frame, block = h.w[:, None], h.v, h.matrix[:, :n, n:]
-    odd = frobenius(block)
-    for mass, norm in zip(masses, odd.tolist()):
-        require_mass(mass, 2 ** 0.5 * norm, "odd part")  # ||O||_F = sqrt(2) ||B||_F
+    norms = np.maximum(frobenius(h.matrix), NORM_FLOOR).tolist()
+    ratios = [[2 ** 0.5 / norm * b] for norm, b in zip(norms, frobenius(block).tolist())]
+    for mass, norm, run in zip(masses, norms, ratios):
+        require_mass(mass, run[0] * norm, "odd part")  # r_0 ||H||_F = ||O||_F = sqrt(2) ||B||_F
     twice_mass = 2.0 * np.array(masses, dtype=float).reshape(-1, 1, 1)  # not object for 2**70
-    scales = np.sqrt(2.0) / np.maximum(frobenius(h.matrix), NORM_FLOOR)
-    ratios = [[ratio] for ratio in (scales * odd).tolist()]
-    rows, reasons = [[] for _ in live], [None] * len(live)
-    final = np.empty_like(frame)  # each model's frame F when it leaves
+    reasons, final = [None] * len(live), np.empty_like(frame)  # F as each model leaves
     while live:
         for slot, i in enumerate(live):
-            reasons[i] = _stop_reason(ratios[i], len(rows[i]), tolerances)
+            reasons[i] = _stop_reason(ratios[i], tolerances)
             if reasons[i] is not None:
                 final[i] = frame[slot]
         keep = [slot for slot, i in enumerate(live) if reasons[i] is None]
         if len(keep) < len(live):  # a copy per step would slow a stack of one
             live = [live[slot] for slot in keep]
             w, frame, block, twice_mass = w[keep], frame[keep], block[keep], twice_mass[keep]
-            scales = scales[keep]
         if not live:
             break
-        c = block / twice_mass
-        frame = odd_exp(c) @ frame
+        frame = odd_exp(block / twice_mass) @ frame
         block = (frame[:, :n] * w) @ frame[:, n:].conj().swapaxes(1, 2)
-        norms = frobenius(c)  # c is finite, as odd_exp took it, but its square may overflow
-        for k in np.flatnonzero(~np.isfinite(norms)):
-            norms[k] = (scale := np.max(np.abs(c[k]))) * frobenius(c[k] / scale)
-        exponents = (np.sqrt(2.0) * norms).tolist()
-        for i, exponent, ratio in zip(live, exponents, (scales * frobenius(block)).tolist()):
-            rows[i].append((len(rows[i]), ratios[i][-1], exponent))
-            ratios[i].append(ratio)
+        for i, b in zip(live, frobenius(block).tolist()):
+            ratios[i].append(2 ** 0.5 / norms[i] * b)
     # U = F V^H, and U H U^H the Hermitian part of F diag(w) F^H
     transformed = _hermitize((final * h.w[:, None]) @ adjoint(final))
     u = final @ adjoint(h.v)
     del final
-    for i, steps in enumerate(rows):
-        if not steps:
+    traces = []
+    for i, (run, norm, mass, reason) in enumerate(zip(ratios, norms, masses, reasons)):
+        if len(run) == 1:
             u[i], transformed[i] = np.eye(2 * n), h.matrix[i]
-    traces = [StepwiseTrace(tuple(steps), reason == STOP_TOLERANCE, reason)
-              for steps, reason in zip(rows, reasons)]
+        steps = tuple((k, r, r * norm / (2.0 * float(mass))) for k, r in enumerate(run[:-1]))
+        traces.append(StepwiseTrace(steps, reason == STOP_TOLERANCE, reason))
     return u, transformed, traces
 
 

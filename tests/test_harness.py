@@ -30,7 +30,7 @@ from fwlab import (
     weak_field_transform,
     write_matrix,
 )
-from fwlab import exact_case, harness
+from fwlab import harness
 from fwlab.errors import DimensionMismatch, FWLabError
 from fwlab.harness import METHOD_TAGS, run_comparisons
 from fwlab.models import KIND_EXPLICIT, KIND_FREE, KIND_LATTICE, KIND_SYNTHETIC
@@ -603,19 +603,38 @@ def test_weak_field_root_stays_finite_at_a_huge_mass():
     assert report.row("weakfield").extras["sqrt_relative_error"] < 1e-14
 
 
-def test_weak_field_root_whose_error_overflows_leaves(monkeypatch):
-    # a root whose error against |H| overflows leaves the batch before its transform
-    def overflowing(slices, parts):
-        parts, root = exact_case.weak_root_stack(slices, parts)
-        return parts, root * 1e300
+def _strict_json(report):
+    def refuse(name):
+        raise AssertionError(f"{name} is not JSON (RFC 8259)")
 
-    monkeypatch.setattr(harness, "weak_root_stack", overflowing)
-    report = run_comparison(FREE_SPEC)
+    return json.loads(report_json(report), parse_constant=refuse)
+
+
+def test_weak_field_root_whose_error_overflows_leaves(tmp_path):
+    # a root whose error against |H| overflows leaves the batch before its transform: at
+    # m = 1e154, X = {beta m + O, E} has the entry 2m E_11 ~ -1.9e308, so the root does
+    path = tmp_path / "gate.txt"
+    write_matrix(path, np.array([[5e152, 1.0], [1.0, -1e154]]))
+    report = run_comparison(ModelSpec(kind=KIND_EXPLICIT, mass=1e154, path=str(path)))
     row = report.row("weakfield")
     assert (row.error_type, row.error) == (
         "OutsideValidityDomain", "the approximate root's error against |H| overflows")
     assert row.extras == {}
-    assert [r.method for r in report.methods if r.error is not None] == ["weakfield"]
+    assert [r.method for r in report.methods if r.error is not None] == [
+        "exactcase", "weakfield"]
+    _strict_json(report)
+
+
+@pytest.mark.parametrize("mass", [4e153, 5e153, 9e153])
+def test_commutation_residual_of_a_huge_mass_is_finite(tmp_path, mass):
+    # H = sigma_x: E = -beta m and O = sigma_x give ||[E, O]||_F / (||E||_F ||O||_F) = sqrt(2)
+    # whatever m is, though ||[E, O]||_F^2 = 8 m^2 overflows from m ~ 4.7e153
+    path = tmp_path / "sx.txt"
+    write_matrix(path, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    report = run_comparison(ModelSpec(kind=KIND_EXPLICIT, mass=mass, path=str(path)),
+                            ("eriksen",))
+    assert _strict_json(report)["context"]["commutation_residual"] == pytest.approx(
+        np.sqrt(2.0), rel=1e-15)
 
 
 def _refusing_pool(max_workers):

@@ -343,13 +343,13 @@ GAUSS = Potential("gaussian", (0.1, 1.0))
     pytest.param(dict(kind=KIND_LATTICE, mass=1.0, n=8, length=10**400, potential=GAUSS),
                  "length must be a real number, got an int beyond float range",
                  id="length-huge-int"),
-    # n sets H's dimension 2n, so it must be a numpy size; 10**400 raised a raw OverflowError
-    # and 2**70 numpy's unnamed "Maximum allowed size exceeded"
+    # n sets H's dimension 2n, so the spec reads it by the builders' one size rule; 10**400
+    # raised a raw OverflowError and 2**70 numpy's unnamed "Maximum allowed size exceeded"
     pytest.param(dict(kind=KIND_LATTICE, mass=1.0, n=10**400, length=4.0, potential=GAUSS),
-                 f"n must be at most {np.iinfo(np.intp).max // 2}, got a larger int",
+                 "n = an int beyond float range exceeds 1024, as 2n is at most MAX_DIM = 2048",
                  id="lattice-n-huge-int"),
     pytest.param(dict(kind=KIND_SYNTHETIC, mass=1.0, n=2**70, poly=(0.1,), seed=1),
-                 f"n must be at most {np.iinfo(np.intp).max // 2}, got a larger int",
+                 f"n = {2**70} exceeds 1024, as 2n is at most MAX_DIM = 2048",
                  id="synthetic-n-past-numpy"),
 ])
 def test_model_spec_reads_its_numbers_by_one_rule(fields, message):
@@ -525,3 +525,21 @@ def test_builders_refuse_a_dimension_over_the_cap(monkeypatch, n):
         build_lattice_1d(n, 8.0, 1.0, Potential("zero"))
     with pytest.raises(ValueError, match=message):
         build_synthetic_commuting(n, 1.0, (0.1,), 0)
+
+
+@pytest.mark.parametrize("n", [1025, 2**70, 10**400, 10**5000], ids=["1025", "2**70", "10**400",
+                                                                     "10**5000"])
+def test_one_size_rule_names_n(n):
+    # the spec and both builders refuse n by one rule with one message; past float range it is
+    # not printed, as 10**5000 is past the digits Python converts to text
+    shown = n if n < 2**1024 else "an int beyond float range"
+    message = f"n = {shown} exceeds 1024, as 2n is at most MAX_DIM = 2048"
+    for make, error in (
+            (lambda: ModelSpec(kind=KIND_LATTICE, mass=1.0, n=n, length=4.0, potential=GAUSS),
+             ValueError),
+            (lambda: ModelSpec(kind=KIND_SYNTHETIC, mass=1.0, n=n, seed=1), ValueError),
+            (lambda: build_lattice_1d(n, 8.0, 1.0, Potential("zero")), InvalidGrid),
+            (lambda: build_synthetic_commuting(n, 1.0, (0.1,), 0), ValueError)):
+        with pytest.raises(error) as err:
+            make()
+        assert type(err.value) is error and str(err.value) == message

@@ -247,3 +247,16 @@ def test_report_has_one_owner():
             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             and "include_timings" in _parameters(node)] == ["report:report_json"]
+
+
+def test_stepwise_keeps_one_series():
+    # each step of the lockstep takes one stacked norm, the odd ratios', and the exponent norms
+    # are read off them, so no overflow of a second norm needs a rescue
+    path = SRC / "stepwise.py"
+    [function] = [node for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.FunctionDef) and node.name == "stepwise_lockstep"]
+    [loop] = [node for node in ast.walk(function) if isinstance(node, ast.While)]
+    calls = [node for node in ast.walk(loop)
+             if isinstance(node, ast.Call) and ast.unparse(node.func) == "frobenius"]
+    assert len(calls) == 1
+    assert _users(path, lambda node: getattr(node, "attr", None) == "isfinite") == []
