@@ -119,12 +119,15 @@ def as_number(value, name: str, integer: bool = False, rule: str = "", shape: tu
     return value
 
 
-def require_mass(mass: float, norm: float = 0.0, name: str = ""):
-    """ValueError unless 0 < mass < inf and ``norm``, of the part ``name``, over the mass < inf."""
+def require_mass(mass, norm: float = 0.0, name: str = "") -> float:
+    """The mass, read by ``as_number``, as a float; ValueError unless 0 < mass < inf and
+    ``norm``, of the part ``name``, over the mass < inf."""
+    mass = as_number(mass, "mass")
     if not 0.0 < mass < np.inf:
         raise ValueError(f"mass must be positive and finite, got {mass}")
     if not norm / float(mass) < np.inf:
         raise ValueError(f"{name} norm over mass {mass!r} overflows")
+    return float(mass)
 
 
 def beta_signs(operands: dict) -> np.ndarray:
@@ -188,7 +191,7 @@ class DiracDecomposition:
     odd_part: np.ndarray
 
     def __post_init__(self):
-        require_mass(self.mass)
+        object.__setattr__(self, "mass", require_mass(self.mass))
         e, o = (np.asarray(x, dtype=complex) for x in (self.even_part, self.odd_part))
         beta_signs({"even part": e, "odd part": o})
         e, o = even_projection(e), odd_projection(o)
@@ -214,5 +217,5 @@ def split_even_odd(h, mass: float) -> DiracDecomposition:
     """
     signs = beta_signs({"Hamiltonian": h})
     h = require_hermitian(np.asarray(h, dtype=complex), "Hamiltonian")
-    x = h - np.diag(mass * signs)  # no inf * 0 off the diagonal for a bad mass
+    x = h - np.diag(require_mass(mass) * signs)  # the mass read before it meets H
     return DiracDecomposition(mass, x, x)  # __post_init__ projects each part

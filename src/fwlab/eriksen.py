@@ -15,8 +15,7 @@ eigenvalues cos^2 theta_i, each twice, so U exists exactly when X is
 regular.  The polar form U = P Q^H of the SVD 1 + beta lambda = P Sigma Q^H
 is coded separately from lambda as a cross-check.  Entry points taking H
 also accept its ``Spectrum``.  Each route is a kernel on stacks only, one LAPACK
-call per step, that ``_alone`` runs on one model at the caller's BLAS thread count, so it
-gives a report's row bit for bit only at one thread; ``diagnose`` measures a stack as one.
+call per step, that ``_alone`` runs on one model; ``diagnose`` measures a stack as one.
 
 A transform of this family also has a Hermitian generator S = -i log U
 that is odd (anticommutes with beta).  Multi-step schemes produce unitary
@@ -34,7 +33,7 @@ from .algebra import (NORM_FLOOR, adjoint, beta_signs, even_projection, frobeniu
                       odd_norm_ratio, relative_norm)
 from .errors import DegenerateFactor, FWLabError, NonHermitianInput, NotUnitary, SingularOperand
 from .matfunc import (UNITARY_TOL, Slices, Spectrum, _hermitize, check_gap, odd_rotation,
-                      require_gap, unitary_log, unitary_log_stack)
+                      require_gap, single_blas_thread, unitary_log, unitary_log_stack)
 
 
 def hamiltonian_spectrum(h) -> Spectrum:
@@ -81,6 +80,7 @@ class FWResult:
     diagnostics: DiagnosticSet
 
     @classmethod
+    @single_blas_thread()
     def of(cls, u, h, transformed=None, *, unitary=True) -> "FWResult":
         """Result for transform ``u`` of ``h``, all of H's shape (DimensionMismatch); u h u^H is
         built once unless ``transformed``."""
@@ -112,6 +112,7 @@ def diagnose(slices: Slices, h, u, transformed, unitary=True) -> list:
     return results
 
 
+@single_blas_thread()
 def _alone(route, h, *stacks, unitary=True) -> FWResult:
     """FWResult of ``route(Slices(1), H's stack, *stacks)`` -> (H, U, U H U^H) stacks."""
     h, u, transformed = route(Slices(1), hamiltonian_spectrum(h)[None], *stacks)
@@ -170,7 +171,7 @@ def eriksen_transform(h) -> FWResult:
     One n x n solve gives T^H = X^(-H) Y^H, one n x n SVD its angles.
     SingularHamiltonian comes from the sign operator's gap rule;
     SingularOperand when H has not n positive eigenvalues, X is singular, or
-    min cos^2 theta, the smallest eigenvalue of K, fails ``check_gap``.
+    min cos^2 theta, the smallest eigenvalue of K, fails ``check_gap`` at scale 1.
     """
     return _alone(eriksen_stack, h)
 
@@ -193,7 +194,7 @@ def eriksen_stack(slices: Slices, h: Spectrum):
     theta = np.arctan(tan)
     cos2 = np.cos(theta) ** 2
     h, p, theta, qh = slices.gate(
-        lambda slot: check_gap(cos2[slot], SingularOperand, "smallest cos^2 theta"),
+        lambda slot: check_gap(cos2[slot], SingularOperand, "smallest cos^2 theta", 1),
         h, p, theta, qh)
     u = odd_rotation(p, theta, qh)
     del p, qh
@@ -223,7 +224,7 @@ def eriksen_alt_stack(slices: Slices, h: Spectrum):
     del factor
     quarter = (0.5 * sigma) ** 2
     h, p, qh = slices.gate(lambda slot: check_gap(
-        quarter[slot], DegenerateFactor, "smallest (sigma / 2)^2 of 1 + beta*lambda"), h, p, qh)
+        quarter[slot], DegenerateFactor, "smallest (sigma / 2)^2 of 1 + beta*lambda", 1), h, p, qh)
     u = p @ qh
     del p, qh
     return h, u, u @ h.matrix @ adjoint(u)

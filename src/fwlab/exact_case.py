@@ -37,7 +37,8 @@ from .algebra import (NORM_FLOOR, DiracDecomposition, adjoint, anticommutator, b
                       commutator, frobenius)
 from .eriksen import FWResult, _alone
 from .errors import NotCommuting, OutsideValidityDomain, SingularOperand
-from .matfunc import Slices, Spectrum, check_gap, even_function, inv_sqrt_stack, odd_rotation
+from .matfunc import (Slices, Spectrum, check_gap, even_function, inv_sqrt_stack, odd_rotation,
+                      single_blas_thread)
 
 # Commutation residual below which the closed forms are trusted.
 COMMUTE_TOL = 1e-12
@@ -165,6 +166,7 @@ def h_fw_exact(d: DiracDecomposition) -> np.ndarray:
     return beta_signs({"even part": d.even_part})[:, None] * eps + d.even_part
 
 
+@single_blas_thread()
 def weak_field_sqrt(d: DiracDecomposition) -> np.ndarray:
     """Weak-coupling approximation of sqrt(H^2), exact to first order in E.
 

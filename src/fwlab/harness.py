@@ -1,4 +1,4 @@
-"""Schedules the transform catalog over a list of models: batches, lanes and the BLAS pin.
+"""Schedules the transform catalog over a list of models: batches and lanes.
 
 Every method is a route in ``ROUTES`` that gives each model of a batch
 (U, U H U^H) or its error, and the scheduler diagnoses the route's stack as
@@ -8,8 +8,6 @@ into reports.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import functools
 import os
 import threading
@@ -23,7 +21,7 @@ from .algebra import frobenius, relative_norm
 from .eriksen import diagnose, eriksen_alt_stack, eriksen_stack
 from .errors import DimensionMismatch, FWLabError, OutsideValidityDomain
 from .exact_case import ModelStack, u_fw_stack, weak_field_stack, weak_root_stack
-from .matfunc import Slices, Spectrum
+from .matfunc import Slices, Spectrum, single_blas_thread
 from .models import ModelSpec, build_model
 # report_json stays importable from here: the benchmarks call it as harness.report_json
 from .report import ComparisonReport, MethodRow, assemble_report, report_contexts, report_json
@@ -76,58 +74,6 @@ _PARTS_READERS = (METHOD_EXACT_CASE, METHOD_WEAK_FIELD)
 # Lanes open from count * dim^2 >= CONCURRENCY_MIN_DIM^2 (one model at dim 128, 16 at dim 32);
 # below, threads contend for the GIL.
 CONCURRENCY_MIN_DIM = 128
-
-# (get, set) thread-count entry points of the OpenBLAS builds numpy ships: its 64-bit-integer
-# build, its 32-bit one, then a system library.
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-_pins = SimpleNamespace(lock=threading.Lock(), open=0, saved=None)  # see single_blas_thread
-
-
-@functools.cache
-def numpy_openblas():
-    """(get, set) thread-count functions of the OpenBLAS that runs numpy's linalg, or None when
-    numpy uses another BLAS: looked up through the handle of numpy's ``_umath_linalg``, which
-    links it, so nothing is loaded and another library's OpenBLAS is not seen."""
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__, mode=os.RTLD_NOLOAD)
-    except (AttributeError, OSError):  # no RTLD_NOLOAD, as on Windows
-        return None
-    for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-        if hasattr(lib, get_name):
-            return (ctypes.CFUNCTYPE(ctypes.c_int)((get_name, lib)),
-                    ctypes.CFUNCTYPE(None, ctypes.c_int)((set_name, lib)))
-    return None
-
-
-@contextlib.contextmanager
-def single_blas_thread():
-    """Run the block with numpy's OpenBLAS on one thread and yield True, or yield False when
-    numpy runs on another BLAS.  The first of overlapping entries saves the thread count, and
-    the last one out restores it.  At dim <= ~256 threaded BLAS is slower than serial.
-    """
-    controls = numpy_openblas()
-    if controls is None:
-        yield False
-        return
-    get, set_ = controls
-    with _pins.lock:
-        if not _pins.open:
-            _pins.saved = get()
-            set_(1)
-        _pins.open += 1
-    try:
-        yield True
-    finally:
-        with _pins.lock:
-            _pins.open -= 1
-            if not _pins.open:
-                set_(_pins.saved)
-
 
 def lane_batch_size(dim: int) -> int:
     """Fewest models of dimension ``dim`` with count * dim^2 >= CONCURRENCY_MIN_DIM^2."""
@@ -189,9 +135,7 @@ def run_comparisons(specs, methods=METHOD_TAGS,
     context) and yields one task per other method.  Tasks only compute; ``_lane_count`` lanes
     take them in order.  A batch's reports are built once its contexts and every method's
     outcomes are in, each the same as for its spec alone; a row's ``wall_time_seconds`` runs
-    from the start of its method's task on the batch to the end of the diagnostics.  All of
-    it runs under ``single_blas_thread``: numpy's OpenBLAS is on one thread, process-wide,
-    until the last of overlapping calls restores the count.
+    from the start of its method's task to the end of the diagnostics, all under the BLAS pin.
     """
     methods = list(methods)
     if not methods:

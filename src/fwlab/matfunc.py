@@ -10,12 +10,20 @@ Hermitian Cayley transform, has eigenphases in (-pi, pi).  ``odd_rotation``
 and ``even_function`` assemble odd exponentials and even functions from SVD factors.
 ``check_gap`` is the one rule for when an eigenvalue counts as zero.  Kernels run
 on stacks, each slice bit for bit its own call; a ``*_stack`` kernel takes first the
-``Slices`` of the models left, and its single-model name is its stack of one.
+``Slices`` of the models left, and its single-model name is its stack of one.  Every name
+that computes a report row runs under ``single_blas_thread``, so it gives the row's bits at any
+caller's BLAS count; these kernels, the oracle closed forms and ``exponent_oddness`` do not.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import os
+import threading
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -36,6 +44,57 @@ BRANCH_MARGIN = 1e-8
 
 # Absolute tolerance on ||U^H U - 1||_F for logarithm inputs and accepted transforms.
 UNITARY_TOL = 1e-10
+
+# (get, set) thread-count entry points of the OpenBLAS builds numpy ships: its 64-bit-integer
+# build, its 32-bit one, then a system library.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+_pins = SimpleNamespace(lock=threading.Lock(), open=0, saved=None)  # see single_blas_thread
+
+
+@functools.cache
+def numpy_openblas():
+    """(get, set) thread-count functions of the OpenBLAS that runs numpy's linalg, or None when
+    numpy uses another BLAS: looked up through the handle of numpy's ``_umath_linalg``, which
+    links it, so nothing is loaded and another library's OpenBLAS is not seen."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__, mode=os.RTLD_NOLOAD)
+    except (AttributeError, OSError):  # no RTLD_NOLOAD, as on Windows
+        return None
+    for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+        if hasattr(lib, get_name):
+            return (ctypes.CFUNCTYPE(ctypes.c_int)((get_name, lib)),
+                    ctypes.CFUNCTYPE(None, ctypes.c_int)((set_name, lib)))
+    return None
+
+
+@contextlib.contextmanager
+def single_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread and yield True, or yield False when
+    numpy runs on another BLAS.  The first of overlapping entries saves the thread count, and
+    the last one out restores it.  At dim <= ~256 threaded BLAS is slower than serial.
+    """
+    controls = numpy_openblas()
+    if controls is None:
+        yield False
+        return
+    get, set_ = controls
+    with _pins.lock:
+        if not _pins.open:
+            _pins.saved = get()
+            set_(1)
+        _pins.open += 1
+    try:
+        yield True
+    finally:
+        with _pins.lock:
+            _pins.open -= 1
+            if not _pins.open:
+                set_(_pins.saved)
 
 
 def _hermitize(a):
@@ -88,15 +147,15 @@ class Slices:
             return (np.linalg.solve(a, b), *stacks)
 
 
-def check_gap(values, error, what: str):
-    """The gap rule: ``error`` when min ``values`` < GAP_RTOL * max(max |values|, NORM_FLOOR).
+def check_gap(values, error, what: str, scale=None):
+    """The gap rule: ``error`` when min ``values`` < GAP_RTOL * max(scale, NORM_FLOOR).
 
-    ``values`` are an operand's eigenvalues, or |w| for a Hermitian H, so
-    max |values| is its 2-norm; the comparison is signed, so a negative
-    eigenvalue of a positive operand fails too.  ``what`` names the smallest value.
+    ``values`` are an operand's eigenvalues, or |w| for a Hermitian H, and ``scale`` defaults to
+    max |values|, its 2-norm; values of a natural scale, as cos^2 theta in (0, 1], pass it.  The
+    comparison is signed, so a negative eigenvalue of a positive operand fails too.
     """
     smallest = float(np.min(values))
-    floor = GAP_RTOL * max(float(np.max(np.abs(values))), NORM_FLOOR)
+    floor = GAP_RTOL * max(float(np.max(np.abs(values))) if scale is None else scale, NORM_FLOOR)
     if not smallest >= floor:
         raise error(f"{what} {smallest:.3e} is below the gap tolerance {floor:.3e}")
 

@@ -68,7 +68,7 @@ class ComparisonReport:
             "context": vars(self.context),
             "methods": [row.to_dict() for row in self.methods],
             "cross": [vars(row) for row in self.cross],
-            # null: every gap test is the relative rule matfunc.check_gap, not a fixed tolerance
+            # null: every gap test is matfunc.check_gap at its values' own scale, not one tolerance
             "tolerances": {"commute_tol": COMMUTE_TOL, "gap_tol": None, **vars(self.tolerances)},
         }
 

@@ -13,7 +13,7 @@ block-diagonal Hamiltonian without approaching the sign-operator transform.
 A run keeps one series, the odd ratios r_k = ||O_k||_F / ||H||_F; ||S_k||_F = ||O_k||_F / 2m
 is r_k ||H||_F / 2m.  ``stepwise_lockstep`` steps a stack of models of one shape together, one
 stacked SVD and norm per step, and returns them undiagnosed, as the other routes do;
-``stepwise_fw`` is its stack of one; it equals a report's row only at one BLAS thread.
+``stepwise_fw`` is its stack of one.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .algebra import NORM_FLOOR, adjoint, as_number, beta_signs, frobenius, require_mass
 from .eriksen import FWResult, hamiltonian_spectrum
-from .matfunc import Spectrum, _hermitize, odd_exp
+from .matfunc import Spectrum, _hermitize, odd_exp, single_blas_thread
 
 # The run stagnates when the odd ratio fails to shrink by this factor
 # over STAGNATION_STEPS consecutive steps.
@@ -99,9 +99,9 @@ def stepwise_lockstep(h: Spectrum, masses, tolerances: ToleranceConfig = Toleran
     w, frame, block = h.w[:, None], h.v, h.matrix[:, :n, n:]
     norms = np.maximum(frobenius(h.matrix), NORM_FLOOR).tolist()
     ratios = [[2 ** 0.5 / norm * b] for norm, b in zip(norms, frobenius(block).tolist())]
-    for mass, norm, run in zip(masses, norms, ratios):
-        require_mass(mass, run[0] * norm, "odd part")  # r_0 ||H||_F = ||O||_F = sqrt(2) ||B||_F
-    twice_mass = 2.0 * np.array(masses, dtype=float).reshape(-1, 1, 1)  # not object for 2**70
+    masses = [require_mass(mass, run[0] * norm, "odd part")  # r_0 ||H||_F = ||O||_F, a float
+              for mass, norm, run in zip(masses, norms, ratios)]
+    twice_mass = 2.0 * np.array(masses).reshape(-1, 1, 1)
     reasons, final = [None] * len(live), np.empty_like(frame)  # F as each model leaves
     while live:
         for slot, i in enumerate(live):
@@ -126,11 +126,12 @@ def stepwise_lockstep(h: Spectrum, masses, tolerances: ToleranceConfig = Toleran
     for i, (run, norm, mass, reason) in enumerate(zip(ratios, norms, masses, reasons)):
         if len(run) == 1:
             u[i], transformed[i] = np.eye(2 * n), h.matrix[i]
-        steps = tuple((k, r, r * norm / (2.0 * float(mass))) for k, r in enumerate(run[:-1]))
+        steps = tuple((k, r, r * norm / (2.0 * mass)) for k, r in enumerate(run[:-1]))
         traces.append(StepwiseTrace(steps, reason == STOP_TOLERANCE, reason))
     return u, transformed, traces
 
 
+@single_blas_thread()
 def stepwise_fw(h, mass: float,
                 tolerances: ToleranceConfig = ToleranceConfig()) -> tuple[FWResult, StepwiseTrace]:
     """Run the iterative scheme until tolerance, stagnation, or the cap.

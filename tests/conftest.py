@@ -1,4 +1,5 @@
-"""Shared model suites, and fixtures that fake or spy on the lanes of ``run_comparisons``.
+"""Shared model suites, each method's single-model function, and fixtures that fake or spy on
+the lanes of ``run_comparisons``.
 
 Three fixed families, sized so the whole run stays in the seconds range:
 20 free-particle momenta, 10 lattice configurations with n <= 64, and 10
@@ -12,7 +13,9 @@ import os
 import numpy as np
 import pytest
 
-from fwlab import ModelSpec, Potential, build_model, harness
+from fwlab import (ModelSpec, Potential, build_model, eriksen_transform, eriksen_transform_alt,
+                   harness, matfunc, stepwise_fw, u_fw_exact, weak_field_sqrt,
+                   weak_field_transform)
 from fwlab.models import KIND_FREE, KIND_LATTICE, KIND_SYNTHETIC
 
 HAND_MOMENTA = (
@@ -51,6 +54,16 @@ SYNTHETIC_CONFIGS = (
     (5, (0.15,), 8),
     (7, (0.1, 0.02, 0.005), 9),
 )
+
+
+# Each method's single-model function, on (H, decomposition), giving its FWResult.
+SINGLE_MODEL = {
+    "eriksen": lambda h, d: eriksen_transform(h),
+    "eriksenalt": lambda h, d: eriksen_transform_alt(h),
+    "exactcase": lambda h, d: u_fw_exact(d),
+    "stepwise": lambda h, d: stepwise_fw(h, d.mass)[0],
+    "weakfield": lambda h, d: weak_field_transform(h, weak_field_sqrt(d)),
+}
 
 
 def free_specs():
@@ -120,7 +133,7 @@ def open_gate(monkeypatch):
 
     def fake(blas_threads=1, cores=2, min_dim=0):
         controls = None if blas_threads is None else (lambda: blas_threads, lambda count: None)
-        monkeypatch.setattr(harness, "numpy_openblas", lambda: controls)
+        monkeypatch.setattr(matfunc, "numpy_openblas", lambda: controls)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
         monkeypatch.setattr(harness, "CONCURRENCY_MIN_DIM", min_dim)
 

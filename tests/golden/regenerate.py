@@ -1,4 +1,5 @@
-"""Regenerate ``sections.json``: one sha256 per section of the default reports.
+"""Regenerate ``sections.json``, one sha256 per section of the default reports, and
+``values.json``, the same reports' parsed JSON.
 
 Run from the repository root::
 
@@ -16,9 +17,11 @@ A hash per section lets a diff name the rows that moved; before it overwrites th
 file, the script prints the sections whose hash moved against it, the list that
 ``tests/test_golden.py`` reports.
 
-The bytes depend on the BLAS kernels, which OpenBLAS picks by CPU, so the
-file is keyed on numpy's version and OpenBLAS's config string; elsewhere
-``tests/test_golden.py`` skips.
+The bytes depend on the BLAS kernels, which OpenBLAS picks by CPU, so
+``sections.json`` is keyed on numpy's version and OpenBLAS's config string;
+elsewhere the byte test skips.  ``values.json`` holds for every build: its
+discrete entries (keys, error types and messages, stop reasons, iteration
+counts) must match exactly and its floats within FLOAT_ATOL + FLOAT_RTOL * |x|.
 """
 
 from __future__ import annotations
@@ -40,6 +43,12 @@ from fwlab import ModelSpec, Potential, cli, harness  # noqa: E402
 from fwlab import report as reporting  # noqa: E402
 
 FIXTURE = Path(__file__).with_name("sections.json")
+VALUES = Path(__file__).with_name("values.json")
+SUMMARY = "sweep/summary.json"
+
+# How far a float of ``values.json`` may move on another build: OpenBLAS's kernels for other
+# CPUs round differently, and the worst float measured under three of them read 0.032 of this.
+FLOAT_ATOL, FLOAT_RTOL = 1e-12, 1e-9
 
 SWEEP_BASE = "--n 16 --L 8 --mass 1 --potential gaussian:0.4,2"
 SWEEP_VALUES = (0.4, 0.36, 0.32, 0.28, 0.25, 0.22, 0.2, 0.18,
@@ -78,27 +87,54 @@ def _sections(data: dict, csv: str | None = None) -> dict:
     return sections
 
 
-def _report_sections(report) -> dict:
-    return _sections(json.loads(reporting.report_json(report)), reporting.report_csv(report))
-
-
-def section_hashes() -> dict:
-    """{report name: {section: sha256}}; the sweep summary is a report of one section."""
+def covered_reports() -> dict:
+    """{report name: (its JSON text, its CSV text or None)}; the sweep writes JSON only, and its
+    summary is a report of its own."""
     found = {}
     for i, report in enumerate(harness.run_comparisons(free_specs())):
-        found[f"acceptance/free/{i:02d}"] = _report_sections(report)
+        found[f"acceptance/free/{i:02d}"] = report
     for kind, specs in (("lattice", lattice_specs()), ("synthetic", synthetic_specs())):
         for i, spec in enumerate(specs):
-            found[f"acceptance/{kind}/{i:02d}"] = _report_sections(harness.run_comparison(spec))
-    found["lattice-128"] = _report_sections(harness.run_comparison(LATTICE_128))
+            found[f"acceptance/{kind}/{i:02d}"] = harness.run_comparison(spec)
+    found["lattice-128"] = harness.run_comparison(LATTICE_128)
+    found = {name: (reporting.report_json(report), reporting.report_csv(report))
+             for name, report in found.items()}
     with tempfile.TemporaryDirectory() as out:
         cli.main(["sweep", "--base", SWEEP_BASE, "--param", "g",
                   "--values", ",".join(map(repr, SWEEP_VALUES)), "--out", out])
-        for value in SWEEP_VALUES:
-            name = f"report_g{value!r}.json"
-            found[f"sweep/{name}"] = _sections(json.loads(Path(out, name).read_text()))
-        found["sweep/summary.json"] = {"json": _sha(Path(out, "summary.json").read_text())}
+        for name in [f"report_g{value!r}.json" for value in SWEEP_VALUES] + ["summary.json"]:
+            found[f"sweep/{name}"] = Path(out, name).read_text(), None
     return found
+
+
+def section_hashes(reports: dict) -> dict:
+    """{report name: {section: sha256}} of ``covered_reports``; the sweep summary is a report
+    of one section."""
+    return {name: {"json": _sha(text)} if name == SUMMARY else _sections(json.loads(text), csv)
+            for name, (text, csv) in reports.items()}
+
+
+def report_values(reports: dict) -> dict:
+    """{report name: its parsed JSON} of ``covered_reports``."""
+    return {name: json.loads(text) for name, (text, _) in reports.items()}
+
+
+def value_differences(expected, found, where: str = "") -> list[str]:
+    """Where ``found`` differs from ``expected``: a float by more than FLOAT_ATOL +
+    FLOAT_RTOL * |expected|, and any other entry (a key, type, string, int, bool or null) at all;
+    a key one side lacks reads as ``Ellipsis`` there."""
+    if isinstance(expected, dict) and isinstance(found, dict):
+        return [line for key in sorted(expected.keys() | found.keys())
+                for line in value_differences(expected.get(key, ...), found.get(key, ...),
+                                              f"{where}/{key}")]
+    if isinstance(expected, list) and isinstance(found, list) and len(expected) == len(found):
+        return [line for i, (a, b) in enumerate(zip(expected, found))
+                for line in value_differences(a, b, f"{where}/{i}")]
+    if isinstance(expected, float) and isinstance(found, float):
+        same = abs(found - expected) <= FLOAT_ATOL + FLOAT_RTOL * abs(expected)
+    else:
+        same = type(expected) is type(found) and expected == found
+    return [] if same else [f"{where}: {expected!r} -> {found!r}"]
 
 
 def moved_sections(expected: dict, found: dict) -> list[str]:
@@ -109,12 +145,15 @@ def moved_sections(expected: dict, found: dict) -> list[str]:
 
 
 def main() -> None:
-    fixture = {"environment": environment(), "sections": section_hashes()}
+    reports = covered_reports()
+    fixture = {"environment": environment(), "sections": section_hashes(reports)}
     if FIXTURE.exists():
         moved = moved_sections(json.loads(FIXTURE.read_text())["sections"], fixture["sections"])
         print(f"{len(moved)} sections moved against the committed file", *moved, sep="\n")
     FIXTURE.write_text(json.dumps(fixture, indent=1, sort_keys=True) + "\n")
     print(f"wrote {FIXTURE} ({len(fixture['sections'])} reports)")
+    VALUES.write_text(json.dumps(report_values(reports), indent=0, sort_keys=True) + "\n")
+    print(f"wrote {VALUES}")
 
 
 if __name__ == "__main__":

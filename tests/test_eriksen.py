@@ -131,10 +131,10 @@ def test_wrong_positive_count_raises(w):
 
 
 @pytest.mark.parametrize("coupling, singular",
-                         [(1e-8, True), (1e-5, True), (2e-5, False), (1e-4, False)])
+                         [(1e-8, True), (1e-5, True), (2.02e-5, False), (1e-4, False)])
 def test_rotation_angle_floor(coupling, singular):
     # one pair near H = -m beta: cos^2 theta ~ coupling^2 / 4 against the floor
-    # GAP_RTOL * max cos^2 theta ~ 9.8e-11 set by the ordinary pair; both routes
+    # GAP_RTOL * 1 = 1e-10 at cos^2 theta's natural scale; both routes
     # test the same values, eriksenalt as (sigma / 2)^2 of 1 + beta lambda
     h = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
     h[0, 2] = h[2, 0] = 0.3
@@ -145,6 +145,36 @@ def test_rotation_angle_floor(coupling, singular):
         with pytest.raises(DegenerateFactor):
             eriksen_transform_alt(h)
         return
+    u = eriksen_transform(h).transform
+    assert relative_norm(u - eriksen_transform_alt(h).transform, u) <= 1e-10
+
+
+def _angles_near_half_pi(b):
+    # H = [[-2 + A, bC], [bC^H, 0.5 - A]], ||A||_2 = 0.05, ||C||_2 = 1: the positive states lie
+    # in the lower block, so every angle nears pi/2 and cos theta ~ 0.1 b, while the gap holds
+    n, rng = 4, np.random.default_rng(0)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    a += a.conj().T
+    a *= 0.05 / np.linalg.norm(a, 2)
+    c = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    c /= np.linalg.norm(c, 2)
+    eye = np.eye(n)
+    return np.block([[-2.0 * eye + a, b * c], [b * c.conj().T, 0.5 * eye - a]])
+
+
+def test_cos2_gate_fires_when_every_angle_nears_half_pi():
+    # cos^2 theta, K's eigenvalues in (0, 1], is gated at scale 1: a floor of GAP_RTOL times
+    # its largest value would let every angle near pi/2 together, and eriksenalt's U would be
+    # off by ~eps / min cos theta (block diagonality 2.5e-8 here at b = 1e-7)
+    message = "smallest {} 9.526e-17 is below the gap tolerance 1.000e-10"
+    h = _angles_near_half_pi(1e-7)
+    with pytest.raises(SingularOperand, match=re.escape(message.format("cos^2 theta"))):
+        eriksen_transform(h)
+    with pytest.raises(DegenerateFactor, match=re.escape(
+            message.format("(sigma / 2)^2 of 1 + beta*lambda"))):
+        eriksen_transform_alt(h)
+    # at b = 1e-3, min cos^2 theta ~ 1e-8, both routes run and agree
+    h = _angles_near_half_pi(1e-3)
     u = eriksen_transform(h).transform
     assert relative_norm(u - eriksen_transform_alt(h).transform, u) <= 1e-10
 

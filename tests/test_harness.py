@@ -25,16 +25,18 @@ from fwlab import (
     report_csv,
     report_json,
     run_comparison,
+    stepwise_fw,
     u_fw_exact,
     weak_field_sqrt,
     weak_field_transform,
     write_matrix,
 )
-from fwlab import harness
+from fwlab import harness, matfunc
 from fwlab.errors import DimensionMismatch, FWLabError
 from fwlab.harness import METHOD_TAGS, run_comparisons
 from fwlab.models import KIND_EXPLICIT, KIND_FREE, KIND_LATTICE, KIND_SYNTHETIC
 from fwlab.report import json_text
+from conftest import SINGLE_MODEL
 
 FREE_SPEC = ModelSpec(kind=KIND_FREE, mass=1.0, momentum=(0.0, 0.0, 0.75))
 GAUSS_SPEC = ModelSpec(
@@ -104,31 +106,21 @@ def test_routes_call_their_module_functions_at_run_time(monkeypatch):
     assert report.row("weakfield").diagnostics is not None
 
 
-# Each one-shot method's single-model function, on (H, decomposition).
-SINGLE_MODEL = {
-    "eriksen": lambda h, d: eriksen_transform(h),
-    "eriksenalt": lambda h, d: eriksen_transform_alt(h),
-    "exactcase": lambda h, d: u_fw_exact(d),
-    "weakfield": lambda h, d: weak_field_transform(h, weak_field_sqrt(d)),
-}
-
-
 def test_single_model_functions_match_their_rows(full_suite):
-    # a single-model function is its route on a stack of one, so on the one BLAS thread the
-    # rows run at, it gives the row's diagnostics bit for bit, or the row's error
+    # a single-model function is its route on a stack of one under the rows' BLAS pin, so it
+    # gives the row's diagnostics bit for bit, or the row's error
     outcomes = Counter()
     for spec, h, d in full_suite:
         report = run_comparison(spec)
         for method, alone in SINGLE_MODEL.items():
             row = report.row(method)
             try:
-                with harness.single_blas_thread():
-                    found = alone(h, d).diagnostics, None, None
+                found = alone(h, d).diagnostics, None, None
             except FWLabError as exc:
                 found = None, type(exc).__name__, str(exc)
             assert found == (row.diagnostics, row.error_type, row.error), (spec.describe(), method)
             outcomes[row.error_type] += 1
-    assert sum(outcomes.values()) == 160 and 0 < outcomes[None] < 160
+    assert sum(outcomes.values()) == 200 and 0 < outcomes[None] < 200
 
 
 def test_weak_field_failure_row():
@@ -774,7 +766,7 @@ def test_later_build_error_propagates_and_joins(monkeypatch, open_gate, lane_cou
 @pytest.fixture
 def blas_controls():
     """[numpy's OpenBLAS controls], set to 2 threads and restored afterwards."""
-    controls = [harness.numpy_openblas()]
+    controls = [matfunc.numpy_openblas()]
     if controls == [None]:
         pytest.skip("numpy does not run on OpenBLAS")
     original = [get() for get, _ in controls]
@@ -836,11 +828,11 @@ def test_comparisons_run_on_one_blas_thread_and_restore_it(blas_controls, monkey
 
 
 def test_comparisons_without_openblas_leave_threads_alone(blas_controls, monkeypatch):
-    monkeypatch.setattr(harness, "numpy_openblas", lambda: None)
+    monkeypatch.setattr(matfunc, "numpy_openblas", lambda: None)
     seen = _spy_blas_counts(monkeypatch, blas_controls)
     run_comparison(FREE_SPEC, ("eriksen",))
     assert seen == [[2] * len(blas_controls)]
-    with harness.single_blas_thread() as pinned:
+    with matfunc.single_blas_thread() as pinned:
         assert pinned is False
 
 
@@ -856,9 +848,34 @@ def test_reports_do_not_depend_on_the_callers_blas_count(blas_controls):
     assert texts[0] == texts[1]
 
 
+# A dim-256 non-commuting lattice and a dim-256 commuting synthetic model, where threaded BLAS
+# splits its products differently from one thread
+LATTICE_256 = ModelSpec(kind=KIND_LATTICE, mass=1.0, n=128, length=25.0,
+                        potential=Potential("gaussian", (0.15, 2.0)))
+SYNTHETIC_256 = ModelSpec(kind=KIND_SYNTHETIC, mass=1.0, n=128, poly=(0.1, 0.03), seed=0)
+
+
+def test_single_model_functions_do_not_depend_on_the_callers_blas_count(blas_controls):
+    # each name that computes a report row pins BLAS itself, so a caller at two threads gets
+    # the bits of one
+    (h, d), (_, commuting) = build_model(LATTICE_256), build_model(SYNTHETIC_256)
+    calls = (lambda: eriksen_transform(h), lambda: eriksen_transform_alt(h),
+             lambda: weak_field_transform(h, weak_field_sqrt(d)),
+             lambda: stepwise_fw(h, d.mass)[0], lambda: u_fw_exact(commuting))
+    found = []
+    for count in (2, 1):
+        for _, set_ in blas_controls:
+            set_(count)
+        found.append([(result.transform, result.diagnostics)
+                      for result in (call() for call in calls)])
+        assert _blas_counts(blas_controls) == [count] * len(blas_controls)
+    for (u, diagnostics), (u_alone, diagnostics_alone) in zip(*found):
+        assert np.array_equal(u, u_alone) and diagnostics == diagnostics_alone
+
+
 def test_overlapping_pins_restore_at_the_last_exit(blas_controls):
     # two library calls on other threads may enter A, B and leave A, B
-    first, second = harness.single_blas_thread(), harness.single_blas_thread()
+    first, second = matfunc.single_blas_thread(), matfunc.single_blas_thread()
     entered = [first.__enter__(), second.__enter__()]
     assert _blas_counts(blas_controls) == [1] * len(blas_controls)
     first.__exit__(None, None, None)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import fwlab
-from fwlab import harness, models
+from fwlab import matfunc, models
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fwlab"
 
@@ -101,7 +101,7 @@ def test_blas_is_found_through_numpy_only():
     paths = sorted(SRC.rglob("*.py"))
     assert [user for path in paths for user in _users(path, _opens_proc)] == []
     assert {user for path in paths for user in _users(path, _names_cdll)} == {
-        "harness:numpy_openblas"}
+        "matfunc:numpy_openblas"}
 
 
 def _names(name):
@@ -111,12 +111,16 @@ def _names(name):
 
 
 def test_one_pin_sets_blas():
-    # every comparison, from the CLI or the library, runs under the one pin, and only the pin
-    # reads or sets the thread count
+    # every name that computes a report row, from the CLI or the library, runs under the one pin
+    # (entered by ``with`` or as a decorator), and only the pin reads or sets the thread count
     paths = sorted(SRC.rglob("*.py"))
-    for name, owner in (("numpy_openblas", "harness:single_blas_thread"),
-                        ("single_blas_thread", "harness:run_comparisons")):
-        assert [user for path in paths for user in _users(path, _names(name))] == [owner]
+    assert [user for path in paths for user in _users(path, _names("numpy_openblas"))] == [
+        "matfunc:single_blas_thread"]
+    pinned = [user for path in paths for user in _users(
+        path, lambda node: isinstance(node, ast.Name) and node.id == "single_blas_thread")]
+    assert sorted(pinned) == ["eriksen:_alone", "eriksen:of", "exact_case:weak_field_sqrt",
+                              "harness:run_comparisons", "stepwise:stepwise_fw"]
+    assert not {"ctypes", "contextlib"} & _imported(SRC / "harness.py")
 
 
 def _kind_name(node):
@@ -139,7 +143,7 @@ def test_one_lock_sets_up_each_batch():
 
 def test_numpy_openblas_round_trip():
     pytest.importorskip("scipy.linalg")  # its own OpenBLAS is loaded beside numpy's
-    controls = harness.numpy_openblas()
+    controls = matfunc.numpy_openblas()
     if controls is None:
         pytest.skip("numpy does not run on OpenBLAS")
     assert len(controls) == 2 and all(callable(f) for f in controls)
@@ -151,7 +155,7 @@ def test_numpy_openblas_round_trip():
             assert get() == count
     finally:
         set_(before)
-    assert harness.numpy_openblas() is controls
+    assert matfunc.numpy_openblas() is controls
 
 
 def _top_level_users(path, matches):

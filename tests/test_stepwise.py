@@ -17,6 +17,7 @@ from fwlab import (
     odd_projection,
     relative_norm,
     run_comparison,
+    split_even_odd,
     stepwise_fw,
 )
 from fwlab.models import KIND_LATTICE, Potential
@@ -123,6 +124,19 @@ def test_parameter_gates():
         stepwise_fw(h, -1.0)
     with pytest.raises(ValueError):
         stepwise_fw(h, 1.0, ToleranceConfig(stepwise_tol=0.0))
+    # a mass taken directly is read by as_number, as a ModelSpec's is
+    for mass, message in (
+        (10**400, "mass must be a real number, got an int beyond float range"),
+        (True, "mass must be a real number, got True"),
+        (1 + 0j, "mass must be a real number, got (1+0j)"),
+        (np.array([1.0]), "mass must be a real number, got array([1.])"),
+        ("1", "mass must be a real number, got '1'"),
+    ):
+        for entry in (stepwise_fw, split_even_odd):
+            with pytest.raises(ValueError) as err:
+                entry(h, mass)
+            assert str(err.value) == message, entry.__name__
+    assert type(split_even_odd(h, np.float32(1.0)).mass) is float
     # stopping rules that cannot work; tol = inf "converged" after 0 steps on this
     # lattice, whose block diagonality is 0.58
     h, _ = build_lattice_1d(16, 8.0, 1.0, Potential("gaussian", (0.2, 1.0)))
