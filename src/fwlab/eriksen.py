@@ -15,7 +15,8 @@ eigenvalues cos^2 theta_i, each twice, so U exists exactly when X is
 regular.  The polar form U = P Q^H of the SVD 1 + beta lambda = P Sigma Q^H
 is coded separately from lambda as a cross-check.  Entry points taking H
 also accept its ``Spectrum``.  Each route is a kernel on stacks only, one LAPACK
-call per step, that ``_alone`` runs on one model; ``diagnose`` measures a stack as one.
+call per step, that ``_alone`` runs on one model; ``diagnose`` measures a stack as one and
+applies ``matfunc.check_unitarity``, the one unitarity verdict; ``FWResult`` is a plain record.
 
 A transform of this family also has a Hermitian generator S = -i log U
 that is odd (anticommutes with beta).  Multi-step schemes produce unitary
@@ -31,9 +32,11 @@ import numpy as np
 
 from .algebra import (NORM_FLOOR, adjoint, beta_signs, even_projection, frobenius,
                       odd_norm_ratio, relative_norm)
-from .errors import DegenerateFactor, FWLabError, NonHermitianInput, NotUnitary, SingularOperand
-from .matfunc import (UNITARY_TOL, Slices, Spectrum, _hermitize, check_gap, odd_rotation,
-                      require_gap, single_blas_thread, unitary_log, unitary_log_stack)
+from .errors import (DegenerateFactor, DimensionMismatch, FWLabError, NonHermitianInput, NotUnitary,
+                     SingularOperand)
+from .matfunc import (Slices, Spectrum, _hermitize, check_gap, check_unitarity, odd_rotation,
+                      require_finite, require_gap, single_blas_thread, unitary_log,
+                      unitary_log_stack)
 
 
 def hamiltonian_spectrum(h) -> Spectrum:
@@ -68,12 +71,8 @@ class DiagnosticSet:
 
 @dataclass(frozen=True)
 class FWResult:
-    """A produced transform together with the transformed Hamiltonian.
-
-    Construction verifies unitarity: the diagnostics' ||U^H U - 1||_F must not exceed
-    UNITARY_TOL, save for ``of(..., unitary=False)``, which the weak-field transform,
-    unitary only as far as its approximate root is exact, uses to report its defect.
-    """
+    """A produced transform, the transformed Hamiltonian and their diagnostics: a record.  The
+    unitarity verdict is ``check_unitarity``'s, applied by ``diagnose`` and so by ``of``."""
 
     transform: np.ndarray
     transformed_hamiltonian: np.ndarray
@@ -83,33 +82,27 @@ class FWResult:
     @single_blas_thread()
     def of(cls, u, h, transformed=None, *, unitary=True) -> "FWResult":
         """Result for transform ``u`` of ``h``, all of H's shape (DimensionMismatch); u h u^H is
-        built once unless ``transformed``."""
+        built once unless ``transformed``.  ``unitary=False`` skips the unitarity verdict, as
+        for the weak-field transform, unitary only as far as its approximate root is exact."""
         beta_signs({"H": h, "U": u, "U H U^H": transformed})
         h, u = hamiltonian_spectrum(h), np.asarray(u, dtype=complex)
-        for x, error, name in ((u, NotUnitary, "U"), (transformed, NonHermitianInput, "U H U^H")):
-            if x is not None and not np.isfinite(x).all():
-                raise error(f"{name} has non-finite entries")
+        require_finite(u)
         transformed = u @ h.matrix @ adjoint(u) if transformed is None else transformed
         return diagnose(Slices(1), h[None], u[None], transformed[None], unitary)[0]
-
-    def __post_init__(self):
-        defect = self.diagnostics.unitarity_residual
-        if defect > UNITARY_TOL:
-            raise NotUnitary(f"||U^H U - 1||_F = {defect:.3e} exceeds {UNITARY_TOL:.1e}")
-
-
-class _Approximate(FWResult):
-    def __post_init__(self):
-        """No unitarity check: a result of ``FWResult.of(..., unitary=False)``."""
 
 
 def diagnose(slices: Slices, h, u, transformed, unitary=True) -> list:
     """FWResults of stacks ``h`` (a Spectrum), ``u`` and ``transformed``, in slice order; a slice
-    failing the NotUnitary gate (unless not ``unitary``) leaves ``slices``."""
-    diagnostics, results = compute_diagnostics(u, h, transformed), []
-    kind = FWResult if unitary else _Approximate
-    slices.gate(lambda slot: results.append(kind(u[slot], transformed[slot], diagnostics[slot])))
-    return results
+    that ``require_finite`` or, if ``unitary``, ``check_unitarity`` refuses leaves ``slices``."""
+    try:
+        diagnostics = compute_diagnostics(u, h, transformed)
+    except (NotUnitary, NonHermitianInput):  # ``require_finite`` found a non-finite slice
+        h, u, transformed = slices.gate(
+            lambda slot: require_finite(u[slot], transformed[slot]), h, u, transformed)
+        diagnostics = compute_diagnostics(u, h, transformed)
+    kept, = slices.gate(lambda slot: unitary and check_unitarity(
+        diagnostics[slot].unitarity_residual), np.arange(len(diagnostics)))
+    return [FWResult(u[slot], transformed[slot], diagnostics[slot]) for slot in kept]
 
 
 @single_blas_thread()
@@ -136,16 +129,17 @@ def exponent_oddness(u) -> float:
 
 
 def compute_diagnostics(u, h, transformed):
-    """Evaluate the full diagnostic set for a transform of ``h``.
+    """The full diagnostic set of each transform of a stack: a list, in slice order.
 
-    ``spectrum_drift`` is the largest sorted-eigenvalue displacement between
-    ``h`` and ``transformed`` = u h u^H, relative to ||h||_F.  A stack (``h`` a stacked
-    Spectrum) gives a list; one matrix, the diagnostics of ``FWResult.of(..., unitary=False)``.
-    DimensionMismatch unless all are of H's shape.
+    ``h`` is a stacked Spectrum and ``u``, ``transformed`` = u h u^H stacks of H's shape
+    (DimensionMismatch, as for one matrix).  ``spectrum_drift`` is the largest sorted-eigenvalue
+    displacement between ``h`` and ``transformed``, relative to ||h||_F.  A non-finite slice
+    raises ``require_finite``'s error before any arithmetic.
     """
-    if np.ndim(u) == 2:
-        return FWResult.of(u, h, transformed, unitary=False).diagnostics
-    signs = beta_signs({"H": h, "U": u, "U H U^H": transformed})
+    signs, u = beta_signs({"H": h, "U": u, "U H U^H": transformed}), np.asarray(u, dtype=complex)
+    if u.ndim != 3:
+        raise DimensionMismatch(f"U must be a stack of 2n x 2n matrices, got shape {u.shape}")
+    require_finite(u, transformed)
     gram = adjoint(u) @ u
     gram -= np.eye(len(signs))
     unitarity = frobenius(gram).tolist()

@@ -8,7 +8,8 @@ of a positive operator is the positive one, the sign of H comes from the
 eigenvalues of H itself, and the logarithm of a unitary, taken from its
 Hermitian Cayley transform, has eigenphases in (-pi, pi).  ``odd_rotation``
 and ``even_function`` assemble odd exponentials and even functions from SVD factors.
-``check_gap`` is the one rule for when an eigenvalue counts as zero.  Kernels run
+``check_gap`` is the one rule for when an eigenvalue counts as zero, ``check_unitarity`` the one
+unitarity verdict and ``require_finite`` the one finiteness check of U and U H U^H.  Kernels run
 on stacks, each slice bit for bit its own call; a ``*_stack`` kernel takes first the
 ``Slices`` of the models left, and its single-model name is its stack of one.  Every name
 that computes a report row runs under ``single_blas_thread``, so it gives the row's bits at any
@@ -28,13 +29,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .algebra import NORM_FLOOR, adjoint, frobenius, require_hermitian
-from .errors import (
-    BranchCutProximity,
-    FWLabError,
-    NotUnitary,
-    SingularHamiltonian,
-    SingularOperand,
-)
+from .errors import (BranchCutProximity, FWLabError, NonHermitianInput, NotUnitary,
+                     SingularHamiltonian, SingularOperand)
 
 # Relative spectral-gap tolerance; read only by ``check_gap``.
 GAP_RTOL = 1e-10
@@ -42,7 +38,7 @@ GAP_RTOL = 1e-10
 # Minimum distance of a unitary eigenphase from the +-pi branch cut.
 BRANCH_MARGIN = 1e-8
 
-# Absolute tolerance on ||U^H U - 1||_F for logarithm inputs and accepted transforms.
+# Absolute tolerance on ||U^H U - 1||_F of accepted transforms; read only by ``check_unitarity``.
 UNITARY_TOL = 1e-10
 
 # (get, set) thread-count entry points of the OpenBLAS builds numpy ships: its 64-bit-integer
@@ -267,16 +263,27 @@ def unitary_log(u) -> np.ndarray:
     return unitary_log_stack(Slices(1), np.asarray(u, dtype=complex)[None])[0]
 
 
+def check_unitarity(defect):
+    """The unitarity verdict: NotUnitary unless a U's ||U^H U - 1||_F ``defect`` <= UNITARY_TOL."""
+    if not defect <= UNITARY_TOL:
+        raise NotUnitary(f"||U^H U - 1||_F = {defect:.3e} exceeds {UNITARY_TOL:.1e}")
+
+
+def require_finite(u, transformed=None):
+    """NotUnitary for a non-finite U, else NonHermitianInput for a non-finite U H U^H (if any)."""
+    for x, error, name in ((u, NotUnitary, "U"), (transformed, NonHermitianInput, "U H U^H")):
+        if x is not None and not np.isfinite(x).all():
+            raise error(f"{name} has non-finite entries")
+
+
 def unitary_log_stack(slices: Slices, u, defect=None) -> np.ndarray:
     """``unitary_log`` of each slice of ``u`` left; ``defect``, if given: each ||u^H u - 1||_F."""
     eye = np.eye(u.shape[-1])
 
     def usable(slot):
-        if not np.isfinite(u[slot]).all():
-            raise NotUnitary("U has non-finite entries")
-        value = frobenius(adjoint(u[slot]) @ u[slot] - eye) if defect is None else defect[slot]
-        if not value <= UNITARY_TOL:
-            raise NotUnitary(f"||U^H U - 1||_F = {value:.3e} exceeds {UNITARY_TOL:.1e}")
+        require_finite(u[slot])
+        check_unitarity(frobenius(adjoint(u[slot]) @ u[slot] - eye) if defect is None
+                        else defect[slot])
 
     u, = slices.gate(usable, u)
     cayley, = slices.solve(eye + u, eye - u, BranchCutProximity,

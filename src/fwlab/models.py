@@ -137,6 +137,7 @@ def build_free_particle(mass: float, momentum) -> tuple[np.ndarray, DiracDecompo
     commuting for every momentum; the spectrum is +-sqrt(m^2 + |p|^2),
     each twofold.
     """
+    mass = require_mass(mass)
     h = mass * DIRAC_BETA
     for component, alpha in zip(as_number(momentum, "momentum", shape=(3,)), DIRAC_ALPHA):
         h = h + component * alpha
@@ -153,8 +154,10 @@ def build_lattice_1d(n: int, length: float, mass: float,
     Layout is upper component block first: beta = diag(I_n, -I_n), the
     kinetic term is purely odd, and the potential is even.
 
-    Raises InvalidGrid for 2n > MAX_DIM, n < 4, odd n, or a nonpositive or non-finite length.
+    Raises InvalidGrid for 2n > MAX_DIM, n < 4, odd n, or a nonpositive or non-finite length,
+    and ValueError for an n, length (``as_number``) or mass (``require_mass``) not a number.
     """
+    n, length, mass = as_number(n, "n", True), as_number(length, "length"), require_mass(mass)
     require_size(n, InvalidGrid)
     if n < 4 or n % 2 != 0:
         raise InvalidGrid(f"need an even site count of at least 4, got {n}")
@@ -179,8 +182,9 @@ def build_synthetic_commuting(n: int, mass: float, poly, seed) -> tuple[np.ndarr
     A random complex n x n block B gives the odd part O = [[0, B], [B^H, 0]];
     the even part sum_k poly[k] (O^2)^k then commutes with O identically,
     so the closed forms apply.  Entries of B are scaled so that ||O||_2
-    stays near 2 independent of n.  ValueError for 2n > MAX_DIM or n < 2.
+    stays near 2 independent of n.  ValueError for 2n > MAX_DIM, n < 2, or a non-integer n or seed.
     """
+    n, seed = as_number(n, "n", True), as_number(seed, "seed", True)
     require_size(n)
     if n < 2:
         raise ValueError(f"block size must be at least 2, got {n}")
@@ -271,6 +275,5 @@ def build_model(spec: ModelSpec) -> tuple[np.ndarray, DiracDecomposition]:
 
     ValueError for a bad mass, an unknown kind, or a missing field its kind reads.
     """
-    require_mass(spec.mass)
     build, _ = _kind(spec)
     return build(spec)

@@ -101,7 +101,7 @@ def stepwise_lockstep(h: Spectrum, masses, tolerances: ToleranceConfig = Toleran
     ratios = [[2 ** 0.5 / norm * b] for norm, b in zip(norms, frobenius(block).tolist())]
     masses = [require_mass(mass, run[0] * norm, "odd part")  # r_0 ||H||_F = ||O||_F, a float
               for mass, norm, run in zip(masses, norms, ratios)]
-    twice_mass = 2.0 * np.array(masses).reshape(-1, 1, 1)
+    live_masses = np.array(masses).reshape(-1, 1, 1)  # S_k is O_k / m halved: 2m may overflow
     reasons, final = [None] * len(live), np.empty_like(frame)  # F as each model leaves
     while live:
         for slot, i in enumerate(live):
@@ -111,10 +111,10 @@ def stepwise_lockstep(h: Spectrum, masses, tolerances: ToleranceConfig = Toleran
         keep = [slot for slot, i in enumerate(live) if reasons[i] is None]
         if len(keep) < len(live):  # a copy per step would slow a stack of one
             live = [live[slot] for slot in keep]
-            w, frame, block, twice_mass = w[keep], frame[keep], block[keep], twice_mass[keep]
+            w, frame, block, live_masses = w[keep], frame[keep], block[keep], live_masses[keep]
         if not live:
             break
-        frame = odd_exp(block / twice_mass) @ frame
+        frame = odd_exp(block / live_masses * 0.5) @ frame
         block = (frame[:, :n] * w) @ frame[:, n:].conj().swapaxes(1, 2)
         for i, b in zip(live, frobenius(block).tolist()):
             ratios[i].append(2 ** 0.5 / norms[i] * b)
@@ -126,7 +126,7 @@ def stepwise_lockstep(h: Spectrum, masses, tolerances: ToleranceConfig = Toleran
     for i, (run, norm, mass, reason) in enumerate(zip(ratios, norms, masses, reasons)):
         if len(run) == 1:
             u[i], transformed[i] = np.eye(2 * n), h.matrix[i]
-        steps = tuple((k, r, r * norm / (2.0 * mass)) for k, r in enumerate(run[:-1]))
+        steps = tuple((k, r, r * norm / mass * 0.5) for k, r in enumerate(run[:-1]))
         traces.append(StepwiseTrace(steps, reason == STOP_TOLERANCE, reason))
     return u, transformed, traces
 

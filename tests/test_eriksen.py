@@ -33,7 +33,9 @@ from fwlab.errors import (
     NotUnitary,
     SingularOperand,
 )
+from fwlab.eriksen import diagnose
 from fwlab.harness import METHOD_ERIKSEN, METHOD_ERIKSEN_ALT
+from fwlab.matfunc import Slices
 from fwlab.models import DIRAC_ALPHA, DIRAC_BETA, KIND_LATTICE, build_free_particle
 from oracles import mp_sign_transform
 
@@ -149,10 +151,10 @@ def test_rotation_angle_floor(coupling, singular):
     assert relative_norm(u - eriksen_transform_alt(h).transform, u) <= 1e-10
 
 
-def _angles_near_half_pi(b):
+def _angles_near_half_pi(b, seed=0):
     # H = [[-2 + A, bC], [bC^H, 0.5 - A]], ||A||_2 = 0.05, ||C||_2 = 1: the positive states lie
     # in the lower block, so every angle nears pi/2 and cos theta ~ 0.1 b, while the gap holds
-    n, rng = 4, np.random.default_rng(0)
+    n, rng = 4, np.random.default_rng(seed)
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     a += a.conj().T
     a *= 0.05 / np.linalg.norm(a, 2)
@@ -196,7 +198,12 @@ def test_step_crossing_near_gap():
 
 def test_identity_transform_diagnostics():
     h, _ = build_free_particle(1.0, (0.0, 0.0, 0.75))
-    diag = compute_diagnostics(np.eye(4), h, h)
+    [diag] = compute_diagnostics(np.eye(4)[None], Spectrum.of(h)[None], h[None])
+    assert FWResult.of(np.eye(4), h, h, unitary=False).diagnostics == diag
+    # one matrix has FWResult.of's diagnostics; compute_diagnostics takes stacks only
+    with pytest.raises(DimensionMismatch, match=re.escape(
+            "U must be a stack of 2n x 2n matrices, got shape (4, 4)")):
+        compute_diagnostics(np.eye(4), h, h)
     assert diag.unitarity_residual == 0.0
     assert diag.eriksen_condition_residual == 0.0
     assert diag.block_diagonality == pytest.approx(0.6, rel=1e-14)
@@ -237,7 +244,8 @@ def test_diagnostics_reuse_transformed_hamiltonian():
     h, _ = build_free_particle(1.0, (0.3, 0.4, 0.0))
     for result in (eriksen_transform(h), eriksen_transform_alt(h)):
         u = result.transform
-        assert result.diagnostics == compute_diagnostics(u, h, u @ h @ u.conj().T)
+        again = FWResult.of(u, h, u @ h @ u.conj().T, unitary=False)
+        assert result.diagnostics == again.diagnostics
         np.testing.assert_array_equal(result.transformed_hamiltonian, u @ h @ u.conj().T)
 
 
@@ -248,14 +256,38 @@ def test_single_model_diagnostics_reject_non_finite_operands(bad):
     result = eriksen_transform(h)
     u, transformed = result.transform.copy(), result.transformed_hamiltonian.copy()
     u[0, 1], transformed[1, 1] = bad, bad
+    spectra = Spectrum.of(h)[None]
     for call in (lambda: FWResult.of(u, h),
-                 lambda: compute_diagnostics(u, h, result.transformed_hamiltonian)):
+                 lambda: compute_diagnostics(u[None], spectra,
+                                             result.transformed_hamiltonian[None])):
         with pytest.raises(NotUnitary, match="^U has non-finite entries$"):
             call()
     for call in (lambda: FWResult.of(result.transform, h, transformed),
-                 lambda: compute_diagnostics(result.transform, h, transformed)):
+                 lambda: compute_diagnostics(result.transform[None], spectra, transformed[None])):
         with pytest.raises(NonHermitianInput, match="^U H U\\^H has non-finite entries$"):
             call()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_stacked_diagnostics_refuse_a_non_finite_slice_by_name(bad):
+    # once numpy's RuntimeWarnings and DiagnosticSet's ValueError for a bad U, and LAPACK's
+    # "Eigenvalues did not converge" for a bad U H U^H; diagnose drops only the bad slice
+    h, _ = build_free_particle(1.0, (0.3, 0.4, 0.0))
+    result = eriksen_transform(h)
+    spectra = Spectrum.of(h)[None][[0, 0]]
+    u, transformed = (np.stack([x, x]) for x in (result.transform, result.transformed_hamiltonian))
+    for operand, error, name in ((u, NotUnitary, "U"), (transformed, NonHermitianInput, "U H U^H")):
+        good = operand[1].copy()
+        operand[1, 0, 1] = bad
+        with pytest.raises(error, match=f"^{re.escape(name)} has non-finite entries$"):
+            compute_diagnostics(u, spectra, transformed)
+        slices = Slices(2)
+        [kept] = diagnose(slices, spectra, u, transformed)
+        assert slices.index == [0]
+        assert slices.errors == {1: (error, f"{name} has non-finite entries")}
+        assert kept.diagnostics == result.diagnostics
+        np.testing.assert_array_equal(kept.transform, result.transform)
+        operand[1] = good
 
 
 # Each entry point that takes several operands, called on a 4x4 H (and its decomposition d)
@@ -296,9 +328,9 @@ def test_diagnostics_reject_negative_entries():
 
 def test_result_wrapper_rejects_non_unitary():
     h, _ = build_free_particle(1.0, (0.0, 0.0, 0.1))
-    # the wrapper reads the residual its diagnostics already measured
-    with pytest.raises(NotUnitary):
-        FWResult(2.0 * np.eye(4), h, compute_diagnostics(2.0 * np.eye(4), h, 4.0 * h))
+    # the verdict reads the residual the diagnostics already measured, ||3 * 1||_F = 6
+    with pytest.raises(NotUnitary, match=r"^\|\|U\^H U - 1\|\|_F = 6\.000e\+00 exceeds 1\.0e-10$"):
+        FWResult.of(2.0 * np.eye(4), h, 4.0 * h)
 
 
 def _gap_model(delta, seed):
@@ -344,3 +376,18 @@ def test_forward_error_grows_as_eps_over_the_gap(seed):
     for delta in (1.0, 0.5):
         h, w = _gap_model(delta, seed)
         _assert_forward_error(h, eps * (np.abs(w).max() / np.abs(w).min() + len(w)), delta)
+
+
+# Where every angle nears pi/2 the unit is eps / min cos theta, min cos theta the smallest
+# singular value of the upper block X of the positive eigenvectors.  Measured over seeds 0-2
+# and b = 1e-1 ... 1e-3: U at most 0.33 (eriksen) and 0.99 (eriksenalt), U H U^H at most 0.05
+# and 1.7.  The gap unit eps max|w| / min|w| fails here: at b = 1e-3 eriksenalt's U is off by
+# 1000-2000 of it.  At b = 1e-4 min cos^2 theta nears GAP_RTOL, and seeds 0 and 2 are refused.
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_forward_error_grows_as_eps_over_min_cos_theta(seed):
+    pytest.importorskip("mpmath")
+    for b in (1e-1, 1e-2, 1e-3):
+        h = _angles_near_half_pi(b, seed)
+        n = len(h) // 2
+        upper = np.linalg.eigh(h)[1][:n, n:]
+        _assert_forward_error(h, np.finfo(float).eps / np.linalg.svd(upper)[1].min(), b)

@@ -18,7 +18,9 @@ how either route is computed:
 - the stacked Frobenius norm of each slice is its ``np.linalg.norm`` bit for bit;
 - a model of any scale fails with a typed error or gets a report that is strict JSON;
 - a model with any field, or any entry of a vector field, set to a hostile value fails with a
-  typed error or gets a report whose bytes two runs repeat.
+  typed error or gets a report whose bytes two runs repeat;
+- a direct entry point with one scalar parameter set to a hostile value refuses it by name, or
+  gives the bits of the call with the value read by ``as_number``.
 
 Stepwise relations compare runs of a fixed number of steps, so that a ratio
 lying on a stopping threshold cannot split two equivalent runs.
@@ -34,7 +36,8 @@ import json
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fwlab import (
@@ -44,6 +47,9 @@ from fwlab import (
     ModelSpec,
     Potential,
     Spectrum,
+    build_free_particle,
+    build_lattice_1d,
+    build_synthetic_commuting,
     eriksen_transform,
     eriksen_transform_alt,
     frobenius,
@@ -60,6 +66,7 @@ from fwlab import (
     u_fw_exact,
     weak_field_sqrt,
 )
+from fwlab.algebra import as_number
 from fwlab.harness import (METHOD_ERIKSEN, METHOD_EXACT_CASE, METHOD_STEPWISE, METHOD_TAGS,
                            METHOD_WEAK_FIELD, run_comparisons)
 from fwlab.stepwise import (STOP_MAX_ITERATIONS, STOP_STAGNATION, STOP_TOLERANCE,
@@ -418,3 +425,52 @@ def test_hostile_fields_fail_typed_or_repeat_their_bytes(model):
     first, second = ((report_json(r), report_csv(r)) for r in reports)
     assert first == second
     json.loads(first[0], parse_constant=_reject_constant)
+
+
+_H, _D = build_free_particle(1.0, (0.3, 0.0, 0.4))
+# Each scalar parameter of the entry points that take numbers directly: (function, a valid
+# call's arguments, the parameter, whether it is an integer).
+DIRECT_SCALARS = [
+    (split_even_odd, dict(h=_H, mass=1.0), "mass", False),
+    (DiracDecomposition, dict(mass=1.0, even_part=_D.even_part, odd_part=_D.odd_part), "mass",
+     False),
+    (stepwise_fw, dict(h=_H, mass=1.0), "mass", False),
+    (build_free_particle, dict(mass=1.0, momentum=(0.3, 0.0, 0.4)), "mass", False),
+    *((build_lattice_1d, dict(n=8, length=4.0, mass=1.0, potential=Potential("zero")), name,
+       name == "n") for name in ("n", "length", "mass")),
+    *((build_synthetic_commuting, dict(n=4, mass=1.0, poly=(0.1, 0.02), seed=1), name,
+       name != "mass") for name in ("n", "mass", "seed")),
+]
+
+
+def _bits(x):
+    """``x`` as nested tuples of type names and bytes, equal only for bit-identical results."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if dataclasses.is_dataclass(x):
+        return type(x).__name__, _bits(tuple(vars(x).values()))
+    if isinstance(x, tuple):
+        return tuple(_bits(value) for value in x)
+    return type(x).__name__, repr(x)
+
+
+def _outcome(call, arguments):
+    try:
+        return _bits(call(**arguments))
+    except (FWLabError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(DIRECT_SCALARS), value=st.sampled_from(HOSTILE))
+@example(case=DIRECT_SCALARS[2], value=1e308)  # stepwise_fw's 2m overflowed with a RuntimeWarning
+def test_hostile_scalars_fail_by_name_or_read_as_numbers(case, value):
+    # a raw TypeError, OverflowError or UFuncTypeError once, or a bool run as 1
+    call, arguments, name, integer = case
+    try:
+        number = as_number(value, name, integer)
+    except ValueError:
+        with pytest.raises((FWLabError, ValueError), match=f"^{name} "):
+            call(**{**arguments, name: value})
+        return
+    assert _outcome(call, {**arguments, name: value}) == _outcome(call, {**arguments, name: number})

@@ -204,8 +204,26 @@ def test_one_number_rule():
     for path, owner in ((SRC / "stepwise.py", "stepwise:__post_init__"),
                         (SRC / "models.py", "models:__post_init__"),
                         (SRC / "models.py", "models:build_free_particle"),
+                        (SRC / "models.py", "models:build_lattice_1d"),
                         (SRC / "models.py", "models:build_synthetic_commuting")):
         assert owner in _users(path, _names("as_number"))
+
+
+def test_one_unitarity_verdict():
+    # one function reads UNITARY_TOL, and diagnose and unitary_log_stack call it; FWResult is a
+    # record, so no type switches the verdict on or off, and the diagnostics take stacks only
+    paths = sorted(SRC.rglob("*.py"))
+    reads = {f"{path.stem}:{name}" for path in paths for name in _top_level_users(
+        path, lambda node: _names("UNITARY_TOL")(node) and not isinstance(
+            getattr(node, "ctx", None), ast.Store))}
+    assert reads == {"matfunc:check_unitarity"}
+    calls = {f"{path.stem}:{name}" for path in paths for name in _top_level_users(
+        path, lambda node: isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "check_unitarity")}
+    assert calls == {"eriksen:diagnose", "matfunc:unitary_log_stack"}
+    assert "__post_init__" not in vars(fwlab.FWResult)
+    assert not hasattr(fwlab.eriksen, "_Approximate")
+    assert "eriksen:compute_diagnostics" not in _users(SRC / "eriksen.py", _names("FWResult"))
 
 
 def test_models_check_no_input_themselves():
