@@ -119,6 +119,15 @@ def as_number(value, name: str, integer: bool = False, rule: str = "", shape: tu
     return value
 
 
+def require_type(value, kind, name: str, rule: str = ""):
+    """``value``; ValueError "``name`` must be ``rule``, got <its type's name>", never its repr,
+    unless it is a ``kind``.  ``rule`` defaults to "a <kind's name>"."""
+    if not isinstance(value, kind):
+        rule = rule or f"a {kind.__name__}"
+        raise ValueError(f"{name} must be {rule}, got {type(value).__name__}")
+    return value
+
+
 def require_mass(mass, norm: float = 0.0, name: str = "") -> float:
     """The mass, read by ``as_number``, as a float; ValueError unless 0 < mass < inf and
     ``norm``, of the part ``name``, over the mass < inf."""
@@ -134,7 +143,7 @@ def beta_signs(operands: dict) -> np.ndarray:
     """Diagonal of beta = diag(I_n, -I_n), +1 on the upper block, on the one shape that every
     operand of ``operands``, {name: a 2n x 2n matrix, a stack of them, a Spectrum or None to
     skip}, must have.  DimensionMismatch naming the first operand that is not 2n x 2n for some
-    n >= 1 or not of the first one's shape, with its own shape."""
+    n >= 1 or not of the first one's shape, with its own shape, or the first when all are None."""
     first = None
     for name, a in operands.items():
         if a is None:
@@ -146,6 +155,8 @@ def beta_signs(operands: dict) -> np.ndarray:
             raise DimensionMismatch(
                 f"{name} must have the shape {first[1]} of {first[0]}, got shape {shape}")
         first = first or (name, shape)
+    if first is None:
+        raise DimensionMismatch(f"{next(iter(operands))} must be 2n x 2n, n >= 1, got None")
     return np.repeat([1.0, -1.0], first[1][-1] // 2)
 
 

@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 on usage or build errors, 2 when the report
-contains a method-level error record.  All metric output goes through the
-report serializers; nothing is printed in ad-hoc formats.
+Two command paths: ``cmd_model`` runs ``free``, ``lattice`` and ``matrix``, each subparser
+giving the (ModelSpec, ToleranceConfig) it reads as its ``spec`` default, and ``cmd_sweep``
+runs a lattice over a list of strengths.  Exit codes: 0 on success, 1 on usage or build
+errors, 2 when a report contains a method-level error record.  All metric output goes
+through the report serializers; nothing is printed in ad-hoc formats.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .fileio import write_text
 from .harness import (METHOD_STEPWISE, METHOD_TAGS, METHOD_WEAK_FIELD, run_comparison,
                       run_comparisons)
 from .models import KIND_EXPLICIT, KIND_FREE, KIND_LATTICE, ModelSpec, parse_potential
-from .report import ComparisonReport, emit_report, json_text
+from .report import emit_report, json_text
 from .stepwise import STOP_TOLERANCE, ToleranceConfig
 
 _METHOD_HELP = (
@@ -54,13 +56,6 @@ def _parse_momentum(text: str):
         return tuple(float(tok) for tok in text.split(","))
     except ValueError:
         raise ValueError(f"bad momentum {text!r}") from None
-
-
-def _emit(report: ComparisonReport, args) -> int:
-    text = emit_report(report, args.format, args.out)
-    if args.out is None:
-        sys.stdout.write(text)
-    return 2 if report.has_errors() else 0
 
 
 def _add_methods(parser):
@@ -105,14 +100,15 @@ def build_parser() -> _Parser:
     free.add_argument("--p", default="0,0,0", help="momentum components x,y,z")
     _add_methods(free)
     _add_output(free)
-    free.set_defaults(func=cmd_free)
+    free.set_defaults(func=cmd_model, spec=lambda args: (ModelSpec(
+        kind=KIND_FREE, mass=args.mass, momentum=_parse_momentum(args.p)), ToleranceConfig()))
 
     lattice = sub.add_parser("lattice", help="1D two-component lattice model",
                              description="Periodic two-component Dirac operator "
                                          "with a scalar potential.")
     _add_lattice_arguments(lattice)
     _add_output(lattice)
-    lattice.set_defaults(func=cmd_lattice)
+    lattice.set_defaults(func=cmd_model, spec=_lattice_spec)
 
     matrix = sub.add_parser("matrix", help="explicit matrix from a file",
                             description="Run the methods on a matrix loaded from "
@@ -122,7 +118,8 @@ def build_parser() -> _Parser:
                         help="positive mass used for the even/odd split")
     _add_methods(matrix)
     _add_output(matrix)
-    matrix.set_defaults(func=cmd_matrix)
+    matrix.set_defaults(func=cmd_model, spec=lambda args: (ModelSpec(
+        kind=KIND_EXPLICIT, mass=args.mass, path=args.file), ToleranceConfig()))
 
     sweep = sub.add_parser("sweep", help="sweep the potential strength",
                            description="Re-run a lattice configuration over a list "
@@ -141,28 +138,22 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _lattice_spec(args) -> tuple[ModelSpec, ToleranceConfig, tuple[str, ...]]:
+def _lattice_spec(args) -> tuple[ModelSpec, ToleranceConfig]:
     spec = ModelSpec(
         kind=KIND_LATTICE, mass=args.mass, n=args.n, length=args.length,
         potential=parse_potential(args.potential),
     )
-    tolerances = ToleranceConfig(stepwise_tol=args.tol, max_iterations=args.max_iter)
-    return spec, tolerances, _parse_methods(args.methods)
+    return spec, ToleranceConfig(stepwise_tol=args.tol, max_iterations=args.max_iter)
 
 
-def cmd_free(args) -> int:
-    spec = ModelSpec(kind=KIND_FREE, mass=args.mass, momentum=_parse_momentum(args.p))
-    return _emit(run_comparison(spec, _parse_methods(args.methods)), args)
-
-
-def cmd_lattice(args) -> int:
-    spec, tolerances, methods = _lattice_spec(args)
-    return _emit(run_comparison(spec, methods, tolerances), args)
-
-
-def cmd_matrix(args) -> int:
-    spec = ModelSpec(kind=KIND_EXPLICIT, mass=args.mass, path=args.file)
-    return _emit(run_comparison(spec, _parse_methods(args.methods)), args)
+def cmd_model(args) -> int:
+    """One model's report, to stdout or ``--out``: the path of every single-model command."""
+    spec, tolerances = args.spec(args)
+    report = run_comparison(spec, _parse_methods(args.methods), tolerances)
+    text = emit_report(report, args.format, args.out)
+    if args.out is None:
+        sys.stdout.write(text)
+    return 2 if report.has_errors() else 0
 
 
 def _orders(values, errors):
@@ -207,7 +198,7 @@ def cmd_sweep(args) -> int:
     lattice_parser = _Parser(prog="fwlab sweep --base")
     _add_lattice_arguments(lattice_parser)
     base = lattice_parser.parse_args(shlex.split(args.base))
-    spec, tolerances, methods = _lattice_spec(base)
+    spec, tolerances = _lattice_spec(base)
     try:
         values = tuple(float(tok) for tok in args.values.split(",") if tok.strip())
     except ValueError:
@@ -219,7 +210,7 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"--values repeats {value!r}; each strength writes one report")
 
     specs = [replace(spec, potential=spec.potential.with_strength(value)) for value in values]
-    reports = run_comparisons(specs, methods, tolerances)
+    reports = run_comparisons(specs, _parse_methods(base.methods), tolerances)
 
     os.makedirs(args.out, exist_ok=True)
     for value, report in zip(values, reports):

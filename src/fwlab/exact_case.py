@@ -28,13 +28,13 @@ Their routes take a ``ModelStack`` only; a single-model name is its stack of one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .algebra import (NORM_FLOOR, DiracDecomposition, adjoint, anticommutator, beta_signs,
-                      commutator, frobenius)
+                      commutator, frobenius, require_type)
 from .eriksen import FWResult, _alone
 from .errors import NotCommuting, OutsideValidityDomain, SingularOperand
 from .matfunc import (Slices, Spectrum, check_gap, even_function, inv_sqrt_stack, odd_rotation,
@@ -70,6 +70,7 @@ class ModelStack:
 
     @classmethod
     def of(cls, ds, h: Spectrum | None = None) -> "ModelStack":
+        ds = [require_type(d, DiracDecomposition, "decomposition") for d in ds]
         even, odd = np.stack([d.even_part for d in ds]), np.stack([d.odd_part for d in ds])
         # each part over 2^k near its largest entry or the floor, exactly: no square overflows
         k = [np.frexp(np.maximum(abs(x).max(axis=(1, 2)), NORM_FLOOR))[1] for x in (even, odd)]
@@ -148,8 +149,9 @@ def u_fw_exact(d: DiracDecomposition, *, h=None) -> FWResult:
     input.  The diagnostics read ``h`` (H or its Spectrum), by default d.hamiltonian(), which
     must have the shape of d's parts (DimensionMismatch).
     """
+    parts = ModelStack.of([d])
     beta_signs({"odd part": d.odd_part, "H": h})
-    return _alone(lambda slices, h: u_fw_stack(slices, ModelStack.of([d], h)),
+    return _alone(lambda slices, h: u_fw_stack(slices, replace(parts, h=h)),
                   d.hamiltonian() if h is None else h)
 
 

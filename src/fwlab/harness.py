@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .algebra import frobenius, relative_norm
+from .algebra import frobenius, relative_norm, require_type
 from .eriksen import diagnose, eriksen_alt_stack, eriksen_stack
 from .errors import DimensionMismatch, FWLabError, OutsideValidityDomain
 from .exact_case import ModelStack, u_fw_stack, weak_field_stack, weak_root_stack
@@ -125,19 +125,20 @@ def run_comparisons(specs, methods=METHOD_TAGS,
                     tolerances: ToleranceConfig = ToleranceConfig()) -> list[ComparisonReport]:
     """Build each batch of models as stacks and run every requested method on them.
 
-    Methods always appear in canonical order; ValueError for an empty or unknown method list.
-    A method failure (for example NotCommuting for the closed forms on a non-commuting model)
-    becomes an error record in its row; it never aborts the report.  The specs fall into
-    contiguous batches of ``lane_batch_size`` models, and every model must have the first
-    one's shape (DimensionMismatch).  A stream of tasks, advanced under the call's one lock,
-    sets each batch up when it is reached: it builds the models, runs H's stacked eigh and
-    yields the stepwise lockstep, then prepares the rest (the ModelStack and each model's
-    context) and yields one task per other method.  Tasks only compute; ``_lane_count`` lanes
-    take them in order.  A batch's reports are built once its contexts and every method's
-    outcomes are in, each the same as for its spec alone; a row's ``wall_time_seconds`` runs
-    from the start of its method's task to the end of the diagnostics, all under the BLAS pin.
+    ``specs`` is a list or tuple of ModelSpecs, ``methods`` one of method tags and ``tolerances`` a
+    ToleranceConfig: ValueError naming the argument otherwise, or for an empty or unknown method
+    list.  Methods always appear in canonical order.  A method failure (for example NotCommuting for
+    the closed forms on a non-commuting model) becomes an error record in its row; it never aborts
+    the report.  The specs fall into contiguous batches of ``lane_batch_size`` models, and every
+    model must have the first one's shape (DimensionMismatch).  A stream of tasks, advanced under
+    the call's one lock, sets each batch up when it is reached: it builds the models, runs H's
+    stacked eigh and yields the stepwise lockstep, then prepares the rest (the ModelStack and each
+    model's context) and yields one task per other method.  Tasks only compute; ``_lane_count``
+    lanes take them in order.  A batch's reports are built once its contexts and every method's
+    outcomes are in, each the same as for its spec alone; a row's ``wall_time_seconds`` runs from
+    the start of its method's task to the end of the diagnostics, all under the BLAS pin.
     """
-    methods = list(methods)
+    methods = list(require_type(methods, (list, tuple), "methods", "a list or tuple"))
     if not methods:
         raise ValueError("methods must name at least one method")
     for method in methods:
@@ -146,7 +147,9 @@ def run_comparisons(specs, methods=METHOD_TAGS,
     methods = [m for m in METHOD_TAGS if m in methods]
     one_shot = sorted((m for m in methods if m != METHOD_STEPWISE),
                       key=lambda m: m not in _PARTS_READERS)
-    specs = list(specs)
+    specs = [require_type(spec, ModelSpec, f"specs[{i}]") for i, spec in
+             enumerate(require_type(specs, (list, tuple), "specs", "a list or tuple"))]
+    require_type(tolerances, ToleranceConfig, "tolerances")
     if not specs:
         return []
     reports, lock = [None] * len(specs), threading.Lock()

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import NORM_FLOOR, adjoint, as_number, beta_signs, frobenius, require_mass
+from .algebra import (NORM_FLOOR, adjoint, as_number, beta_signs, frobenius, require_mass,
+                      require_type)
 from .eriksen import FWResult, hamiltonian_spectrum
 from .matfunc import Spectrum, _hermitize, odd_exp, single_blas_thread
 
@@ -92,6 +93,7 @@ def stepwise_lockstep(h: Spectrum, masses, tolerances: ToleranceConfig = Toleran
     LAPACK and BLAS call on each slice, so each run is bit for bit the run alone.  A model leaves
     the stack when its own rule fires; a run of zero steps keeps the exact identity and H.
     """
+    require_type(tolerances, ToleranceConfig, "tolerances")
     if len(masses) != len(h.w):
         raise ValueError(f"{len(h.w)} Hamiltonians need as many masses, got {len(masses)}")
     n = len(beta_signs({"H": h})) // 2
@@ -138,9 +140,9 @@ def stepwise_fw(h, mass: float,
 
     ``h`` is a finite Hermitian Hamiltonian or its Spectrum, ``mass`` the positive finite
     m of every exponent, over which ||O||_F must stay finite (``require_mass``), and
-    ``tolerances`` the stopping rule.  Non-convergence is a reported outcome, not an error:
-    the result always carries the composite transform actually reached.  This is
-    ``stepwise_lockstep`` on a stack of one.
+    ``tolerances`` the stopping rule, a ToleranceConfig (ValueError otherwise).  Non-convergence
+    is a reported outcome, not an error: the result always carries the composite transform
+    actually reached.  This is ``stepwise_lockstep`` on a stack of one.
     """
     h = hamiltonian_spectrum(h)
     u, transformed, [trace] = stepwise_lockstep(h[None], [mass], tolerances)

@@ -20,7 +20,9 @@ how either route is computed:
 - a model with any field, or any entry of a vector field, set to a hostile value fails with a
   typed error or gets a report whose bytes two runs repeat;
 - a direct entry point with one scalar parameter set to a hostile value refuses it by name, or
-  gives the bits of the call with the value read by ``as_number``.
+  gives the bits of the call with the value read by ``as_number``;
+- a direct entry point with one operand (a matrix, decomposition, list or configuration) set to
+  a hostile value returns, or fails with a typed error or a ValueError.
 
 Stepwise relations compare runs of a fixed number of steps, so that a ratio
 lying on a stopping threshold cannot split two equivalent runs.
@@ -33,6 +35,7 @@ eriksen's transform and the sign operator.
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +44,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fwlab import (
+    DimensionMismatch,
     DiracDecomposition,
     FWLabError,
     FWResult,
@@ -50,8 +54,10 @@ from fwlab import (
     build_free_particle,
     build_lattice_1d,
     build_synthetic_commuting,
+    check_commutation,
     eriksen_transform,
     eriksen_transform_alt,
+    exponent_oddness,
     frobenius,
     h_fw_exact,
     lambda_exact,
@@ -442,6 +448,20 @@ DIRECT_SCALARS = [
        name != "mass") for name in ("n", "mass", "seed")),
 ]
 
+_SPEC = ModelSpec(kind="free", mass=1.0, momentum=(0.3, 0.0, 0.4))
+# Each operand parameter of the entry points that take matrices, decompositions, lists or
+# configurations: (function, a valid call's arguments, the parameter).
+DIRECT_OPERANDS = [
+    *((run_comparisons, dict(specs=[_SPEC], methods=METHOD_TAGS, tolerances=ToleranceConfig()),
+       name) for name in ("specs", "methods", "tolerances")),
+    *((stepwise_fw, dict(h=_H, mass=1.0, tolerances=ToleranceConfig()), name)
+      for name in ("h", "tolerances")),
+    (eriksen_transform, dict(h=_H), "h"),
+    (split_even_odd, dict(h=_H, mass=1.0), "h"),
+    *((call, dict(d=_D), "d") for call in (u_fw_exact, weak_field_sqrt, check_commutation)),
+    (exponent_oddness, dict(u=np.eye(4, dtype=complex)), "u"),
+]
+
 
 def _bits(x):
     """``x`` as nested tuples of type names and bytes, equal only for bit-identical results."""
@@ -474,3 +494,51 @@ def test_hostile_scalars_fail_by_name_or_read_as_numbers(case, value):
             call(**{**arguments, name: value})
         return
     assert _outcome(call, {**arguments, name: value}) == _outcome(call, {**arguments, name: number})
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(DIRECT_OPERANDS), value=st.sampled_from(HOSTILE))
+def test_hostile_operands_fail_typed(case, value):
+    # a raw TypeError or AttributeError once: a grading with no operand, a closed form given H
+    # for its decomposition, a method list read letter by letter
+    call, arguments, name = case
+    try:
+        call(**{**arguments, name: value})
+    except (FWLabError, ValueError):
+        pass
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: eriksen_transform(None), DimensionMismatch,
+     "Hamiltonian must be 2n x 2n, n >= 1, got None"),
+    (lambda: stepwise_fw(None, 1.0), DimensionMismatch,
+     "Hamiltonian must be 2n x 2n, n >= 1, got None"),
+    (lambda: split_even_odd(None, 1.0), DimensionMismatch,
+     "Hamiltonian must be 2n x 2n, n >= 1, got None"),
+    (lambda: exponent_oddness(None), DimensionMismatch, "U must be 2n x 2n, n >= 1, got None"),
+    (lambda: u_fw_exact(_H), ValueError, "decomposition must be a DiracDecomposition, got ndarray"),
+    (lambda: weak_field_sqrt(_H), ValueError,
+     "decomposition must be a DiracDecomposition, got ndarray"),
+    (lambda: check_commutation(None), ValueError,
+     "decomposition must be a DiracDecomposition, got NoneType"),
+    (lambda: run_comparisons(None), ValueError, "specs must be a list or tuple, got NoneType"),
+    (lambda: run_comparisons("ab"), ValueError, "specs must be a list or tuple, got str"),
+    (lambda: run_comparisons({_SPEC: 1}), ValueError, "specs must be a list or tuple, got dict"),
+    (lambda: run_comparisons([_SPEC, None]), ValueError,
+     "specs[1] must be a ModelSpec, got NoneType"),
+    (lambda: run_comparisons([_SPEC], None), ValueError,
+     "methods must be a list or tuple, got NoneType"),
+    (lambda: run_comparisons([_SPEC], "eriksen"), ValueError,
+     "methods must be a list or tuple, got str"),
+    (lambda: run_comparisons([_SPEC], tolerances=None), ValueError,
+     "tolerances must be a ToleranceConfig, got NoneType"),
+    (lambda: run_comparisons([_SPEC], tolerances={}), ValueError,
+     "tolerances must be a ToleranceConfig, got dict"),
+    (lambda: stepwise_fw(_H, 1.0, None), ValueError,
+     "tolerances must be a ToleranceConfig, got NoneType"),
+], ids=["eriksen-h", "stepwise-h", "split-h", "oddness-u", "u_fw_exact-d", "weak_root-d",
+        "commutation-d", "specs-none", "specs-str", "specs-dict", "specs-entry", "methods-none",
+        "methods-str", "tolerances-none", "tolerances-dict", "stepwise-tolerances"])
+def test_operands_are_refused_by_name(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -282,3 +282,16 @@ def test_stepwise_keeps_one_series():
              if isinstance(node, ast.Call) and ast.unparse(node.func) == "frobenius"]
     assert len(calls) == 1
     assert _users(path, lambda node: getattr(node, "attr", None) == "isfinite") == []
+
+
+def test_one_command_path_per_kind():
+    # every single-model command runs cmd_model, which reads its (spec, tolerances) off the
+    # subparser's ``spec`` default, so no per-command copy of the report path comes back
+    tree = ast.parse((SRC / "cli.py").read_text())
+    funcs = [ast.unparse(keyword.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(".set_defaults")
+             for keyword in node.keywords if keyword.arg == "func"]
+    assert sorted(funcs) == ["cmd_model"] * 3 + ["cmd_sweep"]
+    assert [node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("cmd_")] == ["cmd_model", "cmd_sweep"]
+    assert "_emit" not in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
