@@ -14,9 +14,10 @@ rotation exp [[0, C], [-C^H, 0]], C = P diag(theta) Q^H.  K has the
 eigenvalues cos^2 theta_i, each twice, so U exists exactly when X is
 regular.  The polar form U = P Q^H of the SVD 1 + beta lambda = P Sigma Q^H
 is coded separately from lambda as a cross-check.  Entry points taking H
-also accept its ``Spectrum``.  Each route is a kernel on stacks only, one LAPACK
-call per step, that ``_alone`` runs on one model; ``diagnose`` measures a stack as one and
-applies ``matfunc.check_unitarity``, the one unitarity verdict; ``FWResult`` is a plain record.
+also accept its ``Spectrum``.  Each route is a kernel on stacks only, one LAPACK call per step,
+that ``_alone`` runs on one model; ``diagnose``, every route's one diagnostics path, measures a
+stack as one and applies ``matfunc.check_unitarity``.  ``FWResult`` is a plain record.  Only
+``FWResult.of``, ``compute_diagnostics`` and ``matfunc.unitary_log`` check a caller's U.
 
 A transform of this family also has a Hermitian generator S = -i log U
 that is odd (anticommutes with beta).  Multi-step schemes produce unitary
@@ -32,8 +33,7 @@ import numpy as np
 
 from .algebra import (NORM_FLOOR, adjoint, beta_signs, even_projection, frobenius,
                       odd_norm_ratio, relative_norm)
-from .errors import (DegenerateFactor, DimensionMismatch, FWLabError, NonHermitianInput, NotUnitary,
-                     SingularOperand)
+from .errors import DegenerateFactor, DimensionMismatch, FWLabError, SingularOperand
 from .matfunc import (Slices, Spectrum, _hermitize, check_gap, check_unitarity, odd_rotation,
                       require_finite, require_gap, single_blas_thread, unitary_log,
                       unitary_log_stack)
@@ -81,12 +81,13 @@ class FWResult:
     @classmethod
     @single_blas_thread()
     def of(cls, u, h, transformed=None, *, unitary=True) -> "FWResult":
-        """Result for transform ``u`` of ``h``, all of H's shape (DimensionMismatch); u h u^H is
-        built once unless ``transformed``.  ``unitary=False`` skips the unitarity verdict, as
-        for the weak-field transform, unitary only as far as its approximate root is exact."""
+        """Result for a caller's own transform ``u`` of ``h``, all of H's shape (DimensionMismatch,
+        also for a None U); u h u^H is built once unless ``transformed``.  ``unitary=False`` skips
+        the unitarity verdict, as for the weak-field U, unitary as far as its root is exact."""
+        beta_signs({"U": u})
         beta_signs({"H": h, "U": u, "U H U^H": transformed})
         h, u = hamiltonian_spectrum(h), np.asarray(u, dtype=complex)
-        require_finite(u)
+        require_finite(u)  # before u h u^H is built from it
         transformed = u @ h.matrix @ adjoint(u) if transformed is None else transformed
         return diagnose(Slices(1), h[None], u[None], transformed[None], unitary)[0]
 
@@ -94,12 +95,10 @@ class FWResult:
 def diagnose(slices: Slices, h, u, transformed, unitary=True) -> list:
     """FWResults of stacks ``h`` (a Spectrum), ``u`` and ``transformed``, in slice order; a slice
     that ``require_finite`` or, if ``unitary``, ``check_unitarity`` refuses leaves ``slices``."""
-    try:
-        diagnostics = compute_diagnostics(u, h, transformed)
-    except (NotUnitary, NonHermitianInput):  # ``require_finite`` found a non-finite slice
+    if not (np.isfinite(u).all() and np.isfinite(transformed).all()):
         h, u, transformed = slices.gate(
             lambda slot: require_finite(u[slot], transformed[slot]), h, u, transformed)
-        diagnostics = compute_diagnostics(u, h, transformed)
+    diagnostics = compute_diagnostics(u, h, transformed)
     kept, = slices.gate(lambda slot: unitary and check_unitarity(
         diagnostics[slot].unitarity_residual), np.arange(len(diagnostics)))
     return [FWResult(u[slot], transformed[slot], diagnostics[slot]) for slot in kept]
@@ -107,9 +106,9 @@ def diagnose(slices: Slices, h, u, transformed, unitary=True) -> list:
 
 @single_blas_thread()
 def _alone(route, h, *stacks, unitary=True) -> FWResult:
-    """FWResult of ``route(Slices(1), H's stack, *stacks)`` -> (H, U, U H U^H) stacks."""
-    h, u, transformed = route(Slices(1), hamiltonian_spectrum(h)[None], *stacks)
-    return FWResult.of(u[0], h[0], transformed[0], unitary=unitary)
+    """``diagnose`` of ``route(slices, H's stack, *stacks)`` -> (H, U, U H U^H), on Slices(1)."""
+    slices = Slices(1)
+    return diagnose(slices, *route(slices, hamiltonian_spectrum(h)[None], *stacks), unitary)[0]
 
 
 def eriksen_condition_residual(u):

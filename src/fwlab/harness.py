@@ -233,5 +233,5 @@ def run_comparisons(specs, methods=METHOD_TAGS,
 
 def run_comparison(spec: ModelSpec, methods=METHOD_TAGS,
                    tolerances: ToleranceConfig = ToleranceConfig()) -> ComparisonReport:
-    """The report of one spec: ``run_comparisons([spec], methods, tolerances)[0]``."""
-    return run_comparisons([spec], methods, tolerances)[0]
+    """The report of one ModelSpec: ``run_comparisons([spec], methods, tolerances)[0]``."""
+    return run_comparisons([require_type(spec, ModelSpec, "spec")], methods, tolerances)[0]

@@ -9,11 +9,12 @@ eigenvalues of H itself, and the logarithm of a unitary, taken from its
 Hermitian Cayley transform, has eigenphases in (-pi, pi).  ``odd_rotation``
 and ``even_function`` assemble odd exponentials and even functions from SVD factors.
 ``check_gap`` is the one rule for when an eigenvalue counts as zero, ``check_unitarity`` the one
-unitarity verdict and ``require_finite`` the one finiteness check of U and U H U^H.  Kernels run
-on stacks, each slice bit for bit its own call; a ``*_stack`` kernel takes first the
-``Slices`` of the models left, and its single-model name is its stack of one.  Every name
-that computes a report row runs under ``single_blas_thread``, so it gives the row's bits at any
-caller's BLAS count; these kernels, the oracle closed forms and ``exponent_oddness`` do not.
+unitarity verdict and ``require_finite`` the one finiteness check of U and U H U^H; ``unitary_log``
+checks its U, and ``unitary_log_stack`` trusts its caller's.  Kernels run on stacks, each slice
+bit for bit its own call; a ``*_stack`` kernel takes first the ``Slices`` of the models left, and
+its single-model name is its stack of one.  Every name that computes a report row runs under
+``single_blas_thread``, so it gives the row's bits at any caller's BLAS count; these kernels, the
+oracle closed forms and ``exponent_oddness`` do not.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .algebra import NORM_FLOOR, adjoint, frobenius, require_hermitian
-from .errors import (BranchCutProximity, FWLabError, NonHermitianInput, NotUnitary,
-                     SingularHamiltonian, SingularOperand)
+from .errors import (BranchCutProximity, DimensionMismatch, FWLabError, NonHermitianInput,
+                     NotUnitary, SingularHamiltonian, SingularOperand)
 
 # Relative spectral-gap tolerance; read only by ``check_gap``.
 GAP_RTOL = 1e-10
@@ -256,11 +257,16 @@ def unitary_log(u) -> np.ndarray:
     one eigh T = Q diag(w) Q^H gives S = Q diag(2 arctan w) Q^H.  For an
     eigenphase within delta of +-pi the relative error of S grows like
     eps / delta (about 1e-12 at delta = 1e-4, 1e-8 near BRANCH_MARGIN).
-    Raises NotUnitary if u is non-finite or ||u^H u - 1||_F exceeds
-    UNITARY_TOL, and BranchCutProximity if 1 + u is singular or an
-    eigenphase lies within BRANCH_MARGIN of +-pi.
+    Raises DimensionMismatch unless u is a square matrix ("got None" for None), NotUnitary if
+    u is non-finite or ||u^H u - 1||_F exceeds UNITARY_TOL (checks ``unitary_log_stack`` trusts),
+    and BranchCutProximity if 1 + u is singular or an eigenphase is within BRANCH_MARGIN of +-pi.
     """
-    return unitary_log_stack(Slices(1), np.asarray(u, dtype=complex)[None])[0]
+    if u is None or np.ndim(u) != 2 or np.shape(u)[0] != np.shape(u)[1]:
+        got = "None" if u is None else f"shape {np.shape(u)}"
+        raise DimensionMismatch(f"U must be a square matrix, got {got}")
+    u = np.asarray(u, dtype=complex)
+    require_finite(u)
+    return unitary_log_stack(Slices(1), u[None], [frobenius(adjoint(u) @ u - np.eye(len(u)))])[0]
 
 
 def check_unitarity(defect):
@@ -276,16 +282,11 @@ def require_finite(u, transformed=None):
             raise error(f"{name} has non-finite entries")
 
 
-def unitary_log_stack(slices: Slices, u, defect=None) -> np.ndarray:
-    """``unitary_log`` of each slice of ``u`` left; ``defect``, if given: each ||u^H u - 1||_F."""
+def unitary_log_stack(slices: Slices, u, defect) -> np.ndarray:
+    """``unitary_log`` of each slice of a finite stack ``u`` left, whose ||u^H u - 1||_F the
+    caller measured: ``defect[slot]``, to which only ``check_unitarity`` is applied here."""
     eye = np.eye(u.shape[-1])
-
-    def usable(slot):
-        require_finite(u[slot])
-        check_unitarity(frobenius(adjoint(u[slot]) @ u[slot] - eye) if defect is None
-                        else defect[slot])
-
-    u, = slices.gate(usable, u)
+    u, = slices.gate(lambda slot: check_unitarity(defect[slot]), u)
     cayley, = slices.solve(eye + u, eye - u, BranchCutProximity,
                            "1 + U is singular: eigenphase on the branch cut")
     cayley *= 1j

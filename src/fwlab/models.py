@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algebra import (DiracDecomposition, as_number, require_hermitian, require_mass,
-                      split_even_odd)
+                      require_type, split_even_odd)
 from .errors import InvalidGrid, ParseError
 from .fileio import read_matrix, read_potential_table
 
@@ -273,7 +273,7 @@ def _kind(spec: ModelSpec):
 def build_model(spec: ModelSpec) -> tuple[np.ndarray, DiracDecomposition]:
     """Build the (hamiltonian, decomposition) pair for a spec.
 
-    ValueError for a bad mass, an unknown kind, or a missing field its kind reads.
+    ValueError for a non-ModelSpec, a bad mass, an unknown kind or a missing field its kind reads.
     """
-    build, _ = _kind(spec)
+    build, _ = _kind(require_type(spec, ModelSpec, "spec"))
     return build(spec)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .algebra import NORM_FLOOR, frobenius
+from .algebra import NORM_FLOOR, frobenius, require_type
 from .eriksen import DiagnosticSet
 from .exact_case import COMMUTE_TOL, ModelStack
 from .fileio import write_text
@@ -107,8 +107,8 @@ def json_text(data) -> str:
 
 
 def report_json(report: ComparisonReport, include_timings: bool = False) -> str:
-    """A report's canonical JSON text (``json_text``); rows' ``wall_time_seconds`` only if asked."""
-    data = report.to_dict()
+    """A ComparisonReport's ``json_text``; rows' ``wall_time_seconds`` only if asked."""
+    data = require_type(report, ComparisonReport, "report").to_dict()
     if not include_timings:
         for row in data["methods"]:
             del row["wall_time_seconds"]

@@ -24,8 +24,8 @@ import numpy as np
 
 from .algebra import (NORM_FLOOR, adjoint, as_number, beta_signs, frobenius, require_mass,
                       require_type)
-from .eriksen import FWResult, hamiltonian_spectrum
-from .matfunc import Spectrum, _hermitize, odd_exp, single_blas_thread
+from .eriksen import FWResult, diagnose, hamiltonian_spectrum
+from .matfunc import Slices, Spectrum, _hermitize, odd_exp, single_blas_thread
 
 # The run stagnates when the odd ratio fails to shrink by this factor
 # over STAGNATION_STEPS consecutive steps.
@@ -146,4 +146,4 @@ def stepwise_fw(h, mass: float,
     """
     h = hamiltonian_spectrum(h)
     u, transformed, [trace] = stepwise_lockstep(h[None], [mass], tolerances)
-    return FWResult.of(u[0], h, transformed[0]), trace
+    return diagnose(Slices(1), h[None], u, transformed)[0], trace

@@ -53,6 +53,7 @@ from fwlab import (
     Spectrum,
     build_free_particle,
     build_lattice_1d,
+    build_model,
     build_synthetic_commuting,
     check_commutation,
     eriksen_transform,
@@ -70,6 +71,7 @@ from fwlab import (
     split_even_odd,
     stepwise_fw,
     u_fw_exact,
+    unitary_log,
     weak_field_sqrt,
 )
 from fwlab.algebra import as_number
@@ -460,6 +462,8 @@ DIRECT_OPERANDS = [
     (split_even_odd, dict(h=_H, mass=1.0), "h"),
     *((call, dict(d=_D), "d") for call in (u_fw_exact, weak_field_sqrt, check_commutation)),
     (exponent_oddness, dict(u=np.eye(4, dtype=complex)), "u"),
+    (FWResult.of, dict(u=np.eye(4, dtype=complex), h=_H), "u"),
+    (unitary_log, dict(u=np.eye(4, dtype=complex)), "u"),
 ]
 
 
@@ -500,7 +504,7 @@ def test_hostile_scalars_fail_by_name_or_read_as_numbers(case, value):
 @given(case=st.sampled_from(DIRECT_OPERANDS), value=st.sampled_from(HOSTILE))
 def test_hostile_operands_fail_typed(case, value):
     # a raw TypeError or AttributeError once: a grading with no operand, a closed form given H
-    # for its decomposition, a method list read letter by letter
+    # for its decomposition, a method list read letter by letter, a dict taken for a U
     call, arguments, name = case
     try:
         call(**{**arguments, name: value})
@@ -536,9 +540,20 @@ def test_hostile_operands_fail_typed(case, value):
      "tolerances must be a ToleranceConfig, got dict"),
     (lambda: stepwise_fw(_H, 1.0, None), ValueError,
      "tolerances must be a ToleranceConfig, got NoneType"),
+    (lambda: FWResult.of(None, _H), DimensionMismatch, "U must be 2n x 2n, n >= 1, got None"),
+    (lambda: FWResult.of(np.ones((2, 3)), _H), DimensionMismatch,
+     "U must be 2n x 2n, n >= 1, got shape (2, 3)"),
+    (lambda: unitary_log(None), DimensionMismatch, "U must be a square matrix, got None"),
+    (lambda: unitary_log(np.ones((2, 3))), DimensionMismatch,
+     "U must be a square matrix, got shape (2, 3)"),
+    (lambda: build_model(None), ValueError, "spec must be a ModelSpec, got NoneType"),
+    (lambda: report_json(None), ValueError, "report must be a ComparisonReport, got NoneType"),
+    (lambda: run_comparison(None), ValueError, "spec must be a ModelSpec, got NoneType"),
 ], ids=["eriksen-h", "stepwise-h", "split-h", "oddness-u", "u_fw_exact-d", "weak_root-d",
         "commutation-d", "specs-none", "specs-str", "specs-dict", "specs-entry", "methods-none",
-        "methods-str", "tolerances-none", "tolerances-dict", "stepwise-tolerances"])
+        "methods-str", "tolerances-none", "tolerances-dict", "stepwise-tolerances", "result-u-none",
+        "result-u-shape", "log-u-none", "log-u-shape", "build-spec", "json-report",
+        "comparison-spec"])
 def test_operands_are_refused_by_name(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()

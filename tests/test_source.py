@@ -123,6 +123,13 @@ def test_one_pin_sets_blas():
     assert not {"ctypes", "contextlib"} & _imported(SRC / "harness.py")
 
 
+def _function(path, name):
+    """The one top-level or nested def ``name`` of a module."""
+    [function] = [node for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.FunctionDef) and node.name == name]
+    return function
+
+
 def _kind_name(node):
     name = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
             else node.name if isinstance(node, ast.alias) else "")
@@ -134,9 +141,7 @@ def test_one_lock_sets_up_each_batch():
     # which builds and prepares each batch, so no batch has a lock of its own
     path = SRC / "harness.py"
     assert _users(path, _kind_name) == []
-    [function] = [node for node in ast.walk(ast.parse(path.read_text()))
-                  if isinstance(node, ast.FunctionDef) and node.name == "run_comparisons"]
-    locks = [node for node in ast.walk(function)
+    locks = [node for node in ast.walk(_function(path, "run_comparisons"))
              if isinstance(node, ast.Call) and ast.unparse(node.func) == "threading.Lock"]
     assert len(locks) == 1
 
@@ -226,6 +231,27 @@ def test_one_unitarity_verdict():
     assert "eriksen:compute_diagnostics" not in _users(SRC / "eriksen.py", _names("FWResult"))
 
 
+def test_one_diagnostics_path():
+    # the routes pass their stacks to diagnose, which gates a non-finite slice before computing
+    # instead of catching an error and computing again; unitary_log_stack trusts the finiteness
+    # and the defects its callers give it, so only the public names (unitary_log, FWResult.of,
+    # compute_diagnostics) and diagnose's gate check a U
+    paths = sorted(SRC.rglob("*.py"))
+    diagnose = _function(SRC / "eriksen.py", "diagnose")
+    assert not [node for node in ast.walk(diagnose) if isinstance(node, ast.Try)]
+    log_stack = _function(SRC / "matfunc.py", "unitary_log_stack")
+    assert [arg.arg for arg in log_stack.args.args] == ["slices", "u", "defect"]
+    assert log_stack.args.defaults == []
+    assert not [node for node in ast.walk(log_stack) if _names("require_finite")(node)]
+    checks = {user for path in paths for user in _users(
+        path, lambda node: isinstance(node, ast.Name) and node.id == "require_finite")}
+    assert checks == {"matfunc:unitary_log", "eriksen:of", "eriksen:diagnose",
+                      "eriksen:compute_diagnostics"}
+    assert [user for path in paths for user in _users(
+        path, lambda node: isinstance(node, ast.Call)
+        and ast.unparse(node.func).endswith("FWResult.of"))] == []
+
+
 def test_models_check_no_input_themselves():
     # as_number reads every vector and number a model takes, so finiteness of an input is tested
     # by it, require_hermitian and the file readers, which name a line; no builder or Potential
@@ -275,9 +301,8 @@ def test_stepwise_keeps_one_series():
     # each step of the lockstep takes one stacked norm, the odd ratios', and the exponent norms
     # are read off them, so no overflow of a second norm needs a rescue
     path = SRC / "stepwise.py"
-    [function] = [node for node in ast.walk(ast.parse(path.read_text()))
-                  if isinstance(node, ast.FunctionDef) and node.name == "stepwise_lockstep"]
-    [loop] = [node for node in ast.walk(function) if isinstance(node, ast.While)]
+    [loop] = [node for node in ast.walk(_function(path, "stepwise_lockstep"))
+              if isinstance(node, ast.While)]
     calls = [node for node in ast.walk(loop)
              if isinstance(node, ast.Call) and ast.unparse(node.func) == "frobenius"]
     assert len(calls) == 1
