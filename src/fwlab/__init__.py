@@ -65,7 +65,6 @@ from .harness import METHOD_TAGS, run_comparison
 from .matfunc import (
     SpectralGapReport,
     Spectrum,
-    inv_sqrt,
     odd_exp,
     sign_operator,
     spectral_gap,

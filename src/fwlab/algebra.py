@@ -161,8 +161,10 @@ def beta_signs(operands: dict) -> np.ndarray:
 
 
 def make_beta(dim: int) -> np.ndarray:
-    """Dense beta = diag(I_n, -I_n) of dimension ``dim`` = 2n."""
-    return np.diag(beta_signs({"beta": np.eye(dim)})).astype(complex)
+    """Dense beta = diag(I_n, -I_n) of dimension ``dim`` = 2n, n >= 1, checked before building."""
+    if (dim := as_number(dim, "dim", integer=True)) < 2 or dim % 2:
+        raise DimensionMismatch(f"dim must be 2n, n >= 1, got {dim}")
+    return np.diag(np.repeat([1.0, -1.0], dim // 2)).astype(complex)
 
 
 def even_projection(h) -> np.ndarray:

@@ -14,10 +14,10 @@ rotation exp [[0, C], [-C^H, 0]], C = P diag(theta) Q^H.  K has the
 eigenvalues cos^2 theta_i, each twice, so U exists exactly when X is
 regular.  The polar form U = P Q^H of the SVD 1 + beta lambda = P Sigma Q^H
 is coded separately from lambda as a cross-check.  Entry points taking H
-also accept its ``Spectrum``.  Each route is a kernel on stacks only, one LAPACK call per step,
-that ``_alone`` runs on one model; ``diagnose``, every route's one diagnostics path, measures a
-stack as one and applies ``matfunc.check_unitarity``.  ``FWResult`` is a plain record.  Only
-``FWResult.of``, ``compute_diagnostics`` and ``matfunc.unitary_log`` check a caller's U.
+also accept its ``Spectrum``.  Each route is a kernel on stacks only, one LAPACK call per step;
+``_alone`` runs one on a single model for every single-model name (``FWResult.of`` and
+``stepwise_fw`` too), and ``diagnose`` measures a stack as one and applies ``check_unitarity``.
+``FWResult`` is a record; only ``of``, ``compute_diagnostics`` and ``unitary_log`` check a U.
 
 A transform of this family also has a Hermitian generator S = -i log U
 that is odd (anticommutes with beta).  Multi-step schemes produce unitary
@@ -32,17 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (NORM_FLOOR, adjoint, beta_signs, even_projection, frobenius,
-                      odd_norm_ratio, relative_norm)
+                      odd_norm_ratio, relative_norm, require_type)
 from .errors import DegenerateFactor, DimensionMismatch, FWLabError, SingularOperand
 from .matfunc import (Slices, Spectrum, _hermitize, check_gap, check_unitarity, odd_rotation,
                       require_finite, require_gap, single_blas_thread, unitary_log,
                       unitary_log_stack)
-
-
-def hamiltonian_spectrum(h) -> Spectrum:
-    """Spectrum of a 2n x 2n Hamiltonian; a matrix must be finite and Hermitian."""
-    beta_signs({"Hamiltonian": h})
-    return Spectrum.of(h, "Hamiltonian")
 
 
 @dataclass(frozen=True)
@@ -79,17 +73,20 @@ class FWResult:
     diagnostics: DiagnosticSet
 
     @classmethod
-    @single_blas_thread()
     def of(cls, u, h, transformed=None, *, unitary=True) -> "FWResult":
         """Result for a caller's own transform ``u`` of ``h``, all of H's shape (DimensionMismatch,
         also for a None U); u h u^H is built once unless ``transformed``.  ``unitary=False`` skips
         the unitarity verdict, as for the weak-field U, unitary as far as its root is exact."""
         beta_signs({"U": u})
         beta_signs({"H": h, "U": u, "U H U^H": transformed})
-        h, u = hamiltonian_spectrum(h), np.asarray(u, dtype=complex)
-        require_finite(u)  # before u h u^H is built from it
-        transformed = u @ h.matrix @ adjoint(u) if transformed is None else transformed
-        return diagnose(Slices(1), h[None], u[None], transformed[None], unitary)[0]
+        u = np.asarray(u, dtype=complex)
+
+        def given(slices, h):  # the caller's U as a route, checked after H
+            require_finite(u)  # before u h u^H is built from it
+            x = u @ h.matrix[0] @ adjoint(u) if transformed is None else transformed
+            return h, u[None], x[None]
+
+        return _alone(given, h, unitary=unitary)
 
 
 def diagnose(slices: Slices, h, u, transformed, unitary=True) -> list:
@@ -98,7 +95,7 @@ def diagnose(slices: Slices, h, u, transformed, unitary=True) -> list:
     if not (np.isfinite(u).all() and np.isfinite(transformed).all()):
         h, u, transformed = slices.gate(
             lambda slot: require_finite(u[slot], transformed[slot]), h, u, transformed)
-    diagnostics = compute_diagnostics(u, h, transformed)
+    diagnostics = _diagnostics(u, h, transformed)
     kept, = slices.gate(lambda slot: unitary and check_unitarity(
         diagnostics[slot].unitarity_residual), np.arange(len(diagnostics)))
     return [FWResult(u[slot], transformed[slot], diagnostics[slot]) for slot in kept]
@@ -107,8 +104,9 @@ def diagnose(slices: Slices, h, u, transformed, unitary=True) -> list:
 @single_blas_thread()
 def _alone(route, h, *stacks, unitary=True) -> FWResult:
     """``diagnose`` of ``route(slices, H's stack, *stacks)`` -> (H, U, U H U^H), on Slices(1)."""
-    slices = Slices(1)
-    return diagnose(slices, *route(slices, hamiltonian_spectrum(h)[None], *stacks), unitary)[0]
+    beta_signs({"Hamiltonian": h})
+    slices, h = Slices(1), Spectrum.of(h, "Hamiltonian")[None]
+    return diagnose(slices, *route(slices, h, *stacks), unitary)[0]
 
 
 def eriksen_condition_residual(u):
@@ -130,17 +128,23 @@ def exponent_oddness(u) -> float:
 def compute_diagnostics(u, h, transformed):
     """The full diagnostic set of each transform of a stack: a list, in slice order.
 
-    ``h`` is a stacked Spectrum and ``u``, ``transformed`` = u h u^H stacks of H's shape
-    (DimensionMismatch, as for one matrix).  ``spectrum_drift`` is the largest sorted-eigenvalue
-    displacement between ``h`` and ``transformed``, relative to ||h||_F.  A non-finite slice
-    raises ``require_finite``'s error before any arithmetic.
+    ``h`` is a stacked Spectrum (ValueError otherwise) and ``u``, ``transformed`` = u h u^H stacks
+    of H's shape (DimensionMismatch, as for one matrix).  ``spectrum_drift`` is the largest
+    sorted-eigenvalue displacement between ``h`` and ``transformed``, relative to ||h||_F.  A
+    non-finite slice raises ``require_finite``'s error before any arithmetic.
     """
-    signs, u = beta_signs({"H": h, "U": u, "U H U^H": transformed}), np.asarray(u, dtype=complex)
-    if u.ndim != 3:
-        raise DimensionMismatch(f"U must be a stack of 2n x 2n matrices, got shape {u.shape}")
+    beta_signs({"H": h, "U": u, "U H U^H": transformed})
+    if np.ndim(u) != 3:
+        raise DimensionMismatch(f"U must be a stack of 2n x 2n matrices, got shape {np.shape(u)}")
+    require_type(h, Spectrum, "h", "a stacked Spectrum")
     require_finite(u, transformed)
+    return _diagnostics(np.asarray(u, dtype=complex), h, transformed)
+
+
+def _diagnostics(u, h, transformed):
+    # compute_diagnostics of finite stacks of one shape, as diagnose's gate leaves them
     gram = adjoint(u) @ u
-    gram -= np.eye(len(signs))
+    gram -= np.eye(u.shape[-1])
     unitarity = frobenius(gram).tolist()
     del gram
     condition = eriksen_condition_residual(u).tolist()

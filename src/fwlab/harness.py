@@ -116,11 +116,6 @@ def _run_method(method, batch):
     return outcomes
 
 
-def _model(spec: ModelSpec):
-    """(H, decomposition) of one spec; ``build_model`` checks H as an eigh operand."""
-    return build_model(spec)
-
-
 def run_comparisons(specs, methods=METHOD_TAGS,
                     tolerances: ToleranceConfig = ToleranceConfig()) -> list[ComparisonReport]:
     """Build each batch of models as stacks and run every requested method on them.
@@ -175,7 +170,7 @@ def run_comparisons(specs, methods=METHOD_TAGS,
         for k in range(count):
             index = range(len(specs) * k // count, len(specs) * (k + 1) // count)
             for i in index:
-                models[i] = models[i] or _model(specs[i])
+                models[i] = models[i] or build_model(specs[i])
                 if len(models[i][0]) != dim:
                     raise DimensionMismatch(f"model {i} has shape {models[i][0].shape}, "
                                             f"model 0 {(dim, dim)}")
@@ -213,7 +208,7 @@ def run_comparisons(specs, methods=METHOD_TAGS,
                 tasks.close()  # after a failure the other lanes stop at their next task
 
     with single_blas_thread() as pinned:
-        models = [_model(specs[0])] + [None] * (len(specs) - 1)
+        models = [build_model(specs[0])] + [None] * (len(specs) - 1)
         dim = len(models[0][0])
         count = max(1, len(specs) // lane_batch_size(dim))
         tasks = stream()

@@ -218,14 +218,9 @@ def spectral_gap(h) -> SpectralGapReport:
     return SpectralGapReport(float(np.min(np.abs(h.w))), definite)
 
 
-def inv_sqrt(a) -> np.ndarray:
-    """Inverse principal root P, P @ a @ P = 1, of a Hermitian PD matrix or Spectrum;
-    SingularOperand if the smallest eigenvalue fails ``check_gap``."""
-    return inv_sqrt_stack(Slices(1), Spectrum.of(a)[None])[0][0]
-
-
 def inv_sqrt_stack(slices: Slices, a: Spectrum, *stacks):
-    """(``inv_sqrt`` of each slice of a stacked Spectrum ``a``, *stacks) of the slices left."""
+    """(Inverse principal root P, P a P = 1, of each Hermitian PD slice of a stacked Spectrum
+    ``a``, *stacks) of the slices left; one whose least eigenvalue fails ``check_gap`` leaves."""
     a, *stacks = slices.gate(lambda slot: check_gap(a.w[slot], SingularOperand,
                                                     "smallest eigenvalue"), a, *stacks)
     return (a.apply(lambda w: 1.0 / np.sqrt(w)), *stacks)
@@ -304,9 +299,13 @@ def unitary_log_stack(slices: Slices, u, defect) -> np.ndarray:
 
 
 def odd_exp(c) -> np.ndarray:
-    """Exponential of the odd anti-Hermitian generator [[0, c], [-c^H, 0]], from one SVD of c;
-    a stack of c gives the stack of exponentials, each slice bit for bit its own."""
-    return odd_rotation(*np.linalg.svd(np.asarray(c, dtype=complex)))
+    """Exponential of the odd anti-Hermitian generator [[0, c], [-c^H, 0]] from one SVD of c, a
+    finite matrix or stack of them, each slice bit for bit its own; FWLabError naming c else."""
+    if np.ndim(c) < 2:
+        raise DimensionMismatch(f"c must be a matrix or a stack of them, got shape {np.shape(c)}")
+    if not np.isfinite(c := np.asarray(c, dtype=complex)).all():
+        raise NonHermitianInput("c has non-finite entries")
+    return odd_rotation(*np.linalg.svd(c))
 
 
 def odd_rotation(p, s, qh) -> np.ndarray:

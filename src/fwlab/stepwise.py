@@ -24,8 +24,8 @@ import numpy as np
 
 from .algebra import (NORM_FLOOR, adjoint, as_number, beta_signs, frobenius, require_mass,
                       require_type)
-from .eriksen import FWResult, diagnose, hamiltonian_spectrum
-from .matfunc import Slices, Spectrum, _hermitize, odd_exp, single_blas_thread
+from .eriksen import FWResult, _alone
+from .matfunc import Spectrum, _hermitize, odd_exp
 
 # The run stagnates when the odd ratio fails to shrink by this factor
 # over STAGNATION_STEPS consecutive steps.
@@ -133,7 +133,6 @@ def stepwise_lockstep(h: Spectrum, masses, tolerances: ToleranceConfig = Toleran
     return u, transformed, traces
 
 
-@single_blas_thread()
 def stepwise_fw(h, mass: float,
                 tolerances: ToleranceConfig = ToleranceConfig()) -> tuple[FWResult, StepwiseTrace]:
     """Run the iterative scheme until tolerance, stagnation, or the cap.
@@ -142,8 +141,10 @@ def stepwise_fw(h, mass: float,
     m of every exponent, over which ||O||_F must stay finite (``require_mass``), and
     ``tolerances`` the stopping rule, a ToleranceConfig (ValueError otherwise).  Non-convergence
     is a reported outcome, not an error: the result always carries the composite transform
-    actually reached.  This is ``stepwise_lockstep`` on a stack of one.
+    actually reached.  This is ``stepwise_lockstep`` on a stack of one, run by ``_alone``.
     """
-    h = hamiltonian_spectrum(h)
-    u, transformed, [trace] = stepwise_lockstep(h[None], [mass], tolerances)
-    return diagnose(Slices(1), h[None], u, transformed)[0], trace
+    def lockstep(slices, h):  # the route on the stack of one; it keeps the run's trace
+        u, transformed, lockstep.traces = stepwise_lockstep(h, [mass], tolerances)
+        return h, u, transformed
+
+    return _alone(lockstep, h), lockstep.traces[0]

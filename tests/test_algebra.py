@@ -77,6 +77,15 @@ def test_make_beta():
     beta = make_beta(4)
     np.testing.assert_array_equal(beta, np.diag([1.0, 1.0, -1.0, -1.0]))
     np.testing.assert_array_equal(beta @ beta, np.eye(4))
+    np.testing.assert_array_equal(make_beta(np.int64(2)), np.diag([1.0, -1.0]))
+    # dim is read as an integer and checked before anything is built: raw TypeErrors once,
+    # and numpy's "negative dimensions" ValueError for -2
+    for dim in (2.0, "4", True, None):
+        with pytest.raises(ValueError, match=re.escape(f"dim must be an integer, got {dim!r}")):
+            make_beta(dim)
+    for dim in (-2, 0, 1, 5):
+        with pytest.raises(DimensionMismatch, match=f"^dim must be 2n, n >= 1, got {dim}$"):
+            make_beta(dim)
 
 
 def test_projections_split_exactly():

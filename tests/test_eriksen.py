@@ -230,7 +230,7 @@ def test_hamiltonian_matrix_checked_once(monkeypatch):
             checked.append(name)
         return require_hermitian(a, name)
 
-    # hamiltonian_spectrum checks a matrix through Spectrum.of, naming it
+    # _alone checks a matrix H through Spectrum.of, naming it
     monkeypatch.setattr(fwlab.matfunc, "require_hermitian", spy)
     eriksen_transform(h)
     assert checked == ["Hamiltonian"]

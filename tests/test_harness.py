@@ -681,8 +681,8 @@ def test_lane_failure_propagates_and_joins(monkeypatch, open_gate, lane_counts, 
 
     monkeypatch.setattr(harness, route, broken)
     built = []
-    model = harness._model
-    monkeypatch.setattr(harness, "_model", lambda spec: built.append(spec) or model(spec))
+    model = harness.build_model
+    monkeypatch.setattr(harness, "build_model", lambda spec: built.append(spec) or model(spec))
     baseline = threading.active_count()
     with pytest.raises(RuntimeError, match="kernel failure"):
         run_comparisons(_strengths(8))
@@ -696,7 +696,7 @@ def _spy_open_models(monkeypatch):
     """The most models at any time that were built and have no report yet."""
     guard = threading.Lock()
     state = {"open": 0, "most": 0}
-    model, report = harness._model, harness.assemble_report
+    model, report = harness.build_model, harness.assemble_report
 
     def built(spec):
         with guard:
@@ -709,7 +709,7 @@ def _spy_open_models(monkeypatch):
             state["open"] -= 1
         return report(*args)
 
-    monkeypatch.setattr(harness, "_model", built)
+    monkeypatch.setattr(harness, "build_model", built)
     monkeypatch.setattr(harness, "assemble_report", reported)
     return state
 
@@ -753,8 +753,8 @@ def test_later_build_error_propagates_and_joins(monkeypatch, open_gate, lane_cou
     specs = _strengths(7)
     specs[4] = replace(specs[4], mass=-1.0)
     built = []
-    model = harness._model
-    monkeypatch.setattr(harness, "_model", lambda spec: built.append(spec) or model(spec))
+    model = harness.build_model
+    monkeypatch.setattr(harness, "build_model", lambda spec: built.append(spec) or model(spec))
     baseline = threading.active_count()
     with pytest.raises(ValueError, match="mass"):
         run_comparisons(specs)

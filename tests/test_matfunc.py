@@ -25,7 +25,6 @@ from fwlab import (
     eriksen_transform,
     eriksen_transform_alt,
     frobenius,
-    inv_sqrt,
     make_beta,
     odd_exp,
     relative_norm,
@@ -38,7 +37,7 @@ from fwlab import (
     weak_field_sqrt,
     weak_field_transform,
 )
-from fwlab.matfunc import BRANCH_MARGIN, GAP_RTOL
+from fwlab.matfunc import BRANCH_MARGIN, GAP_RTOL, Slices, inv_sqrt_stack
 from fwlab.errors import (
     BranchCutProximity,
     DegenerateFactor,
@@ -158,17 +157,23 @@ def test_principal_sqrt_rejects_indefinite():
 
 
 def test_inv_sqrt_inverts():
+    # the stack kernel on a stack of one
     rng = np.random.default_rng(11)
     a = _random_psd(rng, 8) + 0.1 * np.eye(8)
-    isq = inv_sqrt(a)
+    [isq] = inv_sqrt_stack(Slices(1), Spectrum.of(a)[None])[0]
     np.testing.assert_allclose(isq @ a @ isq, np.eye(8), atol=1e-11)
     oracle = np.linalg.inv(scipy.linalg.sqrtm(a))
     assert frobenius(isq - oracle) <= 1e-9 * frobenius(oracle)
 
 
 def test_inv_sqrt_rejects_singular():
+    slices = Slices(2)
+    a = Spectrum.of_stack(np.stack([np.eye(2), np.diag([1.0, 0.0])]), Slices(2))[0]
+    [isq] = inv_sqrt_stack(slices, a)[0]
+    np.testing.assert_array_equal(isq, np.eye(2))
+    assert slices.index == [0] and slices.errors[1][0] is SingularOperand
     with pytest.raises(SingularOperand):
-        inv_sqrt(np.diag([1.0, 0.0]))
+        inv_sqrt_stack(Slices(1), Spectrum.of(np.diag([1.0, 0.0]))[None])
 
 
 def test_sign_operator_against_eigen_reconstruction():
@@ -229,7 +234,8 @@ def _gap_rule_sites(factor):
         ("require_gap", lambda: sign_operator(np.diag(w)), SingularHamiltonian,
          "no spectral gap at zero: smallest |eigenvalue| 1.000e-10 "
          "is below the gap tolerance 2.000e-10"),
-        ("inv_sqrt", lambda: inv_sqrt(a), SingularOperand,
+        ("inv_sqrt_stack", lambda: inv_sqrt_stack(Slices(1), Spectrum.of(a)[None]),
+         SingularOperand,
          "smallest eigenvalue 1.500e-10 is below the gap tolerance 3.000e-10"),
         ("eriksen", lambda: eriksen_transform(h_rotated), SingularOperand,
          "smallest cos^2 theta 5.000e-11 is below the gap tolerance 1.000e-10"),
@@ -267,7 +273,7 @@ def test_kernels_reuse_a_spectrum(monkeypatch):
     rng = np.random.default_rng(18)
     h = _random_gapped_hermitian(rng, 8)
     a = h @ h
-    expected = (sign_operator(h), principal_sqrt(a), inv_sqrt(a), spectral_gap(h))
+    expected = (sign_operator(h), principal_sqrt(a), spectral_gap(h))
     spectrum, gram = Spectrum.of(h), Spectrum.of(a)
     assert Spectrum.of(spectrum) is spectrum
 
@@ -275,10 +281,10 @@ def test_kernels_reuse_a_spectrum(monkeypatch):
         raise AssertionError("a Spectrum argument must not be decomposed again")
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-    got = (sign_operator(spectrum), principal_sqrt(gram), inv_sqrt(gram), spectral_gap(spectrum))
-    for value, oracle in zip(got[:3], expected[:3]):
+    got = (sign_operator(spectrum), principal_sqrt(gram), spectral_gap(spectrum))
+    for value, oracle in zip(got[:2], expected[:2]):
         np.testing.assert_array_equal(value, oracle)
-    assert got[3] == expected[3]
+    assert got[2] == expected[2]
     # apply returns V diag(f(w)) V^H, Hermitian bit for bit
     root = spectrum.apply(np.abs)
     np.testing.assert_array_equal(root, root.conj().T)
@@ -295,15 +301,12 @@ def test_spectrum_rejects_non_hermitian_matrix():
     for bad in (h + 1e-6 * skew, np.triu(h), np.full((8, 8), np.nan)):
         with pytest.raises(NonHermitianInput):
             Spectrum.of(bad)
-        with pytest.raises(NonHermitianInput):
-            inv_sqrt(bad)
 
 
 @pytest.mark.parametrize("shape", [(3, 2), (3,), (2, 2, 2)])
 def test_spectrum_rejects_non_square_operand(shape):
     # a typed error, not numpy's broadcast ValueError or eigh's LinAlgError
-    for call in (lambda: Spectrum.of(np.ones(shape), "H"), lambda: inv_sqrt(np.ones(shape)),
-                 lambda: sign_operator(np.ones(shape))):
+    for call in (lambda: Spectrum.of(np.ones(shape), "H"), lambda: sign_operator(np.ones(shape))):
         with pytest.raises(DimensionMismatch, match=r"must be a square matrix, got shape"):
             call()
 

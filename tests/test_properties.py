@@ -49,6 +49,7 @@ from fwlab import (
     FWLabError,
     FWResult,
     ModelSpec,
+    NonHermitianInput,
     Potential,
     Spectrum,
     build_free_particle,
@@ -56,6 +57,7 @@ from fwlab import (
     build_model,
     build_synthetic_commuting,
     check_commutation,
+    compute_diagnostics,
     eriksen_transform,
     eriksen_transform_alt,
     exponent_oddness,
@@ -63,6 +65,7 @@ from fwlab import (
     h_fw_exact,
     lambda_exact,
     make_beta,
+    odd_exp,
     relative_norm,
     report_csv,
     report_json,
@@ -464,6 +467,9 @@ DIRECT_OPERANDS = [
     (exponent_oddness, dict(u=np.eye(4, dtype=complex)), "u"),
     (FWResult.of, dict(u=np.eye(4, dtype=complex), h=_H), "u"),
     (unitary_log, dict(u=np.eye(4, dtype=complex)), "u"),
+    (compute_diagnostics, dict(u=np.eye(4)[None], h=Spectrum.of(_H)[None], transformed=_H[None]),
+     "h"),
+    (odd_exp, dict(c=np.zeros((2, 2))), "c"),
 ]
 
 
@@ -549,11 +555,20 @@ def test_hostile_operands_fail_typed(case, value):
     (lambda: build_model(None), ValueError, "spec must be a ModelSpec, got NoneType"),
     (lambda: report_json(None), ValueError, "report must be a ComparisonReport, got NoneType"),
     (lambda: run_comparison(None), ValueError, "spec must be a ModelSpec, got NoneType"),
+    (lambda: compute_diagnostics(np.eye(4)[None], _H[None], _H[None]), ValueError,
+     "h must be a stacked Spectrum, got ndarray"),
+    (lambda: odd_exp(np.full((2, 2), np.nan)), NonHermitianInput, "c has non-finite entries"),
+    (lambda: odd_exp(np.full((2, 2), np.inf)), NonHermitianInput, "c has non-finite entries"),
+    (lambda: odd_exp(np.ones(3)), DimensionMismatch,
+     "c must be a matrix or a stack of them, got shape (3,)"),
+    (lambda: odd_exp("ab"), DimensionMismatch,
+     "c must be a matrix or a stack of them, got shape ()"),
 ], ids=["eriksen-h", "stepwise-h", "split-h", "oddness-u", "u_fw_exact-d", "weak_root-d",
         "commutation-d", "specs-none", "specs-str", "specs-dict", "specs-entry", "methods-none",
         "methods-str", "tolerances-none", "tolerances-dict", "stepwise-tolerances", "result-u-none",
         "result-u-shape", "log-u-none", "log-u-shape", "build-spec", "json-report",
-        "comparison-spec"])
+        "comparison-spec", "diagnostics-h", "odd-exp-nan", "odd-exp-inf", "odd-exp-vector",
+        "odd-exp-str"])
 def test_operands_are_refused_by_name(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()

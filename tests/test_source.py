@@ -118,8 +118,8 @@ def test_one_pin_sets_blas():
         "matfunc:single_blas_thread"]
     pinned = [user for path in paths for user in _users(
         path, lambda node: isinstance(node, ast.Name) and node.id == "single_blas_thread")]
-    assert sorted(pinned) == ["eriksen:_alone", "eriksen:of", "exact_case:weak_field_sqrt",
-                              "harness:run_comparisons", "stepwise:stepwise_fw"]
+    assert sorted(pinned) == ["eriksen:_alone", "exact_case:weak_field_sqrt",
+                              "harness:run_comparisons"]
     assert not {"ctypes", "contextlib"} & _imported(SRC / "harness.py")
 
 
@@ -234,8 +234,8 @@ def test_one_unitarity_verdict():
 def test_one_diagnostics_path():
     # the routes pass their stacks to diagnose, which gates a non-finite slice before computing
     # instead of catching an error and computing again; unitary_log_stack trusts the finiteness
-    # and the defects its callers give it, so only the public names (unitary_log, FWResult.of,
-    # compute_diagnostics) and diagnose's gate check a U
+    # and the defects its callers give it, so only the public names (unitary_log, FWResult.of's
+    # route ``given``, compute_diagnostics) and diagnose's gate check a U
     paths = sorted(SRC.rglob("*.py"))
     diagnose = _function(SRC / "eriksen.py", "diagnose")
     assert not [node for node in ast.walk(diagnose) if isinstance(node, ast.Try)]
@@ -245,11 +245,23 @@ def test_one_diagnostics_path():
     assert not [node for node in ast.walk(log_stack) if _names("require_finite")(node)]
     checks = {user for path in paths for user in _users(
         path, lambda node: isinstance(node, ast.Name) and node.id == "require_finite")}
-    assert checks == {"matfunc:unitary_log", "eriksen:of", "eriksen:diagnose",
+    assert checks == {"matfunc:unitary_log", "eriksen:given", "eriksen:diagnose",
                       "eriksen:compute_diagnostics"}
     assert [user for path in paths for user in _users(
         path, lambda node: isinstance(node, ast.Call)
         and ast.unparse(node.func).endswith("FWResult.of"))] == []
+
+
+def test_one_single_model_path():
+    # a single model reaches its FWResult through _alone alone, FWResult.of and stepwise_fw
+    # included, so diagnose has one caller per path: _alone and the scheduler's
+    paths = sorted(SRC.rglob("*.py"))
+    calls = [user for path in paths for user in _users(
+        path, lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "diagnose")]
+    assert sorted(calls) == ["eriksen:_alone", "harness:_run_method"]
+    assert "eriksen:of" in _users(SRC / "eriksen.py", _names("_alone"))
+    assert "stepwise:stepwise_fw" in _users(SRC / "stepwise.py", _names("_alone"))
+    assert not hasattr(fwlab.eriksen, "hamiltonian_spectrum")
 
 
 def test_models_check_no_input_themselves():
