@@ -24,7 +24,6 @@ from .algebra import (
 from .eriksen import (
     DiagnosticSet,
     FWResult,
-    compute_diagnostics,
     eriksen_condition_residual,
     eriksen_transform,
     eriksen_transform_alt,

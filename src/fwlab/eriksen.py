@@ -17,7 +17,7 @@ is coded separately from lambda as a cross-check.  Entry points taking H
 also accept its ``Spectrum``.  Each route is a kernel on stacks only, one LAPACK call per step;
 ``_alone`` runs one on a single model for every single-model name (``FWResult.of`` and
 ``stepwise_fw`` too), and ``diagnose`` measures a stack as one and applies ``check_unitarity``.
-``FWResult`` is a record; only ``of``, ``compute_diagnostics`` and ``unitary_log`` check a U.
+``FWResult`` is a record; only ``of`` and ``unitary_log`` check a caller's U.
 
 A transform of this family also has a Hermitian generator S = -i log U
 that is odd (anticommutes with beta).  Multi-step schemes produce unitary
@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (NORM_FLOOR, adjoint, beta_signs, even_projection, frobenius,
-                      odd_norm_ratio, relative_norm, require_type)
-from .errors import DegenerateFactor, DimensionMismatch, FWLabError, SingularOperand
+                      odd_norm_ratio, relative_norm)
+from .errors import DegenerateFactor, FWLabError, SingularOperand
 from .matfunc import (Slices, Spectrum, _hermitize, check_gap, check_unitarity, odd_rotation,
                       require_finite, require_gap, single_blas_thread, unitary_log,
                       unitary_log_stack)
@@ -83,7 +83,7 @@ class FWResult:
 
         def given(slices, h):  # the caller's U as a route, checked after H
             require_finite(u)  # before u h u^H is built from it
-            x = u @ h.matrix[0] @ adjoint(u) if transformed is None else transformed
+            x = u @ h.matrix[0] @ adjoint(u) if transformed is None else np.asarray(transformed)
             return h, u[None], x[None]
 
         return _alone(given, h, unitary=unitary)
@@ -125,24 +125,9 @@ def exponent_oddness(u) -> float:
     return relative_norm(even_projection(s), s)
 
 
-def compute_diagnostics(u, h, transformed):
-    """The full diagnostic set of each transform of a stack: a list, in slice order.
-
-    ``h`` is a stacked Spectrum (ValueError otherwise) and ``u``, ``transformed`` = u h u^H stacks
-    of H's shape (DimensionMismatch, as for one matrix).  ``spectrum_drift`` is the largest
-    sorted-eigenvalue displacement between ``h`` and ``transformed``, relative to ||h||_F.  A
-    non-finite slice raises ``require_finite``'s error before any arithmetic.
-    """
-    beta_signs({"H": h, "U": u, "U H U^H": transformed})
-    if np.ndim(u) != 3:
-        raise DimensionMismatch(f"U must be a stack of 2n x 2n matrices, got shape {np.shape(u)}")
-    require_type(h, Spectrum, "h", "a stacked Spectrum")
-    require_finite(u, transformed)
-    return _diagnostics(np.asarray(u, dtype=complex), h, transformed)
-
-
 def _diagnostics(u, h, transformed):
-    # compute_diagnostics of finite stacks of one shape, as diagnose's gate leaves them
+    # the DiagnosticSet of each slice of finite stacks of one shape, as diagnose's gate leaves
+    # them; spectrum_drift is the largest sorted-eigenvalue displacement relative to ||h||_F
     gram = adjoint(u) @ u
     gram -= np.eye(u.shape[-1])
     unitarity = frobenius(gram).tolist()

@@ -141,18 +141,15 @@ def lambda_exact(d: DiracDecomposition) -> np.ndarray:
     return signs[:, None] * odd_rotation(p, np.arctan2(sigma, d.mass), qh)
 
 
-def u_fw_exact(d: DiracDecomposition, *, h=None) -> FWResult:
+def u_fw_exact(d: DiracDecomposition) -> FWResult:
     """Closed-form transform (eps + m + beta O) / sqrt(2 eps (eps + m)).
 
     It is the odd rotation by arctan2(sigma, m) / 2, unitary for any Hermitian
     odd part, and agrees with the sign-operator construction on commuting
-    input.  The diagnostics read ``h`` (H or its Spectrum), by default d.hamiltonian(), which
-    must have the shape of d's parts (DimensionMismatch).
+    input.  Its diagnostics read d.hamiltonian(); ``FWResult.of`` takes another H.
     """
     parts = ModelStack.of([d])
-    beta_signs({"odd part": d.odd_part, "H": h})
-    return _alone(lambda slices, h: u_fw_stack(slices, replace(parts, h=h)),
-                  d.hamiltonian() if h is None else h)
+    return _alone(lambda slices, h: u_fw_stack(slices, replace(parts, h=h)), d.hamiltonian())
 
 
 def u_fw_stack(slices: Slices, d: ModelStack):

@@ -101,7 +101,7 @@ class Potential:
 
 def parse_potential(text: str) -> Potential:
     """Parse the ``name:params`` / ``file:path`` descriptor mini-syntax."""
-    name, _, remainder = text.partition(":")
+    name, _, remainder = require_type(text, str, "potential").partition(":")
     name = name.strip()
     if name == "file":
         if not remainder:
@@ -155,9 +155,11 @@ def build_lattice_1d(n: int, length: float, mass: float,
     kinetic term is purely odd, and the potential is even.
 
     Raises InvalidGrid for 2n > MAX_DIM, n < 4, odd n, or a nonpositive or non-finite length,
-    and ValueError for an n, length (``as_number``) or mass (``require_mass``) not a number.
+    and ValueError for an n, length (``as_number``) or mass (``require_mass``) not a number
+    or a potential not a Potential.
     """
     n, length, mass = as_number(n, "n", True), as_number(length, "length"), require_mass(mass)
+    require_type(potential, Potential, "potential")
     require_size(n, InvalidGrid)
     if n < 4 or n % 2 != 0:
         raise InvalidGrid(f"need an even site count of at least 4, got {n}")

@@ -119,7 +119,7 @@ def report_csv(report: ComparisonReport) -> str:
     """One row per (method, metric); blank value where a metric is absent."""
     lines = ["method,metric,value"]
     names = [f.name for f in fields(DiagnosticSet)]
-    for row in report.methods:
+    for row in require_type(report, ComparisonReport, "report").methods:
         metrics = row.diagnostics.to_dict() if row.diagnostics is not None else {}
         for name in names:
             value = metrics.get(name)

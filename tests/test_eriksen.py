@@ -11,8 +11,8 @@ from fwlab import (
     FWResult,
     ModelSpec,
     Potential,
+    build_lattice_1d,
     build_model,
-    compute_diagnostics,
     eriksen_condition_residual,
     eriksen_transform,
     eriksen_transform_alt,
@@ -23,7 +23,7 @@ from fwlab import (
     run_comparison,
     sign_operator,
     Spectrum,
-    u_fw_exact,
+    weak_field_sqrt,
     weak_field_transform,
 )
 from fwlab.errors import (
@@ -198,12 +198,7 @@ def test_step_crossing_near_gap():
 
 def test_identity_transform_diagnostics():
     h, _ = build_free_particle(1.0, (0.0, 0.0, 0.75))
-    [diag] = compute_diagnostics(np.eye(4)[None], Spectrum.of(h)[None], h[None])
-    assert FWResult.of(np.eye(4), h, h, unitary=False).diagnostics == diag
-    # one matrix has FWResult.of's diagnostics; compute_diagnostics takes stacks only
-    with pytest.raises(DimensionMismatch, match=re.escape(
-            "U must be a stack of 2n x 2n matrices, got shape (4, 4)")):
-        compute_diagnostics(np.eye(4), h, h)
+    diag = FWResult.of(np.eye(4), h, h, unitary=False).diagnostics
     assert diag.unitarity_residual == 0.0
     assert diag.eriksen_condition_residual == 0.0
     assert diag.block_diagonality == pytest.approx(0.6, rel=1e-14)
@@ -256,16 +251,10 @@ def test_single_model_diagnostics_reject_non_finite_operands(bad):
     result = eriksen_transform(h)
     u, transformed = result.transform.copy(), result.transformed_hamiltonian.copy()
     u[0, 1], transformed[1, 1] = bad, bad
-    spectra = Spectrum.of(h)[None]
-    for call in (lambda: FWResult.of(u, h),
-                 lambda: compute_diagnostics(u[None], spectra,
-                                             result.transformed_hamiltonian[None])):
-        with pytest.raises(NotUnitary, match="^U has non-finite entries$"):
-            call()
-    for call in (lambda: FWResult.of(result.transform, h, transformed),
-                 lambda: compute_diagnostics(result.transform[None], spectra, transformed[None])):
-        with pytest.raises(NonHermitianInput, match="^U H U\\^H has non-finite entries$"):
-            call()
+    with pytest.raises(NotUnitary, match="^U has non-finite entries$"):
+        FWResult.of(u, h)
+    with pytest.raises(NonHermitianInput, match="^U H U\\^H has non-finite entries$"):
+        FWResult.of(result.transform, h, transformed)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -279,8 +268,6 @@ def test_stacked_diagnostics_refuse_a_non_finite_slice_by_name(bad):
     for operand, error, name in ((u, NotUnitary, "U"), (transformed, NonHermitianInput, "U H U^H")):
         good = operand[1].copy()
         operand[1, 0, 1] = bad
-        with pytest.raises(error, match=f"^{re.escape(name)} has non-finite entries$"):
-            compute_diagnostics(u, spectra, transformed)
         slices = Slices(2)
         [kept] = diagnose(slices, spectra, u, transformed)
         assert slices.index == [0]
@@ -290,6 +277,39 @@ def test_stacked_diagnostics_refuse_a_non_finite_slice_by_name(bad):
         operand[1] = good
 
 
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_stacked_diagnostics_are_those_of_each_transform_alone(n):
+    # diagnose on a stack that mixes routes and non-unitary weak-field slices gives each slice
+    # the bits FWResult.of gives its transform alone, so FWResult.of needs no stacked twin
+    hs, us = [], []
+    for g, width in ((0.1, 1.0), (0.3, 0.5), (0.5, 2.0), (0.8, 1.5)):
+        h, d = build_lattice_1d(n, n / 4, 1.0, Potential("gaussian", (g, width)))
+        for result in (eriksen_transform(h), eriksen_transform_alt(h),
+                       weak_field_transform(h, weak_field_sqrt(d))):
+            hs.append(h)
+            us.append(result.transform)
+    spectra = Spectrum(*(np.stack(x) for x in zip(*(
+        (s.matrix, s.w, s.v) for s in map(Spectrum.of, hs)))))
+    u = np.stack(us)
+    transformed = u @ np.stack(hs) @ u.conj().transpose(0, 2, 1)
+    slices = Slices(len(us))
+    stacked = diagnose(slices, spectra, u, transformed, unitary=False)
+    assert slices.index == list(range(len(us))) and slices.errors == {}
+    assert max(r.diagnostics.unitarity_residual for r in stacked) > 1e-10  # weak field
+    for i, result in enumerate(stacked):
+        alone = FWResult.of(u[i], hs[i], transformed[i], unitary=False).diagnostics
+        assert result.diagnostics == alone, i
+
+
+def test_result_reads_a_listed_transformed_hamiltonian():
+    # once a raw TypeError from indexing the list with None
+    h, _ = build_free_particle(1.0, (0.3, 0.4, 0.0))
+    result = eriksen_transform(h)
+    listed = FWResult.of(result.transform, h, result.transformed_hamiltonian.tolist())
+    assert listed.diagnostics == result.diagnostics
+    np.testing.assert_array_equal(listed.transformed_hamiltonian, result.transformed_hamiltonian)
+
+
 # Each entry point that takes several operands, called on a 4x4 H (and its decomposition d)
 # with one 8x8 operand x: (call, the message naming x by its own shape).
 MISMATCHED = {
@@ -297,15 +317,8 @@ MISMATCHED = {
                       "U must have the shape (4, 4) of H, got shape (8, 8)"),
     "FWResult.of U H U^H": (lambda h, d, x: FWResult.of(np.eye(4), h, x),
                             "U H U^H must have the shape (4, 4) of H, got shape (8, 8)"),
-    "compute_diagnostics": (lambda h, d, x: compute_diagnostics(np.eye(4), h, x),
-                            "U H U^H must have the shape (4, 4) of H, got shape (8, 8)"),
-    "compute_diagnostics stack": (
-        lambda h, d, x: compute_diagnostics(np.eye(4)[None], Spectrum.of(h)[None], x[None]),
-        "U H U^H must have the shape (1, 4, 4) of H, got shape (1, 8, 8)"),
     "weak_field_transform": (lambda h, d, x: weak_field_transform(h, x),
                              "root must have the shape (4, 4) of H, got shape (8, 8)"),
-    "u_fw_exact": (lambda h, d, x: u_fw_exact(d, h=x),
-                   "H must have the shape (4, 4) of odd part, got shape (8, 8)"),
     "DiracDecomposition": (lambda h, d, x: DiracDecomposition(1.0, d.even_part, x),
                            "odd part must have the shape (4, 4) of even part, got shape (8, 8)"),
 }

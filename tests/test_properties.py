@@ -57,7 +57,7 @@ from fwlab import (
     build_model,
     build_synthetic_commuting,
     check_commutation,
-    compute_diagnostics,
+    emit_report,
     eriksen_transform,
     eriksen_transform_alt,
     exponent_oddness,
@@ -66,6 +66,7 @@ from fwlab import (
     lambda_exact,
     make_beta,
     odd_exp,
+    parse_potential,
     relative_norm,
     report_csv,
     report_json,
@@ -467,9 +468,9 @@ DIRECT_OPERANDS = [
     (exponent_oddness, dict(u=np.eye(4, dtype=complex)), "u"),
     (FWResult.of, dict(u=np.eye(4, dtype=complex), h=_H), "u"),
     (unitary_log, dict(u=np.eye(4, dtype=complex)), "u"),
-    (compute_diagnostics, dict(u=np.eye(4)[None], h=Spectrum.of(_H)[None], transformed=_H[None]),
-     "h"),
     (odd_exp, dict(c=np.zeros((2, 2))), "c"),
+    (build_lattice_1d, dict(n=8, length=4.0, mass=1.0, potential=Potential("zero")), "potential"),
+    (parse_potential, dict(text="gaussian:0.1,1"), "text"),
 ]
 
 
@@ -555,8 +556,15 @@ def test_hostile_operands_fail_typed(case, value):
     (lambda: build_model(None), ValueError, "spec must be a ModelSpec, got NoneType"),
     (lambda: report_json(None), ValueError, "report must be a ComparisonReport, got NoneType"),
     (lambda: run_comparison(None), ValueError, "spec must be a ModelSpec, got NoneType"),
-    (lambda: compute_diagnostics(np.eye(4)[None], _H[None], _H[None]), ValueError,
-     "h must be a stacked Spectrum, got ndarray"),
+    (lambda: report_csv(None), ValueError, "report must be a ComparisonReport, got NoneType"),
+    (lambda: emit_report(None, "csv"), ValueError,
+     "report must be a ComparisonReport, got NoneType"),
+    (lambda: build_lattice_1d(8, 4.0, 1.0, None), ValueError,
+     "potential must be a Potential, got NoneType"),
+    (lambda: build_lattice_1d(8, 4.0, 1.0, "zero"), ValueError,
+     "potential must be a Potential, got str"),
+    (lambda: parse_potential(None), ValueError, "potential must be a str, got NoneType"),
+    (lambda: parse_potential(3), ValueError, "potential must be a str, got int"),
     (lambda: odd_exp(np.full((2, 2), np.nan)), NonHermitianInput, "c has non-finite entries"),
     (lambda: odd_exp(np.full((2, 2), np.inf)), NonHermitianInput, "c has non-finite entries"),
     (lambda: odd_exp(np.ones(3)), DimensionMismatch,
@@ -567,8 +575,9 @@ def test_hostile_operands_fail_typed(case, value):
         "commutation-d", "specs-none", "specs-str", "specs-dict", "specs-entry", "methods-none",
         "methods-str", "tolerances-none", "tolerances-dict", "stepwise-tolerances", "result-u-none",
         "result-u-shape", "log-u-none", "log-u-shape", "build-spec", "json-report",
-        "comparison-spec", "diagnostics-h", "odd-exp-nan", "odd-exp-inf", "odd-exp-vector",
-        "odd-exp-str"])
+        "comparison-spec", "csv-report", "emit-csv-report", "lattice-potential-none",
+        "lattice-potential-str", "parse-potential-none", "parse-potential-int", "odd-exp-nan",
+        "odd-exp-inf", "odd-exp-vector", "odd-exp-str"])
 def test_operands_are_refused_by_name(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()

@@ -228,14 +228,13 @@ def test_one_unitarity_verdict():
     assert calls == {"eriksen:diagnose", "matfunc:unitary_log_stack"}
     assert "__post_init__" not in vars(fwlab.FWResult)
     assert not hasattr(fwlab.eriksen, "_Approximate")
-    assert "eriksen:compute_diagnostics" not in _users(SRC / "eriksen.py", _names("FWResult"))
 
 
 def test_one_diagnostics_path():
     # the routes pass their stacks to diagnose, which gates a non-finite slice before computing
     # instead of catching an error and computing again; unitary_log_stack trusts the finiteness
-    # and the defects its callers give it, so only the public names (unitary_log, FWResult.of's
-    # route ``given``, compute_diagnostics) and diagnose's gate check a U
+    # and the defects its callers give it, so only the public names (unitary_log and FWResult.of's
+    # route ``given``) and diagnose's gate check a U
     paths = sorted(SRC.rglob("*.py"))
     diagnose = _function(SRC / "eriksen.py", "diagnose")
     assert not [node for node in ast.walk(diagnose) if isinstance(node, ast.Try)]
@@ -245,8 +244,7 @@ def test_one_diagnostics_path():
     assert not [node for node in ast.walk(log_stack) if _names("require_finite")(node)]
     checks = {user for path in paths for user in _users(
         path, lambda node: isinstance(node, ast.Name) and node.id == "require_finite")}
-    assert checks == {"matfunc:unitary_log", "eriksen:given", "eriksen:diagnose",
-                      "eriksen:compute_diagnostics"}
+    assert checks == {"matfunc:unitary_log", "eriksen:given", "eriksen:diagnose"}
     assert [user for path in paths for user in _users(
         path, lambda node: isinstance(node, ast.Call)
         and ast.unparse(node.func).endswith("FWResult.of"))] == []
@@ -262,6 +260,17 @@ def test_one_single_model_path():
     assert "eriksen:of" in _users(SRC / "eriksen.py", _names("_alone"))
     assert "stepwise:stepwise_fw" in _users(SRC / "stepwise.py", _names("_alone"))
     assert not hasattr(fwlab.eriksen, "hamiltonian_spectrum")
+
+
+def test_one_way_to_diagnose_a_callers_transform():
+    # FWResult.of diagnoses one U; a stack goes through diagnose, the only caller of the
+    # diagnostics kernel, and a closed form is diagnosed against its own H
+    assert not hasattr(fwlab, "compute_diagnostics")
+    assert not hasattr(fwlab.eriksen, "compute_diagnostics")
+    paths = sorted(SRC.rglob("*.py"))
+    assert [user for path in paths for user in _users(path, _names("_diagnostics"))] == [
+        "eriksen:diagnose"]
+    assert _parameters(_function(SRC / "exact_case.py", "u_fw_exact")) == ["d"]
 
 
 def test_models_check_no_input_themselves():
