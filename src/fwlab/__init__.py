@@ -45,7 +45,6 @@ from .errors import (
 )
 from .exact_case import (
     CommutationReport,
-    check_commutation,
     h_fw_exact,
     lambda_exact,
     sqrt_hd2_exact,

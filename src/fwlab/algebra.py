@@ -36,8 +36,11 @@ def frobenius(a):
     imaginary part, which numpy runs through the BLAS dot ``np.linalg.norm`` uses, so
     each norm equals the slice's own bit for bit.  Other slices, which that norm reads
     in memory order, are taken one by one.  A norm whose square overflows is inf, quietly.
+    DimensionMismatch for an operand of fewer than two dimensions, None among them.
     """
     a = np.asarray(a)
+    if a.ndim < 2:
+        raise DimensionMismatch(f"a must be a matrix or a stack of them, got shape {a.shape}")
     with np.errstate(over="ignore"):
         if a.ndim == 2:
             return float(np.linalg.norm(a, "fro"))

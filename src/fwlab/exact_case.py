@@ -52,15 +52,11 @@ class CommutationReport:
     is_commuting: bool
 
 
-def check_commutation(d: DiracDecomposition) -> CommutationReport:
-    """Measure ||[E, O]||_F / (||E||_F ||O||_F + floor) against COMMUTE_TOL."""
-    return ModelStack.of([d]).commutation[0]
-
-
 @dataclass(frozen=True, eq=False)
 class ModelStack:
-    """Decompositions of one shape as stacks, with each CommutationReport and H's stacked
-    Spectrum where a route needs it; ``odd_svd`` is taken on first use, ``[keep]`` selects."""
+    """Decompositions of one shape as stacks, with each CommutationReport (||[E, O]||_F over
+    ||E||_F ||O||_F + floor, against COMMUTE_TOL) and H's stacked Spectrum where a route needs it;
+    ``odd_svd`` is taken on first use, and ``[keep]`` selects, carrying an SVD already taken."""
 
     h: Spectrum | None
     masses: np.ndarray

@@ -7,7 +7,8 @@ with ``#`` and blank lines are ignored.  Tabulated potentials hold one
 real per line under the same comment rules.
 
 All writes go through a temp file in the target directory followed by an
-atomic rename.
+atomic rename.  A path is a str or os.PathLike: open() would read an int as
+a file descriptor, and close the caller's.
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ import uuid
 
 import numpy as np
 
-from .algebra import beta_signs
+from .algebra import beta_signs, require_type
 from .errors import DimensionMismatch, ParseError
 
 
 def write_text(path, text: str):
     """Atomic plain-text write: a temp file in the target directory, created with the
     mode ``open(path, "w")`` would give (0o666 less the umask), then a rename."""
+    require_type(path, (str, os.PathLike), "path", "a str or os.PathLike")
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".{os.path.basename(path)}.{uuid.uuid4().hex}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -46,6 +48,7 @@ def format_complex(z) -> str:
 
 
 def _data_lines(path):
+    require_type(path, (str, os.PathLike), "path", "a str or os.PathLike")
     with open(path, "r") as handle:
         for number, raw in enumerate(handle, start=1):
             line = raw.strip()

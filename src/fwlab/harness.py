@@ -68,8 +68,10 @@ ROUTES = {
 METHOD_TAGS = tuple(ROUTES)
 (METHOD_ERIKSEN, METHOD_ERIKSEN_ALT, METHOD_EXACT_CASE, METHOD_STEPWISE,
  METHOD_WEAK_FIELD) = METHOD_TAGS
-# The routes that read a batch's ModelStack; they run first, so that it goes early.
-_PARTS_READERS = (METHOD_EXACT_CASE, METHOD_WEAK_FIELD)
+# A batch's tasks in lane order.  The closed forms are one task, which owns the ModelStack:
+# weakfield takes the odd-block SVD of the whole stack, and exactcase's gated subset reuses it.
+_TASKS = ((METHOD_STEPWISE,), (METHOD_WEAK_FIELD, METHOD_EXACT_CASE), (METHOD_ERIKSEN,),
+          (METHOD_ERIKSEN_ALT,))
 
 # Lanes open from count * dim^2 >= CONCURRENCY_MIN_DIM^2 (one model at dim 128, 16 at dim 32);
 # below, threads contend for the GIL.
@@ -128,10 +130,10 @@ def run_comparisons(specs, methods=METHOD_TAGS,
     model must have the first one's shape (DimensionMismatch).  A stream of tasks, advanced under
     the call's one lock, sets each batch up when it is reached: it builds the models, runs H's
     stacked eigh and yields the stepwise lockstep, then prepares the rest (the ModelStack and each
-    model's context) and yields one task per other method.  Tasks only compute; ``_lane_count``
-    lanes take them in order.  A batch's reports are built once its contexts and every method's
-    outcomes are in, each the same as for its spec alone; a row's ``wall_time_seconds`` runs from
-    the start of its method's task to the end of the diagnostics, all under the BLAS pin.
+    model's context) and yields the other ``_TASKS``.  Tasks only compute; ``_lane_count`` lanes
+    take them in order.  A batch's reports are built once its contexts and every method's outcomes
+    are in, each the same as for its spec alone; a row's ``wall_time_seconds`` runs from the start
+    of its method's route to the end of its diagnostics, all under the BLAS pin.
     """
     methods = list(require_type(methods, (list, tuple), "methods", "a list or tuple"))
     if not methods:
@@ -140,8 +142,8 @@ def run_comparisons(specs, methods=METHOD_TAGS,
         if method not in METHOD_TAGS:
             raise ValueError(f"unknown method {method!r}; known: {', '.join(METHOD_TAGS)}")
     methods = [m for m in METHOD_TAGS if m in methods]
-    one_shot = sorted((m for m in methods if m != METHOD_STEPWISE),
-                      key=lambda m: m not in _PARTS_READERS)
+    lockstep, closed, *one_shot = [[m for m in task if m in methods] for task in _TASKS]
+    one_shot = [task for task in [closed] + one_shot if task]
     specs = [require_type(spec, ModelSpec, f"specs[{i}]") for i, spec in
              enumerate(require_type(specs, (list, tuple), "specs", "a list or tuple"))]
     require_type(tolerances, ToleranceConfig, "tolerances")
@@ -149,12 +151,11 @@ def run_comparisons(specs, methods=METHOD_TAGS,
         return []
     reports, lock = [None] * len(specs), threading.Lock()
 
-    def run(method, batch):
-        outcomes = _run_method(method, batch)
+    def run(task, batch):
+        outcomes = {method: _run_method(method, batch) for method in task}
         with lock:
-            batch.found[method] = outcomes
-            batch.readers.discard(method)
-            if not batch.readers:
+            batch.found.update(outcomes)
+            if task is closed:
                 batch.parts = None
             finish(batch)
 
@@ -178,21 +179,17 @@ def run_comparisons(specs, methods=METHOD_TAGS,
             models[index.start:index.stop] = [None] * len(index)
             batch = SimpleNamespace(index=index, h=Spectrum(h, *np.linalg.eigh(h)), parts=None,
                                     contexts=None, found={},
-                                    readers={m for m in _PARTS_READERS if m in methods},
                                     masses=[specs[i].mass for i in index], tolerances=tolerances)
             del h
-            if METHOD_STEPWISE in methods:  # the lockstep starts at the eigh
-                yield functools.partial(run, METHOD_STEPWISE, batch)
-            # ``parts`` is kept while a method in ``readers`` is left
+            if lockstep:  # the lockstep starts at the eigh
+                yield functools.partial(run, lockstep, batch)
             parts = ModelStack.of(ds, batch.h)
             del ds
-            if METHOD_WEAK_FIELD in methods:
-                parts.odd_svd
             batch.contexts = report_contexts(parts, batch.masses)
-            batch.parts = parts if batch.readers else None
+            batch.parts = parts if closed else None  # until the closed forms' task ends
             del parts
             finish(batch)  # a stepwise-only batch's lockstep may have ended
-            yield from (functools.partial(run, m, batch) for m in one_shot)
+            yield from (functools.partial(run, task, batch) for task in one_shot)
             del batch
 
     def take():
@@ -213,7 +210,7 @@ def run_comparisons(specs, methods=METHOD_TAGS,
         count = max(1, len(specs) // lane_batch_size(dim))
         tasks = stream()
         # one lockstep per batch and the one-shot routes of each model, as parallel work
-        task_count = (count if METHOD_STEPWISE in methods else 0) + (len(specs) if one_shot else 0)
+        task_count = (count if lockstep else 0) + (len(specs) if one_shot else 0)
         lanes = _lane_count(task_count, len(specs), dim, pinned)
         if lanes == 1:
             lane()

@@ -7,7 +7,6 @@ from fwlab import (
     build_free_particle,
     build_lattice_1d,
     build_synthetic_commuting,
-    check_commutation,
     eriksen_transform,
     frobenius,
     h_fw_exact,
@@ -20,6 +19,7 @@ from fwlab import (
     weak_field_sqrt,
     weak_field_transform,
 )
+from fwlab.exact_case import ModelStack
 from fwlab.errors import (NonHermitianInput, NotCommuting, NotUnitary, OutsideValidityDomain,
                           SingularOperand)
 from fwlab.models import DIRAC_ALPHA, DIRAC_BETA, Potential
@@ -29,12 +29,12 @@ from oracles import epsilon_operator, principal_sqrt
 
 def test_commutation_report():
     _, d = build_free_particle(1.0, (0.1, 0.2, 0.3))
-    report = check_commutation(d)
+    report, = ModelStack.of([d]).commutation
     assert report.is_commuting
     assert report.commutator_residual <= 1e-15
 
     _, d_bad = build_lattice_1d(8, 4.0, 1.0, Potential("gaussian", (0.1, 1.0)))
-    report_bad = check_commutation(d_bad)
+    report_bad, = ModelStack.of([d_bad]).commutation
     assert not report_bad.is_commuting
     assert report_bad.commutator_residual > 1e-6
 

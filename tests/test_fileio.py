@@ -156,6 +156,18 @@ def test_write_text_mode_matches_plain_open(tmp_path):
             == stat.S_IMODE((tmp_path / "plain.json").stat().st_mode))
 
 
+def test_a_refused_path_leaves_the_descriptor_open():
+    # open(2) read the int as stderr's descriptor, and its ``with`` block closed it
+    saved = os.dup(2)
+    try:
+        with pytest.raises(ValueError, match="^path must be a str or os.PathLike, got int$"):
+            read_matrix(2)
+        os.fstat(2)
+    finally:
+        os.dup2(saved, 2)
+        os.close(saved)
+
+
 def test_parse_error_location_formatting():
     assert str(ParseError("bad token", path="f.txt", line=3, column=2)) == "f.txt:3:2: bad token"
     assert str(ParseError("bad header", path="f.txt", line=1)) == "f.txt:1: bad header"

@@ -330,11 +330,12 @@ def _count_stacked_calls(monkeypatch, specs):
     return calls, slices, [r.row("stepwise").extras["iterations"] for r in reports]
 
 
-# One call per kernel per phase of a batch, whatever its size.  Weakfield takes two eigh, of
-# its root and of K_w; its transform is not unitary off the commuting case, so its logarithm
-# stops before the Cayley solve, and exactcase stops at NotCommuting.
+# One call per kernel per phase of a batch, whatever its size.  Weakfield takes the odd-block
+# SVD, which exactcase would reuse, and two eigh, of its root and of K_w; its transform is not
+# unitary off the commuting case, so its logarithm stops before the Cayley solve, and exactcase
+# stops at NotCommuting.
 STACKED_CALLS = {
-    ("build", "eigh"): 1, ("build", "svd"): 1,
+    ("build", "eigh"): 1, ("weakfield", "svd"): 1,
     ("eriksen", "solve"): 1, ("eriksen", "svd"): 1, ("eriksenalt", "svd"): 1,
     ("weakfield", "eigh"): 2, ("weakfield diagnostics", "eigvalsh"): 1,
     **{(f"{method} diagnostics", kernel): 1 for method in ("eriksen", "eriksenalt", "stepwise")
@@ -424,6 +425,33 @@ def test_closed_forms_share_one_svd_of_the_odd_block(monkeypatch):
     # one stacked call over the batch, here a stack of one
     assert len(operands) == 1
     np.testing.assert_array_equal(operands[0], d.odd_part[None, :6, 6:])
+
+
+@pytest.mark.parametrize("cores", [1, 4])
+def test_closed_forms_take_one_svd_on_a_mixed_batch(monkeypatch, open_gate, lane_counts, cores):
+    # one dim-32 batch of two commuting models and a lattice, on which exactcase stops at
+    # NotCommuting; weakfield's SVD of the whole odd-block stack is the one exactcase's subset
+    # reuses, on one lane or beside eriksen and eriksenalt on three
+    n, methods = 16, [m for m in METHOD_TAGS if m != "stepwise"]
+    specs = [ModelSpec(kind=KIND_SYNTHETIC, mass=1.0, n=n, poly=(0.05, 0.02), seed=seed)
+             for seed in (3, 4)] + [replace(GAUSS_SPEC, n=n)]
+    alone = [report_json(run_comparison(spec, methods)) for spec in specs]
+    operands, svd = [], np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        operands.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    open_gate(cores=cores, min_dim=50)  # a batch of 3 models at dim 32
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    reports = run_comparisons(specs, methods)
+    assert lane_counts == ([3] if cores > 1 else [])
+    # one SVD each for eriksen's angles, eriksenalt's polar factor and the odd blocks
+    odd = np.stack([build_model(spec)[1].odd_part[:n, n:] for spec in specs])
+    assert len(operands) == 3
+    assert sum(np.array_equal(a, odd) for a in operands) == 1
+    assert [r.row("exactcase").error_type for r in reports] == [None, None, "NotCommuting"]
+    assert [report_json(r) for r in reports] == alone
 
 
 LATTICE_128 = ModelSpec(

@@ -21,7 +21,6 @@ import fwlab
 from fwlab import (
     DiracDecomposition,
     Spectrum,
-    check_commutation,
     eriksen_transform,
     eriksen_transform_alt,
     frobenius,
@@ -37,6 +36,7 @@ from fwlab import (
     weak_field_sqrt,
     weak_field_transform,
 )
+from fwlab.exact_case import ModelStack
 from fwlab.matfunc import BRANCH_MARGIN, GAP_RTOL, Slices, inv_sqrt_stack
 from fwlab.errors import (
     BranchCutProximity,
@@ -423,7 +423,7 @@ def test_unitary_log_matches_schur_on_suite_transforms(full_suite):
             eriksen_transform_alt(h).transform,
             stepwise_fw(h, spec.mass)[0].transform,
         ]
-        if check_commutation(decomposition).is_commuting:
+        if ModelStack.of([decomposition]).commutation[0].is_commuting:
             transforms.append(u_fw_exact(decomposition).transform)
             root = weak_field_sqrt(decomposition)
             transforms.append(weak_field_transform(h, root).transform)

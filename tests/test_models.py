@@ -10,7 +10,6 @@ from fwlab import (
     build_lattice_1d,
     build_model,
     build_synthetic_commuting,
-    check_commutation,
     frobenius,
     hermiticity_defect,
     ToleranceConfig,
@@ -22,6 +21,7 @@ from fwlab import (
 )
 from fwlab import models
 from fwlab.cli import main
+from fwlab.exact_case import ModelStack
 from fwlab.errors import InvalidGrid, NonHermitianInput, ParseError
 from fwlab.models import (
     DIRAC_ALPHA,
@@ -48,7 +48,7 @@ def test_free_particle_assembly():
     expected = 1.5 * DIRAC_BETA + sum(c * a for c, a in zip(p, DIRAC_ALPHA))
     np.testing.assert_array_equal(h, expected)
     assert frobenius(d.even_part) == 0.0
-    assert check_commutation(d).is_commuting
+    assert ModelStack.of([d]).commutation[0].is_commuting
     with pytest.raises(ValueError):
         build_free_particle(1.0, (1.0, 2.0))
 
@@ -177,7 +177,7 @@ def test_parse_potential_from_file(tmp_path):
 def test_synthetic_model_commutes_and_reproduces():
     h, d = build_synthetic_commuting(8, 1.0, (0.05, 0.02), 3)
     assert h.shape == (16, 16)
-    report = check_commutation(d)
+    report, = ModelStack.of([d]).commutation
     assert report.is_commuting
     assert report.commutator_residual <= 1e-13
     h2, _ = build_synthetic_commuting(8, 1.0, (0.05, 0.02), 3)

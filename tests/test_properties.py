@@ -56,17 +56,20 @@ from fwlab import (
     build_lattice_1d,
     build_model,
     build_synthetic_commuting,
-    check_commutation,
     emit_report,
     eriksen_transform,
     eriksen_transform_alt,
     exponent_oddness,
     frobenius,
     h_fw_exact,
+    hermiticity_defect,
     lambda_exact,
+    load_explicit_matrix,
     make_beta,
     odd_exp,
     parse_potential,
+    read_matrix,
+    read_potential_table,
     relative_norm,
     report_csv,
     report_json,
@@ -77,8 +80,11 @@ from fwlab import (
     u_fw_exact,
     unitary_log,
     weak_field_sqrt,
+    write_matrix,
+    write_text,
 )
 from fwlab.algebra import as_number
+from fwlab.exact_case import ModelStack
 from fwlab.harness import (METHOD_ERIKSEN, METHOD_EXACT_CASE, METHOD_STEPWISE, METHOD_TAGS,
                            METHOD_WEAK_FIELD, run_comparisons)
 from fwlab.stepwise import (STOP_MAX_ITERATIONS, STOP_STAGNATION, STOP_TOLERANCE,
@@ -464,7 +470,8 @@ DIRECT_OPERANDS = [
       for name in ("h", "tolerances")),
     (eriksen_transform, dict(h=_H), "h"),
     (split_even_odd, dict(h=_H, mass=1.0), "h"),
-    *((call, dict(d=_D), "d") for call in (u_fw_exact, weak_field_sqrt, check_commutation)),
+    *((call, dict(d=_D), "d") for call in (u_fw_exact, weak_field_sqrt,
+                                           lambda d: ModelStack.of([d]).commutation[0])),
     (exponent_oddness, dict(u=np.eye(4, dtype=complex)), "u"),
     (FWResult.of, dict(u=np.eye(4, dtype=complex), h=_H), "u"),
     (unitary_log, dict(u=np.eye(4, dtype=complex)), "u"),
@@ -530,7 +537,7 @@ def test_hostile_operands_fail_typed(case, value):
     (lambda: u_fw_exact(_H), ValueError, "decomposition must be a DiracDecomposition, got ndarray"),
     (lambda: weak_field_sqrt(_H), ValueError,
      "decomposition must be a DiracDecomposition, got ndarray"),
-    (lambda: check_commutation(None), ValueError,
+    (lambda: ModelStack.of([None]), ValueError,
      "decomposition must be a DiracDecomposition, got NoneType"),
     (lambda: run_comparisons(None), ValueError, "specs must be a list or tuple, got NoneType"),
     (lambda: run_comparisons("ab"), ValueError, "specs must be a list or tuple, got str"),
@@ -571,13 +578,33 @@ def test_hostile_operands_fail_typed(case, value):
      "c must be a matrix or a stack of them, got shape (3,)"),
     (lambda: odd_exp("ab"), DimensionMismatch,
      "c must be a matrix or a stack of them, got shape ()"),
+    # open() read an int path as a file descriptor and closed it: True stdout, 2 stderr
+    (lambda: read_matrix(2), ValueError, "path must be a str or os.PathLike, got int"),
+    (lambda: read_matrix(True), ValueError, "path must be a str or os.PathLike, got bool"),
+    (lambda: read_potential_table(2), ValueError, "path must be a str or os.PathLike, got int"),
+    (lambda: load_explicit_matrix(2), ValueError, "path must be a str or os.PathLike, got int"),
+    (lambda: write_text(None, "x"), ValueError,
+     "path must be a str or os.PathLike, got NoneType"),
+    (lambda: write_matrix(123, _H), ValueError, "path must be a str or os.PathLike, got int"),
+    (lambda: emit_report(run_comparison(_SPEC, ["eriksen"]), "json", 123), ValueError,
+     "path must be a str or os.PathLike, got int"),
+    (lambda: frobenius(None), DimensionMismatch,
+     "a must be a matrix or a stack of them, got shape ()"),
+    (lambda: frobenius(np.ones(3)), DimensionMismatch,
+     "a must be a matrix or a stack of them, got shape (3,)"),
+    (lambda: relative_norm(None, None), DimensionMismatch,
+     "a must be a matrix or a stack of them, got shape ()"),
+    (lambda: hermiticity_defect(None), DimensionMismatch,
+     "a must be a matrix or a stack of them, got shape ()"),
 ], ids=["eriksen-h", "stepwise-h", "split-h", "oddness-u", "u_fw_exact-d", "weak_root-d",
         "commutation-d", "specs-none", "specs-str", "specs-dict", "specs-entry", "methods-none",
         "methods-str", "tolerances-none", "tolerances-dict", "stepwise-tolerances", "result-u-none",
         "result-u-shape", "log-u-none", "log-u-shape", "build-spec", "json-report",
         "comparison-spec", "csv-report", "emit-csv-report", "lattice-potential-none",
         "lattice-potential-str", "parse-potential-none", "parse-potential-int", "odd-exp-nan",
-        "odd-exp-inf", "odd-exp-vector", "odd-exp-str"])
+        "odd-exp-inf", "odd-exp-vector", "odd-exp-str", "read-matrix-fd", "read-matrix-bool",
+        "read-table-fd", "load-matrix-fd", "write-text-none", "write-matrix-int", "emit-json-int",
+        "frobenius-none", "frobenius-vector", "relative-norm-none", "hermiticity-none"])
 def test_operands_are_refused_by_name(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import fwlab
-from fwlab import matfunc, models
+from fwlab import harness, matfunc, models
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fwlab"
 
@@ -144,6 +144,15 @@ def test_one_lock_sets_up_each_batch():
     locks = [node for node in ast.walk(_function(path, "run_comparisons"))
              if isinstance(node, ast.Call) and ast.unparse(node.func) == "threading.Lock"]
     assert len(locks) == 1
+
+
+def test_closed_forms_run_as_one_task():
+    # the closed forms are one task per batch, which owns the batch's ModelStack and drops it
+    # when it ends, so no reader count, reader-first sort or SVD forced by the stream comes back
+    source = (SRC / "harness.py").read_text()
+    assert [gone for gone in ("_PARTS_READERS", "readers", "odd_svd") if gone in source] == []
+    assert (harness.METHOD_WEAK_FIELD, harness.METHOD_EXACT_CASE) in harness._TASKS
+    assert sorted(m for task in harness._TASKS for m in task) == sorted(harness.METHOD_TAGS)
 
 
 def test_numpy_openblas_round_trip():
