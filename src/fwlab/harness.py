@@ -55,9 +55,8 @@ def _weak_field(slices, batch, extras):
 
 
 # The method catalog, in report order: tag -> route (Slices, batch, each model's row extras)
-# -> (H, U, U H U^H) stacks of the models that pass, the others leaving the Slices (see
-# ``run_comparisons``' ``stream``).  A route looks its function up in this module when called,
-# so a wrapper set here is seen.
+# -> (H, U, U H U^H) stacks of the models that pass, the others leaving the Slices.  A route
+# looks its function up in this module when called, so a wrapper set here is seen.
 ROUTES = {
     "eriksen": lambda slices, b, extras: eriksen_stack(slices, b.h),
     "eriksenalt": lambda slices, b, extras: eriksen_alt_stack(slices, b.h),
@@ -68,8 +67,8 @@ ROUTES = {
 METHOD_TAGS = tuple(ROUTES)
 (METHOD_ERIKSEN, METHOD_ERIKSEN_ALT, METHOD_EXACT_CASE, METHOD_STEPWISE,
  METHOD_WEAK_FIELD) = METHOD_TAGS
-# A batch's tasks in lane order.  The closed forms are one task, which owns the ModelStack:
-# weakfield takes the odd-block SVD of the whole stack, and exactcase's gated subset reuses it.
+# A batch's tasks in lane order.  The closed forms' task always runs and builds the ModelStack,
+# and each model's context; weakfield takes the stack's odd-block SVD, exactcase's subset reuses it.
 _TASKS = ((METHOD_STEPWISE,), (METHOD_WEAK_FIELD, METHOD_EXACT_CASE), (METHOD_ERIKSEN,),
           (METHOD_ERIKSEN_ALT,))
 
@@ -128,12 +127,12 @@ def run_comparisons(specs, methods=METHOD_TAGS,
     the closed forms on a non-commuting model) becomes an error record in its row; it never aborts
     the report.  The specs fall into contiguous batches of ``lane_batch_size`` models, and every
     model must have the first one's shape (DimensionMismatch).  A stream of tasks, advanced under
-    the call's one lock, sets each batch up when it is reached: it builds the models, runs H's
-    stacked eigh and yields the stepwise lockstep, then prepares the rest (the ModelStack and each
-    model's context) and yields the other ``_TASKS``.  Tasks only compute; ``_lane_count`` lanes
-    take them in order.  A batch's reports are built once its contexts and every method's outcomes
-    are in, each the same as for its spec alone; a row's ``wall_time_seconds`` runs from the start
-    of its method's route to the end of its diagnostics, all under the BLAS pin.
+    the call's one lock, builds each batch when it is reached (its models and H's stacked eigh)
+    and yields its ``_TASKS`` in order, the lockstep first.  The closed forms' task always runs:
+    it builds the batch's ModelStack and each model's context, and drops the stack when it ends.
+    ``_lane_count`` lanes take the tasks in order.  The end of a batch's last task builds its
+    reports, each the same as for its spec alone; a row's ``wall_time_seconds`` runs from the
+    start of its method's route to the end of its diagnostics, all under the BLAS pin.
     """
     methods = list(require_type(methods, (list, tuple), "methods", "a list or tuple"))
     if not methods:
@@ -143,7 +142,8 @@ def run_comparisons(specs, methods=METHOD_TAGS,
             raise ValueError(f"unknown method {method!r}; known: {', '.join(METHOD_TAGS)}")
     methods = [m for m in METHOD_TAGS if m in methods]
     lockstep, closed, *one_shot = [[m for m in task if m in methods] for task in _TASKS]
-    one_shot = [task for task in [closed] + one_shot if task]
+    # a batch's tasks: the closed forms' one always runs, as it builds every report's context
+    batch_tasks = [task for task in (lockstep, closed, *one_shot) if task or task is closed]
     specs = [require_type(spec, ModelSpec, f"specs[{i}]") for i, spec in
              enumerate(require_type(specs, (list, tuple), "specs", "a list or tuple"))]
     require_type(tolerances, ToleranceConfig, "tolerances")
@@ -152,22 +152,24 @@ def run_comparisons(specs, methods=METHOD_TAGS,
     reports, lock = [None] * len(specs), threading.Lock()
 
     def run(task, batch):
+        if task is closed:  # this task owns the batch's ModelStack, from its build to its drop
+            batch.parts, batch.ds = ModelStack.of(batch.ds, batch.h), None
+            batch.contexts = report_contexts(batch.parts, batch.masses)
         outcomes = {method: _run_method(method, batch) for method in task}
-        with lock:
+        if task is closed:
+            batch.parts = None
+        with lock:  # the end of a batch's last task builds its reports
             batch.found.update(outcomes)
-            if task is closed:
-                batch.parts = None
-            finish(batch)
+            batch.pending -= 1
+            if batch.pending:
+                return
+            for i, context, *found in zip(batch.index, batch.contexts,
+                                          *map(batch.found.get, methods)):
+                reports[i] = assemble_report(specs[i], context, dict(zip(methods, found)),
+                                             tolerances)
+            batch.found = None
 
-    def finish(batch):
-        """Under the lock: the batch's reports, once its contexts and all outcomes are in."""
-        if batch.contexts is None or len(batch.found) < len(methods):
-            return
-        for i, context, *found in zip(batch.index, batch.contexts, *map(batch.found.get, methods)):
-            reports[i] = assemble_report(specs[i], context, dict(zip(methods, found)), tolerances)
-        batch.found = None
-
-    def stream():  # advanced under the lock, so each batch is set up once, when it is reached
+    def stream():  # advanced under the lock, so each batch is built once, when it is reached
         for k in range(count):
             index = range(len(specs) * k // count, len(specs) * (k + 1) // count)
             for i in index:
@@ -175,22 +177,12 @@ def run_comparisons(specs, methods=METHOD_TAGS,
                 if len(models[i][0]) != dim:
                     raise DimensionMismatch(f"model {i} has shape {models[i][0].shape}, "
                                             f"model 0 {(dim, dim)}")
-            h, ds = np.stack([models[i][0] for i in index]), [models[i][1] for i in index]
-            models[index.start:index.stop] = [None] * len(index)
-            batch = SimpleNamespace(index=index, h=Spectrum(h, *np.linalg.eigh(h)), parts=None,
-                                    contexts=None, found={},
+            h = np.stack([models[i][0] for i in index])
+            batch = SimpleNamespace(index=index, h=Spectrum(h, *np.linalg.eigh(h)), found={},
+                                    ds=[models[i][1] for i in index], pending=len(batch_tasks),
                                     masses=[specs[i].mass for i in index], tolerances=tolerances)
-            del h
-            if lockstep:  # the lockstep starts at the eigh
-                yield functools.partial(run, lockstep, batch)
-            parts = ModelStack.of(ds, batch.h)
-            del ds
-            batch.contexts = report_contexts(parts, batch.masses)
-            batch.parts = parts if closed else None  # until the closed forms' task ends
-            del parts
-            finish(batch)  # a stepwise-only batch's lockstep may have ended
-            yield from (functools.partial(run, task, batch) for task in one_shot)
-            del batch
+            models[index.start:index.stop] = [None] * len(index)
+            yield from (functools.partial(run, task, batch) for task in batch_tasks)
 
     def take():
         with lock:
@@ -210,7 +202,7 @@ def run_comparisons(specs, methods=METHOD_TAGS,
         count = max(1, len(specs) // lane_batch_size(dim))
         tasks = stream()
         # one lockstep per batch and the one-shot routes of each model, as parallel work
-        task_count = (count if lockstep else 0) + (len(specs) if one_shot else 0)
+        task_count = (count if lockstep else 0) + (len(specs) if closed or any(one_shot) else 0)
         lanes = _lane_count(task_count, len(specs), dim, pinned)
         if lanes == 1:
             lane()

@@ -477,6 +477,11 @@ def _traced_peak(function):
     pytest.param(lambda: _strength_sweep(16), 3.9e6, id="sweep-dim32"),
     # 3.82 MB measured, 6.57 MB before
     pytest.param(lambda: [LATTICE_128], 7.2e6, id="lattice-dim128"),
+    # two batches, one after the other: each batch drops its outcomes once its reports are
+    # built; 3.83 MB measured for two dim-32 batches of 16 and 3.82 MB for two dim-128
+    # batches of one, 4.05 MB and 4.54 MB when a batch keeps its outcomes after that
+    pytest.param(lambda: _strength_sweep(32), 3.95e6, id="two-batches-dim32"),
+    pytest.param(lambda: [LATTICE_128] * 2, 3.95e6, id="two-batches-dim128"),
 ])
 def test_working_set(open_gate, specs, bound):
     open_gate(cores=1, min_dim=harness.CONCURRENCY_MIN_DIM)
@@ -564,23 +569,28 @@ def test_batches_under_contention(open_gate, lane_counts, lockstep_batches):
     assert laned == serial
 
 
-def test_routes_wait_for_their_batch_preparation(monkeypatch, open_gate, lane_counts):
-    # a slow batch preparation on four lanes: no one-shot route reads a batch before it is
-    # prepared, and every report is the serial one
+def test_closed_forms_read_the_stack_their_task_built(monkeypatch, open_gate, lane_counts):
+    # a slow ModelStack build on four lanes over two batches: the closed forms' task builds its
+    # batch's stack (not the task stream), each closed form reads the stack its own task built,
+    # and every report is the serial one
     specs = _strength_sweep(8)
     open_gate(min_dim=10 ** 9)
     serial = _texts(run_comparisons(specs))
-    prepared, started = [], []  # the prepared batches' spectra, kept alive
+    built, started = {}, []  # each thread's stacks, kept alive, and each route's start
     of, run_method = harness.ModelStack.of, harness._run_method
 
     def slow(ds, h=None):
         time.sleep(0.02)
         parts = of(ds, h)
-        prepared.append(h)
+        built.setdefault(threading.get_ident(), []).append((sys._getframe(1).f_code.co_name, parts))
         return parts
 
     def spy(method, batch):
-        started.append((method, any(h is batch.h for h in prepared)))
+        if method in (harness.METHOD_WEAK_FIELD, harness.METHOD_EXACT_CASE):
+            caller, parts = built[threading.get_ident()][-1]
+            assert caller == "run" and parts is batch.parts and parts.h is batch.h
+        started.append((method, any(parts.h is batch.h for mine in built.values()
+                                    for _, parts in mine)))
         return run_method(method, batch)
 
     monkeypatch.setattr(harness.ModelStack, "of", slow)
@@ -589,9 +599,8 @@ def test_routes_wait_for_their_batch_preparation(monkeypatch, open_gate, lane_co
     open_gate(cores=4, min_dim=64)
     assert _texts(run_comparisons(specs)) == serial
     assert lane_counts == [4]
-    assert len(started) == 10
-    assert all(ready for method, ready in started if method != "stepwise")
-    # on one lane each lockstep, its batch's first task, starts before the preparation
+    assert len(started) == 10 and sum(map(len, built.values())) == 2
+    # on one lane each lockstep, its batch's first task, starts before its stack is built
     started.clear()
     open_gate(cores=1, min_dim=64)
     assert _texts(run_comparisons(specs)) == serial
@@ -747,8 +756,8 @@ def _spy_open_models(monkeypatch):
 def test_lanes_build_batches_as_they_go(monkeypatch, open_gate, lane_counts, min_dim, size,
                                         cores):
     # for each method list, at most one batch beyond those on the lanes has its models built,
-    # and each batch's reports are built once, whichever of its tasks or its preparation ends
-    # last; every list makes at least 4 tasks
+    # and each batch's reports are built once, by whichever of its tasks ends last; every list
+    # makes at least 4 tasks
     specs = _strengths(8)
     open_gate(min_dim=10 ** 9)
     alone = {methods: [_texts([run_comparison(spec, methods)]) for spec in specs]

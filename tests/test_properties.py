@@ -318,8 +318,8 @@ def test_lockstep_stack_mixes_every_stop():
         (4, STOP_STAGNATION), (7, STOP_TOLERANCE)]
 
 
-# Method lists of a batch: the lockstep alone (the only task, so its batch's reports wait for
-# the preparation that follows it), one-shot routes only, every route, and any subset.
+# Method lists of a batch: the lockstep alone (beside the closed forms' task, which then runs no
+# method and only builds the contexts), one-shot routes only, every route, and any subset.
 METHOD_LISTS = st.one_of(
     st.sampled_from([(METHOD_STEPWISE,), (METHOD_ERIKSEN, METHOD_EXACT_CASE, METHOD_WEAK_FIELD),
                      METHOD_TAGS]),

@@ -138,7 +138,7 @@ def _kind_name(node):
 
 def test_one_lock_sets_up_each_batch():
     # the harness reads no model kind, and a comparison's one lock guards its task stream,
-    # which builds and prepares each batch, so no batch has a lock of its own
+    # which builds each batch, and the batch's reports, so no batch has a lock of its own
     path = SRC / "harness.py"
     assert _users(path, _kind_name) == []
     locks = [node for node in ast.walk(_function(path, "run_comparisons"))
@@ -153,6 +153,22 @@ def test_closed_forms_run_as_one_task():
     assert [gone for gone in ("_PARTS_READERS", "readers", "odd_svd") if gone in source] == []
     assert (harness.METHOD_WEAK_FIELD, harness.METHOD_EXACT_CASE) in harness._TASKS
     assert sorted(m for task in harness._TASKS for m in task) == sorted(harness.METHOD_TAGS)
+
+
+def test_closed_forms_task_builds_the_stack_and_run_builds_the_reports():
+    # the task stream only builds models and H's eigh; the closed forms' task builds the batch's
+    # ModelStack and contexts, and run, when a batch's last task ends, builds its reports
+    stream = ast.unparse(_function(SRC / "harness.py", "stream"))
+    assert [name for name in ("ModelStack", "report_contexts") if name in stream] == []
+    nested = [node.name for node in ast.walk(_function(SRC / "harness.py", "run_comparisons"))
+              if isinstance(node, ast.FunctionDef)]
+    assert "finish" not in nested and "run" in nested
+
+    def assembles(node):
+        return isinstance(node, ast.Call) and ast.unparse(node.func) == "assemble_report"
+
+    assert [where for path in sorted(SRC.rglob("*.py")) for where in _users(path, assembles)] == [
+        "harness:run"]
 
 
 def test_numpy_openblas_round_trip():
