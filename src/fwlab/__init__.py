@@ -44,7 +44,6 @@ from .errors import (
     SingularOperand,
 )
 from .exact_case import (
-    CommutationReport,
     h_fw_exact,
     lambda_exact,
     sqrt_hd2_exact,

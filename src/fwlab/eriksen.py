@@ -82,8 +82,9 @@ class FWResult:
         u = np.asarray(u, dtype=complex)
 
         def given(slices, h):  # the caller's U as a route, checked after H
-            require_finite(u)  # before u h u^H is built from it
-            x = u @ h.matrix[0] @ adjoint(u) if transformed is None else np.asarray(transformed)
+            require_finite(u)  # before u h u^H is built from it; diagnose refuses its overflow
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = u @ h.matrix[0] @ adjoint(u) if transformed is None else np.asarray(transformed)
             return h, u[None], x[None]
 
         return _alone(given, h, unitary=unitary)
@@ -92,7 +93,7 @@ class FWResult:
 def diagnose(slices: Slices, h, u, transformed, unitary=True) -> list:
     """FWResults of stacks ``h`` (a Spectrum), ``u`` and ``transformed``, in slice order; a slice
     that ``require_finite`` or, if ``unitary``, ``check_unitarity`` refuses leaves ``slices``."""
-    if not (np.isfinite(u).all() and np.isfinite(transformed).all()):
+    if not (np.isfinite(frobenius(u)).all() and np.isfinite(frobenius(transformed)).all()):
         h, u, transformed = slices.gate(
             lambda slot: require_finite(u[slot], transformed[slot]), h, u, transformed)
     diagnostics = _diagnostics(u, h, transformed)

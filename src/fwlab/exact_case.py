@@ -37,32 +37,25 @@ from .algebra import (NORM_FLOOR, DiracDecomposition, adjoint, anticommutator, b
                       commutator, frobenius, require_type)
 from .eriksen import FWResult, _alone
 from .errors import NotCommuting, OutsideValidityDomain, SingularOperand
-from .matfunc import (Slices, Spectrum, check_gap, even_function, inv_sqrt_stack, odd_rotation,
-                      single_blas_thread)
+from .matfunc import (Slices, Spectrum, _hermitize, check_gap, even_function, inv_sqrt_stack,
+                      odd_rotation, single_blas_thread)
 
 # Commutation residual below which the closed forms are trusted.
 COMMUTE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class CommutationReport:
-    """Scaled commutator residual of (E, O) and the resulting verdict."""
-
-    commutator_residual: float
-    is_commuting: bool
-
-
 @dataclass(frozen=True, eq=False)
 class ModelStack:
-    """Decompositions of one shape as stacks, with each CommutationReport (||[E, O]||_F over
-    ||E||_F ||O||_F + floor, against COMMUTE_TOL) and H's stacked Spectrum where a route needs it;
-    ``odd_svd`` is taken on first use, and ``[keep]`` selects, carrying an SVD already taken."""
+    """Decompositions of one shape as stacks, with each model's scaled commutator residual
+    ``commutation`` (||[E, O]||_F over ||E||_F ||O||_F + floor; ``_odd_block`` alone compares it
+    with COMMUTE_TOL) and H's stacked Spectrum where a route needs it; ``odd_svd`` is taken on
+    first use, and ``[keep]`` selects, carrying an SVD already taken."""
 
     h: Spectrum | None
     masses: np.ndarray
     even_part: np.ndarray
     odd_part: np.ndarray
-    commutation: list
+    commutation: np.ndarray
 
     @classmethod
     def of(cls, ds, h: Spectrum | None = None) -> "ModelStack":
@@ -73,8 +66,7 @@ class ModelStack:
         e, o = (x * np.ldexp(1.0, -kx)[:, None, None] for x, kx in zip((even, odd), k))
         scaled = frobenius(commutator(e, o)) / (frobenius(e) * frobenius(o)
                                                 + np.ldexp(NORM_FLOOR, -k[0] - k[1]))
-        return cls(h, np.array([[d.mass] for d in ds], dtype=float), even, odd,
-                   [CommutationReport(r, r <= COMMUTE_TOL) for r in scaled.tolist()])
+        return cls(h, np.array([[d.mass] for d in ds], dtype=float), even, odd, scaled)
 
     @cached_property
     def odd_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -84,8 +76,7 @@ class ModelStack:
 
     def __getitem__(self, keep) -> "ModelStack":
         part = ModelStack(self.h and self.h[keep], self.masses[keep],
-                          self.even_part[keep], self.odd_part[keep],
-                          [self.commutation[slot] for slot in keep])
+                          self.even_part[keep], self.odd_part[keep], self.commutation[keep])
         if "odd_svd" in vars(self):
             vars(part)["odd_svd"] = tuple(x[keep] for x in self.odd_svd)
         return part
@@ -96,10 +87,9 @@ def _odd_block(d: ModelStack, slices: Slices, *powers, commuting: bool = True):
     # NotCommuting first if ``commuting`` is required.  m^2 + O^2 has the eigenvalues
     # a = m^2 + sigma^2, and SingularOperand is raised when min a fails check_gap.
     def commutes(slot):
-        report = d.commutation[slot]
-        if not report.is_commuting:
-            raise NotCommuting(f"scaled commutator residual {report.commutator_residual:.3e} "
-                               f"exceeds {COMMUTE_TOL:.1e}")
+        r = d.commutation[slot]
+        if not r <= COMMUTE_TOL:
+            raise NotCommuting(f"scaled commutator residual {r:.3e} exceeds {COMMUTE_TOL:.1e}")
 
     if commuting:
         d, = slices.gate(commutes, d)
@@ -120,7 +110,7 @@ def sqrt_hd2_exact(d: DiracDecomposition) -> np.ndarray:
     eps, eps_inv = (x[0] for x in _odd_block(ModelStack.of([d]), Slices(1), 0.5, -0.5)[4:])
     core = np.diag(d.mass * beta_signs({"odd part": d.odd_part})) + d.odd_part
     root = eps + core @ d.even_part @ eps_inv
-    check_gap(np.linalg.eigvalsh(0.5 * (root + root.conj().T)), OutsideValidityDomain,
+    check_gap(np.linalg.eigvalsh(_hermitize(root)), OutsideValidityDomain,
               "the even part is too strong for the principal branch: "
               "the closed-form root's smallest eigenvalue")
     return root

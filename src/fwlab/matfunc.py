@@ -253,8 +253,9 @@ def unitary_log(u) -> np.ndarray:
     eigenphase within delta of +-pi the relative error of S grows like
     eps / delta (about 1e-12 at delta = 1e-4, 1e-8 near BRANCH_MARGIN).
     Raises DimensionMismatch unless u is a square matrix ("got None" for None), NotUnitary if
-    u is non-finite or ||u^H u - 1||_F exceeds UNITARY_TOL (checks ``unitary_log_stack`` trusts),
-    and BranchCutProximity if 1 + u is singular or an eigenphase is within BRANCH_MARGIN of +-pi.
+    u or its Frobenius norm is non-finite or ||u^H u - 1||_F exceeds UNITARY_TOL (checks
+    ``unitary_log_stack`` trusts), and BranchCutProximity if 1 + u is singular or an eigenphase
+    is within BRANCH_MARGIN of +-pi.
     """
     if u is None or np.ndim(u) != 2 or np.shape(u)[0] != np.shape(u)[1]:
         got = "None" if u is None else f"shape {np.shape(u)}"
@@ -271,10 +272,13 @@ def check_unitarity(defect):
 
 
 def require_finite(u, transformed=None):
-    """NotUnitary for a non-finite U, else NonHermitianInput for a non-finite U H U^H (if any)."""
+    """NotUnitary for a U with a non-finite entry or Frobenius norm, else NonHermitianInput for
+    such a U H U^H (if any)."""
     for x, error, name in ((u, NotUnitary, "U"), (transformed, NonHermitianInput, "U H U^H")):
         if x is not None and not np.isfinite(x).all():
             raise error(f"{name} has non-finite entries")
+        if x is not None and not frobenius(x) < np.inf:
+            raise error(f"{name} has a Frobenius norm that overflows")
 
 
 def unitary_log_stack(slices: Slices, u, defect) -> np.ndarray:

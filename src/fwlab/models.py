@@ -82,7 +82,8 @@ class Potential:
 
     def sample(self, x: np.ndarray) -> np.ndarray:
         if self.kind != "tabulated":
-            return POTENTIALS[self.kind](x, *self.params)
+            with np.errstate(over="ignore"):  # a Gaussian far outside its width is exactly 0
+                return POTENTIALS[self.kind](x, *self.params)
         if len(self.table) != len(x):
             raise ParseError(f"tabulated potential has {len(self.table)} values "
                              f"but the grid has {len(x)} sites", path=self.source)
@@ -154,18 +155,19 @@ def build_lattice_1d(n: int, length: float, mass: float,
     Layout is upper component block first: beta = diag(I_n, -I_n), the
     kinetic term is purely odd, and the potential is even.
 
-    Raises InvalidGrid for 2n > MAX_DIM, n < 4, odd n, or a nonpositive or non-finite length,
-    and ValueError for an n, length (``as_number``) or mass (``require_mass``) not a number
-    or a potential not a Potential.
+    Raises InvalidGrid for 2n > MAX_DIM, n < 4, odd n, or a dx or 1/(2 dx) not positive and
+    finite, and ValueError for an n, length (``as_number``) or mass (``require_mass``) not a
+    number or a potential not a Potential.
     """
     n, length, mass = as_number(n, "n", True), as_number(length, "length"), require_mass(mass)
     require_type(potential, Potential, "potential")
     require_size(n, InvalidGrid)
     if n < 4 or n % 2 != 0:
         raise InvalidGrid(f"need an even site count of at least 4, got {n}")
-    if not 0.0 < length < np.inf:
-        raise InvalidGrid(f"box half-length must be positive and finite, got {length}")
     dx = 2.0 * length / n
+    if not (0.0 < dx < np.inf and 1.0 / (2.0 * dx) < np.inf):
+        raise InvalidGrid(f"need a spacing dx = 2L/n with dx and 1/(2 dx) positive and finite, "
+                          f"got L = {length}, n = {n}")
     x = -length + (np.arange(n) + 0.5) * dx
     shift = np.eye(n, dtype=complex)
     forward = np.roll(shift, -1, axis=0)   # forward[j, j+1] = 1 with wrap

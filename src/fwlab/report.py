@@ -84,8 +84,8 @@ def report_contexts(parts: ModelStack, masses) -> list[ReportContext]:
     dim = parts.even_part.shape[-1]
     gaps = np.min(np.abs(parts.h.w), axis=-1).tolist()
     strengths = (frobenius(parts.even_part) / (np.array(masses) * np.sqrt(dim))).tolist()
-    return [ReportContext(mass, dim, c.commutator_residual, gap, strength)
-            for mass, c, gap, strength in zip(masses, parts.commutation, gaps, strengths)]
+    return [ReportContext(mass, dim, r, gap, strength) for mass, r, gap, strength
+            in zip(masses, parts.commutation.tolist(), gaps, strengths)]
 
 
 def assemble_report(spec, context, outcomes, tolerances) -> ComparisonReport:

@@ -19,9 +19,10 @@ from fwlab import (
     weak_field_sqrt,
     weak_field_transform,
 )
-from fwlab.exact_case import ModelStack
+from fwlab.exact_case import COMMUTE_TOL, ModelStack, u_fw_stack
 from fwlab.errors import (NonHermitianInput, NotCommuting, NotUnitary, OutsideValidityDomain,
                           SingularOperand)
+from fwlab.matfunc import Slices, Spectrum
 from fwlab.models import DIRAC_ALPHA, DIRAC_BETA, Potential
 
 from oracles import epsilon_operator, principal_sqrt
@@ -29,14 +30,31 @@ from oracles import epsilon_operator, principal_sqrt
 
 def test_commutation_report():
     _, d = build_free_particle(1.0, (0.1, 0.2, 0.3))
-    report, = ModelStack.of([d]).commutation
-    assert report.is_commuting
-    assert report.commutator_residual <= 1e-15
+    residual, = ModelStack.of([d]).commutation
+    assert residual <= 1e-15
 
     _, d_bad = build_lattice_1d(8, 4.0, 1.0, Potential("gaussian", (0.1, 1.0)))
-    report_bad, = ModelStack.of([d_bad]).commutation
-    assert not report_bad.is_commuting
-    assert report_bad.commutator_residual > 1e-6
+    residual_bad, = ModelStack.of([d_bad]).commutation
+    assert residual_bad > 1e-6
+
+
+def test_the_commuting_gate_reads_the_residual():
+    # the gate is residual <= COMMUTE_TOL: the tolerance itself passes, and the next float up
+    # and a NaN leave with the verdict's message
+    h, d = build_free_particle(1.0, (0.1, 0.2, 0.3))
+    one = ModelStack.of([d], Spectrum.of(h)[None])
+    stack = ModelStack(one.h[[0, 0, 0]], one.masses[[0, 0, 0]], one.even_part[[0, 0, 0]],
+                       one.odd_part[[0, 0, 0]],
+                       np.array([COMMUTE_TOL, np.nextafter(COMMUTE_TOL, 1.0), np.nan]))
+    np.testing.assert_array_equal(stack[[2, 0]].commutation, [np.nan, COMMUTE_TOL])
+    slices = Slices(3)
+    _, u, _ = u_fw_stack(slices, stack)
+    assert slices.index == [0] and len(u) == 1
+    np.testing.assert_array_equal(u[0], u_fw_exact(d).transform)
+    residual = np.nextafter(COMMUTE_TOL, 1.0)
+    assert slices.errors == {
+        1: (NotCommuting, f"scaled commutator residual {residual:.3e} exceeds 1.0e-12"),
+        2: (NotCommuting, "scaled commutator residual nan exceeds 1.0e-12")}
 
 
 def test_closed_forms_reject_non_commuting():

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from fwlab import (
 )
 from fwlab import models
 from fwlab.cli import main
-from fwlab.exact_case import ModelStack
+from fwlab.exact_case import COMMUTE_TOL, ModelStack
 from fwlab.errors import InvalidGrid, NonHermitianInput, ParseError
 from fwlab.models import (
     DIRAC_ALPHA,
@@ -48,7 +49,7 @@ def test_free_particle_assembly():
     expected = 1.5 * DIRAC_BETA + sum(c * a for c, a in zip(p, DIRAC_ALPHA))
     np.testing.assert_array_equal(h, expected)
     assert frobenius(d.even_part) == 0.0
-    assert ModelStack.of([d]).commutation[0].is_commuting
+    assert ModelStack.of([d]).commutation[0] <= COMMUTE_TOL
     with pytest.raises(ValueError):
         build_free_particle(1.0, (1.0, 2.0))
 
@@ -93,6 +94,22 @@ def test_lattice_grid_gates():
     for bad_length in (-1.0, np.inf, np.nan):
         with pytest.raises(InvalidGrid):
             build_lattice_1d(8, bad_length, 1.0, pot)
+    # dx = 0 by underflow, 1/(2 dx) = inf, and dx = inf: a raw ZeroDivisionError, an invalid
+    # multiply before H's check, and a lattice built with dx = inf, once
+    for bad_length in (5e-324, 1e-320, 1.7e308):
+        with pytest.raises(InvalidGrid, match=re.escape(f"got L = {bad_length}, n = 8")):
+            build_lattice_1d(8, bad_length, 1.0, pot)
+
+
+def test_gaussian_far_outside_its_width_is_zero():
+    # x / width overflowed with a RuntimeWarning, once; exp(-inf) is the exact 0 quietly
+    for potential, length in (("gaussian:0.1,2", 1e200), ("gaussian:1e-320,1e-320", 4.0)):
+        _, d = build_lattice_1d(8, length, 1.0, parse_potential(potential))
+        assert not d.even_part.any()
+    # a V that overflows H's norm still meets H's check
+    message = "^Hamiltonian has a Frobenius norm that overflows$"
+    with pytest.raises(NonHermitianInput, match=message):
+        build_lattice_1d(8, 4.0, 1.0, parse_potential("linear:1e300"))
 
 
 def test_potential_catalog():
@@ -177,9 +194,8 @@ def test_parse_potential_from_file(tmp_path):
 def test_synthetic_model_commutes_and_reproduces():
     h, d = build_synthetic_commuting(8, 1.0, (0.05, 0.02), 3)
     assert h.shape == (16, 16)
-    report, = ModelStack.of([d]).commutation
-    assert report.is_commuting
-    assert report.commutator_residual <= 1e-13
+    residual, = ModelStack.of([d]).commutation
+    assert residual <= 1e-13
     h2, _ = build_synthetic_commuting(8, 1.0, (0.05, 0.02), 3)
     assert h.tobytes() == h2.tobytes()
     h3, _ = build_synthetic_commuting(8, 1.0, (0.05, 0.02), 4)

@@ -50,6 +50,7 @@ from fwlab import (
     FWResult,
     ModelSpec,
     NonHermitianInput,
+    NotUnitary,
     Potential,
     Spectrum,
     build_free_particle,
@@ -461,6 +462,7 @@ DIRECT_SCALARS = [
 ]
 
 _SPEC = ModelSpec(kind="free", mass=1.0, momentum=(0.3, 0.0, 0.4))
+_HUGE_U = np.kron([[0.0, 1e155], [1e155, 0.0]], np.ones((2, 2))).astype(complex)
 # Each operand parameter of the entry points that take matrices, decompositions, lists or
 # configurations: (function, a valid call's arguments, the parameter).
 DIRECT_OPERANDS = [
@@ -596,6 +598,15 @@ def test_hostile_operands_fail_typed(case, value):
      "a must be a matrix or a stack of them, got shape ()"),
     (lambda: hermiticity_defect(None), DimensionMismatch,
      "a must be a matrix or a stack of them, got shape ()"),
+    # finite entries whose squares overflow: an overflowing matmul, then a raw ValueError or nan
+    (lambda: FWResult.of(_HUGE_U, _H, _H, unitary=False), NotUnitary,
+     "U has a Frobenius norm that overflows"),
+    (lambda: FWResult.of(np.eye(4), _H, _HUGE_U), NonHermitianInput,
+     "U H U^H has a Frobenius norm that overflows"),
+    (lambda: unitary_log(_HUGE_U), NotUnitary, "U has a Frobenius norm that overflows"),
+    # a U of finite norm whose U H U^H overflows: the matmul warned, once
+    (lambda: FWResult.of(1e-5 * _HUGE_U, 1e10 * _H), NonHermitianInput,
+     "U H U^H has non-finite entries"),
 ], ids=["eriksen-h", "stepwise-h", "split-h", "oddness-u", "u_fw_exact-d", "weak_root-d",
         "commutation-d", "specs-none", "specs-str", "specs-dict", "specs-entry", "methods-none",
         "methods-str", "tolerances-none", "tolerances-dict", "stepwise-tolerances", "result-u-none",
@@ -604,7 +615,9 @@ def test_hostile_operands_fail_typed(case, value):
         "lattice-potential-str", "parse-potential-none", "parse-potential-int", "odd-exp-nan",
         "odd-exp-inf", "odd-exp-vector", "odd-exp-str", "read-matrix-fd", "read-matrix-bool",
         "read-table-fd", "load-matrix-fd", "write-text-none", "write-matrix-int", "emit-json-int",
-        "frobenius-none", "frobenius-vector", "relative-norm-none", "hermiticity-none"])
+        "frobenius-none", "frobenius-vector", "relative-norm-none", "hermiticity-none",
+        "result-u-overflow", "result-transformed-overflow", "log-u-overflow",
+        "result-product-overflow"])
 def test_operands_are_refused_by_name(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()

@@ -255,6 +255,19 @@ def test_one_unitarity_verdict():
     assert not hasattr(fwlab.eriksen, "_Approximate")
 
 
+def test_one_commuting_verdict():
+    # the verdict is one comparison of a model's residual with COMMUTE_TOL, in _odd_block's gate;
+    # report only serializes the tolerance, so no record of the verdict comes back
+    paths = sorted(SRC.rglob("*.py"))
+    assert [path.name for path in paths if "CommutationReport" in path.read_text()] == []
+    assert not hasattr(fwlab, "CommutationReport")
+    compares = {f"{path.stem}:{name}" for path in paths for name in _top_level_users(
+        path, lambda node: isinstance(node, ast.Compare)
+        and any(_names("COMMUTE_TOL")(x) for x in ast.walk(node)))}
+    assert compares == {"exact_case:_odd_block"}
+    assert _users(SRC / "report.py", _names("COMMUTE_TOL")) == ["report:<module>", "report:to_dict"]
+
+
 def test_one_diagnostics_path():
     # the routes pass their stacks to diagnose, which gates a non-finite slice before computing
     # instead of catching an error and computing again; unitary_log_stack trusts the finiteness
