@@ -82,17 +82,29 @@ def hermiticity_defect(a) -> float:
     return frobenius(a - a.conj().T) / max(norm, NORM_FLOOR) if norm < np.inf else np.nan
 
 
-def require_hermitian(a, name: str) -> np.ndarray:
-    """``a``; DimensionMismatch unless a square matrix, NonHermitianInput if non-finite, of
-    overflowing norm, or not Hermitian to 1e-12."""
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"{name} must be a square matrix, got shape {a.shape}")
+def require_square(a, name: str):
+    """``a``; DimensionMismatch "``name`` must be a square matrix, got ..." unless it is one, None
+    named as None.  The one rule for a square operand."""
+    if a is None or np.ndim(a) != 2 or np.shape(a)[0] != np.shape(a)[1]:
+        got = "None" if a is None else f"shape {np.shape(a)}"
+        raise DimensionMismatch(f"{name} must be a square matrix, got {got}")
+    return a
+
+
+def require_finite(a, name: str, error=NonHermitianInput):
+    """``a``; ``error`` naming ``name`` for a non-finite entry, then for a Frobenius norm that
+    overflows.  The one rule for a finite operand."""
     if not np.isfinite(a).all():
-        raise NonHermitianInput(f"{name} has non-finite entries")
-    defect = hermiticity_defect(a)
-    if np.isnan(defect):
-        raise NonHermitianInput(f"{name} has a Frobenius norm that overflows")
-    if defect > HERMITICITY_RTOL:
+        raise error(f"{name} has non-finite entries")
+    if not frobenius(a) < np.inf:
+        raise error(f"{name} has a Frobenius norm that overflows")
+    return a
+
+
+def require_hermitian(a, name: str) -> np.ndarray:
+    """``a``; ``require_square``'s and ``require_finite``'s errors, then NonHermitianInput unless
+    Hermitian to 1e-12."""
+    if hermiticity_defect(require_finite(require_square(a, name), name)) > HERMITICITY_RTOL:
         raise NonHermitianInput(f"{name} is not Hermitian within 1e-12")
     return a
 

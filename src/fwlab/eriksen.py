@@ -32,11 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (NORM_FLOOR, adjoint, beta_signs, even_projection, frobenius,
-                      odd_norm_ratio, relative_norm)
-from .errors import DegenerateFactor, FWLabError, SingularOperand
+                      odd_norm_ratio, relative_norm, require_finite)
+from .errors import DegenerateFactor, FWLabError, NotUnitary, SingularOperand
 from .matfunc import (Slices, Spectrum, _hermitize, check_gap, check_unitarity, odd_rotation,
-                      require_finite, require_gap, single_blas_thread, unitary_log,
-                      unitary_log_stack)
+                      require_gap, single_blas_thread, unitary_log, unitary_log_stack)
 
 
 @dataclass(frozen=True)
@@ -75,14 +74,15 @@ class FWResult:
     @classmethod
     def of(cls, u, h, transformed=None, *, unitary=True) -> "FWResult":
         """Result for a caller's own transform ``u`` of ``h``, all of H's shape (DimensionMismatch,
-        also for a None U); u h u^H is built once unless ``transformed``.  ``unitary=False`` skips
-        the unitarity verdict, as for the weak-field U, unitary as far as its root is exact."""
+        also for a None U); after H, ``require_finite`` refuses a U as NotUnitary, and u h u^H is
+        built once unless ``transformed``.  ``unitary=False`` skips the unitarity verdict, as for
+        the weak-field U, unitary as far as its root is exact."""
         beta_signs({"U": u})
         beta_signs({"H": h, "U": u, "U H U^H": transformed})
         u = np.asarray(u, dtype=complex)
 
         def given(slices, h):  # the caller's U as a route, checked after H
-            require_finite(u)  # before u h u^H is built from it; diagnose refuses its overflow
+            require_finite(u, "U", NotUnitary)  # before u h u^H is built from it
             with np.errstate(over="ignore", invalid="ignore"):
                 x = u @ h.matrix[0] @ adjoint(u) if transformed is None else np.asarray(transformed)
             return h, u[None], x[None]
@@ -92,10 +92,12 @@ class FWResult:
 
 def diagnose(slices: Slices, h, u, transformed, unitary=True) -> list:
     """FWResults of stacks ``h`` (a Spectrum), ``u`` and ``transformed``, in slice order; a slice
-    that ``require_finite`` or, if ``unitary``, ``check_unitarity`` refuses leaves ``slices``."""
+    that ``require_finite`` refuses (its U as NotUnitary, then its U H U^H as NonHermitianInput)
+    or, if ``unitary``, ``check_unitarity`` refuses leaves ``slices``."""
     if not (np.isfinite(frobenius(u)).all() and np.isfinite(frobenius(transformed)).all()):
         h, u, transformed = slices.gate(
-            lambda slot: require_finite(u[slot], transformed[slot]), h, u, transformed)
+            lambda slot: (require_finite(u[slot], "U", NotUnitary),
+                          require_finite(transformed[slot], "U H U^H")), h, u, transformed)
     diagnostics = _diagnostics(u, h, transformed)
     kept, = slices.gate(lambda slot: unitary and check_unitarity(
         diagnostics[slot].unitarity_residual), np.arange(len(diagnostics)))

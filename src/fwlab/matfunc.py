@@ -8,9 +8,9 @@ of a positive operator is the positive one, the sign of H comes from the
 eigenvalues of H itself, and the logarithm of a unitary, taken from its
 Hermitian Cayley transform, has eigenphases in (-pi, pi).  ``odd_rotation``
 and ``even_function`` assemble odd exponentials and even functions from SVD factors.
-``check_gap`` is the one rule for when an eigenvalue counts as zero, ``check_unitarity`` the one
-unitarity verdict and ``require_finite`` the one finiteness check of U and U H U^H; ``unitary_log``
-checks its U, and ``unitary_log_stack`` trusts its caller's.  Kernels run on stacks, each slice
+``check_gap`` is the one rule for when an eigenvalue counts as zero and ``check_unitarity`` the one
+unitarity verdict; ``unitary_log`` checks its U by ``algebra``'s square and finite rules, and
+``unitary_log_stack`` trusts its caller's.  Kernels run on stacks, each slice
 bit for bit its own call; a ``*_stack`` kernel takes first the ``Slices`` of the models left, and
 its single-model name is its stack of one.  Every name that computes a report row runs under
 ``single_blas_thread``, so it gives the row's bits at any caller's BLAS count; these kernels, the
@@ -29,7 +29,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .algebra import NORM_FLOOR, adjoint, frobenius, require_hermitian
+from .algebra import (NORM_FLOOR, adjoint, frobenius, require_finite, require_hermitian,
+                      require_square)
 from .errors import (BranchCutProximity, DimensionMismatch, FWLabError, NonHermitianInput,
                      NotUnitary, SingularHamiltonian, SingularOperand)
 
@@ -252,16 +253,12 @@ def unitary_log(u) -> np.ndarray:
     one eigh T = Q diag(w) Q^H gives S = Q diag(2 arctan w) Q^H.  For an
     eigenphase within delta of +-pi the relative error of S grows like
     eps / delta (about 1e-12 at delta = 1e-4, 1e-8 near BRANCH_MARGIN).
-    Raises DimensionMismatch unless u is a square matrix ("got None" for None), NotUnitary if
-    u or its Frobenius norm is non-finite or ||u^H u - 1||_F exceeds UNITARY_TOL (checks
-    ``unitary_log_stack`` trusts), and BranchCutProximity if 1 + u is singular or an eigenphase
-    is within BRANCH_MARGIN of +-pi.
+    Raises ``require_square``'s DimensionMismatch, NotUnitary from ``require_finite`` or if
+    ||u^H u - 1||_F exceeds UNITARY_TOL (checks ``unitary_log_stack`` trusts), and
+    BranchCutProximity if 1 + u is singular or an eigenphase is within BRANCH_MARGIN of +-pi.
     """
-    if u is None or np.ndim(u) != 2 or np.shape(u)[0] != np.shape(u)[1]:
-        got = "None" if u is None else f"shape {np.shape(u)}"
-        raise DimensionMismatch(f"U must be a square matrix, got {got}")
-    u = np.asarray(u, dtype=complex)
-    require_finite(u)
+    u = np.asarray(require_square(u, "U"), dtype=complex)
+    require_finite(u, "U", NotUnitary)
     return unitary_log_stack(Slices(1), u[None], [frobenius(adjoint(u) @ u - np.eye(len(u)))])[0]
 
 
@@ -269,16 +266,6 @@ def check_unitarity(defect):
     """The unitarity verdict: NotUnitary unless a U's ||U^H U - 1||_F ``defect`` <= UNITARY_TOL."""
     if not defect <= UNITARY_TOL:
         raise NotUnitary(f"||U^H U - 1||_F = {defect:.3e} exceeds {UNITARY_TOL:.1e}")
-
-
-def require_finite(u, transformed=None):
-    """NotUnitary for a U with a non-finite entry or Frobenius norm, else NonHermitianInput for
-    such a U H U^H (if any)."""
-    for x, error, name in ((u, NotUnitary, "U"), (transformed, NonHermitianInput, "U H U^H")):
-        if x is not None and not np.isfinite(x).all():
-            raise error(f"{name} has non-finite entries")
-        if x is not None and not frobenius(x) < np.inf:
-            raise error(f"{name} has a Frobenius norm that overflows")
 
 
 def unitary_log_stack(slices: Slices, u, defect) -> np.ndarray:

@@ -169,14 +169,12 @@ def build_lattice_1d(n: int, length: float, mass: float,
         raise InvalidGrid(f"need a spacing dx = 2L/n with dx and 1/(2 dx) positive and finite, "
                           f"got L = {length}, n = {n}")
     x = -length + (np.arange(n) + 0.5) * dx
-    shift = np.eye(n, dtype=complex)
-    forward = np.roll(shift, -1, axis=0)   # forward[j, j+1] = 1 with wrap
-    momentum = (-1.0j / (2.0 * dx)) * (forward - forward.T)
-    h = (
-        mass * np.kron(_SIGMA_Z, np.eye(n, dtype=complex))
-        + np.kron(_SIGMA_X, momentum)
-        + np.kron(_EYE2, np.diag(potential.sample(x)).astype(complex))
-    )
+    forward = np.roll(np.eye(n, dtype=complex), -1, axis=0)   # forward[j, j+1] = 1 with wrap
+    v = potential.sample(x)
+    h = np.zeros((2 * n, 2 * n), dtype=complex)
+    h[:n, n:] = h[n:, :n] = (-1.0j / (2.0 * dx)) * (forward - forward.T)  # the momentum
+    h[:n, :n], h[n:, n:] = np.diag(mass + v), np.diag(-mass + v)
+    h += 0.0  # as in the sum m sigma_z x 1 + sigma_x x P + 1 x V, no -0.0 part of P survives
     return h, split_even_odd(h, mass)
 
 

@@ -99,6 +99,9 @@ def test_lattice_grid_gates():
     for bad_length in (5e-324, 1e-320, 1.7e308):
         with pytest.raises(InvalidGrid, match=re.escape(f"got L = {bad_length}, n = 8")):
             build_lattice_1d(8, bad_length, 1.0, pot)
+    # V = inf on the grid: the Kronecker product multiplied it by zeros, warning first, once
+    with pytest.raises(NonHermitianInput, match="^Hamiltonian has non-finite entries$"):
+        build_lattice_1d(8, 4.0, 1.0, parse_potential("linear:1e308"))
 
 
 def test_gaussian_far_outside_its_width_is_zero():

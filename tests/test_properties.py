@@ -607,6 +607,13 @@ def test_hostile_operands_fail_typed(case, value):
     # a U of finite norm whose U H U^H overflows: the matmul warned, once
     (lambda: FWResult.of(1e-5 * _HUGE_U, 1e10 * _H), NonHermitianInput,
      "U H U^H has non-finite entries"),
+    # the square and finite rules, each of one owner, on a Hamiltonian and a bare operand
+    (lambda: eriksen_transform(1e155 * _H), NonHermitianInput,
+     "Hamiltonian has a Frobenius norm that overflows"),
+    (lambda: Spectrum.of(np.ones((2, 3))), DimensionMismatch,
+     "operand must be a square matrix, got shape (2, 3)"),
+    (lambda: sign_operator(np.full((4, 4), np.nan)), NonHermitianInput,
+     "operand has non-finite entries"),
 ], ids=["eriksen-h", "stepwise-h", "split-h", "oddness-u", "u_fw_exact-d", "weak_root-d",
         "commutation-d", "specs-none", "specs-str", "specs-dict", "specs-entry", "methods-none",
         "methods-str", "tolerances-none", "tolerances-dict", "stepwise-tolerances", "result-u-none",
@@ -617,7 +624,7 @@ def test_hostile_operands_fail_typed(case, value):
         "read-table-fd", "load-matrix-fd", "write-text-none", "write-matrix-int", "emit-json-int",
         "frobenius-none", "frobenius-vector", "relative-norm-none", "hermiticity-none",
         "result-u-overflow", "result-transformed-overflow", "log-u-overflow",
-        "result-product-overflow"])
+        "result-product-overflow", "eriksen-h-overflow", "spectrum-shape", "sign-nan"])
 def test_operands_are_refused_by_name(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()

@@ -272,7 +272,7 @@ def test_one_diagnostics_path():
     # the routes pass their stacks to diagnose, which gates a non-finite slice before computing
     # instead of catching an error and computing again; unitary_log_stack trusts the finiteness
     # and the defects its callers give it, so only the public names (unitary_log and FWResult.of's
-    # route ``given``) and diagnose's gate check a U
+    # route ``given``) and diagnose's gate check a U, and require_hermitian an H
     paths = sorted(SRC.rglob("*.py"))
     diagnose = _function(SRC / "eriksen.py", "diagnose")
     assert not [node for node in ast.walk(diagnose) if isinstance(node, ast.Try)]
@@ -282,10 +282,56 @@ def test_one_diagnostics_path():
     assert not [node for node in ast.walk(log_stack) if _names("require_finite")(node)]
     checks = {user for path in paths for user in _users(
         path, lambda node: isinstance(node, ast.Name) and node.id == "require_finite")}
-    assert checks == {"matfunc:unitary_log", "eriksen:given", "eriksen:diagnose"}
+    assert checks == {"matfunc:unitary_log", "eriksen:given", "eriksen:diagnose",
+                      "algebra:require_hermitian"}
     assert [user for path in paths for user in _users(
         path, lambda node: isinstance(node, ast.Call)
         and ast.unparse(node.func).endswith("FWResult.of"))] == []
+
+
+def _holds(phrase):
+    """Matches a node with a str constant child that holds ``phrase``, a docstring's Expr aside."""
+    return lambda node: not isinstance(node, ast.Expr) and any(
+        isinstance(child, ast.Constant) and isinstance(child.value, str) and phrase in child.value
+        for child in ast.iter_child_nodes(node))
+
+
+def test_one_owner_per_operand_rule():
+    # algebra alone decides when a matrix is square and when it is finite, and builds the
+    # messages; odd_exp keeps its entries-only check, as a stepwise c may have an inf norm
+    paths = sorted(SRC.rglob("*.py"))
+    builders = {phrase: [user for path in paths for user in _users(path, _holds(phrase))]
+                for phrase in ("must be a square matrix", "has non-finite entries",
+                               "has a Frobenius norm that overflows")}
+    assert builders == {"must be a square matrix": ["algebra:require_square"],
+                        "has non-finite entries": ["algebra:require_finite", "matfunc:odd_exp"],
+                        "has a Frobenius norm that overflows": ["algebra:require_finite"]}
+    defines = [f"{path.stem}:{node.name}" for path in paths
+               for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+               if isinstance(node, ast.FunctionDef)
+               and node.name in ("require_square", "require_finite")]
+    assert defines == ["algebra:require_square", "algebra:require_finite"]
+
+
+# 'module:name' of each name a module imports only for others to import from it, with the reason
+REEXPORTS = {"harness:report_json": "benchmarks/workloads.py calls it as harness.report_json"}
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # an import no code reads is dead; the package's __init__ only re-exports
+    unread = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.stem}:{bound}" for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for alias in node.names
+                   if (bound := alias.asname or alias.name.partition(".")[0]) not in read]
+    assert unread == list(REEXPORTS)
 
 
 def test_one_single_model_path():

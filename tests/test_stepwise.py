@@ -73,6 +73,19 @@ def test_reaches_exact_block_form_on_commuting_lattice():
     assert trace.converged
     target = h_fw_exact(d)
     assert relative_norm(result.transformed_hamiltonian - target, target) <= 1e-8
+    # where [E, O] = 0 the steps compose to Eriksen's one U; on a non-commuting lattice they
+    # converge as tightly and still stop far from it
+    tight = ToleranceConfig(stepwise_tol=1e-15)
+    for n, length, mass, potential, commuting in (
+            (16, 8.0, 1.0, Potential("constant", (0.2,)), True),
+            (32, 24.0, 4.0, Potential("gaussian", (0.5, 2.0)), False),
+            (32, 24.0, 4.0, Potential("gaussian", (0.2, 6.0)), False)):
+        h, _ = build_lattice_1d(n, length, mass, potential)
+        result, trace = stepwise_fw(h, mass, tight)
+        assert trace.converged
+        u = eriksen_transform(h).transform
+        gap = relative_norm(result.transform - u, u)
+        assert gap <= 1e-12 if commuting else gap >= 1e-7
 
 
 def test_composite_breaks_adjoint_condition_off_commuting():
