@@ -17,7 +17,7 @@ is coded separately from lambda as a cross-check.  Entry points taking H
 also accept its ``Spectrum``.  Each route is a kernel on stacks only, one LAPACK call per step;
 ``_alone`` runs one on a single model for every single-model name (``FWResult.of`` and
 ``stepwise_fw`` too), and ``diagnose`` measures a stack as one and applies ``check_unitarity``.
-``FWResult`` is a record; only ``of`` and ``unitary_log`` check a caller's U.
+``FWResult`` is a record; only ``diagnose`` and ``unitary_log`` check a caller's U.
 
 A transform of this family also has a Hermitian generator S = -i log U
 that is odd (anticommutes with beta).  Multi-step schemes produce unitary
@@ -74,15 +74,14 @@ class FWResult:
     @classmethod
     def of(cls, u, h, transformed=None, *, unitary=True) -> "FWResult":
         """Result for a caller's own transform ``u`` of ``h``, all of H's shape (DimensionMismatch,
-        also for a None U); after H, ``require_finite`` refuses a U as NotUnitary, and u h u^H is
-        built once unless ``transformed``.  ``unitary=False`` skips the unitarity verdict, as for
-        the weak-field U, unitary as far as its root is exact."""
+        also for a None U); u h u^H is built once unless ``transformed``, and after H ``diagnose``
+        refuses a non-finite U as NotUnitary.  ``unitary=False`` skips the unitarity verdict, as
+        for the weak-field U, unitary as far as its root is exact."""
         beta_signs({"U": u})
         beta_signs({"H": h, "U": u, "U H U^H": transformed})
         u = np.asarray(u, dtype=complex)
 
-        def given(slices, h):  # the caller's U as a route, checked after H
-            require_finite(u, "U", NotUnitary)  # before u h u^H is built from it
+        def given(slices, h):  # the caller's U as a route, checked after H by diagnose
             with np.errstate(over="ignore", invalid="ignore"):
                 x = u @ h.matrix[0] @ adjoint(u) if transformed is None else np.asarray(transformed)
             return h, u[None], x[None]

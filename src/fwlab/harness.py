@@ -2,8 +2,8 @@
 
 Every method is a route in ``ROUTES`` that gives each model of a batch
 (U, U H U^H) or its error, and the scheduler diagnoses the route's stack as
-one, so all are run, timed and recorded alike; ``report`` turns the outcomes
-into reports.
+one, so all are run, timed and recorded alike; ``report`` builds the rows and
+reports from the outcomes.
 """
 
 from __future__ import annotations
@@ -17,14 +17,14 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .algebra import frobenius, relative_norm, require_type
+from .algebra import relative_norm, require_type
 from .eriksen import diagnose, eriksen_alt_stack, eriksen_stack
 from .errors import DimensionMismatch, FWLabError, OutsideValidityDomain
 from .exact_case import ModelStack, u_fw_stack, weak_field_stack, weak_root_stack
 from .matfunc import Slices, Spectrum, single_blas_thread
 from .models import ModelSpec, build_model
 # report_json stays importable from here: the benchmarks call it as harness.report_json
-from .report import ComparisonReport, MethodRow, assemble_report, report_contexts, report_json
+from .report import ComparisonReport, assemble_report, report_contexts, report_json
 from .stepwise import ToleranceConfig, stepwise_lockstep
 
 
@@ -92,29 +92,21 @@ def _lane_count(tasks: int, count: int, dim: int, pinned: bool) -> int:
 
 
 def _run_method(method, batch):
-    """(row, (U, U H U^H, ||U||_F, ||U H U^H||_F) or None) of one method on each model of a
-    batch: its route, then one diagnostics step on the stack it gives."""
+    """(seconds, row extras, outcome) of one method on each model of a batch: its route, then one
+    diagnostics step on the stack it gives.  An outcome is the model's FWResult, or the
+    (FWLabError type, message) that ``Slices.errors`` holds for it."""
     started = time.perf_counter()
     slices, extras = Slices(len(batch.index)), [{} for _ in batch.index]
     try:
         h, u, transformed = ROUTES[method](slices, batch, extras)
-        norms = dict(zip(slices.index, zip(frobenius(u).tolist(), frobenius(transformed).tolist())))
         found = diagnose(slices, h, u, transformed, method != METHOD_WEAK_FIELD)
         results = dict(zip(slices.index, found))
     except FWLabError as exc:  # no slice is left, or one error fails them all
         results = {}
         slices.errors.update(dict.fromkeys(slices.index, (type(exc), str(exc))))
-    elapsed, outcomes = time.perf_counter() - started, []
-    for slot, row_extras in enumerate(extras):
-        row = MethodRow(method=method, extras=row_extras, wall_time_seconds=elapsed)
-        if (result := results.get(slot)) is None:
-            kind, row.error = slices.errors[slot]
-            row.error_type = kind.__name__
-        else:
-            row.diagnostics = result.diagnostics
-        outcomes.append((row, result and (result.transform, result.transformed_hamiltonian,
-                                          *norms[slot])))
-    return outcomes
+    elapsed = time.perf_counter() - started
+    return [(elapsed, row_extras, results.get(slot) or slices.errors[slot])
+            for slot, row_extras in enumerate(extras)]
 
 
 def run_comparisons(specs, methods=METHOD_TAGS,
@@ -137,8 +129,8 @@ def run_comparisons(specs, methods=METHOD_TAGS,
     methods = list(require_type(methods, (list, tuple), "methods", "a list or tuple"))
     if not methods:
         raise ValueError("methods must name at least one method")
-    for method in methods:
-        if method not in METHOD_TAGS:
+    for i, method in enumerate(methods):
+        if require_type(method, str, f"methods[{i}]") not in METHOD_TAGS:
             raise ValueError(f"unknown method {method!r}; known: {', '.join(METHOD_TAGS)}")
     methods = [m for m in METHOD_TAGS if m in methods]
     lockstep, closed, *one_shot = [[m for m in task if m in methods] for task in _TASKS]

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .algebra import NORM_FLOOR, frobenius, require_type
-from .eriksen import DiagnosticSet
+from .eriksen import DiagnosticSet, FWResult
 from .exact_case import COMMUTE_TOL, ModelStack
 from .fileio import write_text
 from .stepwise import ToleranceConfig
@@ -89,16 +89,32 @@ def report_contexts(parts: ModelStack, masses) -> list[ReportContext]:
 
 
 def assemble_report(spec, context, outcomes, tolerances) -> ComparisonReport:
-    """One model's report from its {method: ``_run_method``'s (row, produced)}, canonically."""
-    produced = [(m, pair) for m, (_, pair) in outcomes.items() if pair is not None]
-    cross = []
-    for i, (first, (u_first, h_first, u_norm, h_norm)) in enumerate(produced):
-        for second, (u_second, h_second, _, _) in produced[i + 1:]:
-            cross.append(CrossRow((first, second),
-                                  frobenius(h_second - h_first) / max(h_norm, NORM_FLOOR),
-                                  frobenius(u_second - u_first) / max(u_norm, NORM_FLOOR)))
-    rows = [row for row, _ in outcomes.values()]
+    """One model's report from its {method: ``_run_method``'s (seconds, extras, outcome)}: a row
+    per method, and a cross row per pair of FWResults, canonically."""
+    rows, produced, cross = [], [], []
+    for method, (seconds, extras, outcome) in outcomes.items():
+        rows.append(row := MethodRow(method, wall_time_seconds=seconds, extras=extras))
+        if isinstance(outcome, FWResult):
+            row.diagnostics = outcome.diagnostics
+            produced.append((method, outcome))
+        else:
+            row.error_type, row.error = outcome[0].__name__, outcome[1]
+    for i, (first, a) in enumerate(produced[:-1]):  # a's norms once, as the first of its pairs
+        h, u = a.transformed_hamiltonian, a.transform
+        h_norm, u_norm = frobenius(h), frobenius(u)
+        cross += [CrossRow((first, second), _disagreement(h, b.transformed_hamiltonian, h_norm),
+                           _disagreement(u, b.transform, u_norm)) for second, b in produced[i + 1:]]
     return ComparisonReport(spec.describe(), context, rows, cross, tolerances)
+
+
+def _disagreement(a, b, norm) -> float:
+    """||b - a||_F / max(``norm``, NORM_FLOOR), ``norm`` being ||a||_F; where ||b - a||_F^2
+    overflows, of a and b over 2^k, k the exponent of their larger norm, exactly."""
+    ratio = frobenius(b - a) / max(norm, NORM_FLOOR)
+    if not ratio < np.inf:
+        scale = 2.0 ** -int(np.frexp(max(norm, frobenius(b)))[1])
+        ratio = frobenius(b * scale - a * scale) / (max(norm, NORM_FLOOR) * scale)
+    return ratio
 
 
 def json_text(data) -> str:
@@ -107,9 +123,10 @@ def json_text(data) -> str:
 
 
 def report_json(report: ComparisonReport, include_timings: bool = False) -> str:
-    """A ComparisonReport's ``json_text``; rows' ``wall_time_seconds`` only if asked."""
+    """A ComparisonReport's ``json_text``; rows' ``wall_time_seconds`` only if ``include_timings``
+    is True (a numpy bool is read as the bool it holds; ValueError for any other type)."""
     data = require_type(report, ComparisonReport, "report").to_dict()
-    if not include_timings:
+    if not require_type(include_timings, (bool, np.bool_), "include_timings", "a bool"):
         for row in data["methods"]:
             del row["wall_time_seconds"]
     return json_text(data)

@@ -8,7 +8,6 @@ from fwlab import (
     build_lattice_1d,
     build_synthetic_commuting,
     eriksen_transform,
-    frobenius,
     h_fw_exact,
     lambda_exact,
     make_beta,

@@ -32,10 +32,11 @@ from fwlab import (
     write_matrix,
 )
 from fwlab import harness, matfunc
+from fwlab.algebra import NORM_FLOOR, frobenius
 from fwlab.errors import DimensionMismatch, FWLabError
 from fwlab.harness import METHOD_TAGS, run_comparisons
 from fwlab.models import KIND_EXPLICIT, KIND_FREE, KIND_LATTICE, KIND_SYNTHETIC
-from fwlab.report import json_text
+from fwlab.report import CrossRow, json_text
 from conftest import SINGLE_MODEL
 
 FREE_SPEC = ModelSpec(kind=KIND_FREE, mass=1.0, momentum=(0.0, 0.0, 0.75))
@@ -108,18 +109,32 @@ def test_routes_call_their_module_functions_at_run_time(monkeypatch):
 
 def test_single_model_functions_match_their_rows(full_suite):
     # a single-model function is its route on a stack of one under the rows' BLAS pin, so it
-    # gives the row's diagnostics bit for bit, or the row's error
+    # gives the row's diagnostics bit for bit, or the row's error, and the cross rows are the
+    # disagreements of those FWResults, bit for bit, under the same pin (a threaded BLAS dot
+    # may sum in another order)
+    @matfunc.single_blas_thread()
+    def disagreement(a, b):
+        return frobenius(b - a) / max(frobenius(a), NORM_FLOOR)
+
     outcomes = Counter()
     for spec, h, d in full_suite:
-        report = run_comparison(spec)
+        report, produced = run_comparison(spec), []
         for method, alone in SINGLE_MODEL.items():
             row = report.row(method)
             try:
-                found = alone(h, d).diagnostics, None, None
+                result = alone(h, d)
+                found = result.diagnostics, None, None
+                produced.append((method, result))
             except FWLabError as exc:
                 found = None, type(exc).__name__, str(exc)
             assert found == (row.diagnostics, row.error_type, row.error), (spec.describe(), method)
             outcomes[row.error_type] += 1
+        assert report.cross == [
+            CrossRow((first, second),
+                     disagreement(a.transformed_hamiltonian, b.transformed_hamiltonian),
+                     disagreement(a.transform, b.transform))
+            for i, (first, a) in enumerate(produced) for second, b in produced[i + 1:]
+        ], spec.describe()
     assert sum(outcomes.values()) == 200 and 0 < outcomes[None] < 200
 
 
@@ -165,6 +180,9 @@ def test_method_subset_and_ordering():
     for methods in (("nosuch",), ()):
         with pytest.raises(ValueError):
             run_comparison(FREE_SPEC, methods=methods)
+    # an entry that is not a str is named, not compared with the tags; no model is built first
+    with pytest.raises(ValueError, match=r"^methods\[0\] must be a str, got ndarray$"):
+        run_comparison(replace(FREE_SPEC, mass=np.inf), methods=[np.array(["eriksen", "x"])])
 
 
 @pytest.mark.parametrize("spec", [GAUSS_SPEC, FREE_SPEC], ids=["lattice", "free"])
@@ -185,6 +203,11 @@ def test_json_report_is_deterministic():
     assert "wall_time_seconds" not in text_a
     timed = report_json(run_comparison(GAUSS_SPEC), include_timings=True)
     assert "wall_time_seconds" in timed
+    # a numpy bool is read as the bool it holds
+    report = run_comparison(FREE_SPEC, methods=("eriksen",))
+    for flag in (False, True):
+        assert report_json(report, include_timings=np.bool_(flag)) == report_json(
+            report, include_timings=flag)
 
 
 def test_timings_are_all_the_opt_in_adds(full_suite):
@@ -652,6 +675,21 @@ def test_weak_field_root_whose_error_overflows_leaves(tmp_path):
     assert [r.method for r in report.methods if r.error is not None] == [
         "exactcase", "weakfield"]
     _strict_json(report)
+
+
+def test_cross_rows_of_a_huge_momentum_are_finite():
+    # ||H_b - H_a||_F^2 overflows at p = 5e153 though ||H||_F does not; the cross rows are then
+    # taken on both operands over a power of two, so they read as the model scaled by 2^-500
+    scale = 2.0 ** -500
+    report = run_comparison(ModelSpec(kind=KIND_FREE, mass=1.0, momentum=(5e153, 0.0, 0.0)))
+    scaled = run_comparison(ModelSpec(kind=KIND_FREE, mass=scale,
+                                      momentum=(5e153 * scale, 0.0, 0.0)))
+    cross = _strict_json(report)["cross"]
+    assert len(cross) == 10 and report.row("stepwise").extras["stop_reason"] == "stagnation"
+    for row, reference in zip(cross, scaled.cross):
+        assert tuple(row["method_pair"]) == reference.method_pair
+        for key in ("hamiltonian_disagreement", "transform_disagreement"):
+            assert row[key] == pytest.approx(getattr(reference, key), rel=1e-12), (row, key)
 
 
 @pytest.mark.parametrize("mass", [4e153, 5e153, 9e153])

@@ -564,6 +564,8 @@ def test_hostile_operands_fail_typed(case, value):
      "U must be a square matrix, got shape (2, 3)"),
     (lambda: build_model(None), ValueError, "spec must be a ModelSpec, got NoneType"),
     (lambda: report_json(None), ValueError, "report must be a ComparisonReport, got NoneType"),
+    (lambda: report_json(run_comparison(_SPEC, ["eriksen"]), include_timings="no"), ValueError,
+     "include_timings must be a bool, got str"),
     (lambda: run_comparison(None), ValueError, "spec must be a ModelSpec, got NoneType"),
     (lambda: report_csv(None), ValueError, "report must be a ComparisonReport, got NoneType"),
     (lambda: emit_report(None, "csv"), ValueError,
@@ -617,7 +619,7 @@ def test_hostile_operands_fail_typed(case, value):
 ], ids=["eriksen-h", "stepwise-h", "split-h", "oddness-u", "u_fw_exact-d", "weak_root-d",
         "commutation-d", "specs-none", "specs-str", "specs-dict", "specs-entry", "methods-none",
         "methods-str", "tolerances-none", "tolerances-dict", "stepwise-tolerances", "result-u-none",
-        "result-u-shape", "log-u-none", "log-u-shape", "build-spec", "json-report",
+        "result-u-shape", "log-u-none", "log-u-shape", "build-spec", "json-report", "json-timings",
         "comparison-spec", "csv-report", "emit-csv-report", "lattice-potential-none",
         "lattice-potential-str", "parse-potential-none", "parse-potential-int", "odd-exp-nan",
         "odd-exp-inf", "odd-exp-vector", "odd-exp-str", "read-matrix-fd", "read-matrix-bool",

@@ -271,8 +271,8 @@ def test_one_commuting_verdict():
 def test_one_diagnostics_path():
     # the routes pass their stacks to diagnose, which gates a non-finite slice before computing
     # instead of catching an error and computing again; unitary_log_stack trusts the finiteness
-    # and the defects its callers give it, so only the public names (unitary_log and FWResult.of's
-    # route ``given``) and diagnose's gate check a U, and require_hermitian an H
+    # and the defects its callers give it, so only unitary_log and diagnose's gate, which
+    # FWResult.of's route ``given`` reaches, check a U, and require_hermitian an H
     paths = sorted(SRC.rglob("*.py"))
     diagnose = _function(SRC / "eriksen.py", "diagnose")
     assert not [node for node in ast.walk(diagnose) if isinstance(node, ast.Try)]
@@ -282,8 +282,7 @@ def test_one_diagnostics_path():
     assert not [node for node in ast.walk(log_stack) if _names("require_finite")(node)]
     checks = {user for path in paths for user in _users(
         path, lambda node: isinstance(node, ast.Name) and node.id == "require_finite")}
-    assert checks == {"matfunc:unitary_log", "eriksen:given", "eriksen:diagnose",
-                      "algebra:require_hermitian"}
+    assert checks == {"matfunc:unitary_log", "eriksen:diagnose", "algebra:require_hermitian"}
     assert [user for path in paths for user in _users(
         path, lambda node: isinstance(node, ast.Call)
         and ast.unparse(node.func).endswith("FWResult.of"))] == []
@@ -318,9 +317,9 @@ REEXPORTS = {"harness:report_json": "benchmarks/workloads.py calls it as harness
 
 
 def test_no_module_imports_a_name_it_never_reads():
-    # an import no code reads is dead; the package's __init__ only re-exports
+    # an import no code reads is dead, in the tests too; the package's __init__ only re-exports
     unread = []
-    for path in sorted(SRC.rglob("*.py")):
+    for path in sorted(SRC.rglob("*.py")) + sorted(Path(__file__).parent.rglob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -391,10 +390,17 @@ def test_the_grading_is_the_shape():
 
 
 def test_report_has_one_owner():
-    # report.py owns the schema and its serializers, and the harness only schedules; the one
-    # opt-in, the rows' timings, is a parameter of report_json alone
+    # report.py owns the schema, the rows and its serializers, and the harness only schedules:
+    # assemble_report alone builds rows and cross rows, from the outcomes _run_method gives; the
+    # one opt-in, the rows' timings, is a parameter of report_json alone
     assert _users(SRC / "harness.py", _names("dataclass")) == []
     assert not {"json", "fileio", "dataclasses"} & _imported(SRC / "harness.py")
+    rows = ("MethodRow", "CrossRow")
+    assert [user for name in (*rows, "frobenius")
+            for user in _users(SRC / "harness.py", _names(name))] == []
+    assert [user for path in sorted(SRC.rglob("*.py")) for user in _users(
+        path, lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) in rows)] == [
+        "report:assemble_report"] * 2
     assert "harness" not in _imported(SRC / "report.py")
     assert [f"{path.stem}:{node.name}" for path in sorted(SRC.rglob("*.py"))
             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
